@@ -80,7 +80,6 @@ from .bound_states import (
     DerivativeFields,
     decay_fit,
     default_z_max,
-    derivative_fields,
     fixed_point_step,
     solve_bound_state,
 )
@@ -103,7 +102,6 @@ from .modulation import (
     track,
 )
 from .analysis import (
-    NormConfig,
     NormEquivalenceReport,
     ResolventScan,
     StrichartzReport,
@@ -115,5 +113,8 @@ from .analysis import (
     strichartz_ratio,
 )
 from .config import ExperimentConfig, parse_config
+
+# the package-level name for BoundStateFamily.derivative_fields(family, z)
+derivative_fields = BoundStateFamily.derivative_fields
 
 __version__ = "0.1.0"

@@ -20,28 +20,24 @@ import numpy as np
 from .errors import ConfigError, MagnlsError
 from .evolution import linear_flow
 from .grid import ComplexField, GridSpec, make_field, norm_l2
-from .hamiltonian import (HamiltonianSpec, apply_h, apply_h1,
+from .hamiltonian import (MIN_IMAG_SHIFT, HamiltonianSpec, apply_h, apply_h1,
                           project_continuous, resolvent_solve, shifted_solve)
-from .norms import (bracket_weight, grad_magnitude, norm_h1, norm_lp,
-                    norm_w1p, norm_w2p_sum, norm_weighted_h1)
+from .norms import (bracket_weight, check_sigma, grad_magnitude, norm_h1,
+                    norm_lp, norm_w1p, norm_w2p_sum, norm_weighted_h1)
 from .spectrum import EigenPair
 
-
-@dataclass(frozen=True)
-class NormConfig:
-    """Exponents shared by the weighted-norm diagnostics."""
-
-    sigma: float = 4.1
-    p_list: tuple[float, ...] = (2.0, 18.0 / 5.0, 6.0)
-
-    def __post_init__(self) -> None:
-        if self.sigma <= 4.0:
-            raise ConfigError(
-                f"spatial weight exponent must exceed 4, got {self.sigma}")
-        for p in self.p_list:
-            if p < 2.0 or p > 6.0:
-                raise ConfigError(
-                    f"integrability exponents must lie in [2, 6], got {p}")
+# the resolvent-scan run repeats its scan at eps / _FINE_EPS_FACTOR
+_FINE_EPS_FACTOR = 10.0
+# default frequency grid: lambda in [0, _LAM_MAX], gaps of at least _GAP_MIN
+_LAM_MAX = 6.0
+_LAMBDA_COUNT = 16
+_GAP_MIN = 6e-2
+_BAND_FRACTION = 0.25      # trial fields keep |k| <= this fraction of k_max
+# norm-equivalence gates, for each p: r_max / r_min <= NORM_SPREAD_CAP and
+# r_min >= NORM_RATIO_FLOOR
+_NORM_P_LIST = (2.0, 18.0 / 5.0)
+NORM_SPREAD_CAP = 100.0
+NORM_RATIO_FLOOR = 1e-3
 
 
 def _as_fraction(x) -> Fraction:
@@ -66,6 +62,33 @@ def is_admissible(q, p) -> bool:
     return Fraction(2, 1) / fq + Fraction(3, 1) / fp == Fraction(3, 2)
 
 
+class _TimeLq:
+    """Trapezoid L^q-in-time accumulator for a scalar sample series; the
+    infinite-q case keeps the running supremum."""
+
+    def __init__(self, q: float):
+        self.q = q
+        self.prev: tuple[float, float] | None = None
+        self.total = 0.0
+        self.sup = 0.0
+
+    def add(self, t: float, v: float) -> None:
+        if self.prev is not None:
+            if t <= self.prev[0]:
+                raise MagnlsError(
+                    f"time samples must increase: {self.prev[0]} -> {t}")
+            if not math.isinf(self.q):
+                dt = t - self.prev[0]
+                self.total += 0.5 * dt * (self.prev[1] ** self.q + v ** self.q)
+        self.prev = (t, v)
+        self.sup = max(self.sup, v)
+
+    def value(self) -> float:
+        if math.isinf(self.q):
+            return self.sup
+        return self.total ** (1.0 / self.q)
+
+
 class XNormAccumulator:
     """Trapezoid-in-time accumulator for the three-part radiation norm.
 
@@ -75,37 +98,18 @@ class XNormAccumulator:
     """
 
     def __init__(self, sigma: float = 4.1):
-        if sigma <= 4.0:
-            raise ConfigError(
-                f"spatial weight exponent must exceed 4, got {sigma}")
+        check_sigma(sigma)
         self.sigma = float(sigma)
-        self._prev_t: float | None = None
-        self._prev_sq = 0.0
-        self._prev_cu = 0.0
-        self._int_sq = 0.0
-        self._int_cu = 0.0
-        self._sup = 0.0
-        self.samples = 0
+        self._parts = (_TimeLq(2.0), _TimeLq(3.0), _TimeLq(math.inf))
 
     def add(self, t: float, f: ComplexField) -> None:
-        v1 = norm_weighted_h1(f, self.sigma)
-        v2 = norm_w1p(f, 18.0 / 5.0)
-        v3 = norm_h1(f)
-        if self._prev_t is not None:
-            dt = t - self._prev_t
-            if dt <= 0.0:
-                raise MagnlsError(
-                    f"time samples must increase: {self._prev_t} -> {t}")
-            self._int_sq += 0.5 * dt * (self._prev_sq + v1 * v1)
-            self._int_cu += 0.5 * dt * (self._prev_cu + v2 ** 3)
-        self._prev_t = t
-        self._prev_sq = v1 * v1
-        self._prev_cu = v2 ** 3
-        self._sup = max(self._sup, v3)
-        self.samples += 1
+        values = (norm_weighted_h1(f, self.sigma), norm_w1p(f, 18.0 / 5.0),
+                  norm_h1(f))
+        for part, v in zip(self._parts, values):
+            part.add(t, v)
 
     def components(self) -> tuple[float, float, float]:
-        return (math.sqrt(self._int_sq), self._int_cu ** (1.0 / 3.0), self._sup)
+        return tuple(part.value() for part in self._parts)
 
     def value(self) -> float:
         return float(sum(self.components()))
@@ -128,9 +132,21 @@ def _dense_levels_1d(spec: HamiltonianSpec) -> np.ndarray:
     return np.linalg.eigvalsh(mat)
 
 
-def default_lambda_grid(spec: HamiltonianSpec, *, lam_max: float = 6.0,
-                        count: int = 16,
-                        gap_min: float = 6e-2) -> np.ndarray:
+def scan_offsets(eps: float) -> tuple[float, float]:
+    """The imaginary offsets of a resolvent-scan run: eps and the finer
+    eps / _FINE_EPS_FACTOR, which must still clear resolvent_solve's
+    |Im zeta| floor."""
+    fine = eps / _FINE_EPS_FACTOR
+    if fine < MIN_IMAG_SHIFT:
+        raise MagnlsError(
+            f"resolvent_eps must be >= "
+            f"{_FINE_EPS_FACTOR * MIN_IMAG_SHIFT:g} so the scan at "
+            f"eps/{_FINE_EPS_FACTOR:g} keeps |Im zeta| >= {MIN_IMAG_SHIFT:g}, "
+            f"got {eps:g}")
+    return eps, fine
+
+
+def default_lambda_grid(spec: HamiltonianSpec) -> np.ndarray:
     """Frequency grid that dodges the discrete levels of a finite box.
 
     On a periodic box the continuous spectrum breaks into isolated levels
@@ -139,25 +155,25 @@ def default_lambda_grid(spec: HamiltonianSpec, *, lam_max: float = 6.0,
     says nothing about the infinite-volume operator.  For one-dimensional
     problems the full level ladder is cheap to compute directly, so the
     default grid places each lambda^2 at the midpoint of a spectral gap,
-    using only gaps wider than ``gap_min`` so every sample keeps a safe
+    using only gaps wider than 0.06 so every sample keeps a safe
     distance from the nearest level (the narrow splittings of even/odd
     doublets are skipped over automatically).  In higher dimensions the
     ladder is too dense to resolve at the offsets used here and a uniform
     grid is returned instead.
     """
-    fallback = np.linspace(0.0, lam_max, count)
+    fallback = np.linspace(0.0, _LAM_MAX, _LAMBDA_COUNT)
     if spec.grid.dim != 1 or spec.grid.sizes[0] > 2048:
         return fallback
     levels = _dense_levels_1d(spec)
-    wide = np.diff(levels) >= gap_min
+    wide = np.diff(levels) >= _GAP_MIN
     mids = 0.5 * (levels[:-1] + levels[1:])[wide]
-    mids = mids[(mids > 0.0) & (mids <= lam_max * lam_max)]
+    mids = mids[(mids > 0.0) & (mids <= _LAM_MAX * _LAM_MAX)]
     if mids.size < 4:
         return fallback
     lams = np.sqrt(mids)
-    if lams.size > count:
+    if lams.size > _LAMBDA_COUNT:
         idx = np.unique(np.round(
-            np.linspace(0, lams.size - 1, count)).astype(int))
+            np.linspace(0, lams.size - 1, _LAMBDA_COUNT)).astype(int))
         lams = lams[idx]
     return lams
 
@@ -279,8 +295,7 @@ class NormEquivalenceReport:
         return all(r.passed for r in self.rows)
 
 
-def _band_limited_trial(g: GridSpec, rng: np.random.Generator,
-                        band_fraction: float = 0.25) -> ComplexField:
+def _band_limited_trial(g: GridSpec, rng: np.random.Generator) -> ComplexField:
     coeffs = rng.standard_normal(g.sizes) + 1j * rng.standard_normal(g.sizes)
     mask = np.ones(g.sizes, dtype=bool)
     for axis in range(g.dim):
@@ -288,44 +303,39 @@ def _band_limited_trial(g: GridSpec, rng: np.random.Generator,
         kmax = np.max(np.abs(k))
         shape = [1] * g.dim
         shape[axis] = g.sizes[axis]
-        mask &= (np.abs(k).reshape(shape) <= band_fraction * kmax)
+        mask &= (np.abs(k).reshape(shape) <= _BAND_FRACTION * kmax)
     coeffs[~mask] = 0.0
     f = make_field(g, np.fft.ifftn(coeffs))
     return make_field(g, f.values / max(norm_l2(f), 1e-300))
 
 
-def norm_equivalence_check(spec: HamiltonianSpec, *,
-                           p_list: tuple[float, ...] = (2.0, 18.0 / 5.0),
-                           trials: int = 64, seed: int = 11,
-                           spread_cap: float = 100.0,
-                           floor: float = 1e-3,
-                           include_floor_probe: bool = True
-                           ) -> NormEquivalenceReport:
+def norm_equivalence_check(spec: HamiltonianSpec, *, trials: int = 64,
+                           seed: int = 11) -> NormEquivalenceReport:
     """Ratios r = ||(H + K) u||_p / (||u||_p + ||grad u||_p + ||lap u||_p)
     over random band-limited trials.
 
     With the default positivity margin in K the two norms bound each other
-    with moderate constants; the gates are r_max/r_min <= spread_cap and
-    r_min >= floor.  The floor probe runs a few inverse iterations so a
-    near-kernel direction of H + K, if one exists, is in the trial set; with
-    K = 0 and a threshold eigenvalue this is what breaks the lower bound.
+    with moderate constants; the gates are r_max/r_min <= 100 and
+    r_min >= 1e-3, for p = 2 and p = 18/5.  The floor probe runs a few
+    inverse iterations so a near-kernel direction of H + K, if one exists,
+    is in the trial set; with K = 0 and a threshold eigenvalue this is what
+    breaks the lower bound.
     """
     g = spec.grid
     rng = np.random.default_rng(seed)
     fields = [_band_limited_trial(g, rng) for _ in range(trials)]
-    if include_floor_probe:
-        probe = _band_limited_trial(g, rng)
-        for _ in range(4):
-            sol = shifted_solve(spec, -spec.k_shift, probe, tol_rel=1e-8,
-                                max_iter=4000, strict=False)
-            nrm = norm_l2(sol)
-            if not np.isfinite(nrm) or nrm == 0.0:
-                break
-            probe = make_field(g, sol.values / nrm)
-        fields.append(probe)
+    probe = _band_limited_trial(g, rng)
+    for _ in range(4):
+        sol = shifted_solve(spec, -spec.k_shift, probe, tol_rel=1e-8,
+                            max_iter=4000, strict=False)
+        nrm = norm_l2(sol)
+        if not np.isfinite(nrm) or nrm == 0.0:
+            break
+        probe = make_field(g, sol.values / nrm)
+    fields.append(probe)
 
     rows = []
-    for p in p_list:
+    for p in _NORM_P_LIST:
         ratios = []
         for f in fields:
             hv = apply_h1(spec, f)
@@ -336,7 +346,8 @@ def norm_equivalence_check(spec: HamiltonianSpec, *,
         spread = r_max / max(r_min, 1e-300)
         rows.append(NormEquivalenceRow(
             p=float(p), r_min=r_min, r_max=r_max, spread=spread,
-            passed=bool(spread <= spread_cap and r_min >= floor)))
+            passed=bool(spread <= NORM_SPREAD_CAP
+                        and r_min >= NORM_RATIO_FLOOR)))
     return NormEquivalenceReport(rows=tuple(rows), trials=len(fields))
 
 
@@ -373,28 +384,6 @@ def _localized_source(spec: HamiltonianSpec, eig: EigenPair,
     f = make_field(g, f.values * envelope)
     f = project_continuous(eig.phi0, f)
     return make_field(g, f.values / max(norm_l2(f), 1e-300))
-
-
-class _TimeLq:
-    """Trapezoid L^q-in-time accumulator for a scalar sample series."""
-
-    def __init__(self, q: float):
-        self.q = q
-        self.prev: tuple[float, float] | None = None
-        self.total = 0.0
-        self.sup = 0.0
-
-    def add(self, t: float, v: float) -> None:
-        if self.prev is not None and not math.isinf(self.q):
-            dt = t - self.prev[0]
-            self.total += 0.5 * dt * (self.prev[1] ** self.q + v ** self.q)
-        self.prev = (t, v)
-        self.sup = max(self.sup, v)
-
-    def value(self) -> float:
-        if math.isinf(self.q):
-            return self.sup
-        return self.total ** (1.0 / self.q)
 
 
 def strichartz_ratio(spec: HamiltonianSpec, eig: EigenPair, *,

@@ -27,10 +27,15 @@ from .errors import (
     MagnlsError,
     NonConvergenceError,
 )
-from .grid import ComplexField, inner_l2, make_field, norm_l2
+from .grid import ComplexField, make_field, norm_l2
 from .hamiltonian import HamiltonianSpec, _apply_h_values, shifted_solve
 from .norms import norm_h2, norm_lp
 from .spectrum import EigenPair
+
+_SOLVER_TOL = 1e-12        # relative residual of each deflated solve
+_MAX_SWEEPS = 200
+_DECAY_FLOOR = 1e-13       # |Q| below this is left out of decay fits
+_DECAY_MIN_SAMPLES = 16
 
 
 @dataclass(frozen=True)
@@ -79,14 +84,13 @@ def _nonlinearity(sign: int, values: np.ndarray) -> np.ndarray:
 
 def fixed_point_step(spec: HamiltonianSpec, eig: EigenPair, z: complex,
                      q0: ComplexField, e0_prime: float, sign: int, *,
-                     z_max: float | None = None, solver_tol: float = 1e-12,
                      max_iter: int = 10000,
                      x0: np.ndarray | None = None):
     """One application of the contraction map; returns (q1, e1_prime)."""
     if sign not in (1, -1):
         raise MagnlsError(f"nonlinearity sign must be +1 or -1, got {sign}")
     zc = complex(z)
-    ceiling = default_z_max(eig) if z_max is None else z_max
+    ceiling = default_z_max(eig)
     if abs(zc) > ceiling:
         raise MagnlsError(
             f"|z| = {abs(zc):.4g} exceeds the contraction ceiling {ceiling:.4g}")
@@ -109,7 +113,7 @@ def fixed_point_step(spec: HamiltonianSpec, eig: EigenPair, z: complex,
 
     deflation_weight = 1.0 + abs(eig.e0)
     sol = shifted_solve(spec, eig.e0, make_field(g, rhs),
-                        tol_rel=solver_tol, max_iter=max_iter,
+                        tol_rel=_SOLVER_TOL, max_iter=max_iter,
                         deflate=(phi, deflation_weight), x0=x0)
     q1_values = sol.values - complex(np.vdot(phi, sol.values) * dv) * phi
     q1 = make_field(g, q1_values)
@@ -127,9 +131,7 @@ def fixed_point_step(spec: HamiltonianSpec, eig: EigenPair, z: complex,
 
 
 def solve_bound_state(spec: HamiltonianSpec, eig: EigenPair, z: complex,
-                      sign: int = 1, *, z_max: float | None = None,
-                      solver_tol: float = 1e-12, max_iter: int = 10000,
-                      max_sweeps: int = 200,
+                      sign: int = 1, *, max_iter: int = 10000,
                       start: tuple[ComplexField, float] | None = None) -> BoundState:
     """Iterate the contraction map to its fixed point.
 
@@ -155,10 +157,9 @@ def solve_bound_state(spec: HamiltonianSpec, eig: EigenPair, z: complex,
     best_delta = np.inf
     stalled = 0
     iterations = 0
-    for iterations in range(1, max_sweeps + 1):
+    for iterations in range(1, _MAX_SWEEPS + 1):
         q_new, ep_new = fixed_point_step(
-            spec, eig, zc, q, ep, sign, z_max=z_max,
-            solver_tol=solver_tol, max_iter=max_iter,
+            spec, eig, zc, q, ep, sign, max_iter=max_iter,
             x0=q.values.ravel() if iterations > 1 else None)
         delta = norm_h2(make_field(g, q_new.values - q.values)) + abs(ep_new - ep)
         q, ep = q_new, ep_new
@@ -201,13 +202,11 @@ class BoundStateFamily:
     """
 
     def __init__(self, spec: HamiltonianSpec, eig: EigenPair, sign: int = 1, *,
-                 z_max: float | None = None, solver_tol: float = 1e-12,
                  max_iter: int = 10000):
         self.spec = spec
         self.eig = eig
         self.sign = sign
-        self.z_max = default_z_max(eig) if z_max is None else z_max
-        self.solver_tol = solver_tol
+        self.z_max = default_z_max(eig)
         self.max_iter = max_iter
         self._cache: dict[complex, BoundState] = {}
 
@@ -228,9 +227,8 @@ class BoundStateFamily:
             return hit
         neighbor = self._nearest(zc)
         start = (neighbor.correction, neighbor.e_prime) if neighbor else None
-        state = solve_bound_state(
-            self.spec, self.eig, zc, self.sign, z_max=self.z_max,
-            solver_tol=self.solver_tol, max_iter=self.max_iter, start=start)
+        state = solve_bound_state(self.spec, self.eig, zc, self.sign,
+                                  max_iter=self.max_iter, start=start)
         if len(self._cache) > 4096:
             self._cache.clear()
         self._cache[zc] = state
@@ -239,10 +237,9 @@ class BoundStateFamily:
     def energy(self, z: complex) -> float:
         return self.solve(z).energy
 
-    def derivative_fields(self, z: complex,
-                          step: float | None = None) -> DerivativeFields:
+    def derivative_fields(self, z: complex) -> DerivativeFields:
         zc = complex(z)
-        h = 1e-4 * max(abs(zc), 0.01) if step is None else step
+        h = 1e-4 * max(abs(zc), 0.01)
         qp = self.solve(zc + h).field.values
         qm = self.solve(zc - h).field.values
         qip = self.solve(zc + 1j * h).field.values
@@ -261,29 +258,20 @@ class BoundStateFamily:
                                 identity_residual=float(ident))
 
 
-def derivative_fields(spec: HamiltonianSpec, eig: EigenPair, z: complex,
-                      sign: int = 1, *, step: float | None = None,
-                      solver_tol: float = 1e-12) -> DerivativeFields:
-    family = BoundStateFamily(spec, eig, sign, solver_tol=solver_tol)
-    return family.derivative_fields(z, step)
-
-
-def decay_fit(field: ComplexField, *, floor: float = 1e-13,
-              window: tuple[float, float] | None = None,
-              min_samples: int = 16) -> DecayFit:
+def decay_fit(field: ComplexField) -> DecayFit:
     """Exponential decay rate of |Q| over a radial window.
 
     Fits log|Q| = a - beta r by least squares over samples with
-    r in [0.25, 0.45] * (L_min / 2) (by default) and |Q| above the floor.
+    r in [0.25, 0.45] * (L_min / 2) and |Q| above 1e-13.
     """
     g = field.grid
     half = 0.5 * min(g.box_lengths)
-    lo, hi = window if window is not None else (0.25 * half, 0.45 * half)
+    lo, hi = 0.25 * half, 0.45 * half
     r = g.radius
     mag = np.abs(field.values)
-    mask = (r >= lo) & (r <= hi) & (mag > floor)
+    mask = (r >= lo) & (r <= hi) & (mag > _DECAY_FLOOR)
     n = int(np.count_nonzero(mask))
-    if n < min_samples:
+    if n < _DECAY_MIN_SAMPLES:
         raise InsufficientDecayWindow(
             f"only {n} usable samples in radial window [{lo:.3g}, {hi:.3g}]")
     peak = float(mag[mask].max())

@@ -11,7 +11,6 @@ and 17-significant-digit floats so reruns are byte-identical.
 from __future__ import annotations
 
 import argparse
-import dataclasses
 import json
 import math
 import os
@@ -25,23 +24,24 @@ import numpy as np
 import scipy
 
 from . import __version__
-from .analysis import (NormConfig, norm_equivalence_check,
-                       resolvent_bound_scan, strichartz_ratio)
+from .analysis import (NORM_RATIO_FLOOR, NORM_SPREAD_CAP,
+                       norm_equivalence_check, resolvent_bound_scan,
+                       scan_offsets, strichartz_ratio)
 from .bound_states import BoundStateFamily, decay_fit
 from .config import ExperimentConfig, parse_config
 from .errors import (ConfigError, InsufficientDecayWindow, MagnlsError,
                      NoBoundStateError)
-from .evolution import EvolveConfig, evolve
-from .grid import (ComplexField, GridSpec, make_field, norm_l2, read_field,
-                   write_field)
+from .evolution import evolve
+from .grid import (ComplexField, GridSpec, VectorField, make_field,
+                   read_field, write_field, zero_vector_field)
 from .hamiltonian import (HamiltonianSpec, build_hamiltonian,
                           project_continuous)
 from .modulation import gauge_adjusted_variation, track
-from .norms import norm_h1
+from .norms import norm_h1, norm_h2
 from .potentials import (PotentialPair, build_gauge_field,
                          build_gaussian_well, build_localized_loop_field,
                          gaussian_bump, make_potential_pair, validate)
-from .spectrum import EigenPair, ground_state
+from .spectrum import MAX_RESIDUAL, ground_state
 
 SUBCOMMANDS = (
     "validate-potentials", "ground-state", "bound-state", "bound-family",
@@ -98,7 +98,7 @@ class RunContext:
         self.gates[name] = {"value": float(value), "threshold": threshold,
                             "passed": bool(passed)}
 
-    def stage(self, name: str, status: str, detail: str = "") -> None:
+    def stage(self, name: str, status: str, detail: str) -> None:
         self.stages.append({"name": name, "status": status, "detail": detail})
 
     def warn(self, text: str) -> None:
@@ -118,27 +118,18 @@ def _grid_from(cfg: ExperimentConfig) -> GridSpec:
 
 def _potentials_from(cfg: ExperimentConfig, g: GridSpec) -> PotentialPair:
     p = cfg.potential
-    if p.kind == "gaussian_well":
-        return build_gaussian_well(g, p.depth, p.width,
-                                   decay_eps=p.decay_eps,
-                                   lq_exponent=p.lq_exponent)
-    if p.kind == "gauge":
-        chi = gaussian_bump(g, p.chi_amplitude, p.chi_width)
-        well = build_gaussian_well(g, p.depth, p.width,
-                                   decay_eps=p.decay_eps,
-                                   lq_exponent=p.lq_exponent)
-        return make_potential_pair(build_gauge_field(chi), well.v,
-                                   decay_eps=p.decay_eps,
-                                   lq_exponent=p.lq_exponent)
-    if p.kind == "loop":
-        a = build_localized_loop_field(g, p.loop_amplitude, p.loop_radius,
-                                       p.loop_width)
-        well = build_gaussian_well(g, p.depth, p.width,
-                                   decay_eps=p.decay_eps,
-                                   lq_exponent=p.lq_exponent)
-        return make_potential_pair(a, well.v, decay_eps=p.decay_eps,
-                                   lq_exponent=p.lq_exponent)
-    # kind == "file"
+    exponents = {"decay_eps": p.decay_eps, "lq_exponent": p.lq_exponent}
+    if p.kind != "file":
+        well = build_gaussian_well(g, p.depth, p.width, **exponents)
+        if p.kind == "gaussian_well":
+            return well
+        if p.kind == "gauge":
+            a = build_gauge_field(gaussian_bump(g, p.chi_amplitude,
+                                                p.chi_width))
+        else:
+            a = build_localized_loop_field(g, p.loop_amplitude,
+                                           p.loop_radius, p.loop_width)
+        return make_potential_pair(a, well.v, **exponents)
     v = read_field(p.v_file)
     if v.grid != g:
         raise ConfigError(
@@ -155,32 +146,33 @@ def _potentials_from(cfg: ExperimentConfig, g: GridSpec) -> PotentialPair:
                 raise ConfigError(f"potential.a_files entry {name} is on a "
                                   "different grid")
             comps.append(c)
-        from .grid import VectorField
         a = VectorField(tuple(comps))
     else:
-        from .grid import zero_vector_field
         a = zero_vector_field(g)
-    return make_potential_pair(a, v, decay_eps=p.decay_eps,
-                               lq_exponent=p.lq_exponent)
+    return make_potential_pair(a, v, **exponents)
 
 
 def _spec_from(cfg: ExperimentConfig) -> HamiltonianSpec:
     return build_hamiltonian(_potentials_from(cfg, _grid_from(cfg)))
 
 
-def _eigenpair(cfg: ExperimentConfig, spec: HamiltonianSpec) -> EigenPair:
-    return ground_state(spec, max_iter=cfg.solver.max_iter)
+def _family_from(cfg: ExperimentConfig) -> BoundStateFamily:
+    """Operator, ground state and bound-state family: ``.spec``, ``.eig``."""
+    spec = _spec_from(cfg)
+    eig = ground_state(spec, max_iter=cfg.solver.max_iter)
+    return BoundStateFamily(spec, eig, cfg.nonlinearity.sign,
+                            max_iter=cfg.solver.max_iter)
 
 
-def _initial_state(cfg: ExperimentConfig, spec: HamiltonianSpec,
-                   eig: EigenPair, family: BoundStateFamily) -> ComplexField:
+def _initial_state(cfg: ExperimentConfig,
+                   family: BoundStateFamily) -> ComplexField:
     e = cfg.evolution
-    g = spec.grid
+    g = family.spec.grid
     z = cfg.nonlinearity.z
     if e.initial == "bound_state":
         return family.solve(z).field
     if e.initial == "ground_state":
-        return make_field(g, z * eig.phi0.values)
+        return make_field(g, z * family.eig.phi0.values)
     if e.initial == "gaussian":
         return gaussian_bump(g, e.init_amplitude, e.init_width)
     f = read_field(e.init_file)
@@ -215,23 +207,20 @@ def _run_validate_potentials(cfg: ExperimentConfig, ctx: RunContext) -> None:
 
 def _run_ground_state(cfg: ExperimentConfig, ctx: RunContext) -> None:
     spec = _spec_from(cfg)
-    eig = _eigenpair(cfg, spec)
+    eig = ground_state(spec, max_iter=cfg.solver.max_iter)
     ctx.field("phi0.fld", eig.phi0)
     ctx.json("ground_state.json", {
         "e0": eig.e0, "residual": eig.residual, "gap": eig.gap,
         "k_shift": spec.k_shift,
     })
-    ctx.gate("eigen_residual", eig.residual, "<= 1e-9", eig.residual <= 1e-9)
+    ctx.gate("eigen_residual", eig.residual, f"<= {MAX_RESIDUAL:g}",
+             eig.residual <= MAX_RESIDUAL)
     ctx.gate("bound_below", eig.e0, "< 0", eig.e0 < 0.0)
     ctx.stage("ground-state", "ok", f"e0={eig.e0:.12g}")
 
 
 def _run_bound_state(cfg: ExperimentConfig, ctx: RunContext) -> None:
-    spec = _spec_from(cfg)
-    eig = _eigenpair(cfg, spec)
-    family = BoundStateFamily(spec, eig, cfg.nonlinearity.sign,
-                              max_iter=cfg.solver.max_iter)
-    state = family.solve(cfg.nonlinearity.z)
+    state = _family_from(cfg).solve(cfg.nonlinearity.z)
     ctx.field("bound_state.fld", state.field)
     ctx.json("bound_state.json", {
         "z_re": state.z.real, "z_im": state.z.imag,
@@ -246,14 +235,10 @@ def _run_bound_state(cfg: ExperimentConfig, ctx: RunContext) -> None:
 
 
 def _run_bound_family(cfg: ExperimentConfig, ctx: RunContext) -> None:
-    spec = _spec_from(cfg)
-    eig = _eigenpair(cfg, spec)
-    family = BoundStateFamily(spec, eig, cfg.nonlinearity.sign,
-                              max_iter=cfg.solver.max_iter)
+    family = _family_from(cfg)
     rows = []
     h2s, eps_, betas = [], [], []
     worst_resid = 0.0
-    from .norms import norm_h2
     for zv in cfg.nonlinearity.z_sweep:
         state = family.solve(zv)
         worst_resid = max(worst_resid, state.residual)
@@ -295,15 +280,10 @@ def _run_bound_family(cfg: ExperimentConfig, ctx: RunContext) -> None:
 
 def _evolve_common(cfg: ExperimentConfig, ctx: RunContext, sign: int,
                    label: str) -> None:
-    spec = _spec_from(cfg)
-    eig = _eigenpair(cfg, spec)
-    family = BoundStateFamily(spec, eig, cfg.nonlinearity.sign,
-                              max_iter=cfg.solver.max_iter)
-    psi0 = _initial_state(cfg, spec, eig, family)
+    family = _family_from(cfg)
+    psi0 = _initial_state(cfg, family)
     e = cfg.evolution
-    traj = evolve(spec, psi0, EvolveConfig(
-        dt=e.dt, t_final=e.t_final, snapshot_stride=e.snapshot_stride,
-        conserve_tol=e.conserve_tol), sign, max_iter=cfg.solver.max_iter)
+    traj = evolve(family.spec, psi0, e, sign, max_iter=cfg.solver.max_iter)
     rows = []
     for j, t in enumerate(traj.times):
         rows.append([t, traj.mass[j], traj.energy[j], traj.h1[j]])
@@ -311,15 +291,11 @@ def _evolve_common(cfg: ExperimentConfig, ctx: RunContext, sign: int,
     ctx.csv("series.csv", ["t", "mass", "energy", "h1"], rows)
     for w in traj.warnings:
         ctx.warn(w)
-    mass_drift = float(np.max(np.abs(traj.mass - traj.mass[0]))
-                       / max(traj.mass[0], 1e-300))
-    energy_drift = float(np.max(np.abs(traj.energy - traj.energy[0])))
-    energy_scale = max(abs(traj.energy[0]), 1e-300)
-    ctx.gate("mass_drift", mass_drift, f"<= {e.conserve_tol:g}",
-             mass_drift <= e.conserve_tol)
-    ctx.gate("energy_drift", energy_drift / energy_scale,
-             f"<= {10 * e.conserve_tol:g} (relative)",
-             energy_drift / energy_scale <= 10 * e.conserve_tol)
+    ctx.gate("mass_drift", traj.mass_drift, f"<= {e.conserve_tol:g}",
+             traj.mass_drift <= e.conserve_tol)
+    ctx.gate("energy_drift", traj.energy_drift,
+             f"<= {e.energy_tol:g} (relative)",
+             traj.energy_drift <= e.energy_tol)
     ctx.stage(label, "ok", f"{len(traj.times)} frames to t={traj.times[-1]:g}")
 
 
@@ -332,10 +308,8 @@ def _run_linear_evolve(cfg: ExperimentConfig, ctx: RunContext) -> None:
 
 
 def _run_stability(cfg: ExperimentConfig, ctx: RunContext) -> None:
-    spec = _spec_from(cfg)
-    eig = _eigenpair(cfg, spec)
-    family = BoundStateFamily(spec, eig, cfg.nonlinearity.sign,
-                              max_iter=cfg.solver.max_iter)
+    family = _family_from(cfg)
+    spec, eig = family.spec, family.eig
     g = spec.grid
     z0 = cfg.nonlinearity.z
     base = family.solve(z0).field
@@ -354,10 +328,8 @@ def _run_stability(cfg: ExperimentConfig, ctx: RunContext) -> None:
     wrap_violated = False
     for idx, amp in enumerate(cfg.modulation.amplitudes):
         psi0 = make_field(g, base.values + amp * bump.values)
-        traj = evolve(spec, psi0, EvolveConfig(
-            dt=e.dt, t_final=e.t_final, snapshot_stride=e.snapshot_stride,
-            conserve_tol=e.conserve_tol), cfg.nonlinearity.sign,
-            max_iter=cfg.solver.max_iter)
+        traj = evolve(spec, psi0, e, cfg.nonlinearity.sign,
+                      max_iter=cfg.solver.max_iter)
         rep = track(spec, eig, traj, family, sign=cfg.nonlinearity.sign,
                     sigma=cfg.modulation.sigma)
         for w in rep.warnings:
@@ -431,32 +403,29 @@ def _run_stability(cfg: ExperimentConfig, ctx: RunContext) -> None:
 def _run_resolvent_scan(cfg: ExperimentConfig, ctx: RunContext) -> None:
     spec = _spec_from(cfg)
     try:
-        eig = _eigenpair(cfg, spec)
+        eig = ground_state(spec, max_iter=cfg.solver.max_iter)
     except NoBoundStateError:
         eig = None
         ctx.warn("no bound state; scanning without spectral projection")
-    eps = cfg.solver.resolvent_eps
-    norm_cfg = NormConfig(sigma=cfg.modulation.sigma)
-    seed = cfg.output.seed
+    sigma = cfg.modulation.sigma
     rows = []
-    scans = {}
-    for eps_k in (eps, eps / 10.0):
-        scan = resolvent_bound_scan(spec, eig, sigma=norm_cfg.sigma,
-                                    eps=eps_k, tol_rel=cfg.solver.tol_rel,
-                                    seed=seed)
-        scans[eps_k] = scan
+    scans = []
+    for eps in scan_offsets(cfg.solver.resolvent_eps):
+        scan = resolvent_bound_scan(spec, eig, sigma=sigma, eps=eps,
+                                    tol_rel=cfg.solver.tol_rel,
+                                    seed=cfg.output.seed)
+        scans.append(scan)
         for p in scan.points:
-            rows.append([eps_k, p.lam, p.opnorm, p.scaled, p.power_iters,
+            rows.append([eps, p.lam, p.opnorm, p.scaled, p.power_iters,
                          p.converged])
     ctx.csv("resolvent.csv",
             ["eps", "lambda", "opnorm", "scaled", "power_iters", "converged"],
             rows)
-    main = scans[eps]
-    fine = scans[eps / 10.0]
+    main, fine = scans
     drift = abs(fine.max_scaled - main.max_scaled) / max(main.max_scaled,
                                                          1e-300)
     ctx.json("resolvent.json", {
-        "sigma": norm_cfg.sigma,
+        "sigma": sigma,
         "max_scaled": main.max_scaled, "median_scaled": main.median_scaled,
         "max_scaled_fine_eps": fine.max_scaled, "eps_drift": drift,
     })
@@ -476,14 +445,16 @@ def _run_norm_equivalence(cfg: ExperimentConfig, ctx: RunContext) -> None:
             ["p", "r_min", "r_max", "spread", "passed"], rows)
     worst_spread = max(r.spread for r in report.rows)
     worst_floor = min(r.r_min for r in report.rows)
-    ctx.gate("ratio_spread", worst_spread, "<= 100", worst_spread <= 100.0)
-    ctx.gate("ratio_floor", worst_floor, ">= 1e-3", worst_floor >= 1e-3)
+    ctx.gate("ratio_spread", worst_spread, f"<= {NORM_SPREAD_CAP:g}",
+             worst_spread <= NORM_SPREAD_CAP)
+    ctx.gate("ratio_floor", worst_floor, f">= {NORM_RATIO_FLOOR:g}",
+             worst_floor >= NORM_RATIO_FLOOR)
     ctx.stage("norm-equivalence", "ok", f"trials={report.trials}")
 
 
 def _run_strichartz(cfg: ExperimentConfig, ctx: RunContext) -> None:
     spec = _spec_from(cfg)
-    eig = _eigenpair(cfg, spec)
+    eig = ground_state(spec, max_iter=cfg.solver.max_iter)
     report = strichartz_ratio(spec, eig, sigma=cfg.modulation.sigma,
                               seed=cfg.output.seed)
     rows = [[r.mode, r.source, r.q, r.p, r.value, r.reference, r.ratio]
@@ -582,21 +553,17 @@ def main(argv: list[str] | None = None) -> int:
         p = sub.add_parser(name)
         p.add_argument("--config", required=True)
         p.add_argument("--output", default=None)
-        p.add_argument("--seed", type=int, default=None)
+        p.add_argument("--seed", default=None)
         p.add_argument("--override", action="append", default=[],
                        metavar="section.key=value")
     args = parser.parse_args(argv)
+    overrides = list(args.override)
+    if args.output is not None:
+        overrides.append(f"output.directory={args.output}")
+    if args.seed is not None:
+        overrides.append(f"output.seed={args.seed}")
     try:
-        cfg = parse_config(args.config, tuple(args.override))
-        if args.output is not None:
-            cfg = dataclasses.replace(
-                cfg, output=dataclasses.replace(cfg.output,
-                                                directory=args.output))
-        if args.seed is not None:
-            if not 0 <= args.seed < 2**64:
-                raise ConfigError(f"--seed must fit in 64 bits, got {args.seed}")
-            cfg = dataclasses.replace(
-                cfg, output=dataclasses.replace(cfg.output, seed=args.seed))
+        cfg = parse_config(args.config, tuple(overrides))
         return run(args.subcommand, cfg)
     except ConfigError as exc:
         print(f"config error: {exc}", file=sys.stderr)

@@ -4,19 +4,40 @@ A minimal file needs only [grid] and [potential]; every other section has
 defaults tuned so the shipped 1D suite passes its gates.  Every validation
 failure names the offending section.key, and unknown sections or keys are
 rejected outright (a typo should never silently fall back to a default).
+
+The section dataclasses below are the schema: their fields give the keys,
+their annotations the value types, their defaults the defaults.  Each
+section checks its values by calling the library code that enforces the
+same rule at run time, so a rule is written once and a config is rejected
+at parse time for exactly what a run would reject.
 """
 
 from __future__ import annotations
 
 import configparser
+import dataclasses
+import typing
+from contextlib import contextmanager
 from dataclasses import dataclass, field
 from pathlib import Path
 
-from .errors import ConfigError
+from .analysis import scan_offsets
+from .errors import ConfigError, MagnlsError
+from .evolution import EvolveConfig
+from .grid import DIMENSIONS, GridSpec
+from .modulation import check_frame_spacing
+from .norms import check_sigma
+from .potentials import check_decay_hypotheses
 
-_POTENTIAL_KINDS = ("gaussian_well", "gauge", "loop", "file")
-_INITIAL_KINDS = ("bound_state", "ground_state", "gaussian", "file")
-_SIGN_WORDS = {"defocusing": 1, "focusing": -1}
+
+def _words(*names: str) -> dict:
+    """Field metadata for a key that takes one of a fixed set of words."""
+    return {"words": {name: name for name in names}}
+
+
+def _require(ok: bool, message: str) -> None:
+    if not ok:
+        raise ConfigError(message)
 
 
 @dataclass(frozen=True)
@@ -25,10 +46,14 @@ class GridConfig:
     sizes: tuple[int, ...] = (256,)
     lengths: tuple[float, ...] = (40.0,)
 
+    def __post_init__(self):
+        GridSpec(self.dim, self.sizes, self.lengths)
+
 
 @dataclass(frozen=True)
 class PotentialConfig:
-    kind: str = "gaussian_well"
+    kind: str = field(default="gaussian_well", metadata=_words(
+        "gaussian_well", "gauge", "loop", "file"))
     depth: float = -2.0
     width: float = 1.0
     decay_eps: float = 1.0
@@ -41,6 +66,11 @@ class PotentialConfig:
     v_file: str = ""
     a_files: tuple[str, ...] = ()
 
+    def __post_init__(self):
+        check_decay_hypotheses(self.decay_eps, self.lq_exponent)
+        _require(self.kind != "file" or self.v_file,
+                 "v_file is required when kind = file")
+
 
 @dataclass(frozen=True)
 class SolverConfig:
@@ -48,17 +78,25 @@ class SolverConfig:
     max_iter: int = 10000
     resolvent_eps: float = 1e-2
 
+    def __post_init__(self):
+        _require(self.tol_rel > 0.0,
+                 f"tol_rel must be positive, got {self.tol_rel}")
+        _require(self.max_iter >= 1,
+                 f"max_iter must be >= 1, got {self.max_iter}")
+        scan_offsets(self.resolvent_eps)
+
 
 @dataclass(frozen=True)
 class NonlinearityConfig:
-    sign_word: str = "defocusing"
+    sign: int = field(default=1, metadata={
+        "words": {"defocusing": 1, "focusing": -1}})
     z_re: float = 0.05
     z_im: float = 0.0
     z_sweep: tuple[float, ...] = (0.01, 0.02, 0.04, 0.08)
 
-    @property
-    def sign(self) -> int:
-        return _SIGN_WORDS[self.sign_word]
+    def __post_init__(self):
+        for zv in self.z_sweep:
+            _require(zv > 0, f"z_sweep entries must be positive, got {zv}")
 
     @property
     def z(self) -> complex:
@@ -66,15 +104,25 @@ class NonlinearityConfig:
 
 
 @dataclass(frozen=True)
-class EvolutionConfig:
+class EvolutionConfig(EvolveConfig):
+    """The time-step fields and their rules come from ``EvolveConfig``, so
+    this section is what ``evolve`` takes."""
+
     dt: float = 1e-4
     t_final: float = 4.0
     snapshot_stride: int = 500
     conserve_tol: float = 1e-6
-    initial: str = "bound_state"
+    initial: str = field(default="bound_state", metadata=_words(
+        "bound_state", "ground_state", "gaussian", "file"))
     init_amplitude: float = 0.01
     init_width: float = 2.0
     init_file: str = ""
+
+    def __post_init__(self):
+        super().__post_init__()
+        check_frame_spacing(self.snapshot_stride * self.dt)
+        _require(self.initial != "file" or self.init_file,
+                 "init_file is required when initial = file")
 
 
 @dataclass(frozen=True)
@@ -83,11 +131,23 @@ class ModulationConfig:
     sigma: float = 4.1
     perturb_width: float = 2.0
 
+    def __post_init__(self):
+        check_sigma(self.sigma)
+        for a in self.amplitudes:
+            _require(a > 0, f"amplitudes entries must be positive, got {a}")
+        _require(self.perturb_width > 0,
+                 f"perturb_width must be positive, got {self.perturb_width}")
+
 
 @dataclass(frozen=True)
 class OutputConfig:
     directory: str = "magnls-out"
     seed: int = 12345
+
+    def __post_init__(self):
+        _require(0 <= self.seed < 2**64,
+                 f"seed must fit in 64 bits, got {self.seed}")
+        _require(bool(self.directory), "directory must not be empty")
 
 
 @dataclass(frozen=True)
@@ -100,233 +160,91 @@ class ExperimentConfig:
     modulation: ModulationConfig = field(default_factory=ModulationConfig)
     output: OutputConfig = field(default_factory=OutputConfig)
 
+    def __post_init__(self):
+        _require(self.potential.kind != "loop" or self.grid.dim >= 2,
+                 "potential.kind = loop needs grid.dim >= 2")
+
     def echo(self) -> dict:
         """Resolved values, section by section, for the run manifest."""
         out: dict[str, dict] = {}
-        for sect, obj in self.__dict__.items():
+        for sect in dataclasses.fields(self):
+            obj = getattr(self, sect.name)
             vals = {}
-            for key, value in obj.__dict__.items():
-                vals["sign" if key == "sign_word" else key] = (
-                    list(value) if isinstance(value, tuple) else value)
-            out[sect] = vals
+            for f in dataclasses.fields(obj):
+                value = getattr(obj, f.name)
+                words = f.metadata.get("words")
+                if words:
+                    value = next(w for w, v in words.items() if v == value)
+                vals[f.name] = (list(value) if isinstance(value, tuple)
+                                else value)
+            out[sect.name] = vals
         return out
 
 
-def _parse_int(sect: str, key: str, raw: str) -> int:
-    try:
-        return int(raw)
-    except ValueError as exc:
-        raise ConfigError(f"{sect}.{key} must be an integer, got {raw!r}") from exc
-
-
-def _parse_float(sect: str, key: str, raw: str) -> float:
-    try:
-        return float(raw)
-    except ValueError as exc:
-        raise ConfigError(f"{sect}.{key} must be a number, got {raw!r}") from exc
-
-
-def _parse_float_list(sect: str, key: str, raw: str) -> tuple[float, ...]:
-    items = [s.strip() for s in raw.split(",") if s.strip()]
-    if not items:
-        raise ConfigError(f"{sect}.{key} must be a comma-separated list")
-    return tuple(_parse_float(sect, key, s) for s in items)
-
-
-def _parse_int_list(sect: str, key: str, raw: str) -> tuple[int, ...]:
-    items = [s.strip() for s in raw.split(",") if s.strip()]
-    if not items:
-        raise ConfigError(f"{sect}.{key} must be a comma-separated list")
-    return tuple(_parse_int(sect, key, s) for s in items)
-
-
-def _parse_str_list(raw: str) -> tuple[str, ...]:
-    return tuple(s.strip() for s in raw.split(",") if s.strip())
-
-
-# (section, key) -> parser taking (sect, key, raw string) -> value
-_SCHEMA: dict[str, dict[str, object]] = {
-    "grid": {
-        "dim": _parse_int,
-        "sizes": _parse_int_list,
-        "lengths": _parse_float_list,
-    },
-    "potential": {
-        "kind": None,
-        "depth": _parse_float,
-        "width": _parse_float,
-        "decay_eps": _parse_float,
-        "lq_exponent": _parse_float,
-        "chi_amplitude": _parse_float,
-        "chi_width": _parse_float,
-        "loop_amplitude": _parse_float,
-        "loop_radius": _parse_float,
-        "loop_width": _parse_float,
-        "v_file": None,
-        "a_files": None,
-    },
-    "solver": {
-        "tol_rel": _parse_float,
-        "max_iter": _parse_int,
-        "resolvent_eps": _parse_float,
-    },
-    "nonlinearity": {
-        "sign": None,
-        "z_re": _parse_float,
-        "z_im": _parse_float,
-        "z_sweep": _parse_float_list,
-    },
-    "evolution": {
-        "dt": _parse_float,
-        "t_final": _parse_float,
-        "snapshot_stride": _parse_int,
-        "conserve_tol": _parse_float,
-        "initial": None,
-        "init_amplitude": _parse_float,
-        "init_width": _parse_float,
-        "init_file": None,
-    },
-    "modulation": {
-        "amplitudes": _parse_float_list,
-        "sigma": _parse_float,
-        "perturb_width": _parse_float,
-    },
-    "output": {
-        "directory": None,
-        "seed": _parse_int,
-    },
+_SECTIONS = typing.get_type_hints(ExperimentConfig)
+# section -> key -> (value type, the words it accepts or None)
+_KEYS = {
+    sect: {f.name: (typing.get_type_hints(cls)[f.name],
+                    f.metadata.get("words"))
+           for f in dataclasses.fields(cls)}
+    for sect, cls in _SECTIONS.items()
 }
 
-# config key -> dataclass field name where they differ
-_FIELD_NAME = {("nonlinearity", "sign"): "sign_word"}
+
+@contextmanager
+def _section(name: str):
+    """Name the section in any error its values raise."""
+    try:
+        yield
+    except MagnlsError as exc:
+        raise ConfigError(f"{name}.{exc}") from exc
 
 
-def _validate(cfg: ExperimentConfig) -> ExperimentConfig:
-    g = cfg.grid
-    if g.dim not in (1, 2, 3):
-        raise ConfigError(f"grid.dim must be 1, 2, or 3, got {g.dim}")
-    sizes = g.sizes if len(g.sizes) != 1 else g.sizes * g.dim
-    lengths = g.lengths if len(g.lengths) != 1 else g.lengths * g.dim
-    if len(sizes) != g.dim:
-        raise ConfigError(
-            f"grid.sizes needs 1 or {g.dim} entries, got {len(g.sizes)}")
-    if len(lengths) != g.dim:
-        raise ConfigError(
-            f"grid.lengths needs 1 or {g.dim} entries, got {len(g.lengths)}")
-    for n in sizes:
-        if n < 8 or n & (n - 1):
-            raise ConfigError(
-                f"grid.sizes entries must be powers of two >= 8, got {n}")
-    for length in lengths:
-        if length <= 0:
-            raise ConfigError(f"grid.lengths entries must be positive, got {length}")
-    object.__setattr__(g, "sizes", sizes)
-    object.__setattr__(g, "lengths", lengths)
-
-    p = cfg.potential
-    if p.kind not in _POTENTIAL_KINDS:
-        raise ConfigError(
-            f"potential.kind must be one of {', '.join(_POTENTIAL_KINDS)}, "
-            f"got {p.kind!r}")
-    if p.kind == "file" and not p.v_file:
-        raise ConfigError("potential.v_file is required when potential.kind = file")
-    if p.kind == "loop" and cfg.grid.dim < 2:
-        raise ConfigError("potential.kind = loop needs grid.dim >= 2")
-    if p.lq_exponent <= 3.0:
-        raise ConfigError(
-            f"potential.lq_exponent must exceed 3, got {p.lq_exponent}")
-    if p.decay_eps <= 0.0:
-        raise ConfigError(f"potential.decay_eps must be positive, got {p.decay_eps}")
-
-    s = cfg.solver
-    if s.tol_rel <= 0.0:
-        raise ConfigError(f"solver.tol_rel must be positive, got {s.tol_rel}")
-    if s.max_iter < 1:
-        raise ConfigError(f"solver.max_iter must be >= 1, got {s.max_iter}")
-    if s.resolvent_eps < 1e-8:
-        raise ConfigError(
-            f"solver.resolvent_eps must be >= 1e-8, got {s.resolvent_eps}")
-
-    nl = cfg.nonlinearity
-    if nl.sign_word not in _SIGN_WORDS:
-        raise ConfigError(
-            f"nonlinearity.sign must be focusing or defocusing, got {nl.sign_word!r}")
-    for zv in nl.z_sweep:
-        if zv <= 0:
-            raise ConfigError(f"nonlinearity.z_sweep entries must be positive, got {zv}")
-
-    e = cfg.evolution
-    if not 0.0 < e.dt <= 0.1:
-        raise ConfigError(f"evolution.dt must lie in (0, 0.1], got {e.dt}")
-    if e.t_final < e.dt:
-        raise ConfigError(
-            f"evolution.t_final must be at least dt = {e.dt}, got {e.t_final}")
-    if e.snapshot_stride < 1:
-        raise ConfigError(
-            f"evolution.snapshot_stride must be >= 1, got {e.snapshot_stride}")
-    if e.snapshot_stride * e.dt > 0.1 + 1e-12:
-        raise ConfigError(
-            "evolution.snapshot_stride * dt must be <= 0.1 for modulation "
-            f"tracking, got {e.snapshot_stride * e.dt:.3g}")
-    if e.conserve_tol <= 0.0:
-        raise ConfigError(
-            f"evolution.conserve_tol must be positive, got {e.conserve_tol}")
-    if e.initial not in _INITIAL_KINDS:
-        raise ConfigError(
-            f"evolution.initial must be one of {', '.join(_INITIAL_KINDS)}, "
-            f"got {e.initial!r}")
-    if e.initial == "file" and not e.init_file:
-        raise ConfigError(
-            "evolution.init_file is required when evolution.initial = file")
-
-    m = cfg.modulation
-    if m.sigma <= 4.0:
-        raise ConfigError("modulation.sigma must exceed 4")
-    if not m.amplitudes:
-        raise ConfigError("modulation.amplitudes must not be empty")
-    for a in m.amplitudes:
-        if a <= 0:
-            raise ConfigError(
-                f"modulation.amplitudes entries must be positive, got {a}")
-    if m.perturb_width <= 0:
-        raise ConfigError(
-            f"modulation.perturb_width must be positive, got {m.perturb_width}")
-
-    o = cfg.output
-    if not 0 <= o.seed < 2**64:
-        raise ConfigError(f"output.seed must fit in 64 bits, got {o.seed}")
-    if not o.directory:
-        raise ConfigError("output.directory must not be empty")
-    return cfg
-
-
-def _assemble(values: dict[str, dict[str, object]]) -> ExperimentConfig:
-    sections = {}
-    classes = {
-        "grid": GridConfig, "potential": PotentialConfig,
-        "solver": SolverConfig, "nonlinearity": NonlinearityConfig,
-        "evolution": EvolutionConfig, "modulation": ModulationConfig,
-        "output": OutputConfig,
-    }
-    for sect, cls in classes.items():
-        kwargs = {}
-        for key, val in values.get(sect, {}).items():
-            kwargs[_FIELD_NAME.get((sect, key), key)] = val
-        sections[sect] = cls(**kwargs)
-    return _validate(ExperimentConfig(**sections))
+def _scalar(kind: type, sect: str, key: str, raw: str):
+    if kind is str:
+        return raw.strip()
+    try:
+        return kind(raw)
+    except ValueError as exc:
+        what = "an integer" if kind is int else "a number"
+        raise ConfigError(f"{sect}.{key} must be {what}, got {raw!r}") from exc
 
 
 def _convert(sect: str, key: str, raw: str):
-    if sect not in _SCHEMA:
+    if sect not in _KEYS:
         raise ConfigError(f"[{sect}] is not a recognized section")
-    if key not in _SCHEMA[sect]:
+    if key not in _KEYS[sect]:
         raise ConfigError(f"{sect}.{key} is not recognized")
-    parser = _SCHEMA[sect][key]
-    if parser is None:
-        if (sect, key) == ("potential", "a_files"):
-            return _parse_str_list(raw)
-        return raw.strip()
-    return parser(sect, key, raw)
+    kind, words = _KEYS[sect][key]
+    if words:
+        word = raw.strip()
+        if word not in words:
+            raise ConfigError(f"{sect}.{key} must be one of "
+                              f"{', '.join(words)}, got {word!r}")
+        return words[word]
+    if typing.get_origin(kind) is not tuple:
+        return _scalar(kind, sect, key, raw)
+    item = typing.get_args(kind)[0]
+    items = [s.strip() for s in raw.split(",") if s.strip()]
+    if not items and item is not str:
+        raise ConfigError(f"{sect}.{key} must be a comma-separated list")
+    return tuple(_scalar(item, sect, key, s) for s in items)
+
+
+def _assemble(values: dict[str, dict[str, object]]) -> ExperimentConfig:
+    # a single sizes or lengths entry applies to every axis; an invalid dim
+    # is left for GridSpec to reject, without building a tuple that long
+    grid = values.setdefault("grid", {})
+    dim = grid.get("dim", GridConfig.dim)
+    for key in ("sizes", "lengths"):
+        axes = grid.get(key, getattr(GridConfig, key))
+        if len(axes) == 1 and dim in DIMENSIONS:
+            grid[key] = axes * dim
+    sections = {}
+    for sect, cls in _SECTIONS.items():
+        with _section(sect):
+            sections[sect] = cls(**values.get(sect, {}))
+    return ExperimentConfig(**sections)
 
 
 def parse_config(path: str | Path,

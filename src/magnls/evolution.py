@@ -25,28 +25,41 @@ from .hamiltonian import HamiltonianSpec, _apply_h_values
 from .norms import norm_w1p
 
 _MAX_DT = 0.1
+_CN_TOL = 1e-12            # relative residual of each implicit CN solve
+_MAX_ITER = 10000
 
 
 @dataclass(frozen=True)
 class EvolveConfig:
     dt: float
     t_final: float
-    scheme: str = "strang"
     snapshot_stride: int = 10
     conserve_tol: float = 1e-6
 
     def __post_init__(self):
         if not (0.0 < self.dt <= _MAX_DT):
-            raise MagnlsError(
-                f"dt must lie in (0, {_MAX_DT}], got {self.dt}")
-        if self.scheme != "strang":
-            raise MagnlsError(f"unknown scheme {self.scheme!r}")
+            raise MagnlsError(f"dt must lie in (0, {_MAX_DT}], got {self.dt}")
         if self.t_final < self.dt:
-            raise MagnlsError("t_final must be at least one step")
+            raise MagnlsError(
+                f"t_final must be at least dt = {self.dt}, got {self.t_final}")
         if self.snapshot_stride < 1:
-            raise MagnlsError("snapshot_stride must be >= 1")
+            raise MagnlsError(
+                f"snapshot_stride must be >= 1, got {self.snapshot_stride}")
         if self.conserve_tol <= 0:
-            raise MagnlsError("conserve_tol must be positive")
+            raise MagnlsError(
+                f"conserve_tol must be positive, got {self.conserve_tol}")
+
+    @property
+    def energy_tol(self) -> float:
+        """Relative energy drift allowed: ten times the mass tolerance."""
+        return 10.0 * self.conserve_tol
+
+
+def _drift(series, scale: float) -> float:
+    """Largest departure of a conserved series from its first sample,
+    relative to ``scale``."""
+    arr = np.asarray(series)
+    return float(np.max(np.abs(arr - arr[0]))) / max(scale, 1e-300)
 
 
 @dataclass
@@ -60,7 +73,18 @@ class Trajectory:
     h1: np.ndarray
     dt: float
     final_state: ComplexField
+    energy_scale: float          # |<psi0, H psi0>| + ||psi0||_4^4 / 2
     warnings: tuple[str, ...] = dc_field(default_factory=tuple)
+
+    @property
+    def mass_drift(self) -> float:
+        return _drift(self.mass, self.mass[0])
+
+    @property
+    def energy_drift(self) -> float:
+        """Relative to ``energy_scale``, which stays away from zero even
+        when the energy itself crosses it."""
+        return _drift(self.energy, self.energy_scale)
 
 
 def _cn_step_values(spec: HamiltonianSpec, values: np.ndarray, dt: float, *,
@@ -82,30 +106,35 @@ def _cn_step_values(spec: HamiltonianSpec, values: np.ndarray, dt: float, *,
     return x.reshape(g.sizes)
 
 
-def step(spec: HamiltonianSpec, psi: ComplexField, dt: float, sign: int, *,
-         cn_tol: float = 1e-12, max_iter: int = 10000) -> ComplexField:
+def _strang_values(spec: HamiltonianSpec, values: np.ndarray, dt: float,
+                   sign: int, max_iter: int) -> np.ndarray:
+    values = values * np.exp(-0.5j * sign * dt * np.abs(values) ** 2)
+    values = _cn_step_values(spec, values, dt, tol=_CN_TOL, max_iter=max_iter)
+    return values * np.exp(-0.5j * sign * dt * np.abs(values) ** 2)
+
+
+def step(spec: HamiltonianSpec, psi: ComplexField, dt: float,
+         sign: int) -> ComplexField:
     """One Strang step of the nonlinear flow."""
     if abs(dt) > _MAX_DT:
         raise MagnlsError(f"|dt| must be <= {_MAX_DT}, got {dt}")
-    values = psi.values * np.exp(-0.5j * sign * dt * np.abs(psi.values) ** 2)
-    values = _cn_step_values(spec, values, dt, tol=cn_tol, max_iter=max_iter)
-    values = values * np.exp(-0.5j * sign * dt * np.abs(values) ** 2)
-    return make_field(spec.grid, values)
+    return make_field(spec.grid,
+                      _strang_values(spec, psi.values, dt, sign, _MAX_ITER))
+
+
+def _energy_terms(spec: HamiltonianSpec,
+                  psi: ComplexField) -> tuple[float, float]:
+    """<psi, H psi> and ||psi||_4^4."""
+    quad = inner_l2(psi, make_field(spec.grid,
+                                    _apply_h_values(spec, psi.values))).real
+    quart = float(np.sum(np.abs(psi.values) ** 4) * spec.grid.volume_element)
+    return quad, quart
 
 
 def energy_functional(spec: HamiltonianSpec, psi: ComplexField, sign: int) -> float:
     """<psi, H psi> + (s/2) ||psi||_4^4, the conserved energy of the flow."""
-    quad = inner_l2(psi, make_field(spec.grid,
-                                    _apply_h_values(spec, psi.values))).real
-    quart = float(np.sum(np.abs(psi.values) ** 4) * spec.grid.volume_element)
+    quad, quart = _energy_terms(spec, psi)
     return quad + 0.5 * sign * quart
-
-
-def _energy_scale(spec: HamiltonianSpec, psi: ComplexField, sign: int) -> float:
-    quad = abs(inner_l2(psi, make_field(spec.grid,
-                                        _apply_h_values(spec, psi.values))).real)
-    quart = 0.5 * float(np.sum(np.abs(psi.values) ** 4) * spec.grid.volume_element)
-    return max(quad + quart, 1e-300)
 
 
 def wrap_around_estimate(psi: ComplexField) -> float:
@@ -129,12 +158,12 @@ def wrap_around_estimate(psi: ComplexField) -> float:
 
 
 def evolve(spec: HamiltonianSpec, psi0: ComplexField, config: EvolveConfig,
-           sign: int = 1, *, cn_tol: float = 1e-12,
-           max_iter: int = 10000) -> Trajectory:
+           sign: int = 1, *, max_iter: int = _MAX_ITER) -> Trajectory:
     """March the nonlinear flow, monitoring mass and energy at snapshots.
 
-    Raises ``ConservationBreach`` when relative mass drift exceeds
-    ``conserve_tol`` or relative energy drift exceeds ten times it.
+    Raises ``ConservationBreach`` as soon as ``Trajectory.mass_drift`` would
+    exceed ``conserve_tol`` or ``Trajectory.energy_drift`` would exceed
+    ``config.energy_tol``.
     """
     g = spec.grid
     n_steps = int(round(config.t_final / config.dt))
@@ -144,9 +173,8 @@ def evolve(spec: HamiltonianSpec, psi0: ComplexField, config: EvolveConfig,
 
     dv = g.volume_element
     values = psi0.values.copy()
-    mass0 = float(np.sum(np.abs(values) ** 2) * dv)
-    energy0 = energy_functional(spec, psi0, sign)
-    e_scale = _energy_scale(spec, psi0, sign)
+    quad, quart = _energy_terms(spec, psi0)
+    e_scale = abs(quad) + 0.5 * quart
 
     warnings: tuple[str, ...] = ()
     t_wrap = wrap_around_estimate(psi0)
@@ -156,44 +184,41 @@ def evolve(spec: HamiltonianSpec, psi0: ComplexField, config: EvolveConfig,
 
     times = [0.0]
     snaps = [make_field(g, values)]
-    mass = [mass0]
-    energy = [energy0]
+    mass = [float(np.sum(np.abs(values) ** 2) * dv)]
+    energy = [energy_functional(spec, psi0, sign)]
     h1 = [norm_w1p(snaps[0], 2.0)]
 
     def record(idx, arr):
         f = make_field(g, arr)
-        m = float(np.sum(np.abs(arr) ** 2) * dv)
-        en = energy_functional(spec, f, sign)
-        times.append(idx * config.dt)
+        t = idx * config.dt
+        times.append(t)
         snaps.append(f)
-        mass.append(m)
-        energy.append(en)
+        mass.append(float(np.sum(np.abs(arr) ** 2) * dv))
+        energy.append(energy_functional(spec, f, sign))
         h1.append(norm_w1p(f, 2.0))
-        if mass0 > 0 and abs(m - mass0) / mass0 > config.conserve_tol:
+        m_drift = _drift(mass, mass[0])
+        if m_drift > config.conserve_tol:
             raise ConservationBreach(
-                f"mass drifted by {abs(m - mass0) / mass0:.3e} at t = {idx * config.dt:.6g}")
-        if abs(en - energy0) / e_scale > 10.0 * config.conserve_tol:
+                f"mass drifted by {m_drift:.3e} at t = {t:.6g}")
+        e_drift = _drift(energy, e_scale)
+        if e_drift > config.energy_tol:
             raise ConservationBreach(
-                f"energy drifted by {abs(en - energy0) / e_scale:.3e} "
-                f"at t = {idx * config.dt:.6g}")
+                f"energy drifted by {e_drift:.3e} at t = {t:.6g}")
 
     for n in range(1, n_steps + 1):
-        values = values * np.exp(-0.5j * sign * config.dt * np.abs(values) ** 2)
-        values = _cn_step_values(spec, values, config.dt, tol=cn_tol,
-                                 max_iter=max_iter)
-        values = values * np.exp(-0.5j * sign * config.dt * np.abs(values) ** 2)
+        values = _strang_values(spec, values, config.dt, sign, max_iter)
         if n % config.snapshot_stride == 0 or n == n_steps:
             record(n, values)
 
     return Trajectory(times=np.array(times), snapshots=snaps,
                       mass=np.array(mass), energy=np.array(energy),
                       h1=np.array(h1), dt=config.dt,
-                      final_state=snaps[-1], warnings=warnings)
+                      final_state=snaps[-1], energy_scale=e_scale,
+                      warnings=warnings)
 
 
 def linear_flow(spec: HamiltonianSpec, f: ComplexField, t: float, *,
-                dt: float = 1e-3, cn_tol: float = 1e-12,
-                max_iter: int = 10000) -> ComplexField:
+                dt: float = 1e-3) -> ComplexField:
     """exp(-i t H) f by Crank-Nicolson steps; ``t`` may be negative."""
     if t == 0.0:
         return make_field(f.grid, f.values)
@@ -201,5 +226,6 @@ def linear_flow(spec: HamiltonianSpec, f: ComplexField, t: float, *,
     h = t / n
     values = f.values
     for _ in range(n):
-        values = _cn_step_values(spec, values, h, tol=cn_tol, max_iter=max_iter)
+        values = _cn_step_values(spec, values, h, tol=_CN_TOL,
+                                 max_iter=_MAX_ITER)
     return make_field(f.grid, values)

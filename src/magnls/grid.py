@@ -26,6 +26,7 @@ import numpy as np
 from .errors import GridMismatchError, MagnlsError
 
 SNAPSHOT_MAGIC = b"MNLSFLD1"
+DIMENSIONS = (1, 2, 3)
 
 
 def _is_power_of_two(n: int) -> bool:
@@ -41,18 +42,22 @@ class GridSpec:
     box_lengths: tuple[float, ...]
 
     def __post_init__(self):
-        if self.dim not in (1, 2, 3):
-            raise MagnlsError(f"grid dimension must be 1, 2, or 3, got {self.dim}")
+        if self.dim not in DIMENSIONS:
+            raise MagnlsError(f"dim must be 1, 2, or 3, got {self.dim}")
         object.__setattr__(self, "sizes", tuple(int(n) for n in self.sizes))
         object.__setattr__(self, "box_lengths", tuple(float(x) for x in self.box_lengths))
-        if len(self.sizes) != self.dim or len(self.box_lengths) != self.dim:
-            raise MagnlsError("sizes and box_lengths must both have one entry per axis")
+        for name, axes in (("sizes", self.sizes), ("lengths", self.box_lengths)):
+            if len(axes) != self.dim:
+                raise MagnlsError(f"{name} needs one entry per axis "
+                                  f"({self.dim}), got {len(axes)}")
         for n in self.sizes:
             if n < 8 or not _is_power_of_two(n):
-                raise MagnlsError(f"axis size {n} is not a power of two >= 8")
+                raise MagnlsError(
+                    f"sizes entries must be powers of two >= 8, got {n}")
         for length in self.box_lengths:
             if not (length > 0.0) or not np.isfinite(length):
-                raise MagnlsError(f"box length {length} must be positive and finite")
+                raise MagnlsError(
+                    f"lengths entries must be positive and finite, got {length}")
 
     @cached_property
     def spacings(self) -> tuple[float, ...]:
@@ -116,9 +121,6 @@ class ComplexField:
         arr.setflags(write=False)
         object.__setattr__(self, "values", arr)
 
-    def with_values(self, values: np.ndarray) -> "ComplexField":
-        return ComplexField(self.grid, values)
-
 
 @dataclass(frozen=True)
 class VectorField:
@@ -138,9 +140,6 @@ class VectorField:
     @property
     def grid(self) -> GridSpec:
         return self.components[0].grid
-
-    def component_values(self) -> list[np.ndarray]:
-        return [c.values for c in self.components]
 
 
 def make_field(grid: GridSpec, values: np.ndarray) -> ComplexField:

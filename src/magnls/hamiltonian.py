@@ -6,7 +6,7 @@ with spectral derivatives and pointwise products.  ``HamiltonianSpec`` also
 fixes the positive shift K for the auxiliary operator H1 = H + K used by the
 elliptic-regularity check; by default K follows the rule
 
-    K = sup|V| + sup|div A| + c_pos + 1,
+    K = sup|V| + sup|div A| + c_pos + 1,   c_pos = 1,
 
 which keeps H1 uniformly positive for the moderate vector potentials this
 laboratory runs with.  Tests may pass an explicit (even zero) shift to probe
@@ -31,7 +31,9 @@ from .grid import (
 )
 from .potentials import PotentialPair, build_gauge_field, make_potential_pair
 
-_MIN_IMAG_SHIFT = 1e-8
+# every resolvent solve needs |Im zeta| at least this far off the real axis
+MIN_IMAG_SHIFT = 1e-8
+_C_POS = 1.0
 
 
 @dataclass(frozen=True)
@@ -48,16 +50,16 @@ class HamiltonianSpec:
         return self.potentials.grid
 
 
-def default_k_shift(potentials: PotentialPair, c_pos: float = 1.0) -> float:
+def default_k_shift(potentials: PotentialPair) -> float:
     sup_v = float(np.max(np.abs(potentials.v.values)))
     sup_div = float(np.max(np.abs(potentials.div_a.values)))
-    return sup_v + sup_div + c_pos + 1.0
+    return sup_v + sup_div + _C_POS + 1.0
 
 
-def build_hamiltonian(potentials: PotentialPair, *, c_pos: float = 1.0,
+def build_hamiltonian(potentials: PotentialPair, *,
                       k_shift: float | None = None) -> HamiltonianSpec:
     if k_shift is None:
-        k_shift = default_k_shift(potentials, c_pos)
+        k_shift = default_k_shift(potentials)
     return HamiltonianSpec(potentials=potentials, k_shift=k_shift)
 
 
@@ -157,15 +159,14 @@ def shifted_solve(spec: HamiltonianSpec, zeta: complex, f: ComplexField, *,
 
 
 def resolvent_solve(spec: HamiltonianSpec, zeta: complex, f: ComplexField, *,
-                    tol_rel: float = 1e-8, max_iter: int = 10000,
-                    strict: bool = True) -> ComplexField:
+                    tol_rel: float = 1e-8, strict: bool = True) -> ComplexField:
     """Resolvent application (H - zeta)^-1 f for zeta off the real axis."""
-    if abs(complex(zeta).imag) < _MIN_IMAG_SHIFT:
+    if abs(complex(zeta).imag) < MIN_IMAG_SHIFT:
         raise MagnlsError(
-            f"resolvent shift must satisfy |Im zeta| >= {_MIN_IMAG_SHIFT}, "
+            f"resolvent shift must satisfy |Im zeta| >= {MIN_IMAG_SHIFT}, "
             f"got {zeta}")
-    return shifted_solve(spec, complex(zeta), f,
-                         tol_rel=tol_rel, max_iter=max_iter, strict=strict)
+    return shifted_solve(spec, complex(zeta), f, tol_rel=tol_rel,
+                         strict=strict)
 
 
 def project_continuous(phi0: ComplexField, f: ComplexField) -> ComplexField:
@@ -173,10 +174,6 @@ def project_continuous(phi0: ComplexField, f: ComplexField) -> ComplexField:
     f - <phi0, f> phi0 in the complex volume-weighted inner product."""
     coeff = inner_l2(phi0, f)
     return make_field(f.grid, f.values - coeff * phi0.values)
-
-
-def energy_quadratic_form(spec: HamiltonianSpec, f: ComplexField) -> float:
-    return inner_l2(f, apply_h(spec, f)).real
 
 
 def h1_positivity_ratio(spec: HamiltonianSpec, f: ComplexField) -> float:

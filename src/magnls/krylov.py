@@ -5,7 +5,7 @@ applications, deflated solves at the ground-state energy, and the implicit
 half of the time stepper.  The wrapper enforces the *true* residual (scipy's
 stopping test sees the preconditioned one), retries with a tighter inner
 tolerance when needed, and raises ``NonConvergenceError`` with the achieved
-residual otherwise.
+residual and the number of inner GMRES iterations it ran otherwise.
 """
 
 from __future__ import annotations
@@ -41,9 +41,16 @@ def solve(matvec, b: np.ndarray, *, precond=None, tol: float = 1e-8,
     restart = min(restart, n)
     best_resid = np.inf
     best_x = None
+    iterations = 0
+
+    def count(_residual):
+        nonlocal iterations
+        iterations += 1
+
     for _ in range(3):
         x, _info = gmres(op, b, x0=x, M=m, rtol=inner_tol, atol=0.0,
-                         restart=restart, maxiter=max(1, max_iter // restart))
+                         restart=restart, maxiter=max(1, max_iter // restart),
+                         callback=count, callback_type="pr_norm")
         resid = float(np.linalg.norm(matvec(x) - b)) / b_norm
         if resid < best_resid:
             best_resid, best_x = resid, x
@@ -54,5 +61,5 @@ def solve(matvec, b: np.ndarray, *, precond=None, tol: float = 1e-8,
         return best_x
     raise NonConvergenceError(
         f"linear solve stalled at relative residual {best_resid:.3e} "
-        f"(target {tol:.1e})",
-        residual=best_resid, iterations=max_iter)
+        f"(target {tol:.1e}) after {iterations} GMRES iterations",
+        residual=best_resid, iterations=iterations)

@@ -23,6 +23,7 @@ from dataclasses import dataclass, field as dc_field
 
 import numpy as np
 
+from .analysis import XNormAccumulator
 from .bound_states import BoundStateFamily
 from .errors import MagnlsError, NewtonDivergence
 from .evolution import Trajectory, linear_flow, wrap_around_estimate
@@ -30,6 +31,18 @@ from .grid import ComplexField, inner_l2, inner_real, make_field, norm_l2
 from .hamiltonian import HamiltonianSpec
 from .norms import norm_h1, norm_weighted_h1
 from .spectrum import EigenPair
+
+_BASIN_FRACTION = 0.3       # decompose accepts ||psi||_H1 <= this * z_max
+_MAX_FRAME_SPACING = 0.1
+_CHECKPOINT_FRACTIONS = (0.25, 0.5, 0.75, 1.0)   # of the window, for pullbacks
+
+
+def check_frame_spacing(spacing: float) -> None:
+    """Tracked frames must sit close enough for centred differences of z."""
+    if spacing > _MAX_FRAME_SPACING + 1e-12:
+        raise MagnlsError(
+            f"snapshot_stride * dt must be <= {_MAX_FRAME_SPACING:g} for "
+            f"modulation tracking, got {spacing:.3g}")
 
 
 @dataclass(frozen=True)
@@ -68,8 +81,8 @@ class StabilityReport:
 
 
 def _pairings(family: BoundStateFamily, psi_values: np.ndarray,
-              z: complex) -> tuple[np.ndarray, ComplexField, "object"]:
-    """B(z) plus the pieces needed to reuse the solves."""
+              z: complex) -> tuple[np.ndarray, ComplexField]:
+    """B(z) and the radiation eta = psi - Q[z]."""
     g = family.spec.grid
     state = family.solve(z)
     deriv = family.derivative_fields(z)
@@ -78,23 +91,19 @@ def _pairings(family: BoundStateFamily, psi_values: np.ndarray,
         inner_real(make_field(g, 1j * eta.values), deriv.d1q),
         inner_real(make_field(g, 1j * eta.values), deriv.d2q),
     ])
-    return b, eta, deriv
+    return b, eta
 
 
 def decompose(spec: HamiltonianSpec, eig: EigenPair, psi: ComplexField,
-              family: BoundStateFamily | None = None, *,
-              z_guess: complex | None = None, sign: int = 1,
-              basin_radius: float | None = None,
+              family: BoundStateFamily, *, z_guess: complex | None = None,
               max_newton: int = 50) -> DecompositionRecord:
     """Solve the two orthogonality conditions for z and return (z, eta).
 
     The cold start is the ground-state coefficient <phi0, psi>.  The state
     must sit inside the decomposition basin: ||psi||_H1 at most 0.3 of the
-    amplitude ceiling by default.
+    amplitude ceiling.
     """
-    if family is None:
-        family = BoundStateFamily(spec, eig, sign)
-    cap = 0.3 * family.z_max if basin_radius is None else basin_radius
+    cap = _BASIN_FRACTION * family.z_max
     psi_h1 = norm_h1(psi)
     if psi_h1 > cap:
         raise MagnlsError(
@@ -110,7 +119,7 @@ def decompose(spec: HamiltonianSpec, eig: EigenPair, psi: ComplexField,
     iters = 0
     converged = False
     for iters in range(1, max_newton + 1):
-        b, eta, _ = _pairings(family, psi.values, z)
+        b, eta = _pairings(family, psi.values, z)
         bmax = float(np.max(np.abs(b)))
         if bmax < best[0]:
             best = (bmax, z)
@@ -122,8 +131,8 @@ def decompose(spec: HamiltonianSpec, eig: EigenPair, psi: ComplexField,
                 break
         jac = np.empty((2, 2))
         for k, dz in enumerate((fd, 1j * fd)):
-            bp, _, _ = _pairings(family, psi.values, z + dz)
-            bm, _, _ = _pairings(family, psi.values, z - dz)
+            bp, _ = _pairings(family, psi.values, z + dz)
+            bm, _ = _pairings(family, psi.values, z - dz)
             jac[:, k] = (bp - bm) / (2.0 * fd)
         try:
             update = np.linalg.solve(jac, -b)
@@ -151,7 +160,7 @@ def decompose(spec: HamiltonianSpec, eig: EigenPair, psi: ComplexField,
             f"{iters} iterations (target {tol_primary:.1e})")
 
     z = best[1]
-    b, eta, _ = _pairings(family, psi.values, z)
+    b, eta = _pairings(family, psi.values, z)
     state = family.solve(z)
     recon = norm_l2(make_field(
         spec.grid, psi.values - state.field.values - eta.values))
@@ -175,23 +184,20 @@ def symplectic_gram(family: BoundStateFamily, z: complex) -> np.ndarray:
 
 
 def scattering_gap(spec: HamiltonianSpec, eta1: ComplexField, t1: float,
-                   eta2: ComplexField, t2: float, *, dt: float = 1e-3,
-                   cn_tol: float = 1e-12) -> float:
+                   eta2: ComplexField, t2: float, *,
+                   dt: float = 1e-3) -> float:
     """H1 distance between the linear pullbacks exp(+i t H) eta(t) at two
     times; a Cauchy increment of the scattering limit."""
-    p1 = linear_flow(spec, eta1, -t1, dt=dt, cn_tol=cn_tol)
-    p2 = linear_flow(spec, eta2, -t2, dt=dt, cn_tol=cn_tol)
+    p1 = linear_flow(spec, eta1, -t1, dt=dt)
+    p2 = linear_flow(spec, eta2, -t2, dt=dt)
     return norm_h1(make_field(spec.grid, p2.values - p1.values))
 
 
 def track(spec: HamiltonianSpec, eig: EigenPair, traj: Trajectory,
           family: BoundStateFamily | None = None, *, sign: int = 1,
-          sigma: float = 4.1,
-          checkpoint_fractions=(0.25, 0.5, 0.75, 1.0)) -> StabilityReport:
+          sigma: float = 4.1) -> StabilityReport:
     """Decompose every snapshot of a trajectory and assemble the modulation
     diagnostics."""
-    from .analysis import XNormAccumulator  # local import; analysis sits above
-
     if family is None:
         family = BoundStateFamily(spec, eig, sign)
     g = spec.grid
@@ -199,12 +205,8 @@ def track(spec: HamiltonianSpec, eig: EigenPair, traj: Trajectory,
     n = times.size
     if n < 5:
         raise MagnlsError("trajectory too short to track (need >= 5 frames)")
-    stride_dt = float(times[1] - times[0])
+    check_frame_spacing(float(times[1] - times[0]))
     warnings: list[str] = list(traj.warnings)
-    if stride_dt > 0.1 + 1e-12:
-        raise MagnlsError(
-            f"snapshot spacing {stride_dt:.3g} too coarse for differencing "
-            "(need stride * dt <= 0.1)")
 
     t_wrap = wrap_around_estimate(traj.snapshots[0])
     if times[-1] > t_wrap:
@@ -222,15 +224,14 @@ def track(spec: HamiltonianSpec, eig: EigenPair, traj: Trajectory,
     acc = XNormAccumulator(sigma)
 
     t_final = float(times[-1])
-    checkpoint_targets = [f * t_final for f in checkpoint_fractions]
+    checkpoint_targets = [f * t_final for f in _CHECKPOINT_FRACTIONS]
     checkpoint_idx = sorted({int(np.argmin(np.abs(times - tc)))
                              for tc in checkpoint_targets})
     checkpoint_etas: dict[int, ComplexField] = {}
 
     z_guess: complex | None = None
     for j in range(n):
-        rec = decompose(spec, eig, traj.snapshots[j], family,
-                        z_guess=z_guess, sign=sign)
+        rec = decompose(spec, eig, traj.snapshots[j], family, z_guess=z_guess)
         z_guess = rec.z
         zs[j] = rec.z
         energies[j] = family.energy(rec.z)

@@ -11,7 +11,15 @@ from __future__ import annotations
 
 import numpy as np
 
+from .errors import MagnlsError
 from .grid import ComplexField, GridSpec, gradient, laplacian
+
+
+def check_sigma(sigma: float) -> None:
+    """The weight hypothesis of the dispersive estimates: <x>^-sigma with
+    sigma > 4."""
+    if sigma <= 4.0:
+        raise MagnlsError(f"sigma must exceed 4, got {sigma}")
 
 
 def bracket_weight(grid: GridSpec, sigma: float) -> np.ndarray:

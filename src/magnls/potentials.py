@@ -20,12 +20,23 @@ from .grid import (
     GridSpec,
     VectorField,
     divergence,
-    from_function,
+    gradient,
     make_field,
     zero_vector_field,
 )
 
 _REALNESS_TOL = 1e-13
+_SPLIT_LEVELS = 32        # thresholds tried by the split-norm minimization
+_DECAY_FLOOR = 1e-13      # magnitudes below this are left out of decay fits
+
+
+def check_decay_hypotheses(decay_eps: float, lq_exponent: float) -> None:
+    """The standing decay hypotheses on A and V: the L^q exponent exceeds 3
+    and the pointwise decay margin eps is positive."""
+    if lq_exponent <= 3.0:
+        raise MagnlsError(f"lq_exponent must exceed 3, got {lq_exponent}")
+    if decay_eps <= 0.0:
+        raise MagnlsError(f"decay_eps must be positive, got {decay_eps}")
 
 
 @dataclass(frozen=True)
@@ -50,11 +61,7 @@ class PotentialPair:
             raise MagnlsError(
                 f"vector potential has {len(self.a.components)} components "
                 f"on a {g.dim}-dimensional grid")
-        if self.lq_exponent <= 3.0:
-            raise MagnlsError(
-                f"lq_exponent must exceed 3, got {self.lq_exponent}")
-        if self.decay_eps <= 0.0:
-            raise MagnlsError("decay_eps must be positive")
+        check_decay_hypotheses(self.decay_eps, self.lq_exponent)
         for comp in self.a.components:
             if np.max(np.abs(comp.values.imag)) > _REALNESS_TOL:
                 raise MagnlsError("vector potential must be real")
@@ -78,13 +85,11 @@ def make_potential_pair(a: VectorField, v: ComplexField, *,
 # builders
 # ---------------------------------------------------------------------------
 
-def gaussian_bump(grid: GridSpec, amplitude: float, width: float,
-                  center: tuple[float, ...] | None = None) -> ComplexField:
-    """Real Gaussian profile amplitude * exp(-|x - c|^2 / width^2)."""
+def gaussian_bump(grid: GridSpec, amplitude: float, width: float) -> ComplexField:
+    """Real centred Gaussian profile amplitude * exp(-|x|^2 / width^2)."""
     if width <= 0:
         raise MagnlsError("width must be positive")
-    c = center if center is not None else (0.0,) * grid.dim
-    r2 = sum((x - ci) ** 2 for x, ci in zip(grid.coords, c))
+    r2 = sum(x * x for x in grid.coords)
     return make_field(grid, amplitude * np.exp(-r2 / width**2))
 
 
@@ -109,8 +114,6 @@ def build_gaussian_well(grid: GridSpec, depth: float, width: float, *,
 def build_gauge_field(chi: ComplexField) -> VectorField:
     """Pure-gauge vector potential A = grad(chi), with the tiny spectral
     imaginary residue stripped so the components are exactly real."""
-    from .grid import gradient
-
     if np.max(np.abs(chi.values.imag)) > _REALNESS_TOL:
         raise MagnlsError("gauge function chi must be real")
     g = gradient(chi)
@@ -171,8 +174,8 @@ class ValidationReport:
         return all(s in ("pass", "not_checked") for s in self.statuses.values())
 
 
-def split_lebesgue_norm(values: np.ndarray, q: float, volume_element: float,
-                        levels: int = 32) -> float:
+def split_lebesgue_norm(values: np.ndarray, q: float,
+                        volume_element: float) -> float:
     """Heuristic L^q + L^infty split norm.
 
     Minimizes ||f 1_{|f|>tau}||_q + tau over a 32-point logarithmic grid of
@@ -183,7 +186,7 @@ def split_lebesgue_norm(values: np.ndarray, q: float, volume_element: float,
     peak = float(a.max())
     if peak == 0.0:
         return 0.0
-    taus = np.concatenate(([0.0], np.geomspace(peak * 1e-8, peak, levels)))
+    taus = np.concatenate(([0.0], np.geomspace(peak * 1e-8, peak, _SPLIT_LEVELS)))
     best = np.inf
     for tau in taus:
         over = a[a > tau]
@@ -192,10 +195,9 @@ def split_lebesgue_norm(values: np.ndarray, q: float, volume_element: float,
     return float(best)
 
 
-def _power_law_exponent(radii: np.ndarray, magnitudes: np.ndarray,
-                        floor: float = 1e-13) -> float:
+def _power_law_exponent(radii: np.ndarray, magnitudes: np.ndarray) -> float:
     """Least-squares exponent alpha in |f| <= C <x>^-alpha; +inf if all below floor."""
-    keep = magnitudes > floor
+    keep = magnitudes > _DECAY_FLOOR
     if np.count_nonzero(keep) < 8:
         return np.inf
     lx = np.log(np.sqrt(1.0 + radii[keep] ** 2))

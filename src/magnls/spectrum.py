@@ -19,6 +19,18 @@ from .errors import MagnlsError, NoBoundStateError, NonConvergenceError
 from .grid import ComplexField, make_field, norm_l2
 from .hamiltonian import HamiltonianSpec, _apply_h_values, shifted_solve
 
+_RESIDUAL_TOL = 1e-10      # ground-state refinement target
+MAX_RESIDUAL = 1e-9        # a ground state with a larger residual is an error
+_INNER_TOL = 1e-10         # Lanczos inner solves
+_LANCZOS_STEPS = 24        # ground-state Krylov dimension
+_SCAN_GAP_TOL = 1e-6       # scan levels below -gap_tol count as bound
+_SCAN_RESIDUAL_TOL = 1e-9
+_MAX_ITER = 10000
+# GMRES steps per inverse-iteration solve.  Its shift sits within a few
+# residuals of the eigenvalue, where the true residual of the solve can stall
+# above its target long after the direction, all that is kept, has converged.
+_DIRECTION_MAX_ITER = 150
+
 
 @dataclass(frozen=True)
 class EigenPair:
@@ -57,10 +69,18 @@ def spectral_lower_bound(spec: HamiltonianSpec) -> float:
 
 
 def _start_vector(spec: HamiltonianSpec) -> np.ndarray:
+    """A centred Gaussian with a small first-moment tilt along every axis.
+
+    The tilt gives the start both parities on each axis: an even start on a
+    parity-symmetric potential spans only even states, and Lanczos then
+    skips the odd levels.  A small tilt keeps the start close to the ground
+    state, which the refinement converges from.
+    """
     g = spec.grid
     width = min(g.box_lengths) / 8.0
     r2 = sum(x * x for x in g.coords)
-    v = np.exp(-r2 / width**2).astype(np.complex128)
+    tilt = 1.0 + 0.1 * sum(g.coords) / width
+    v = (np.exp(-r2 / width**2) * tilt).astype(np.complex128)
     return (v / np.linalg.norm(v.ravel())).ravel()
 
 
@@ -115,8 +135,8 @@ def _lanczos_lowest(spec: HamiltonianSpec, how_many: int, *, steps: int,
 
 
 def _refine_pair(spec: HamiltonianSpec, e: float, v: np.ndarray, *,
-                 residual_tol: float, max_iter: int,
-                 deflate_against=(), max_refine: int = 60):
+                 residual_tol: float, deflate_against=(),
+                 max_refine: int = 60):
     """Inverse iteration with shift just below the Rayleigh quotient.
 
     Direction-improving solves run at a modest tolerance and are allowed to
@@ -152,7 +172,8 @@ def _refine_pair(spec: HamiltonianSpec, e: float, v: np.ndarray, *,
         sigma = e - max(5.0 * resid, 1e-9)
         f = make_field(g, v.reshape(shape))
         w = shifted_solve(spec, sigma, f, tol_rel=1e-6,
-                          max_iter=max_iter, strict=False).values.ravel()
+                          max_iter=_DIRECTION_MAX_ITER,
+                          strict=False).values.ravel()
         w = project_out(w)
         nw = np.linalg.norm(w)
         if nw == 0.0:
@@ -163,25 +184,22 @@ def _refine_pair(spec: HamiltonianSpec, e: float, v: np.ndarray, *,
 
 
 def _phase_fix(values: np.ndarray) -> np.ndarray:
-    idx = int(np.argmax(np.abs(values)))
-    pivot = values.ravel()[idx] if values.ndim == 1 else values.ravel()[idx]
+    pivot = values.ravel()[int(np.argmax(np.abs(values)))]
     mag = abs(pivot)
     if mag == 0.0:
         return values
     return values * (pivot.conjugate() / mag)
 
 
-def ground_state(spec: HamiltonianSpec, *, residual_tol: float = 1e-10,
-                 inner_tol: float = 1e-10, max_iter: int = 10000,
-                 lanczos_steps: int = 24) -> EigenPair:
+def ground_state(spec: HamiltonianSpec, *,
+                 max_iter: int = _MAX_ITER) -> EigenPair:
     """Lowest eigenpair of H; raises ``NoBoundStateError`` when the bottom of
     the spectrum is not strictly negative."""
-    ritz = _lanczos_lowest(spec, 2, steps=lanczos_steps,
-                           inner_tol=inner_tol, max_iter=max_iter)
+    ritz = _lanczos_lowest(spec, 2, steps=_LANCZOS_STEPS,
+                           inner_tol=_INNER_TOL, max_iter=max_iter)
     e_est, v = ritz[0]
-    e, v, resid, _ = _refine_pair(spec, e_est, v, residual_tol=residual_tol,
-                                  max_iter=max_iter)
-    if resid > 1e-9:
+    e, v, resid, _ = _refine_pair(spec, e_est, v, residual_tol=_RESIDUAL_TOL)
+    if resid > MAX_RESIDUAL:
         raise NonConvergenceError(
             f"eigenpair refinement stalled at residual {resid:.3e}",
             residual=resid)
@@ -202,29 +220,26 @@ def ground_state(spec: HamiltonianSpec, *, residual_tol: float = 1e-10,
     return EigenPair(e0=float(e), phi0=phi, residual=float(resid), gap=float(gap))
 
 
-def low_spectrum_scan(spec: HamiltonianSpec, count: int = 4, *,
-                      gap_tol: float = 1e-6, residual_tol: float = 1e-9,
-                      inner_tol: float = 1e-10,
-                      max_iter: int = 10000) -> SpectrumScan:
+def low_spectrum_scan(spec: HamiltonianSpec, count: int = 4) -> SpectrumScan:
     """Refine the ``count`` lowest eigenvalues (count <= 8) and report whether
-    exactly one falls below ``-gap_tol``."""
+    exactly one falls below -1e-6."""
     if not (1 <= count <= 8):
         raise MagnlsError(f"scan count must be between 1 and 8, got {count}")
     ritz = _lanczos_lowest(spec, count, steps=max(40, 12 * count),
-                           inner_tol=inner_tol, max_iter=max_iter)
+                           inner_tol=_INNER_TOL, max_iter=_MAX_ITER)
     pairs = []
     converged = []
     for e_est, v in ritz[:count]:
         e, vec, resid, _ = _refine_pair(
-            spec, e_est, v, residual_tol=residual_tol,
-            max_iter=max_iter, deflate_against=tuple(converged), max_refine=30)
-        if e < -gap_tol and resid > 1e-8:
+            spec, e_est, v, residual_tol=_SCAN_RESIDUAL_TOL,
+            deflate_against=tuple(converged), max_refine=30)
+        if e < -_SCAN_GAP_TOL and resid > 1e-8:
             raise NonConvergenceError(
                 f"negative eigenvalue near {e:.6e} stalled at residual {resid:.3e}",
                 residual=resid)
         converged.append(vec)
         pairs.append((float(e), float(resid)))
     pairs.sort(key=lambda t: t[0])
-    n_neg = sum(1 for e, _ in pairs if e < -gap_tol)
+    n_neg = sum(1 for e, _ in pairs if e < -_SCAN_GAP_TOL)
     return SpectrumScan(pairs=tuple(pairs), n_negative=n_neg,
-                        unique_negative=(n_neg == 1), gap_tol=gap_tol)
+                        unique_negative=(n_neg == 1), gap_tol=_SCAN_GAP_TOL)

@@ -124,6 +124,12 @@ def dense_ground_state(spec: HamiltonianSpec):
     return e0, vec.reshape(spec.grid.sizes)
 
 
+def dense_levels(spec: HamiltonianSpec) -> np.ndarray:
+    """Every eigenvalue of the dense operator, in increasing order."""
+    mat = hamiltonian_matrix(spec)
+    return la.eigvalsh(0.5 * (mat + mat.conj().T))
+
+
 def dense_bound_state(spec: HamiltonianSpec, phi: np.ndarray, e0: float,
                       z: complex, sign: int, *, sweeps: int = 60,
                       tol: float = 1e-13):

@@ -215,3 +215,22 @@ def test_file_potential_matches_direct_construction(tmp_path):
         make_potential_pair(zero_vector_field(g), well.v))
     direct = ground_state(spec)
     assert abs(payload["e0"] - direct.e0) <= 1e-12
+
+
+def test_resolvent_eps_floor_covers_the_fine_scan(tmp_path):
+    # resolvent-scan also runs at eps / 10, and every resolvent solve needs
+    # |Im zeta| >= 1e-8, so 1e-8 itself must be rejected before any scan
+    path = write_config(tmp_path, MINIMAL)
+    with pytest.raises(ConfigError, match=r"^solver\.resolvent_eps must be"):
+        parse_config(path, overrides=("solver.resolvent_eps=1e-8",))
+    cfg = parse_config(path, overrides=("solver.resolvent_eps=1e-7",))
+    assert cfg.solver.resolvent_eps == 1e-7
+
+
+def test_cli_seed_goes_through_config_validation(tmp_path, capsys):
+    path = write_config(tmp_path, MINIMAL)
+    code = main(["ground-state", "--config", str(path),
+                 "--output", str(tmp_path / "run"),
+                 "--seed", "18446744073709551616"])
+    assert code == 2
+    assert "output.seed" in capsys.readouterr().err

@@ -98,3 +98,13 @@ def test_scan_resolves_the_edge_doublet(sech_spec):
     k1_sq = (2.0 * np.pi / 40.0) ** 2
     assert 0.0 < e1 < k1_sq
     assert all(r < 1e-9 for _, r in scan.pairs)
+
+
+def test_three_dimensional_gap_matches_dense():
+    # the first excited level of this parity-symmetric well is an odd
+    # triplet; an even Lanczos start never sees it and overstates the gap
+    g = GridSpec(3, (8, 8, 8), (16.0, 16.0, 16.0))
+    spec = build_hamiltonian(build_gaussian_well(g, -5.0, 2.0))
+    eig = ground_state(spec)
+    levels = orc.dense_levels(spec)
+    assert abs(eig.gap - (min(levels[1], 0.0) - levels[0])) < 1e-8
