@@ -29,8 +29,8 @@ from .analysis import (NORM_RATIO_FLOOR, NORM_SPREAD_CAP,
                        scan_offsets, strichartz_ratio)
 from .bound_states import BoundStateFamily, decay_fit
 from .config import ExperimentConfig, parse_config
-from .errors import (ConfigError, InsufficientDecayWindow, MagnlsError,
-                     NoBoundStateError)
+from .errors import (ConfigError, ConservationBreach, InsufficientDecayWindow,
+                     MagnlsError, NoBoundStateError)
 from .evolution import evolve
 from .grid import (ComplexField, GridSpec, VectorField, make_field,
                    read_field, write_field, zero_vector_field)
@@ -69,6 +69,7 @@ class RunContext:
         self.stages: list[dict] = []
         self.gates: dict[str, dict] = {}
         self.warnings: list[str] = []
+        self.linear_backend: str | None = None
 
     def csv(self, name: str, header: list[str], rows: list[list]) -> None:
         lines = [",".join(header)]
@@ -152,13 +153,15 @@ def _potentials_from(cfg: ExperimentConfig, g: GridSpec) -> PotentialPair:
     return make_potential_pair(a, v, **exponents)
 
 
-def _spec_from(cfg: ExperimentConfig) -> HamiltonianSpec:
-    return build_hamiltonian(_potentials_from(cfg, _grid_from(cfg)))
+def _spec_from(cfg: ExperimentConfig, ctx: RunContext) -> HamiltonianSpec:
+    spec = build_hamiltonian(_potentials_from(cfg, _grid_from(cfg)))
+    ctx.linear_backend = spec.linear_backend
+    return spec
 
 
-def _family_from(cfg: ExperimentConfig) -> BoundStateFamily:
+def _family_from(cfg: ExperimentConfig, ctx: RunContext) -> BoundStateFamily:
     """Operator, ground state and bound-state family: ``.spec``, ``.eig``."""
-    spec = _spec_from(cfg)
+    spec = _spec_from(cfg, ctx)
     eig = ground_state(spec, max_iter=cfg.solver.max_iter)
     return BoundStateFamily(spec, eig, cfg.nonlinearity.sign,
                             max_iter=cfg.solver.max_iter)
@@ -206,7 +209,7 @@ def _run_validate_potentials(cfg: ExperimentConfig, ctx: RunContext) -> None:
 
 
 def _run_ground_state(cfg: ExperimentConfig, ctx: RunContext) -> None:
-    spec = _spec_from(cfg)
+    spec = _spec_from(cfg, ctx)
     eig = ground_state(spec, max_iter=cfg.solver.max_iter)
     ctx.field("phi0.fld", eig.phi0)
     ctx.json("ground_state.json", {
@@ -220,7 +223,7 @@ def _run_ground_state(cfg: ExperimentConfig, ctx: RunContext) -> None:
 
 
 def _run_bound_state(cfg: ExperimentConfig, ctx: RunContext) -> None:
-    state = _family_from(cfg).solve(cfg.nonlinearity.z)
+    state = _family_from(cfg, ctx).solve(cfg.nonlinearity.z)
     ctx.field("bound_state.fld", state.field)
     ctx.json("bound_state.json", {
         "z_re": state.z.real, "z_im": state.z.imag,
@@ -235,7 +238,7 @@ def _run_bound_state(cfg: ExperimentConfig, ctx: RunContext) -> None:
 
 
 def _run_bound_family(cfg: ExperimentConfig, ctx: RunContext) -> None:
-    family = _family_from(cfg)
+    family = _family_from(cfg, ctx)
     rows = []
     h2s, eps_, betas = [], [], []
     worst_resid = 0.0
@@ -278,12 +281,24 @@ def _run_bound_family(cfg: ExperimentConfig, ctx: RunContext) -> None:
               f"slopes q={slope_q:.3f} e'={slope_e:.3f}")
 
 
+def _drift_gate(ctx: RunContext, quantity: str, drift: float,
+                tol: float) -> None:
+    relative = " (relative)" if quantity == "energy_drift" else ""
+    ctx.gate(quantity, drift, f"<= {tol:g}{relative}", drift <= tol)
+
+
 def _evolve_common(cfg: ExperimentConfig, ctx: RunContext, sign: int,
                    label: str) -> None:
-    family = _family_from(cfg)
+    family = _family_from(cfg, ctx)
     psi0 = _initial_state(cfg, family)
-    e = cfg.evolution
-    traj = evolve(family.spec, psi0, e, sign, max_iter=cfg.solver.max_iter)
+    limits = cfg.evolution.drift_limits
+    try:
+        traj = evolve(family.spec, psi0, cfg.evolution, sign,
+                      max_iter=cfg.solver.max_iter)
+    except ConservationBreach as exc:
+        _drift_gate(ctx, exc.quantity, exc.drift, limits[exc.quantity])
+        ctx.stage(label, "gate-failed", str(exc))
+        return
     rows = []
     for j, t in enumerate(traj.times):
         rows.append([t, traj.mass[j], traj.energy[j], traj.h1[j]])
@@ -291,11 +306,8 @@ def _evolve_common(cfg: ExperimentConfig, ctx: RunContext, sign: int,
     ctx.csv("series.csv", ["t", "mass", "energy", "h1"], rows)
     for w in traj.warnings:
         ctx.warn(w)
-    ctx.gate("mass_drift", traj.mass_drift, f"<= {e.conserve_tol:g}",
-             traj.mass_drift <= e.conserve_tol)
-    ctx.gate("energy_drift", traj.energy_drift,
-             f"<= {e.energy_tol:g} (relative)",
-             traj.energy_drift <= e.energy_tol)
+    for quantity, tol in limits.items():
+        _drift_gate(ctx, quantity, getattr(traj, quantity), tol)
     ctx.stage(label, "ok", f"{len(traj.times)} frames to t={traj.times[-1]:g}")
 
 
@@ -308,7 +320,7 @@ def _run_linear_evolve(cfg: ExperimentConfig, ctx: RunContext) -> None:
 
 
 def _run_stability(cfg: ExperimentConfig, ctx: RunContext) -> None:
-    family = _family_from(cfg)
+    family = _family_from(cfg, ctx)
     spec, eig = family.spec, family.eig
     g = spec.grid
     z0 = cfg.nonlinearity.z
@@ -401,7 +413,7 @@ def _run_stability(cfg: ExperimentConfig, ctx: RunContext) -> None:
 
 
 def _run_resolvent_scan(cfg: ExperimentConfig, ctx: RunContext) -> None:
-    spec = _spec_from(cfg)
+    spec = _spec_from(cfg, ctx)
     try:
         eig = ground_state(spec, max_iter=cfg.solver.max_iter)
     except NoBoundStateError:
@@ -438,7 +450,7 @@ def _run_resolvent_scan(cfg: ExperimentConfig, ctx: RunContext) -> None:
 
 
 def _run_norm_equivalence(cfg: ExperimentConfig, ctx: RunContext) -> None:
-    spec = _spec_from(cfg)
+    spec = _spec_from(cfg, ctx)
     report = norm_equivalence_check(spec, seed=cfg.output.seed)
     rows = [[r.p, r.r_min, r.r_max, r.spread, r.passed] for r in report.rows]
     ctx.csv("norm_equivalence.csv",
@@ -453,7 +465,7 @@ def _run_norm_equivalence(cfg: ExperimentConfig, ctx: RunContext) -> None:
 
 
 def _run_strichartz(cfg: ExperimentConfig, ctx: RunContext) -> None:
-    spec = _spec_from(cfg)
+    spec = _spec_from(cfg, ctx)
     eig = ground_state(spec, max_iter=cfg.solver.max_iter)
     report = strichartz_ratio(spec, eig, sigma=cfg.modulation.sigma,
                               seed=cfg.output.seed)
@@ -498,7 +510,10 @@ def _write_manifest(ctx: RunContext, cfg: ExperimentConfig, subcommand: str,
             "numpy": np.__version__,
             "scipy": scipy.__version__,
             "system": platform.platform(),
+            "blas_threads": {name: os.environ.get(name) for name in
+                             ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS")},
         },
+        "linear_backend": ctx.linear_backend,
         "wall_clock_s": wall,
         "stages": ctx.stages,
         "gates": ctx.gates,

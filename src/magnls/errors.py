@@ -42,7 +42,16 @@ class NewtonDivergence(MagnlsError):
 
 
 class ConservationBreach(MagnlsError):
-    """A conserved quantity drifted past its configured tolerance mid-run."""
+    """A conserved quantity drifted past its configured tolerance mid-run.
+
+    ``quantity`` names the drift ("mass_drift" or "energy_drift") and
+    ``drift`` is its value when the run stopped.
+    """
+
+    def __init__(self, message: str, *, quantity: str, drift: float):
+        super().__init__(message)
+        self.quantity = quantity
+        self.drift = drift
 
 
 class InsufficientDecayWindow(MagnlsError):

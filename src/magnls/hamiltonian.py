@@ -2,7 +2,14 @@
 
 H f = -lap f + 2i A . grad f + i (div A) f + V f
 
-with spectral derivatives and pointwise products.  ``HamiltonianSpec`` also
+with spectral derivatives and pointwise products.  Linear solves have two
+backends.  On an electric-only grid (A = 0, real V) of at most
+``DENSE_MAX_POINTS`` points the spectral -lap + V is a real symmetric
+matrix; ``HamiltonianSpec.dense_basis`` diagonalizes it once, on first use,
+and shifted solves become products with that eigenbasis (deflated shifts
+use one cached LU factorization).  Every other operator, in particular any
+with A != 0, whose collocated first-order terms are not symmetric, solves by
+preconditioned restarted GMRES (``krylov``).  ``HamiltonianSpec`` also
 fixes the positive shift K for the auxiliary operator H1 = H + K used by the
 elliptic-regularity check; by default K follows the rule
 
@@ -16,11 +23,13 @@ what breaks without it.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
+import scipy.linalg
 
 from . import krylov
-from .errors import MagnlsError
+from .errors import MagnlsError, NonConvergenceError
 from .grid import (
     ComplexField,
     GridSpec,
@@ -34,6 +43,11 @@ from .potentials import PotentialPair, build_gauge_field, make_potential_pair
 # every resolvent solve needs |Im zeta| at least this far off the real axis
 MIN_IMAG_SHIFT = 1e-8
 _C_POS = 1.0
+# Largest electric-only grid served by the dense eigenbasis.  A dense
+# Crank-Nicolson step reads U twice; at 1024 points U takes 8 MiB and the step
+# cost 1.3-2.1x a Krylov step, at 512 points 0.1-0.2x (BENCH_3.json).
+DENSE_MAX_POINTS = 512
+_DENSE_TOL = 1e-12         # eigenbasis residual and orthogonality defect
 
 
 @dataclass(frozen=True)
@@ -48,6 +62,23 @@ class HamiltonianSpec:
     @property
     def grid(self) -> GridSpec:
         return self.potentials.grid
+
+    @property
+    def linear_backend(self) -> str:
+        """Backend of the linear solves: "dense" for an electric-only
+        operator (A = 0, real V) on at most ``DENSE_MAX_POINTS`` points,
+        "krylov" otherwise."""
+        pot = self.potentials
+        electric = not (any(np.any(c.values) for c in pot.a.components)
+                        or np.any(pot.v.values.imag))
+        small = self.grid.total_points <= DENSE_MAX_POINTS
+        return "dense" if electric and small else "krylov"
+
+    @cached_property
+    def dense_basis(self) -> DenseBasis | None:
+        """The eigenbasis of H, built on first use; None on the Krylov
+        backend."""
+        return DenseBasis(self) if self.linear_backend == "dense" else None
 
 
 def default_k_shift(potentials: PotentialPair) -> float:
@@ -121,6 +152,111 @@ def gauge_transform(spec: HamiltonianSpec, chi: ComplexField) -> HamiltonianSpec
 # linear solves
 # ---------------------------------------------------------------------------
 
+def _electric_matrix(spec: HamiltonianSpec) -> np.ndarray:
+    """Real symmetric matrix of -lap + V (A = 0).
+
+    The spectral -lap is a multi-level circulant: entry (i, j) is
+    c[m_i - m_j], with c = ifftn(|k|^2) and m_i the periodic grid index of
+    point i.  Row i is therefore c reversed and rolled by m_i.
+    """
+    g = spec.grid
+    axes = tuple(range(g.dim))
+    c = np.fft.ifftn(g.k_squared).real
+    c_rev = np.roll(np.flip(c), 1, axis=axes)         # c_rev[m] = c[-m]
+    mat = np.empty((g.total_points, g.total_points))
+    for i, m in enumerate(np.ndindex(*g.sizes)):
+        mat[i] = np.roll(c_rev, m, axis=axes).ravel()
+    mat[np.diag_indices_from(mat)] += spec.potentials.v.values.real.ravel()
+    return mat
+
+
+class DenseBasis:
+    """H = U diag(lam) U^T for an electric-only operator.
+
+    Functions of H act on complex values through their real and imaginary
+    parts, so U stays real and no complex N x N array is formed.  The
+    basis is checked once, here: each eigenpair's residual relative to
+    max |lam| and the orthogonality defect of U must be at most 1e-12.
+    Holds the last Cayley factor and the LU factorization of the last
+    deflated shift.
+    """
+
+    def __init__(self, spec: HamiltonianSpec):
+        mat = _electric_matrix(spec)
+        lam, u = np.linalg.eigh(mat)
+        work = mat @ u
+        work -= u * lam
+        resid = float(np.max(np.linalg.norm(work, axis=0))
+                      / np.max(np.abs(lam)))
+        work = u.T @ u
+        work[np.diag_indices_from(work)] -= 1.0
+        ortho = float(np.max(np.abs(work)))
+        if max(resid, ortho) > _DENSE_TOL:
+            raise NonConvergenceError(
+                f"dense eigenbasis failed its check: residual {resid:.3e}, "
+                f"orthogonality defect {ortho:.3e} (limit {_DENSE_TOL:g})",
+                residual=max(resid, ortho))
+        self.lam = lam
+        self.u = u
+        self._cayley: tuple | None = None       # (dt, n, factor)
+        self._deflated: tuple | None = None     # (key, LU factorization)
+
+    def apply(self, values: np.ndarray, coeff: np.ndarray) -> np.ndarray:
+        """U diag(coeff) U^T values."""
+        pairs = np.ascontiguousarray(values, dtype=np.complex128)
+        pairs = pairs.reshape(-1).view(np.float64).reshape(-1, 2)
+        a = (self.u.T @ pairs).view(np.complex128).reshape(-1) * coeff
+        out = self.u @ a.view(np.float64).reshape(-1, 2)
+        return out.view(np.complex128).reshape(values.shape)
+
+    def cayley(self, values: np.ndarray, dt: float, n: int) -> np.ndarray:
+        """n Crank-Nicolson steps of size dt.
+
+        The Cayley factor (1 - i lam dt/2)/(1 + i lam dt/2) is exp(i phi)
+        with phi = -2 atan(lam dt/2), so n steps multiply by exp(i n phi).
+        They are applied as values + U (exp(i n phi) - 1) U^T values, with
+        exp(i t) - 1 = -2 sin(t/2)^2 + i sin(t): the rounding of the products
+        then scales with the increment, not with the state.  On a bound
+        state of the 256-point well the mass drifts by ~1e-19 per step this
+        way, against ~1e-15 for U exp(i n phi) U^T values.
+        """
+        if self._cayley is None or self._cayley[:2] != (dt, n):
+            phi = -2.0 * n * np.arctan(0.5 * dt * self.lam)
+            self._cayley = (dt, n,
+                            -2.0 * np.sin(0.5 * phi) ** 2 + 1j * np.sin(phi))
+        return values + self.apply(values, self._cayley[2])
+
+    def deflated_solve(self, spec: HamiltonianSpec, zeta: complex,
+                       values: np.ndarray, w: np.ndarray,
+                       c: float) -> np.ndarray:
+        """(H - zeta + c dv w <w, .>)^-1 values by LU, factorized once per
+        (zeta, c, w)."""
+        key = (complex(zeta), float(c), w.tobytes())
+        if self._deflated is None or self._deflated[0] != key:
+            self._deflated = None
+            wf = w.ravel()
+            mat = np.outer(wf, wf.conj())
+            mat *= c * spec.grid.volume_element
+            mat += _electric_matrix(spec)
+            mat[np.diag_indices_from(mat)] -= zeta
+            self._deflated = (key, scipy.linalg.lu_factor(
+                mat, overwrite_a=True, check_finite=False))
+        x = scipy.linalg.lu_solve(self._deflated[1], values.ravel(),
+                                  check_finite=False)
+        return x.reshape(values.shape)
+
+
+def _shifted_values(spec: HamiltonianSpec, zeta: complex,
+                    deflate: tuple[np.ndarray, float] | None,
+                    values: np.ndarray) -> np.ndarray:
+    """(H - zeta) values, plus c * w <w, values> for ``deflate=(w, c)``."""
+    out = _apply_h_values(spec, values) - zeta * values
+    if deflate is not None:
+        w, c = deflate
+        out = out + c * np.vdot(w, values) * spec.grid.volume_element * w
+    return out
+
+
 def shifted_solve(spec: HamiltonianSpec, zeta: complex, f: ComplexField, *,
                   tol_rel: float = 1e-8, max_iter: int = 10000,
                   deflate: tuple[np.ndarray, float] | None = None,
@@ -130,12 +266,41 @@ def shifted_solve(spec: HamiltonianSpec, zeta: complex, f: ComplexField, *,
 
     ``deflate=(w, c)`` adds c * w <w, .> to the operator (volume-weighted
     inner product), which moves a known eigenvalue away from the shift.
-    The preconditioner is the free resolvent: division by (|k|^2 - zeta)
-    in frequency space, regularized never to vanish.
+    On the dense backend the solve is direct (``max_iter`` and ``x0`` go
+    unused); a strict solve still measures its true residual with the
+    spectral H and raises ``NonConvergenceError`` above ``tol_rel``, as the
+    Krylov backend does.
     """
+    basis = spec.dense_basis
+    if basis is None:
+        return _krylov_shifted_solve(spec, zeta, f, tol_rel=tol_rel,
+                                     max_iter=max_iter, deflate=deflate,
+                                     x0=x0, strict=strict)
+    if deflate is None:
+        x = basis.apply(f.values, 1.0 / (basis.lam - zeta))
+    else:
+        x = basis.deflated_solve(spec, zeta, f.values, *deflate)
+    b_norm = float(np.linalg.norm(f.values))
+    if strict and b_norm > 0.0:
+        resid = float(np.linalg.norm(
+            _shifted_values(spec, zeta, deflate, x) - f.values)) / b_norm
+        if not resid <= tol_rel:
+            raise NonConvergenceError(
+                f"direct solve missed relative residual {tol_rel:.1e}: "
+                f"{resid:.3e}", residual=resid, iterations=0)
+    return make_field(spec.grid, x)
+
+
+def _krylov_shifted_solve(spec: HamiltonianSpec, zeta: complex,
+                          f: ComplexField, *, tol_rel: float, max_iter: int,
+                          deflate: tuple[np.ndarray, float] | None,
+                          x0: np.ndarray | None,
+                          strict: bool) -> ComplexField:
+    """``shifted_solve`` by restarted GMRES.  The preconditioner is the free
+    resolvent: division by (|k|^2 - zeta) in frequency space, regularized
+    never to vanish."""
     g = spec.grid
     shape = g.sizes
-    dv = g.volume_element
 
     diag = g.k_squared - zeta
     small = np.abs(diag) < 1e-10
@@ -143,12 +308,7 @@ def shifted_solve(spec: HamiltonianSpec, zeta: complex, f: ComplexField, *,
         diag = np.where(small, 1e-10, diag)
 
     def matvec(v):
-        arr = v.reshape(shape)
-        out = _apply_h_values(spec, arr) - zeta * arr
-        if deflate is not None:
-            w, c = deflate
-            out = out + c * np.vdot(w, arr) * dv * w
-        return out.ravel()
+        return _shifted_values(spec, zeta, deflate, v.reshape(shape)).ravel()
 
     def precond(v):
         return (np.fft.ifftn(np.fft.fftn(v.reshape(shape)) / diag)).ravel()

@@ -1,11 +1,13 @@
 """Thin deterministic wrapper around restarted GMRES on flat complex arrays.
 
-All linear solves in the package funnel through ``solve``: resolvent
-applications, deflated solves at the ground-state energy, and the implicit
-half of the time stepper.  The wrapper enforces the *true* residual (scipy's
-stopping test sees the preconditioned one), retries with a tighter inner
-tolerance when needed, and raises ``NonConvergenceError`` with the achieved
-residual and the number of inner GMRES iterations it ran otherwise.
+Every linear solve on the Krylov backend funnels through ``solve``:
+resolvent applications, deflated solves at the ground-state energy, and the
+implicit half of the time stepper.  (Small electric-only grids solve
+directly in a dense eigenbasis instead; see ``hamiltonian``.)  The wrapper
+enforces the *true* residual (scipy's stopping test sees the preconditioned
+one), retries with a tighter inner tolerance when needed, and raises
+``NonConvergenceError`` with the achieved residual and the number of inner
+GMRES iterations it ran otherwise.
 """
 
 from __future__ import annotations

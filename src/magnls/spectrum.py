@@ -3,9 +3,9 @@
 Strategy: Lanczos on the shifted inverse (H - s)^-1 with s below a coarse
 quadratic-form lower bound, full reorthogonalization, then inverse-iteration
 refinement with an adaptive shift that tracks the Rayleigh quotient from
-below.  Every inner linear solve reuses the preconditioned Krylov machinery
-from the hamiltonian module, so there is one code path for resolvents,
-eigensolves, and time steps.
+below.  Every inner linear solve is ``hamiltonian.shifted_solve``, so
+resolvents, eigensolves and time steps share one linear backend: the dense
+eigenbasis on small electric-only grids, preconditioned Krylov elsewhere.
 """
 
 from __future__ import annotations

@@ -1,10 +1,15 @@
 """Config parsing contract and end-to-end command-line runs."""
 
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+import magnls
 from magnls import ConfigError, GridSpec, ground_state, parse_config
 from magnls.cli import main
 from magnls.grid import make_field, write_field, zero_vector_field
@@ -234,3 +239,62 @@ def test_cli_seed_goes_through_config_validation(tmp_path, capsys):
                  "--seed", "18446744073709551616"])
     assert code == 2
     assert "output.seed" in capsys.readouterr().err
+
+
+def test_cli_conservation_breach_fails_its_gate(tmp_path, capsys):
+    # a drift tolerance below round-off: the run reports a failed gate (exit
+    # 1) instead of a numerical error (exit 2)
+    path = write_config(tmp_path, MINIMAL)
+    out = tmp_path / "run"
+    code = main(["evolve", "--config", str(path), "--output", str(out),
+                 "--override", "evolution.conserve_tol=1e-300",
+                 "--override", "evolution.t_final=0.01",
+                 "--override", "evolution.dt=1e-3",
+                 "--override", "evolution.snapshot_stride=10"])
+    assert code == 1
+    manifest = json.loads((out / "manifest.json").read_text())
+    assert manifest["status"] == "gate-failed"
+    gate = manifest["gates"]["mass_drift"]
+    assert not gate["passed"]
+    assert gate["value"] > 1e-300
+    assert "[FAIL] mass_drift" in capsys.readouterr().out
+
+
+def test_manifest_records_the_linear_backend(tmp_path):
+    loop = ("[grid]\ndim = 2\nsizes = 32\nlengths = 20.0\n\n"
+            "[potential]\nkind = loop\n")
+    for name, text, backend in (("well", MINIMAL, "dense"),
+                                ("loop", loop, "krylov")):
+        out = tmp_path / name
+        assert main(["ground-state", "--config",
+                     str(write_config(tmp_path, text, f"{name}.ini")),
+                     "--output", str(out)]) == 0
+        manifest = json.loads((out / "manifest.json").read_text())
+        assert manifest["linear_backend"] == backend
+        assert set(manifest["platform"]["blas_threads"]) == {
+            "OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS"}
+
+
+def test_evolve_is_byte_identical_under_each_blas_thread_count(tmp_path):
+    # the dense eigenbasis may differ bitwise between BLAS thread counts;
+    # reruns under one setting must not
+    path = write_config(tmp_path, MINIMAL)
+    src = str(Path(magnls.__file__).resolve().parents[1])
+    pythonpath = os.pathsep.join(filter(None, (src,
+                                               os.environ.get("PYTHONPATH"))))
+    for threads in ("1", "2"):
+        env = dict(os.environ, OPENBLAS_NUM_THREADS=threads,
+                   PYTHONPATH=pythonpath)
+        payloads = []
+        for rerun in ("a", "b"):
+            out = tmp_path / f"threads{threads}{rerun}"
+            proc = subprocess.run(
+                [sys.executable, "-m", "magnls.cli", "evolve", "--config",
+                 str(path), "--output", str(out)],
+                env=env, capture_output=True, text=True, timeout=600)
+            assert proc.returncode == 0, proc.stderr
+            payloads.append({p.name: p.read_bytes()
+                             for p in sorted(out.iterdir())
+                             if p.suffix in (".csv", ".fld")})
+        assert payloads[0] == payloads[1]
+        assert "series.csv" in payloads[0]

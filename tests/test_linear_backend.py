@@ -1,0 +1,119 @@
+"""The two linear backends: a dense eigenbasis on small electric-only grids,
+restarted GMRES everywhere else.  Each fast path is checked against the
+dense oracles, and the Krylov kernels, the only path for A != 0, are called
+directly on grids the dense backend would otherwise serve."""
+
+import numpy as np
+import pytest
+
+import oracles as orc
+from magnls import (
+    GridSpec,
+    NonConvergenceError,
+    build_gaussian_well,
+    build_hamiltonian,
+    build_localized_loop_field,
+    linear_flow,
+    make_field,
+    make_potential_pair,
+    shifted_solve,
+)
+from magnls import hamiltonian
+from magnls.evolution import _CN_TOL, _cn_step_values, _krylov_cn_step
+from magnls.hamiltonian import DENSE_MAX_POINTS, _krylov_shifted_solve
+
+
+def well(dim, n, length):
+    g = GridSpec(dim, (n,) * dim, (length,) * dim)
+    return build_hamiltonian(build_gaussian_well(g, -2.0, 1.0))
+
+
+def random_values(grid, seed):
+    rng = np.random.default_rng(seed)
+    return rng.standard_normal(grid.sizes) + 1j * rng.standard_normal(grid.sizes)
+
+
+def oracle_step(spec, values, dt):
+    prop = orc.cn_propagator(spec, dt)
+    return (prop @ values.ravel()).reshape(values.shape)
+
+
+@pytest.fixture(scope="module")
+def well_3d():
+    """Electric-only 8^3 well: 512 points, served by the dense backend."""
+    return well(3, 8, 12.0)
+
+
+def test_backend_selection(sech_spec):
+    assert sech_spec.linear_backend == "dense"
+    assert sech_spec.dense_basis is not None
+    g = GridSpec(2, (32, 32), (20.0, 20.0))
+    loop = build_hamiltonian(make_potential_pair(
+        build_localized_loop_field(g, 0.3, 1.5, 1.0),
+        build_gaussian_well(g, -2.0, 1.0).v))
+    big = well(1, 2 * DENSE_MAX_POINTS, 80.0)
+    for spec in (loop, big):
+        assert spec.linear_backend == "krylov"
+        assert spec.dense_basis is None
+
+
+@pytest.mark.parametrize("name", ["sech_spec", "well_3d"])
+def test_dense_cn_step_matches_the_oracle(name, request):
+    spec = request.getfixturevalue(name)
+    assert spec.linear_backend == "dense"
+    values = random_values(spec.grid, 51)
+    got = _cn_step_values(spec, values, 0.01, tol=_CN_TOL, max_iter=10000)
+    assert np.max(np.abs(got - oracle_step(spec, values, 0.01))) < 1e-12
+
+
+def test_krylov_cn_kernel_matches_the_oracle(sech_spec):
+    values = random_values(sech_spec.grid, 52)
+    got = _krylov_cn_step(sech_spec, values, 0.01, tol=_CN_TOL,
+                          max_iter=10000)
+    assert np.max(np.abs(got - oracle_step(sech_spec, values, 0.01))) < 1e-10
+
+
+def test_linear_flow_is_repeated_steps(sech_spec):
+    f = make_field(sech_spec.grid, random_values(sech_spec.grid, 53))
+    t, dt = 0.25, 1e-3
+    n = 250
+    stepped = f.values
+    for _ in range(n):
+        stepped = _cn_step_values(sech_spec, stepped, t / n, tol=_CN_TOL,
+                                  max_iter=10000)
+    flowed = linear_flow(sech_spec, f, t, dt=dt).values
+    assert np.max(np.abs(flowed - stepped)) < 1e-12
+
+
+@pytest.mark.parametrize("shift", ["resolvent", "below", "deflated"])
+def test_dense_shifted_solve_matches_krylov(shift, sech_spec, sech_eig):
+    tol = 1e-12
+    zeta, deflate = {
+        "resolvent": (2.0 + 0.1j, None),
+        "below": (-3.0, None),
+        "deflated": (sech_eig.e0,
+                     (sech_eig.phi0.values, 1.0 + abs(sech_eig.e0))),
+    }[shift]
+    f = make_field(sech_spec.grid, random_values(sech_spec.grid, 54))
+    dense = shifted_solve(sech_spec, zeta, f, tol_rel=tol, deflate=deflate)
+    krylov = _krylov_shifted_solve(sech_spec, zeta, f, tol_rel=tol,
+                                   max_iter=10000, deflate=deflate, x0=None,
+                                   strict=True)
+    diff = np.linalg.norm(dense.values - krylov.values)
+    assert diff <= 1e-10 * np.linalg.norm(krylov.values)
+
+
+def test_deflated_factorization_follows_its_key(sech_spec, sech_eig):
+    phi = sech_eig.phi0.values
+    f = make_field(sech_spec.grid, random_values(sech_spec.grid, 55))
+    for weight in (1.0, 3.0, 1.0):
+        # shifted_solve measures the true residual and raises on a miss
+        shifted_solve(sech_spec, sech_eig.e0, f, tol_rel=1e-12,
+                      deflate=(phi, weight))
+
+
+def test_eigenbasis_that_fails_its_check_raises(monkeypatch):
+    monkeypatch.setattr(hamiltonian, "_DENSE_TOL", 0.0)
+    spec = well(1, 64, 20.0)
+    with pytest.raises(NonConvergenceError, match="dense eigenbasis"):
+        spec.dense_basis
