@@ -11,12 +11,15 @@ iterated from (q, e') = (0, 0) inside the invariant set { ||q||_H2 <= |z|^2,
 |e'| <= |z| }.  The solve at the ground-state energy is performed with the
 eigenvalue deflated away, so the restricted operator is uniformly invertible.
 The converged correction scales like |z|^3 and the eigenvalue shift like
-|z|^2; the map commutes with the phase action z -> e^{i a} z exactly, which
-is what the gauge-equivariance tests pin down.
+|z|^2; the map commutes with the phase action z -> e^{i a} z exactly, so
+``BoundStateFamily`` solves real amplitudes only and rotates the result.
+The gauge-equivariance tests check that rotation against direct solves at
+complex z.
 """
 
 from __future__ import annotations
 
+import bisect
 from dataclasses import dataclass
 
 import numpy as np
@@ -36,6 +39,7 @@ _SOLVER_TOL = 1e-12        # relative residual of each deflated solve
 _MAX_SWEEPS = 200
 _DECAY_FLOOR = 1e-13       # |Q| below this is left out of decay fits
 _DECAY_MIN_SAMPLES = 16
+_CACHE_BYTES = 64 * 2**20  # corrections a family keeps across amplitudes
 
 
 @dataclass(frozen=True)
@@ -52,8 +56,8 @@ class BoundState:
 
 @dataclass(frozen=True)
 class DerivativeFields:
-    """Central-difference derivatives of z -> Q[z] in the two real directions,
-    plus the energy gradient and the rotation-identity residual."""
+    """Derivatives of z -> Q[z] in the two real directions, plus the energy
+    gradient and the rotation-identity residual."""
 
     z: complex
     step: float
@@ -192,13 +196,28 @@ def solve_bound_state(spec: HamiltonianSpec, eig: EigenPair, z: complex,
                       sign=sign, iterations=iterations, residual=float(residual))
 
 
-class BoundStateFamily:
-    """Cache of fixed-point solves across amplitudes, with warm starts.
+@dataclass(frozen=True)
+class _CurvePoint:
+    """A solved state on the real amplitude curve, without its field
+    r phi0 + q, which is rebuilt on demand."""
 
-    The modulation tracker calls for Q, its z-derivatives, and E at many
-    nearby amplitudes per frame; solving each from a cached neighbor cuts
-    the sweep count substantially while landing on the identical fixed
-    point.  Lookup and insertion order are deterministic.
+    correction: ComplexField
+    e_prime: float
+    energy: float
+    iterations: int
+    residual: float
+
+
+class BoundStateFamily:
+    """Bound states Q[z] solved on the real amplitude curve and rotated.
+
+    The contraction map commutes with z -> e^{ia} z, so Q[z] = (z/|z|) Q[|z|]
+    and only real r = |z| >= 0 is ever solved.  Solved corrections q[r] are
+    kept sorted by r, and each new solve warm-starts from the nearest kept r,
+    which cuts the sweep count while landing on the identical fixed point.
+    Once the kept corrections pass ``_CACHE_BYTES``, those farthest from the
+    last requested r are dropped first.  Lookup, insertion and eviction are
+    deterministic.
     """
 
     def __init__(self, spec: HamiltonianSpec, eig: EigenPair, sign: int = 1, *,
@@ -208,53 +227,81 @@ class BoundStateFamily:
         self.sign = sign
         self.z_max = default_z_max(eig)
         self.max_iter = max_iter
-        self._cache: dict[complex, BoundState] = {}
+        self._radii: list[float] = []
+        self._points: list[_CurvePoint] = []
+        self.stored_bytes = 0
 
-    def _nearest(self, z: complex) -> BoundState | None:
-        best, best_d = None, np.inf
-        for zk, state in self._cache.items():
-            d = abs(zk - z)
-            if d < best_d:
-                best, best_d = state, d
-        if best is not None and best_d <= 0.5 * abs(z) + 1e-3:
-            return best
-        return None
+    def _curve_point(self, r: float) -> _CurvePoint:
+        radii = self._radii
+        i = bisect.bisect_left(radii, r)
+        if i < len(radii) and radii[i] == r:
+            return self._points[i]
+        # a start from a much larger r would lie outside r's invariant set
+        near = [j for j in (i - 1, i) if 0 <= j < len(radii)
+                and abs(radii[j] - r) <= 0.5 * r]
+        start = None
+        if near:
+            p = self._points[min(near, key=lambda j: abs(radii[j] - r))]
+            start = (p.correction, p.e_prime)
+        state = solve_bound_state(self.spec, self.eig, r, self.sign,
+                                  max_iter=self.max_iter, start=start)
+        point = _CurvePoint(state.correction, state.e_prime, state.energy,
+                            state.iterations, state.residual)
+        radii.insert(i, r)
+        self._points.insert(i, point)
+        self.stored_bytes += point.correction.values.nbytes
+        while self.stored_bytes > _CACHE_BYTES and len(radii) > 1:
+            drop = 0 if r - radii[0] >= radii[-1] - r else -1
+            radii.pop(drop)
+            self.stored_bytes -= self._points.pop(drop).correction.values.nbytes
+        return point
 
     def solve(self, z: complex) -> BoundState:
         zc = complex(z)
-        hit = self._cache.get(zc)
-        if hit is not None:
-            return hit
-        neighbor = self._nearest(zc)
-        start = (neighbor.correction, neighbor.e_prime) if neighbor else None
-        state = solve_bound_state(self.spec, self.eig, zc, self.sign,
-                                  max_iter=self.max_iter, start=start)
-        if len(self._cache) > 4096:
-            self._cache.clear()
-        self._cache[zc] = state
-        return state
+        r = abs(zc)
+        if r == 0.0:
+            return solve_bound_state(self.spec, self.eig, zc, self.sign)
+        point = self._curve_point(r)
+        g = self.spec.grid
+        q = (zc / r) * point.correction.values
+        return BoundState(z=zc, field=make_field(g, zc * self.eig.phi0.values + q),
+                          correction=make_field(g, q), e_prime=point.e_prime,
+                          energy=point.energy, sign=self.sign,
+                          iterations=point.iterations, residual=point.residual)
 
     def energy(self, z: complex) -> float:
         return self.solve(z).energy
 
     def derivative_fields(self, z: complex) -> DerivativeFields:
+        """Tangents from the real curve.  With z = r e^{i theta},
+
+            D1Q = e^{i theta} (cos theta d_rQ - i sin theta Q[r] / r)
+            D2Q = e^{i theta} (sin theta d_rQ + i cos theta Q[r] / r),
+
+        and likewise dE/dz = (cos theta, sin theta) dE/dr, with d_r by central
+        differences at r +- h.  At z = 0 these are the limits phi0 and i phi0.
+        """
         zc = complex(z)
-        h = 1e-4 * max(abs(zc), 0.01)
-        qp = self.solve(zc + h).field.values
-        qm = self.solve(zc - h).field.values
-        qip = self.solve(zc + 1j * h).field.values
-        qim = self.solve(zc - 1j * h).field.values
+        r = abs(zc)
+        h = 1e-4 * max(r, 0.01)
         g = self.spec.grid
-        d1 = make_field(g, (qp - qm) / (2.0 * h))
-        d2 = make_field(g, (qip - qim) / (2.0 * h))
-        de1 = (self.energy(zc + h) - self.energy(zc - h)) / (2.0 * h)
-        de2 = (self.energy(zc + 1j * h) - self.energy(zc - 1j * h)) / (2.0 * h)
-        base = self.solve(zc).field
-        combo = (d1.values * (-zc.imag) + d2.values * zc.real
-                 - 1j * base.values)
+        phi = self.eig.phi0.values
+        if r == 0.0:
+            return DerivativeFields(z=zc, step=h, d1q=make_field(g, phi.copy()),
+                                    d2q=make_field(g, 1j * phi), de=(0.0, 0.0),
+                                    identity_residual=0.0)
+        plus, minus = self.solve(r + h), self.solve(r - h)
+        rot = zc / r
+        dq = rot * (phi + (plus.correction.values - minus.correction.values)
+                    / (2.0 * h))
+        de = (plus.energy - minus.energy) / (2.0 * h)
+        base = self.solve(zc).field.values
+        d1 = make_field(g, rot.real * dq - 1j * rot.imag * base / r)
+        d2 = make_field(g, rot.imag * dq + 1j * rot.real * base / r)
+        combo = (d1.values * (-zc.imag) + d2.values * zc.real - 1j * base)
         ident = norm_l2(make_field(g, combo))
         return DerivativeFields(z=zc, step=h, d1q=d1, d2q=d2,
-                                de=(float(de1), float(de2)),
+                                de=(float(rot.real * de), float(rot.imag * de)),
                                 identity_residual=float(ident))
 
 

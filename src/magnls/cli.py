@@ -31,7 +31,7 @@ from .bound_states import BoundStateFamily, decay_fit
 from .config import ExperimentConfig, parse_config
 from .errors import (ConfigError, ConservationBreach, InsufficientDecayWindow,
                      MagnlsError, NoBoundStateError)
-from .evolution import evolve
+from .evolution import Trajectory, evolve
 from .grid import (ComplexField, GridSpec, VectorField, make_field,
                    read_field, write_field, zero_vector_field)
 from .hamiltonian import (HamiltonianSpec, build_hamiltonian,
@@ -287,17 +287,27 @@ def _drift_gate(ctx: RunContext, quantity: str, drift: float,
     ctx.gate(quantity, drift, f"<= {tol:g}{relative}", drift <= tol)
 
 
+def _gated_evolve(cfg: ExperimentConfig, ctx: RunContext, label: str,
+                  spec: HamiltonianSpec, psi0: ComplexField,
+                  sign: int) -> Trajectory | None:
+    """``evolve``, with a conservation breach recorded as its failed drift
+    gate and the stage; returns None after a breach."""
+    try:
+        return evolve(spec, psi0, cfg.evolution, sign,
+                      max_iter=cfg.solver.max_iter)
+    except ConservationBreach as exc:
+        _drift_gate(ctx, exc.quantity, exc.drift,
+                    cfg.evolution.drift_limits[exc.quantity])
+        ctx.stage(label, "gate-failed", str(exc))
+        return None
+
+
 def _evolve_common(cfg: ExperimentConfig, ctx: RunContext, sign: int,
                    label: str) -> None:
     family = _family_from(cfg, ctx)
     psi0 = _initial_state(cfg, family)
-    limits = cfg.evolution.drift_limits
-    try:
-        traj = evolve(family.spec, psi0, cfg.evolution, sign,
-                      max_iter=cfg.solver.max_iter)
-    except ConservationBreach as exc:
-        _drift_gate(ctx, exc.quantity, exc.drift, limits[exc.quantity])
-        ctx.stage(label, "gate-failed", str(exc))
+    traj = _gated_evolve(cfg, ctx, label, family.spec, psi0, sign)
+    if traj is None:
         return
     rows = []
     for j, t in enumerate(traj.times):
@@ -306,7 +316,7 @@ def _evolve_common(cfg: ExperimentConfig, ctx: RunContext, sign: int,
     ctx.csv("series.csv", ["t", "mass", "energy", "h1"], rows)
     for w in traj.warnings:
         ctx.warn(w)
-    for quantity, tol in limits.items():
+    for quantity, tol in cfg.evolution.drift_limits.items():
         _drift_gate(ctx, quantity, getattr(traj, quantity), tol)
     ctx.stage(label, "ok", f"{len(traj.times)} frames to t={traj.times[-1]:g}")
 
@@ -328,7 +338,6 @@ def _run_stability(cfg: ExperimentConfig, ctx: RunContext) -> None:
     bump = project_continuous(eig.phi0,
                               gaussian_bump(g, 1.0, cfg.modulation.perturb_width))
     bump = make_field(g, bump.values / norm_h1(bump))
-    e = cfg.evolution
 
     summary = []
     sizes, l1s = [], []
@@ -340,8 +349,10 @@ def _run_stability(cfg: ExperimentConfig, ctx: RunContext) -> None:
     wrap_violated = False
     for idx, amp in enumerate(cfg.modulation.amplitudes):
         psi0 = make_field(g, base.values + amp * bump.values)
-        traj = evolve(spec, psi0, e, cfg.nonlinearity.sign,
-                      max_iter=cfg.solver.max_iter)
+        traj = _gated_evolve(cfg, ctx, "stability-run", spec, psi0,
+                             cfg.nonlinearity.sign)
+        if traj is None:
+            return
         rep = track(spec, eig, traj, family, sign=cfg.nonlinearity.sign,
                     sigma=cfg.modulation.sigma)
         for w in rep.warnings:

@@ -4,7 +4,9 @@ import numpy as np
 import pytest
 
 import oracles as orc
+from magnls import bound_states
 from magnls import (
+    BoundStateFamily,
     ContractionSetViolation,
     MagnlsError,
     InsufficientDecayWindow,
@@ -64,14 +66,20 @@ def test_amplitude_scalings(sech_family):
     assert slope_e == pytest.approx(2.0, abs=0.1)
 
 
-def test_gauge_equivariance_of_the_family(sech_spec, sech_eig, sech_family):
-    z = 0.04
-    alpha = 0.7
-    rotated = sech_family.solve(z * np.exp(1j * alpha))
-    direct = sech_family.solve(z)
-    diff = rotated.field.values - np.exp(1j * alpha) * direct.field.values
-    assert np.max(np.abs(diff)) < 1e-12
-    assert rotated.energy == pytest.approx(direct.energy, abs=1e-12)
+def test_gauge_equivariance_of_the_family(sech_spec, sech_eig, sech_family,
+                                          magnetic_spec, magnetic_eig):
+    # the family solves |z| and rotates; a cold solve at the complex z itself
+    # must land on the same state, also where A != 0 makes q complex
+    z = 0.04 * np.exp(0.7j)
+    for spec, eig, family in (
+            (sech_spec, sech_eig, sech_family),
+            (magnetic_spec, magnetic_eig,
+             BoundStateFamily(magnetic_spec, magnetic_eig, 1))):
+        rotated = family.solve(z)
+        direct = solve_bound_state(spec, eig, z, 1)
+        diff = rotated.field.values - direct.field.values
+        assert np.max(np.abs(diff)) < 1e-12
+        assert rotated.energy == pytest.approx(direct.energy, abs=1e-12)
 
 
 def test_contraction_ceiling_is_enforced(sech_spec, sech_eig):
@@ -96,10 +104,64 @@ def test_warm_and_cold_starts_agree(sech_spec, sech_eig, sech_family):
     assert warm.e_prime == pytest.approx(cold.e_prime, abs=1e-12)
 
 
-def test_phase_rotation_generator_identity(sech_family):
-    d = sech_family.derivative_fields(0.05)
-    scale = norm_l2(sech_family.solve(0.05).field)
+def test_phase_rotation_generator_identity(sech_spec, sech_eig, sech_family):
+    # the family's tangents come from the real curve; compare them with
+    # central differences of direct solves at complex z
+    z = 0.03 + 0.04j
+    d = sech_family.derivative_fields(z)
+    scale = norm_l2(sech_family.solve(z).field)
+
+    def direct(w):
+        return solve_bound_state(sech_spec, sech_eig, w, 1).field.values
+
+    def energy(w):
+        return solve_bound_state(sech_spec, sech_eig, w, 1).energy
+
+    h = d.step
+    de = ((energy(z + h) - energy(z - h)) / (2.0 * h),
+          (energy(z + 1j * h) - energy(z - 1j * h)) / (2.0 * h))
+    assert d.de == pytest.approx(de, abs=1e-9)
+    d1 = (direct(z + h) - direct(z - h)) / (2.0 * h)
+    d2 = (direct(z + 1j * h) - direct(z - 1j * h)) / (2.0 * h)
+    g = sech_spec.grid
+    for tangent, reference in ((d.d1q, d1), (d.d2q, d2)):
+        assert norm_l2(make_field(g, tangent.values - reference)) < 1e-5 * scale
+    identity = d1 * (-z.imag) + d2 * z.real - 1j * direct(z)
+    assert norm_l2(make_field(g, identity)) < 1e-5 * scale
     assert d.identity_residual < 1e-5 * scale
+
+
+def test_tangents_at_zero_are_the_ground_state_limits(sech_eig, sech_family):
+    phi = sech_eig.phi0.values
+    for z in (0.0, 1e-6 * np.exp(0.3j)):
+        d = sech_family.derivative_fields(z)
+        assert np.max(np.abs(d.d1q.values - phi)) < 1e-8
+        assert np.max(np.abs(d.d2q.values - 1j * phi)) < 1e-8
+
+
+def test_family_memory_is_bounded_by_bytes(sech_spec, sech_eig, monkeypatch):
+    budget = 3 * sech_eig.phi0.values.nbytes
+    monkeypatch.setattr(bound_states, "_CACHE_BYTES", budget)
+    solved = []
+    real_solve = bound_states.solve_bound_state
+
+    def counting(*args, **kwargs):
+        solved.append(args[2])
+        return real_solve(*args, **kwargs)
+
+    monkeypatch.setattr(bound_states, "solve_bound_state", counting)
+    family = BoundStateFamily(sech_spec, sech_eig, 1)
+    first = family.solve(0.02)
+    for r in (0.03, 0.04, 0.05, 0.06):
+        family.solve(r)
+        assert 0 < family.stored_bytes <= budget
+    # the amplitudes farthest from the last request went first
+    family.solve(0.05)
+    assert solved == [0.02, 0.03, 0.04, 0.05, 0.06]
+    again = family.solve(0.02)
+    assert solved[-1] == 0.02
+    assert family.stored_bytes <= budget
+    assert np.max(np.abs(again.field.values - first.field.values)) < 1e-11
 
 
 def test_decay_rate_tracks_the_linear_rate(sech_family):

@@ -260,6 +260,24 @@ def test_cli_conservation_breach_fails_its_gate(tmp_path, capsys):
     assert "[FAIL] mass_drift" in capsys.readouterr().out
 
 
+def test_stability_run_conservation_breach_fails_its_gate(tmp_path, capsys):
+    path = write_config(tmp_path, MINIMAL)
+    out = tmp_path / "run"
+    code = main(["stability-run", "--config", str(path), "--output", str(out),
+                 "--override", "evolution.conserve_tol=1e-300",
+                 "--override", "evolution.t_final=0.05",
+                 "--override", "evolution.dt=1e-3",
+                 "--override", "evolution.snapshot_stride=10",
+                 "--override", "modulation.amplitudes=1e-3"])
+    assert code == 1
+    manifest = json.loads((out / "manifest.json").read_text())
+    assert manifest["status"] == "gate-failed"
+    gate = manifest["gates"]["mass_drift"]
+    assert not gate["passed"]
+    assert gate["value"] > 1e-300
+    assert "[FAIL] mass_drift" in capsys.readouterr().out
+
+
 def test_manifest_records_the_linear_backend(tmp_path):
     loop = ("[grid]\ndim = 2\nsizes = 32\nlengths = 20.0\n\n"
             "[potential]\nkind = loop\n")

@@ -3,18 +3,29 @@
 import numpy as np
 import pytest
 
+from magnls import bound_states
 from magnls import (
+    BoundStateFamily,
     EvolveConfig,
+    GridSpec,
     MagnlsError,
     NewtonDivergence,
+    build_gaussian_well,
+    build_hamiltonian,
+    build_localized_loop_field,
     decompose,
     derivative_fields,
     evolve,
     from_function,
     gauge_adjusted_variation,
+    gauge_transform,
+    gaussian_bump,
+    ground_state,
+    inner_l2,
     inner_real,
     linear_flow,
     make_field,
+    make_potential_pair,
     norm_h1,
     norm_l2,
     project_continuous,
@@ -66,6 +77,51 @@ def test_decompose_gauge_equivariance(sech_spec, sech_eig, sech_family):
     assert abs(rec_rot.z - np.exp(1j * alpha) * rec.z) < 1e-9 * abs(rec.z)
     eta_diff = rec_rot.eta.values - np.exp(1j * alpha) * rec.eta.values
     assert np.max(np.abs(eta_diff)) < 1e-9 * max(np.max(np.abs(rec.eta.values)), 1e-300)
+
+
+def test_decompose_with_a_vector_potential():
+    # 2D loop field (A != 0, Krylov backend): criterion 6's tolerances for
+    # reconstruction, orthogonality and a change of gauge
+    g = GridSpec(2, (64, 64), (20.0, 20.0))
+    well = build_gaussian_well(g, -2.0, 1.0)
+    pair = make_potential_pair(build_localized_loop_field(g, 0.3, 1.5, 1.0),
+                               well.v)
+    spec = build_hamiltonian(pair)
+    eig = ground_state(spec)
+    family = BoundStateFamily(spec, eig, 1)
+    base = family.solve(0.05).field
+    bump = project_continuous(eig.phi0, gaussian_bump(g, 1.0, 2.0))
+    psi = make_field(g, base.values + 2e-3 * bump.values / norm_h1(bump))
+    rec = decompose(spec, eig, psi, family)
+    assert rec.reconstruction_resid <= 1e-12
+    assert rec.ortho_resid <= 1e-10 * norm_h1(rec.eta)
+
+    chi = gaussian_bump(g, 0.3, 2.0)
+    spec2 = gauge_transform(spec, chi)
+    eig2 = ground_state(spec2)
+    phase = np.exp(1j * chi.values.real)
+    rec2 = decompose(spec2, eig2, make_field(g, phase * psi.values),
+                     BoundStateFamily(spec2, eig2, 1))
+    c = inner_l2(eig2.phi0, make_field(g, phase * eig.phi0.values))
+    assert abs(rec2.z - c * rec.z) <= 1e-9
+    assert np.max(np.abs(rec2.eta.values - phase * rec.eta.values)) <= 1e-9
+
+
+def test_one_frame_needs_few_fixed_point_solves(sech_spec, sech_eig,
+                                                sech_family, monkeypatch):
+    _, psi = perturbed_state(sech_spec, sech_eig, sech_family, 2e-3)
+    solved = []
+    real_solve = bound_states.solve_bound_state
+
+    def counting(*args, **kwargs):
+        solved.append(args[2])
+        return real_solve(*args, **kwargs)
+
+    monkeypatch.setattr(bound_states, "solve_bound_state", counting)
+    rec = decompose(sech_spec, sech_eig, psi,
+                    BoundStateFamily(sech_spec, sech_eig, 1))
+    assert rec.ortho_resid <= 1e-10 * norm_h1(rec.eta)
+    assert len(solved) <= 10
 
 
 def test_decompose_rejects_states_outside_the_basin(sech_spec, sech_eig, sech_family):
