@@ -204,7 +204,7 @@ def resolvent_bound_scan(spec: HamiltonianSpec, eig: EigenPair | None = None,
                          *, sigma: float = 4.1,
                          lambda_grid: np.ndarray | None = None,
                          eps: float = 1e-2, power_iters: int = 20,
-                         tol_rel: float = 1e-8, seed: int = 7) -> ResolventScan:
+                         seed: int = 7) -> ResolventScan:
     """Frequency-scaled weighted resolvent norms over a lambda grid.
 
     For each lambda the operator norm of
@@ -233,13 +233,12 @@ def resolvent_bound_scan(spec: HamiltonianSpec, eig: EigenPair | None = None,
 
     def apply_m(values: np.ndarray, zeta: complex) -> np.ndarray:
         f = project(make_field(g, w * values))
-        u = resolvent_solve(spec, zeta, f, tol_rel=tol_rel, strict=False)
+        u = resolvent_solve(spec, zeta, f, strict=False)
         return w * u.values
 
     def apply_m_star(values: np.ndarray, zeta: complex) -> np.ndarray:
         f = make_field(g, w * values)
-        u = resolvent_solve(spec, np.conj(zeta), f, tol_rel=tol_rel,
-                            strict=False)
+        u = resolvent_solve(spec, np.conj(zeta), f, strict=False)
         return w * project(u).values
 
     points = []

@@ -88,7 +88,6 @@ def _nonlinearity(sign: int, values: np.ndarray) -> np.ndarray:
 
 def fixed_point_step(spec: HamiltonianSpec, eig: EigenPair, z: complex,
                      q0: ComplexField, e0_prime: float, sign: int, *,
-                     max_iter: int = 10000,
                      x0: np.ndarray | None = None):
     """One application of the contraction map; returns (q1, e1_prime)."""
     if sign not in (1, -1):
@@ -117,8 +116,8 @@ def fixed_point_step(spec: HamiltonianSpec, eig: EigenPair, z: complex,
 
     deflation_weight = 1.0 + abs(eig.e0)
     sol = shifted_solve(spec, eig.e0, make_field(g, rhs),
-                        tol_rel=_SOLVER_TOL, max_iter=max_iter,
-                        deflate=(phi, deflation_weight), x0=x0)
+                        tol_rel=_SOLVER_TOL, deflate=(phi, deflation_weight),
+                        x0=x0)
     q1_values = sol.values - complex(np.vdot(phi, sol.values) * dv) * phi
     q1 = make_field(g, q1_values)
 
@@ -135,7 +134,7 @@ def fixed_point_step(spec: HamiltonianSpec, eig: EigenPair, z: complex,
 
 
 def solve_bound_state(spec: HamiltonianSpec, eig: EigenPair, z: complex,
-                      sign: int = 1, *, max_iter: int = 10000,
+                      sign: int = 1, *,
                       start: tuple[ComplexField, float] | None = None) -> BoundState:
     """Iterate the contraction map to its fixed point.
 
@@ -163,7 +162,7 @@ def solve_bound_state(spec: HamiltonianSpec, eig: EigenPair, z: complex,
     iterations = 0
     for iterations in range(1, _MAX_SWEEPS + 1):
         q_new, ep_new = fixed_point_step(
-            spec, eig, zc, q, ep, sign, max_iter=max_iter,
+            spec, eig, zc, q, ep, sign,
             x0=q.values.ravel() if iterations > 1 else None)
         delta = norm_h2(make_field(g, q_new.values - q.values)) + abs(ep_new - ep)
         q, ep = q_new, ep_new
@@ -220,13 +219,11 @@ class BoundStateFamily:
     deterministic.
     """
 
-    def __init__(self, spec: HamiltonianSpec, eig: EigenPair, sign: int = 1, *,
-                 max_iter: int = 10000):
+    def __init__(self, spec: HamiltonianSpec, eig: EigenPair, sign: int = 1):
         self.spec = spec
         self.eig = eig
         self.sign = sign
         self.z_max = default_z_max(eig)
-        self.max_iter = max_iter
         self._radii: list[float] = []
         self._points: list[_CurvePoint] = []
         self.stored_bytes = 0
@@ -244,7 +241,7 @@ class BoundStateFamily:
             p = self._points[min(near, key=lambda j: abs(radii[j] - r))]
             start = (p.correction, p.e_prime)
         state = solve_bound_state(self.spec, self.eig, r, self.sign,
-                                  max_iter=self.max_iter, start=start)
+                                  start=start)
         point = _CurvePoint(state.correction, state.e_prime, state.energy,
                             state.iterations, state.residual)
         radii.insert(i, r)

@@ -162,9 +162,8 @@ def _spec_from(cfg: ExperimentConfig, ctx: RunContext) -> HamiltonianSpec:
 def _family_from(cfg: ExperimentConfig, ctx: RunContext) -> BoundStateFamily:
     """Operator, ground state and bound-state family: ``.spec``, ``.eig``."""
     spec = _spec_from(cfg, ctx)
-    eig = ground_state(spec, max_iter=cfg.solver.max_iter)
-    return BoundStateFamily(spec, eig, cfg.nonlinearity.sign,
-                            max_iter=cfg.solver.max_iter)
+    eig = ground_state(spec)
+    return BoundStateFamily(spec, eig, cfg.nonlinearity.sign)
 
 
 def _initial_state(cfg: ExperimentConfig,
@@ -210,7 +209,7 @@ def _run_validate_potentials(cfg: ExperimentConfig, ctx: RunContext) -> None:
 
 def _run_ground_state(cfg: ExperimentConfig, ctx: RunContext) -> None:
     spec = _spec_from(cfg, ctx)
-    eig = ground_state(spec, max_iter=cfg.solver.max_iter)
+    eig = ground_state(spec)
     ctx.field("phi0.fld", eig.phi0)
     ctx.json("ground_state.json", {
         "e0": eig.e0, "residual": eig.residual, "gap": eig.gap,
@@ -293,8 +292,7 @@ def _gated_evolve(cfg: ExperimentConfig, ctx: RunContext, label: str,
     """``evolve``, with a conservation breach recorded as its failed drift
     gate and the stage; returns None after a breach."""
     try:
-        return evolve(spec, psi0, cfg.evolution, sign,
-                      max_iter=cfg.solver.max_iter)
+        return evolve(spec, psi0, cfg.evolution, sign)
     except ConservationBreach as exc:
         _drift_gate(ctx, exc.quantity, exc.drift,
                     cfg.evolution.drift_limits[exc.quantity])
@@ -426,7 +424,7 @@ def _run_stability(cfg: ExperimentConfig, ctx: RunContext) -> None:
 def _run_resolvent_scan(cfg: ExperimentConfig, ctx: RunContext) -> None:
     spec = _spec_from(cfg, ctx)
     try:
-        eig = ground_state(spec, max_iter=cfg.solver.max_iter)
+        eig = ground_state(spec)
     except NoBoundStateError:
         eig = None
         ctx.warn("no bound state; scanning without spectral projection")
@@ -435,7 +433,6 @@ def _run_resolvent_scan(cfg: ExperimentConfig, ctx: RunContext) -> None:
     scans = []
     for eps in scan_offsets(cfg.solver.resolvent_eps):
         scan = resolvent_bound_scan(spec, eig, sigma=sigma, eps=eps,
-                                    tol_rel=cfg.solver.tol_rel,
                                     seed=cfg.output.seed)
         scans.append(scan)
         for p in scan.points:
@@ -477,7 +474,7 @@ def _run_norm_equivalence(cfg: ExperimentConfig, ctx: RunContext) -> None:
 
 def _run_strichartz(cfg: ExperimentConfig, ctx: RunContext) -> None:
     spec = _spec_from(cfg, ctx)
-    eig = ground_state(spec, max_iter=cfg.solver.max_iter)
+    eig = ground_state(spec)
     report = strichartz_ratio(spec, eig, sigma=cfg.modulation.sigma,
                               seed=cfg.output.seed)
     rows = [[r.mode, r.source, r.q, r.p, r.value, r.reference, r.ratio]

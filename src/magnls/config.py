@@ -74,15 +74,9 @@ class PotentialConfig:
 
 @dataclass(frozen=True)
 class SolverConfig:
-    tol_rel: float = 1e-8
-    max_iter: int = 10000
     resolvent_eps: float = 1e-2
 
     def __post_init__(self):
-        _require(self.tol_rel > 0.0,
-                 f"tol_rel must be positive, got {self.tol_rel}")
-        _require(self.max_iter >= 1,
-                 f"max_iter must be >= 1, got {self.max_iter}")
         scan_offsets(self.resolvent_eps)
 
 

@@ -14,8 +14,13 @@ dense eigenbasis H = U diag(lam) U^T it is U diag(c) U^T with the Cayley
 factor c = (1 - i lam dt/2)/(1 + i lam dt/2) = exp(-2i atan(lam dt/2)), and
 ``linear_flow`` raises c to the n-th power, so a pullback of n steps is one
 product.  This is the discrete Crank-Nicolson propagator, not exp(-i t H).
-Otherwise the implicit solve runs the Krylov kernel with the free-flow
-diagonal preconditioner, warm-started from the free-flow prediction.
+On the Krylov backend the step is one shifted solve in increment form:
+c(lam) - 1 = -2 lam / (lam - zeta) with zeta = 2i/dt, so
+
+    psi+ = psi - 2 (H - zeta)^-1 H psi,
+
+solved by ``hamiltonian.shifted_solve`` like every other linear solve.  The
+solve's error then scales with the increment, not with the state.
 """
 
 from __future__ import annotations
@@ -24,15 +29,13 @@ from dataclasses import dataclass, field as dc_field
 
 import numpy as np
 
-from . import krylov
 from .errors import ConservationBreach, MagnlsError
 from .grid import ComplexField, inner_l2, make_field
-from .hamiltonian import HamiltonianSpec, _apply_h_values
+from .hamiltonian import HamiltonianSpec, _apply_h_values, shifted_solve
 from .norms import norm_w1p
 
 _MAX_DT = 0.1
-_CN_TOL = 1e-12            # relative residual of each implicit CN solve
-_MAX_ITER = 10000
+_CN_TOL = 1e-12            # relative residual of each CN shifted solve
 
 
 @dataclass(frozen=True)
@@ -99,42 +102,23 @@ class Trajectory:
         return _drift(self.energy, self.energy_scale)
 
 
-def _cn_step_values(spec: HamiltonianSpec, values: np.ndarray, dt: float, *,
-                    tol: float, max_iter: int) -> np.ndarray:
+def _cn_step_values(spec: HamiltonianSpec, values: np.ndarray,
+                    dt: float) -> np.ndarray:
     """One Crank-Nicolson step of the linear flow: exact in the dense
-    eigenbasis when the operator has one, else by Krylov."""
+    eigenbasis when the operator has one, else values - 2 (H - 2i/dt)^-1 H
+    values by one Krylov shifted solve."""
     basis = spec.dense_basis
     if basis is not None:
         return basis.cayley(values, dt, 1)
-    return _krylov_cn_step(spec, values, dt, tol=tol, max_iter=max_iter)
-
-
-def _krylov_cn_step(spec: HamiltonianSpec, values: np.ndarray, dt: float, *,
-                    tol: float, max_iter: int) -> np.ndarray:
-    """Solve (1 + i dt/2 H) x = (1 - i dt/2 H) values by GMRES with the
-    free-flow diagonal preconditioner, warm-started from the free-flow
-    prediction."""
-    g = spec.grid
-    rhs = values - 0.5j * dt * _apply_h_values(spec, values)
-    diag = 1.0 + 0.5j * dt * g.k_squared
-
-    def matvec(v):
-        arr = v.reshape(g.sizes)
-        return (arr + 0.5j * dt * _apply_h_values(spec, arr)).ravel()
-
-    def precond(v):
-        return np.fft.ifftn(np.fft.fftn(v.reshape(g.sizes)) / diag).ravel()
-
-    x0 = precond(rhs.ravel())
-    x = krylov.solve(matvec, rhs.ravel(), precond=precond, tol=tol,
-                     max_iter=max_iter, x0=x0)
-    return x.reshape(g.sizes)
+    h_values = make_field(spec.grid, _apply_h_values(spec, values))
+    return values - 2.0 * shifted_solve(spec, 2j / dt, h_values,
+                                        tol_rel=_CN_TOL).values
 
 
 def _strang_values(spec: HamiltonianSpec, values: np.ndarray, dt: float,
-                   sign: int, max_iter: int) -> np.ndarray:
+                   sign: int) -> np.ndarray:
     values = values * np.exp(-0.5j * sign * dt * np.abs(values) ** 2)
-    values = _cn_step_values(spec, values, dt, tol=_CN_TOL, max_iter=max_iter)
+    values = _cn_step_values(spec, values, dt)
     return values * np.exp(-0.5j * sign * dt * np.abs(values) ** 2)
 
 
@@ -144,7 +128,7 @@ def step(spec: HamiltonianSpec, psi: ComplexField, dt: float,
     if abs(dt) > _MAX_DT:
         raise MagnlsError(f"|dt| must be <= {_MAX_DT}, got {dt}")
     return make_field(spec.grid,
-                      _strang_values(spec, psi.values, dt, sign, _MAX_ITER))
+                      _strang_values(spec, psi.values, dt, sign))
 
 
 def _energy_terms(spec: HamiltonianSpec,
@@ -183,7 +167,7 @@ def wrap_around_estimate(psi: ComplexField) -> float:
 
 
 def evolve(spec: HamiltonianSpec, psi0: ComplexField, config: EvolveConfig,
-           sign: int = 1, *, max_iter: int = _MAX_ITER) -> Trajectory:
+           sign: int = 1) -> Trajectory:
     """March the nonlinear flow, monitoring mass and energy at snapshots.
 
     Raises ``ConservationBreach`` as soon as ``Trajectory.mass_drift`` or
@@ -231,7 +215,7 @@ def evolve(spec: HamiltonianSpec, psi0: ComplexField, config: EvolveConfig,
                     quantity=quantity, drift=drifts[quantity])
 
     for n in range(1, n_steps + 1):
-        values = _strang_values(spec, values, config.dt, sign, max_iter)
+        values = _strang_values(spec, values, config.dt, sign)
         if n % config.snapshot_stride == 0 or n == n_steps:
             record(n, values)
 
@@ -256,6 +240,5 @@ def linear_flow(spec: HamiltonianSpec, f: ComplexField, t: float, *,
         return make_field(f.grid, basis.cayley(f.values, h, n))
     values = f.values
     for _ in range(n):
-        values = _cn_step_values(spec, values, h, tol=_CN_TOL,
-                                 max_iter=_MAX_ITER)
+        values = _cn_step_values(spec, values, h)
     return make_field(f.grid, values)

@@ -9,7 +9,10 @@ matrix; ``HamiltonianSpec.dense_basis`` diagonalizes it once, on first use,
 and shifted solves become products with that eigenbasis (deflated shifts
 use one cached LU factorization).  Every other operator, in particular any
 with A != 0, whose collocated first-order terms are not symmetric, solves by
-preconditioned restarted GMRES (``krylov``).  ``HamiltonianSpec`` also
+preconditioned restarted GMRES (``krylov``) in ``_krylov_shifted_solve``,
+the one Krylov kernel: resolvents, deflated bound-state solves, the
+eigensolver's inverse iterations and the Crank-Nicolson step (a shifted
+solve at 2i/dt, see ``evolution``) all call it.  ``HamiltonianSpec`` also
 fixes the positive shift K for the auxiliary operator H1 = H + K used by the
 elliptic-regularity check; by default K follows the rule
 

@@ -1,9 +1,11 @@
 """Thin deterministic wrapper around restarted GMRES on flat complex arrays.
 
-Every linear solve on the Krylov backend funnels through ``solve``:
-resolvent applications, deflated solves at the ground-state energy, and the
-implicit half of the time stepper.  (Small electric-only grids solve
-directly in a dense eigenbasis instead; see ``hamiltonian``.)  The wrapper
+Every linear solve on the Krylov backend funnels through ``solve``, called
+only from ``hamiltonian._krylov_shifted_solve``: resolvent applications,
+deflated solves at the ground-state energy, the eigensolver's inverse
+iterations and the Crank-Nicolson step, which is a shifted solve at 2i/dt.
+(Small electric-only grids solve directly in a dense eigenbasis instead;
+see ``hamiltonian``.)  The wrapper
 enforces the *true* residual (scipy's stopping test sees the preconditioned
 one), retries with a tighter inner tolerance when needed, and raises
 ``NonConvergenceError`` with the achieved residual and the number of inner

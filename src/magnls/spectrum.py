@@ -25,7 +25,6 @@ _INNER_TOL = 1e-10         # Lanczos inner solves
 _LANCZOS_STEPS = 24        # ground-state Krylov dimension
 _SCAN_GAP_TOL = 1e-6       # scan levels below -gap_tol count as bound
 _SCAN_RESIDUAL_TOL = 1e-9
-_MAX_ITER = 10000
 # GMRES steps per inverse-iteration solve.  Its shift sits within a few
 # residuals of the eigenvalue, where the true residual of the solve can stall
 # above its target long after the direction, all that is kept, has converged.
@@ -84,8 +83,7 @@ def _start_vector(spec: HamiltonianSpec) -> np.ndarray:
     return (v / np.linalg.norm(v.ravel())).ravel()
 
 
-def _lanczos_lowest(spec: HamiltonianSpec, how_many: int, *, steps: int,
-                    inner_tol: float, max_iter: int):
+def _lanczos_lowest(spec: HamiltonianSpec, how_many: int, *, steps: int):
     """Ritz approximations to the lowest eigenpairs of H via the shifted inverse."""
     g = spec.grid
     shift = spectral_lower_bound(spec)
@@ -94,8 +92,7 @@ def _lanczos_lowest(spec: HamiltonianSpec, how_many: int, *, steps: int,
 
     def inv_apply(v):
         f = make_field(g, v.reshape(g.sizes))
-        return shifted_solve(spec, shift, f, tol_rel=inner_tol,
-                             max_iter=max_iter).values.ravel()
+        return shifted_solve(spec, shift, f, tol_rel=_INNER_TOL).values.ravel()
 
     basis = []
     alphas, betas = [], []
@@ -141,6 +138,9 @@ def _refine_pair(spec: HamiltonianSpec, e: float, v: np.ndarray, *,
 
     Direction-improving solves run at a modest tolerance and are allowed to
     stall; the measured eigen-residual is the sole arbiter of convergence.
+    Returns (e, v, residual, imag) for the best iterate, with imag =
+    |Im <v, H v>|: a residual that stalls near it marks an eigenvalue off the
+    real axis, which the real shift cannot reach.
     """
     g = spec.grid
     shape = g.sizes
@@ -152,15 +152,16 @@ def _refine_pair(spec: HamiltonianSpec, e: float, v: np.ndarray, *,
 
     v = project_out(v)
     v = v / np.linalg.norm(v)
-    best = (np.inf, e, v)
+    best = (np.inf, e, v, 0.0)
     prev_e = None
     worse = 0
-    for it in range(max_refine):
+    for _ in range(max_refine):
         hv = _apply_h_values(spec, v.reshape(shape)).ravel()
-        e = float(np.vdot(v, hv).real)
+        rayleigh = complex(np.vdot(v, hv))
+        e, imag = rayleigh.real, abs(rayleigh.imag)
         resid = float(np.linalg.norm(hv - e * v))
         if resid < best[0]:
-            best = (resid, e, v)
+            best = (resid, e, v, imag)
             worse = 0
         else:
             worse += 1
@@ -168,7 +169,7 @@ def _refine_pair(spec: HamiltonianSpec, e: float, v: np.ndarray, *,
                 break
         settled = prev_e is None or abs(e - prev_e) <= 1e-12 * max(1.0, abs(e))
         if resid <= residual_tol and settled:
-            return e, v, resid, it
+            return e, v, resid, imag
         sigma = e - max(5.0 * resid, 1e-9)
         f = make_field(g, v.reshape(shape))
         w = shifted_solve(spec, sigma, f, tol_rel=1e-6,
@@ -179,8 +180,8 @@ def _refine_pair(spec: HamiltonianSpec, e: float, v: np.ndarray, *,
         if nw == 0.0:
             break
         prev_e, v = e, w / nw
-    resid, e, v = best
-    return e, v, resid, max_refine
+    resid, e, v, imag = best
+    return e, v, resid, imag
 
 
 def _phase_fix(values: np.ndarray) -> np.ndarray:
@@ -191,17 +192,21 @@ def _phase_fix(values: np.ndarray) -> np.ndarray:
     return values * (pivot.conjugate() / mag)
 
 
-def ground_state(spec: HamiltonianSpec, *,
-                 max_iter: int = _MAX_ITER) -> EigenPair:
+def ground_state(spec: HamiltonianSpec) -> EigenPair:
     """Lowest eigenpair of H; raises ``NoBoundStateError`` when the bottom of
     the spectrum is not strictly negative."""
-    ritz = _lanczos_lowest(spec, 2, steps=_LANCZOS_STEPS,
-                           inner_tol=_INNER_TOL, max_iter=max_iter)
+    ritz = _lanczos_lowest(spec, 2, steps=_LANCZOS_STEPS)
     e_est, v = ritz[0]
-    e, v, resid, _ = _refine_pair(spec, e_est, v, residual_tol=_RESIDUAL_TOL)
+    e, v, resid, imag = _refine_pair(spec, e_est, v,
+                                     residual_tol=_RESIDUAL_TOL)
     if resid > MAX_RESIDUAL:
+        detail = ""
+        if imag > MAX_RESIDUAL:
+            detail = (f"; lowest eigenvalue has imaginary part of magnitude "
+                      f"{imag:.3e}; the collocated operator is not Hermitian "
+                      f"at this resolution")
         raise NonConvergenceError(
-            f"eigenpair refinement stalled at residual {resid:.3e}",
+            f"eigenpair refinement stalled at residual {resid:.3e}{detail}",
             residual=resid)
     if e >= -1e-10:
         raise NoBoundStateError(
@@ -225,8 +230,7 @@ def low_spectrum_scan(spec: HamiltonianSpec, count: int = 4) -> SpectrumScan:
     exactly one falls below -1e-6."""
     if not (1 <= count <= 8):
         raise MagnlsError(f"scan count must be between 1 and 8, got {count}")
-    ritz = _lanczos_lowest(spec, count, steps=max(40, 12 * count),
-                           inner_tol=_INNER_TOL, max_iter=_MAX_ITER)
+    ritz = _lanczos_lowest(spec, count, steps=max(40, 12 * count))
     pairs = []
     converged = []
     for e_est, v in ritz[:count]:

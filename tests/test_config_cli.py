@@ -70,9 +70,12 @@ def test_typo_in_section_is_named(tmp_path):
 
 
 def test_typo_in_key_is_named(tmp_path):
-    text = MINIMAL + "\n[solver]\ntol = 1e-9\n"
-    with pytest.raises(ConfigError, match="solver.tol is not recognized"):
-        parse_config(write_config(tmp_path, text))
+    # tol is a typo; max_iter and tol_rel were keys once and are gone
+    for key in ("tol", "max_iter", "tol_rel"):
+        text = MINIMAL + f"\n[solver]\n{key} = 1e-9\n"
+        with pytest.raises(ConfigError,
+                           match=f"solver.{key} is not recognized"):
+            parse_config(write_config(tmp_path, text))
 
 
 def test_missing_required_section(tmp_path):

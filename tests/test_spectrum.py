@@ -1,20 +1,28 @@
 """Ground-state solves against closed forms and dense eigensolves."""
 
+import re
+
 import numpy as np
 import pytest
+import scipy.linalg
 
 import oracles as orc
 from magnls import (
     GridSpec,
     NoBoundStateError,
+    NonConvergenceError,
     apply_h,
     build_gaussian_well,
     build_hamiltonian,
+    build_localized_loop_field,
     from_function,
+    gauge_transform,
+    gaussian_bump,
     ground_state,
     inner_l2,
     low_spectrum_scan,
     make_field,
+    make_potential_pair,
     norm_l2,
 )
 from conftest import sech_well_potentials
@@ -108,3 +116,19 @@ def test_three_dimensional_gap_matches_dense():
     eig = ground_state(spec)
     levels = orc.dense_levels(spec)
     assert abs(eig.gap - (min(levels[1], 0.0) - levels[0])) < 1e-8
+
+
+def test_stall_reports_an_eigenvalue_off_the_real_axis():
+    # after a change of gauge the collocated 32x32 loop operator is not
+    # Hermitian: its lowest eigenvalue is complex, and no real shift reaches it
+    g = GridSpec(2, (32, 32), (20.0, 20.0))
+    pair = make_potential_pair(build_localized_loop_field(g, 0.3, 1.5, 1.0),
+                               build_gaussian_well(g, -2.0, 1.0).v)
+    spec = gauge_transform(build_hamiltonian(pair), gaussian_bump(g, 0.3, 2.0))
+    with pytest.raises(NonConvergenceError, match="not Hermitian") as err:
+        ground_state(spec)
+    reported = float(re.search(r"imaginary part of magnitude (\S+);",
+                               str(err.value)).group(1))
+    levels = scipy.linalg.eigvals(orc.hamiltonian_matrix(spec))
+    lowest = levels[np.argmin(levels.real)]
+    assert reported == pytest.approx(abs(lowest.imag), rel=1e-2)
