@@ -25,8 +25,9 @@ import scipy
 
 from . import __version__
 from .analysis import (NORM_RATIO_FLOOR, NORM_SPREAD_CAP,
-                       norm_equivalence_check, resolvent_bound_scan,
-                       scan_offsets, strichartz_ratio)
+                       RESOLVENT_FLATNESS_CAP, STRICHARTZ_SPREAD_CAP, at_least,
+                       at_most, norm_equivalence_check, resolvent_bound_scan,
+                       scan_offsets, strichartz_ratio, within)
 from .bound_states import BoundStateFamily, decay_fit
 from .config import ExperimentConfig, parse_config
 from .errors import (ConfigError, ConservationBreach, InsufficientDecayWindow,
@@ -36,7 +37,7 @@ from .grid import (ComplexField, GridSpec, VectorField, make_field,
                    read_field, write_field, zero_vector_field)
 from .hamiltonian import (HamiltonianSpec, build_hamiltonian,
                           project_continuous)
-from .modulation import gauge_adjusted_variation, track
+from .modulation import gauge_adjusted_variation, stability_verdicts, track
 from .norms import norm_h1, norm_h2
 from .potentials import (PotentialPair, build_gauge_field,
                          build_gaussian_well, build_localized_loop_field,
@@ -48,6 +49,13 @@ SUBCOMMANDS = (
     "evolve", "linear-evolve", "stability-run", "resolvent-scan",
     "norm-equivalence", "strichartz-ratio",
 )
+
+# Thresholds of the gates computed here.  bound-family: ||q||_H2 ~ |z|^3 and
+# |E'| ~ |z|^2 (log-log slope, tolerance), and the decay fits' r^2 floor.
+_SLOPE_Q_H2 = (3.0, 0.3)
+_SLOPE_E_PRIME = (2.0, 0.3)
+_DECAY_R2_FLOOR = 0.98
+_EPS_DRIFT_CAP = 0.25         # resolvent max between eps and the finer eps
 
 
 def _fmt(x) -> str:
@@ -215,8 +223,7 @@ def _run_ground_state(cfg: ExperimentConfig, ctx: RunContext) -> None:
         "e0": eig.e0, "residual": eig.residual, "gap": eig.gap,
         "k_shift": spec.k_shift,
     })
-    ctx.gate("eigen_residual", eig.residual, f"<= {MAX_RESIDUAL:g}",
-             eig.residual <= MAX_RESIDUAL)
+    ctx.gate("eigen_residual", *at_most(eig.residual, MAX_RESIDUAL))
     ctx.gate("bound_below", eig.e0, "< 0", eig.e0 < 0.0)
     ctx.stage("ground-state", "ok", f"e0={eig.e0:.12g}")
 
@@ -230,8 +237,7 @@ def _run_bound_state(cfg: ExperimentConfig, ctx: RunContext) -> None:
         "residual": state.residual, "iterations": state.iterations,
         "sign": state.sign,
     })
-    ctx.gate("eigen_problem_residual", state.residual, "<= 1e-9",
-             state.residual <= 1e-9)
+    ctx.gate("eigen_problem_residual", *at_most(state.residual, MAX_RESIDUAL))
     ctx.stage("bound-state", "ok",
               f"|z|={abs(state.z):.6g} E={state.energy:.12g}")
 
@@ -268,22 +274,16 @@ def _run_bound_family(cfg: ExperimentConfig, ctx: RunContext) -> None:
         "max_residual": worst_resid,
         "decay": [{"beta": b, "r_squared": r} for b, r in betas],
     })
-    ctx.gate("slope_q_h2", slope_q, "3 +- 0.3", abs(slope_q - 3.0) <= 0.3)
-    ctx.gate("slope_e_prime", slope_e, "2 +- 0.3", abs(slope_e - 2.0) <= 0.3)
-    ctx.gate("family_residuals", worst_resid, "<= 1e-9", worst_resid <= 1e-9)
+    ctx.gate("slope_q_h2", *within(slope_q, *_SLOPE_Q_H2))
+    ctx.gate("slope_e_prime", *within(slope_e, *_SLOPE_E_PRIME))
+    ctx.gate("family_residuals", *at_most(worst_resid, MAX_RESIDUAL))
     if betas:
         worst_beta = min(b for b, _ in betas)
         worst_r2 = min(r for _, r in betas)
         ctx.gate("decay_beta_positive", worst_beta, "> 0", worst_beta > 0.0)
-        ctx.gate("decay_fit_quality", worst_r2, ">= 0.98", worst_r2 >= 0.98)
+        ctx.gate("decay_fit_quality", *at_least(worst_r2, _DECAY_R2_FLOOR))
     ctx.stage("bound-family", "ok",
               f"slopes q={slope_q:.3f} e'={slope_e:.3f}")
-
-
-def _drift_gate(ctx: RunContext, quantity: str, drift: float,
-                tol: float) -> None:
-    relative = " (relative)" if quantity == "energy_drift" else ""
-    ctx.gate(quantity, drift, f"<= {tol:g}{relative}", drift <= tol)
 
 
 def _gated_evolve(cfg: ExperimentConfig, ctx: RunContext, label: str,
@@ -294,8 +294,8 @@ def _gated_evolve(cfg: ExperimentConfig, ctx: RunContext, label: str,
     try:
         return evolve(spec, psi0, cfg.evolution, sign)
     except ConservationBreach as exc:
-        _drift_gate(ctx, exc.quantity, exc.drift,
-                    cfg.evolution.drift_limits[exc.quantity])
+        ctx.gate(exc.quantity, *at_most(
+            exc.drift, cfg.evolution.drift_limits[exc.quantity]))
         ctx.stage(label, "gate-failed", str(exc))
         return None
 
@@ -315,7 +315,7 @@ def _evolve_common(cfg: ExperimentConfig, ctx: RunContext, sign: int,
     for w in traj.warnings:
         ctx.warn(w)
     for quantity, tol in cfg.evolution.drift_limits.items():
-        _drift_gate(ctx, quantity, getattr(traj, quantity), tol)
+        ctx.gate(quantity, *at_most(getattr(traj, quantity), tol))
     ctx.stage(label, "ok", f"{len(traj.times)} frames to t={traj.times[-1]:g}")
 
 
@@ -331,28 +331,20 @@ def _run_stability(cfg: ExperimentConfig, ctx: RunContext) -> None:
     family = _family_from(cfg, ctx)
     spec, eig = family.spec, family.eig
     g = spec.grid
-    z0 = cfg.nonlinearity.z
-    base = family.solve(z0).field
+    base = family.solve(cfg.nonlinearity.z).field
     bump = project_continuous(eig.phi0,
                               gaussian_bump(g, 1.0, cfg.modulation.perturb_width))
     bump = make_field(g, bump.values / norm_h1(bump))
 
-    summary = []
-    sizes, l1s = [], []
-    worst_ortho_rel = 0.0
-    worst_tv_ratio = 0.0
-    worst_gap_ratio = 0.0
-    all_tv_ok = True
-    all_gap_ok = True
-    wrap_violated = False
-    for idx, amp in enumerate(cfg.modulation.amplitudes):
+    amplitudes = cfg.modulation.amplitudes
+    reports = []
+    for idx, amp in enumerate(amplitudes):
         psi0 = make_field(g, base.values + amp * bump.values)
         traj = _gated_evolve(cfg, ctx, "stability-run", spec, psi0,
                              cfg.nonlinearity.sign)
         if traj is None:
             return
-        rep = track(spec, eig, traj, family, sign=cfg.nonlinearity.sign,
-                    sigma=cfg.modulation.sigma)
+        rep = track(spec, eig, traj, family, sigma=cfg.modulation.sigma)
         for w in rep.warnings:
             ctx.warn(f"amplitude {amp:g}: {w}")
         rows = []
@@ -368,57 +360,24 @@ def _run_stability(cfg: ExperimentConfig, ctx: RunContext) -> None:
                  "newton_iters"], rows)
         if rep.eta_plus_estimate is not None:
             ctx.field(f"eta_plus_{idx}.fld", rep.eta_plus_estimate)
-
-        tv1, tv2 = gauge_adjusted_variation(rep)
-        tv_ratio = tv2 / max(tv1, 1e-300)
-        gaps = [d for _, _, d in rep.scattering_gaps]
-        gap_ratio = gaps[-1] / max(gaps[0], 1e-300) if len(gaps) >= 2 else 0.0
-        while len(gaps) < 3:
-            gaps.append(float("nan"))
-        gaps = gaps[:3]
-        in_window = rep.times[-1] <= rep.wrap_around
-        wrap_violated |= not in_window
-        rel = float(np.max(rep.ortho_resid
-                           / np.maximum(rep.eta_h1, 1e-300)))
-        worst_ortho_rel = max(worst_ortho_rel, rel)
-        all_tv_ok &= tv_ratio <= 0.25
-        all_gap_ok &= gap_ratio <= 0.5
-        worst_tv_ratio = max(worst_tv_ratio, tv_ratio)
-        worst_gap_ratio = max(worst_gap_ratio, gap_ratio)
-        summary.append([amp, amp, rep.l1_mod_resid, tv1, tv2, tv_ratio]
-                       + gaps + [gap_ratio, rep.x_norm_eta[0],
-                                 rep.x_norm_eta[1], rep.x_norm_eta[2],
-                                 rep.wrap_around])
-        sizes.append(amp)
-        l1s.append(rep.l1_mod_resid)
+        reports.append(rep)
     ctx.csv("stability.csv",
             ["amplitude", "pert_h1", "l1_mod_resid", "tv_first", "tv_second",
              "tv_ratio", "gap_01", "gap_12", "gap_23", "gap_ratio",
              "xnorm_weighted_l2h1", "xnorm_l3w1p", "xnorm_sup_h1",
-             "wrap_around"], summary)
+             "wrap_around"],
+            [[amp, amp, rep.l1_mod_resid, *gauge_adjusted_variation(rep),
+              rep.tv_ratio, *rep.padded_gaps, rep.gap_ratio, *rep.x_norm_eta,
+              rep.wrap_around] for amp, rep in zip(amplitudes, reports)])
 
-    slope = float(np.polyfit(np.log(sizes), np.log(np.maximum(l1s, 1e-300)),
-                             1)[0]) if len(sizes) >= 2 else float("nan")
-    ctx.json("stability.json", {
-        "mod_resid_slope": slope,
-        "worst_ortho_rel": worst_ortho_rel,
-        "wrap_violated": wrap_violated,
-    })
-    if len(sizes) >= 2:
-        ctx.gate("mod_resid_slope", slope, "2 +- 0.4", abs(slope - 2.0) <= 0.4)
-    ctx.gate("adjusted_tv_halving", worst_tv_ratio, "worst ratio <= 0.25",
-             all_tv_ok)
-    if wrap_violated and not all_gap_ok:
-        ctx.warn("scattering gap growth inside a wrap-compromised window; "
-                 "downgraded to a warning")
-        ctx.gate("scattering_cauchy", worst_gap_ratio,
-                 "<= 0.5 (wrap-violated, waived)", True)
-    else:
-        ctx.gate("scattering_cauchy", worst_gap_ratio,
-                 "worst gap ratio <= 0.5", all_gap_ok)
-    ctx.gate("orthogonality_rel", worst_ortho_rel, "<= 1e-10",
-             worst_ortho_rel <= 1e-10)
-    ctx.stage("stability-run", "ok", f"slope={slope:.3f}")
+    gates, summary, warnings = stability_verdicts(amplitudes, reports)
+    ctx.json("stability.json", summary)
+    for w in warnings:
+        ctx.warn(w)
+    for name, gate in gates.items():
+        ctx.gate(name, *gate)
+    ctx.stage("stability-run", "ok",
+              f"slope={summary['mod_resid_slope']:.3f}")
 
 
 def _run_resolvent_scan(cfg: ExperimentConfig, ctx: RunContext) -> None:
@@ -451,8 +410,8 @@ def _run_resolvent_scan(cfg: ExperimentConfig, ctx: RunContext) -> None:
     })
     ctx.gate("resolvent_flatness", main.max_scaled / max(main.median_scaled,
                                                          1e-300),
-             "max/median <= 10", main.uniform_ok)
-    ctx.gate("resolvent_eps_stability", drift, "<= 0.25", drift <= 0.25)
+             f"max/median <= {RESOLVENT_FLATNESS_CAP:g}", main.uniform_ok)
+    ctx.gate("resolvent_eps_stability", *at_most(drift, _EPS_DRIFT_CAP))
     ctx.stage("resolvent-scan", "ok",
               f"max={main.max_scaled:.4g} median={main.median_scaled:.4g}")
 
@@ -465,10 +424,8 @@ def _run_norm_equivalence(cfg: ExperimentConfig, ctx: RunContext) -> None:
             ["p", "r_min", "r_max", "spread", "passed"], rows)
     worst_spread = max(r.spread for r in report.rows)
     worst_floor = min(r.r_min for r in report.rows)
-    ctx.gate("ratio_spread", worst_spread, f"<= {NORM_SPREAD_CAP:g}",
-             worst_spread <= NORM_SPREAD_CAP)
-    ctx.gate("ratio_floor", worst_floor, f">= {NORM_RATIO_FLOOR:g}",
-             worst_floor >= NORM_RATIO_FLOOR)
+    ctx.gate("ratio_spread", *at_most(worst_spread, NORM_SPREAD_CAP))
+    ctx.gate("ratio_floor", *at_least(worst_floor, NORM_RATIO_FLOOR))
     ctx.stage("norm-equivalence", "ok", f"trials={report.trials}")
 
 
@@ -484,8 +441,8 @@ def _run_strichartz(cfg: ExperimentConfig, ctx: RunContext) -> None:
     ctx.json("strichartz.json", {"max_ratio": report.max_ratio,
                                  "median_ratio": report.median_ratio})
     ctx.gate("strichartz_spread", report.max_ratio
-             / max(report.median_ratio, 1e-300), "max <= 10 * median",
-             report.ok)
+             / max(report.median_ratio, 1e-300),
+             f"max <= {STRICHARTZ_SPREAD_CAP:g} * median", report.ok)
     ctx.stage("strichartz-ratio", "ok",
               f"max={report.max_ratio:.4g} median={report.median_ratio:.4g}")
 

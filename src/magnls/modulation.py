@@ -17,6 +17,8 @@ O(dt^2) bias the fast phase would otherwise inject).  Scattering content is
 probed by pulling eta back with the discrete linear group at matched step
 size, so the pullback inverts the trajectory's own linear propagator
 exactly rather than an incompatible discretization of it.
+``stability_verdicts`` turns the tracked reports of a perturbation sweep
+into the stability-run gates.
 """
 
 from __future__ import annotations
@@ -25,7 +27,7 @@ from dataclasses import dataclass, field as dc_field
 
 import numpy as np
 
-from .analysis import XNormAccumulator
+from .analysis import XNormAccumulator, at_most, within
 from .bound_states import BoundStateFamily
 from .errors import MagnlsError, NewtonDivergence
 from .evolution import Trajectory, linear_flow, wrap_around_estimate
@@ -37,6 +39,11 @@ from .spectrum import EigenPair
 _BASIN_FRACTION = 0.3       # decompose accepts ||psi||_H1 <= this * z_max
 _MAX_FRAME_SPACING = 0.1
 _CHECKPOINT_FRACTIONS = (0.25, 0.5, 0.75, 1.0)   # of the window, for pullbacks
+# stability-run gates, see stability_verdicts
+MOD_RESID_SLOPE = (2.0, 0.4)  # log-log slope and tolerance: L1 ~ amplitude^2
+TV_RATIO_CAP = 0.25         # second- over first-half total variation of w
+GAP_RATIO_CAP = 0.5         # last over first scattering gap
+ORTHO_REL_CAP = 1e-10       # pairing residual over ||eta||_H1
 
 
 def check_frame_spacing(spacing: float) -> None:
@@ -80,6 +87,36 @@ class StabilityReport:
     symplectic_gram: np.ndarray
     wrap_around: float
     warnings: tuple[str, ...] = dc_field(default_factory=tuple)
+
+    @property
+    def tv_ratio(self) -> float:
+        """Second-half over first-half total variation of w."""
+        tv1, tv2 = gauge_adjusted_variation(self)
+        return tv2 / max(tv1, 1e-300)
+
+    @property
+    def padded_gaps(self) -> list[float]:
+        """The first three scattering gaps, NaN where there are fewer."""
+        gaps = [d for _, _, d in self.scattering_gaps][:3]
+        return gaps + [float("nan")] * (3 - len(gaps))
+
+    @property
+    def gap_ratio(self) -> float:
+        """Last over first scattering gap; 0 with fewer than two gaps."""
+        gaps = [d for _, _, d in self.scattering_gaps]
+        return gaps[-1] / max(gaps[0], 1e-300) if len(gaps) >= 2 else 0.0
+
+    @property
+    def ortho_rel(self) -> float:
+        """Worst pairing residual over the frames, relative to ||eta||_H1."""
+        return float(np.max(self.ortho_resid
+                            / np.maximum(self.eta_h1, 1e-300)))
+
+    @property
+    def in_window(self) -> bool:
+        """The window ends before periodic images can return: at most the
+        wrap-around estimate."""
+        return bool(self.times[-1] <= self.wrap_around)
 
 
 def _pairings(family: BoundStateFamily, psi_values: np.ndarray,
@@ -192,25 +229,15 @@ def scattering_gap(spec: HamiltonianSpec, eta1: ComplexField, t1: float,
 
 
 def track(spec: HamiltonianSpec, eig: EigenPair, traj: Trajectory,
-          family: BoundStateFamily | None = None, *, sign: int = 1,
-          sigma: float = 4.1) -> StabilityReport:
+          family: BoundStateFamily, *, sigma: float = 4.1) -> StabilityReport:
     """Decompose every snapshot of a trajectory and assemble the modulation
     diagnostics."""
-    if family is None:
-        family = BoundStateFamily(spec, eig, sign)
     g = spec.grid
     times = np.asarray(traj.times)
     n = times.size
     if n < 5:
         raise MagnlsError("trajectory too short to track (need >= 5 frames)")
     check_frame_spacing(float(times[1] - times[0]))
-    warnings: list[str] = list(traj.warnings)
-
-    t_wrap = wrap_around_estimate(traj.snapshots[0])
-    if times[-1] > t_wrap:
-        warnings.append(
-            f"tracking window {times[-1]:.3g} exceeds wrap-around estimate "
-            f"{t_wrap:.3g}")
 
     zs = np.empty(n, dtype=np.complex128)
     energies = np.empty(n)
@@ -272,7 +299,8 @@ def track(spec: HamiltonianSpec, eig: EigenPair, traj: Trajectory,
         scattering_checkpoints=np.array([times[j] for j in idx_list]),
         scattering_gaps=tuple(gaps), eta_plus_estimate=eta_plus,
         symplectic_gram=symplectic_gram(family, zs[0]),
-        wrap_around=float(t_wrap), warnings=tuple(warnings))
+        wrap_around=float(wrap_around_estimate(traj.snapshots[0])),
+        warnings=traj.warnings)
 
 
 def gauge_adjusted_variation(report: StabilityReport) -> tuple[float, float]:
@@ -285,3 +313,42 @@ def gauge_adjusted_variation(report: StabilityReport) -> tuple[float, float]:
     first = float(np.sum(dv[centers <= mid]))
     second = float(np.sum(dv[centers > mid]))
     return first, second
+
+
+def stability_verdicts(amplitudes: list[float],
+                       reports: list[StabilityReport]) -> tuple:
+    """The stability-run gates of a sweep, one tracked report per amplitude.
+
+    Returns ``(gates, summary, warnings)``.  ``gates`` maps each gate name
+    to its value, threshold text and verdict.  ``summary`` holds what
+    ``stability.json`` records: the log-log slope of the L1 modulation
+    residual against the amplitude (NaN with fewer than two amplitudes, and
+    then no mod_resid_slope gate), the worst relative pairing residual, and
+    whether some window ran past its wrap-around estimate.  A
+    scattering_cauchy failure in such a sweep is waived, and ``warnings``
+    says so: periodic images then re-enter the well and the gaps stop
+    measuring scattering.
+    """
+    gates = {}
+    slope = float("nan")
+    if len(reports) >= 2:
+        l1s = np.maximum([rep.l1_mod_resid for rep in reports], 1e-300)
+        slope = float(np.polyfit(np.log(amplitudes), np.log(l1s), 1)[0])
+        gates["mod_resid_slope"] = within(slope, *MOD_RESID_SLOPE)
+    tv = [rep.tv_ratio for rep in reports]
+    gates["adjusted_tv_halving"] = (max(tv), f"worst ratio <= {TV_RATIO_CAP:g}",
+                                    all(r <= TV_RATIO_CAP for r in tv))
+    gaps = [rep.gap_ratio for rep in reports]
+    gaps_ok = all(r <= GAP_RATIO_CAP for r in gaps)
+    wrap_violated = not all(rep.in_window for rep in reports)
+    waived = wrap_violated and not gaps_ok
+    gates["scattering_cauchy"] = (
+        max(gaps), f"<= {GAP_RATIO_CAP:g} (wrap-violated, waived)" if waived
+        else f"worst gap ratio <= {GAP_RATIO_CAP:g}", waived or gaps_ok)
+    ortho = max(rep.ortho_rel for rep in reports)
+    gates["orthogonality_rel"] = at_most(ortho, ORTHO_REL_CAP)
+    summary = {"mod_resid_slope": slope, "worst_ortho_rel": ortho,
+               "wrap_violated": wrap_violated}
+    warnings = (("scattering gap growth inside a wrap-compromised window; "
+                 "downgraded to a warning",) if waived else ())
+    return gates, summary, warnings

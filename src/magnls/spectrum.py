@@ -25,10 +25,6 @@ _INNER_TOL = 1e-10         # Lanczos inner solves
 _LANCZOS_STEPS = 24        # ground-state Krylov dimension
 _SCAN_GAP_TOL = 1e-6       # scan levels below -gap_tol count as bound
 _SCAN_RESIDUAL_TOL = 1e-9
-# GMRES steps per inverse-iteration solve.  Its shift sits within a few
-# residuals of the eigenvalue, where the true residual of the solve can stall
-# above its target long after the direction, all that is kept, has converged.
-_DIRECTION_MAX_ITER = 150
 
 
 @dataclass(frozen=True)
@@ -173,7 +169,6 @@ def _refine_pair(spec: HamiltonianSpec, e: float, v: np.ndarray, *,
         sigma = e - max(5.0 * resid, 1e-9)
         f = make_field(g, v.reshape(shape))
         w = shifted_solve(spec, sigma, f, tol_rel=1e-6,
-                          max_iter=_DIRECTION_MAX_ITER,
                           strict=False).values.ravel()
         w = project_out(w)
         nw = np.linalg.norm(w)

@@ -93,7 +93,7 @@ def stability_sweep(well_spec, well_eig, well_family):
         traj = evolve(well_spec, psi0,
                       EvolveConfig(dt=1e-4, t_final=4.0, snapshot_stride=500),
                       1)
-        rep = track(well_spec, well_eig, traj, well_family, sign=1, sigma=4.1)
+        rep = track(well_spec, well_eig, traj, well_family, sigma=4.1)
         runs.append((amp, traj, rep))
     return {"runs": runs, "elapsed": time.monotonic() - start}
 

@@ -275,10 +275,12 @@ def test_stability_run_conservation_breach_fails_its_gate(tmp_path, capsys):
     assert code == 1
     manifest = json.loads((out / "manifest.json").read_text())
     assert manifest["status"] == "gate-failed"
-    gate = manifest["gates"]["mass_drift"]
+    # which quantity breaches first depends on the BLAS thread count
+    (name, gate), = [(k, g) for k, g in manifest["gates"].items()
+                     if k in ("mass_drift", "energy_drift")]
     assert not gate["passed"]
     assert gate["value"] > 1e-300
-    assert "[FAIL] mass_drift" in capsys.readouterr().out
+    assert f"[FAIL] {name}" in capsys.readouterr().out
 
 
 def test_manifest_records_the_linear_backend(tmp_path):

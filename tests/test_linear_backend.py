@@ -109,10 +109,34 @@ def test_dense_shifted_solve_matches_krylov(shift, sech_spec, sech_eig):
     f = make_field(sech_spec.grid, random_values(sech_spec.grid, 54))
     dense = shifted_solve(sech_spec, zeta, f, tol_rel=tol, deflate=deflate)
     krylov = _krylov_shifted_solve(sech_spec, zeta, f, tol_rel=tol,
-                                   max_iter=10000, deflate=deflate, x0=None,
-                                   strict=True)
+                                   deflate=deflate, x0=None, strict=True)
     diff = np.linalg.norm(dense.values - krylov.values)
     assert diff <= 1e-10 * np.linalg.norm(krylov.values)
+
+
+def test_stalling_non_strict_krylov_solve_stops_within_its_cap(monkeypatch):
+    # A != 0, so the Krylov backend; 256 unknowns, more than one 150-step
+    # restart cycle, and a tolerance no solve reaches, so the first attempt
+    # runs its whole budget.  Each GMRES step applies H once; the rest is one
+    # initial and one true residual per attempt and one residual per cycle.
+    g = GridSpec(2, (16, 16), (20.0, 20.0))
+    spec = build_hamiltonian(make_potential_pair(
+        build_localized_loop_field(g, 0.3, 1.5, 1.0),
+        build_gaussian_well(g, -2.0, 1.0).v))
+    applied = 0
+    apply_h_values = hamiltonian._apply_h_values
+
+    def counted(*args):
+        nonlocal applied
+        applied += 1
+        return apply_h_values(*args)
+
+    monkeypatch.setattr(hamiltonian, "_apply_h_values", counted)
+    f = make_field(g, random_values(g, 56))
+    x = shifted_solve(spec, -1.0, f, tol_rel=1e-30, strict=False)
+    assert np.all(np.isfinite(x.values))
+    attempts, steps = 3, 150
+    assert steps < applied <= attempts * (steps + 3)
 
 
 def test_deflated_factorization_follows_its_key(sech_spec, sech_eig):

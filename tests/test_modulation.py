@@ -1,4 +1,8 @@
-"""Decomposition into bound state plus radiation, and trajectory tracking."""
+"""Decomposition into bound state plus radiation, trajectory tracking, and
+the stability-run verdicts."""
+
+import dataclasses
+import math
 
 import numpy as np
 import pytest
@@ -33,6 +37,7 @@ from magnls import (
     symplectic_gram,
     track,
 )
+from magnls.modulation import stability_verdicts
 
 
 def perturbed_state(spec, eig, family, amp, seed=0):
@@ -159,11 +164,16 @@ def test_scattering_gap_vanishes_for_the_linear_group(sech_spec, sech_eig):
     assert gap < 1e-9 * norm_h1(eta0)
 
 
-def test_track_on_a_short_run(sech_spec, sech_eig, sech_family):
-    base, psi = perturbed_state(sech_spec, sech_eig, sech_family, 1e-3)
+@pytest.fixture(scope="module")
+def short_run(sech_spec, sech_eig, sech_family):
+    _, psi = perturbed_state(sech_spec, sech_eig, sech_family, 1e-3)
     cfg = EvolveConfig(dt=1e-3, t_final=0.5, snapshot_stride=50)
     traj = evolve(sech_spec, psi, cfg, 1)
-    rep = track(sech_spec, sech_eig, traj, sech_family)
+    return traj, track(sech_spec, sech_eig, traj, sech_family)
+
+
+def test_track_on_a_short_run(short_run):
+    traj, rep = short_run
     assert len(rep.times) == len(traj.times)
     assert np.all(np.diff(rep.times) > 0)
     # |z| should stay near its initial size over a short window
@@ -183,3 +193,49 @@ def test_track_needs_enough_frames(sech_spec, sech_eig, sech_family):
     traj = evolve(sech_spec, psi, cfg, 1)
     with pytest.raises(MagnlsError):
         track(sech_spec, sech_eig, traj, sech_family)
+
+
+def _growing_gaps(rep, wrap_around):
+    # the last scattering gap twice the first
+    return dataclasses.replace(
+        rep, scattering_gaps=((0.0, 0.1, 1.0), (0.1, 0.2, 1.5),
+                              (0.2, 0.3, 2.0)),
+        wrap_around=wrap_around)
+
+
+def test_gap_growth_past_the_wrap_around_estimate_is_waived(short_run):
+    _, rep = short_run
+    grown = _growing_gaps(rep, 0.5 * rep.times[-1])
+    gates, summary, warnings = stability_verdicts([1e-3], [grown])
+    value, threshold, passed = gates["scattering_cauchy"]
+    assert value == 2.0
+    assert passed
+    assert "waived" in threshold
+    assert summary["wrap_violated"]
+    assert len(warnings) == 1
+    assert "wrap-compromised" in warnings[0]
+
+
+def test_gap_growth_inside_the_window_fails(short_run):
+    _, rep = short_run
+    grown = _growing_gaps(rep, 2.0 * rep.times[-1])
+    gates, summary, warnings = stability_verdicts([1e-3], [grown])
+    value, _, passed = gates["scattering_cauchy"]
+    assert value == 2.0
+    assert not passed
+    assert not summary["wrap_violated"]
+    assert warnings == ()
+
+
+def test_slope_gate_needs_two_amplitudes(short_run):
+    _, rep = short_run
+    gates, summary, _ = stability_verdicts([1e-3], [rep])
+    assert "mod_resid_slope" not in gates
+    assert math.isnan(summary["mod_resid_slope"])
+    amps = (1e-3, 2e-3)
+    gates, summary, _ = stability_verdicts(amps, [
+        dataclasses.replace(rep, l1_mod_resid=5.0 * a * a) for a in amps])
+    value, _, passed = gates["mod_resid_slope"]
+    assert abs(value - 2.0) < 1e-9
+    assert passed
+    assert summary["mod_resid_slope"] == value
