@@ -34,7 +34,6 @@ from .grid import (
     make_field,
     norm_l2,
     read_field,
-    tail_mass_fraction,
     write_field,
     zero_vector_field,
     zeros,
@@ -113,8 +112,5 @@ from .analysis import (
     strichartz_ratio,
 )
 from .config import ExperimentConfig, parse_config
-
-# the package-level name for BoundStateFamily.derivative_fields(family, z)
-derivative_fields = BoundStateFamily.derivative_fields
 
 __version__ = "0.1.0"

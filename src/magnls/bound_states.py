@@ -71,9 +71,6 @@ class DerivativeFields:
 class DecayFit:
     beta: float
     r_squared: float
-    window: tuple[float, float]
-    sup_weighted: float
-    n_samples: int
 
 
 def default_z_max(eig: EigenPair) -> float:
@@ -329,7 +326,4 @@ def decay_fit(field: ComplexField) -> DecayFit:
     ss_res = float(np.sum((ly - fitted) ** 2))
     ss_tot = float(np.sum((ly - ly.mean()) ** 2))
     r2 = 1.0 - ss_res / ss_tot if ss_tot > 0 else 1.0
-    beta = float(-slope)
-    sup_weighted = float(np.max(np.exp(beta * rr) * mag[mask]))
-    return DecayFit(beta=beta, r_squared=float(r2), window=(float(lo), float(hi)),
-                    sup_weighted=sup_weighted, n_samples=n)
+    return DecayFit(beta=float(-slope), r_squared=float(r2))

@@ -26,8 +26,9 @@ import scipy
 from . import __version__
 from .analysis import (NORM_RATIO_FLOOR, NORM_SPREAD_CAP,
                        RESOLVENT_FLATNESS_CAP, STRICHARTZ_SPREAD_CAP, at_least,
-                       at_most, norm_equivalence_check, resolvent_bound_scan,
-                       scan_offsets, strichartz_ratio, within)
+                       at_most, default_lambda_grid, norm_equivalence_check,
+                       resolvent_bound_scan, scan_offsets, strichartz_ratio,
+                       within)
 from .bound_states import BoundStateFamily, decay_fit
 from .config import ExperimentConfig, parse_config
 from .errors import (ConfigError, ConservationBreach, InsufficientDecayWindow,
@@ -388,10 +389,12 @@ def _run_resolvent_scan(cfg: ExperimentConfig, ctx: RunContext) -> None:
         eig = None
         ctx.warn("no bound state; scanning without spectral projection")
     sigma = cfg.modulation.sigma
+    lambda_grid = default_lambda_grid(spec)
     rows = []
     scans = []
     for eps in scan_offsets(cfg.solver.resolvent_eps):
-        scan = resolvent_bound_scan(spec, eig, sigma=sigma, eps=eps,
+        scan = resolvent_bound_scan(spec, eig, sigma=sigma,
+                                    lambda_grid=lambda_grid, eps=eps,
                                     seed=cfg.output.seed)
         scans.append(scan)
         for p in scan.points:

@@ -228,23 +228,6 @@ def norm_l2(f: ComplexField) -> float:
     return float(np.linalg.norm(f.values.ravel()) * np.sqrt(f.grid.volume_element))
 
 
-def tail_mass_fraction(f: ComplexField) -> float:
-    """Fraction of the squared mass carried by the outer 10% shell of the box.
-
-    The shell is measured per axis: a sample belongs to it when any
-    |x_i| / (L_i/2) exceeds 0.9.  Used to warn when a run is about to be
-    polluted by wrap-around.
-    """
-    g = f.grid
-    shell = np.zeros(g.sizes, dtype=bool)
-    for i in range(g.dim):
-        shell |= np.abs(g.coords[i]) / (0.5 * g.box_lengths[i]) > 0.9
-    total = float(np.sum(np.abs(f.values) ** 2))
-    if total == 0.0:
-        return 0.0
-    return float(np.sum(np.abs(f.values[shell]) ** 2) / total)
-
-
 # ---------------------------------------------------------------------------
 # field snapshots (portable binary format)
 # ---------------------------------------------------------------------------

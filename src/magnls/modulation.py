@@ -72,8 +72,6 @@ class StabilityReport:
     z_series: np.ndarray
     energy_series: np.ndarray
     gauge_adjusted: np.ndarray           # w = z exp(i int E)
-    mod_resid_times: np.ndarray          # interior frames
-    mod_resid: np.ndarray                # zdot + i E z at interior frames
     l1_mod_resid: float
     eta_h1: np.ndarray
     eta_weighted_h1: np.ndarray
@@ -84,7 +82,6 @@ class StabilityReport:
     scattering_checkpoints: np.ndarray
     scattering_gaps: tuple[tuple[float, float, float], ...]  # (t1, t2, gap)
     eta_plus_estimate: ComplexField | None
-    symplectic_gram: np.ndarray
     wrap_around: float
     warnings: tuple[str, ...] = dc_field(default_factory=tuple)
 
@@ -206,9 +203,7 @@ def decompose(spec: HamiltonianSpec, eig: EigenPair, psi: ComplexField,
 
 def symplectic_gram(family: BoundStateFamily, z: complex) -> np.ndarray:
     """Gram matrix G_jk = < D_j Q, i D_k Q >; approaches [[0,-1],[1,0]] as
-    z -> 0.  Minus G is the Newton Jacobian of ``decompose``.  Recorded in
-    the report, not asserted: the continuum normalization of the
-    off-diagonal entries is left as an observation."""
+    z -> 0.  Minus G is the Newton Jacobian of ``decompose``."""
     d = family.derivative_fields(z)
     g = family.spec.grid
     out = np.empty((2, 2))
@@ -293,12 +288,11 @@ def track(spec: HamiltonianSpec, eig: EigenPair, traj: Trajectory,
 
     return StabilityReport(
         times=times, z_series=zs, energy_series=energies, gauge_adjusted=w,
-        mod_resid_times=t_int, mod_resid=mod_resid, l1_mod_resid=l1,
-        eta_h1=eta_h1, eta_weighted_h1=eta_w_h1, ortho_resid=ortho,
-        eta_q_pairing=pairing, newton_iters=nit, x_norm_eta=acc.components(),
+        l1_mod_resid=l1, eta_h1=eta_h1, eta_weighted_h1=eta_w_h1,
+        ortho_resid=ortho, eta_q_pairing=pairing, newton_iters=nit,
+        x_norm_eta=acc.components(),
         scattering_checkpoints=np.array([times[j] for j in idx_list]),
         scattering_gaps=tuple(gaps), eta_plus_estimate=eta_plus,
-        symplectic_gram=symplectic_gram(family, zs[0]),
         wrap_around=float(wrap_around_estimate(traj.snapshots[0])),
         warnings=traj.warnings)
 

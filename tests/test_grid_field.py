@@ -20,7 +20,6 @@ from magnls import (
     make_field,
     norm_l2,
     read_field,
-    tail_mass_fraction,
     write_field,
     zeros,
 )
@@ -130,14 +129,6 @@ def test_mixed_grid_operations_are_rejected():
     h = zeros(GridSpec(1, (16,), (9.0,)))
     with pytest.raises(GridMismatchError):
         inner_l2(f, h)
-
-
-def test_tail_mass_fraction_flags_off_center_mass():
-    g = GridSpec(1, (256,), (40.0,))
-    centered = from_function(g, lambda x: np.exp(-(x**2)))
-    shifted = from_function(g, lambda x: np.exp(-((x - 19.0) ** 2)))
-    assert tail_mass_fraction(centered) < 1e-10
-    assert tail_mass_fraction(shifted) > 0.5
 
 
 def test_snapshot_roundtrip(tmp_path):

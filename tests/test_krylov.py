@@ -1,4 +1,5 @@
-"""The GMRES wrapper: stall reports carry the iterations actually run."""
+"""The GMRES wrapper: one scipy call per solve, and stall reports carry the
+iterations actually run."""
 
 import numpy as np
 import pytest
@@ -21,13 +22,47 @@ def test_stall_reports_the_gmres_iterations_it_ran():
     max_iter, restart = 12, 4
     with pytest.raises(NonConvergenceError) as err:
         krylov.solve(matvec, b, tol=1e-30, max_iter=max_iter, restart=restart)
-    # Every GMRES step applies the operator once.  The other applications:
-    # one residual per restart cycle, one initial residual for each attempt
-    # that starts from the previous iterate, and one true residual per attempt.
-    attempts = 3
-    cycles = attempts * (max_iter // restart)
-    steps = applied - cycles - (attempts - 1) - attempts
-    assert steps == cycles * restart
-    assert err.value.iterations == steps
-    assert err.value.iterations > max_iter
-    assert f"after {steps} GMRES iterations" in str(err.value)
+    # One GMRES call of max_iter // restart cycles.  Every GMRES step applies
+    # the operator once; so does the true residual that ends each cycle, and
+    # the one the failed strict solve measures for its error.
+    cycles = max_iter // restart
+    assert applied == max_iter + cycles + 1 == 16
+    assert err.value.iterations == max_iter
+    assert f"after {max_iter} GMRES iterations" in str(err.value)
+
+
+def test_converged_solve_is_one_gmres_call_with_no_residual_of_its_own(
+        monkeypatch):
+    # Unpreconditioned GMRES on a diagonal operator: its running residual
+    # estimate is the true residual, so each restart cycle runs all its
+    # steps until the last, and the solve spans several cycles.
+    diag = np.logspace(0.0, 2.0, 64)
+    b = np.random.default_rng(4).standard_normal(64) + 0j
+    applied = calls = steps = 0
+
+    def matvec(v):
+        nonlocal applied
+        applied += 1
+        return diag * v
+
+    gmres = krylov.gmres
+
+    def counted_gmres(*args, callback, **kwargs):
+        nonlocal calls
+        calls += 1
+
+        def step(residual):
+            nonlocal steps
+            steps += 1
+            callback(residual)
+        return gmres(*args, callback=step, **kwargs)
+
+    monkeypatch.setattr(krylov, "gmres", counted_gmres)
+    tol, restart = 1e-10, 8
+    x = krylov.solve(matvec, b, tol=tol, restart=restart)
+    assert np.linalg.norm(diag * x - b) <= tol * np.linalg.norm(b)
+    assert calls == 1
+    cycles = -(-steps // restart)
+    assert cycles > 1
+    # one application per GMRES step and one true residual per cycle
+    assert applied == steps + cycles

@@ -18,7 +18,6 @@ from magnls import (
     build_hamiltonian,
     build_localized_loop_field,
     decompose,
-    derivative_fields,
     evolve,
     from_function,
     gauge_adjusted_variation,
