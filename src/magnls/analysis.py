@@ -427,21 +427,25 @@ def strichartz_ratio(spec: HamiltonianSpec, eig: EigenPair, *,
     n_steps = int(round(t_final / dt))
     if abs(n_steps * dt - t_final) > 1e-12 * max(1.0, t_final):
         raise ConfigError("t_final must be an integer multiple of dt")
+    if stride < 1:
+        raise ConfigError(f"stride must be >= 1, got {stride}")
     rows: list[StrichartzRow] = []
 
     for s_idx in range(n_sources):
         f = _localized_source(spec, eig, rng)
         accs = {pair: _TimeLq(pair[0]) for pair in pairs}
         u = f
-        t = 0.0
         for pair in pairs:
             accs[pair].add(0.0, norm_w1p(u, pair[1]))
-        for step_i in range(1, n_steps + 1):
-            u = linear_flow(spec, u, dt, dt=dt)
-            t = step_i * dt
-            if step_i % stride == 0 or step_i == n_steps:
-                for pair in pairs:
-                    accs[pair].add(t, norm_w1p(u, pair[1]))
+        # one n-step propagator per sample; the samples sit at multiples of
+        # stride and at the last step, as in the Duhamel loop below
+        step_i = 0
+        while step_i < n_steps:
+            k = min(stride, n_steps - step_i)
+            u = linear_flow(spec, u, k * dt, dt=dt)
+            step_i += k
+            for pair in pairs:
+                accs[pair].add(step_i * dt, norm_w1p(u, pair[1]))
         ref = norm_l2(f)
         for (q, p), acc in accs.items():
             val = acc.value()

@@ -13,18 +13,29 @@ The linear step follows the operator's backend (``hamiltonian``).  With a
 dense eigenbasis H = U diag(lam) U^T it is U diag(c) U^T with the Cayley
 factor c = (1 - i lam dt/2)/(1 + i lam dt/2) = exp(-2i atan(lam dt/2)), and
 ``linear_flow`` raises c to the n-th power, so a pullback of n steps is one
-product.  This is the discrete Crank-Nicolson propagator, not exp(-i t H).
-On the Krylov backend the step is one shifted solve in increment form:
-c(lam) - 1 = -2 lam / (lam - zeta) with zeta = 2i/dt, so
+product.  On the Krylov backend a single step is one shifted solve in
+increment form: c(lam) - 1 = -2 lam / (lam - zeta) with zeta = 2i/dt, so
 
     psi+ = psi - 2 (H - zeta)^-1 H psi,
 
 solved by ``hamiltonian.shifted_solve`` like every other linear solve.  The
-solve's error then scales with the increment, not with the state.
+solve's error then scales with the increment, not with the state.  An n-step
+``linear_flow`` on the Krylov backend projects instead: an Arnoldi basis V_m
+of the Krylov space K_m(H, psi) (two-pass classical Gram-Schmidt; the
+collocated H is not Hermitian) gives H V_m = V_m H_m + h_{m+1,m} v_{m+1} e_m^T,
+and c(H)^n psi ~ ||psi|| V_m c(H_m)^n e_1, with c(H_m) the m x m Cayley
+matrix.  The basis grows until the a-posteriori estimate
+h_{m+1,m} |e_m^T c(H_m)^n e_1| meets the CN tolerance (Hochbruck-Lubich
+1997; Sidje's Expokit, 1998).  The basis is bounded by ``_BASIS_BYTES``; when
+the estimate misses at that size, the projection advances the largest number
+of steps whose estimate passes and restarts from there, or, when not even one
+step passes, takes one shifted-solve step.  Either way, every n-step power is
+the discrete Crank-Nicolson propagator, not exp(-i t H).
 """
 
 from __future__ import annotations
 
+import mmap
 from dataclasses import dataclass, field as dc_field
 
 import numpy as np
@@ -35,7 +46,11 @@ from .hamiltonian import HamiltonianSpec, _apply_h_values, shifted_solve
 from .norms import norm_w1p
 
 _MAX_DT = 0.1
-_CN_TOL = 1e-12            # relative residual of each CN shifted solve
+# relative residual of each CN shifted solve, and the relative error
+# estimate each Krylov-projected CN power must meet
+_CN_TOL = 1e-12
+_BASIS_BYTES = 32 * 2**20  # Arnoldi basis of one Krylov CN power
+_ESTIMATE_EVERY = 5        # basis vectors between error estimates
 
 
 @dataclass(frozen=True)
@@ -226,19 +241,83 @@ def evolve(spec: HamiltonianSpec, psi0: ComplexField, config: EvolveConfig,
                       warnings=warnings)
 
 
+def _mapped_zeros(rows: int, cols: int) -> np.ndarray:
+    """A complex zero array on its own anonymous mapping, whose pages become
+    resident only once written.  Sized to a budget but mostly unwritten, an
+    ordinary allocation would be advised into huge pages and, once freed,
+    would raise the allocator's mmap threshold for the rest of the run."""
+    buf = mmap.mmap(-1, 16 * rows * cols)
+    return np.frombuffer(buf, dtype=np.complex128).reshape(rows, cols)
+
+
+def _krylov_cn_power(spec: HamiltonianSpec, values: np.ndarray, dt: float,
+                     n: int) -> np.ndarray:
+    """n Crank-Nicolson steps of size dt by Arnoldi projection (see the
+    module docstring).  Each result passes the error estimate at
+    ``_CN_TOL``, or comes from shifted-solve steps."""
+    shape, size = values.shape, values.size
+    m_max = max(1, min(size, _BASIS_BYTES // (16 * size) - 1))
+    basis = _mapped_zeros(m_max + 1, size)
+    hess = _mapped_zeros(m_max + 1, m_max)
+    while n > 0:
+        beta = float(np.linalg.norm(values))
+        if beta == 0.0:
+            return np.zeros(shape, dtype=np.complex128)
+        basis[0] = values.ravel() / beta
+        for j in range(m_max):
+            w = _apply_h_values(spec, basis[j].reshape(shape)).ravel()
+            v = basis[:j + 1]
+            c1 = (v @ w.conj()).conj()
+            w -= c1 @ v
+            c2 = (v @ w.conj()).conj()
+            w -= c2 @ v
+            hess[:j + 1, j] = c1 + c2
+            hess[j + 1, j] = np.linalg.norm(w)
+            m = j + 1
+            # K_m is invariant when it fills the space or w vanishes; then
+            # the projection is exact
+            tail = 0.0 if m == size else hess[m, j].real
+            if tail <= _CN_TOL or m % _ESTIMATE_EVERY == 0 or m == m_max:
+                eye = np.eye(m)
+                cayley = np.linalg.solve(eye + 0.5j * dt * hess[:m, :m],
+                                         eye - 0.5j * dt * hess[:m, :m])
+                y = np.linalg.matrix_power(cayley, n)[:, 0]
+                if tail * abs(y[-1]) <= _CN_TOL:
+                    return beta * (y @ v).reshape(shape)
+            if m < m_max:
+                basis[m] = w / tail
+        # the estimate missed with a full basis: advance the largest k < n
+        # steps whose estimate passes, then restart from there
+        k, y, power = 0, None, cayley[:, 0]
+        for i in range(1, n):
+            if tail * abs(power[-1]) <= _CN_TOL:
+                k, y = i, power
+            power = cayley @ power
+        if k == 0:
+            values, n = _cn_step_values(spec, values, dt), n - 1
+        else:
+            values, n = beta * (y @ basis[:m_max]).reshape(shape), n - k
+    return values
+
+
 def linear_flow(spec: HamiltonianSpec, f: ComplexField, t: float, *,
                 dt: float = 1e-3) -> ComplexField:
-    """exp(-i t H) f by n = ceil(|t| / dt) Crank-Nicolson steps of size t / n;
-    ``t`` may be negative.  The dense backend takes all n steps in one
-    product with the n-th power of the Cayley factor."""
+    """The discrete Crank-Nicolson propagator c(H)^n f of n steps of size
+    t / n, which stands in for exp(-i t H) f; ``t`` may be negative.  n is
+    |t| / dt rounded to the nearest integer when that many steps of dt
+    make up |t| to a relative 1e-12, and rounded up otherwise.  The dense
+    backend takes all n steps in one product with the n-th power of the
+    Cayley factor; the Krylov backend projects onto one Arnoldi subspace
+    (``_krylov_cn_power``)."""
+    if not dt > 0.0:
+        raise MagnlsError(f"dt must be positive, got {dt}")
     if t == 0.0:
         return make_field(f.grid, f.values)
-    n = max(1, int(np.ceil(abs(t) / dt)))
+    n = round(abs(t) / dt)
+    if abs(n * dt - abs(t)) > 1e-12 * abs(t):
+        n = int(np.ceil(abs(t) / dt))
     h = t / n
     basis = spec.dense_basis
     if basis is not None:
         return make_field(f.grid, basis.cayley(f.values, h, n))
-    values = f.values
-    for _ in range(n):
-        values = _cn_step_values(spec, values, h)
-    return make_field(f.grid, values)
+    return make_field(f.grid, _krylov_cn_power(spec, f.values, h, n))

@@ -216,8 +216,10 @@ def symplectic_gram(family: BoundStateFamily, z: complex) -> np.ndarray:
 def scattering_gap(spec: HamiltonianSpec, eta1: ComplexField, t1: float,
                    eta2: ComplexField, t2: float, *,
                    dt: float = 1e-3) -> float:
-    """H1 distance between the linear pullbacks exp(+i t H) eta(t) at two
-    times; a Cauchy increment of the scattering limit."""
+    """H1 distance between the linear pullbacks of eta(t) at two times; a
+    Cauchy increment of the scattering limit.  A pullback stands in for
+    exp(+i t H) eta(t): it is ``linear_flow`` over -t, the discrete
+    Crank-Nicolson propagator whose forward steps made eta(t)."""
     p1 = linear_flow(spec, eta1, -t1, dt=dt)
     p2 = linear_flow(spec, eta2, -t2, dt=dt)
     return norm_h1(make_field(spec.grid, p2.values - p1.values))

@@ -2,7 +2,9 @@
 restarted GMRES everywhere else.  Each fast path is checked against the
 dense oracles.  The Krylov shifted solve, the only path for A != 0, is
 called directly on grids the dense backend would otherwise serve, and the
-Krylov Crank-Nicolson step runs on the A != 0 ``magnetic_spec``."""
+Krylov Crank-Nicolson step runs on the A != 0 ``magnetic_spec``.  The
+Krylov-projected n-step propagator of ``linear_flow`` is checked against
+the oracle's n-th power and against n single steps."""
 
 import numpy as np
 import pytest
@@ -10,9 +12,11 @@ import pytest
 import oracles as orc
 from magnls import (
     GridSpec,
+    MagnlsError,
     NonConvergenceError,
     apply_h,
     build_gaussian_well,
+    build_gauge_field,
     build_hamiltonian,
     build_localized_loop_field,
     gaussian_bump,
@@ -22,7 +26,7 @@ from magnls import (
     resolvent_solve,
     shifted_solve,
 )
-from magnls import hamiltonian
+from magnls import evolution, hamiltonian
 from magnls.evolution import _cn_step_values
 from magnls.hamiltonian import DENSE_MAX_POINTS, _krylov_shifted_solve
 
@@ -30,6 +34,14 @@ from magnls.hamiltonian import DENSE_MAX_POINTS, _krylov_shifted_solve
 def well(dim, n, length):
     g = GridSpec(dim, (n,) * dim, (length,) * dim)
     return build_hamiltonian(build_gaussian_well(g, -2.0, 1.0))
+
+
+def loop(n):
+    """A != 0 loop field on an n x n grid, so the Krylov backend."""
+    g = GridSpec(2, (n, n), (20.0, 20.0))
+    return build_hamiltonian(make_potential_pair(
+        build_localized_loop_field(g, 0.3, 1.5, 1.0),
+        build_gaussian_well(g, -2.0, 1.0).v))
 
 
 def random_values(grid, seed):
@@ -51,12 +63,8 @@ def well_3d():
 def test_backend_selection(sech_spec):
     assert sech_spec.linear_backend == "dense"
     assert sech_spec.dense_basis is not None
-    g = GridSpec(2, (32, 32), (20.0, 20.0))
-    loop = build_hamiltonian(make_potential_pair(
-        build_localized_loop_field(g, 0.3, 1.5, 1.0),
-        build_gaussian_well(g, -2.0, 1.0).v))
     big = well(1, 2 * DENSE_MAX_POINTS, 80.0)
-    for spec in (loop, big):
+    for spec in (loop(32), big):
         assert spec.linear_backend == "krylov"
         assert spec.dense_basis is None
 
@@ -99,6 +107,118 @@ def test_linear_flow_is_repeated_steps(sech_spec):
     assert np.max(np.abs(flowed - stepped)) < 1e-12
 
 
+def test_linear_flow_takes_whole_steps_of_dt(sech_spec):
+    # (13 * 1e-4) / 1e-4 is 13.000000000000002 in floating point; rounding
+    # it up would take 14 steps of a different size
+    dt = 1e-4
+    f = make_field(sech_spec.grid, random_values(sech_spec.grid, 57))
+    stepped = f.values
+    for _ in range(13):
+        stepped = _cn_step_values(sech_spec, stepped, dt)
+    flowed = linear_flow(sech_spec, f, 13 * dt, dt=dt).values
+    assert np.max(np.abs(flowed - stepped)) < 1e-12
+
+
+def test_linear_flow_rejects_a_step_that_is_not_positive(magnetic_spec):
+    f = make_field(magnetic_spec.grid, random_values(magnetic_spec.grid, 61))
+    for dt in (0.0, -1e-3):
+        with pytest.raises(MagnlsError, match="dt must be positive"):
+            linear_flow(magnetic_spec, f, 0.1, dt=dt)
+
+
+def relative_gap(got, want):
+    return np.linalg.norm(got - want) / np.linalg.norm(want)
+
+
+@pytest.mark.parametrize("data", ["smooth", "random"])
+@pytest.mark.parametrize("h", [1e-3, -1e-3])
+def test_krylov_cn_power_matches_the_oracle(data, h, magnetic_spec):
+    g = magnetic_spec.grid
+    values = (gaussian_bump(g, 1.0, 2.0).values if data == "smooth"
+              else random_values(g, 58))
+    n = 300
+    prop = np.linalg.matrix_power(orc.cn_propagator(magnetic_spec, h), n)
+    want = (prop @ values.ravel()).reshape(g.sizes)
+    got = linear_flow(magnetic_spec, make_field(g, values), n * h, dt=1e-3)
+    assert relative_gap(got.values, want) <= 1e-12
+
+
+def stepped_flow(spec, values, h, n):
+    for _ in range(n):
+        values = _cn_step_values(spec, values, h)
+    return values
+
+
+@pytest.fixture(scope="module")
+def loop_32():
+    spec = loop(32)
+    return spec, random_values(spec.grid, 59)
+
+
+@pytest.mark.parametrize("h", [1e-3, -1e-3])
+def test_krylov_cn_power_matches_single_steps_on_a_loop_grid(h, loop_32):
+    # the 200 single steps each carry a solve tolerance of 1e-12
+    spec, values = loop_32
+    n = 200
+    got = linear_flow(spec, make_field(spec.grid, values), n * h, dt=1e-3)
+    assert relative_gap(got.values, stepped_flow(spec, values, h, n)) <= 1e-11
+
+
+@pytest.mark.parametrize("vectors", [12, 2])
+def test_krylov_cn_power_in_chunks_under_a_small_basis_budget(
+        vectors, loop_32, monkeypatch):
+    # 12 vectors cannot carry 200 steps at once, so the projection advances
+    # in chunks; with 2 it falls back to shifted-solve steps
+    spec, values = loop_32
+    n, h = 200, -1e-3
+    want = stepped_flow(spec, values, h, n)
+    monkeypatch.setattr(evolution, "_BASIS_BYTES", vectors * values.nbytes)
+    counts = {"h": 0, "steps": 0}
+    apply_h_values, cn_step_values = (evolution._apply_h_values,
+                                      evolution._cn_step_values)
+
+    def counted_h(*args):
+        counts["h"] += 1
+        return apply_h_values(*args)
+
+    def counted_step(*args):
+        counts["steps"] += 1
+        return cn_step_values(*args)
+
+    monkeypatch.setattr(evolution, "_apply_h_values", counted_h)
+    monkeypatch.setattr(evolution, "_cn_step_values", counted_step)
+    got = linear_flow(spec, make_field(spec.grid, values), n * h, dt=1e-3)
+    assert relative_gap(got.values, want) <= 1e-11
+    if vectors == 12:
+        assert counts["h"] > 2 * (vectors - 1) and counts["steps"] == 0
+    else:
+        assert counts["steps"] > 0
+
+
+def test_krylov_cn_power_stops_on_an_invariant_subspace():
+    # 16 unknowns: the Krylov space fills the grid after 16 vectors, and the
+    # projection is exact there; no division by a vanishing h_{m+1,m}
+    g = GridSpec(1, (16,), (20.0,))
+    spec = build_hamiltonian(make_potential_pair(
+        build_gauge_field(gaussian_bump(g, 0.3, 2.0)),
+        build_gaussian_well(g, -2.0, 1.0).v))
+    assert spec.linear_backend == "krylov"
+    values = random_values(g, 60)
+    n, h = 300, 1e-2
+    prop = np.linalg.matrix_power(orc.cn_propagator(spec, h), n)
+    with np.errstate(divide="raise", invalid="raise"):
+        got = linear_flow(spec, make_field(g, values), n * h, dt=h)
+    assert relative_gap(got.values, prop @ values) <= 1e-12
+
+
+def test_krylov_cn_power_of_the_zero_field(magnetic_spec):
+    zero = make_field(magnetic_spec.grid,
+                      np.zeros(magnetic_spec.grid.sizes, dtype=complex))
+    with np.errstate(divide="raise", invalid="raise"):
+        got = linear_flow(magnetic_spec, zero, -0.3, dt=1e-3)
+    assert not np.any(got.values)
+
+
 @pytest.mark.parametrize("shift", ["resolvent", "below", "deflated"])
 def test_dense_shifted_solve_matches_krylov(shift, sech_spec, sech_eig):
     tol = 1e-12
@@ -121,10 +241,8 @@ def test_stalling_non_strict_krylov_solve_stops_within_its_cap(monkeypatch):
     # restart cycle, and a tolerance no solve reaches, so the solve runs its
     # whole budget of two cycles.  Each GMRES step applies H once, and each
     # cycle ends on one true residual.
-    g = GridSpec(2, (16, 16), (20.0, 20.0))
-    spec = build_hamiltonian(make_potential_pair(
-        build_localized_loop_field(g, 0.3, 1.5, 1.0),
-        build_gaussian_well(g, -2.0, 1.0).v))
+    spec = loop(16)
+    g = spec.grid
     applied = 0
     apply_h_values = hamiltonian._apply_h_values
 
@@ -145,10 +263,8 @@ def test_non_strict_resolvent_solve_finishes_its_second_cycle(monkeypatch):
     # On this loop grid GMRES's first restart cycle passes scipy's
     # preconditioned test while the true residual is still about 7e-8, so
     # the solve reaches 1e-8 only in the second cycle of its one call.
-    g = GridSpec(2, (16, 16), (20.0, 20.0))
-    spec = build_hamiltonian(make_potential_pair(
-        build_localized_loop_field(g, 0.3, 1.5, 1.0),
-        build_gaussian_well(g, -2.0, 1.0).v))
+    spec = loop(16)
+    g = spec.grid
     calls = 0
     gmres = hamiltonian.krylov.gmres
 
