@@ -27,10 +27,9 @@ and c(H)^n psi ~ ||psi|| V_m c(H_m)^n e_1, with c(H_m) the m x m Cayley
 matrix.  The basis grows until the a-posteriori estimate
 h_{m+1,m} |e_m^T c(H_m)^n e_1| meets the CN tolerance (Hochbruck-Lubich
 1997; Sidje's Expokit, 1998).  The basis is bounded by ``_BASIS_BYTES``; when
-the estimate misses at that size, the projection advances the largest number
-of steps whose estimate passes and restarts from there, or, when not even one
-step passes, takes one shifted-solve step.  Either way, every n-step power is
-the discrete Crank-Nicolson propagator, not exp(-i t H).
+the estimate misses at that size, the n steps are taken as n shifted solves,
+so a miss costs one basis more than stepping.  Either way, every n-step power
+is the discrete Crank-Nicolson propagator, not exp(-i t H).
 """
 
 from __future__ import annotations
@@ -253,50 +252,42 @@ def _mapped_zeros(rows: int, cols: int) -> np.ndarray:
 def _krylov_cn_power(spec: HamiltonianSpec, values: np.ndarray, dt: float,
                      n: int) -> np.ndarray:
     """n Crank-Nicolson steps of size dt by Arnoldi projection (see the
-    module docstring).  Each result passes the error estimate at
-    ``_CN_TOL``, or comes from shifted-solve steps."""
+    module docstring).  The result passes the error estimate at ``_CN_TOL``,
+    or comes from n shifted-solve steps."""
     shape, size = values.shape, values.size
-    m_max = max(1, min(size, _BASIS_BYTES // (16 * size) - 1))
-    basis = _mapped_zeros(m_max + 1, size)
-    hess = _mapped_zeros(m_max + 1, m_max)
-    while n > 0:
-        beta = float(np.linalg.norm(values))
-        if beta == 0.0:
-            return np.zeros(shape, dtype=np.complex128)
+    beta = float(np.linalg.norm(values))
+    if beta == 0.0:
+        return np.zeros(shape, dtype=np.complex128)
+    m_max = min(size, _BASIS_BYTES // (16 * size) - 1)
+    if m_max >= 1:
+        basis = _mapped_zeros(m_max + 1, size)
+        hess = _mapped_zeros(m_max + 1, m_max)
         basis[0] = values.ravel() / beta
-        for j in range(m_max):
-            w = _apply_h_values(spec, basis[j].reshape(shape)).ravel()
-            v = basis[:j + 1]
-            c1 = (v @ w.conj()).conj()
-            w -= c1 @ v
-            c2 = (v @ w.conj()).conj()
-            w -= c2 @ v
-            hess[:j + 1, j] = c1 + c2
-            hess[j + 1, j] = np.linalg.norm(w)
-            m = j + 1
-            # K_m is invariant when it fills the space or w vanishes; then
-            # the projection is exact
-            tail = 0.0 if m == size else hess[m, j].real
-            if tail <= _CN_TOL or m % _ESTIMATE_EVERY == 0 or m == m_max:
-                eye = np.eye(m)
-                cayley = np.linalg.solve(eye + 0.5j * dt * hess[:m, :m],
-                                         eye - 0.5j * dt * hess[:m, :m])
-                y = np.linalg.matrix_power(cayley, n)[:, 0]
-                if tail * abs(y[-1]) <= _CN_TOL:
-                    return beta * (y @ v).reshape(shape)
-            if m < m_max:
-                basis[m] = w / tail
-        # the estimate missed with a full basis: advance the largest k < n
-        # steps whose estimate passes, then restart from there
-        k, y, power = 0, None, cayley[:, 0]
-        for i in range(1, n):
-            if tail * abs(power[-1]) <= _CN_TOL:
-                k, y = i, power
-            power = cayley @ power
-        if k == 0:
-            values, n = _cn_step_values(spec, values, dt), n - 1
-        else:
-            values, n = beta * (y @ basis[:m_max]).reshape(shape), n - k
+    for j in range(m_max):
+        w = _apply_h_values(spec, basis[j].reshape(shape)).ravel()
+        v = basis[:j + 1]
+        c1 = (v @ w.conj()).conj()
+        w -= c1 @ v
+        c2 = (v @ w.conj()).conj()
+        w -= c2 @ v
+        hess[:j + 1, j] = c1 + c2
+        hess[j + 1, j] = np.linalg.norm(w)
+        m = j + 1
+        # K_m is invariant when it fills the space or w vanishes; then the
+        # projection is exact
+        tail = 0.0 if m == size else hess[m, j].real
+        if tail <= _CN_TOL or m % _ESTIMATE_EVERY == 0 or m == m_max:
+            eye = np.eye(m)
+            cayley = np.linalg.solve(eye + 0.5j * dt * hess[:m, :m],
+                                     eye - 0.5j * dt * hess[:m, :m])
+            y = np.linalg.matrix_power(cayley, n)[:, 0]
+            if tail * abs(y[-1]) <= _CN_TOL:
+                return beta * (y @ v).reshape(shape)
+        if m < m_max:
+            basis[m] = w / tail
+    # the estimate missed with the whole budget: step instead
+    for _ in range(n):
+        values = _cn_step_values(spec, values, dt)
     return values
 
 
