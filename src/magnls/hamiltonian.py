@@ -9,12 +9,16 @@ matrix; ``HamiltonianSpec.dense_basis`` diagonalizes it once, on first use,
 and shifted solves become products with that eigenbasis (deflated shifts
 use one cached LU factorization).  Every other operator, in particular any
 with A != 0, whose collocated first-order terms are not symmetric, solves by
-preconditioned restarted GMRES (``krylov``) in ``_krylov_shifted_solve``,
-the one Krylov kernel: resolvents, deflated bound-state solves, the
-eigensolver's inverse iterations and the Crank-Nicolson step (a shifted
-solve at 2i/dt, see ``evolution``) all call it.  ``HamiltonianSpec`` also
-fixes the positive shift K for the auxiliary operator H1 = H + K used by the
-elliptic-regularity check; by default K follows the rule
+restarted GMRES (``krylov``) in ``_krylov_shifted_solve``, the one Krylov
+kernel: resolvents, deflated bound-state solves, the eigensolver's inverse
+iterations and the Crank-Nicolson step (a shifted solve at 2i/dt, see
+``evolution``) all call it.  It runs in frequency space with the free
+resolvent as right preconditioner, so GMRES minimizes the true residual and
+each of its steps costs d + 2 transforms (2 when A = 0).
+``HamiltonianSpec`` caches whether A vanishes and the multiplication part
+V + i div A.  It also fixes the positive shift K for the auxiliary operator
+H1 = H + K used by the elliptic-regularity check; by default K follows the
+rule
 
     K = sup|V| + sup|div A| + c_pos + 1,   c_pos = 1,
 
@@ -55,9 +59,9 @@ _MAX_ITER = 10000          # GMRES steps of a strict solve
 # GMRES steps of a non-strict solve: two restart cycles.  Its callers keep a
 # direction or a norm estimate (inverse and power iterations, the
 # norm-equivalence floor probe); near an eigenvalue the true residual can
-# stall above its target long after the direction has converged.  A resolvent
-# solve whose first cycle passes scipy's preconditioned test while the true
-# residual misses finishes in the second cycle.
+# stall above its target long after the direction has converged.  The second
+# cycle serves a solve whose first one ends short of the target, by running
+# out of steps or on a running residual that rounding put below the true one.
 _DIRECTION_MAX_ITER = 300
 
 
@@ -74,14 +78,25 @@ class HamiltonianSpec:
     def grid(self) -> GridSpec:
         return self.potentials.grid
 
+    @cached_property
+    def magnetic(self) -> bool:
+        """True when A has a nonzero component, so H carries the
+        first-order term 2i A . grad."""
+        return any(np.any(c.values) for c in self.potentials.a.components)
+
+    @cached_property
+    def diagonal(self) -> np.ndarray:
+        """The multiplication part W = V + i div A of H."""
+        pot = self.potentials
+        return pot.v.values + 1j * pot.div_a.values
+
     @property
     def linear_backend(self) -> str:
         """Backend of the linear solves: "dense" for an electric-only
         operator (A = 0, real V) on at most ``DENSE_MAX_POINTS`` points,
         "krylov" otherwise."""
-        pot = self.potentials
-        electric = not (any(np.any(c.values) for c in pot.a.components)
-                        or np.any(pot.v.values.imag))
+        electric = not (self.magnetic
+                        or np.any(self.potentials.v.values.imag))
         small = self.grid.total_points <= DENSE_MAX_POINTS
         return "dense" if electric and small else "krylov"
 
@@ -113,16 +128,12 @@ def apply_h(spec: HamiltonianSpec, f: ComplexField) -> ComplexField:
 
 def _apply_h_values(spec: HamiltonianSpec, values: np.ndarray) -> np.ndarray:
     g = spec.grid
-    pot = spec.potentials
     fhat = np.fft.fftn(values)
     out = np.fft.ifftn(g.k_squared * fhat)  # -lap
-    a_comps = pot.a.components
-    if any(np.any(c.values) for c in a_comps):
-        for j in range(g.dim):
-            grad_j = np.fft.ifftn(1j * g.k_mesh[j] * fhat)
-            out += 2j * a_comps[j].values * grad_j
-        out += 1j * pot.div_a.values * values
-    out += pot.v.values * values
+    if spec.magnetic:
+        for a_j, k_j in zip(spec.potentials.a.components, g.k_mesh):
+            out += 2j * a_j.values * np.fft.ifftn(1j * k_j * fhat)
+    out += spec.diagonal * values
     return out
 
 
@@ -307,27 +318,58 @@ def _krylov_shifted_solve(spec: HamiltonianSpec, zeta: complex,
                           deflate: tuple[np.ndarray, float] | None,
                           x0: np.ndarray | None,
                           strict: bool) -> ComplexField:
-    """``shifted_solve`` by restarted GMRES.  The preconditioner is the free
-    resolvent: division by (|k|^2 - zeta) in frequency space, regularized
-    never to vanish."""
+    """``shifted_solve`` by restarted GMRES in frequency space.
+
+    The free resolvent is the right preconditioner: with D = |k|^2 - zeta,
+    regularized never to vanish, and the unknown y = D F x (F the plain
+    DFT), (H - zeta) x = f reads
+
+        (I + F B F^-1 D^-1) y = F f,   B = W + sum_j 2i A_j d_j,
+
+    plus c dv w <w, .> in B for ``deflate=(w, c)``.  One operator
+    application is one batched inverse transform of
+    [D^-1, i k_1 D^-1, ..., i k_d D^-1] y, which gives x and every d_j x
+    (only x when A = 0), the pointwise B and one forward transform.  F is
+    sqrt(N) times a unitary map, so GMRES's relative residual is the
+    grid-space ||(H - zeta) x - f|| / ||f||: ``tol_rel``, a strict solve's
+    error and a non-strict solve's cap mean what they mean in grid space.
+    ``x0`` enters as D F x0, and the solution is x = F^-1 D^-1 y.
+    """
     g = spec.grid
     shape = g.sizes
-
-    diag = g.k_squared - zeta
-    small = np.abs(diag) < 1e-10
-    if np.any(small):
-        diag = np.where(small, 1e-10, diag)
+    lap = g.k_squared - zeta
+    small = np.abs(lap) < 1e-10
+    d = np.where(small, 1e-10, lap)
+    # -lap - zeta in the variable y: the identity, except on regularized modes
+    ident = lap / d if np.any(small) else None
+    inv = 1.0 / d
+    if spec.magnetic:
+        mult = np.stack([inv] + [1j * k * inv for k in g.k_mesh])
+        grad_weights = [2j * a.values for a in spec.potentials.a.components]
+    else:
+        mult, grad_weights = inv[None], []
+    diag = spec.diagonal
+    axes = tuple(range(1, g.dim + 1))
+    dv = g.volume_element
 
     def matvec(v):
-        return _shifted_values(spec, zeta, deflate, v.reshape(shape)).ravel()
+        y = v.reshape(shape)
+        xs = np.fft.ifftn(mult * y, axes=axes)
+        bx = diag * xs[0]
+        for a_j, dx_j in zip(grad_weights, xs[1:]):
+            bx += a_j * dx_j
+        if deflate is not None:
+            w, c = deflate
+            bx += c * np.vdot(w, xs[0]) * dv * w
+        out = np.fft.fftn(bx)
+        out += y if ident is None else ident * y
+        return out.ravel()
 
-    def precond(v):
-        return (np.fft.ifftn(np.fft.fftn(v.reshape(shape)) / diag)).ravel()
-
-    x = krylov.solve(matvec, f.values.ravel(), precond=precond, tol=tol_rel,
+    y0 = None if x0 is None else (d * np.fft.fftn(x0.reshape(shape))).ravel()
+    y = krylov.solve(matvec, np.fft.fftn(f.values).ravel(), tol=tol_rel,
                      max_iter=_MAX_ITER if strict else _DIRECTION_MAX_ITER,
-                     x0=x0, strict=strict)
-    return make_field(g, x.reshape(shape))
+                     x0=y0, strict=strict)
+    return make_field(g, np.fft.ifftn(y.reshape(shape) / d))
 
 
 def resolvent_solve(spec: HamiltonianSpec, zeta: complex, f: ComplexField, *,

@@ -5,12 +5,15 @@ only from ``hamiltonian._krylov_shifted_solve``: resolvent applications,
 deflated solves at the ground-state energy, the eigensolver's inverse
 iterations and the Crank-Nicolson step, which is a shifted solve at 2i/dt.
 (Small electric-only grids solve directly in a dense eigenbasis instead;
-see ``hamiltonian``.)  Each solve is one ``scipy.sparse.linalg.gmres`` call.
-scipy ends every restart cycle on the *true* residual ||b - Ax|| and reports
-success only when that residual meets ``rtol``; when the preconditioned test
-passes first it tightens its inner tolerance and opens another cycle.  A
-strict solve that runs out of cycles raises ``NonConvergenceError`` with the
-achieved residual and the number of GMRES iterations it ran.
+see ``hamiltonian``.)  The caller hands over an already preconditioned
+operator, so GMRES runs without ``M`` and its running residual estimate is
+the residual of the system it solves.  Each solve is one
+``scipy.sparse.linalg.gmres`` call.  scipy ends every restart cycle on the
+recomputed residual ||b - Ax|| and reports success only when that residual
+meets ``rtol``; when rounding lets the running estimate pass first, it
+tightens its inner tolerance and opens another cycle.  A strict solve that
+runs out of cycles raises ``NonConvergenceError`` with the achieved residual
+and the number of GMRES iterations it ran.
 """
 
 from __future__ import annotations
@@ -21,13 +24,12 @@ from scipy.sparse.linalg import LinearOperator, gmres
 from .errors import NonConvergenceError
 
 
-def solve(matvec, b: np.ndarray, *, precond=None, tol: float = 1e-8,
+def solve(matvec, b: np.ndarray, *, tol: float = 1e-8,
           max_iter: int = 10000, x0: np.ndarray | None = None,
           restart: int = 150, strict: bool = True) -> np.ndarray:
     """Solve matvec(x) = b to relative residual ``tol`` in the 2-norm.
 
-    ``matvec`` and ``precond`` act on and return 1-d complex arrays.
-    ``precond`` approximates the inverse operator (left preconditioning).
+    ``matvec`` acts on and returns 1-d complex arrays.
     ``max_iter`` is the GMRES step budget, run as ``max_iter // restart``
     restart cycles (at least one).  With ``strict=False`` a solve that
     misses ``tol`` returns its last iterate instead of raising; callers that
@@ -40,8 +42,6 @@ def solve(matvec, b: np.ndarray, *, precond=None, tol: float = 1e-8,
         return np.zeros_like(b)
 
     op = LinearOperator((n, n), matvec=matvec, dtype=np.complex128)
-    m = (LinearOperator((n, n), matvec=precond, dtype=np.complex128)
-         if precond is not None else None)
 
     restart = min(restart, n)
     iterations = 0
@@ -50,7 +50,7 @@ def solve(matvec, b: np.ndarray, *, precond=None, tol: float = 1e-8,
         nonlocal iterations
         iterations += 1
 
-    x, info = gmres(op, b, x0=x0, M=m, rtol=tol, atol=0.0, restart=restart,
+    x, info = gmres(op, b, x0=x0, rtol=tol, atol=0.0, restart=restart,
                     maxiter=max(1, max_iter // restart), callback=count,
                     callback_type="pr_norm")
     if info == 0 or not strict:
