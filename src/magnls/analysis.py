@@ -22,6 +22,7 @@ from .evolution import _cn_step_values, linear_flow
 from .grid import ComplexField, GridSpec, make_field, norm_l2
 from .hamiltonian import (MIN_IMAG_SHIFT, HamiltonianSpec, apply_h, apply_h1,
                           project_continuous, resolvent_solve, shifted_solve)
+from .krylov import arnoldi
 from .norms import (bracket_weight, check_sigma, norm_h1, norm_lp, norm_w1p,
                     norm_w2p_sum, norm_weighted_h1)
 from .spectrum import EigenPair
@@ -202,8 +203,8 @@ class ResolventPoint:
     lam: float
     opnorm: float        # || w (H - lam^2 - i eps)^{-1} P_c w ||
     scaled: float        # sqrt(1 + lam^2) * opnorm
-    power_iters: int
-    converged: bool
+    power_iters: int     # Lanczos steps, each one application of M* M
+    converged: bool      # the estimate settled within power_iters steps
 
 
 @dataclass(frozen=True)
@@ -227,9 +228,13 @@ def resolvent_bound_scan(spec: HamiltonianSpec, eig: EigenPair | None = None,
     """Frequency-scaled weighted resolvent norms over a lambda grid.
 
     For each lambda the operator norm of
-    w (H - lambda^2 - i eps)^{-1} P_c w, with w the decaying spatial weight,
-    is estimated by power iteration on the normal operator (at most
-    ``power_iters`` sweeps, stopping on relative change below 1e-4).  The
+    M = w (H - lambda^2 - i eps)^{-1} P_c w, with w the decaying spatial
+    weight, is the square root of the largest Ritz value of Lanczos on the
+    normal operator M* M (``krylov.arnoldi``, from a random start).  Each
+    step applies M* M once, by two non-strict resolvent solves; the
+    iteration stops when the estimate changes by at most 1e-4 relative, or
+    after ``power_iters`` steps, and ``ResolventPoint.power_iters`` counts
+    the steps taken.  The
     recorded value carries the dispersive factor sqrt(1 + lambda^2), which
     is what should stay flat across the grid; a resonance or an eigenvalue
     leaking through the projection shows up as a spike against the median.
@@ -250,37 +255,29 @@ def resolvent_bound_scan(spec: HamiltonianSpec, eig: EigenPair | None = None,
             return f
         return project_continuous(eig.phi0, f)
 
-    def apply_m(values: np.ndarray, zeta: complex) -> np.ndarray:
-        f = project(make_field(g, w * values))
+    def apply_normal(values: np.ndarray, zeta: complex) -> np.ndarray:
+        """M* M on flat arrays, M = w (H - zeta)^-1 P_c w."""
+        f = project(make_field(g, w * values.reshape(g.sizes)))
         u = resolvent_solve(spec, zeta, f, strict=False)
-        return w * u.values
-
-    def apply_m_star(values: np.ndarray, zeta: complex) -> np.ndarray:
-        f = make_field(g, w * values)
+        f = make_field(g, w * w * u.values)
         u = resolvent_solve(spec, np.conj(zeta), f, strict=False)
-        return w * project(u).values
+        return (w * project(u).values).ravel()
 
     points = []
     for lam in np.asarray(lambda_grid, dtype=float):
         zeta = lam * lam + 1j * eps
         v = rng.standard_normal(g.sizes) + 1j * rng.standard_normal(g.sizes)
-        v /= np.linalg.norm(v.ravel())
         est = 0.0
         used = 0
         converged = False
-        for used in range(1, power_iters + 1):
-            mv = apply_m(v, zeta)
-            new_est = float(np.linalg.norm(mv.ravel()))
-            v = apply_m_star(mv, zeta)
-            nv = np.linalg.norm(v.ravel())
-            if nv == 0.0:
-                break
-            v /= nv
-            if est > 0.0 and abs(new_est - est) <= 1e-4 * est:
-                est = new_est
-                converged = True
-                break
+        for used, _, hess in arnoldi(lambda x: apply_normal(x, zeta),
+                                     v.ravel(), power_iters):
+            ritz = np.linalg.eigvals(hess[:used, :used]).real.max()
+            new_est = math.sqrt(max(ritz, 0.0))
+            converged = est > 0.0 and abs(new_est - est) <= 1e-4 * est
             est = new_est
+            if converged:
+                break
         scale = math.sqrt(1.0 + lam * lam)
         points.append(ResolventPoint(lam=float(lam), opnorm=est,
                                      scaled=scale * est, power_iters=used,

@@ -33,11 +33,11 @@ from .errors import (
 from .grid import ComplexField, make_field, norm_l2
 from .hamiltonian import HamiltonianSpec, _apply_h_values, shifted_solve
 from .norms import norm_h2, norm_lp
+from .potentials import _DECAY_FLOOR
 from .spectrum import EigenPair
 
 _SOLVER_TOL = 1e-12        # relative residual of each deflated solve
 _MAX_SWEEPS = 200
-_DECAY_FLOOR = 1e-13       # |Q| below this is left out of decay fits
 _DECAY_MIN_SAMPLES = 16
 _CACHE_BYTES = 64 * 2**20  # corrections a family keeps across amplitudes
 

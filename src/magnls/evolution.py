@@ -21,8 +21,8 @@ increment form: c(lam) - 1 = -2 lam / (lam - zeta) with zeta = 2i/dt, so
 solved by ``hamiltonian.shifted_solve`` like every other linear solve.  The
 solve's error then scales with the increment, not with the state.  An n-step
 ``linear_flow`` on the Krylov backend projects instead: an Arnoldi basis V_m
-of the Krylov space K_m(H, psi) (two-pass classical Gram-Schmidt; the
-collocated H is not Hermitian) gives H V_m = V_m H_m + h_{m+1,m} v_{m+1} e_m^T,
+of the Krylov space K_m(H, psi) (``krylov.arnoldi``; the collocated H is not
+Hermitian) gives H V_m = V_m H_m + h_{m+1,m} v_{m+1} e_m^T,
 and c(H)^n psi ~ ||psi|| V_m c(H_m)^n e_1, with c(H_m) the m x m Cayley
 matrix.  The basis grows until the a-posteriori estimate
 h_{m+1,m} |e_m^T c(H_m)^n e_1| meets the CN tolerance (Hochbruck-Lubich
@@ -34,7 +34,6 @@ is the discrete Crank-Nicolson propagator, not exp(-i t H).
 
 from __future__ import annotations
 
-import mmap
 from dataclasses import dataclass, field as dc_field
 
 import numpy as np
@@ -42,6 +41,7 @@ import numpy as np
 from .errors import ConservationBreach, MagnlsError
 from .grid import ComplexField, inner_l2, make_field
 from .hamiltonian import HamiltonianSpec, _apply_h_values, shifted_solve
+from .krylov import arnoldi
 from .norms import norm_w1p
 
 _MAX_DT = 0.1
@@ -240,15 +240,6 @@ def evolve(spec: HamiltonianSpec, psi0: ComplexField, config: EvolveConfig,
                       warnings=warnings)
 
 
-def _mapped_zeros(rows: int, cols: int) -> np.ndarray:
-    """A complex zero array on its own anonymous mapping, whose pages become
-    resident only once written.  Sized to a budget but mostly unwritten, an
-    ordinary allocation would be advised into huge pages and, once freed,
-    would raise the allocator's mmap threshold for the rest of the run."""
-    buf = mmap.mmap(-1, 16 * rows * cols)
-    return np.frombuffer(buf, dtype=np.complex128).reshape(rows, cols)
-
-
 def _krylov_cn_power(spec: HamiltonianSpec, values: np.ndarray, dt: float,
                      n: int) -> np.ndarray:
     """n Crank-Nicolson steps of size dt by Arnoldi projection (see the
@@ -258,33 +249,22 @@ def _krylov_cn_power(spec: HamiltonianSpec, values: np.ndarray, dt: float,
     beta = float(np.linalg.norm(values))
     if beta == 0.0:
         return np.zeros(shape, dtype=np.complex128)
-    m_max = min(size, _BASIS_BYTES // (16 * size) - 1)
-    if m_max >= 1:
-        basis = _mapped_zeros(m_max + 1, size)
-        hess = _mapped_zeros(m_max + 1, m_max)
-        basis[0] = values.ravel() / beta
-    for j in range(m_max):
-        w = _apply_h_values(spec, basis[j].reshape(shape)).ravel()
-        v = basis[:j + 1]
-        c1 = (v @ w.conj()).conj()
-        w -= c1 @ v
-        c2 = (v @ w.conj()).conj()
-        w -= c2 @ v
-        hess[:j + 1, j] = c1 + c2
-        hess[j + 1, j] = np.linalg.norm(w)
-        m = j + 1
-        # K_m is invariant when it fills the space or w vanishes; then the
-        # projection is exact
-        tail = 0.0 if m == size else hess[m, j].real
+
+    def apply(v):
+        return _apply_h_values(spec, v.reshape(shape)).ravel()
+
+    m_max = _BASIS_BYTES // (16 * size) - 1
+    for m, basis, hess in arnoldi(apply, values.ravel(), m_max):
+        # K_m is invariant when it fills the space or the new direction
+        # vanishes; then the projection is exact
+        tail = 0.0 if m == size else hess[m, m - 1].real
         if tail <= _CN_TOL or m % _ESTIMATE_EVERY == 0 or m == m_max:
             eye = np.eye(m)
             cayley = np.linalg.solve(eye + 0.5j * dt * hess[:m, :m],
                                      eye - 0.5j * dt * hess[:m, :m])
             y = np.linalg.matrix_power(cayley, n)[:, 0]
             if tail * abs(y[-1]) <= _CN_TOL:
-                return beta * (y @ v).reshape(shape)
-        if m < m_max:
-            basis[m] = w / tail
+                return beta * (y @ basis[:m]).reshape(shape)
     # the estimate missed with the whole budget: step instead
     for _ in range(n):
         values = _cn_step_values(spec, values, dt)

@@ -57,8 +57,8 @@ DENSE_MAX_POINTS = 512
 _DENSE_TOL = 1e-12         # eigenbasis residual and orthogonality defect
 _MAX_ITER = 10000          # GMRES steps of a strict solve
 # GMRES steps of a non-strict solve: two restart cycles.  Its callers keep a
-# direction or a norm estimate (inverse and power iterations, the
-# norm-equivalence floor probe); near an eigenvalue the true residual can
+# direction or a norm estimate (inverse iterations, the resolvent-norm
+# Lanczos, the norm-equivalence floor probe); near an eigenvalue the true residual can
 # stall above its target long after the direction has converged.  The second
 # cycle serves a solve whose first one ends short of the target, by running
 # out of steps or on a running residual that rounding put below the true one.
@@ -291,8 +291,11 @@ def shifted_solve(spec: HamiltonianSpec, zeta: complex, f: ComplexField, *,
     A strict solve raises ``NonConvergenceError`` when its true residual
     stays above ``tol_rel``; a non-strict one returns its last iterate, on
     the Krylov backend after at most two GMRES restart cycles.  On the
-    dense backend the solve is direct (``x0`` goes unused) and a strict
-    solve measures its residual with the spectral H.
+    Krylov backend that residual is measured in the frequency variable of
+    ``_krylov_shifted_solve``; the grid-space residual can exceed
+    ``tol_rel`` near the spectrum.  On the dense backend the solve is
+    direct (``x0`` goes unused) and a strict solve measures its residual
+    with the spectral H.
     """
     basis = spec.dense_basis
     if basis is None:
@@ -329,11 +332,16 @@ def _krylov_shifted_solve(spec: HamiltonianSpec, zeta: complex,
     plus c dv w <w, .> in B for ``deflate=(w, c)``.  One operator
     application is one batched inverse transform of
     [D^-1, i k_1 D^-1, ..., i k_d D^-1] y, which gives x and every d_j x
-    (only x when A = 0), the pointwise B and one forward transform.  F is
-    sqrt(N) times a unitary map, so GMRES's relative residual is the
-    grid-space ||(H - zeta) x - f|| / ||f||: ``tol_rel``, a strict solve's
-    error and a non-strict solve's cap mean what they mean in grid space.
+    (only x when A = 0), the pointwise B and one forward transform.
     ``x0`` enters as D F x0, and the solution is x = F^-1 D^-1 y.
+
+    ``tol_rel`` holds for GMRES's relative residual in y.  F is sqrt(N)
+    times a unitary map, so in exact arithmetic that is the grid-space
+    ||(H - zeta) x - f|| / ||f||, but forming x from y adds rounding
+    amplified by |D^-1| on the lowest modes.  Near the spectrum the
+    grid-space residual can then exceed ``tol_rel``: at 1e-12, within about
+    1e-3 of an eigenvalue, it reached 1.8-3.2e-12.  The Crank-Nicolson
+    shifts 2i/dt lie far from the real spectrum and are unaffected.
     """
     g = spec.grid
     shape = g.sizes

@@ -1,4 +1,4 @@
-"""Thin deterministic wrapper around restarted GMRES on flat complex arrays.
+"""The package's two Krylov kernels: restarted GMRES and the Arnoldi process.
 
 Every linear solve on the Krylov backend funnels through ``solve``, called
 only from ``hamiltonian._krylov_shifted_solve``: resolvent applications,
@@ -14,9 +14,19 @@ meets ``rtol``; when rounding lets the running estimate pass first, it
 tightens its inner tolerance and opens another cycle.  A strict solve that
 runs out of cycles raises ``NonConvergenceError`` with the achieved residual
 and the number of GMRES iterations it ran.
+
+Every Krylov subspace the package projects onto comes from ``arnoldi``:
+the Ritz pairs of the shifted inverse in ``spectrum``, the Crank-Nicolson
+powers in ``evolution`` and the Lanczos estimate of the weighted resolvent
+norms in ``analysis``.  It orthogonalizes by two-pass classical
+Gram-Schmidt and never assumes the operator Hermitian: the collocated
+magnetic H is not (Saad, Numerical Methods for Large Eigenvalue Problems,
+2nd ed., SIAM 2011).
 """
 
 from __future__ import annotations
+
+import mmap
 
 import numpy as np
 from scipy.sparse.linalg import LinearOperator, gmres
@@ -60,3 +70,50 @@ def solve(matvec, b: np.ndarray, *, tol: float = 1e-8,
         f"linear solve stalled at relative residual {resid:.3e} "
         f"(target {tol:.1e}) after {iterations} GMRES iterations",
         residual=resid, iterations=iterations)
+
+
+def _mapped_zeros(rows: int, cols: int) -> np.ndarray:
+    """A complex zero array on its own anonymous mapping, whose pages become
+    resident only once written.  Sized to a budget but mostly unwritten, an
+    ordinary allocation would be advised into huge pages and, once freed,
+    would raise the allocator's mmap threshold for the rest of the run."""
+    buf = mmap.mmap(-1, 16 * rows * cols)
+    return np.frombuffer(buf, dtype=np.complex128).reshape(rows, cols)
+
+
+def arnoldi(apply, v0: np.ndarray, m_max: int):
+    """Arnoldi process on K_m(apply, v0), one step per iteration.
+
+    ``apply`` acts on and returns 1-d complex arrays; ``v0`` is a nonzero
+    1-d start.  After step m it yields ``(m, basis, hess)``: rows 0..m of
+    ``basis`` are orthonormal (row m only when h_{m+1,m} > 0) and
+    ``hess[:m + 1, :m]`` is the Hessenberg matrix of the relation
+    apply(basis[:m].T) = basis[:m + 1].T hess[:m + 1, :m].  Each new
+    direction is orthogonalized by two passes of classical Gram-Schmidt.
+    The process ends after ``min(m_max, v0.size)`` steps, or after the step
+    whose new direction is exactly zero, when K_m is invariant.  The arrays
+    are reused across steps, and ``basis`` is allocated for m_max + 1 rows
+    but becomes resident only as rows are written.
+    """
+    size = v0.size
+    m_max = min(m_max, size)
+    if m_max < 1:
+        return
+    basis = _mapped_zeros(m_max + 1, size)
+    hess = _mapped_zeros(m_max + 1, m_max)
+    basis[0] = v0 / np.linalg.norm(v0)
+    for j in range(m_max):
+        w = apply(basis[j])
+        v = basis[:j + 1]
+        c1 = (v @ w.conj()).conj()
+        w = w - c1 @ v
+        c2 = (v @ w.conj()).conj()
+        w -= c2 @ v
+        hess[:j + 1, j] = c1 + c2
+        tail = np.linalg.norm(w)
+        hess[j + 1, j] = tail
+        if tail > 0.0:
+            basis[j + 1] = w / tail
+        yield j + 1, basis, hess
+        if tail == 0.0:
+            return

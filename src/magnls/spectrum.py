@@ -1,11 +1,13 @@
 """Low-lying spectrum of the magnetic Schrodinger operator.
 
-Strategy: Lanczos on the shifted inverse (H - s)^-1 with s below a coarse
-quadratic-form lower bound, full reorthogonalization, then inverse-iteration
-refinement with an adaptive shift that tracks the Rayleigh quotient from
-below.  Every inner linear solve is ``hamiltonian.shifted_solve``, so
-resolvents, eigensolves and time steps share one linear backend: the dense
-eigenbasis on small electric-only grids, preconditioned Krylov elsewhere.
+Strategy: Ritz pairs from the Arnoldi process (``krylov.arnoldi``) on the
+shifted inverse (H - s)^-1, with s below a coarse quadratic-form lower bound,
+then inverse-iteration refinement with an adaptive shift that tracks the
+Rayleigh quotient from below.  Arnoldi rather than Lanczos, because the
+collocated magnetic H is not Hermitian on the grid.  Every inner linear
+solve is ``hamiltonian.shifted_solve``, so resolvents, eigensolves and time
+steps share one linear backend: the dense eigenbasis on small electric-only
+grids, preconditioned Krylov elsewhere.
 """
 
 from __future__ import annotations
@@ -13,16 +15,16 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.linalg import eigh_tridiagonal
 
 from .errors import MagnlsError, NoBoundStateError, NonConvergenceError
 from .grid import ComplexField, make_field, norm_l2
 from .hamiltonian import HamiltonianSpec, _apply_h_values, shifted_solve
+from .krylov import arnoldi
 
 _RESIDUAL_TOL = 1e-10      # ground-state refinement target
 MAX_RESIDUAL = 1e-9        # a ground state with a larger residual is an error
-_INNER_TOL = 1e-10         # Lanczos inner solves
-_LANCZOS_STEPS = 24        # ground-state Krylov dimension
+_INNER_TOL = 1e-10         # shifted-inverse solves of the Arnoldi steps
+_ARNOLDI_STEPS = 24        # ground-state Krylov dimension
 _SCAN_GAP_TOL = 1e-6       # scan levels below -gap_tol count as bound
 _SCAN_RESIDUAL_TOL = 1e-9
 
@@ -67,7 +69,7 @@ def _start_vector(spec: HamiltonianSpec) -> np.ndarray:
     """A centred Gaussian with a small first-moment tilt along every axis.
 
     The tilt gives the start both parities on each axis: an even start on a
-    parity-symmetric potential spans only even states, and Lanczos then
+    parity-symmetric potential spans only even states, and its Krylov space
     skips the odd levels.  A small tilt keeps the start close to the ground
     state, which the refinement converges from.
     """
@@ -79,51 +81,29 @@ def _start_vector(spec: HamiltonianSpec) -> np.ndarray:
     return (v / np.linalg.norm(v.ravel())).ravel()
 
 
-def _lanczos_lowest(spec: HamiltonianSpec, how_many: int, *, steps: int):
-    """Ritz approximations to the lowest eigenpairs of H via the shifted inverse."""
+def _ritz_lowest(spec: HamiltonianSpec, how_many: int, *, steps: int):
+    """Ritz approximations to the lowest eigenpairs of H from ``steps``
+    Arnoldi steps on the shifted inverse."""
     g = spec.grid
     shift = spectral_lower_bound(spec)
-    n = g.total_points
-    steps = min(steps, n)
 
     def inv_apply(v):
         f = make_field(g, v.reshape(g.sizes))
         return shifted_solve(spec, shift, f, tol_rel=_INNER_TOL).values.ravel()
 
-    basis = []
-    alphas, betas = [], []
-    v = _start_vector(spec)
-    prev = np.zeros_like(v)
-    beta_prev = 0.0
-    for _ in range(steps):
-        basis.append(v)
-        w = inv_apply(v)
-        alpha = float(np.vdot(v, w).real)
-        w = w - alpha * v - beta_prev * prev
-        for b in basis:  # full reorthogonalization, twice for safety
-            w -= np.vdot(b, w) * b
-        for b in basis:
-            w -= np.vdot(b, w) * b
-        beta = float(np.linalg.norm(w))
-        alphas.append(alpha)
-        if beta < 1e-13:
-            break
-        betas.append(beta)
-        prev, v, beta_prev = v, w / beta, beta
-
-    theta, y = eigh_tridiagonal(np.array(alphas), np.array(betas[:len(alphas) - 1]))
-    order = np.argsort(theta)[::-1]  # largest of the inverse = lowest of H
+    *_, (m, basis, hess) = arnoldi(inv_apply, _start_vector(spec), steps)
+    theta, y = np.linalg.eig(hess[:m, :m])
+    order = np.argsort(theta.real)[::-1]  # largest of the inverse = lowest of H
     out = []
-    mat = np.stack(basis, axis=1)
     for idx in order[:how_many]:
-        if theta[idx] <= 0.0:
+        if theta[idx].real <= 0.0:
             continue
-        e = shift + 1.0 / theta[idx]
-        vec = mat @ y[:, idx]
-        vec = vec / np.linalg.norm(vec)
-        out.append((float(e), vec))
+        e = shift + 1.0 / theta[idx].real
+        vec = y[:, idx] @ basis[:m]
+        out.append((float(e), vec / np.linalg.norm(vec)))
     if not out:
-        raise NonConvergenceError("Lanczos produced no usable Ritz values")
+        raise NonConvergenceError(
+            "Arnoldi on the shifted inverse produced no usable Ritz values")
     return out
 
 
@@ -190,7 +170,7 @@ def _phase_fix(values: np.ndarray) -> np.ndarray:
 def ground_state(spec: HamiltonianSpec) -> EigenPair:
     """Lowest eigenpair of H; raises ``NoBoundStateError`` when the bottom of
     the spectrum is not strictly negative."""
-    ritz = _lanczos_lowest(spec, 2, steps=_LANCZOS_STEPS)
+    ritz = _ritz_lowest(spec, 2, steps=_ARNOLDI_STEPS)
     e_est, v = ritz[0]
     e, v, resid, imag = _refine_pair(spec, e_est, v,
                                      residual_tol=_RESIDUAL_TOL)
@@ -225,7 +205,7 @@ def low_spectrum_scan(spec: HamiltonianSpec, count: int = 4) -> SpectrumScan:
     exactly one falls below -1e-6."""
     if not (1 <= count <= 8):
         raise MagnlsError(f"scan count must be between 1 and 8, got {count}")
-    ritz = _lanczos_lowest(spec, count, steps=max(40, 12 * count))
+    ritz = _ritz_lowest(spec, count, steps=max(40, 12 * count))
     pairs = []
     converged = []
     for e_est, v in ritz[:count]:

@@ -118,6 +118,19 @@ def test_resolvent_scan_is_flat_for_a_well(gauss_spec, gauss_eig):
     assert drift <= 0.25
 
 
+def test_resolvent_scan_converges_within_its_default_cap(gauss_spec,
+                                                        gauss_eig):
+    # Lanczos on the normal operator settles every default-grid point well
+    # inside the 20 applications the default cap allows
+    scan = resolvent_bound_scan(gauss_spec, gauss_eig)
+    assert len(scan.points) == 16
+    for point in scan.points:
+        assert point.converged
+        exact = orc.dense_weighted_resolvent_norm(
+            gauss_spec, point.lam, 1e-2, 4.1, phi=gauss_eig.phi0.values)
+        assert abs(point.opnorm - exact) <= 1e-5 * exact
+
+
 def test_default_lambda_grid_avoids_box_levels(gauss_spec):
     from magnls.analysis import _dense_levels_1d
 

@@ -1,12 +1,13 @@
-"""The benchmark under ``perfbench/`` traces the package by function and
-parameter name.  These checks fail when a refactor renames something it
-binds, before a benchmark run would."""
+"""The benchmark under ``perfbench/`` traces the package by function,
+parameter and result-field name.  These checks fail when a refactor renames
+something it binds, before a benchmark run would."""
 
+import dataclasses
 import importlib.util
 import inspect
 from pathlib import Path
 
-from magnls import evolution, krylov
+from magnls import analysis, evolution, hamiltonian, krylov, modulation
 
 TRACER = Path(__file__).resolve().parents[1] / "perfbench" / "tracer.py"
 
@@ -27,3 +28,15 @@ def test_parameters_the_tracer_hooks_read_exist():
                       (evolution.linear_flow, {"t", "dt"}),
                       (evolution.evolve, {"config"})):
         assert names <= set(inspect.signature(fn).parameters), fn.__name__
+    # the resolvent hook takes these two positionally
+    params = list(inspect.signature(hamiltonian.resolvent_solve).parameters)
+    assert params[:2] == ["spec", "zeta"]
+
+
+def test_fields_the_tracer_hooks_read_exist():
+    for cls, names in ((analysis.ResolventScan, {"points"}),
+                       (analysis.ResolventPoint, {"power_iters"}),
+                       (modulation.DecompositionRecord, {"newton_iters"}),
+                       (evolution.EvolveConfig, {"t_final", "dt"})):
+        fields = {f.name for f in dataclasses.fields(cls)}
+        assert names <= fields, cls.__name__

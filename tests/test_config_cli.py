@@ -244,6 +244,18 @@ def test_cli_seed_goes_through_config_validation(tmp_path, capsys):
     assert "output.seed" in capsys.readouterr().err
 
 
+def assert_one_drift_gate_failed(code, out, capsys):
+    assert code == 1
+    manifest = json.loads((out / "manifest.json").read_text())
+    assert manifest["status"] == "gate-failed"
+    # which quantity breaches first depends on the BLAS thread count
+    (name, gate), = [(k, g) for k, g in manifest["gates"].items()
+                     if k in ("mass_drift", "energy_drift")]
+    assert not gate["passed"]
+    assert gate["value"] > 1e-300
+    assert f"[FAIL] {name}" in capsys.readouterr().out
+
+
 def test_cli_conservation_breach_fails_its_gate(tmp_path, capsys):
     # a drift tolerance below round-off: the run reports a failed gate (exit
     # 1) instead of a numerical error (exit 2)
@@ -254,13 +266,7 @@ def test_cli_conservation_breach_fails_its_gate(tmp_path, capsys):
                  "--override", "evolution.t_final=0.01",
                  "--override", "evolution.dt=1e-3",
                  "--override", "evolution.snapshot_stride=10"])
-    assert code == 1
-    manifest = json.loads((out / "manifest.json").read_text())
-    assert manifest["status"] == "gate-failed"
-    gate = manifest["gates"]["mass_drift"]
-    assert not gate["passed"]
-    assert gate["value"] > 1e-300
-    assert "[FAIL] mass_drift" in capsys.readouterr().out
+    assert_one_drift_gate_failed(code, out, capsys)
 
 
 def test_stability_run_conservation_breach_fails_its_gate(tmp_path, capsys):
@@ -272,15 +278,7 @@ def test_stability_run_conservation_breach_fails_its_gate(tmp_path, capsys):
                  "--override", "evolution.dt=1e-3",
                  "--override", "evolution.snapshot_stride=10",
                  "--override", "modulation.amplitudes=1e-3"])
-    assert code == 1
-    manifest = json.loads((out / "manifest.json").read_text())
-    assert manifest["status"] == "gate-failed"
-    # which quantity breaches first depends on the BLAS thread count
-    (name, gate), = [(k, g) for k, g in manifest["gates"].items()
-                     if k in ("mass_drift", "energy_drift")]
-    assert not gate["passed"]
-    assert gate["value"] > 1e-300
-    assert f"[FAIL] {name}" in capsys.readouterr().out
+    assert_one_drift_gate_failed(code, out, capsys)
 
 
 def test_manifest_records_the_linear_backend(tmp_path):

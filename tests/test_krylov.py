@@ -1,5 +1,7 @@
 """The GMRES wrapper: one scipy call per solve, and stall reports carry the
-iterations actually run."""
+iterations actually run.  The Arnoldi process: an orthonormal basis and the
+Arnoldi relation on a non-Hermitian operator, and an exact end on an
+invariant subspace."""
 
 import numpy as np
 import pytest
@@ -66,3 +68,42 @@ def test_converged_solve_is_one_gmres_call_with_no_residual_of_its_own(
     assert cycles > 1
     # one application per GMRES step and one true residual per cycle
     assert applied == steps + cycles
+
+
+def test_arnoldi_basis_and_relation_on_a_non_hermitian_matrix():
+    rng = np.random.default_rng(3)
+    n, m_max = 40, 12
+    a = rng.standard_normal((n, n)) + 1j * rng.standard_normal((n, n))
+    assert np.linalg.norm(a - a.conj().T) > 1.0
+    v0 = rng.standard_normal(n) + 1j * rng.standard_normal(n)
+    steps = []
+    for m, basis, hess in krylov.arnoldi(lambda v: a @ v, v0, m_max):
+        steps.append(m)
+        v = basis[:m + 1]
+        assert np.abs(v.conj() @ v.T - np.eye(m + 1)).max() <= 1e-12
+        assert np.linalg.norm(a @ v[:m].T - v.T @ hess[:m + 1, :m]) <= (
+            1e-12 * np.linalg.norm(a))
+    assert steps == list(range(1, m_max + 1))
+    assert np.allclose(basis[0], v0 / np.linalg.norm(v0), rtol=0, atol=1e-15)
+
+
+def test_arnoldi_ends_on_an_exactly_invariant_subspace():
+    # a weighted 3-cycle e0 -> e1 -> e2 -> e0 beside a random block: from e0
+    # every new direction is exact, and the fourth one is exactly zero
+    rng = np.random.default_rng(5)
+    a = np.zeros((6, 6), dtype=np.complex128)
+    a[1, 0], a[2, 1], a[0, 2] = 2.0, 0.5j, -3.0
+    a[3:, 3:] = rng.standard_normal((3, 3))
+    applied = 0
+
+    def apply(v):
+        nonlocal applied
+        applied += 1
+        return a @ v
+
+    v0 = np.zeros(6, dtype=np.complex128)
+    v0[0] = 1.0
+    *_, (m, basis, hess) = krylov.arnoldi(apply, v0, 6)
+    assert m == applied == 3
+    assert hess[3, 2] == 0.0
+    assert np.array_equal(a @ basis[:3].T, basis[:3].T @ hess[:3, :3])

@@ -110,7 +110,8 @@ def test_scan_resolves_the_edge_doublet(sech_spec):
 
 def test_three_dimensional_gap_matches_dense():
     # the first excited level of this parity-symmetric well is an odd
-    # triplet; an even Lanczos start never sees it and overstates the gap
+    # triplet; a Krylov space from an even start never sees it and
+    # overstates the gap
     g = GridSpec(3, (8, 8, 8), (16.0, 16.0, 16.0))
     spec = build_hamiltonian(build_gaussian_well(g, -5.0, 2.0))
     eig = ground_state(spec)
