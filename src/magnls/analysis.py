@@ -16,6 +16,8 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 import numpy as np
+import numpy.ma  # noqa: F401 -- else np.median imports it on first call
+import numpy.random
 
 from .errors import ConfigError, MagnlsError
 from .evolution import _cn_step_values, linear_flow
@@ -192,9 +194,9 @@ def default_lambda_grid(spec: HamiltonianSpec) -> np.ndarray:
         return fallback
     lams = np.sqrt(mids)
     if lams.size > _LAMBDA_COUNT:
-        idx = np.unique(np.round(
-            np.linspace(0, lams.size - 1, _LAMBDA_COUNT)).astype(int))
-        lams = lams[idx]
+        # the index step exceeds 1, so the rounded indices are distinct
+        lams = lams[np.round(
+            np.linspace(0, lams.size - 1, _LAMBDA_COUNT)).astype(int)]
     return lams
 
 

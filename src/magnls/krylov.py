@@ -8,12 +8,18 @@ iterations and the Crank-Nicolson step, which is a shifted solve at 2i/dt.
 see ``hamiltonian``.)  The caller hands over an already preconditioned
 operator, so GMRES runs without ``M`` and its running residual estimate is
 the residual of the system it solves.  Each solve is one
-``scipy.sparse.linalg.gmres`` call.  scipy ends every restart cycle on the
-recomputed residual ||b - Ax|| and reports success only when that residual
-meets ``rtol``; when rounding lets the running estimate pass first, it
-tightens its inner tolerance and opens another cycle.  A strict solve that
-runs out of cycles raises ``NonConvergenceError`` with the achieved residual
-and the number of GMRES iterations it ran.
+``scipy.sparse.linalg.gmres`` call, made through this module's ``gmres``.
+scipy ends every restart cycle on the recomputed residual ||b - Ax|| and
+reports success only when that residual meets ``rtol``; when rounding lets
+the running estimate pass first, it tightens its inner tolerance and opens
+another cycle.  A strict solve that runs out of cycles raises
+``NonConvergenceError`` with the achieved residual and the number of GMRES
+iterations it ran.
+
+Importing this module loads no scipy.  ``scipy.sparse.linalg`` (about
+0.25 s) is imported when the first Krylov-backend ``HamiltonianSpec`` is
+built, so that the cost falls in set-up rather than in the first solve;
+dense (small electric-only) runs never import it.
 
 Every Krylov subspace the package projects onto comes from ``arnoldi``:
 the Ritz pairs of the shifted inverse in ``spectrum``, the Crank-Nicolson
@@ -29,9 +35,23 @@ from __future__ import annotations
 import mmap
 
 import numpy as np
-from scipy.sparse.linalg import LinearOperator, gmres
 
 from .errors import NonConvergenceError
+
+
+def _sparse_linalg():
+    """``scipy.sparse.linalg``, imported on the first call."""
+    import scipy.sparse.linalg
+    return scipy.sparse.linalg
+
+
+def gmres(matvec, b: np.ndarray, **options):
+    """``scipy.sparse.linalg.gmres`` on the operator ``matvec`` of size
+    ``b.size``.  ``solve`` calls it through this module-level name."""
+    linalg = _sparse_linalg()
+    op = linalg.LinearOperator((b.size, b.size), matvec=matvec,
+                               dtype=np.complex128)
+    return linalg.gmres(op, b, **options)
 
 
 def solve(matvec, b: np.ndarray, *, tol: float = 1e-8,
@@ -46,21 +66,18 @@ def solve(matvec, b: np.ndarray, *, tol: float = 1e-8,
     only need a direction (inverse iteration) use that mode and re-measure
     what they care about.
     """
-    n = b.size
     b_norm = float(np.linalg.norm(b))
     if b_norm == 0.0:
         return np.zeros_like(b)
 
-    op = LinearOperator((n, n), matvec=matvec, dtype=np.complex128)
-
-    restart = min(restart, n)
+    restart = min(restart, b.size)
     iterations = 0
 
     def count(_residual):
         nonlocal iterations
         iterations += 1
 
-    x, info = gmres(op, b, x0=x0, rtol=tol, atol=0.0, restart=restart,
+    x, info = gmres(matvec, b, x0=x0, rtol=tol, atol=0.0, restart=restart,
                     maxiter=max(1, max_iter // restart), callback=count,
                     callback_type="pr_norm")
     if info == 0 or not strict:

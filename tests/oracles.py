@@ -130,6 +130,22 @@ def dense_levels(spec: HamiltonianSpec) -> np.ndarray:
     return la.eigvalsh(0.5 * (mat + mat.conj().T))
 
 
+def deflated_matrix(spec: HamiltonianSpec, zeta: complex, w: np.ndarray,
+                    c: float) -> np.ndarray:
+    """H - zeta + c dv w <w, .> as a dense matrix."""
+    wv = w.ravel()
+    return (hamiltonian_matrix(spec) - zeta * np.eye(wv.size)
+            + c * spec.grid.volume_element * np.outer(wv, wv.conj()))
+
+
+def dense_deflated_solve(spec: HamiltonianSpec, zeta: complex,
+                         values: np.ndarray, w: np.ndarray,
+                         c: float) -> np.ndarray:
+    """(H - zeta + c dv w <w, .>)^-1 values by a direct dense solve."""
+    x = la.solve(deflated_matrix(spec, zeta, w, c), values.ravel())
+    return x.reshape(values.shape)
+
+
 def dense_bound_state(spec: HamiltonianSpec, phi: np.ndarray, e0: float,
                       z: complex, sign: int, *, sweeps: int = 60,
                       tol: float = 1e-13):
@@ -142,10 +158,7 @@ def dense_bound_state(spec: HamiltonianSpec, phi: np.ndarray, e0: float,
     dv = g.volume_element
     n = g.total_points
     pvec = phi.ravel()
-    h = hamiltonian_matrix(spec)
-    weight = 1.0 + abs(e0)
-    shifted = h - e0 * np.eye(n) + weight * dv * np.outer(pvec, pvec.conj())
-    lu = la.inv(shifted)
+    lu = la.inv(deflated_matrix(spec, e0, pvec, 1.0 + abs(e0)))
 
     def project_out(vec):
         return vec - (np.vdot(pvec, vec) * dv) * pvec

@@ -7,18 +7,40 @@ import importlib.util
 import inspect
 from pathlib import Path
 
-from magnls import analysis, evolution, hamiltonian, krylov, modulation
+from magnls import (GridSpec, analysis, build_gaussian_well,
+                    build_hamiltonian, build_localized_loop_field, evolution,
+                    gaussian_bump, hamiltonian, krylov, make_potential_pair,
+                    modulation)
 
 TRACER = Path(__file__).resolve().parents[1] / "perfbench" / "tracer.py"
 
 
-def test_tracer_installs_and_restores_every_target():
+def new_tracer():
     spec = importlib.util.spec_from_file_location("perfbench_tracer", TRACER)
     module = importlib.util.module_from_spec(spec)
     spec.loader.exec_module(module)
-    tracer = module.Tracer()
+    return module.Tracer()
+
+
+def test_tracer_installs_and_restores_every_target():
+    tracer = new_tracer()
     try:
         tracer.install()
+    finally:
+        assert tracer.restore()
+
+
+def test_tracer_counts_the_gmres_call_of_a_krylov_solve():
+    g = GridSpec(2, (16, 16), (20.0, 20.0))
+    spec = build_hamiltonian(make_potential_pair(
+        build_localized_loop_field(g, 0.3, 1.5, 1.0),
+        build_gaussian_well(g, -2.0, 1.0).v))
+    f = gaussian_bump(g, 1.0, 2.0)
+    tracer = new_tracer()
+    try:
+        tracer.install()
+        hamiltonian.shifted_solve(spec, 1j, f)
+        assert tracer.counts["krylov.gmres_calls"] == 1
     finally:
         assert tracer.restore()
 

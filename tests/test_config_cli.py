@@ -296,16 +296,60 @@ def test_manifest_records_the_linear_backend(tmp_path):
             "OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS"}
 
 
+def package_env(**overrides) -> dict:
+    """The environment of a subprocess that imports this magnls."""
+    src = str(Path(magnls.__file__).resolve().parents[1])
+    pythonpath = os.pathsep.join(filter(None, (src,
+                                               os.environ.get("PYTHONPATH"))))
+    return dict(os.environ, PYTHONPATH=pythonpath, **overrides)
+
+
+# Run in a new interpreter: its last line of output lists the scipy modules
+# loaded after importing the CLI, after a dense 1D bound-state run, and after
+# building a Krylov (loop-field) operator.
+IMPORT_PROBE = """
+import json, sys
+seen = []
+def loaded():
+    seen.append([m for m in ("scipy.linalg", "scipy.sparse",
+                             "scipy.sparse.linalg") if m in sys.modules])
+from magnls.cli import main
+loaded()
+assert main(["bound-state", "--config", sys.argv[1],
+             "--output", sys.argv[2]]) == 0
+loaded()
+from magnls import (GridSpec, build_gaussian_well, build_hamiltonian,
+                    build_localized_loop_field, make_potential_pair)
+g = GridSpec(2, (16, 16), (20.0, 20.0))
+spec = build_hamiltonian(make_potential_pair(
+    build_localized_loop_field(g, 0.3, 1.5, 1.0),
+    build_gaussian_well(g, -2.0, 1.0).v))
+assert spec.linear_backend == "krylov"
+loaded()
+print(json.dumps(seen))
+"""
+
+
+def test_dense_runs_load_no_scipy_solver_and_krylov_operators_load_gmres(
+        tmp_path):
+    config = MINIMAL.replace("sizes = 256", "sizes = 128")
+    proc = subprocess.run(
+        [sys.executable, "-c", IMPORT_PROBE,
+         str(write_config(tmp_path, config)), str(tmp_path / "out")],
+        env=package_env(), capture_output=True, text=True, timeout=600)
+    assert proc.returncode == 0, proc.stderr
+    after_import, after_bound_state, after_krylov = json.loads(
+        proc.stdout.splitlines()[-1])
+    assert after_import == after_bound_state == []
+    assert "scipy.sparse.linalg" in after_krylov
+
+
 def test_evolve_is_byte_identical_under_each_blas_thread_count(tmp_path):
     # the dense eigenbasis may differ bitwise between BLAS thread counts;
     # reruns under one setting must not
     path = write_config(tmp_path, MINIMAL)
-    src = str(Path(magnls.__file__).resolve().parents[1])
-    pythonpath = os.pathsep.join(filter(None, (src,
-                                               os.environ.get("PYTHONPATH"))))
     for threads in ("1", "2"):
-        env = dict(os.environ, OPENBLAS_NUM_THREADS=threads,
-                   PYTHONPATH=pythonpath)
+        env = package_env(OPENBLAS_NUM_THREADS=threads)
         payloads = []
         for rerun in ("a", "b"):
             out = tmp_path / f"threads{threads}{rerun}"

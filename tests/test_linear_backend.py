@@ -383,13 +383,24 @@ def test_non_strict_resolvent_solve_meets_its_true_residual_in_one_call(
     assert np.linalg.norm(resid) <= 1e-8 * np.linalg.norm(f.values)
 
 
-def test_deflated_factorization_follows_its_key(sech_spec, sech_eig):
-    phi = sech_eig.phi0.values
-    f = make_field(sech_spec.grid, random_values(sech_spec.grid, 55))
+def test_deflated_factorization_follows_its_key(sech_spec, sech_eig,
+                                                monkeypatch):
+    # a new operator, whose deflated inverse no earlier solve has cached
+    spec = build_hamiltonian(sech_spec.potentials)
+    phi, e0 = sech_eig.phi0.values, sech_eig.e0
+    f = make_field(spec.grid, random_values(spec.grid, 55))
+    builds = []
+    inv = np.linalg.inv
+    monkeypatch.setattr(np.linalg, "inv",
+                        lambda a: builds.append(a.shape) or inv(a))
     for weight in (1.0, 3.0, 1.0):
         # shifted_solve measures the true residual and raises on a miss
-        shifted_solve(sech_spec, sech_eig.e0, f, tol_rel=1e-12,
-                      deflate=(phi, weight))
+        shifted_solve(spec, e0, f, tol_rel=1e-12, deflate=(phi, weight))
+    assert len(builds) == 3
+    x = shifted_solve(spec, e0, f, tol_rel=1e-12, deflate=(phi, 1.0))
+    assert len(builds) == 3
+    want = orc.dense_deflated_solve(spec, e0, f.values, phi, 1.0)
+    assert relative_gap(x.values, want) <= 1e-12
 
 
 def test_eigenbasis_that_fails_its_check_raises(monkeypatch):
