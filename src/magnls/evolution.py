@@ -1,9 +1,19 @@
 """Time evolution: Strang splitting with a Crank-Nicolson linear half.
 
-One step of size dt:
-  1. half-step of the exact nonlinear phase  psi *= exp(-i s |psi|^2 dt/2),
-  2. Crank-Nicolson for the linear part: (1 + i dt/2 H) psi+ = (1 - i dt/2 H) psi,
-  3. second nonlinear half-step.
+One step of size dt is the symmetric composition
+
+    psi -> P(dt/2) C(dt) P(dt/2) psi,
+
+with P(h) psi = psi exp(-i s h |psi|^2), the exact flow of the nonlinear
+part, and C(dt) the Crank-Nicolson step of the linear part,
+(1 + i dt/2 H) psi+ = (1 - i dt/2 H) psi.  ``step`` takes one such step.
+A phase leaves |psi| unchanged, so P(dt/2) P(dt/2) = P(dt): ``evolve``
+opens with P(dt/2), joins the closing half-phase of each step to the
+opening one of the next as one full phase, and closes the half-phase only
+where it records a snapshot (reopening it if steps remain).  That is the
+same composition with one phase evaluation per step instead of two
+(Hairer-Lubich-Wanner, Geometric Numerical Integration, 2006, II.5;
+McLachlan-Quispel, Acta Numerica 11, 2002).
 
 Both sub-flows are unitary (the implicit solve up to its tolerance), so mass
 is conserved to solver precision per step and the scheme is exactly
@@ -18,13 +28,15 @@ increment form: c(lam) - 1 = -2 lam / (lam - zeta) with zeta = 2i/dt, so
 
     psi+ = psi - 2 (H - zeta)^-1 H psi,
 
-solved by ``hamiltonian.shifted_solve`` like every other linear solve.  The
-solve's error then scales with the increment, not with the state.  An n-step
-``linear_flow`` on the Krylov backend projects instead: an Arnoldi basis V_m
-of the Krylov space K_m(H, psi) (``krylov.arnoldi``; the collocated H is not
-Hermitian) gives H V_m = V_m H_m + h_{m+1,m} v_{m+1} e_m^T,
-and c(H)^n psi ~ ||psi|| V_m c(H_m)^n e_1, with c(H_m) the m x m Cayley
-matrix.  The basis grows until the a-posteriori estimate
+solved by the Krylov kernel of ``hamiltonian`` like every other linear
+solve, with the right-hand side H psi formed in frequency space from the
+kernel's own pieces.  The solve's error then scales with the increment, not
+with the state.  An n-step ``linear_flow`` on the Krylov backend projects
+instead: an Arnoldi basis V_m of the Krylov space K_m(H, psi)
+(``krylov.arnoldi``; the collocated H is not Hermitian) gives
+H V_m = V_m H_m + h_{m+1,m} v_{m+1} e_m^T, and
+c(H)^n psi ~ ||psi|| V_m c(H_m)^n e_1, with c(H_m) the m x m Cayley matrix.
+The basis grows until the a-posteriori estimate
 h_{m+1,m} |e_m^T c(H_m)^n e_1| meets the CN tolerance (Hochbruck-Lubich
 1997; Sidje's Expokit, 1998).  The basis is bounded by ``_BASIS_BYTES``; when
 the estimate misses at that size, the n steps are taken as n shifted solves,
@@ -38,9 +50,10 @@ from dataclasses import dataclass, field as dc_field
 
 import numpy as np
 
-from .errors import ConservationBreach, MagnlsError
+from .errors import ConfigError, ConservationBreach, MagnlsError
 from .grid import ComplexField, inner_l2, make_field
-from .hamiltonian import HamiltonianSpec, _apply_h_values, shifted_solve
+from .hamiltonian import (HamiltonianSpec, _apply_h_values, _h_hat,
+                          _krylov_shifted_solve)
 from .krylov import arnoldi
 from .norms import norm_w1p
 
@@ -116,6 +129,17 @@ class Trajectory:
         return _drift(self.energy, self.energy_scale)
 
 
+def _whole_steps(t_final: float, dt: float) -> int:
+    """The number of steps of ``dt`` that make up ``t_final``; raises
+    ``ConfigError`` unless that many steps match ``t_final`` to
+    1e-9 max(1, t_final)."""
+    n_steps = int(round(t_final / dt))
+    if abs(n_steps * dt - t_final) > 1e-9 * max(1.0, t_final):
+        raise ConfigError(
+            f"t_final {t_final} is not a whole number of steps of {dt}")
+    return n_steps
+
+
 def _cn_step_values(spec: HamiltonianSpec, values: np.ndarray,
                     dt: float) -> np.ndarray:
     """One Crank-Nicolson step of the linear flow: exact in the dense
@@ -124,16 +148,21 @@ def _cn_step_values(spec: HamiltonianSpec, values: np.ndarray,
     basis = spec.dense_basis
     if basis is not None:
         return basis.cayley(values, dt, 1)
-    h_values = make_field(spec.grid, _apply_h_values(spec, values))
-    return values - 2.0 * shifted_solve(spec, 2j / dt, h_values,
-                                        tol_rel=_CN_TOL).values
+    return values - 2.0 * _krylov_shifted_solve(
+        spec, 2j / dt, _h_hat(spec, values), tol_rel=_CN_TOL)
+
+
+def _phase(values: np.ndarray, h: float) -> np.ndarray:
+    """The nonlinear flow over time h: values exp(-i h |values|^2), with the
+    sign s of the nonlinearity folded into h."""
+    return values * np.exp(-1j * h * np.abs(values) ** 2)
 
 
 def _strang_values(spec: HamiltonianSpec, values: np.ndarray, dt: float,
                    sign: int) -> np.ndarray:
-    values = values * np.exp(-0.5j * sign * dt * np.abs(values) ** 2)
+    values = _phase(values, 0.5 * sign * dt)
     values = _cn_step_values(spec, values, dt)
-    return values * np.exp(-0.5j * sign * dt * np.abs(values) ** 2)
+    return _phase(values, 0.5 * sign * dt)
 
 
 def step(spec: HamiltonianSpec, psi: ComplexField, dt: float,
@@ -189,10 +218,7 @@ def evolve(spec: HamiltonianSpec, psi0: ComplexField, config: EvolveConfig,
     entry.
     """
     g = spec.grid
-    n_steps = int(round(config.t_final / config.dt))
-    if abs(n_steps * config.dt - config.t_final) > 1e-9 * max(1.0, config.t_final):
-        raise MagnlsError(
-            f"t_final {config.t_final} is not an integer number of steps of {config.dt}")
+    n_steps = _whole_steps(config.t_final, config.dt)
 
     dv = g.volume_element
     values = psi0.values.copy()
@@ -228,10 +254,19 @@ def evolve(spec: HamiltonianSpec, psi0: ComplexField, config: EvolveConfig,
                     f"exceeds {tol:g} at t = {t:.6g}",
                     quantity=quantity, drift=drifts[quantity])
 
+    # the Strang steps with adjacent half-phases joined (module docstring)
+    full = sign * config.dt
+    half = 0.5 * full
+    opening = half
     for n in range(1, n_steps + 1):
-        values = _strang_values(spec, values, config.dt, sign)
+        values = _phase(values, opening)
+        values = _cn_step_values(spec, values, config.dt)
         if n % config.snapshot_stride == 0 or n == n_steps:
+            values = _phase(values, half)
             record(n, values)
+            opening = half
+        else:
+            opening = full
 
     return Trajectory(times=np.array(times), snapshots=snaps,
                       mass=np.array(mass), energy=np.array(energy),

@@ -16,10 +16,10 @@ iterations and the Crank-Nicolson step (a shifted solve at 2i/dt, see
 ``evolution``) all call it.  It runs in frequency space with the free
 resolvent as right preconditioner, so GMRES minimizes the true residual and
 each of its steps costs d + 2 transforms (2 when A = 0).
-``HamiltonianSpec`` caches whether A vanishes and the multiplication part
-V + i div A.  It also fixes the positive shift K for the auxiliary operator
-H1 = H + K used by the elliptic-regularity check; by default K follows the
-rule
+``HamiltonianSpec`` caches whether A vanishes, the multiplication part
+V + i div A and the first-order weights 2i A_j.  It also fixes the positive
+shift K for the auxiliary operator H1 = H + K used by the
+elliptic-regularity check; by default K follows the rule
 
     K = sup|V| + sup|div A| + c_pos + 1,   c_pos = 1,
 
@@ -30,6 +30,7 @@ what breaks without it.
 
 from __future__ import annotations
 
+from collections.abc import Iterable
 from dataclasses import dataclass
 from functools import cached_property
 
@@ -94,6 +95,14 @@ class HamiltonianSpec:
         pot = self.potentials
         return pot.v.values + 1j * pot.div_a.values
 
+    @cached_property
+    def grad_weights(self) -> tuple[np.ndarray, ...]:
+        """The weights 2i A_j of the first-order term 2i A . grad; none
+        when A = 0."""
+        if not self.magnetic:
+            return ()
+        return tuple(2j * a.values for a in self.potentials.a.components)
+
     @property
     def linear_backend(self) -> str:
         """Backend of the linear solves: "dense" for an electric-only
@@ -134,9 +143,8 @@ def _apply_h_values(spec: HamiltonianSpec, values: np.ndarray) -> np.ndarray:
     g = spec.grid
     fhat = np.fft.fftn(values)
     out = np.fft.ifftn(g.k_squared * fhat)  # -lap
-    if spec.magnetic:
-        for a_j, k_j in zip(spec.potentials.a.components, g.k_mesh):
-            out += 2j * a_j.values * np.fft.ifftn(1j * k_j * fhat)
+    for a_j, k_j in zip(spec.grad_weights, g.k_mesh):
+        out += a_j * np.fft.ifftn(1j * k_j * fhat)
     out += spec.diagonal * values
     return out
 
@@ -227,12 +235,22 @@ class DenseBasis:
         self._cayley: tuple | None = None       # (dt, n, factor)
         self._deflated: tuple | None = None     # (key, inverse matrix)
 
-    def apply(self, values: np.ndarray, coeff: np.ndarray) -> np.ndarray:
-        """U diag(coeff) U^T values."""
+    def apply(self, values: np.ndarray, coeff: np.ndarray,
+              increment: bool = False) -> np.ndarray:
+        """U diag(coeff) U^T values, or values plus that with
+        ``increment``.
+
+        The complex values enter the two real products as (re, im) pairs,
+        an N x 2 real matrix; the coefficients scale the first product in
+        place and the values are added into the second product's output,
+        so one step allocates just the two products."""
         pairs = np.ascontiguousarray(values, dtype=np.complex128)
-        pairs = pairs.reshape(-1).view(np.float64).reshape(-1, 2)
-        a = (self.u.T @ pairs).view(np.complex128).reshape(-1) * coeff
-        out = self.u @ a.view(np.float64).reshape(-1, 2)
+        pairs = pairs.view(np.float64).reshape(-1, 2)
+        a = self.u.T @ pairs
+        a.view(np.complex128)[:, 0] *= coeff
+        out = self.u @ a
+        if increment:
+            out += pairs
         return out.view(np.complex128).reshape(values.shape)
 
     def cayley(self, values: np.ndarray, dt: float, n: int) -> np.ndarray:
@@ -250,7 +268,7 @@ class DenseBasis:
             phi = -2.0 * n * np.arctan(0.5 * dt * self.lam)
             self._cayley = (dt, n,
                             -2.0 * np.sin(0.5 * phi) ** 2 + 1j * np.sin(phi))
-        return values + self.apply(values, self._cayley[2])
+        return self.apply(values, self._cayley[2], increment=True)
 
     def deflated_solve(self, spec: HamiltonianSpec, zeta: complex,
                        values: np.ndarray, w: np.ndarray,
@@ -307,8 +325,9 @@ def shifted_solve(spec: HamiltonianSpec, zeta: complex, f: ComplexField, *,
     """
     basis = spec.dense_basis
     if basis is None:
-        return _krylov_shifted_solve(spec, zeta, f, tol_rel=tol_rel,
-                                     deflate=deflate, x0=x0, strict=strict)
+        return make_field(spec.grid, _krylov_shifted_solve(
+            spec, zeta, np.fft.fftn(f.values), tol_rel=tol_rel,
+            deflate=deflate, x0=x0, strict=strict))
     if deflate is None:
         x = basis.apply(f.values, 1.0 / (basis.lam - zeta))
     else:
@@ -324,12 +343,38 @@ def shifted_solve(spec: HamiltonianSpec, zeta: complex, f: ComplexField, *,
     return make_field(spec.grid, x)
 
 
+def _b_values(spec: HamiltonianSpec, x: np.ndarray,
+              grads: Iterable[np.ndarray]) -> np.ndarray:
+    """B x = W x + sum_j 2i A_j d_j x, given x and its derivatives d_j x
+    (none when A = 0)."""
+    bx = spec.diagonal * x
+    for a_j, dx_j in zip(spec.grad_weights, grads):
+        bx += a_j * dx_j
+    return bx
+
+
+def _h_hat(spec: HamiltonianSpec, values: np.ndarray) -> np.ndarray:
+    """F H values (F the plain DFT) as |k|^2 F values + F B values, with
+    the B of the Krylov kernel: d + 2 transforms, one fewer than
+    transforming ``_apply_h_values``."""
+    g = spec.grid
+    fhat = np.fft.fftn(values)
+    grads = ()
+    if spec.magnetic:
+        grads = np.fft.ifftn(np.stack([1j * k * fhat for k in g.k_mesh]),
+                             axes=tuple(range(1, g.dim + 1)))
+    out = np.fft.fftn(_b_values(spec, values, grads))
+    out += g.k_squared * fhat
+    return out
+
+
 def _krylov_shifted_solve(spec: HamiltonianSpec, zeta: complex,
-                          f: ComplexField, *, tol_rel: float,
-                          deflate: tuple[np.ndarray, float] | None,
-                          x0: np.ndarray | None,
-                          strict: bool) -> ComplexField:
-    """``shifted_solve`` by restarted GMRES in frequency space.
+                          f_hat: np.ndarray, *, tol_rel: float,
+                          deflate: tuple[np.ndarray, float] | None = None,
+                          x0: np.ndarray | None = None,
+                          strict: bool = True) -> np.ndarray:
+    """``shifted_solve`` by restarted GMRES in frequency space, for the
+    right-hand side f given by its DFT ``f_hat``; returns the values of x.
 
     The free resolvent is the right preconditioner: with D = |k|^2 - zeta,
     regularized never to vanish, and the unknown y = D F x (F the plain
@@ -361,19 +406,15 @@ def _krylov_shifted_solve(spec: HamiltonianSpec, zeta: complex,
     inv = 1.0 / d
     if spec.magnetic:
         mult = np.stack([inv] + [1j * k * inv for k in g.k_mesh])
-        grad_weights = [2j * a.values for a in spec.potentials.a.components]
     else:
-        mult, grad_weights = inv[None], []
-    diag = spec.diagonal
+        mult = inv[None]
     axes = tuple(range(1, g.dim + 1))
     dv = g.volume_element
 
     def matvec(v):
         y = v.reshape(shape)
         xs = np.fft.ifftn(mult * y, axes=axes)
-        bx = diag * xs[0]
-        for a_j, dx_j in zip(grad_weights, xs[1:]):
-            bx += a_j * dx_j
+        bx = _b_values(spec, xs[0], xs[1:])
         if deflate is not None:
             w, c = deflate
             bx += c * np.vdot(w, xs[0]) * dv * w
@@ -382,10 +423,10 @@ def _krylov_shifted_solve(spec: HamiltonianSpec, zeta: complex,
         return out.ravel()
 
     y0 = None if x0 is None else (d * np.fft.fftn(x0.reshape(shape))).ravel()
-    y = krylov.solve(matvec, np.fft.fftn(f.values).ravel(), tol=tol_rel,
+    y = krylov.solve(matvec, f_hat.ravel(), tol=tol_rel,
                      max_iter=_MAX_ITER if strict else _DIRECTION_MAX_ITER,
                      x0=y0, strict=strict)
-    return make_field(g, np.fft.ifftn(y.reshape(shape) / d))
+    return np.fft.ifftn(y.reshape(shape) / d)
 
 
 def resolvent_solve(spec: HamiltonianSpec, zeta: complex, f: ComplexField, *,

@@ -196,3 +196,8 @@ def test_strichartz_quotients_share_a_scale(gauss_spec, gauss_eig):
 def test_strichartz_rejects_inadmissible_pairs(gauss_spec, gauss_eig):
     with pytest.raises(ConfigError):
         strichartz_ratio(gauss_spec, gauss_eig, pairs=((2.0, 6.0),))
+
+
+def test_strichartz_rejects_a_partial_step(gauss_spec, gauss_eig):
+    with pytest.raises(ConfigError, match="whole number of steps"):
+        strichartz_ratio(gauss_spec, gauss_eig, t_final=0.105, dt=2e-2)

@@ -7,7 +7,7 @@ import importlib.util
 import inspect
 from pathlib import Path
 
-from magnls import (GridSpec, analysis, build_gaussian_well,
+from magnls import (EvolveConfig, GridSpec, analysis, build_gaussian_well,
                     build_hamiltonian, build_localized_loop_field, evolution,
                     gaussian_bump, hamiltonian, krylov, make_potential_pair,
                     modulation)
@@ -41,6 +41,23 @@ def test_tracer_counts_the_gmres_call_of_a_krylov_solve():
         tracer.install()
         hamiltonian.shifted_solve(spec, 1j, f)
         assert tracer.counts["krylov.gmres_calls"] == 1
+    finally:
+        assert tracer.restore()
+
+
+def test_tracer_counts_every_step_of_a_dense_evolve():
+    # the benchmark's cost.cn_step count is the number of calls of
+    # evolution._cn_step_values; evolve must make one per step
+    g = GridSpec(1, (64,), (20.0,))
+    spec = build_hamiltonian(build_gaussian_well(g, -1.0, 1.0))
+    assert spec.linear_backend == "dense"
+    n_steps = 23
+    cfg = EvolveConfig(dt=1e-3, t_final=n_steps * 1e-3, snapshot_stride=10)
+    tracer = new_tracer()
+    try:
+        tracer.install()
+        evolution.evolve(spec, gaussian_bump(g, 0.5, 2.0), cfg, 1)
+        assert tracer.stats["evolution._cn_step_values"].count == n_steps
     finally:
         assert tracer.restore()
 

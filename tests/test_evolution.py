@@ -5,6 +5,7 @@ import pytest
 
 import oracles as orc
 from magnls import (
+    ConfigError,
     ConservationBreach,
     EvolveConfig,
     GridSpec,
@@ -13,6 +14,7 @@ from magnls import (
     energy_functional,
     evolve,
     from_function,
+    gaussian_bump,
     linear_flow,
     make_field,
     make_potential_pair,
@@ -112,6 +114,47 @@ def test_strang_order_two(sech_spec, sech_eig):
     linear_ref = [evolve(sech_spec, psi0, cfg_ref, 1).final_state]
     e1, e2 = err(8e-3), err(4e-3)
     assert e1 / e2 == pytest.approx(4.0, rel=0.15)
+
+
+def oracle_strang_snapshots(spec, psi0, dt, n_steps, stride, sign):
+    """The unjoined Strang composition P(dt/2) C(dt) P(dt/2), with the dense
+    oracle's Crank-Nicolson matrix C, at every step ``evolve`` records."""
+    prop = orc.cn_propagator(spec, dt)
+
+    def half_phase(v):
+        return v * np.exp(-0.5j * sign * dt * np.abs(v) ** 2)
+
+    values = psi0.values.ravel()
+    snaps = [values]
+    for n in range(1, n_steps + 1):
+        values = half_phase(prop @ half_phase(values))
+        if n % stride == 0 or n == n_steps:
+            snaps.append(values)
+    return [v.reshape(psi0.grid.sizes) for v in snaps]
+
+
+@pytest.mark.parametrize("sign", [1, -1, 0])
+@pytest.mark.parametrize("name", ["sech_spec", "magnetic_spec"])
+def test_evolve_matches_the_oracle_strang_composition(name, sign, request):
+    # the dense and the Krylov backend; a stride that does not divide the
+    # step count, so the last snapshot closes a partial stride
+    spec = request.getfixturevalue(name)
+    psi0 = gaussian_bump(spec.grid, 1.5, 2.0)
+    dt, n_steps, stride = 5e-3, 13, 5
+    traj = evolve(spec, psi0, EvolveConfig(dt=dt, t_final=n_steps * dt,
+                                           snapshot_stride=stride), sign)
+    want = oracle_strang_snapshots(spec, psi0, dt, n_steps, stride, sign)
+    assert np.allclose(traj.times, dt * np.array([0, 5, 10, 13]))
+    assert len(traj.snapshots) == len(want)
+    for got, ref in zip(traj.snapshots, want):
+        gap = np.max(np.abs(got.values - ref)) / np.max(np.abs(ref))
+        assert gap <= 1e-12
+
+
+def test_evolve_rejects_a_partial_step(sech_spec, sech_eig):
+    cfg = EvolveConfig(dt=0.1, t_final=0.55)
+    with pytest.raises(ConfigError, match="whole number of steps"):
+        evolve(sech_spec, sech_eig.phi0, cfg, 1)
 
 
 def test_conservation_monitors_trip_on_drift(sech_spec, sech_eig):
