@@ -22,7 +22,7 @@ import numpy.random
 from .errors import ConfigError, MagnlsError
 from .evolution import _cn_step_values, _whole_steps, linear_flow
 from .grid import ComplexField, GridSpec, make_field, norm_l2
-from .hamiltonian import (MIN_IMAG_SHIFT, HamiltonianSpec, apply_h, apply_h1,
+from .hamiltonian import (MIN_IMAG_SHIFT, HamiltonianSpec, apply_h1, h_matrix,
                           project_continuous, resolvent_solve, shifted_solve)
 from .krylov import arnoldi
 from .norms import (bracket_weight, check_sigma, norm_h1, norm_lp, norm_w1p,
@@ -141,17 +141,10 @@ class XNormAccumulator:
 # weighted resolvent scan
 
 def _dense_levels_1d(spec: HamiltonianSpec) -> np.ndarray:
-    """All eigenvalues of the one-dimensional operator, by direct solve."""
-    g = spec.grid
-    n = g.sizes[0]
-    mat = np.empty((n, n), dtype=np.complex128)
-    basis = np.zeros(n, dtype=np.complex128)
-    for j in range(n):
-        basis[j] = 1.0
-        mat[:, j] = apply_h(spec, make_field(g, basis)).values
-        basis[j] = 0.0
-    mat = 0.5 * (mat + mat.conj().T)
-    return np.linalg.eigvalsh(mat)
+    """All eigenvalues of the Hermitian part of ``h_matrix``, in
+    increasing order."""
+    mat = h_matrix(spec)
+    return np.linalg.eigvalsh(0.5 * (mat + mat.conj().T))
 
 
 def scan_offsets(eps: float) -> tuple[float, float]:
@@ -175,13 +168,15 @@ def default_lambda_grid(spec: HamiltonianSpec) -> np.ndarray:
     with spacing of order lam * (2 pi / L); probing the weighted resolvent
     at a small imaginary offset right on top of one produces a spike that
     says nothing about the infinite-volume operator.  For one-dimensional
-    problems the full level ladder is cheap to compute directly, so the
-    default grid places each lambda^2 at the midpoint of a spectral gap,
-    using only gaps wider than 0.06 so every sample keeps a safe
-    distance from the nearest level (the narrow splittings of even/odd
-    doublets are skipped over automatically).  In higher dimensions the
-    ladder is too dense to resolve at the offsets used here and a uniform
-    grid is returned instead.
+    problems the full level ladder is cheap to compute directly: the levels
+    are the eigenvalues of the Hermitian part of ``hamiltonian.h_matrix``
+    (those of H itself when A = 0 and V is real).  The default grid places
+    each lambda^2 at the midpoint of a spectral gap, using only gaps wider
+    than 0.06 so every sample keeps a safe distance from the nearest level
+    (the narrow splittings of even/odd doublets are skipped over
+    automatically).  In higher dimensions the ladder is too dense to
+    resolve at the offsets used here and a uniform grid is returned
+    instead.
     """
     fallback = np.linspace(0.0, _LAM_MAX, _LAMBDA_COUNT)
     if spec.grid.dim != 1 or spec.grid.sizes[0] > 2048:

@@ -45,12 +45,6 @@ from .potentials import (PotentialPair, build_gauge_field,
                          gaussian_bump, make_potential_pair, validate)
 from .spectrum import MAX_RESIDUAL, ground_state
 
-SUBCOMMANDS = (
-    "validate-potentials", "ground-state", "bound-state", "bound-family",
-    "evolve", "linear-evolve", "stability-run", "resolvent-scan",
-    "norm-equivalence", "strichartz-ratio",
-)
-
 # Thresholds of the gates computed here.  bound-family: ||q||_H2 ~ |z|^3 and
 # |E'| ~ |z|^2 (log-log slope, tolerance), and the decay fits' r^2 floor.
 _SLOPE_Q_H2 = (3.0, 0.3)
@@ -532,7 +526,7 @@ def main(argv: list[str] | None = None) -> int:
         description="numerical laboratory for the cubic magnetic "
                     "Schrodinger equation")
     sub = parser.add_subparsers(dest="subcommand", required=True)
-    for name in SUBCOMMANDS:
+    for name in _DISPATCH:
         p = sub.add_parser(name)
         p.add_argument("--config", required=True)
         p.add_argument("--output", default=None)

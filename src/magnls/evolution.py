@@ -309,19 +309,16 @@ def _krylov_cn_power(spec: HamiltonianSpec, values: np.ndarray, dt: float,
 def linear_flow(spec: HamiltonianSpec, f: ComplexField, t: float, *,
                 dt: float = 1e-3) -> ComplexField:
     """The discrete Crank-Nicolson propagator c(H)^n f of n steps of size
-    t / n, which stands in for exp(-i t H) f; ``t`` may be negative.  n is
-    |t| / dt rounded to the nearest integer when that many steps of dt
-    make up |t| to a relative 1e-12, and rounded up otherwise.  The dense
-    backend takes all n steps in one product with the n-th power of the
-    Cayley factor; the Krylov backend projects onto one Arnoldi subspace
-    (``_krylov_cn_power``)."""
+    t / n, which stands in for exp(-i t H) f; ``t`` may be negative.  |t|
+    must be a whole number n of steps of dt (``_whole_steps``), else
+    ``ConfigError``; n = 0 returns f.  The dense backend takes all n steps
+    in one product with the n-th power of the Cayley factor; the Krylov
+    backend projects onto one Arnoldi subspace (``_krylov_cn_power``)."""
     if not dt > 0.0:
         raise MagnlsError(f"dt must be positive, got {dt}")
-    if t == 0.0:
+    n = _whole_steps(abs(t), dt)
+    if n == 0:
         return make_field(f.grid, f.values)
-    n = round(abs(t) / dt)
-    if abs(n * dt - abs(t)) > 1e-12 * abs(t):
-        n = int(np.ceil(abs(t) / dt))
     h = t / n
     basis = spec.dense_basis
     if basis is not None:

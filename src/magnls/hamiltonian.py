@@ -2,16 +2,19 @@
 
 H f = -lap f + 2i A . grad f + i (div A) f + V f
 
-with spectral derivatives and pointwise products.  Linear solves have two
-backends.  On an electric-only grid (A = 0, real V) of at most
-``DENSE_MAX_POINTS`` points the spectral -lap + V is a real symmetric
-matrix; ``HamiltonianSpec.dense_basis`` diagonalizes it once, on first use,
-and shifted solves become products with that eigenbasis (a deflated shift
-is one product with the cached inverse of its matrix); this backend loads
-no scipy.  Every other operator, in particular any with A != 0, whose
-collocated first-order terms are not symmetric, solves by restarted GMRES
-(``krylov``) in ``_krylov_shifted_solve``, the one Krylov kernel:
-resolvents, deflated bound-state solves, the eigensolver's inverse
+with spectral derivatives and pointwise products: H = -lap + B, where B
+(``_b_values``) holds the multiplication part and the first-order term.
+``_apply_h_values`` applies H on the grid, ``_h_hat`` gives its DFT, and
+``h_matrix`` is the one assembly of its matrix, which every dense
+computation takes.  Linear solves have two backends.  On an electric-only
+grid (A = 0, real V) of at most ``DENSE_MAX_POINTS`` points that matrix is
+real symmetric; ``HamiltonianSpec.dense_basis`` diagonalizes it once, on
+first use, and shifted solves become products with that eigenbasis (a
+deflated shift is one product with the cached inverse of its matrix); this
+backend loads no scipy.  Every other operator, in particular any with
+A != 0, whose collocated first-order terms are not symmetric, solves by
+restarted GMRES (``krylov``) in ``_krylov_shifted_solve``, the one Krylov
+kernel: resolvents, deflated bound-state solves, the eigensolver's inverse
 iterations and the Crank-Nicolson step (a shifted solve at 2i/dt, see
 ``evolution``) all call it.  It runs in frequency space with the free
 resolvent as right preconditioner, so GMRES minimizes the true residual and
@@ -90,6 +93,12 @@ class HamiltonianSpec:
         return any(np.any(c.values) for c in self.potentials.a.components)
 
     @cached_property
+    def electric(self) -> bool:
+        """True when A = 0 and V is real, so the matrix of H is real
+        symmetric."""
+        return not (self.magnetic or np.any(self.potentials.v.values.imag))
+
+    @cached_property
     def diagonal(self) -> np.ndarray:
         """The multiplication part W = V + i div A of H."""
         pot = self.potentials
@@ -108,10 +117,8 @@ class HamiltonianSpec:
         """Backend of the linear solves: "dense" for an electric-only
         operator (A = 0, real V) on at most ``DENSE_MAX_POINTS`` points,
         "krylov" otherwise."""
-        electric = not (self.magnetic
-                        or np.any(self.potentials.v.values.imag))
         small = self.grid.total_points <= DENSE_MAX_POINTS
-        return "dense" if electric and small else "krylov"
+        return "dense" if self.electric and small else "krylov"
 
     @cached_property
     def dense_basis(self) -> DenseBasis | None:
@@ -140,13 +147,33 @@ def apply_h(spec: HamiltonianSpec, f: ComplexField) -> ComplexField:
 
 
 def _apply_h_values(spec: HamiltonianSpec, values: np.ndarray) -> np.ndarray:
+    fhat, bx = _h_parts(spec, values)
+    out = np.fft.ifftn(spec.grid.k_squared * fhat)  # -lap
+    out += bx
+    return out
+
+
+def _b_values(spec: HamiltonianSpec, x: np.ndarray,
+              grads: Iterable[np.ndarray]) -> np.ndarray:
+    """B x = W x + sum_j 2i A_j d_j x, given x and its derivatives d_j x
+    (none when A = 0): H = -lap + B."""
+    bx = spec.diagonal * x
+    for a_j, dx_j in zip(spec.grad_weights, grads):
+        bx += a_j * dx_j
+    return bx
+
+
+def _h_parts(spec: HamiltonianSpec,
+             values: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """(F values, B values), F the plain DFT: one forward transform and,
+    when A != 0, one batched inverse transform of the derivatives."""
     g = spec.grid
     fhat = np.fft.fftn(values)
-    out = np.fft.ifftn(g.k_squared * fhat)  # -lap
-    for a_j, k_j in zip(spec.grad_weights, g.k_mesh):
-        out += a_j * np.fft.ifftn(1j * k_j * fhat)
-    out += spec.diagonal * values
-    return out
+    grads = ()
+    if spec.magnetic:
+        grads = np.fft.ifftn(np.stack([1j * k * fhat for k in g.k_mesh]),
+                             axes=tuple(range(1, g.dim + 1)))
+    return fhat, _b_values(spec, values, grads)
 
 
 def apply_h1(spec: HamiltonianSpec, f: ComplexField) -> ComplexField:
@@ -186,26 +213,41 @@ def gauge_transform(spec: HamiltonianSpec, chi: ComplexField) -> HamiltonianSpec
 # linear solves
 # ---------------------------------------------------------------------------
 
-def _electric_matrix(spec: HamiltonianSpec) -> np.ndarray:
-    """Real symmetric matrix of -lap + V (A = 0).
+def h_matrix(spec: HamiltonianSpec) -> np.ndarray:
+    """The matrix of H, real when ``spec.electric``.
 
-    The spectral -lap is a multi-level circulant: entry (i, j) is
-    c[m_i - m_j], with c = ifftn(|k|^2) and m_i the periodic grid index of
-    point i.  Row i is therefore c reversed and rolled by m_i.
+    Column n is H e_n, for e_n the unit vector at the grid point with
+    periodic index m_n, formed without transforms: a spectral multiplier
+    with symbol s is a multi-level circulant whose column n is
+    c = ifftn(s) rolled by m_n, a window of c tiled twice along each axis.
+    So H e_n is that column for |k|^2 plus B e_n (``_b_values``), with the
+    columns for the i k_j as the derivatives of e_n.  Row n of one array
+    holds column n, and the transposed view is returned.
     """
     g = spec.grid
-    axes = tuple(range(g.dim))
-    c = np.fft.ifftn(g.k_squared).real
-    c_rev = np.roll(np.flip(c), 1, axis=axes)         # c_rev[m] = c[-m]
-    mat = np.empty((g.total_points, g.total_points))
-    for i, m in enumerate(np.ndindex(*g.sizes)):
-        mat[i] = np.roll(c_rev, m, axis=axes).ravel()
-    mat[np.diag_indices_from(mat)] += spec.potentials.v.values.real.ravel()
-    return mat
+    axes = tuple(range(1, g.dim + 1))
+    symbols = [g.k_squared]
+    if spec.magnetic:
+        symbols += [1j * k for k in g.k_mesh]
+    c = np.fft.ifftn(np.stack(symbols), axes=axes)
+    if spec.electric:
+        c = c.real
+    tiled = np.tile(c, (1,) + (2,) * g.dim)
+    mat_t = np.empty((g.total_points, g.total_points), dtype=c.dtype)
+    unit = np.zeros(g.sizes)
+    for n, m in enumerate(np.ndindex(*g.sizes)):
+        cols = tiled[(slice(None),) + tuple(
+            slice(size - k, 2 * size - k) for size, k in zip(g.sizes, m))]
+        unit[m] = 1.0
+        col = cols[0] + _b_values(spec, unit, cols[1:])
+        unit[m] = 0.0
+        mat_t[n] = (col.real if spec.electric else col).ravel()
+    return mat_t.T
 
 
 class DenseBasis:
-    """H = U diag(lam) U^T for an electric-only operator.
+    """H = U diag(lam) U^T for an electric-only operator, from the real
+    symmetric ``h_matrix``.
 
     Functions of H act on complex values through their real and imaginary
     parts, so U stays real and no complex N x N array is formed.  The
@@ -216,7 +258,7 @@ class DenseBasis:
     """
 
     def __init__(self, spec: HamiltonianSpec):
-        mat = _electric_matrix(spec)
+        mat = h_matrix(spec)
         lam, u = np.linalg.eigh(mat)
         work = mat @ u
         work -= u * lam
@@ -288,7 +330,7 @@ class DenseBasis:
             wf = w.ravel()
             mat = np.outer(wf, wf.conj())
             mat *= c * spec.grid.volume_element
-            mat += _electric_matrix(spec)
+            mat += h_matrix(spec)
             mat[np.diag_indices_from(mat)] -= zeta
             self._deflated = (key, np.linalg.inv(mat))
         return (self._deflated[1] @ values.ravel()).reshape(values.shape)
@@ -343,28 +385,13 @@ def shifted_solve(spec: HamiltonianSpec, zeta: complex, f: ComplexField, *,
     return make_field(spec.grid, x)
 
 
-def _b_values(spec: HamiltonianSpec, x: np.ndarray,
-              grads: Iterable[np.ndarray]) -> np.ndarray:
-    """B x = W x + sum_j 2i A_j d_j x, given x and its derivatives d_j x
-    (none when A = 0)."""
-    bx = spec.diagonal * x
-    for a_j, dx_j in zip(spec.grad_weights, grads):
-        bx += a_j * dx_j
-    return bx
-
-
 def _h_hat(spec: HamiltonianSpec, values: np.ndarray) -> np.ndarray:
-    """F H values (F the plain DFT) as |k|^2 F values + F B values, with
-    the B of the Krylov kernel: d + 2 transforms, one fewer than
-    transforming ``_apply_h_values``."""
-    g = spec.grid
-    fhat = np.fft.fftn(values)
-    grads = ()
-    if spec.magnetic:
-        grads = np.fft.ifftn(np.stack([1j * k * fhat for k in g.k_mesh]),
-                             axes=tuple(range(1, g.dim + 1)))
-    out = np.fft.fftn(_b_values(spec, values, grads))
-    out += g.k_squared * fhat
+    """F H values (F the plain DFT) as |k|^2 F values + F B values: one
+    transform more than ``_h_parts``, one fewer than transforming
+    ``_apply_h_values``."""
+    fhat, bx = _h_parts(spec, values)
+    out = np.fft.fftn(bx)
+    out += spec.grid.k_squared * fhat
     return out
 
 

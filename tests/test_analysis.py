@@ -8,6 +8,7 @@ import numpy as np
 import pytest
 
 import oracles as orc
+from magnls import hamiltonian
 from magnls import (
     ConfigError,
     GridSpec,
@@ -131,16 +132,30 @@ def test_resolvent_scan_converges_within_its_default_cap(gauss_spec,
         assert abs(point.opnorm - exact) <= 1e-5 * exact
 
 
-def test_default_lambda_grid_avoids_box_levels(gauss_spec):
+def test_default_lambda_grid_avoids_box_levels(gauss_spec, magnetic_spec,
+                                               monkeypatch):
+    # the electric well (dense backend) and a 1D gauge field (Krylov); the
+    # levels come from the assembled matrix, with no application of H
     from magnls.analysis import _dense_levels_1d
 
-    grid = default_lambda_grid(gauss_spec)
-    levels = _dense_levels_1d(gauss_spec)
-    assert grid.size >= 8
-    assert np.all(np.diff(grid) > 0.0)
-    assert grid.min() > 0.0 and grid.max() <= 6.0
-    for lam in grid:
-        assert np.abs(levels - lam * lam).min() >= 0.03
+    applied = 0
+    apply_h_values = hamiltonian._apply_h_values
+
+    def counted(*args):
+        nonlocal applied
+        applied += 1
+        return apply_h_values(*args)
+
+    monkeypatch.setattr(hamiltonian, "_apply_h_values", counted)
+    for spec in (gauss_spec, magnetic_spec):
+        grid = default_lambda_grid(spec)
+        assert applied == 0
+        levels = _dense_levels_1d(spec)
+        assert grid.size >= 8
+        assert np.all(np.diff(grid) > 0.0)
+        assert grid.min() > 0.0 and grid.max() <= 6.0
+        for lam in grid:
+            assert np.abs(levels - lam * lam).min() >= 0.03
 
 
 def test_scan_reports_a_real_spike_when_aimed_at_a_level(gauss_spec,

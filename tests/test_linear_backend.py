@@ -1,17 +1,20 @@
 """The two linear backends: a dense eigenbasis on small electric-only grids,
 restarted GMRES everywhere else.  Each fast path is checked against the
-dense oracles.  The Krylov shifted solve, the only path for A != 0, is
-solved against the oracle matrix in one, two and three dimensions, called
-directly on grids the dense backend would otherwise serve, and the
-Krylov Crank-Nicolson step runs on the A != 0 ``magnetic_spec``.  The
-Krylov-projected n-step propagator of ``linear_flow`` is checked against
-the oracle's n-th power and against n single steps."""
+dense oracles, and so is ``hamiltonian.h_matrix``, the one assembly of the
+matrix of H, on electric and A != 0 grids.  The Krylov shifted solve, the
+only path for A != 0, is solved against the oracle matrix in one, two and
+three dimensions, called directly on grids the dense backend would
+otherwise serve, and the Krylov Crank-Nicolson step runs on the A != 0
+``magnetic_spec``.  The Krylov-projected n-step propagator of
+``linear_flow`` is checked against the oracle's n-th power and against n
+single steps."""
 
 import numpy as np
 import pytest
 
 import oracles as orc
 from magnls import (
+    ConfigError,
     GridSpec,
     MagnlsError,
     NonConvergenceError,
@@ -42,6 +45,14 @@ def loop(n, dim=2, length=20.0):
     g = GridSpec(dim, (n,) * dim, (length,) * dim)
     return build_hamiltonian(make_potential_pair(
         build_localized_loop_field(g, 0.3, 1.5, 1.0),
+        build_gaussian_well(g, -2.0, 1.0).v))
+
+
+def gauge_1d(n, length=20.0):
+    """A = grad chi on a 1D well: A != 0 in one dimension."""
+    g = GridSpec(1, (n,), (length,))
+    return build_hamiltonian(make_potential_pair(
+        build_gauge_field(gaussian_bump(g, 0.3, 2.0)),
         build_gaussian_well(g, -2.0, 1.0).v))
 
 
@@ -129,6 +140,12 @@ def test_linear_flow_takes_whole_steps_of_dt(sech_spec):
     assert np.max(np.abs(flowed - stepped)) < 1e-12
 
 
+def test_linear_flow_rejects_a_partial_step(sech_spec):
+    f = make_field(sech_spec.grid, random_values(sech_spec.grid, 58))
+    with pytest.raises(ConfigError, match="not a whole number of steps"):
+        linear_flow(sech_spec, f, 1.5e-3, dt=1e-3)
+
+
 def test_linear_flow_rejects_a_step_that_is_not_positive(magnetic_spec):
     f = make_field(magnetic_spec.grid, random_values(magnetic_spec.grid, 61))
     for dt in (0.0, -1e-3):
@@ -204,10 +221,8 @@ def test_krylov_cn_power_steps_when_the_basis_budget_is_too_small(
 def test_krylov_cn_power_stops_on_an_invariant_subspace():
     # 16 unknowns: the Krylov space fills the grid after 16 vectors, and the
     # projection is exact there; no division by a vanishing h_{m+1,m}
-    g = GridSpec(1, (16,), (20.0,))
-    spec = build_hamiltonian(make_potential_pair(
-        build_gauge_field(gaussian_bump(g, 0.3, 2.0)),
-        build_gaussian_well(g, -2.0, 1.0).v))
+    spec = gauge_1d(16)
+    g = spec.grid
     assert spec.linear_backend == "krylov"
     values = random_values(g, 60)
     n, h = 300, 1e-2
@@ -240,6 +255,21 @@ def test_dense_shifted_solve_matches_krylov(shift, sech_spec, sech_eig):
                                    tol_rel=tol, deflate=deflate)
     diff = np.linalg.norm(dense.values - krylov)
     assert diff <= 1e-10 * np.linalg.norm(krylov)
+
+
+@pytest.mark.parametrize("make", [
+    lambda: gauge_1d(16),
+    lambda: loop(16),
+    lambda: loop(8, dim=3, length=12.0),
+    lambda: build_hamiltonian(build_gaussian_well(
+        GridSpec(2, (8, 16), (12.0, 20.0)), -2.0, 1.0)),
+], ids=["gauge_1d", "loop_2d", "loop_3d", "electric_2d"])
+def test_h_matrix_matches_the_oracle(make):
+    spec = make()
+    got = hamiltonian.h_matrix(spec)
+    want = orc.hamiltonian_matrix(spec)
+    assert got.dtype == (np.complex128 if spec.magnetic else np.float64)
+    assert np.max(np.abs(got - want)) <= 1e-14 * np.max(np.abs(want))
 
 
 @pytest.fixture(scope="module")
