@@ -20,7 +20,7 @@ import numpy.ma  # noqa: F401 -- else np.median imports it on first call
 import numpy.random
 
 from .errors import ConfigError, MagnlsError
-from .evolution import _cn_step_values, _whole_steps, linear_flow
+from .evolution import _cn_step_values, linear_flow, whole_steps
 from .grid import ComplexField, GridSpec, make_field, norm_l2
 from .hamiltonian import (MIN_IMAG_SHIFT, HamiltonianSpec, apply_h1, h_matrix,
                           project_continuous, resolvent_solve, shifted_solve)
@@ -418,7 +418,7 @@ def strichartz_ratio(spec: HamiltonianSpec, eig: EigenPair, *,
             raise ConfigError(f"exponent pair ({q}, {p}) is not admissible")
     g = spec.grid
     rng = np.random.default_rng(seed)
-    n_steps = _whole_steps(t_final, dt)
+    n_steps = whole_steps(t_final, dt)
     if stride < 1:
         raise ConfigError(f"stride must be >= 1, got {stride}")
     rows: list[StrichartzRow] = []

@@ -33,7 +33,7 @@ from .errors import (
 from .grid import ComplexField, make_field, norm_l2
 from .hamiltonian import HamiltonianSpec, _apply_h_values, shifted_solve
 from .norms import norm_h2, norm_lp
-from .potentials import _DECAY_FLOOR
+from .potentials import DECAY_FLOOR
 from .spectrum import EigenPair
 
 _SOLVER_TOL = 1e-12        # relative residual of each deflated solve
@@ -310,7 +310,7 @@ def decay_fit(field: ComplexField) -> DecayFit:
     lo, hi = 0.25 * half, 0.45 * half
     r = g.radius
     mag = np.abs(field.values)
-    mask = (r >= lo) & (r <= hi) & (mag > _DECAY_FLOOR)
+    mask = (r >= lo) & (r <= hi) & (mag > DECAY_FLOOR)
     n = int(np.count_nonzero(mask))
     if n < _DECAY_MIN_SAMPLES:
         raise InsufficientDecayWindow(

@@ -6,7 +6,8 @@ One step of size dt is the symmetric composition
 
 with P(h) psi = psi exp(-i s h |psi|^2), the exact flow of the nonlinear
 part, and C(dt) the Crank-Nicolson step of the linear part,
-(1 + i dt/2 H) psi+ = (1 - i dt/2 H) psi.  ``step`` takes one such step.
+(1 + i dt/2 H) psi+ = (1 - i dt/2 H) psi, which ``hamiltonian.cn_power``
+takes on the operator's backend.  ``step`` takes one such Strang step.
 A phase leaves |psi| unchanged, so P(dt/2) P(dt/2) = P(dt): ``evolve``
 opens with P(dt/2), joins the closing half-phase of each step to the
 opening one of the next as one full phase, and closes the half-phase only
@@ -18,30 +19,6 @@ McLachlan-Quispel, Acta Numerica 11, 2002).
 Both sub-flows are unitary (the implicit solve up to its tolerance), so mass
 is conserved to solver precision per step and the scheme is exactly
 time-reversible: a dt step followed by a -dt step is the identity.
-
-The linear step follows the operator's backend (``hamiltonian``).  With a
-dense eigenbasis H = U diag(lam) U^T it is U diag(c) U^T with the Cayley
-factor c = (1 - i lam dt/2)/(1 + i lam dt/2) = exp(-2i atan(lam dt/2)), and
-``linear_flow`` raises c to the n-th power, so a pullback of n steps is one
-product.  On the Krylov backend a single step is one shifted solve in
-increment form: c(lam) - 1 = -2 lam / (lam - zeta) with zeta = 2i/dt, so
-
-    psi+ = psi - 2 (H - zeta)^-1 H psi,
-
-solved by the Krylov kernel of ``hamiltonian`` like every other linear
-solve, with the right-hand side H psi formed in frequency space from the
-kernel's own pieces.  The solve's error then scales with the increment, not
-with the state.  An n-step ``linear_flow`` on the Krylov backend projects
-instead: an Arnoldi basis V_m of the Krylov space K_m(H, psi)
-(``krylov.arnoldi``; the collocated H is not Hermitian) gives
-H V_m = V_m H_m + h_{m+1,m} v_{m+1} e_m^T, and
-c(H)^n psi ~ ||psi|| V_m c(H_m)^n e_1, with c(H_m) the m x m Cayley matrix.
-The basis grows until the a-posteriori estimate
-h_{m+1,m} |e_m^T c(H_m)^n e_1| meets the CN tolerance (Hochbruck-Lubich
-1997; Sidje's Expokit, 1998).  The basis is bounded by ``_BASIS_BYTES``; when
-the estimate misses at that size, the n steps are taken as n shifted solves,
-so a miss costs one basis more than stepping.  Either way, every n-step power
-is the discrete Crank-Nicolson propagator, not exp(-i t H).
 """
 
 from __future__ import annotations
@@ -52,17 +29,10 @@ import numpy as np
 
 from .errors import ConfigError, ConservationBreach, MagnlsError
 from .grid import ComplexField, inner_l2, make_field
-from .hamiltonian import (HamiltonianSpec, _apply_h_values, _h_hat,
-                          _krylov_shifted_solve)
-from .krylov import arnoldi
+from .hamiltonian import HamiltonianSpec, apply_h, cn_power
 from .norms import norm_w1p
 
 _MAX_DT = 0.1
-# relative residual of each CN shifted solve, and the relative error
-# estimate each Krylov-projected CN power must meet
-_CN_TOL = 1e-12
-_BASIS_BYTES = 32 * 2**20  # Arnoldi basis of one Krylov CN power
-_ESTIMATE_EVERY = 5        # basis vectors between error estimates
 
 
 @dataclass(frozen=True)
@@ -129,27 +99,21 @@ class Trajectory:
         return _drift(self.energy, self.energy_scale)
 
 
-def _whole_steps(t_final: float, dt: float) -> int:
-    """The number of steps of ``dt`` that make up ``t_final``; raises
-    ``ConfigError`` unless that many steps match ``t_final`` to
-    1e-9 max(1, t_final)."""
-    n_steps = int(round(t_final / dt))
-    if abs(n_steps * dt - t_final) > 1e-9 * max(1.0, t_final):
+def whole_steps(t: float, dt: float) -> int:
+    """The number n of steps of ``dt`` that make up the time ``t``; raises
+    ``ConfigError`` unless n dt matches t to 1e-9 max(1, t)."""
+    n_steps = int(round(t / dt))
+    if abs(n_steps * dt - t) > 1e-9 * max(1.0, t):
         raise ConfigError(
-            f"t_final {t_final} is not a whole number of steps of {dt}")
+            f"time {t} is not a whole number of steps of {dt}")
     return n_steps
 
 
 def _cn_step_values(spec: HamiltonianSpec, values: np.ndarray,
                     dt: float) -> np.ndarray:
-    """One Crank-Nicolson step of the linear flow: exact in the dense
-    eigenbasis when the operator has one, else values - 2 (H - 2i/dt)^-1 H
-    values by one Krylov shifted solve."""
-    basis = spec.dense_basis
-    if basis is not None:
-        return basis.cayley(values, dt, 1)
-    return values - 2.0 * _krylov_shifted_solve(
-        spec, 2j / dt, _h_hat(spec, values), tol_rel=_CN_TOL)
+    """One Crank-Nicolson step of the linear flow
+    (``hamiltonian.cn_power``)."""
+    return cn_power(spec, values, dt, 1)
 
 
 def _phase(values: np.ndarray, h: float) -> np.ndarray:
@@ -158,27 +122,20 @@ def _phase(values: np.ndarray, h: float) -> np.ndarray:
     return values * np.exp(-1j * h * np.abs(values) ** 2)
 
 
-def _strang_values(spec: HamiltonianSpec, values: np.ndarray, dt: float,
-                   sign: int) -> np.ndarray:
-    values = _phase(values, 0.5 * sign * dt)
-    values = _cn_step_values(spec, values, dt)
-    return _phase(values, 0.5 * sign * dt)
-
-
 def step(spec: HamiltonianSpec, psi: ComplexField, dt: float,
          sign: int) -> ComplexField:
     """One Strang step of the nonlinear flow."""
     if abs(dt) > _MAX_DT:
         raise MagnlsError(f"|dt| must be <= {_MAX_DT}, got {dt}")
-    return make_field(spec.grid,
-                      _strang_values(spec, psi.values, dt, sign))
+    half = 0.5 * sign * dt
+    values = _cn_step_values(spec, _phase(psi.values, half), dt)
+    return make_field(spec.grid, _phase(values, half))
 
 
 def _energy_terms(spec: HamiltonianSpec,
                   psi: ComplexField) -> tuple[float, float]:
     """<psi, H psi> and ||psi||_4^4."""
-    quad = inner_l2(psi, make_field(spec.grid,
-                                    _apply_h_values(spec, psi.values))).real
+    quad = inner_l2(psi, apply_h(spec, psi)).real
     quart = float(np.sum(np.abs(psi.values) ** 4) * spec.grid.volume_element)
     return quad, quart
 
@@ -218,7 +175,7 @@ def evolve(spec: HamiltonianSpec, psi0: ComplexField, config: EvolveConfig,
     entry.
     """
     g = spec.grid
-    n_steps = _whole_steps(config.t_final, config.dt)
+    n_steps = whole_steps(config.t_final, config.dt)
 
     dv = g.volume_element
     values = psi0.values.copy()
@@ -275,52 +232,17 @@ def evolve(spec: HamiltonianSpec, psi0: ComplexField, config: EvolveConfig,
                       warnings=warnings)
 
 
-def _krylov_cn_power(spec: HamiltonianSpec, values: np.ndarray, dt: float,
-                     n: int) -> np.ndarray:
-    """n Crank-Nicolson steps of size dt by Arnoldi projection (see the
-    module docstring).  The result passes the error estimate at ``_CN_TOL``,
-    or comes from n shifted-solve steps."""
-    shape, size = values.shape, values.size
-    beta = float(np.linalg.norm(values))
-    if beta == 0.0:
-        return np.zeros(shape, dtype=np.complex128)
-
-    def apply(v):
-        return _apply_h_values(spec, v.reshape(shape)).ravel()
-
-    m_max = _BASIS_BYTES // (16 * size) - 1
-    for m, basis, hess in arnoldi(apply, values.ravel(), m_max):
-        # K_m is invariant when it fills the space or the new direction
-        # vanishes; then the projection is exact
-        tail = 0.0 if m == size else hess[m, m - 1].real
-        if tail <= _CN_TOL or m % _ESTIMATE_EVERY == 0 or m == m_max:
-            eye = np.eye(m)
-            cayley = np.linalg.solve(eye + 0.5j * dt * hess[:m, :m],
-                                     eye - 0.5j * dt * hess[:m, :m])
-            y = np.linalg.matrix_power(cayley, n)[:, 0]
-            if tail * abs(y[-1]) <= _CN_TOL:
-                return beta * (y @ basis[:m]).reshape(shape)
-    # the estimate missed with the whole budget: step instead
-    for _ in range(n):
-        values = _cn_step_values(spec, values, dt)
-    return values
-
-
 def linear_flow(spec: HamiltonianSpec, f: ComplexField, t: float, *,
                 dt: float = 1e-3) -> ComplexField:
     """The discrete Crank-Nicolson propagator c(H)^n f of n steps of size
     t / n, which stands in for exp(-i t H) f; ``t`` may be negative.  |t|
-    must be a whole number n of steps of dt (``_whole_steps``), else
-    ``ConfigError``; n = 0 returns f.  The dense backend takes all n steps
-    in one product with the n-th power of the Cayley factor; the Krylov
-    backend projects onto one Arnoldi subspace (``_krylov_cn_power``)."""
+    must be a whole number n of steps of dt (``whole_steps``), else
+    ``ConfigError``; n = 0 returns f.  The n steps are one
+    ``hamiltonian.cn_power``: one product on the dense backend, one
+    Arnoldi projection on the Krylov backend."""
     if not dt > 0.0:
         raise MagnlsError(f"dt must be positive, got {dt}")
-    n = _whole_steps(abs(t), dt)
+    n = whole_steps(abs(t), dt)
     if n == 0:
         return make_field(f.grid, f.values)
-    h = t / n
-    basis = spec.dense_basis
-    if basis is not None:
-        return make_field(f.grid, basis.cayley(f.values, h, n))
-    return make_field(f.grid, _krylov_cn_power(spec, f.values, h, n))
+    return make_field(f.grid, cn_power(spec, f.values, t / n, n))

@@ -16,7 +16,7 @@ A != 0, whose collocated first-order terms are not symmetric, solves by
 restarted GMRES (``krylov``) in ``_krylov_shifted_solve``, the one Krylov
 kernel: resolvents, deflated bound-state solves, the eigensolver's inverse
 iterations and the Crank-Nicolson step (a shifted solve at 2i/dt, see
-``evolution``) all call it.  It runs in frequency space with the free
+``cn_power``) all call it.  It runs in frequency space with the free
 resolvent as right preconditioner, so GMRES minimizes the true residual and
 each of its steps costs d + 2 transforms (2 when A = 0).
 ``HamiltonianSpec`` caches whether A vanishes, the multiplication part
@@ -67,6 +67,11 @@ _MAX_ITER = 10000          # GMRES steps of a strict solve
 # cycle serves a solve whose first one ends short of the target, by running
 # out of steps or on a running residual that rounding put below the true one.
 _DIRECTION_MAX_ITER = 300
+# relative residual of each Krylov CN shifted solve, and the relative error
+# estimate each Krylov-projected CN power must meet
+_CN_TOL = 1e-12
+_BASIS_BYTES = 32 * 2**20  # Arnoldi basis of one Krylov CN power
+_ESTIMATE_EVERY = 5        # basis vectors between error estimates
 
 
 @dataclass(frozen=True)
@@ -383,6 +388,68 @@ def shifted_solve(spec: HamiltonianSpec, zeta: complex, f: ComplexField, *,
                 f"direct solve missed relative residual {tol_rel:.1e}: "
                 f"{resid:.3e}", residual=resid, iterations=0)
     return make_field(spec.grid, x)
+
+
+def cn_power(spec: HamiltonianSpec, values: np.ndarray, dt: float,
+             n: int) -> np.ndarray:
+    """n Crank-Nicolson steps of size dt on the operator's backend: c(H)^n
+    values, where one step solves (1 + i dt/2 H) psi+ = (1 - i dt/2 H) psi.
+    Every CN step and power of the package is taken here.
+
+    With a dense eigenbasis H = U diag(lam) U^T the steps are
+    U diag(c^n) U^T with the Cayley factor
+    c = (1 - i lam dt/2)/(1 + i lam dt/2) = exp(-2i atan(lam dt/2)), one
+    product for any n (``DenseBasis.cayley``).  On the Krylov backend a
+    single step is one shifted solve in increment form:
+    c(lam) - 1 = -2 lam / (lam - zeta) with zeta = 2i/dt, so
+
+        psi+ = psi - 2 (H - zeta)^-1 H psi,
+
+    solved by ``_krylov_shifted_solve`` like every other linear solve, with
+    the right-hand side F H psi from ``_h_hat``, the kernel's own pieces.
+    The solve's error then scales with the increment, not with the state.
+    For n > 1 the Krylov backend projects instead: an Arnoldi basis V_m of
+    the Krylov space K_m(H, psi) (``krylov.arnoldi``; the collocated H is
+    not Hermitian) gives H V_m = V_m H_m + h_{m+1,m} v_{m+1} e_m^T, and
+    c(H)^n psi ~ ||psi|| V_m c(H_m)^n e_1, with c(H_m) the m x m Cayley
+    matrix.  The basis grows until the a-posteriori estimate
+    h_{m+1,m} |e_m^T c(H_m)^n e_1| meets ``_CN_TOL`` (Hochbruck-Lubich
+    1997; Sidje's Expokit, 1998).  The basis is bounded by ``_BASIS_BYTES``;
+    when the estimate misses at that size, the n steps are taken as n
+    shifted solves, so a miss costs one basis more than stepping.  Either
+    way, every n-step power is the discrete Crank-Nicolson propagator, not
+    exp(-i n dt H).
+    """
+    dense = spec.dense_basis
+    if dense is not None:
+        return dense.cayley(values, dt, n)
+    if n == 1:
+        return values - 2.0 * _krylov_shifted_solve(
+            spec, 2j / dt, _h_hat(spec, values), tol_rel=_CN_TOL)
+    shape, size = values.shape, values.size
+    beta = float(np.linalg.norm(values))
+    if beta == 0.0:
+        return np.zeros(shape, dtype=np.complex128)
+
+    def apply(v):
+        return _apply_h_values(spec, v.reshape(shape)).ravel()
+
+    m_max = _BASIS_BYTES // (16 * size) - 1
+    for m, basis, hess in krylov.arnoldi(apply, values.ravel(), m_max):
+        # K_m is invariant when it fills the space or the new direction
+        # vanishes; then the projection is exact
+        tail = 0.0 if m == size else hess[m, m - 1].real
+        if tail <= _CN_TOL or m % _ESTIMATE_EVERY == 0 or m == m_max:
+            eye = np.eye(m)
+            c_m = np.linalg.solve(eye + 0.5j * dt * hess[:m, :m],
+                                  eye - 0.5j * dt * hess[:m, :m])
+            y = np.linalg.matrix_power(c_m, n)[:, 0]
+            if tail * abs(y[-1]) <= _CN_TOL:
+                return beta * (y @ basis[:m]).reshape(shape)
+    # the estimate missed with the whole budget: step instead
+    for _ in range(n):
+        values = cn_power(spec, values, dt, 1)
+    return values
 
 
 def _h_hat(spec: HamiltonianSpec, values: np.ndarray) -> np.ndarray:

@@ -3,18 +3,18 @@
 Every linear solve on the Krylov backend funnels through ``solve``, called
 only from ``hamiltonian._krylov_shifted_solve``: resolvent applications,
 deflated solves at the ground-state energy, the eigensolver's inverse
-iterations and the Crank-Nicolson step, which is a shifted solve at 2i/dt.
-(Small electric-only grids solve directly in a dense eigenbasis instead;
-see ``hamiltonian``.)  The caller hands over an already preconditioned
-operator, so GMRES runs without ``M`` and its running residual estimate is
-the residual of the system it solves.  Each solve is one
-``scipy.sparse.linalg.gmres`` call, made through this module's ``gmres``.
-scipy ends every restart cycle on the recomputed residual ||b - Ax|| and
-reports success only when that residual meets ``rtol``; when rounding lets
-the running estimate pass first, it tightens its inner tolerance and opens
-another cycle.  A strict solve that runs out of cycles raises
-``NonConvergenceError`` with the achieved residual and the number of GMRES
-iterations it ran.
+iterations and the Crank-Nicolson step of ``hamiltonian.cn_power``, which
+is a shifted solve at 2i/dt.  (Small electric-only grids solve directly in
+a dense eigenbasis instead; see ``hamiltonian``.)  The caller hands over an
+already preconditioned operator, so GMRES runs without ``M`` and its
+running residual estimate is the residual of the system it solves.  Each
+solve is one ``scipy.sparse.linalg.gmres`` call, made through this module's
+``gmres``.  scipy ends every restart cycle on the recomputed residual
+||b - Ax|| and reports success only when that residual meets ``rtol``; when
+rounding lets the running estimate pass first, it tightens its inner
+tolerance and opens another cycle.  A strict solve that runs out of cycles
+raises ``NonConvergenceError`` with the achieved residual and the number of
+GMRES iterations it ran.
 
 Importing this module loads no scipy.  ``scipy.sparse.linalg`` (about
 0.25 s) is imported when the first Krylov-backend ``HamiltonianSpec`` is
@@ -23,11 +23,11 @@ dense (small electric-only) runs never import it.
 
 Every Krylov subspace the package projects onto comes from ``arnoldi``:
 the Ritz pairs of the shifted inverse in ``spectrum``, the Crank-Nicolson
-powers in ``evolution`` and the Lanczos estimate of the weighted resolvent
-norms in ``analysis``.  It orthogonalizes by two-pass classical
-Gram-Schmidt and never assumes the operator Hermitian: the collocated
-magnetic H is not (Saad, Numerical Methods for Large Eigenvalue Problems,
-2nd ed., SIAM 2011).
+powers of ``hamiltonian.cn_power`` and the Lanczos estimate of the
+weighted resolvent norms in ``analysis``.  It orthogonalizes by two-pass
+classical Gram-Schmidt and never assumes the operator Hermitian: the
+collocated magnetic H is not (Saad, Numerical Methods for Large Eigenvalue
+Problems, 2nd ed., SIAM 2011).
 """
 
 from __future__ import annotations

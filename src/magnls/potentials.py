@@ -27,7 +27,7 @@ from .grid import (
 
 _REALNESS_TOL = 1e-13
 _SPLIT_LEVELS = 32        # thresholds tried by the split-norm minimization
-_DECAY_FLOOR = 1e-13      # magnitudes below this are left out of decay fits
+DECAY_FLOOR = 1e-13       # magnitudes below this are left out of decay fits
 
 
 def check_decay_hypotheses(decay_eps: float, lq_exponent: float) -> None:
@@ -197,7 +197,7 @@ def split_lebesgue_norm(values: np.ndarray, q: float,
 
 def _power_law_exponent(radii: np.ndarray, magnitudes: np.ndarray) -> float:
     """Least-squares exponent alpha in |f| <= C <x>^-alpha; +inf if all below floor."""
-    keep = magnitudes > _DECAY_FLOOR
+    keep = magnitudes > DECAY_FLOOR
     if np.count_nonzero(keep) < 8:
         return np.inf
     lx = np.log(np.sqrt(1.0 + radii[keep] ** 2))

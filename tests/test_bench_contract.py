@@ -2,6 +2,7 @@
 parameter and result-field name.  These checks fail when a refactor renames
 something it binds, before a benchmark run would."""
 
+import ast
 import dataclasses
 import importlib.util
 import inspect
@@ -13,6 +14,13 @@ from magnls import (EvolveConfig, GridSpec, analysis, build_gaussian_well,
                     modulation)
 
 TRACER = Path(__file__).resolve().parents[1] / "perfbench" / "tracer.py"
+# the private names one package module imports from another: each is a
+# function the tracer wraps by name and rebinds where it was imported
+TRACER_BOUND_IMPORTS = {
+    ("analysis", "evolution", "_cn_step_values"),
+    ("bound_states", "hamiltonian", "_apply_h_values"),
+    ("spectrum", "hamiltonian", "_apply_h_values"),
+}
 
 
 def new_tracer():
@@ -79,3 +87,15 @@ def test_fields_the_tracer_hooks_read_exist():
                        (evolution.EvolveConfig, {"t_final", "dt"})):
         fields = {f.name for f in dataclasses.fields(cls)}
         assert names <= fields, cls.__name__
+
+
+def test_no_other_private_name_crosses_modules():
+    found = set()
+    for path in sorted(Path(hamiltonian.__file__).parent.glob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text())):
+            if isinstance(node, ast.ImportFrom) and node.level > 0:
+                found |= {(path.stem, node.module, alias.name)
+                          for alias in node.names
+                          if alias.name.startswith("_")
+                          and not alias.name.startswith("__")}
+    assert found <= TRACER_BOUND_IMPORTS, sorted(found - TRACER_BOUND_IMPORTS)
