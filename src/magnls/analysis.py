@@ -124,11 +124,13 @@ class XNormAccumulator:
         self.sigma = float(sigma)
         self._parts = (_TimeLq(2.0), _TimeLq(3.0), _TimeLq(math.inf))
 
-    def add(self, t: float, f: ComplexField) -> None:
+    def add(self, t: float, f: ComplexField) -> tuple[float, float, float]:
+        """Sample f at time t; returns the three norms it sampled."""
         values = (norm_weighted_h1(f, self.sigma), norm_w1p(f, 18.0 / 5.0),
                   norm_h1(f))
         for part, v in zip(self._parts, values):
             part.add(t, v)
+        return values
 
     def components(self) -> tuple[float, float, float]:
         return tuple(part.value() for part in self._parts)

@@ -30,7 +30,7 @@ from .errors import (
     MagnlsError,
     NonConvergenceError,
 )
-from .grid import ComplexField, make_field, norm_l2
+from .grid import ComplexField, make_field, norm_l2, zeros
 from .hamiltonian import HamiltonianSpec, _apply_h_values, shifted_solve
 from .norms import norm_h2, norm_lp
 from .potentials import DECAY_FLOOR
@@ -56,15 +56,23 @@ class BoundState:
 
 @dataclass(frozen=True)
 class DerivativeFields:
-    """Derivatives of z -> Q[z] in the two real directions, plus the energy
-    gradient and the rotation-identity residual."""
+    """Q[z] and its derivatives in the two real directions, plus the energy
+    gradient."""
 
     z: complex
     step: float
+    q: ComplexField
     d1q: ComplexField
     d2q: ComplexField
     de: tuple[float, float]
-    identity_residual: float     # || D1Q (-z2) + D2Q z1 - iQ ||_2
+
+    @property
+    def identity_residual(self) -> float:
+        """|| D1Q (-z2) + D2Q z1 - iQ ||_2, zero for exact tangents."""
+        z = self.z
+        combo = (self.d1q.values * (-z.imag) + self.d2q.values * z.real
+                 - 1j * self.q.values)
+        return norm_l2(make_field(self.q.grid, combo))
 
 
 @dataclass(frozen=True)
@@ -267,7 +275,7 @@ class BoundStateFamily:
         return self.solve(z).energy
 
     def derivative_fields(self, z: complex) -> DerivativeFields:
-        """Tangents from the real curve.  With z = r e^{i theta},
+        """Q[z] and its tangents from the real curve.  With z = r e^{i theta},
 
             D1Q = e^{i theta} (cos theta d_rQ - i sin theta Q[r] / r)
             D2Q = e^{i theta} (sin theta d_rQ + i cos theta Q[r] / r),
@@ -281,22 +289,20 @@ class BoundStateFamily:
         g = self.spec.grid
         phi = self.eig.phi0.values
         if r == 0.0:
-            return DerivativeFields(z=zc, step=h, d1q=make_field(g, phi.copy()),
-                                    d2q=make_field(g, 1j * phi), de=(0.0, 0.0),
-                                    identity_residual=0.0)
+            return DerivativeFields(
+                z=zc, step=h, q=zeros(g),
+                d1q=make_field(g, phi.copy()), d2q=make_field(g, 1j * phi),
+                de=(0.0, 0.0))
         plus, minus = self.solve(r + h), self.solve(r - h)
         rot = zc / r
         dq = rot * (phi + (plus.correction.values - minus.correction.values)
                     / (2.0 * h))
         de = (plus.energy - minus.energy) / (2.0 * h)
-        base = self.solve(zc).field.values
-        d1 = make_field(g, rot.real * dq - 1j * rot.imag * base / r)
-        d2 = make_field(g, rot.imag * dq + 1j * rot.real * base / r)
-        combo = (d1.values * (-zc.imag) + d2.values * zc.real - 1j * base)
-        ident = norm_l2(make_field(g, combo))
-        return DerivativeFields(z=zc, step=h, d1q=d1, d2q=d2,
-                                de=(float(rot.real * de), float(rot.imag * de)),
-                                identity_residual=float(ident))
+        base = self.solve(zc).field
+        d1 = make_field(g, rot.real * dq - 1j * rot.imag * base.values / r)
+        d2 = make_field(g, rot.imag * dq + 1j * rot.real * base.values / r)
+        return DerivativeFields(z=zc, step=h, q=base, d1q=d1, d2q=d2,
+                                de=(float(rot.real * de), float(rot.imag * de)))
 
 
 def decay_fit(field: ComplexField) -> DecayFit:

@@ -120,6 +120,18 @@ def _grid_from(cfg: ExperimentConfig) -> GridSpec:
     return GridSpec(cfg.grid.dim, cfg.grid.sizes, cfg.grid.lengths)
 
 
+def _read_on_grid(key: str, path: str, g: GridSpec) -> ComplexField:
+    """The field stored at ``path``, named by config key ``key``; a field
+    on a grid other than ``g`` is a ``ConfigError``."""
+    f = read_field(path)
+    if f.grid != g:
+        raise ConfigError(
+            f"{key} file {path} is on grid {f.grid.sizes} x "
+            f"{f.grid.box_lengths}, not the config grid {g.sizes} x "
+            f"{g.box_lengths}")
+    return f
+
+
 def _potentials_from(cfg: ExperimentConfig, g: GridSpec) -> PotentialPair:
     p = cfg.potential
     exponents = {"decay_eps": p.decay_eps, "lq_exponent": p.lq_exponent}
@@ -134,23 +146,13 @@ def _potentials_from(cfg: ExperimentConfig, g: GridSpec) -> PotentialPair:
             a = build_localized_loop_field(g, p.loop_amplitude,
                                            p.loop_radius, p.loop_width)
         return make_potential_pair(a, well.v, **exponents)
-    v = read_field(p.v_file)
-    if v.grid != g:
-        raise ConfigError(
-            f"potential.v_file grid {v.grid.sizes} does not match config "
-            f"grid {g.sizes}")
+    v = _read_on_grid("potential.v_file", p.v_file, g)
     if p.a_files:
         if len(p.a_files) != g.dim:
             raise ConfigError(
                 f"potential.a_files needs {g.dim} entries, got {len(p.a_files)}")
-        comps = []
-        for name in p.a_files:
-            c = read_field(name)
-            if c.grid != g:
-                raise ConfigError(f"potential.a_files entry {name} is on a "
-                                  "different grid")
-            comps.append(c)
-        a = VectorField(tuple(comps))
+        a = VectorField(tuple(_read_on_grid("potential.a_files", name, g)
+                              for name in p.a_files))
     else:
         a = zero_vector_field(g)
     return make_potential_pair(a, v, **exponents)
@@ -180,10 +182,7 @@ def _initial_state(cfg: ExperimentConfig,
         return make_field(g, z * family.eig.phi0.values)
     if e.initial == "gaussian":
         return gaussian_bump(g, e.init_amplitude, e.init_width)
-    f = read_field(e.init_file)
-    if f.grid != g:
-        raise ConfigError("evolution.init_file is on a different grid")
-    return f
+    return _read_on_grid("evolution.init_file", e.init_file, g)
 
 
 # ---------------------------------------------------------------------------

@@ -86,6 +86,7 @@ class Trajectory:
     dt: float
     final_state: ComplexField
     energy_scale: float          # |<psi0, H psi0>| + ||psi0||_4^4 / 2
+    wrap_around: float           # wrap_around_estimate(psi0)
     warnings: tuple[str, ...] = dc_field(default_factory=tuple)
 
     @property
@@ -229,7 +230,7 @@ def evolve(spec: HamiltonianSpec, psi0: ComplexField, config: EvolveConfig,
                       mass=np.array(mass), energy=np.array(energy),
                       h1=np.array(h1), dt=config.dt,
                       final_state=snaps[-1], energy_scale=e_scale,
-                      warnings=warnings)
+                      wrap_around=t_wrap, warnings=warnings)
 
 
 def linear_flow(spec: HamiltonianSpec, f: ComplexField, t: float, *,

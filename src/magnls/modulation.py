@@ -8,7 +8,10 @@ The parameter z is fixed by the two real pairing conditions
 with the real pairing <f, g> = Re integral conj(f) g.  B is driven to zero
 by a 2x2 Newton iteration whose Jacobian is minus the symplectic Gram matrix
 G_jk = < D_j Q, i D_k Q >, the leading term of dB/dz; the rest is
-O(|eta| |z|) and only slows the convergence to linear.  Along a
+O(|eta| |z|) and only slows the convergence to linear.  Since <f, i f> = 0
+and <D_2 Q, i D_1 Q> = -<D_1 Q, i D_2 Q>, G = [[0, G_12], [-G_12, 0]], and
+the step solving G dz = B is dz = (-B_2 + i B_1) / G_12.  Each iterate
+evaluates the frame Q[z], D_1 Q, D_2 Q once.  Along a
 trajectory the tracker warm-starts each frame from the previous one,
 forms the gauge-adjusted parameter w(t) = z(t) exp(i int_0^t E[z] ds), and
 reports the modulation residual zdot + i E z through centered differences
@@ -28,12 +31,12 @@ from dataclasses import dataclass, field as dc_field
 import numpy as np
 
 from .analysis import XNormAccumulator, at_most, within
-from .bound_states import BoundStateFamily
+from .bound_states import BoundStateFamily, DerivativeFields
 from .errors import MagnlsError, NewtonDivergence
-from .evolution import Trajectory, linear_flow, wrap_around_estimate
+from .evolution import Trajectory, linear_flow
 from .grid import ComplexField, inner_l2, inner_real, make_field, norm_l2
 from .hamiltonian import HamiltonianSpec
-from .norms import norm_h1, norm_weighted_h1
+from .norms import norm_h1
 from .spectrum import EigenPair
 
 _BASIN_FRACTION = 0.3       # decompose accepts ||psi||_H1 <= this * z_max
@@ -116,18 +119,20 @@ class StabilityReport:
         return bool(self.times[-1] <= self.wrap_around)
 
 
-def _pairings(family: BoundStateFamily, psi_values: np.ndarray,
-              z: complex) -> tuple[np.ndarray, ComplexField]:
-    """B(z) and the radiation eta = psi - Q[z]."""
-    g = family.spec.grid
-    state = family.solve(z)
-    deriv = family.derivative_fields(z)
-    eta = make_field(g, psi_values - state.field.values)
-    b = np.array([
-        inner_real(make_field(g, 1j * eta.values), deriv.d1q),
-        inner_real(make_field(g, 1j * eta.values), deriv.d2q),
-    ])
-    return b, eta
+def _pairings(psi_values: np.ndarray,
+              frame: DerivativeFields) -> tuple[np.ndarray, ComplexField]:
+    """B(z) and the radiation eta = psi - Q[z], from the frame at z."""
+    g = frame.q.grid
+    eta = make_field(g, psi_values - frame.q.values)
+    i_eta = make_field(g, 1j * eta.values)
+    return np.array([inner_real(i_eta, frame.d1q),
+                     inner_real(i_eta, frame.d2q)]), eta
+
+
+def _gram_entry(frame: DerivativeFields) -> float:
+    """G_12 = < D_1 Q, i D_2 Q >, the one free entry of the Gram matrix."""
+    return inner_real(frame.d1q, make_field(frame.q.grid,
+                                            1j * frame.d2q.values))
 
 
 def decompose(spec: HamiltonianSpec, eig: EigenPair, psi: ComplexField,
@@ -137,7 +142,11 @@ def decompose(spec: HamiltonianSpec, eig: EigenPair, psi: ComplexField,
 
     The cold start is the ground-state coefficient <phi0, psi>.  The state
     must sit inside the decomposition basin: ||psi||_H1 at most 0.3 of the
-    amplitude ceiling.
+    amplitude ceiling.  Each Newton iterate makes one
+    ``family.derivative_fields`` call; B and the step
+    dz = (-B_2 + i B_1) / G_12 of the antisymmetric Gram matrix
+    G = [[0, G_12], [-G_12, 0]] both come from that frame, and the iterate
+    with the smallest |B| is returned.
     """
     cap = _BASIN_FRACTION * family.z_max
     psi_h1 = norm_h1(psi)
@@ -150,28 +159,28 @@ def decompose(spec: HamiltonianSpec, eig: EigenPair, psi: ComplexField,
     psi_l2 = norm_l2(psi)
     tol_primary = 1e-12 * (1.0 + psi_l2)
 
-    best = (np.inf, z)
+    best = (np.inf, None, None)       # (max_j |B_j|, frame, eta)
     iters = 0
     converged = False
     for iters in range(1, max_newton + 1):
-        b, eta = _pairings(family, psi.values, z)
+        frame = family.derivative_fields(z)
+        b, eta = _pairings(psi.values, frame)
         bmax = float(np.max(np.abs(b)))
         if bmax < best[0]:
-            best = (bmax, z)
+            best = (bmax, frame, eta)
         if bmax <= tol_primary:
             converged = True
             # polish toward the radiation-relative tolerance while it helps
             target = 0.3e-10 * max(norm_h1(eta), 1e-300)
             if bmax <= target:
                 break
-        try:
-            # Jacobian dB/dz = -G + O(|eta| |z|)
-            update = np.linalg.solve(symplectic_gram(family, z), b)
-        except np.linalg.LinAlgError as exc:
+        # Jacobian dB/dz = -G + O(|eta| |z|)
+        g12 = _gram_entry(frame)
+        if g12 == 0.0:
             if converged:
                 break
-            raise NewtonDivergence(f"singular Jacobian at z = {z}") from exc
-        step_z = complex(update[0], update[1])
+            raise NewtonDivergence(f"singular Jacobian at z = {z}")
+        step_z = complex(-b[1] / g12, b[0] / g12)
         if not np.isfinite(step_z.real) or not np.isfinite(step_z.imag):
             if converged:
                 break
@@ -190,27 +199,20 @@ def decompose(spec: HamiltonianSpec, eig: EigenPair, psi: ComplexField,
             f"pairing conditions stalled at |B| = {best[0]:.3e} after "
             f"{iters} iterations (target {tol_primary:.1e})")
 
-    z = best[1]
-    b, eta = _pairings(family, psi.values, z)
-    state = family.solve(z)
+    bmax, frame, eta = best
     recon = norm_l2(make_field(
-        spec.grid, psi.values - state.field.values - eta.values))
-    return DecompositionRecord(z=z, eta=eta,
-                               ortho_resid=float(np.max(np.abs(b))),
+        spec.grid, psi.values - frame.q.values - eta.values))
+    return DecompositionRecord(z=frame.z, eta=eta, ortho_resid=bmax,
                                newton_iters=iters,
                                reconstruction_resid=float(recon))
 
 
 def symplectic_gram(family: BoundStateFamily, z: complex) -> np.ndarray:
-    """Gram matrix G_jk = < D_j Q, i D_k Q >; approaches [[0,-1],[1,0]] as
-    z -> 0.  Minus G is the Newton Jacobian of ``decompose``."""
-    d = family.derivative_fields(z)
-    g = family.spec.grid
-    out = np.empty((2, 2))
-    for j, dj in enumerate((d.d1q, d.d2q)):
-        for k, dk in enumerate((d.d1q, d.d2q)):
-            out[j, k] = inner_real(dj, make_field(g, 1j * dk.values))
-    return out
+    """Gram matrix G_jk = < D_j Q, i D_k Q > = [[0, G_12], [-G_12, 0]];
+    approaches [[0,-1],[1,0]] as z -> 0.  Minus G is the Newton Jacobian
+    of ``decompose``."""
+    g12 = _gram_entry(family.derivative_fields(z))
+    return np.array([[0.0, g12], [-g12, 0.0]])
 
 
 def scattering_gap(spec: HamiltonianSpec, eta1: ComplexField, t1: float,
@@ -256,14 +258,12 @@ def track(spec: HamiltonianSpec, eig: EigenPair, traj: Trajectory,
         rec = decompose(spec, eig, traj.snapshots[j], family, z_guess=z_guess)
         z_guess = rec.z
         zs[j] = rec.z
-        energies[j] = family.energy(rec.z)
-        eta_h1[j] = norm_h1(rec.eta)
-        eta_w_h1[j] = norm_weighted_h1(rec.eta, sigma)
+        state = family.solve(rec.z)
+        energies[j] = state.energy
+        eta_w_h1[j], _, eta_h1[j] = acc.add(float(times[j]), rec.eta)
         ortho[j] = rec.ortho_resid
-        q_field = family.solve(rec.z).field
-        pairing[j] = inner_real(rec.eta, q_field)
+        pairing[j] = inner_real(rec.eta, state.field)
         nit[j] = rec.newton_iters
-        acc.add(float(times[j]), rec.eta)
         if j in checkpoint_idx:
             checkpoint_etas[j] = rec.eta
 
@@ -295,7 +295,7 @@ def track(spec: HamiltonianSpec, eig: EigenPair, traj: Trajectory,
         x_norm_eta=acc.components(),
         scattering_checkpoints=np.array([times[j] for j in idx_list]),
         scattering_gaps=tuple(gaps), eta_plus_estimate=eta_plus,
-        wrap_around=float(wrap_around_estimate(traj.snapshots[0])),
+        wrap_around=traj.wrap_around,
         warnings=traj.warnings)
 
 

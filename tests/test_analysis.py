@@ -21,6 +21,9 @@ from magnls import (
     is_admissible,
     make_potential_pair,
     norm_equivalence_check,
+    norm_h1,
+    norm_w1p,
+    norm_weighted_h1,
     resolvent_bound_scan,
     strichartz_ratio,
     zero_vector_field,
@@ -62,12 +65,18 @@ def test_xnorm_closed_form():
     times = np.linspace(0.0, 2.0, 201)
     for t in times:
         acc.add(float(t), f)
-    from magnls import norm_h1, norm_w1p, norm_weighted_h1
     c1, c2, c3 = acc.components()
     assert c1 == pytest.approx(np.sqrt(2.0) * norm_weighted_h1(f, 4.1), rel=1e-6)
     assert c2 == pytest.approx(2.0 ** (1 / 3) * norm_w1p(f, 18 / 5), rel=1e-6)
     assert c3 == pytest.approx(norm_h1(f), rel=1e-12)
     assert acc.value() == pytest.approx(c1 + c2 + c3)
+
+
+def test_xnorm_add_returns_the_norms_it_samples():
+    g = GridSpec(1, (64,), (20.0,))
+    f = from_function(g, lambda x: np.exp(-(x**2) + 0.5j * x))
+    assert XNormAccumulator(sigma=4.1).add(0.0, f) == (
+        norm_weighted_h1(f, 4.1), norm_w1p(f, 18 / 5), norm_h1(f))
 
 
 def test_xnorm_rejects_time_reversal():

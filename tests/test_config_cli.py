@@ -225,6 +225,31 @@ def test_file_potential_matches_direct_construction(tmp_path):
     assert abs(payload["e0"] - direct.e0) <= 1e-12
 
 
+@pytest.mark.parametrize("key", ["potential.v_file", "potential.a_files",
+                                 "evolution.init_file"])
+def test_field_file_on_another_grid_is_a_config_error(tmp_path, key):
+    g = GridSpec(1, (256,), (40.0,))
+    good, bad = tmp_path / "good.fld", tmp_path / "bad.fld"
+    write_field(good, build_gaussian_well(g, -2.0, 1.0).v)
+    write_field(bad, build_gaussian_well(GridSpec(1, (128,), (40.0,)),
+                                         -2.0, 1.0).v)
+    files = {"potential.v_file": good, "potential.a_files": good,
+             "evolution.init_file": good}
+    files[key] = bad
+    text = MINIMAL.replace(
+        "kind = gaussian_well",
+        f"kind = file\nv_file = {files['potential.v_file']}\n"
+        f"a_files = {files['potential.a_files']}") + (
+        "\n[evolution]\ninitial = file\n"
+        f"init_file = {files['evolution.init_file']}\n")
+    out = tmp_path / "run"
+    assert main(["evolve", "--config", str(write_config(tmp_path, text)),
+                 "--output", str(out)]) == 2
+    manifest = json.loads((out / "manifest.json").read_text())
+    assert manifest["status"] == "error"
+    assert key in manifest["error"]
+
+
 def test_resolvent_eps_floor_covers_the_fine_scan(tmp_path):
     # resolvent-scan also runs at eps / 10, and every resolvent solve needs
     # |Im zeta| >= 1e-8, so 1e-8 itself must be rejected before any scan

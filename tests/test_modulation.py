@@ -35,6 +35,7 @@ from magnls import (
     scattering_gap,
     symplectic_gram,
     track,
+    wrap_around_estimate,
 )
 from magnls.modulation import stability_verdicts
 
@@ -141,6 +142,48 @@ def test_newton_divergence_is_reported(sech_spec, sech_eig, sech_family):
                   z_guess=0.19, max_newton=2)
 
 
+def test_decompose_evaluates_one_frame_per_newton_iterate(
+        sech_spec, sech_eig, monkeypatch):
+    family = BoundStateFamily(sech_spec, sech_eig, 1)
+    _, psi = perturbed_state(sech_spec, sech_eig, family, 2e-3)
+    frames = []
+    real_frame = family.derivative_fields
+
+    def counting(z):
+        frames.append(z)
+        return real_frame(z)
+
+    monkeypatch.setattr(family, "derivative_fields", counting)
+    rec = decompose(sech_spec, sech_eig, psi, family)
+    assert rec.newton_iters >= 2
+    assert len(frames) == rec.newton_iters
+
+
+@pytest.fixture(scope="module")
+def loop16_family():
+    g = GridSpec(2, (16, 16), (20.0, 20.0))
+    spec = build_hamiltonian(make_potential_pair(
+        build_localized_loop_field(g, 0.3, 1.5, 1.0),
+        build_gaussian_well(g, -2.0, 1.0).v))
+    return BoundStateFamily(spec, ground_state(spec), 1)
+
+
+@pytest.mark.parametrize("z", [0.0, 0.04, 0.03 - 0.02j])
+@pytest.mark.parametrize("which", ["1d-well", "16x16-loop"])
+def test_symplectic_gram_is_the_four_tangent_pairings(which, z, sech_family,
+                                                      loop16_family):
+    family = sech_family if which == "1d-well" else loop16_family
+    d = family.derivative_fields(z)
+    g = family.spec.grid
+    tangents = (d.d1q, d.d2q)
+    pairings = np.array([[inner_real(dj, make_field(g, 1j * dk.values))
+                          for dk in tangents] for dj in tangents])
+    # decompose's closed-form step relies on G = [[0, G12], [-G12, 0]];
+    # the tolerance only allows for a BLAS that rounds the diagonal off 0
+    np.testing.assert_allclose(symplectic_gram(family, z), pairings,
+                               rtol=0.0, atol=1e-13)
+
+
 def test_symplectic_gram_structure(sech_family):
     g = symplectic_gram(sech_family, 0.04)
     # the phase/scaling tangent frame pairs to the standard symplectic form,
@@ -184,6 +227,7 @@ def test_track_on_a_short_run(short_run):
     assert rep.eta_plus_estimate is not None
     tv1, tv2 = gauge_adjusted_variation(rep)
     assert tv1 >= 0 and tv2 >= 0
+    assert rep.wrap_around == wrap_around_estimate(traj.snapshots[0])
 
 
 def test_track_needs_enough_frames(sech_spec, sech_eig, sech_family):
