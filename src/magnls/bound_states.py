@@ -57,13 +57,14 @@ class BoundState:
 @dataclass(frozen=True)
 class DerivativeFields:
     """Q[z] and its derivatives in the two real directions, plus the energy
-    gradient."""
+    E[z] and its gradient."""
 
     z: complex
     step: float
     q: ComplexField
     d1q: ComplexField
     d2q: ComplexField
+    energy: float
     de: tuple[float, float]
 
     @property
@@ -292,16 +293,18 @@ class BoundStateFamily:
             return DerivativeFields(
                 z=zc, step=h, q=zeros(g),
                 d1q=make_field(g, phi.copy()), d2q=make_field(g, 1j * phi),
-                de=(0.0, 0.0))
+                energy=self.eig.e0, de=(0.0, 0.0))
         plus, minus = self.solve(r + h), self.solve(r - h)
         rot = zc / r
         dq = rot * (phi + (plus.correction.values - minus.correction.values)
                     / (2.0 * h))
         de = (plus.energy - minus.energy) / (2.0 * h)
-        base = self.solve(zc).field
-        d1 = make_field(g, rot.real * dq - 1j * rot.imag * base.values / r)
-        d2 = make_field(g, rot.imag * dq + 1j * rot.real * base.values / r)
-        return DerivativeFields(z=zc, step=h, q=base, d1q=d1, d2q=d2,
+        base = self.solve(zc)
+        q = base.field.values
+        d1 = make_field(g, rot.real * dq - 1j * rot.imag * q / r)
+        d2 = make_field(g, rot.imag * dq + 1j * rot.real * q / r)
+        return DerivativeFields(z=zc, step=h, q=base.field, d1q=d1, d2q=d2,
+                                energy=base.energy,
                                 de=(float(rot.real * de), float(rot.imag * de)))
 
 

@@ -14,11 +14,15 @@ deflated shift is one product with the cached inverse of its matrix); this
 backend loads no scipy.  Every other operator, in particular any with
 A != 0, whose collocated first-order terms are not symmetric, solves by
 restarted GMRES (``krylov``) in ``_krylov_shifted_solve``, the one Krylov
-kernel: resolvents, deflated bound-state solves, the eigensolver's inverse
-iterations and the Crank-Nicolson step (a shifted solve at 2i/dt, see
-``cn_power``) all call it.  It runs in frequency space with the free
+kernel: resolvents, deflated bound-state solves and the eigensolver's
+inverse iterations call it.  It runs in frequency space with the free
 resolvent as right preconditioner, so GMRES minimizes the true residual and
-each of its steps costs d + 2 transforms (2 when A = 0).
+each of its steps costs d + 2 transforms (2 when A = 0).  The
+Crank-Nicolson step (``cn_power``) solves the same preconditioned system at
+2i/dt, where it is a small perturbation of the identity, by Richardson
+sweeps with a kernel cached per dt (``_cn_sweep``): it stops on the true
+residual, returns the corrected iterate, and falls back to the GMRES kernel
+when the residual fails to halve or the sweep cap is reached.
 ``HamiltonianSpec`` caches whether A vanishes, the multiplication part
 V + i div A and the first-order weights 2i A_j.  It also fixes the positive
 shift K for the auxiliary operator H1 = H + K used by the
@@ -70,6 +74,9 @@ _DIRECTION_MAX_ITER = 300
 # relative residual of each Krylov CN shifted solve, and the relative error
 # estimate each Krylov-projected CN power must meet
 _CN_TOL = 1e-12
+# Richardson sweeps of one Krylov CN step before it falls back to GMRES; on
+# random data the 64x64 loop grid needs 5 at dt = 1e-3 and 11 at dt = 5e-2
+_CN_SWEEPS = 16
 _BASIS_BYTES = 32 * 2**20  # Arnoldi basis of one Krylov CN power
 _ESTIMATE_EVERY = 5        # basis vectors between error estimates
 
@@ -130,6 +137,18 @@ class HamiltonianSpec:
         """The eigenbasis of H, built on first use; None on the Krylov
         backend."""
         return DenseBasis(self) if self.linear_backend == "dense" else None
+
+    def cn_kernel(self, dt: float) -> tuple[np.ndarray, np.ndarray]:
+        """(D^-1, multiplier stack) of the Krylov CN step of size dt, with
+        D = |k|^2 - 2i/dt (see ``_multipliers``).  Kept for the last dt
+        only, in the instance dict as ``cached_property`` keeps its values.
+        |D| >= 2/|dt|, so no mode needs regularizing."""
+        kept = self.__dict__.get("_cn_kernel")
+        if kept is None or kept[0] != dt:
+            inv = 1.0 / (self.grid.k_squared - 2j / dt)
+            kept = (dt, inv, _multipliers(self, inv))
+            self.__dict__["_cn_kernel"] = kept
+        return kept[1], kept[2]
 
 
 def default_k_shift(potentials: PotentialPair) -> float:
@@ -405,9 +424,16 @@ def cn_power(spec: HamiltonianSpec, values: np.ndarray, dt: float,
 
         psi+ = psi - 2 (H - zeta)^-1 H psi,
 
-    solved by ``_krylov_shifted_solve`` like every other linear solve, with
-    the right-hand side F H psi from ``_h_hat``, the kernel's own pieces.
-    The solve's error then scales with the increment, not with the state.
+    with the right-hand side F H psi from ``_h_hat``, the kernel's own
+    pieces.  The solve's error then scales with the increment, not with the
+    state.  It is a Richardson sweep on the y-system of
+    ``_krylov_shifted_solve`` (``_cn_sweep``): y <- y - r with r the true
+    residual, on D^-1 and the multiplier stack that
+    ``HamiltonianSpec.cn_kernel`` keeps for the last dt.  It stops once
+    ||r|| <= ``_CN_TOL`` ||F H psi|| and returns the corrected iterate
+    x = F^-1 D^-1 (y - r).  When ||r|| fails to halve, or after
+    ``_CN_SWEEPS`` sweeps, the step is one strict GMRES solve by
+    ``_krylov_shifted_solve``.
     For n > 1 the Krylov backend projects instead: an Arnoldi basis V_m of
     the Krylov space K_m(H, psi) (``krylov.arnoldi``; the collocated H is
     not Hermitian) gives H V_m = V_m H_m + h_{m+1,m} v_{m+1} e_m^T, and
@@ -415,8 +441,8 @@ def cn_power(spec: HamiltonianSpec, values: np.ndarray, dt: float,
     matrix.  The basis grows until the a-posteriori estimate
     h_{m+1,m} |e_m^T c(H_m)^n e_1| meets ``_CN_TOL`` (Hochbruck-Lubich
     1997; Sidje's Expokit, 1998).  The basis is bounded by ``_BASIS_BYTES``;
-    when the estimate misses at that size, the n steps are taken as n
-    shifted solves, so a miss costs one basis more than stepping.  Either
+    when the estimate misses at that size, the n steps are taken one by
+    one, so a miss costs one basis more than stepping.  Either
     way, every n-step power is the discrete Crank-Nicolson propagator, not
     exp(-i n dt H).
     """
@@ -424,8 +450,11 @@ def cn_power(spec: HamiltonianSpec, values: np.ndarray, dt: float,
     if dense is not None:
         return dense.cayley(values, dt, n)
     if n == 1:
-        return values - 2.0 * _krylov_shifted_solve(
-            spec, 2j / dt, _h_hat(spec, values), tol_rel=_CN_TOL)
+        f_hat = _h_hat(spec, values)
+        x = _cn_sweep(spec, dt, f_hat)
+        if x is None:
+            x = _krylov_shifted_solve(spec, 2j / dt, f_hat, tol_rel=_CN_TOL)
+        return values - 2.0 * x
     shape, size = values.shape, values.size
     beta = float(np.linalg.norm(values))
     if beta == 0.0:
@@ -460,6 +489,50 @@ def _h_hat(spec: HamiltonianSpec, values: np.ndarray) -> np.ndarray:
     out = np.fft.fftn(bx)
     out += spec.grid.k_squared * fhat
     return out
+
+
+def _multipliers(spec: HamiltonianSpec, inv: np.ndarray) -> np.ndarray:
+    """[D^-1, i k_1 D^-1, ..., i k_d D^-1] (only D^-1 when A = 0): one
+    batched inverse transform of this stack times y gives x = F^-1 D^-1 y
+    and every d_j x."""
+    if spec.magnetic:
+        return np.stack([inv] + [1j * k * inv for k in spec.grid.k_mesh])
+    return inv[None]
+
+
+def _cn_sweep(spec: HamiltonianSpec, dt: float,
+              f_hat: np.ndarray) -> np.ndarray | None:
+    """The values of x = (H - 2i/dt)^-1 f for f given by its DFT ``f_hat``,
+    by Richardson iteration on the y-system of ``_krylov_shifted_solve``,
+    (I + K) y = F f with K = F B F^-1 D^-1; None when the sweep does not
+    converge.
+
+    Each sweep is y <- y - r = F f - K y, where r = y + K y - F f is the
+    true residual of the iterate y; one application of K is one batched
+    inverse transform of the cached multiplier stack times y
+    (``HamiltonianSpec.cn_kernel``), the pointwise B and one forward
+    transform.  At the CN shift K is small (|D^-1| <= |dt|/2 and
+    |k_j D^-1| <= sqrt(|dt|)/2), so the sweep contracts.  Once
+    ||r|| <= ``_CN_TOL`` ||F f||, the corrected iterate y - r is returned as
+    x = F^-1 D^-1 (y - r), one more inverse transform.  When ||r|| fails to
+    halve, or after ``_CN_SWEEPS`` sweeps, the caller solves by GMRES.
+    """
+    b_norm = float(np.linalg.norm(f_hat))
+    inv, mult = spec.cn_kernel(dt)
+    axes = tuple(range(1, spec.grid.dim + 1))
+    y = f_hat
+    last = np.inf
+    for _ in range(_CN_SWEEPS):
+        xs = np.fft.ifftn(mult * y, axes=axes)
+        nxt = f_hat - np.fft.fftn(_b_values(spec, xs[0], xs[1:]))
+        r_norm = float(np.linalg.norm(y - nxt))
+        y = nxt
+        if r_norm <= _CN_TOL * b_norm:
+            return np.fft.ifftn(inv * y)
+        if r_norm > 0.5 * last:
+            return None
+        last = r_norm
+    return None
 
 
 def _krylov_shifted_solve(spec: HamiltonianSpec, zeta: complex,
@@ -498,10 +571,7 @@ def _krylov_shifted_solve(spec: HamiltonianSpec, zeta: complex,
     # -lap - zeta in the variable y: the identity, except on regularized modes
     ident = lap / d if np.any(small) else None
     inv = 1.0 / d
-    if spec.magnetic:
-        mult = np.stack([inv] + [1j * k * inv for k in g.k_mesh])
-    else:
-        mult = inv[None]
+    mult = _multipliers(spec, inv)
     axes = tuple(range(1, g.dim + 1))
     dv = g.volume_element
 

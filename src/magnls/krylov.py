@@ -1,11 +1,15 @@
 """The package's two Krylov kernels: restarted GMRES and the Arnoldi process.
 
-Every linear solve on the Krylov backend funnels through ``solve``, called
-only from ``hamiltonian._krylov_shifted_solve``: resolvent applications,
-deflated solves at the ground-state energy, the eigensolver's inverse
-iterations and the Crank-Nicolson step of ``hamiltonian.cn_power``, which
-is a shifted solve at 2i/dt.  (Small electric-only grids solve directly in
-a dense eigenbasis instead; see ``hamiltonian``.)  The caller hands over an
+Every linear solve on the Krylov backend but one funnels through ``solve``,
+called only from ``hamiltonian._krylov_shifted_solve``: resolvent
+applications, deflated solves at the ground-state energy and the
+eigensolver's inverse iterations.  The exception is the Crank-Nicolson step
+of ``hamiltonian.cn_power``, a shifted solve at 2i/dt: there the
+preconditioned system is close to the identity, and Richardson sweeps stop
+on its true residual and return the corrected iterate; only a sweep whose
+residual fails to halve or that reaches its cap falls back to ``solve``.
+(Small electric-only grids solve directly in a dense eigenbasis instead;
+see ``hamiltonian``.)  The caller hands over an
 already preconditioned operator, so GMRES runs without ``M`` and its
 running residual estimate is the residual of the system it solves.  Each
 solve is one ``scipy.sparse.linalg.gmres`` call, made through this module's

@@ -64,6 +64,8 @@ class DecompositionRecord:
     ortho_resid: float          # max_j |B_j| at the accepted iterate
     newton_iters: int
     reconstruction_resid: float
+    q: ComplexField             # Q[z] of the accepted frame
+    energy: float               # E[z]
 
 
 @dataclass
@@ -204,7 +206,8 @@ def decompose(spec: HamiltonianSpec, eig: EigenPair, psi: ComplexField,
         spec.grid, psi.values - frame.q.values - eta.values))
     return DecompositionRecord(z=frame.z, eta=eta, ortho_resid=bmax,
                                newton_iters=iters,
-                               reconstruction_resid=float(recon))
+                               reconstruction_resid=float(recon),
+                               q=frame.q, energy=frame.energy)
 
 
 def symplectic_gram(family: BoundStateFamily, z: complex) -> np.ndarray:
@@ -258,11 +261,10 @@ def track(spec: HamiltonianSpec, eig: EigenPair, traj: Trajectory,
         rec = decompose(spec, eig, traj.snapshots[j], family, z_guess=z_guess)
         z_guess = rec.z
         zs[j] = rec.z
-        state = family.solve(rec.z)
-        energies[j] = state.energy
+        energies[j] = rec.energy
         eta_w_h1[j], _, eta_h1[j] = acc.add(float(times[j]), rec.eta)
         ortho[j] = rec.ortho_resid
-        pairing[j] = inner_real(rec.eta, state.field)
+        pairing[j] = inner_real(rec.eta, rec.q)
         nit[j] = rec.newton_iters
         if j in checkpoint_idx:
             checkpoint_etas[j] = rec.eta

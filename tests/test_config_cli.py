@@ -372,22 +372,42 @@ def test_dense_runs_load_no_scipy_solver_and_krylov_operators_load_gmres(
     assert "scipy.sparse.linalg" in after_krylov
 
 
+def concurrent_evolve_reruns(path, tmp_path, tag, env) -> list[dict]:
+    """Two ``magnls evolve`` runs of one config in new interpreters, started
+    together; the bytes of each run's .csv and .fld outputs by name."""
+    outs = [tmp_path / f"{tag}{rerun}" for rerun in ("a", "b")]
+    procs = [subprocess.Popen(
+        [sys.executable, "-m", "magnls.cli", "evolve", "--config", str(path),
+         "--output", str(out)],
+        env=env, stdout=subprocess.PIPE, stderr=subprocess.PIPE, text=True)
+        for out in outs]
+    for proc in procs:
+        _, err = proc.communicate(timeout=600)
+        assert proc.returncode == 0, err
+    return [{p.name: p.read_bytes() for p in sorted(out.iterdir())
+             if p.suffix in (".csv", ".fld")} for out in outs]
+
+
 def test_evolve_is_byte_identical_under_each_blas_thread_count(tmp_path):
     # the dense eigenbasis may differ bitwise between BLAS thread counts;
     # reruns under one setting must not
     path = write_config(tmp_path, MINIMAL)
     for threads in ("1", "2"):
-        env = package_env(OPENBLAS_NUM_THREADS=threads)
-        payloads = []
-        for rerun in ("a", "b"):
-            out = tmp_path / f"threads{threads}{rerun}"
-            proc = subprocess.run(
-                [sys.executable, "-m", "magnls.cli", "evolve", "--config",
-                 str(path), "--output", str(out)],
-                env=env, capture_output=True, text=True, timeout=600)
-            assert proc.returncode == 0, proc.stderr
-            payloads.append({p.name: p.read_bytes()
-                             for p in sorted(out.iterdir())
-                             if p.suffix in (".csv", ".fld")})
+        payloads = concurrent_evolve_reruns(
+            path, tmp_path, f"threads{threads}",
+            package_env(OPENBLAS_NUM_THREADS=threads))
         assert payloads[0] == payloads[1]
         assert "series.csv" in payloads[0]
+
+
+def test_krylov_evolve_reruns_are_byte_identical(tmp_path):
+    # criterion 13 on the Krylov backend: A != 0, so every Crank-Nicolson
+    # step is a Richardson sweep with a per-dt cached kernel
+    loop = ("[grid]\ndim = 2\nsizes = 16\nlengths = 20.0\n\n"
+            "[potential]\nkind = loop\n\n"
+            "[evolution]\ndt = 1e-3\nt_final = 0.05\nsnapshot_stride = 10\n")
+    payloads = concurrent_evolve_reruns(write_config(tmp_path, loop),
+                                        tmp_path, "loop", package_env())
+    assert payloads[0] == payloads[1]
+    assert "series.csv" in payloads[0]
+    assert any(name.endswith(".fld") for name in payloads[0])

@@ -1,13 +1,13 @@
 """The two linear backends: a dense eigenbasis on small electric-only grids,
 restarted GMRES everywhere else.  Each fast path is checked against the
 dense oracles, and so is ``hamiltonian.h_matrix``, the one assembly of the
-matrix of H, on electric and A != 0 grids.  The Krylov shifted solve, the
-only path for A != 0, is solved against the oracle matrix in one, two and
-three dimensions, called directly on grids the dense backend would
-otherwise serve, and the Krylov Crank-Nicolson step runs on the A != 0
-``magnetic_spec``.  The Krylov-projected n-step propagator of
-``linear_flow`` is checked against the oracle's n-th power and against n
-single steps."""
+matrix of H, on electric and A != 0 grids.  The Krylov shifted solve is
+solved against the oracle matrix in one, two and three dimensions, called
+directly on grids the dense backend would otherwise serve.  The Krylov
+Crank-Nicolson step, a Richardson sweep, is checked against the oracle
+propagator on the same grids with no GMRES call, and so is its forced GMRES
+fallback.  The Krylov-projected n-step propagator of ``linear_flow`` is
+checked against the oracle's n-th power and against n single steps."""
 
 import numpy as np
 import pytest
@@ -324,6 +324,69 @@ def test_krylov_shifted_solve_matches_the_dense_oracle(grid, shift, start,
     assert np.linalg.norm(resid) <= tol * np.linalg.norm(f)
 
 
+@pytest.fixture(scope="module")
+def cn_oracle(krylov_oracle):
+    """``orc.cn_propagator`` of a ``krylov_oracle`` operator by name and
+    dt, each built on first use."""
+    cache = {}
+
+    def get(name, dt):
+        if (name, dt) not in cache:
+            cache[name, dt] = orc.cn_propagator(krylov_oracle(name)[0], dt)
+        return cache[name, dt]
+    return get
+
+
+def counted_gmres(monkeypatch):
+    """The list of ``krylov.gmres`` calls made from here on."""
+    calls = []
+    gmres = hamiltonian.krylov.gmres
+
+    def counted(*args, **kwargs):
+        calls.append(kwargs.get("rtol"))
+        return gmres(*args, **kwargs)
+
+    monkeypatch.setattr(hamiltonian.krylov, "gmres", counted)
+    return calls
+
+
+@pytest.mark.parametrize("dt", [1e-3, -1e-3])
+@pytest.mark.parametrize("data", ["smooth", "random"])
+@pytest.mark.parametrize(
+    "grid", ["magnetic_1d", "loop_2d", "loop_3d", "electric_1d"])
+def test_krylov_cn_step_sweeps_without_gmres(grid, data, dt, krylov_oracle,
+                                             cn_oracle, monkeypatch):
+    # the Richardson sweep serves every CN step at these shifts, in one,
+    # two and three dimensions and with A = 0
+    spec = krylov_oracle(grid)[0]
+    g = spec.grid
+    values = (gaussian_bump(g, 1.0, 2.0).values if data == "smooth"
+              else random_values(g, 66))
+    calls = counted_gmres(monkeypatch)
+    got = hamiltonian.cn_power(spec, values, dt, 1)
+    want = (cn_oracle(grid, dt) @ values.ravel()).reshape(g.sizes)
+    assert calls == []
+    assert relative_gap(got, want) <= 1e-12
+
+
+@pytest.mark.parametrize("force", ["cap", "dt"])
+def test_krylov_cn_step_falls_back_to_gmres(force, krylov_oracle,
+                                            monkeypatch):
+    # One sweep cannot reach the tolerance.  At dt = 2 the sweep's residual
+    # on the loop grid falls by less than half from the second sweep to the
+    # third.  Either way one GMRES solve takes the step; at the shift i,
+    # closer to the spectrum, it meets the oracle to 1.1e-12.
+    spec = krylov_oracle("loop_2d")[0]
+    dt, bound = {"cap": (1e-3, 1e-12), "dt": (2.0, 1e-11)}[force]
+    if force == "cap":
+        monkeypatch.setattr(hamiltonian, "_CN_SWEEPS", 1)
+    values = random_values(spec.grid, 67)
+    calls = counted_gmres(monkeypatch)
+    got = hamiltonian.cn_power(spec, values, dt, 1)
+    assert calls == [hamiltonian._CN_TOL]
+    assert relative_gap(got, oracle_step(spec, values, dt)) <= bound
+
+
 def test_krylov_shifted_solve_on_a_regularized_mode(krylov_oracle):
     # zeta = 0 makes |k|^2 - zeta vanish at k = 0, where the kernel's
     # preconditioner is regularized; H itself stays invertible there
@@ -394,22 +457,14 @@ def test_non_strict_resolvent_solve_meets_its_true_residual_in_one_call(
     # 1e-8 in its one call (16 steps on this loop grid).
     spec = loop(16)
     g = spec.grid
-    calls = 0
-    gmres = hamiltonian.krylov.gmres
-
-    def counted(*args, **kwargs):
-        nonlocal calls
-        calls += 1
-        return gmres(*args, **kwargs)
-
-    monkeypatch.setattr(hamiltonian.krylov, "gmres", counted)
+    calls = counted_gmres(monkeypatch)
     rng = np.random.default_rng(3)
     f = make_field(g, rng.standard_normal(g.sizes)
                    + 1j * rng.standard_normal(g.sizes))
     zeta = 1.0 + 1e-2j
     u = resolvent_solve(spec, zeta, f, tol_rel=1e-8, strict=False)
     resid = apply_h(spec, u).values - zeta * u.values - f.values
-    assert calls == 1
+    assert len(calls) == 1
     assert np.linalg.norm(resid) <= 1e-8 * np.linalg.norm(f.values)
 
 

@@ -56,6 +56,9 @@ def test_decompose_recovers_the_pair(sech_spec, sech_eig, sech_family):
     recon = q.field.values + rec.eta.values - psi.values
     assert np.max(np.abs(recon)) < 1e-14
     assert rec.reconstruction_resid < 1e-14
+    # the record carries Q[z] and E[z] of its accepted frame
+    assert np.array_equal(rec.q.values, q.field.values)
+    assert rec.energy == q.energy
     # symplectic orthogonality against both tangent directions
     assert rec.ortho_resid <= 1e-10 * max(norm_h1(rec.eta), 1e-300)
     d = sech_family.derivative_fields(rec.z)
@@ -228,6 +231,36 @@ def test_track_on_a_short_run(short_run):
     tv1, tv2 = gauge_adjusted_variation(rep)
     assert tv1 >= 0 and tv2 >= 0
     assert rep.wrap_around == wrap_around_estimate(traj.snapshots[0])
+
+
+def test_track_solves_the_family_only_for_decompose_frames(
+        sech_spec, sech_eig, short_run, monkeypatch):
+    # E[z] and Q[z] of each frame come from its decomposition record
+    traj, _ = short_run
+    family = BoundStateFamily(sech_spec, sech_eig, 1)
+    real_frame, real_solve = family.derivative_fields, family.solve
+    inside = False
+    outside = []
+
+    def frame(z):
+        nonlocal inside
+        inside = True
+        try:
+            return real_frame(z)
+        finally:
+            inside = False
+
+    def solve(z):
+        if not inside:
+            outside.append(z)
+        return real_solve(z)
+
+    monkeypatch.setattr(family, "derivative_fields", frame)
+    monkeypatch.setattr(family, "solve", solve)
+    rep = track(sech_spec, sech_eig, traj, family)
+    assert outside == []
+    assert rep.energy_series.tolist() == [real_solve(z).energy
+                                          for z in rep.z_series]
 
 
 def test_track_needs_enough_frames(sech_spec, sech_eig, sech_family):
