@@ -12,17 +12,18 @@ real symmetric; ``HamiltonianSpec.dense_basis`` diagonalizes it once, on
 first use, and shifted solves become products with that eigenbasis (a
 deflated shift is one product with the cached inverse of its matrix); this
 backend loads no scipy.  Every other operator, in particular any with
-A != 0, whose collocated first-order terms are not symmetric, solves by
-restarted GMRES (``krylov``) in ``_krylov_shifted_solve``, the one Krylov
-kernel: resolvents, deflated bound-state solves and the eigensolver's
-inverse iterations call it.  It runs in frequency space with the free
-resolvent as right preconditioner, so GMRES minimizes the true residual and
-each of its steps costs d + 2 transforms (2 when A = 0).  The
-Crank-Nicolson step (``cn_power``) solves the same preconditioned system at
-2i/dt, where it is a small perturbation of the identity, by Richardson
-sweeps with a kernel cached per dt (``_cn_sweep``): it stops on the true
-residual, returns the corrected iterate, and falls back to the GMRES kernel
-when the residual fails to halve or the sweep cap is reached.
+A != 0, whose collocated first-order terms are not symmetric, solves in
+``_krylov_shifted_solve``, the one Krylov shifted solve: resolvents,
+deflated bound-state solves, the eigensolver's inverse iterations and the
+Crank-Nicolson step (``cn_power``) at 2i/dt all call it.  It runs in
+frequency space with the free resolvent as right preconditioner, on the
+``ShiftKernel`` the operator keeps for the last shift, and one application
+of the preconditioned operator costs d + 2 transforms (2 when A = 0).  The
+kernel carries a bound q on the norm of the preconditioned perturbation,
+computed from sup|V + i div A|, sup|A| and the free resolvent, and q picks
+the solver up front: Richardson sweeps, each at least halving the true
+residual, when q < 1/2 and no mode of the free resolvent is regularized
+(the CN steps), restarted GMRES (``krylov``) otherwise.
 ``HamiltonianSpec`` caches whether A vanishes, the multiplication part
 V + i div A and the first-order weights 2i A_j.  It also fixes the positive
 shift K for the auxiliary operator H1 = H + K used by the
@@ -74,9 +75,10 @@ _DIRECTION_MAX_ITER = 300
 # relative residual of each Krylov CN shifted solve, and the relative error
 # estimate each Krylov-projected CN power must meet
 _CN_TOL = 1e-12
-# Richardson sweeps of one Krylov CN step before it falls back to GMRES; on
-# random data the 64x64 loop grid needs 5 at dt = 1e-3 and 11 at dt = 5e-2
-_CN_SWEEPS = 16
+# a Krylov shifted solve whose contraction bound q is below this runs
+# Richardson sweeps, each of which at least halves the residual; any other
+# runs GMRES
+_SWEEP_BOUND = 0.5
 _BASIS_BYTES = 32 * 2**20  # Arnoldi basis of one Krylov CN power
 _ESTIMATE_EVERY = 5        # basis vectors between error estimates
 
@@ -138,17 +140,13 @@ class HamiltonianSpec:
         backend."""
         return DenseBasis(self) if self.linear_backend == "dense" else None
 
-    def cn_kernel(self, dt: float) -> tuple[np.ndarray, np.ndarray]:
-        """(D^-1, multiplier stack) of the Krylov CN step of size dt, with
-        D = |k|^2 - 2i/dt (see ``_multipliers``).  Kept for the last dt
-        only, in the instance dict as ``cached_property`` keeps its values.
-        |D| >= 2/|dt|, so no mode needs regularizing."""
-        kept = self.__dict__.get("_cn_kernel")
-        if kept is None or kept[0] != dt:
-            inv = 1.0 / (self.grid.k_squared - 2j / dt)
-            kept = (dt, inv, _multipliers(self, inv))
-            self.__dict__["_cn_kernel"] = kept
-        return kept[1], kept[2]
+    def shift_kernel(self, zeta: complex) -> ShiftKernel:
+        """The ``ShiftKernel`` of H - zeta, kept for the last zeta only, in
+        the instance dict as ``cached_property`` keeps its values."""
+        kept = self.__dict__.get("_shift_kernel")
+        if kept is None or kept.zeta != zeta:
+            kept = self.__dict__["_shift_kernel"] = ShiftKernel(self, zeta)
+        return kept
 
 
 def default_k_shift(potentials: PotentialPair) -> float:
@@ -381,13 +379,15 @@ def shifted_solve(spec: HamiltonianSpec, zeta: complex, f: ComplexField, *,
     ``deflate=(w, c)`` adds c * w <w, .> to the operator (volume-weighted
     inner product), which moves a known eigenvalue away from the shift.
     A strict solve raises ``NonConvergenceError`` when its true residual
-    stays above ``tol_rel``; a non-strict one returns its last iterate, on
-    the Krylov backend after at most two GMRES restart cycles.  On the
-    Krylov backend that residual is measured in the frequency variable of
-    ``_krylov_shifted_solve``; the grid-space residual can exceed
-    ``tol_rel`` near the spectrum.  On the dense backend the solve is
-    direct (``x0`` goes unused) and a strict solve measures its residual
-    with the spectral H.
+    stays above ``tol_rel``; a non-strict one returns its last iterate.
+    On the Krylov backend (``_krylov_shifted_solve``) the solver follows
+    from a contraction bound computed for the shift: Richardson sweeps,
+    capped at the count the bound guarantees, where it is below 1/2 (then
+    ``x0`` goes unused), else GMRES, whose non-strict solve stops after two
+    restart cycles.  There the residual is measured in the frequency
+    variable; the grid-space residual can exceed ``tol_rel`` near the
+    spectrum.  On the dense backend the solve is direct (``x0`` goes unused)
+    and a strict solve measures its residual with the spectral H.
     """
     basis = spec.dense_basis
     if basis is None:
@@ -425,15 +425,11 @@ def cn_power(spec: HamiltonianSpec, values: np.ndarray, dt: float,
         psi+ = psi - 2 (H - zeta)^-1 H psi,
 
     with the right-hand side F H psi from ``_h_hat``, the kernel's own
-    pieces.  The solve's error then scales with the increment, not with the
-    state.  It is a Richardson sweep on the y-system of
-    ``_krylov_shifted_solve`` (``_cn_sweep``): y <- y - r with r the true
-    residual, on D^-1 and the multiplier stack that
-    ``HamiltonianSpec.cn_kernel`` keeps for the last dt.  It stops once
-    ||r|| <= ``_CN_TOL`` ||F H psi|| and returns the corrected iterate
-    x = F^-1 D^-1 (y - r).  When ||r|| fails to halve, or after
-    ``_CN_SWEEPS`` sweeps, the step is one strict GMRES solve by
-    ``_krylov_shifted_solve``.
+    pieces, solved by ``_krylov_shifted_solve`` to ``_CN_TOL``.  The solve's
+    error then scales with the increment, not with the state.  At this
+    shift |D^-1| <= |dt|/2 and |k_j D^-1| <= sqrt(|dt|)/2, so for the steps
+    the package takes the contraction bound q is small and the solve is a
+    Richardson sweep; a step too long for q < 1/2 runs GMRES.
     For n > 1 the Krylov backend projects instead: an Arnoldi basis V_m of
     the Krylov space K_m(H, psi) (``krylov.arnoldi``; the collocated H is
     not Hermitian) gives H V_m = V_m H_m + h_{m+1,m} v_{m+1} e_m^T, and
@@ -450,11 +446,8 @@ def cn_power(spec: HamiltonianSpec, values: np.ndarray, dt: float,
     if dense is not None:
         return dense.cayley(values, dt, n)
     if n == 1:
-        f_hat = _h_hat(spec, values)
-        x = _cn_sweep(spec, dt, f_hat)
-        if x is None:
-            x = _krylov_shifted_solve(spec, 2j / dt, f_hat, tol_rel=_CN_TOL)
-        return values - 2.0 * x
+        return values - 2.0 * _krylov_shifted_solve(
+            spec, 2j / dt, _h_hat(spec, values), tol_rel=_CN_TOL)
     shape, size = values.shape, values.size
     beta = float(np.linalg.norm(values))
     if beta == 0.0:
@@ -491,48 +484,39 @@ def _h_hat(spec: HamiltonianSpec, values: np.ndarray) -> np.ndarray:
     return out
 
 
-def _multipliers(spec: HamiltonianSpec, inv: np.ndarray) -> np.ndarray:
-    """[D^-1, i k_1 D^-1, ..., i k_d D^-1] (only D^-1 when A = 0): one
-    batched inverse transform of this stack times y gives x = F^-1 D^-1 y
-    and every d_j x."""
-    if spec.magnetic:
-        return np.stack([inv] + [1j * k * inv for k in spec.grid.k_mesh])
-    return inv[None]
+class ShiftKernel:
+    """H - zeta in the frequency variable of ``_krylov_shifted_solve``.
 
+    With D = |k|^2 - zeta, regularized never to vanish, and y = D F x (F the
+    plain DFT), (H - zeta) x = f reads
 
-def _cn_sweep(spec: HamiltonianSpec, dt: float,
-              f_hat: np.ndarray) -> np.ndarray | None:
-    """The values of x = (H - 2i/dt)^-1 f for f given by its DFT ``f_hat``,
-    by Richardson iteration on the y-system of ``_krylov_shifted_solve``,
-    (I + K) y = F f with K = F B F^-1 D^-1; None when the sweep does not
-    converge.
+        (J + K) y = F f,   K = F B F^-1 D^-1,
 
-    Each sweep is y <- y - r = F f - K y, where r = y + K y - F f is the
-    true residual of the iterate y; one application of K is one batched
-    inverse transform of the cached multiplier stack times y
-    (``HamiltonianSpec.cn_kernel``), the pointwise B and one forward
-    transform.  At the CN shift K is small (|D^-1| <= |dt|/2 and
-    |k_j D^-1| <= sqrt(|dt|)/2), so the sweep contracts.  Once
-    ||r|| <= ``_CN_TOL`` ||F f||, the corrected iterate y - r is returned as
-    x = F^-1 D^-1 (y - r), one more inverse transform.  When ||r|| fails to
-    halve, or after ``_CN_SWEEPS`` sweeps, the caller solves by GMRES.
+    with J = (|k|^2 - zeta) / D the identity except on regularized modes.
+    Holds D (``d``), J (``ident``; None when no mode is regularized), the
+    multiplier stack ``mult`` = [D^-1, i k_1 D^-1, ..., i k_d D^-1] (only
+    D^-1 when A = 0), ``inv_max`` = max|D^-1| and the contraction bound
+
+        q = sup|W| max|D^-1| + sum_j 2 sup|A_j| max|k_j D^-1| >= ||K||
+
+    (``bound``, in the 2-norm: F / sqrt(N) is unitary, so conjugating a
+    pointwise product by F keeps its norm, the sup of its modulus).
     """
-    b_norm = float(np.linalg.norm(f_hat))
-    inv, mult = spec.cn_kernel(dt)
-    axes = tuple(range(1, spec.grid.dim + 1))
-    y = f_hat
-    last = np.inf
-    for _ in range(_CN_SWEEPS):
-        xs = np.fft.ifftn(mult * y, axes=axes)
-        nxt = f_hat - np.fft.fftn(_b_values(spec, xs[0], xs[1:]))
-        r_norm = float(np.linalg.norm(y - nxt))
-        y = nxt
-        if r_norm <= _CN_TOL * b_norm:
-            return np.fft.ifftn(inv * y)
-        if r_norm > 0.5 * last:
-            return None
-        last = r_norm
-    return None
+
+    def __init__(self, spec: HamiltonianSpec, zeta: complex):
+        g = spec.grid
+        lap = g.k_squared - zeta
+        small = np.abs(lap) < 1e-10
+        self.zeta = zeta
+        self.d = np.where(small, 1e-10, lap)
+        self.ident = lap / self.d if np.any(small) else None
+        inv = 1.0 / self.d
+        self.mult = (np.stack([inv] + [1j * k * inv for k in g.k_mesh])
+                     if spec.magnetic else inv[None])
+        self.inv_max = float(np.max(np.abs(inv)))
+        self.bound = sum(float(np.max(np.abs(a))) * float(np.max(np.abs(m)))
+                         for a, m in zip((spec.diagonal,) + spec.grad_weights,
+                                         self.mult))
 
 
 def _krylov_shifted_solve(spec: HamiltonianSpec, zeta: complex,
@@ -540,57 +524,60 @@ def _krylov_shifted_solve(spec: HamiltonianSpec, zeta: complex,
                           deflate: tuple[np.ndarray, float] | None = None,
                           x0: np.ndarray | None = None,
                           strict: bool = True) -> np.ndarray:
-    """``shifted_solve`` by restarted GMRES in frequency space, for the
-    right-hand side f given by its DFT ``f_hat``; returns the values of x.
+    """``shifted_solve`` on the Krylov backend, for the right-hand side f
+    given by its DFT ``f_hat``: the y-system of ``spec.shift_kernel(zeta)``,
+    whose solution gives the returned values of x = F^-1 D^-1 y.
 
-    The free resolvent is the right preconditioner: with D = |k|^2 - zeta,
-    regularized never to vanish, and the unknown y = D F x (F the plain
-    DFT), (H - zeta) x = f reads
+    ``deflate=(w, c)`` adds c dv w <w, .> to B and c dv ||w||^2 max|D^-1| to
+    q.  One application of K, shared by both solvers, is one batched inverse
+    transform of the multiplier stack times y, giving x and every d_j x,
+    the pointwise B and one forward transform.
 
-        (I + F B F^-1 D^-1) y = F f,   B = W + sum_j 2i A_j d_j,
+    When no mode is regularized and q < ``_SWEEP_BOUND``, the solve is
+    Richardson's iteration y <- F f - K y (``krylov.richardson``), each of
+    whose sweeps at least halves the true residual, capped at the sweep
+    count q guarantees for ``tol_rel``; ``x0`` goes unused.  Every other
+    shift runs restarted GMRES (``krylov.solve``) on J + K, with ``x0``
+    entering as D F x0.
 
-    plus c dv w <w, .> in B for ``deflate=(w, c)``.  One operator
-    application is one batched inverse transform of
-    [D^-1, i k_1 D^-1, ..., i k_d D^-1] y, which gives x and every d_j x
-    (only x when A = 0), the pointwise B and one forward transform.
-    ``x0`` enters as D F x0, and the solution is x = F^-1 D^-1 y.
-
-    ``tol_rel`` holds for GMRES's relative residual in y.  F is sqrt(N)
-    times a unitary map, so in exact arithmetic that is the grid-space
-    ||(H - zeta) x - f|| / ||f||, but forming x from y adds rounding
-    amplified by |D^-1| on the lowest modes.  Near the spectrum the
-    grid-space residual can then exceed ``tol_rel``: at 1e-12, within about
-    1e-3 of an eigenvalue, it reached 1.8-3.2e-12.  The Crank-Nicolson
-    shifts 2i/dt lie far from the real spectrum and are unaffected.
+    ``tol_rel`` holds for the relative residual in y.  In exact arithmetic
+    that is the grid-space ||(H - zeta) x - f|| / ||f||, but forming x from
+    y adds rounding amplified by |D^-1| on the lowest modes.  Near the
+    spectrum the grid-space residual can then exceed ``tol_rel``: at 1e-12,
+    within about 1e-3 of an eigenvalue, it reached 1.8-3.2e-12.  The
+    Crank-Nicolson shifts 2i/dt lie far from the real spectrum.
     """
-    g = spec.grid
-    shape = g.sizes
-    lap = g.k_squared - zeta
-    small = np.abs(lap) < 1e-10
-    d = np.where(small, 1e-10, lap)
-    # -lap - zeta in the variable y: the identity, except on regularized modes
-    ident = lap / d if np.any(small) else None
-    inv = 1.0 / d
-    mult = _multipliers(spec, inv)
-    axes = tuple(range(1, g.dim + 1))
-    dv = g.volume_element
+    kern = spec.shift_kernel(zeta)
+    dv = spec.grid.volume_element
+    q = kern.bound
+    if deflate is not None:
+        w, c = deflate
+        q += c * dv * float(np.vdot(w, w).real) * kern.inv_max
 
-    def matvec(v):
-        y = v.reshape(shape)
-        xs = np.fft.ifftn(mult * y, axes=axes)
+    def apply_k(y):
+        xs = np.fft.ifftn(kern.mult * y, axes=tuple(range(1, y.ndim + 1)))
         bx = _b_values(spec, xs[0], xs[1:])
         if deflate is not None:
-            w, c = deflate
             bx += c * np.vdot(w, xs[0]) * dv * w
-        out = np.fft.fftn(bx)
-        out += y if ident is None else ident * y
+        return np.fft.fftn(bx)
+
+    if kern.ident is None and q < _SWEEP_BOUND:
+        y = krylov.richardson(apply_k, f_hat, bound=q, tol=tol_rel,
+                              strict=strict)
+        return np.fft.ifftn(kern.mult[0] * y)
+
+    def matvec(v):
+        y = v.reshape(f_hat.shape)
+        out = apply_k(y)
+        out += y if kern.ident is None else kern.ident * y
         return out.ravel()
 
-    y0 = None if x0 is None else (d * np.fft.fftn(x0.reshape(shape))).ravel()
+    y0 = (None if x0 is None
+          else (kern.d * np.fft.fftn(x0.reshape(f_hat.shape))).ravel())
     y = krylov.solve(matvec, f_hat.ravel(), tol=tol_rel,
                      max_iter=_MAX_ITER if strict else _DIRECTION_MAX_ITER,
                      x0=y0, strict=strict)
-    return np.fft.ifftn(y.reshape(shape) / d)
+    return np.fft.ifftn(y.reshape(f_hat.shape) / kern.d)
 
 
 def resolvent_solve(spec: HamiltonianSpec, zeta: complex, f: ComplexField, *,

@@ -1,24 +1,23 @@
-"""The package's two Krylov kernels: restarted GMRES and the Arnoldi process.
+"""The package's iterative kernels: restarted GMRES, Richardson's iteration
+and the Arnoldi process.
 
-Every linear solve on the Krylov backend but one funnels through ``solve``,
-called only from ``hamiltonian._krylov_shifted_solve``: resolvent
-applications, deflated solves at the ground-state energy and the
-eigensolver's inverse iterations.  The exception is the Crank-Nicolson step
-of ``hamiltonian.cn_power``, a shifted solve at 2i/dt: there the
-preconditioned system is close to the identity, and Richardson sweeps stop
-on its true residual and return the corrected iterate; only a sweep whose
-residual fails to halve or that reaches its cap falls back to ``solve``.
-(Small electric-only grids solve directly in a dense eigenbasis instead;
-see ``hamiltonian``.)  The caller hands over an
-already preconditioned operator, so GMRES runs without ``M`` and its
-running residual estimate is the residual of the system it solves.  Each
-solve is one ``scipy.sparse.linalg.gmres`` call, made through this module's
-``gmres``.  scipy ends every restart cycle on the recomputed residual
-||b - Ax|| and reports success only when that residual meets ``rtol``; when
-rounding lets the running estimate pass first, it tightens its inner
-tolerance and opens another cycle.  A strict solve that runs out of cycles
-raises ``NonConvergenceError`` with the achieved residual and the number of
-GMRES iterations it ran.
+Every Krylov-backend shifted solve is ``hamiltonian._krylov_shifted_solve``,
+and a contraction bound it computes for the shift picks the solver here.
+Below 1/2 it calls ``richardson``, as for every Crank-Nicolson step at
+2i/dt, where the preconditioned system is close to the identity.  Otherwise
+it calls ``solve``: resolvent applications, deflated solves at the
+ground-state energy and the eigensolver's inverse iterations.  (Small
+electric-only grids solve directly in a dense eigenbasis; see
+``hamiltonian``.)  The caller hands over an already preconditioned
+operator, so GMRES runs without ``M`` and its running residual estimate is
+the residual of the system it solves.  Each ``solve`` is one ``scipy.sparse.linalg.gmres`` call, made
+through this module's ``gmres``.  scipy ends every restart cycle on the
+recomputed residual ||b - Ax|| and reports success only when that residual
+meets ``rtol``; when rounding lets the running estimate pass first, it
+tightens its inner tolerance and opens another cycle.  A strict solve that
+runs out of cycles raises ``NonConvergenceError`` with the achieved
+residual and the number of GMRES iterations it ran; a strict ``richardson``
+that reaches its sweep cap does the same with its sweep count.
 
 Importing this module loads no scipy.  ``scipy.sparse.linalg`` (about
 0.25 s) is imported when the first Krylov-backend ``HamiltonianSpec`` is
@@ -36,6 +35,7 @@ Problems, 2nd ed., SIAM 2011).
 
 from __future__ import annotations
 
+import math
 import mmap
 
 import numpy as np
@@ -91,6 +91,38 @@ def solve(matvec, b: np.ndarray, *, tol: float = 1e-8,
         f"linear solve stalled at relative residual {resid:.3e} "
         f"(target {tol:.1e}) after {iterations} GMRES iterations",
         residual=resid, iterations=iterations)
+
+
+def richardson(apply, b: np.ndarray, *, bound: float, tol: float,
+               strict: bool = True) -> np.ndarray:
+    """Solve y + K y = b, for ``apply`` an operator K with
+    ||K|| <= ``bound`` < 1, by Richardson's iteration y <- b - K y from
+    y = b (Saad, Iterative Methods for Sparse Linear Systems, 2nd ed., SIAM
+    2003, ch. 4).
+
+    The true residual r = y + K y - b of one iterate becomes -K r in the
+    next, so ||r|| <= bound^s ||b|| after s sweeps.  The iteration stops once
+    ||r|| <= ``tol`` ||b|| and returns the corrected iterate y - r.  After
+    the least s with bound^s <= ``tol`` a strict solve raises
+    ``NonConvergenceError`` with its last true residual and the sweep count,
+    and a non-strict one returns its last iterate.
+    """
+    b_norm = float(np.linalg.norm(b))
+    cap = math.ceil(math.log(tol) / math.log(bound)) if bound > tol else 1
+    y = b
+    for _ in range(cap):
+        nxt = b - apply(y)
+        r_norm = float(np.linalg.norm(y - nxt))
+        y = nxt
+        if r_norm <= tol * b_norm:
+            return y
+    if strict:
+        resid = r_norm / b_norm
+        raise NonConvergenceError(
+            f"Richardson iteration stalled at relative residual {resid:.3e} "
+            f"(target {tol:.1e}) after {cap} sweeps",
+            residual=resid, iterations=cap)
+    return y
 
 
 def _mapped_zeros(rows: int, cols: int) -> np.ndarray:

@@ -16,6 +16,7 @@ from magnls import (
     XNormAccumulator,
     build_gaussian_well,
     build_hamiltonian,
+    build_localized_loop_field,
     default_lambda_grid,
     from_function,
     is_admissible,
@@ -143,10 +144,15 @@ def test_resolvent_scan_converges_within_its_default_cap(gauss_spec,
 
 def test_default_lambda_grid_avoids_box_levels(gauss_spec, magnetic_spec,
                                                monkeypatch):
-    # the electric well (dense backend) and a 1D gauge field (Krylov); the
-    # levels come from the assembled matrix, with no application of H
-    from magnls.analysis import _dense_levels_1d
+    # the electric well (dense backend), a 1D gauge field and a 2D loop
+    # field (Krylov); the levels come from the assembled matrix, with no
+    # application of H
+    from magnls.analysis import _dense_levels
 
+    g = GridSpec(2, (16, 16), (20.0, 20.0))
+    loop_spec = build_hamiltonian(make_potential_pair(
+        build_localized_loop_field(g, 0.3, 1.5, 1.0),
+        build_gaussian_well(g, -2.0, 1.0).v))
     applied = 0
     apply_h_values = hamiltonian._apply_h_values
 
@@ -156,10 +162,10 @@ def test_default_lambda_grid_avoids_box_levels(gauss_spec, magnetic_spec,
         return apply_h_values(*args)
 
     monkeypatch.setattr(hamiltonian, "_apply_h_values", counted)
-    for spec in (gauss_spec, magnetic_spec):
+    for spec in (gauss_spec, magnetic_spec, loop_spec):
         grid = default_lambda_grid(spec)
         assert applied == 0
-        levels = _dense_levels_1d(spec)
+        levels = _dense_levels(spec)
         assert grid.size >= 8
         assert np.all(np.diff(grid) > 0.0)
         assert grid.min() > 0.0 and grid.max() <= 6.0
@@ -172,9 +178,9 @@ def test_scan_reports_a_real_spike_when_aimed_at_a_level(gauss_spec,
     # a lambda sitting right on a discretized continuum level is genuine
     # finite-box structure: the scan must agree with a dense factorization
     # there instead of smoothing it away
-    from magnls.analysis import _dense_levels_1d
+    from magnls.analysis import _dense_levels
 
-    levels = _dense_levels_1d(gauss_spec)
+    levels = _dense_levels(gauss_spec)
     level = levels[(levels > 2.0) & (levels < 4.0)][0]
     lam = math.sqrt(level)
     scan = resolvent_bound_scan(gauss_spec, gauss_eig,

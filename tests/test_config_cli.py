@@ -207,6 +207,21 @@ def test_cli_reruns_are_byte_identical(tmp_path):
     assert blobs[0] == blobs[1]
 
 
+def test_resolvent_scan_passes_on_a_2d_loop_grid(tmp_path):
+    # on 1,024 points the default lambda grid sits in the gaps of the box
+    # levels, as in 1D; a uniform grid puts lambda = 2.8 within 1.5e-3 of a
+    # level, and the scaled norm there grows 2.00 -> 8.93 from eps to eps/10
+    loop = ("[grid]\ndim = 2\nsizes = 32\nlengths = 20.0\n\n"
+            "[potential]\nkind = loop\n")
+    out = tmp_path / "run"
+    assert main(["resolvent-scan", "--config",
+                 str(write_config(tmp_path, loop)), "--output", str(out),
+                 "--seed", "0"]) == 0
+    gates = json.loads((out / "manifest.json").read_text())["gates"]
+    assert gates["resolvent_eps_stability"]["passed"]
+    assert gates["resolvent_flatness"]["passed"]
+
+
 def test_file_potential_matches_direct_construction(tmp_path):
     g = GridSpec(1, (256,), (40.0,))
     well = build_gaussian_well(g, -2.0, 1.0)
@@ -402,7 +417,7 @@ def test_evolve_is_byte_identical_under_each_blas_thread_count(tmp_path):
 
 def test_krylov_evolve_reruns_are_byte_identical(tmp_path):
     # criterion 13 on the Krylov backend: A != 0, so every Crank-Nicolson
-    # step is a Richardson sweep with a per-dt cached kernel
+    # step is a Richardson sweep on the kernel kept for its shift
     loop = ("[grid]\ndim = 2\nsizes = 16\nlengths = 20.0\n\n"
             "[potential]\nkind = loop\n\n"
             "[evolution]\ndt = 1e-3\nt_final = 0.05\nsnapshot_stride = 10\n")

@@ -3,11 +3,13 @@ restarted GMRES everywhere else.  Each fast path is checked against the
 dense oracles, and so is ``hamiltonian.h_matrix``, the one assembly of the
 matrix of H, on electric and A != 0 grids.  The Krylov shifted solve is
 solved against the oracle matrix in one, two and three dimensions, called
-directly on grids the dense backend would otherwise serve.  The Krylov
-Crank-Nicolson step, a Richardson sweep, is checked against the oracle
-propagator on the same grids with no GMRES call, and so is its forced GMRES
-fallback.  The Krylov-projected n-step propagator of ``linear_flow`` is
-checked against the oracle's n-th power and against n single steps."""
+directly on grids the dense backend would otherwise serve.  Its
+contraction bound picks the solver: the Krylov Crank-Nicolson step and a
+shift far below the spectrum are Richardson sweeps, checked against the
+oracle with no GMRES call, and the bound is checked against the measured
+contraction of each sweep; a step too long for the sweep runs GMRES.  The
+Krylov-projected n-step propagator of ``linear_flow`` is checked against
+the oracle's n-th power and against n single steps."""
 
 import numpy as np
 import pytest
@@ -15,6 +17,7 @@ import pytest
 import oracles as orc
 from magnls import (
     ConfigError,
+    EvolveConfig,
     GridSpec,
     MagnlsError,
     NonConvergenceError,
@@ -23,6 +26,7 @@ from magnls import (
     build_gauge_field,
     build_hamiltonian,
     build_localized_loop_field,
+    evolve,
     gaussian_bump,
     linear_flow,
     make_field,
@@ -31,7 +35,7 @@ from magnls import (
     shifted_solve,
 )
 from magnls import hamiltonian
-from magnls.evolution import _cn_step_values
+from magnls.evolution import _MAX_DT, _cn_step_values
 from magnls.hamiltonian import DENSE_MAX_POINTS, _krylov_shifted_solve
 
 
@@ -68,6 +72,12 @@ def rough(n):
 def random_values(grid, seed):
     rng = np.random.default_rng(seed)
     return rng.standard_normal(grid.sizes) + 1j * rng.standard_normal(grid.sizes)
+
+
+def oracle_solve(mat, zeta, values):
+    """(H - zeta)^-1 values with the oracle matrix of H."""
+    shifted = mat - zeta * np.eye(values.size)
+    return np.linalg.solve(shifted, values.ravel()).reshape(values.shape)
 
 
 def oracle_step(spec, values, dt):
@@ -299,6 +309,8 @@ def krylov_oracle(magnetic_spec):
     "grid", ["magnetic_1d", "loop_2d", "loop_3d", "electric_1d"])
 def test_krylov_shifted_solve_matches_the_dense_oracle(grid, shift, start,
                                                        krylov_oracle):
+    # the cn shift is solved by Richardson sweeps, which leave x0 unused as
+    # the dense backend does; the other two run GMRES
     spec, mat, e0, phi0 = krylov_oracle(grid)
     g = spec.grid
     assert spec.linear_backend == "krylov"
@@ -369,22 +381,111 @@ def test_krylov_cn_step_sweeps_without_gmres(grid, data, dt, krylov_oracle,
     assert relative_gap(got, want) <= 1e-12
 
 
-@pytest.mark.parametrize("force", ["cap", "dt"])
-def test_krylov_cn_step_falls_back_to_gmres(force, krylov_oracle,
-                                            monkeypatch):
-    # One sweep cannot reach the tolerance.  At dt = 2 the sweep's residual
-    # on the loop grid falls by less than half from the second sweep to the
-    # third.  Either way one GMRES solve takes the step; at the shift i,
-    # closer to the spectrum, it meets the oracle to 1.1e-12.
+def test_krylov_cn_step_beyond_the_sweep_bound_runs_gmres(krylov_oracle,
+                                                          monkeypatch):
+    # at dt = 2 the contraction bound of the loop grid is about 3, so the
+    # step is one GMRES solve; at the shift i, closer to the spectrum, it
+    # meets the oracle to 1.1e-12
     spec = krylov_oracle("loop_2d")[0]
-    dt, bound = {"cap": (1e-3, 1e-12), "dt": (2.0, 1e-11)}[force]
-    if force == "cap":
-        monkeypatch.setattr(hamiltonian, "_CN_SWEEPS", 1)
+    dt = 2.0
+    assert spec.shift_kernel(2j / dt).bound > 1.0
     values = random_values(spec.grid, 67)
     calls = counted_gmres(monkeypatch)
     got = hamiltonian.cn_power(spec, values, dt, 1)
     assert calls == [hamiltonian._CN_TOL]
-    assert relative_gap(got, oracle_step(spec, values, dt)) <= bound
+    assert relative_gap(got, oracle_step(spec, values, dt)) <= 1e-11
+
+
+def spied_sweeps(monkeypatch):
+    """A list that collects, from here on, the values x = F^-1 D^-1 y each
+    application of K, and so each Richardson sweep, starts from."""
+    xs = []
+    b_values = hamiltonian._b_values
+
+    def spy(spec, x, grads):
+        xs.append(x.copy())
+        return b_values(spec, x, grads)
+
+    monkeypatch.setattr(hamiltonian, "_b_values", spy)
+    return xs
+
+
+@pytest.mark.parametrize(
+    "grid", ["magnetic_1d", "loop_2d", "loop_3d", "electric_1d"])
+def test_contraction_bound_covers_each_sweep(grid, krylov_oracle,
+                                             monkeypatch):
+    # The residual of sweep s + 1 is -K times that of sweep s, so the ratio
+    # of successive true residuals is at most ||K|| <= q.  The iterates are
+    # recovered as y = D F x from the x each sweep transforms; every residual
+    # but the last lies above the 1e-12 stop, far from rounding.
+    spec = krylov_oracle(grid)[0]
+    f_hat = np.fft.fftn(random_values(spec.grid, 68))
+    calls = counted_gmres(monkeypatch)
+    xs = spied_sweeps(monkeypatch)
+    for dt in (1e-3, -1e-3, 5e-2, 0.1):
+        zeta = 2j / dt
+        xs.clear()
+        _krylov_shifted_solve(spec, zeta, f_hat, tol_rel=hamiltonian._CN_TOL)
+        kern = spec.shift_kernel(zeta)
+        assert kern.bound < 0.5
+        ys = [kern.d * np.fft.fftn(x) for x in xs]
+        resid = [np.linalg.norm(a - b) for a, b in zip(ys, ys[1:])]
+        assert len(resid) >= 2
+        assert max(b / a for a, b in zip(resid, resid[1:])) <= kern.bound
+    assert calls == []
+
+
+def test_krylov_solve_far_below_the_spectrum_sweeps(krylov_oracle,
+                                                    monkeypatch):
+    # zeta = -50 puts |D^-1| <= 1/50, so q is about 0.1 on the loop grid,
+    # and no GMRES call is made
+    spec, mat, _, _ = krylov_oracle("loop_2d")
+    g = spec.grid
+    zeta, tol = -50.0, 1e-12
+    assert spec.shift_kernel(zeta).bound < 0.5
+    f = random_values(g, 69)
+    calls = counted_gmres(monkeypatch)
+    got = shifted_solve(spec, zeta, make_field(g, f), tol_rel=tol).values
+    assert calls == []
+    assert relative_gap(got, oracle_solve(mat, zeta, f)) <= 1e-12
+    resid = hamiltonian._shifted_values(spec, zeta, None, got) - f
+    assert np.linalg.norm(resid) <= tol * np.linalg.norm(f)
+
+
+def test_strict_sweep_over_its_cap_raises_the_residual_and_sweep_count(
+        krylov_oracle, monkeypatch):
+    # At dt = 0.1 (q ~ 0.27) the residual levels off near 1e-17 of ||F f||,
+    # so no iterate meets 1e-30: the sweep runs the count its bound
+    # guarantees, the least s with q^s <= 1e-30, and reports its last true
+    # residual.  (At dt = 1e-3 the sweep reaches an exact fixed point, with
+    # residual 0, after 7 of its 12 sweeps.)
+    spec, mat, _, _ = krylov_oracle("loop_2d")
+    g = spec.grid
+    zeta = 2j / 0.1
+    f = make_field(g, random_values(g, 70))
+    xs = spied_sweeps(monkeypatch)
+    with pytest.raises(NonConvergenceError, match="sweeps") as err:
+        shifted_solve(spec, zeta, f, tol_rel=1e-30)
+    q = spec.shift_kernel(zeta).bound
+    assert err.value.iterations == len(xs)
+    assert q ** err.value.iterations <= 1e-30 < q ** (err.value.iterations - 1)
+    assert 1e-30 < err.value.residual <= 1e-14
+    xs.clear()
+    x = shifted_solve(spec, zeta, f, tol_rel=1e-30, strict=False)
+    assert len(xs) == err.value.iterations
+    assert relative_gap(x.values, oracle_solve(mat, zeta, f.values)) <= 1e-12
+
+
+@pytest.mark.parametrize("n", [16, 64])
+def test_evolve_at_the_largest_step_makes_no_gmres_call(n, monkeypatch):
+    # every Crank-Nicolson step of evolve, up to the largest dt it accepts,
+    # has q < 1/2 on the loop grids of the tests and the benchmark
+    spec = loop(n)
+    calls = counted_gmres(monkeypatch)
+    evolve(spec, gaussian_bump(spec.grid, 0.5, 2.0),
+           EvolveConfig(dt=_MAX_DT, t_final=5 * _MAX_DT, snapshot_stride=1,
+                        conserve_tol=1.0))
+    assert calls == []
 
 
 def test_krylov_shifted_solve_on_a_regularized_mode(krylov_oracle):
