@@ -20,10 +20,11 @@ import numpy.ma  # noqa: F401 -- else np.median imports it on first call
 import numpy.random
 
 from .errors import ConfigError, MagnlsError
-from .evolution import _cn_step_values, linear_flow, whole_steps
+from .evolution import linear_flow, whole_steps
 from .grid import ComplexField, GridSpec, make_field, norm_l2
-from .hamiltonian import (MIN_IMAG_SHIFT, HamiltonianSpec, apply_h1, h_matrix,
-                          project_continuous, resolvent_solve, shifted_solve)
+from .hamiltonian import (MIN_IMAG_SHIFT, HamiltonianSpec, apply_h1,
+                          cn_power, h_matrix, project_continuous,
+                          resolvent_solve, shifted_solve)
 from .krylov import arnoldi
 from .norms import (bracket_weight, check_sigma, norm_h1, norm_lp, norm_w1p,
                     norm_w2p_sum, norm_weighted_h1)
@@ -447,44 +448,46 @@ def strichartz_ratio(spec: HamiltonianSpec, eig: EigenPair, *,
                                       q=q, p=p, value=val, reference=ref,
                                       ratio=val / max(ref, 1e-300)))
 
-    for s_idx in range(n_duhamel):
-        fx = _localized_source(spec, eig, rng)
-        t_mid, t_wid = 0.5 * t_final, t_final / 6.0
+    # the Duhamel sources evolve as one stack: one CN step for all per step
+    sources = [_localized_source(spec, eig, rng) for _ in range(n_duhamel)]
+    t_mid, t_wid = 0.5 * t_final, t_final / 6.0
 
-        def amp(t: float) -> float:
-            return math.exp(-((t - t_mid) / t_wid) ** 2)
+    def amp(t: float) -> float:
+        return math.exp(-((t - t_mid) / t_wid) ** 2)
 
-        # the source is amp(t) fx, so both reference norms are amp(t) times
-        # those of fx; the growing weight is <x>^sigma
-        fx_weighted_h1 = norm_weighted_h1(fx, -sigma)
-        fx_h1 = norm_h1(fx)
-        acc_r1 = _TimeLq(2.0)
-        acc_r2 = _TimeLq(1.0)
-        accs = {pair: _TimeLq(pair[0]) for pair in pairs}
-        cur = make_field(g, np.zeros(g.sizes, dtype=np.complex128))
-        acc_r1.add(0.0, amp(0.0) * fx_weighted_h1)
-        acc_r2.add(0.0, amp(0.0) * fx_h1)
-        for pair in pairs:
-            accs[pair].add(0.0, 0.0)
-        for step_i in range(1, n_steps + 1):
-            t0 = (step_i - 1) * dt
-            t1 = step_i * dt
-            # one CN step; on the Krylov backend a one-step projection
-            # measured slower than this single shifted solve
-            half = cur.values + 0.5 * dt * amp(t0) * fx.values
-            moved = _cn_step_values(spec, half, dt)
-            cur = make_field(g, moved + 0.5 * dt * amp(t1) * fx.values)
-            if step_i % stride == 0 or step_i == n_steps:
-                acc_r1.add(t1, amp(t1) * fx_weighted_h1)
-                acc_r2.add(t1, amp(t1) * fx_h1)
-                for pair in pairs:
-                    accs[pair].add(t1, norm_w1p(cur, pair[1]))
-        ref = min(acc_r1.value(), acc_r2.value())
-        for (q, p), acc in accs.items():
-            val = acc.value()
+    # the source is amp(t) fx, so both reference norms are amp(t) times
+    # those of fx; the growing weight is <x>^sigma.  Per source: those two
+    # norms with their accumulators, and one accumulator per pair
+    refs = [((norm_weighted_h1(fx, -sigma), _TimeLq(2.0)),
+             (norm_h1(fx), _TimeLq(1.0))) for fx in sources]
+    accs = [{pair: _TimeLq(pair[0]) for pair in pairs} for _ in sources]
+
+    def sample(t: float, cur: np.ndarray | None) -> None:
+        for s_idx, (ref, acc) in enumerate(zip(refs, accs)):
+            for norm, ref_acc in ref:
+                ref_acc.add(t, amp(t) * norm)
+            u = None if cur is None else make_field(
+                g, np.ascontiguousarray(cur[..., s_idx]))
+            for pair in pairs:
+                acc[pair].add(t, 0.0 if u is None else norm_w1p(u, pair[1]))
+
+    fx = np.stack([f.values for f in sources], axis=-1)
+    cur = np.zeros_like(fx)
+    sample(0.0, None)
+    for step_i in range(1, n_steps + 1):
+        t0 = (step_i - 1) * dt
+        t1 = step_i * dt
+        half = cur + 0.5 * dt * amp(t0) * fx
+        cur = cn_power(spec, half, dt, 1) + 0.5 * dt * amp(t1) * fx
+        if step_i % stride == 0 or step_i == n_steps:
+            sample(t1, cur)
+    for s_idx, (ref, acc) in enumerate(zip(refs, accs)):
+        reference = min(ref_acc.value() for _, ref_acc in ref)
+        for (q, p), a in acc.items():
+            val = a.value()
             rows.append(StrichartzRow(mode="duhamel", source=s_idx,
-                                      q=q, p=p, value=val, reference=ref,
-                                      ratio=val / max(ref, 1e-300)))
+                                      q=q, p=p, value=val, reference=reference,
+                                      ratio=val / max(reference, 1e-300)))
 
     ratios = np.array([r.ratio for r in rows])
     return StrichartzReport(rows=tuple(rows), max_ratio=float(ratios.max()),

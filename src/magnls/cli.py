@@ -33,7 +33,7 @@ from .bound_states import BoundStateFamily, decay_fit
 from .config import ExperimentConfig, parse_config
 from .errors import (ConfigError, ConservationBreach, InsufficientDecayWindow,
                      MagnlsError, NoBoundStateError)
-from .evolution import Trajectory, evolve
+from .evolution import evolve
 from .grid import (ComplexField, GridSpec, VectorField, make_field,
                    read_field, write_field, zero_vector_field)
 from .hamiltonian import (HamiltonianSpec, build_hamiltonian,
@@ -280,26 +280,22 @@ def _run_bound_family(cfg: ExperimentConfig, ctx: RunContext) -> None:
               f"slopes q={slope_q:.3f} e'={slope_e:.3f}")
 
 
-def _gated_evolve(cfg: ExperimentConfig, ctx: RunContext, label: str,
-                  spec: HamiltonianSpec, psi0: ComplexField,
-                  sign: int) -> Trajectory | None:
-    """``evolve``, with a conservation breach recorded as its failed drift
-    gate and the stage; returns None after a breach."""
-    try:
-        return evolve(spec, psi0, cfg.evolution, sign)
-    except ConservationBreach as exc:
-        ctx.gate(exc.quantity, *at_most(
-            exc.drift, cfg.evolution.drift_limits[exc.quantity]))
-        ctx.stage(label, "gate-failed", str(exc))
-        return None
+def _breach_gate(cfg: ExperimentConfig, ctx: RunContext, label: str,
+                 exc: ConservationBreach) -> None:
+    """Record a conservation breach as its failed drift gate and the
+    stage."""
+    ctx.gate(exc.quantity, *at_most(
+        exc.drift, cfg.evolution.drift_limits[exc.quantity]))
+    ctx.stage(label, "gate-failed", str(exc))
 
 
 def _evolve_common(cfg: ExperimentConfig, ctx: RunContext, sign: int,
                    label: str) -> None:
     family = _family_from(cfg, ctx)
     psi0 = _initial_state(cfg, family)
-    traj = _gated_evolve(cfg, ctx, label, family.spec, psi0, sign)
-    if traj is None:
+    traj, = evolve(family.spec, [psi0], cfg.evolution, sign)
+    if isinstance(traj, ConservationBreach):
+        _breach_gate(cfg, ctx, label, traj)
         return
     rows = []
     for j, t in enumerate(traj.times):
@@ -330,13 +326,17 @@ def _run_stability(cfg: ExperimentConfig, ctx: RunContext) -> None:
                               gaussian_bump(g, 1.0, cfg.modulation.perturb_width))
     bump = make_field(g, bump.values / norm_h1(bump))
 
+    # the amplitudes evolve as one stack; each is tracked and written in
+    # order up to the first that breached, whose failed drift gate ends the
+    # run
     amplitudes = cfg.modulation.amplitudes
+    trajs = evolve(spec, [make_field(g, base.values + amp * bump.values)
+                          for amp in amplitudes],
+                   cfg.evolution, cfg.nonlinearity.sign)
     reports = []
-    for idx, amp in enumerate(amplitudes):
-        psi0 = make_field(g, base.values + amp * bump.values)
-        traj = _gated_evolve(cfg, ctx, "stability-run", spec, psi0,
-                             cfg.nonlinearity.sign)
-        if traj is None:
+    for idx, (amp, traj) in enumerate(zip(amplitudes, trajs)):
+        if isinstance(traj, ConservationBreach):
+            _breach_gate(cfg, ctx, "stability-run", traj)
             return
         rep = track(spec, eig, traj, family, sigma=cfg.modulation.sigma)
         for w in rep.warnings:

@@ -16,6 +16,17 @@ same composition with one phase evaluation per step instead of two
 (Hairer-Lubich-Wanner, Geometric Numerical Integration, 2006, II.5;
 McLachlan-Quispel, Acta Numerica 11, 2002).
 
+``evolve`` marches K initial states as one stack: an array with the states
+along a trailing axis (shape ``grid.sizes + (K,)``), to which each step
+applies the phase pointwise and one ``cn_power`` call.  On the dense backend
+that call multiplies the eigenbasis with the stack as a real N x 2K block,
+two states per pair of products (``DenseBasis.apply``): one state alone, an
+N x 2 block, makes a matrix-vector product in disguise, bound by reading the
+eigenbasis (Dongarra et al., ACM TOMS 16, 1990, on why wider products pay).
+The Krylov backend takes the states one by one.  Each state keeps its own snapshots and drift test.  A state whose
+drift breaches leaves the stack at that snapshot with its
+``ConservationBreach``; the others go on.  One state is the stack of one.
+
 Both sub-flows are unitary (the implicit solve up to its tolerance), so mass
 is conserved to solver precision per step and the scheme is exactly
 time-reversible: a dt step followed by a -dt step is the identity.
@@ -23,6 +34,7 @@ time-reversible: a dt step followed by a -dt step is the identity.
 
 from __future__ import annotations
 
+from collections.abc import Sequence
 from dataclasses import dataclass, field as dc_field
 
 import numpy as np
@@ -112,7 +124,7 @@ def whole_steps(t: float, dt: float) -> int:
 
 def _cn_step_values(spec: HamiltonianSpec, values: np.ndarray,
                     dt: float) -> np.ndarray:
-    """One Crank-Nicolson step of the linear flow
+    """One Crank-Nicolson step of the linear flow of one state or a stack
     (``hamiltonian.cn_power``)."""
     return cn_power(spec, values, dt, 1)
 
@@ -167,50 +179,77 @@ def wrap_around_estimate(psi: ComplexField) -> float:
     return float(t_min)
 
 
-def evolve(spec: HamiltonianSpec, psi0: ComplexField, config: EvolveConfig,
-           sign: int = 1) -> Trajectory:
-    """March the nonlinear flow, monitoring mass and energy at snapshots.
+class _Run:
+    """The snapshots and conserved-quantity series of one state of a stack,
+    with the drift test ``evolve`` makes at each snapshot."""
 
-    Raises ``ConservationBreach`` as soon as ``Trajectory.mass_drift`` or
-    ``Trajectory.energy_drift`` would exceed its ``config.drift_limits``
-    entry.
-    """
-    g = spec.grid
-    n_steps = whole_steps(config.t_final, config.dt)
+    def __init__(self, spec: HamiltonianSpec, psi0: ComplexField,
+                 config: EvolveConfig, sign: int):
+        self.spec, self.config, self.sign = spec, config, sign
+        quad, quart = _energy_terms(spec, psi0)
+        self.e_scale = abs(quad) + 0.5 * quart
+        self.t_wrap = wrap_around_estimate(psi0)
+        self.warnings: tuple[str, ...] = ()
+        if config.t_final > self.t_wrap:
+            self.warnings = (
+                f"window {config.t_final:.3g} exceeds the wrap-around "
+                f"estimate {self.t_wrap:.3g}; late-time tails recirculate",)
+        self.times: list[float] = []
+        self.snaps: list[ComplexField] = []
+        self.mass: list[float] = []
+        self.energy: list[float] = []
+        self.h1: list[float] = []
+        self.record(0.0, psi0.values)
 
-    dv = g.volume_element
-    values = psi0.values.copy()
-    quad, quart = _energy_terms(spec, psi0)
-    e_scale = abs(quad) + 0.5 * quart
-
-    warnings: tuple[str, ...] = ()
-    t_wrap = wrap_around_estimate(psi0)
-    if config.t_final > t_wrap:
-        warnings = (f"window {config.t_final:.3g} exceeds the wrap-around "
-                    f"estimate {t_wrap:.3g}; late-time tails recirculate",)
-
-    times = [0.0]
-    snaps = [make_field(g, values)]
-    mass = [float(np.sum(np.abs(values) ** 2) * dv)]
-    energy = [energy_functional(spec, psi0, sign)]
-    h1 = [norm_w1p(snaps[0], 2.0)]
-
-    def record(idx, arr):
-        f = make_field(g, arr)
-        t = idx * config.dt
-        times.append(t)
-        snaps.append(f)
-        mass.append(float(np.sum(np.abs(arr) ** 2) * dv))
-        energy.append(energy_functional(spec, f, sign))
-        h1.append(norm_w1p(f, 2.0))
-        drifts = {"mass_drift": _drift(mass, mass[0]),
-                  "energy_drift": _drift(energy, e_scale)}
-        for quantity, tol in config.drift_limits.items():
+    def record(self, t: float, values: np.ndarray) -> None:
+        """Keep the snapshot at time t; raises ``ConservationBreach`` when a
+        drift exceeds its ``config.drift_limits`` entry."""
+        f = make_field(self.spec.grid, values)
+        self.times.append(t)
+        self.snaps.append(f)
+        self.mass.append(float(np.sum(np.abs(f.values) ** 2)
+                               * self.spec.grid.volume_element))
+        self.energy.append(energy_functional(self.spec, f, self.sign))
+        self.h1.append(norm_w1p(f, 2.0))
+        drifts = {"mass_drift": _drift(self.mass, self.mass[0]),
+                  "energy_drift": _drift(self.energy, self.e_scale)}
+        for quantity, tol in self.config.drift_limits.items():
             if drifts[quantity] > tol:
                 raise ConservationBreach(
                     f"{quantity.replace('_', ' ')} {drifts[quantity]:.3e} "
                     f"exceeds {tol:g} at t = {t:.6g}",
                     quantity=quantity, drift=drifts[quantity])
+
+    def trajectory(self) -> Trajectory:
+        return Trajectory(times=np.array(self.times), snapshots=self.snaps,
+                          mass=np.array(self.mass),
+                          energy=np.array(self.energy), h1=np.array(self.h1),
+                          dt=self.config.dt, final_state=self.snaps[-1],
+                          energy_scale=self.e_scale, wrap_around=self.t_wrap,
+                          warnings=self.warnings)
+
+
+def evolve(spec: HamiltonianSpec,
+           psi0: ComplexField | Sequence[ComplexField], config: EvolveConfig,
+           sign: int = 1) -> Trajectory | list[Trajectory | ConservationBreach]:
+    """March the nonlinear flow, monitoring mass and energy at snapshots.
+
+    For one initial state ``psi0``, returns its ``Trajectory`` and raises
+    ``ConservationBreach`` as soon as ``Trajectory.mass_drift`` or
+    ``Trajectory.energy_drift`` would exceed its ``config.drift_limits``
+    entry.  For a sequence of K initial states, marches them as one stack
+    (module docstring) and returns, in their order, each state's
+    ``Trajectory`` or the ``ConservationBreach`` at which it left the stack;
+    the other states go on.  A state's result does not depend on the
+    others.  The single state is the K = 1 case of the same loop.
+    """
+    single = isinstance(psi0, ComplexField)
+    states = [psi0] if single else list(psi0)
+    n_steps = whole_steps(config.t_final, config.dt)
+    runs = [_Run(spec, f, config, sign) for f in states]
+    results: list[Trajectory | ConservationBreach | None] = [None] * len(runs)
+    values = np.stack([f.values for f in states], axis=-1)
+    live = list(range(len(runs)))   # the state of each column of the stack
 
     # the Strang steps with adjacent half-phases joined (module docstring)
     full = sign * config.dt
@@ -221,16 +260,30 @@ def evolve(spec: HamiltonianSpec, psi0: ComplexField, config: EvolveConfig,
         values = _cn_step_values(spec, values, config.dt)
         if n % config.snapshot_stride == 0 or n == n_steps:
             values = _phase(values, half)
-            record(n, values)
+            kept = []
+            for col, idx in enumerate(live):
+                try:
+                    runs[idx].record(n * config.dt,
+                                    np.ascontiguousarray(values[..., col]))
+                    kept.append(col)
+                except ConservationBreach as exc:
+                    results[idx] = exc
+            if len(kept) < len(live):
+                live = [live[col] for col in kept]
+                if not live:
+                    break
+                values = values[..., kept]
             opening = half
         else:
             opening = full
 
-    return Trajectory(times=np.array(times), snapshots=snaps,
-                      mass=np.array(mass), energy=np.array(energy),
-                      h1=np.array(h1), dt=config.dt,
-                      final_state=snaps[-1], energy_scale=e_scale,
-                      wrap_around=t_wrap, warnings=warnings)
+    for idx in live:
+        results[idx] = runs[idx].trajectory()
+    if single:
+        if isinstance(results[0], ConservationBreach):
+            raise results[0]
+        return results[0]
+    return results
 
 
 def linear_flow(spec: HamiltonianSpec, f: ComplexField, t: float, *,

@@ -79,6 +79,13 @@ _CN_TOL = 1e-12
 # Richardson sweeps, each of which at least halves the residual; any other
 # runs GMRES
 _SWEEP_BOUND = 0.5
+# States per pair of dense products in ``DenseBasis.apply``.  With OpenBLAS
+# 0.3.31 (Haswell kernels) the N x 2 and N x 4 products U @ a at up to 384
+# points give the same columns bit for bit, and an N x 4 product costs about
+# what an N x 2 one does (15 against 14 us at 256 points); from N x 6 on the
+# columns differ in the last bits (up to 4e-15) and the product costs as
+# much per state as two narrower ones (28 us for N x 6).
+_GEMM_STATES = 2
 _BASIS_BYTES = 32 * 2**20  # Arnoldi basis of one Krylov CN power
 _ESTIMATE_EVERY = 5        # basis vectors between error estimates
 
@@ -302,23 +309,30 @@ class DenseBasis:
     def apply(self, values: np.ndarray, coeff: np.ndarray,
               increment: bool = False) -> np.ndarray:
         """U diag(coeff) U^T values, or values plus that with
-        ``increment``.
+        ``increment``; ``values`` is one state on the grid or a stack of
+        K states along a trailing axis (shape ``grid.sizes + (K,)``).
 
-        The complex values enter the two real products as (re, im) pairs,
-        an N x 2 real matrix; the coefficients scale the first product in
-        place and the values are added into the second product's output,
-        so one step allocates just the two products."""
+        The complex values enter the real products as (re, im) pairs, so
+        the stack is an N x 2K real matrix; the coefficients scale the first
+        product in place and the values are added into the second product's
+        output.  The products take ``_GEMM_STATES`` states at a time: each
+        column of the result is then the product for that state alone, bit
+        for bit, and a stacked run equals the runs of its states."""
         pairs = np.ascontiguousarray(values, dtype=np.complex128)
-        pairs = pairs.view(np.float64).reshape(-1, 2)
-        a = self.u.T @ pairs
-        a.view(np.complex128)[:, 0] *= coeff
-        out = self.u @ a
+        pairs = pairs.view(np.float64).reshape(len(self.lam), -1)
+        out = np.empty_like(pairs)
+        for j in range(0, pairs.shape[1], 2 * _GEMM_STATES):
+            cols = slice(j, j + 2 * _GEMM_STATES)
+            a = self.u.T @ pairs[:, cols]
+            a.view(np.complex128)[...] *= coeff[:, None]
+            np.matmul(self.u, a, out=out[:, cols])
         if increment:
             out += pairs
         return out.view(np.complex128).reshape(values.shape)
 
     def cayley(self, values: np.ndarray, dt: float, n: int) -> np.ndarray:
-        """n Crank-Nicolson steps of size dt.
+        """n Crank-Nicolson steps of size dt of one state or a stack of
+        states (``apply``).
 
         The Cayley factor (1 - i lam dt/2)/(1 + i lam dt/2) is exp(i phi)
         with phi = -2 atan(lam dt/2), so n steps multiply by exp(i n phi).
@@ -413,7 +427,12 @@ def cn_power(spec: HamiltonianSpec, values: np.ndarray, dt: float,
              n: int) -> np.ndarray:
     """n Crank-Nicolson steps of size dt on the operator's backend: c(H)^n
     values, where one step solves (1 + i dt/2 H) psi+ = (1 - i dt/2 H) psi.
-    Every CN step and power of the package is taken here.
+    Every CN step and power of the package is taken here.  ``values`` is one
+    state on the grid or a stack of K states along a trailing axis (shape
+    ``grid.sizes + (K,)``): the dense backend takes the stack through its
+    products two states at a time (``DenseBasis.apply``), the Krylov backend
+    takes its states one by one, since its solvers take one right-hand side
+    at a time.
 
     With a dense eigenbasis H = U diag(lam) U^T the steps are
     U diag(c^n) U^T with the Cayley factor
@@ -445,6 +464,12 @@ def cn_power(spec: HamiltonianSpec, values: np.ndarray, dt: float,
     dense = spec.dense_basis
     if dense is not None:
         return dense.cayley(values, dt, n)
+    if values.ndim > spec.grid.dim:
+        out = np.empty_like(values)
+        for k in range(values.shape[-1]):
+            out[..., k] = cn_power(spec, np.ascontiguousarray(values[..., k]),
+                                   dt, n)
+        return out
     if n == 1:
         return values - 2.0 * _krylov_shifted_solve(
             spec, 2j / dt, _h_hat(spec, values), tol_rel=_CN_TOL)

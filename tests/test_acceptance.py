@@ -18,6 +18,7 @@ import oracles as orc
 from conftest import sech_well_potentials
 from magnls import (
     BoundStateFamily,
+    ConservationBreach,
     EvolveConfig,
     GridSpec,
     build_gaussian_well,
@@ -88,11 +89,12 @@ def stability_sweep(well_spec, well_eig, well_family):
     bump = make_field(g, bump.values / norm_h1(bump))
     runs = []
     start = time.monotonic()
-    for amp in AMPLITUDES:
-        psi0 = make_field(g, base.values + amp * bump.values)
-        traj = evolve(well_spec, psi0,
-                      EvolveConfig(dt=1e-4, t_final=4.0, snapshot_stride=500),
-                      1)
+    trajs = evolve(well_spec, [make_field(g, base.values + amp * bump.values)
+                               for amp in AMPLITUDES],
+                   EvolveConfig(dt=1e-4, t_final=4.0, snapshot_stride=500), 1)
+    for amp, traj in zip(AMPLITUDES, trajs):
+        if isinstance(traj, ConservationBreach):
+            raise traj
         rep = track(well_spec, well_eig, traj, well_family, sigma=4.1)
         runs.append((amp, traj, rep))
     return {"runs": runs, "elapsed": time.monotonic() - start}

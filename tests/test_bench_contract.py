@@ -17,7 +17,6 @@ TRACER = Path(__file__).resolve().parents[1] / "perfbench" / "tracer.py"
 # the private names one package module imports from another: each is a
 # function the tracer wraps by name and rebinds where it was imported
 TRACER_BOUND_IMPORTS = {
-    ("analysis", "evolution", "_cn_step_values"),
     ("bound_states", "hamiltonian", "_apply_h_values"),
     ("spectrum", "hamiltonian", "_apply_h_values"),
 }

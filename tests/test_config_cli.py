@@ -324,6 +324,33 @@ def test_stability_run_conservation_breach_fails_its_gate(tmp_path, capsys):
     assert_one_drift_gate_failed(code, out, capsys)
 
 
+@pytest.mark.parametrize("amplitudes, tracked", [("1e-3, 0.1", 1),
+                                                   ("0.1, 1e-3", 0)])
+def test_stability_run_stops_at_the_first_breached_amplitude(
+        tmp_path, capsys, amplitudes, tracked):
+    # at this tolerance the energy drift of amplitude 0.1 breaches its limit
+    # 1e-8 at the first snapshot (7.7e-8), and that of 1e-3 stays below
+    # 6e-10 to the end: the amplitudes before the first breached one are
+    # tracked and written, and its failed drift gate ends the run
+    path = write_config(tmp_path, MINIMAL)
+    out = tmp_path / "run"
+    code = main(["stability-run", "--config", str(path), "--output", str(out),
+                 "--override", "evolution.conserve_tol=1e-9",
+                 "--override", "evolution.t_final=0.5",
+                 "--override", "evolution.dt=1e-2",
+                 "--override", "evolution.snapshot_stride=10",
+                 "--override", f"modulation.amplitudes={amplitudes}"])
+    assert code == 1
+    manifest = json.loads((out / "manifest.json").read_text())
+    assert manifest["status"] == "gate-failed"
+    assert list(manifest["gates"]) == ["energy_drift"]
+    gate = manifest["gates"]["energy_drift"]
+    assert not gate["passed"] and gate["value"] > 1e-8
+    assert [(out / f"track_{i}.csv").exists() for i in range(2)] == \
+        [i < tracked for i in range(2)]
+    assert "[FAIL] energy_drift" in capsys.readouterr().out
+
+
 def test_manifest_records_the_linear_backend(tmp_path):
     loop = ("[grid]\ndim = 2\nsizes = 32\nlengths = 20.0\n\n"
             "[potential]\nkind = loop\n")

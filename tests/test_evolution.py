@@ -10,7 +10,9 @@ from magnls import (
     EvolveConfig,
     GridSpec,
     MagnlsError,
+    build_gaussian_well,
     build_hamiltonian,
+    build_localized_loop_field,
     energy_functional,
     evolve,
     from_function,
@@ -149,6 +151,83 @@ def test_evolve_matches_the_oracle_strang_composition(name, sign, request):
     for got, ref in zip(traj.snapshots, want):
         gap = np.max(np.abs(got.values - ref)) / np.max(np.abs(ref))
         assert gap <= 1e-12
+
+
+def test_a_stack_matches_the_oracle_strang_composition(sech_spec):
+    states = [gaussian_bump(sech_spec.grid, a, 2.0) for a in (1.5, 0.75)]
+    dt, n_steps, stride = 5e-3, 13, 5
+    trajs = evolve(sech_spec, states, EvolveConfig(
+        dt=dt, t_final=n_steps * dt, snapshot_stride=stride), 1)
+    for psi0, traj in zip(states, trajs):
+        want = oracle_strang_snapshots(sech_spec, psi0, dt, n_steps, stride, 1)
+        assert len(traj.snapshots) == len(want)
+        for got, ref in zip(traj.snapshots, want):
+            gap = np.max(np.abs(got.values - ref)) / np.max(np.abs(ref))
+            assert gap <= 1e-12
+
+
+def assert_same_run(got, want):
+    """A state of a stacked ``evolve`` against its single-state run: the
+    same trajectory bit for bit, or the same breach."""
+    if isinstance(want, ConservationBreach):
+        assert isinstance(got, ConservationBreach)
+        assert (got.args, got.quantity, got.drift) == \
+            (want.args, want.quantity, want.drift)
+        return
+    assert len(got.snapshots) == len(want.snapshots)
+    for a, b in zip(got.snapshots, want.snapshots):
+        assert np.array_equal(a.values, b.values)
+    for name in ("times", "mass", "energy", "h1"):
+        assert np.array_equal(getattr(got, name), getattr(want, name)), name
+    assert (got.energy_scale, got.wrap_around, got.warnings) == \
+        (want.energy_scale, want.wrap_around, want.warnings)
+
+
+def run_singly(spec, psi0, cfg):
+    try:
+        return evolve(spec, psi0, cfg, 1)
+    except ConservationBreach as exc:
+        return exc
+
+
+@pytest.mark.parametrize("k", [2, 3])
+def test_a_dense_stack_equals_its_states_run_singly(gauss_spec, k):
+    assert gauss_spec.linear_backend == "dense"
+    states = [gaussian_bump(gauss_spec.grid, a, 2.0)
+              for a in (0.5, 1.0, 1.5)[:k]]
+    cfg = EvolveConfig(dt=5e-3, t_final=0.5, snapshot_stride=7)
+    trajs = evolve(gauss_spec, states, cfg, 1)
+    assert len(trajs) == k
+    for psi0, traj in zip(states, trajs):
+        assert_same_run(traj, run_singly(gauss_spec, psi0, cfg))
+
+
+def test_a_krylov_stack_equals_its_states_run_singly():
+    g = GridSpec(2, (16, 16), (20.0, 20.0))
+    spec = build_hamiltonian(make_potential_pair(
+        build_localized_loop_field(g, 0.3, 1.5, 1.0),
+        build_gaussian_well(g, -2.0, 1.0).v))
+    assert spec.linear_backend == "krylov"
+    states = [gaussian_bump(g, a, 3.0) for a in (0.5, 1.0)]
+    cfg = EvolveConfig(dt=1e-3, t_final=0.02, snapshot_stride=7,
+                       conserve_tol=1e-3)
+    for psi0, traj in zip(states, evolve(spec, states, cfg, 1)):
+        assert_same_run(traj, run_singly(spec, psi0, cfg))
+
+
+def test_a_breached_state_leaves_the_stack_and_the_others_go_on(gauss_spec):
+    # at this tolerance the energy drift of the 1.5 bump breaches, that of
+    # the two smaller bumps stays at least 2.5x below its limit
+    states = [gaussian_bump(gauss_spec.grid, a, 2.0) for a in (0.1, 1.5, 0.2)]
+    cfg = EvolveConfig(dt=1e-2, t_final=0.3, snapshot_stride=10,
+                       conserve_tol=1e-8)
+    trajs = evolve(gauss_spec, states, cfg, 1)
+    assert [isinstance(t, ConservationBreach) for t in trajs] == \
+        [False, True, False]
+    assert trajs[1].quantity == "energy_drift"
+    assert trajs[2].times[-1] == pytest.approx(0.3)
+    for psi0, traj in zip(states, trajs):
+        assert_same_run(traj, run_singly(gauss_spec, psi0, cfg))
 
 
 def test_evolve_rejects_a_partial_step(sech_spec, sech_eig):
