@@ -4,9 +4,11 @@ Everything here produces numbers with pass/fail gates attached rather than
 proofs: uniform weighted resolvent bounds probed on a frequency grid, the
 equivalence of the shifted-operator graph norm with the flat second-order
 Sobolev norm on random trial fields, and discrete Strichartz quotients for
-the linear group and its Duhamel integral.  The time-integrated radiation
-norm used by the stability tracker is accumulated incrementally here as
-well, so a tracked run never has to keep full history in memory.
+the linear group and its Duhamel integral, whose two kinds march as stacks
+of their sources in one time loop, sampled on one schedule.  The
+time-integrated radiation norm used by the stability tracker is
+accumulated incrementally here as well, so a tracked run never has to
+keep full history in memory.
 """
 
 from __future__ import annotations
@@ -20,7 +22,7 @@ import numpy.ma  # noqa: F401 -- else np.median imports it on first call
 import numpy.random
 
 from .errors import ConfigError, MagnlsError
-from .evolution import linear_flow, whole_steps
+from .evolution import whole_steps
 from .grid import ComplexField, GridSpec, make_field, norm_l2
 from .hamiltonian import (MIN_IMAG_SHIFT, HamiltonianSpec, apply_h1,
                           cn_power, h_matrix, project_continuous,
@@ -415,80 +417,80 @@ def strichartz_ratio(spec: HamiltonianSpec, eig: EigenPair, *,
     the growing-weight L^2-in-time first-order norm and the L^1-in-time H1
     norm (a dual-admissible choice).  Well-behaved dispersion keeps all the
     quotients on a common scale; the gate flags a spread above 10x median.
+
+    Both kinds march in one loop over the time steps, each as one stack of
+    its sources along a trailing axis: the Duhamel stack takes one CN step
+    per time step, the homogeneous stack one CN power of the steps since
+    the last sample.  The samples sit at t = 0, at every ``stride`` steps
+    and at the last step.  The sources are drawn homogeneous first; rows
+    come in that order, with pairs in ``pairs`` order.
     """
     for q, p in pairs:
         if not is_admissible(q, p):
             raise ConfigError(f"exponent pair ({q}, {p}) is not admissible")
+    if min(n_sources, n_duhamel) < 0 or n_sources + n_duhamel == 0:
+        raise ConfigError(f"need n_sources, n_duhamel >= 0 and at least one "
+                          f"source, got {n_sources}, {n_duhamel}")
     g = spec.grid
     rng = np.random.default_rng(seed)
     n_steps = whole_steps(t_final, dt)
     if stride < 1:
         raise ConfigError(f"stride must be >= 1, got {stride}")
-    rows: list[StrichartzRow] = []
-
-    for s_idx in range(n_sources):
-        f = _localized_source(spec, eig, rng)
-        accs = {pair: _TimeLq(pair[0]) for pair in pairs}
-        u = f
-        for pair in pairs:
-            accs[pair].add(0.0, norm_w1p(u, pair[1]))
-        # one n-step propagator per sample; the samples sit at multiples of
-        # stride and at the last step, as in the Duhamel loop below
-        step_i = 0
-        while step_i < n_steps:
-            k = min(stride, n_steps - step_i)
-            u = linear_flow(spec, u, k * dt, dt=dt)
-            step_i += k
-            for pair in pairs:
-                accs[pair].add(step_i * dt, norm_w1p(u, pair[1]))
-        ref = norm_l2(f)
-        for (q, p), acc in accs.items():
-            val = acc.value()
-            rows.append(StrichartzRow(mode="homogeneous", source=s_idx,
-                                      q=q, p=p, value=val, reference=ref,
-                                      ratio=val / max(ref, 1e-300)))
-
-    # the Duhamel sources evolve as one stack: one CN step for all per step
-    sources = [_localized_source(spec, eig, rng) for _ in range(n_duhamel)]
+    sources = [_localized_source(spec, eig, rng)
+               for _ in range(n_sources + n_duhamel)]
+    # either stack may be empty, shape grid.sizes + (0,)
+    stack = np.stack([f.values for f in sources], axis=-1)
+    hom, fx = stack[..., :n_sources], stack[..., n_sources:]
     t_mid, t_wid = 0.5 * t_final, t_final / 6.0
 
     def amp(t: float) -> float:
         return math.exp(-((t - t_mid) / t_wid) ** 2)
 
-    # the source is amp(t) fx, so both reference norms are amp(t) times
-    # those of fx; the growing weight is <x>^sigma.  Per source: those two
-    # norms with their accumulators, and one accumulator per pair
-    refs = [((norm_weighted_h1(fx, -sigma), _TimeLq(2.0)),
-             (norm_h1(fx), _TimeLq(1.0))) for fx in sources]
+    # the Duhamel source is amp(t) fx, so both reference norms are amp(t)
+    # times those of fx; the growing weight is <x>^sigma.  Per Duhamel
+    # source: those two norms with their accumulators.  Per source, in
+    # row order: one accumulator per pair
+    refs = [((norm_weighted_h1(f, -sigma), _TimeLq(2.0)),
+             (norm_h1(f), _TimeLq(1.0))) for f in sources[n_sources:]]
     accs = [{pair: _TimeLq(pair[0]) for pair in pairs} for _ in sources]
 
-    def sample(t: float, cur: np.ndarray | None) -> None:
-        for s_idx, (ref, acc) in enumerate(zip(refs, accs)):
+    def sample(t: float, hom: np.ndarray, cur: np.ndarray | None) -> None:
+        """Feed both stacks at time t (``cur`` None: the Duhamel fields are
+        zero) and the Duhamel reference norms to their accumulators."""
+        for ref in refs:
             for norm, ref_acc in ref:
                 ref_acc.add(t, amp(t) * norm)
-            u = None if cur is None else make_field(
-                g, np.ascontiguousarray(cur[..., s_idx]))
+        fields = [make_field(g, hom[..., k]) for k in range(n_sources)]
+        fields += [None if cur is None else make_field(g, cur[..., k])
+                   for k in range(n_duhamel)]
+        for u, acc in zip(fields, accs):
             for pair in pairs:
                 acc[pair].add(t, 0.0 if u is None else norm_w1p(u, pair[1]))
 
-    fx = np.stack([f.values for f in sources], axis=-1)
     cur = np.zeros_like(fx)
-    sample(0.0, None)
+    sample(0.0, hom, None)
+    last = 0
     for step_i in range(1, n_steps + 1):
         t0 = (step_i - 1) * dt
         t1 = step_i * dt
         half = cur + 0.5 * dt * amp(t0) * fx
         cur = cn_power(spec, half, dt, 1) + 0.5 * dt * amp(t1) * fx
         if step_i % stride == 0 or step_i == n_steps:
-            sample(t1, cur)
-    for s_idx, (ref, acc) in enumerate(zip(refs, accs)):
-        reference = min(ref_acc.value() for _, ref_acc in ref)
+            hom = cn_power(spec, hom, dt, step_i - last)
+            last = step_i
+            sample(t1, hom, cur)
+
+    heads = [("homogeneous", k, norm_l2(f))
+             for k, f in enumerate(sources[:n_sources])]
+    heads += [("duhamel", k, min(ref_acc.value() for _, ref_acc in ref))
+              for k, ref in enumerate(refs)]
+    rows = []
+    for (mode, s_idx, reference), acc in zip(heads, accs):
         for (q, p), a in acc.items():
             val = a.value()
-            rows.append(StrichartzRow(mode="duhamel", source=s_idx,
-                                      q=q, p=p, value=val, reference=reference,
+            rows.append(StrichartzRow(mode=mode, source=s_idx, q=q, p=p,
+                                      value=val, reference=reference,
                                       ratio=val / max(reference, 1e-300)))
-
     ratios = np.array([r.ratio for r in rows])
     return StrichartzReport(rows=tuple(rows), max_ratio=float(ratios.max()),
                             median_ratio=float(np.median(ratios)))

@@ -245,6 +245,8 @@ def evolve(spec: HamiltonianSpec,
     """
     single = isinstance(psi0, ComplexField)
     states = [psi0] if single else list(psi0)
+    if not states:
+        raise MagnlsError("evolve got an empty sequence of initial states")
     n_steps = whole_steps(config.t_final, config.dt)
     runs = [_Run(spec, f, config, sign) for f in states]
     results: list[Trajectory | ConservationBreach | None] = [None] * len(runs)
@@ -263,8 +265,7 @@ def evolve(spec: HamiltonianSpec,
             kept = []
             for col, idx in enumerate(live):
                 try:
-                    runs[idx].record(n * config.dt,
-                                    np.ascontiguousarray(values[..., col]))
+                    runs[idx].record(n * config.dt, values[..., col])
                     kept.append(col)
                 except ConservationBreach as exc:
                     results[idx] = exc

@@ -111,13 +111,14 @@ class ComplexField:
     values: np.ndarray
 
     def __post_init__(self):
-        arr = np.asarray(self.values, dtype=np.complex128)
+        # a C-contiguous copy, so a strided column of a stack is accepted
+        # and has a float64 view
+        arr = np.array(self.values, dtype=np.complex128, order="C")
         if arr.shape != self.grid.sizes:
             raise GridMismatchError(
                 f"field shape {arr.shape} does not match grid sizes {self.grid.sizes}")
         if not np.all(np.isfinite(arr.view(np.float64))):
             raise MagnlsError("field contains non-finite samples")
-        arr = arr.copy()
         arr.setflags(write=False)
         object.__setattr__(self, "values", arr)
 

@@ -467,8 +467,7 @@ def cn_power(spec: HamiltonianSpec, values: np.ndarray, dt: float,
     if values.ndim > spec.grid.dim:
         out = np.empty_like(values)
         for k in range(values.shape[-1]):
-            out[..., k] = cn_power(spec, np.ascontiguousarray(values[..., k]),
-                                   dt, n)
+            out[..., k] = cn_power(spec, values[..., k], dt, n)
         return out
     if n == 1:
         return values - 2.0 * _krylov_shifted_solve(

@@ -19,10 +19,13 @@ from magnls import (
     build_localized_loop_field,
     default_lambda_grid,
     from_function,
+    ground_state,
     is_admissible,
+    make_field,
     make_potential_pair,
     norm_equivalence_check,
     norm_h1,
+    norm_l2,
     norm_w1p,
     norm_weighted_h1,
     resolvent_bound_scan,
@@ -231,3 +234,118 @@ def test_strichartz_rejects_inadmissible_pairs(gauss_spec, gauss_eig):
 def test_strichartz_rejects_a_partial_step(gauss_spec, gauss_eig):
     with pytest.raises(ConfigError, match="whole number of steps"):
         strichartz_ratio(gauss_spec, gauss_eig, t_final=0.105, dt=2e-2)
+
+
+def test_strichartz_takes_an_empty_stack_of_either_kind(gauss_spec, gauss_eig):
+    # the sources are drawn homogeneous first, so dropping the Duhamel
+    # sources leaves the homogeneous rows bit for bit
+    kwargs = dict(n_sources=2, t_final=0.2, dt=5e-3, stride=5)
+    both = strichartz_ratio(gauss_spec, gauss_eig, n_duhamel=2, **kwargs)
+    hom = strichartz_ratio(gauss_spec, gauss_eig, n_duhamel=0, **kwargs)
+    assert hom.rows == tuple(r for r in both.rows if r.mode == "homogeneous")
+    assert len(hom.rows) == 6
+    duh = strichartz_ratio(gauss_spec, gauss_eig, n_sources=0, n_duhamel=2,
+                           t_final=0.2, dt=5e-3, stride=5)
+    assert [(r.mode, r.source) for r in duh.rows] == (
+        [("duhamel", 0)] * 3 + [("duhamel", 1)] * 3)
+    with pytest.raises(ConfigError, match="at least one source"):
+        strichartz_ratio(gauss_spec, gauss_eig, n_sources=0, n_duhamel=0)
+
+
+def _time_lq(times, series, q):
+    """Trapezoid L^q norm of a sample series; the supremum for q = inf."""
+    if math.isinf(q):
+        return max(series)
+    total = sum(0.5 * (tb - ta) * (va**q + vb**q) for ta, tb, va, vb in
+                zip(times, times[1:], series, series[1:]))
+    return total ** (1.0 / q)
+
+
+def _strichartz_oracle(spec, eig, *, pairs, n_sources, n_duhamel, t_final,
+                       dt, stride, sigma, seed):
+    """(mode, source, q, p, value, reference, ratio) per row, each source
+    marched alone by the dense Crank-Nicolson matrix."""
+    from magnls.analysis import _localized_source
+
+    g = spec.grid
+    rng = np.random.default_rng(seed)
+    sources = [_localized_source(spec, eig, rng)
+               for _ in range(n_sources + n_duhamel)]
+    c = orc.cn_propagator(spec, dt)
+    n_steps = round(t_final / dt)
+    samples = {n for n in range(1, n_steps + 1)
+               if n % stride == 0 or n == n_steps}
+    times = [0.0] + [n * dt for n in sorted(samples)]
+
+    def amp(t):
+        return math.exp(-((t - 0.5 * t_final) / (t_final / 6.0)) ** 2)
+
+    def rows_of(mode, idx, fields, reference):
+        out = []
+        for q, p in pairs:
+            series = [norm_w1p(make_field(g, u.reshape(g.sizes)), p)
+                      for u in fields]
+            value = _time_lq(times, series, q)
+            out.append((mode, idx, q, p, value, reference, value / reference))
+        return out
+
+    rows = []
+    for idx, f in enumerate(sources[:n_sources]):
+        u = f.values.ravel()
+        fields = [u]
+        for n in range(1, n_steps + 1):
+            u = c @ u
+            if n in samples:
+                fields.append(u)
+        rows += rows_of("homogeneous", idx, fields, norm_l2(f))
+    for idx, f in enumerate(sources[n_sources:]):
+        fx = f.values.ravel()
+        cur = np.zeros_like(fx)
+        fields = [cur]
+        for n in range(1, n_steps + 1):
+            cur = (c @ (cur + 0.5 * dt * amp((n - 1) * dt) * fx)
+                   + 0.5 * dt * amp(n * dt) * fx)
+            if n in samples:
+                fields.append(cur)
+        amps = [amp(t) for t in times]
+        reference = min(
+            _time_lq(times, [a * norm_weighted_h1(f, -sigma) for a in amps],
+                     2.0),
+            _time_lq(times, [a * norm_h1(f) for a in amps], 1.0))
+        rows += rows_of("duhamel", idx, fields, reference)
+    return rows
+
+
+def _loop_16x16():
+    g = GridSpec(2, (16, 16), (20.0, 20.0))
+    return build_hamiltonian(make_potential_pair(
+        build_localized_loop_field(g, 0.3, 1.5, 1.0),
+        build_gaussian_well(g, -2.0, 1.0).v))
+
+
+@pytest.mark.parametrize("backend", ["dense", "krylov"])
+def test_strichartz_rows_match_per_source_cn_matrix_marches(backend):
+    # the stacked scan against each source marched on its own by the dense
+    # CN matrix: u <- C u, and the trapezoid recursion for the Duhamel
+    # integral, sampled on the same schedule (the last interval is short)
+    if backend == "dense":
+        g = GridSpec(1, (64,), (20.0,))
+        spec = build_hamiltonian(build_gaussian_well(g, -2.0, 1.0))
+        kwargs = dict(n_sources=2, n_duhamel=2, t_final=0.2, dt=5e-3,
+                      stride=3, sigma=4.1, seed=3)
+    else:
+        spec = _loop_16x16()
+        kwargs = dict(n_sources=2, n_duhamel=1, t_final=0.1, dt=5e-3,
+                      stride=3, sigma=4.1, seed=4)
+    assert spec.linear_backend == backend
+    eig = ground_state(spec)
+    pairs = ((math.inf, 2.0), (3.0, 18.0 / 5.0), (8.0 / 3.0, 4.0))
+    report = strichartz_ratio(spec, eig, pairs=pairs, **kwargs)
+    expected = _strichartz_oracle(spec, eig, pairs=pairs, **kwargs)
+    assert len(report.rows) == len(expected)
+    for row, (mode, idx, q, p, value, reference, ratio) in zip(report.rows,
+                                                               expected):
+        assert (row.mode, row.source, row.q, row.p) == (mode, idx, q, p)
+        assert row.value == pytest.approx(value, rel=1e-10)
+        assert row.reference == pytest.approx(reference, rel=1e-10)
+        assert row.ratio == pytest.approx(ratio, rel=1e-10)

@@ -207,6 +207,23 @@ def test_cli_reruns_are_byte_identical(tmp_path):
     assert blobs[0] == blobs[1]
 
 
+def test_strichartz_ratio_passes_and_reruns_byte_identical(tmp_path):
+    # the default scan: 4 homogeneous and 2 Duhamel sources, 3 pairs each
+    path = write_config(tmp_path, MINIMAL)
+    blobs = []
+    for name in ("a", "b"):
+        out = tmp_path / name
+        assert main(["strichartz-ratio", "--config", str(path),
+                     "--output", str(out)]) == 0
+        lines = (out / "strichartz.csv").read_text().splitlines()
+        assert len(lines) == 1 + 18
+        gates = json.loads((out / "manifest.json").read_text())["gates"]
+        assert gates["strichartz_spread"]["passed"]
+        blobs.append(((out / "strichartz.csv").read_bytes(),
+                      (out / "strichartz.json").read_bytes()))
+    assert blobs[0] == blobs[1]
+
+
 def test_resolvent_scan_passes_on_a_2d_loop_grid(tmp_path):
     # on 1,024 points the default lambda grid sits in the gaps of the box
     # levels, as in 1D; a uniform grid puts lambda = 2.8 within 1.5e-3 of a

@@ -236,6 +236,11 @@ def test_evolve_rejects_a_partial_step(sech_spec, sech_eig):
         evolve(sech_spec, sech_eig.phi0, cfg, 1)
 
 
+def test_evolve_rejects_an_empty_sequence_of_initial_states(sech_spec):
+    with pytest.raises(MagnlsError, match="empty sequence of initial states"):
+        evolve(sech_spec, [], EvolveConfig(dt=0.1, t_final=0.5), 1)
+
+
 def test_conservation_monitors_trip_on_drift(sech_spec, sech_eig):
     psi0 = make_field(sech_spec.grid, 0.5 * sech_eig.phi0.values)
     cfg = EvolveConfig(dt=5e-2, t_final=3.0, snapshot_stride=5,

@@ -65,6 +65,20 @@ def test_field_values_are_write_protected():
         f.values[0] = 1.0
 
 
+def test_a_strided_stack_column_makes_a_field():
+    # a column of a stack with states along a trailing axis is strided
+    g = GridSpec(2, (8, 16), (8.0, 16.0))
+    rng = np.random.default_rng(0)
+    shape = (8, 16, 3)
+    stack = rng.standard_normal(shape) + 1j * rng.standard_normal(shape)
+    f = make_field(g, stack[..., 1])
+    assert np.array_equal(f.values, stack[..., 1])
+    assert not f.values.flags.writeable
+    stack[2, 3, 1] = complex(1.0, np.nan)
+    with pytest.raises(MagnlsError, match="non-finite"):
+        make_field(g, stack[..., 1])
+
+
 def test_dft_matches_direct_sum():
     g = GridSpec(1, (32,), (11.0,))
     rng = np.random.default_rng(5)
