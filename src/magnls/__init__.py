@@ -40,11 +40,13 @@ from .grid import (
 )
 from .norms import (
     bracket_weight,
+    first_order_parts,
     norm_h1,
     norm_h2,
     norm_lp,
     norm_w1p,
     norm_w2p_sum,
+    norm_w2p_sums,
     norm_weighted_h1,
     norm_weighted_l2,
 )

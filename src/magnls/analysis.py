@@ -28,8 +28,8 @@ from .hamiltonian import (MIN_IMAG_SHIFT, HamiltonianSpec, apply_h1,
                           cn_power, h_matrix, project_continuous,
                           resolvent_solve, shifted_solve)
 from .krylov import arnoldi
-from .norms import (bracket_weight, check_sigma, norm_h1, norm_lp, norm_w1p,
-                    norm_w2p_sum, norm_weighted_h1)
+from .norms import (bracket_weight, check_sigma, first_order_parts, norm_lp,
+                    norm_w2p_sums)
 from .spectrum import EigenPair
 
 # the resolvent-scan run repeats its scan at eps / _FINE_EPS_FACTOR
@@ -128,9 +128,11 @@ class XNormAccumulator:
         self._parts = (_TimeLq(2.0), _TimeLq(3.0), _TimeLq(math.inf))
 
     def add(self, t: float, f: ComplexField) -> tuple[float, float, float]:
-        """Sample f at time t; returns the three norms it sampled."""
-        values = (norm_weighted_h1(f, self.sigma), norm_w1p(f, 18.0 / 5.0),
-                  norm_h1(f))
+        """Sample f at time t; returns the three norms it sampled, all from
+        one gradient of f."""
+        parts = first_order_parts(f.grid, f.values[None])
+        values = (parts.weighted_h1(self.sigma)[0], parts.w1p(18.0 / 5.0)[0],
+                  parts.w1p(2.0)[0])
         for part, v in zip(self._parts, values):
             part.add(t, v)
         return values
@@ -351,15 +353,16 @@ def norm_equivalence_check(spec: HamiltonianSpec, *, trials: int = 64,
         probe = make_field(g, sol.values / nrm)
     fields.append(probe)
 
+    # per field: one application of H + K and one transform, read for each p
+    ratios = {p: [] for p in _NORM_P_LIST}
+    for f in fields:
+        hv = apply_h1(spec, f)
+        for p, denom in zip(_NORM_P_LIST, norm_w2p_sums(f, _NORM_P_LIST)):
+            ratios[p].append(norm_lp(hv, p) / max(denom, 1e-300))
     rows = []
     for p in _NORM_P_LIST:
-        ratios = []
-        for f in fields:
-            hv = apply_h1(spec, f)
-            denom = norm_w2p_sum(f, p)
-            ratios.append(norm_lp(hv, p) / max(denom, 1e-300))
-        r_min = float(min(ratios))
-        r_max = float(max(ratios))
+        r_min = float(min(ratios[p]))
+        r_max = float(max(ratios[p]))
         spread = r_max / max(r_min, 1e-300)
         rows.append(NormEquivalenceRow(
             p=float(p), r_min=r_min, r_max=r_max, spread=spread,
@@ -450,25 +453,26 @@ def strichartz_ratio(spec: HamiltonianSpec, eig: EigenPair, *,
     # times those of fx; the growing weight is <x>^sigma.  Per Duhamel
     # source: those two norms with their accumulators.  Per source, in
     # row order: one accumulator per pair
-    refs = [((norm_weighted_h1(f, -sigma), _TimeLq(2.0)),
-             (norm_h1(f), _TimeLq(1.0))) for f in sources[n_sources:]]
+    duh = first_order_parts(g, np.moveaxis(fx, -1, 0))
+    refs = [((wh1, _TimeLq(2.0)), (h1, _TimeLq(1.0)))
+            for wh1, h1 in zip(duh.weighted_h1(-sigma), duh.w1p(2.0))]
     accs = [{pair: _TimeLq(pair[0]) for pair in pairs} for _ in sources]
 
-    def sample(t: float, hom: np.ndarray, cur: np.ndarray | None) -> None:
-        """Feed both stacks at time t (``cur`` None: the Duhamel fields are
-        zero) and the Duhamel reference norms to their accumulators."""
+    def sample(t: float, hom: np.ndarray, cur: np.ndarray) -> None:
+        """Feed both stacks at time t and the Duhamel reference norms to
+        their accumulators; the first-order parts of every field come from
+        one transform of the two stacks, states on the leading axis."""
         for ref in refs:
             for norm, ref_acc in ref:
                 ref_acc.add(t, amp(t) * norm)
-        fields = [make_field(g, hom[..., k]) for k in range(n_sources)]
-        fields += [None if cur is None else make_field(g, cur[..., k])
-                   for k in range(n_duhamel)]
-        for u, acc in zip(fields, accs):
-            for pair in pairs:
-                acc[pair].add(t, 0.0 if u is None else norm_w1p(u, pair[1]))
+        parts = first_order_parts(g, np.concatenate(
+            (np.moveaxis(hom, -1, 0), np.moveaxis(cur, -1, 0))))
+        for pair in pairs:
+            for acc, value in zip(accs, parts.w1p(pair[1])):
+                acc[pair].add(t, value)
 
     cur = np.zeros_like(fx)
-    sample(0.0, hom, None)
+    sample(0.0, hom, cur)
     last = 0
     for step_i in range(1, n_steps + 1):
         t0 = (step_i - 1) * dt

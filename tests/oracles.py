@@ -93,6 +93,47 @@ def fsum_inner(f: np.ndarray, g: np.ndarray, dv: float) -> complex:
     return complex(math.fsum(prod.real), math.fsum(prod.imag)) * dv
 
 
+def first_order_magnitudes(grid: GridSpec, values: np.ndarray):
+    """|f| and |grad f| as flat arrays, the gradient by dense derivative
+    matrices."""
+    f = values.ravel()
+    comps = [derivative_matrix(grid, a) @ f for a in range(grid.dim)]
+    return np.abs(f), np.sqrt(sum(np.abs(c) ** 2 for c in comps))
+
+
+def fsum_power(mags: np.ndarray, p: float, dv: float) -> float:
+    """Compensated dv * sum mags^p."""
+    return math.fsum((mags**p).tolist()) * dv
+
+
+def w1p_norm(grid: GridSpec, values: np.ndarray, p: float) -> float:
+    """(||f||_p^p + ||grad f||_p^p)^(1/p), the larger part for p = inf."""
+    mag, grad = first_order_magnitudes(grid, values)
+    if math.isinf(p):
+        return float(max(mag.max(), grad.max()))
+    dv = grid.volume_element
+    return (fsum_power(mag, p, dv) + fsum_power(grad, p, dv)) ** (1.0 / p)
+
+
+def weighted_h1_norm(grid: GridSpec, values: np.ndarray, sigma: float) -> float:
+    """||<x>^-sigma f||_2 + ||<x>^-sigma grad f||_2."""
+    mag, grad = first_order_magnitudes(grid, values)
+    w = ((1.0 + grid.radius**2) ** (-0.5 * sigma)).ravel()
+    dv = grid.volume_element
+    return (math.sqrt(fsum_power(w * mag, 2, dv))
+            + math.sqrt(fsum_power(w * grad, 2, dv)))
+
+
+def w2p_sum_norm(grid: GridSpec, values: np.ndarray, p: float) -> float:
+    """||f||_p + ||grad f||_p + ||lap f||_p with dense derivative matrices."""
+    mag, grad = first_order_magnitudes(grid, values)
+    lap = np.abs(laplacian_matrix(grid) @ values.ravel())
+    if math.isinf(p):
+        return float(mag.max() + grad.max() + lap.max())
+    dv = grid.volume_element
+    return sum(fsum_power(a, p, dv) ** (1.0 / p) for a in (mag, grad, lap))
+
+
 def fd_laplacian(values: np.ndarray, spacings) -> np.ndarray:
     """Second-order periodic finite differences, for loose cross-checks."""
     out = np.zeros_like(values, dtype=np.complex128)

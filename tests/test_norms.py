@@ -1,12 +1,23 @@
-"""Norm definitions: closed forms on single modes, orderings, weight behavior."""
+"""Norm definitions: closed forms on single modes, orderings, weight behavior,
+and the stacked first-order norms against a dense-matrix oracle."""
+
+import math
 
 import numpy as np
 import pytest
 
+import oracles as orc
 from magnls import (
+    GridMismatchError,
     GridSpec,
+    MagnlsError,
     bracket_weight,
+    build_gaussian_well,
+    build_localized_loop_field,
+    first_order_parts,
     from_function,
+    gaussian_bump,
+    gradient,
     make_field,
     norm_h1,
     norm_h2,
@@ -14,6 +25,7 @@ from magnls import (
     norm_lp,
     norm_w1p,
     norm_w2p_sum,
+    norm_w2p_sums,
     norm_weighted_h1,
     norm_weighted_l2,
 )
@@ -87,3 +99,80 @@ def test_second_order_sum_norm_components():
     # at p = 2 the pieces are the mode norms |f|, k|f|, k^2|f|
     assert norm_w2p_sum(f, 3.0) == pytest.approx(
         (G.volume) ** (1 / 3) * (1.0 + k + k**2), rel=1e-12)
+
+
+def _oracle_stacks():
+    """Stacks of fields on the 64-point well and the 16x16 loop grids: the
+    potentials, a random field and a zero row (the Duhamel fields at t = 0)."""
+    rng = np.random.default_rng(5)
+    well = GridSpec(1, (64,), (20.0,))
+    loop = GridSpec(2, (16, 16), (20.0, 20.0))
+    out = []
+    loop_a = build_localized_loop_field(loop, 0.3, 1.5, 1.0)
+    for g, named in ((well, [build_gaussian_well(well, -2.0, 1.0).v]),
+                     (loop, list(loop_a.components))):
+        rows = [f.values for f in named]
+        rows.append(rng.standard_normal(g.sizes)
+                    + 1j * rng.standard_normal(g.sizes))
+        rows.append(gaussian_bump(g, 1.0, 2.0).values * np.exp(1j * g.coords[0]))
+        rows.append(np.zeros(g.sizes, dtype=np.complex128))
+        out.append((g, np.stack(rows)))
+    return out
+
+
+@pytest.mark.parametrize("grid, stack", _oracle_stacks(),
+                         ids=["well_64", "loop_16x16"])
+def test_stacked_first_order_norms_match_the_dense_oracle(grid, stack):
+    parts = first_order_parts(grid, stack)
+    for grad, values in zip(parts.grad, stack):
+        # the stack's batched transforms give each row's single-field
+        # spectral gradient bit for bit
+        comps = gradient(make_field(grid, values)).components
+        assert np.array_equal(
+            grad, np.sqrt(sum(np.abs(c.values) ** 2 for c in comps)))
+    for p in (2.0, 18.0 / 5.0, 4.0, math.inf):
+        rows = parts.w1p(p)
+        assert len(rows) == len(stack)
+        for row, values in zip(rows, stack):
+            assert row == pytest.approx(orc.w1p_norm(grid, values, p),
+                                        rel=1e-12, abs=0.0)
+            # each row is the single-field norm, bit for bit
+            assert row == norm_w1p(make_field(grid, values), p)
+    for sigma in (4.1, -4.1):
+        for row, values in zip(parts.weighted_h1(sigma), stack):
+            assert row == pytest.approx(
+                orc.weighted_h1_norm(grid, values, sigma), rel=1e-12, abs=0.0)
+            assert row == norm_weighted_h1(make_field(grid, values), sigma)
+
+
+@pytest.mark.parametrize("grid, stack", _oracle_stacks(),
+                         ids=["well_64", "loop_16x16"])
+def test_second_order_sums_share_one_transform_and_match_the_oracle(grid,
+                                                                    stack):
+    ps = (2.0, 18.0 / 5.0, math.inf)
+    for values in stack[:-1]:
+        f = make_field(grid, values)
+        sums = norm_w2p_sums(f, ps)
+        assert sums == [norm_w2p_sum(f, p) for p in ps]
+        for p, got in zip(ps, sums):
+            assert got == pytest.approx(orc.w2p_sum_norm(grid, values, p),
+                                        rel=1e-12)
+
+
+def test_a_stack_with_a_non_finite_row_is_rejected():
+    g = GridSpec(1, (64,), (20.0,))
+    stack = np.ones((3, 64), dtype=np.complex128)
+    stack[1, 7] = complex(0.0, np.nan)
+    with pytest.raises(MagnlsError, match="non-finite"):
+        first_order_parts(g, stack)
+    # states along a trailing axis are not a stack of rows
+    with pytest.raises(GridMismatchError):
+        first_order_parts(g, np.ones((64, 3), dtype=np.complex128))
+
+
+def test_an_empty_stack_has_no_rows():
+    for g in (GridSpec(1, (64,), (20.0,)), GridSpec(2, (16, 16), (20.0, 20.0))):
+        parts = first_order_parts(g, np.zeros((0,) + g.sizes, dtype=np.complex128))
+        assert parts.w1p(2.0) == []
+        assert parts.w1p(math.inf) == []
+        assert parts.weighted_h1(4.1) == []
