@@ -34,12 +34,16 @@ from .grid import (
     make_field,
     norm_l2,
     read_field,
+    stack_fft,
+    stack_gradient,
+    stack_laplacian,
     write_field,
     zero_vector_field,
     zeros,
 )
 from .norms import (
     bracket_weight,
+    field_parts,
     first_order_parts,
     norm_h1,
     norm_h2,

@@ -28,8 +28,8 @@ from .hamiltonian import (MIN_IMAG_SHIFT, HamiltonianSpec, apply_h1,
                           cn_power, h_matrix, project_continuous,
                           resolvent_solve, shifted_solve)
 from .krylov import arnoldi
-from .norms import (bracket_weight, check_sigma, first_order_parts, norm_lp,
-                    norm_w2p_sums)
+from .norms import (bracket_weight, check_sigma, field_parts,
+                    first_order_parts, norm_lp, norm_w2p_sums)
 from .spectrum import EigenPair
 
 # the resolvent-scan run repeats its scan at eps / _FINE_EPS_FACTOR
@@ -130,7 +130,7 @@ class XNormAccumulator:
     def add(self, t: float, f: ComplexField) -> tuple[float, float, float]:
         """Sample f at time t; returns the three norms it sampled, all from
         one gradient of f."""
-        parts = first_order_parts(f.grid, f.values[None])
+        parts = field_parts(f)
         values = (parts.weighted_h1(self.sigma)[0], parts.w1p(18.0 / 5.0)[0],
                   parts.w1p(2.0)[0])
         for part, v in zip(self._parts, values):

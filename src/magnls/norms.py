@@ -8,10 +8,10 @@ never with grad(<x>^-sigma f).
 
 The first-order norms of several fields are taken together from a stack:
 the fields on a leading axis, the grid axes last, so each row is
-contiguous.  ``first_order_parts`` transforms the stack once and every
-first-order norm reads its |f| and |grad f|; each row's transforms and sums
-are those of the field alone, bit for bit, and the single-field norms are
-the one-row case.
+contiguous.  ``first_order_parts`` takes the stack's gradient from the
+stacked spectral calculus of ``grid`` and every first-order norm reads its
+|f| and |grad f|; each row's transforms and sums are those of the field
+alone, bit for bit, and the single-field norms are the one-row case.
 """
 
 from __future__ import annotations
@@ -22,7 +22,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import GridMismatchError, MagnlsError
-from .grid import ComplexField, GridSpec
+from .grid import (ComplexField, GridSpec, stack_fft, stack_gradient,
+                   stack_laplacian)
 
 
 def check_sigma(sigma: float) -> None:
@@ -50,19 +51,9 @@ def _lp_rows(mags: np.ndarray, p: float, volume_element: float) -> list[float]:
             for s in np.sum(mags**p, axis=axes)]
 
 
-def _grid_axes(grid: GridSpec) -> dict:
-    """Transform arguments for the grid axes of a stack.  Given ``s``,
-    numpy does not read the sizes off the array, a per-call cost that is
-    a third of a 256-point transform."""
-    return {"s": grid.sizes, "axes": tuple(range(1, grid.dim + 1))}
-
-
-def _grad_of_transform(grid: GridSpec, fhat: np.ndarray) -> np.ndarray:
-    """|grad f| of each row from the stack's forward transform: one inverse
-    transform per axis."""
-    kw = _grid_axes(grid)
-    return np.sqrt(sum(np.abs(np.fft.ifftn(1j * k * fhat, **kw)) ** 2
-                       for k in grid.k_mesh))
+def _grad_rows(grid: GridSpec, fhat: np.ndarray) -> np.ndarray:
+    """|grad f| of each row from the stack's forward transform."""
+    return np.sqrt(sum(np.abs(c) ** 2 for c in stack_gradient(grid, fhat)))
 
 
 @dataclass(frozen=True)
@@ -102,11 +93,12 @@ def first_order_parts(grid: GridSpec, stack: np.ndarray) -> FirstOrderParts:
             f"stack shape {arr.shape} is not (K,) + grid sizes {grid.sizes}")
     if not np.isfinite(arr).all():
         raise MagnlsError("field contains non-finite samples")
-    fhat = np.fft.fftn(arr, **_grid_axes(grid))
-    return FirstOrderParts(grid, np.abs(arr), _grad_of_transform(grid, fhat))
+    return FirstOrderParts(grid, np.abs(arr),
+                           _grad_rows(grid, stack_fft(grid, arr)))
 
 
-def _parts(f: ComplexField) -> FirstOrderParts:
+def field_parts(f: ComplexField) -> FirstOrderParts:
+    """``first_order_parts`` of f alone, a one-row stack."""
     return first_order_parts(f.grid, f.values[None])
 
 
@@ -115,7 +107,7 @@ def norm_lp(f: ComplexField, p: float) -> float:
 
 
 def grad_magnitude(f: ComplexField) -> np.ndarray:
-    return _parts(f).grad[0]
+    return field_parts(f).grad[0]
 
 
 def norm_w1p(f: ComplexField, p: float) -> float:
@@ -123,7 +115,7 @@ def norm_w1p(f: ComplexField, p: float) -> float:
 
     For p = 2 this is the usual sqrt(||f||^2 + ||grad f||^2).
     """
-    return _parts(f).w1p(p)[0]
+    return field_parts(f).w1p(p)[0]
 
 
 def norm_h1(f: ComplexField) -> float:
@@ -132,7 +124,7 @@ def norm_h1(f: ComplexField) -> float:
 
 def norm_weighted_h1(f: ComplexField, sigma: float) -> float:
     """|| <x>^-sigma f ||_2 + || <x>^-sigma grad f ||_2."""
-    return _parts(f).weighted_h1(sigma)[0]
+    return field_parts(f).weighted_h1(sigma)[0]
 
 
 def norm_weighted_l2(f: ComplexField, sigma: float) -> float:
@@ -153,10 +145,9 @@ def norm_w2p_sums(f: ComplexField, ps) -> list[float]:
     """``norm_w2p_sum(f, p)`` for each p in ``ps``; grad f and lap f come
     from one forward transform of f."""
     g = f.grid
-    fhat = np.fft.fftn(f.values[None], **_grid_axes(g))
-    lap = np.fft.ifftn(-g.k_squared * fhat, **_grid_axes(g))
-    rows = np.concatenate((np.abs(f.values)[None], _grad_of_transform(g, fhat),
-                           np.abs(lap)))
+    fhat = stack_fft(g, f.values[None])
+    rows = np.concatenate((np.abs(f.values)[None], _grad_rows(g, fhat),
+                           np.abs(stack_laplacian(g, fhat))))
     return [sum(_lp_rows(rows, p, g.volume_element)) for p in ps]
 
 

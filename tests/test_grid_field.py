@@ -20,6 +20,9 @@ from magnls import (
     make_field,
     norm_l2,
     read_field,
+    stack_fft,
+    stack_gradient,
+    stack_laplacian,
     write_field,
     zeros,
 )
@@ -123,6 +126,34 @@ def test_divergence_of_gradient_is_laplacian():
     lhs = divergence(gradient(f)).values
     rhs = laplacian(f).values
     np.testing.assert_allclose(lhs, rhs, atol=1e-12)
+
+
+@pytest.mark.parametrize("grid", [GridSpec(1, (64,), (16.0,)),
+                                  GridSpec(2, (16, 32), (12.0, 10.0)),
+                                  GridSpec(3, (8, 8, 16), (6.0, 6.0, 8.0))],
+                         ids=["1d", "2d", "3d"])
+def test_stacked_calculus_rows_are_the_single_field_results(grid):
+    rng = np.random.default_rng(11)
+    stack = (rng.standard_normal((3,) + grid.sizes)
+             + 1j * rng.standard_normal((3,) + grid.sizes))
+    fhat = stack_fft(grid, stack)
+    grads = stack_gradient(grid, fhat)
+    lap = stack_laplacian(grid, fhat)
+    assert len(grads) == grid.dim
+    for r, values in enumerate(stack):
+        f = make_field(grid, values)
+        # the transforms of a contiguous row are the field's own, bit for bit
+        direct = np.fft.fftn(values)
+        assert np.array_equal(fhat[r], direct)
+        for c, grad_c, k in zip(gradient(f).components, grads, grid.k_mesh):
+            assert np.array_equal(c.values, grad_c[r])
+            assert np.array_equal(c.values, np.fft.ifftn(1j * k * direct))
+        assert np.array_equal(laplacian(f).values, lap[r])
+        assert np.array_equal(lap[r], np.fft.ifftn(-grid.k_squared * direct))
+    # an empty stack has no rows
+    empty = stack_fft(grid, np.zeros((0,) + grid.sizes, dtype=np.complex128))
+    assert empty.shape == (0,) + grid.sizes
+    assert stack_laplacian(grid, empty).shape == (0,) + grid.sizes
 
 
 def test_inner_product_matches_compensated_sum():
