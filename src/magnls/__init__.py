@@ -24,10 +24,12 @@ from .grid import (
     VectorField,
     dft,
     divergence,
+    fftn,
     freq_norm_l2,
     from_function,
     gradient,
     idft,
+    ifftn,
     inner_l2,
     inner_real,
     laplacian,

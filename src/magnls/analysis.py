@@ -23,7 +23,7 @@ import numpy.random
 
 from .errors import ConfigError, MagnlsError
 from .evolution import whole_steps
-from .grid import ComplexField, GridSpec, make_field, norm_l2
+from .grid import ComplexField, GridSpec, ifftn, make_field, norm_l2
 from .hamiltonian import (MIN_IMAG_SHIFT, HamiltonianSpec, apply_h1,
                           cn_power, h_matrix, project_continuous,
                           resolvent_solve, shifted_solve)
@@ -324,7 +324,7 @@ def _band_limited_trial(g: GridSpec, rng: np.random.Generator) -> ComplexField:
         shape[axis] = g.sizes[axis]
         mask &= (np.abs(k).reshape(shape) <= _BAND_FRACTION * kmax)
     coeffs[~mask] = 0.0
-    f = make_field(g, np.fft.ifftn(coeffs))
+    f = make_field(g, ifftn(coeffs))
     return make_field(g, f.values / max(norm_l2(f), 1e-300))
 
 

@@ -40,7 +40,7 @@ from dataclasses import dataclass, field as dc_field
 import numpy as np
 
 from .errors import ConfigError, ConservationBreach, MagnlsError
-from .grid import ComplexField, inner_l2, make_field
+from .grid import ComplexField, fftn, inner_l2, make_field
 from .hamiltonian import HamiltonianSpec, apply_h, cn_power
 from .norms import norm_w1p
 
@@ -163,7 +163,7 @@ def wrap_around_estimate(psi: ComplexField) -> float:
     """Crude first-wrap time: distance to the seam over twice the group
     velocity of the 90th-percentile wavenumber of the field."""
     g = psi.grid
-    power = np.abs(np.fft.fftn(psi.values)) ** 2
+    power = np.abs(fftn(psi.values)) ** 2
     total = float(power.sum())
     if total == 0.0:
         return np.inf

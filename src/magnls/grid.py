@@ -12,6 +12,21 @@ types defined here.  Conventions, fixed once:
 * all physical-side norms and inner products carry the volume element, and
   the frequency-side L2 norm carries 1/volume, which makes the two sides
   agree exactly (discrete Parseval).
+
+Every discrete Fourier transform of the package is ``fftn`` or ``ifftn``
+here.  The library follows from the number of transform axes alone:
+
+* one axis (every 1D field and 1D stack, and each derivative of
+  ``divergence``) runs ``numpy.fft``, so 1D results stay what numpy gives
+  and no 1D run loads ``scipy.fft``, whose import (mostly ``scipy.special``)
+  costs about 70 ms and 4.9 MiB;
+* two or more axes run ``scipy.fft``, imported on the first such call,
+  which transforms every axis in one C++ call where ``numpy.fft.fftn``
+  takes one axis at a time from Python and copies the data for each.
+
+Building the potentials takes only one-axis transforms, so a 2D or 3D run
+pays the import in its first solve, not in set-up.  No ``workers``
+argument is passed: on two cores two workers ran 2x slower.
 """
 
 from __future__ import annotations
@@ -172,13 +187,43 @@ def require_same_grid(*fields) -> GridSpec:
 # spectral transforms and calculus
 # ---------------------------------------------------------------------------
 
+_scipy_fft = None  # scipy.fft, once a multi-axis transform has run
+
+
+def _multi_axis_fft():
+    global _scipy_fft
+    if _scipy_fft is None:
+        import scipy.fft
+        _scipy_fft = scipy.fft
+    return _scipy_fft
+
+
+def fftn(a: np.ndarray, s=None, axes=None, *,
+         overwrite_x: bool = False) -> np.ndarray:
+    """Unscaled forward DFT over ``axes`` (default: all axes of ``a``; pass
+    ``axes`` with ``s``), as ``numpy.fft.fftn``: ``numpy.fft`` on one axis,
+    ``scipy.fft`` on more.  ``overwrite_x`` lets ``scipy.fft`` reuse ``a``;
+    pass it only for a temporary the caller owns."""
+    if (a.ndim if axes is None else len(axes)) == 1:
+        return np.fft.fftn(a, s, axes)
+    return _multi_axis_fft().fftn(a, s, axes, overwrite_x=overwrite_x)
+
+
+def ifftn(a: np.ndarray, s=None, axes=None, *,
+          overwrite_x: bool = False) -> np.ndarray:
+    """Inverse of ``fftn`` (scaled by 1/N), on the same libraries."""
+    if (a.ndim if axes is None else len(axes)) == 1:
+        return np.fft.ifftn(a, s, axes)
+    return _multi_axis_fft().ifftn(a, s, axes, overwrite_x=overwrite_x)
+
+
 def dft(f: ComplexField) -> ComplexField:
     """Forward transform, scaled so a constant c has zero-mode weight c*volume."""
-    return ComplexField(f.grid, np.fft.fftn(f.values) * f.grid.volume_element)
+    return ComplexField(f.grid, fftn(f.values) * f.grid.volume_element)
 
 
 def idft(fhat: ComplexField) -> ComplexField:
-    return ComplexField(fhat.grid, np.fft.ifftn(fhat.values) / fhat.grid.volume_element)
+    return ComplexField(fhat.grid, ifftn(fhat.values) / fhat.grid.volume_element)
 
 
 def freq_norm_l2(fhat: ComplexField) -> float:
@@ -188,8 +233,9 @@ def freq_norm_l2(fhat: ComplexField) -> float:
 
 def _stack_axes(grid: GridSpec) -> dict:
     """Transform arguments for the grid axes of a stack.  Given ``s``,
-    numpy does not read the sizes off the array, a per-call cost that is
-    a third of a 256-point transform."""
+    ``numpy.fft`` does not read the sizes off the array, a per-call cost
+    that is a third of a 256-point transform; ``axes`` sends a 2D or 3D
+    stack to ``scipy.fft`` in one call."""
     return {"s": grid.sizes, "axes": tuple(range(1, grid.dim + 1))}
 
 
@@ -197,19 +243,19 @@ def stack_fft(grid: GridSpec, stack: np.ndarray) -> np.ndarray:
     """Unscaled forward transform of each row of a stack of shape
     (K,) + grid.sizes: fields on the leading axis, grid axes last, so each
     row is contiguous and its transform is the field's own, bit for bit."""
-    return np.fft.fftn(stack, **_stack_axes(grid))
+    return fftn(stack, **_stack_axes(grid))
 
 
 def stack_gradient(grid: GridSpec, fhat: np.ndarray) -> tuple[np.ndarray, ...]:
     """Spectral gradient of each row from the stack's ``stack_fft``: one
     inverse transform of i*k_j*fhat per axis j."""
     kw = _stack_axes(grid)
-    return tuple(np.fft.ifftn(1j * k * fhat, **kw) for k in grid.k_mesh)
+    return tuple(ifftn(1j * k * fhat, **kw) for k in grid.k_mesh)
 
 
 def stack_laplacian(grid: GridSpec, fhat: np.ndarray) -> np.ndarray:
     """Spectral Laplacian of each row from the stack's ``stack_fft``."""
-    return np.fft.ifftn(-grid.k_squared * fhat, **_stack_axes(grid))
+    return ifftn(-grid.k_squared * fhat, **_stack_axes(grid))
 
 
 def gradient(f: ComplexField) -> VectorField:
@@ -225,10 +271,14 @@ def laplacian(f: ComplexField) -> ComplexField:
 
 
 def divergence(a: VectorField) -> ComplexField:
+    """Spectral divergence sum_j d_j A_j.  The symbol i*k_j of d_j depends
+    on k_j alone, so each derivative is a pair of transforms along axis j
+    only.  These run ``numpy.fft`` on every grid, so building potentials
+    (``potentials.make_potential_pair``) never loads ``scipy.fft``."""
     g = a.grid
     out = np.zeros(g.sizes, dtype=np.complex128)
-    for j, comp in enumerate(a.components):
-        out += np.fft.ifftn(1j * g.k_mesh[j] * np.fft.fftn(comp.values))
+    for axis, (comp, k) in enumerate(zip(a.components, g.k_mesh)):
+        out += ifftn(1j * k * fftn(comp.values, axes=(axis,)), axes=(axis,))
     return ComplexField(g, out)
 
 

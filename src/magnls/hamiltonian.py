@@ -11,7 +11,7 @@ grid (A = 0, real V) of at most ``DENSE_MAX_POINTS`` points that matrix is
 real symmetric; ``HamiltonianSpec.dense_basis`` diagonalizes it once, on
 first use, and shifted solves become products with that eigenbasis (a
 deflated shift is one product with the cached inverse of its matrix); this
-backend loads no scipy.  Every other operator, in particular any with
+backend loads no scipy solver.  Every other operator, in particular any with
 A != 0, whose collocated first-order terms are not symmetric, solves in
 ``_krylov_shifted_solve``, the one Krylov shifted solve: resolvents,
 deflated bound-state solves, the eigensolver's inverse iterations and the
@@ -23,7 +23,10 @@ kernel carries a bound q on the norm of the preconditioned perturbation,
 computed from sup|V + i div A|, sup|A| and the free resolvent, and q picks
 the solver up front: Richardson sweeps, each at least halving the true
 residual, when q < 1/2 and no mode of the free resolvent is regularized
-(the CN steps), restarted GMRES (``krylov``) otherwise.
+(the CN steps), restarted GMRES (``krylov``) otherwise.  Every transform
+here is ``grid.fftn``/``ifftn``: on a 1D grid they run ``numpy.fft``, so a
+dense 1D run loads no scipy at all; on a 2D or 3D grid, on either backend,
+they run ``scipy.fft``, loaded by the first transform of H.
 ``HamiltonianSpec`` caches whether A vanishes, the multiplication part
 V + i div A and the first-order weights 2i A_j.  It also fixes the positive
 shift K for the auxiliary operator H1 = H + K used by the
@@ -50,6 +53,8 @@ from .grid import (
     ComplexField,
     GridSpec,
     VectorField,
+    fftn,
+    ifftn,
     inner_l2,
     make_field,
     norm_l2,
@@ -177,7 +182,7 @@ def apply_h(spec: HamiltonianSpec, f: ComplexField) -> ComplexField:
 
 def _apply_h_values(spec: HamiltonianSpec, values: np.ndarray) -> np.ndarray:
     fhat, bx = _h_parts(spec, values)
-    out = np.fft.ifftn(spec.grid.k_squared * fhat)  # -lap
+    out = ifftn(spec.grid.k_squared * fhat)  # -lap
     out += bx
     return out
 
@@ -197,11 +202,11 @@ def _h_parts(spec: HamiltonianSpec,
     """(F values, B values), F the plain DFT: one forward transform and,
     when A != 0, one batched inverse transform of the derivatives."""
     g = spec.grid
-    fhat = np.fft.fftn(values)
+    fhat = fftn(values)
     grads = ()
     if spec.magnetic:
-        grads = np.fft.ifftn(np.stack([1j * k * fhat for k in g.k_mesh]),
-                             axes=tuple(range(1, g.dim + 1)))
+        grads = ifftn(np.stack([1j * k * fhat for k in g.k_mesh]),
+                      axes=tuple(range(1, g.dim + 1)))
     return fhat, _b_values(spec, values, grads)
 
 
@@ -258,7 +263,7 @@ def h_matrix(spec: HamiltonianSpec) -> np.ndarray:
     symbols = [g.k_squared]
     if spec.magnetic:
         symbols += [1j * k for k in g.k_mesh]
-    c = np.fft.ifftn(np.stack(symbols), axes=axes)
+    c = ifftn(np.stack(symbols), axes=axes)
     if spec.electric:
         c = c.real
     tiled = np.tile(c, (1,) + (2,) * g.dim)
@@ -406,7 +411,7 @@ def shifted_solve(spec: HamiltonianSpec, zeta: complex, f: ComplexField, *,
     basis = spec.dense_basis
     if basis is None:
         return make_field(spec.grid, _krylov_shifted_solve(
-            spec, zeta, np.fft.fftn(f.values), tol_rel=tol_rel,
+            spec, zeta, fftn(f.values), tol_rel=tol_rel,
             deflate=deflate, x0=x0, strict=strict))
     if deflate is None:
         x = basis.apply(f.values, 1.0 / (basis.lam - zeta))
@@ -432,7 +437,10 @@ def cn_power(spec: HamiltonianSpec, values: np.ndarray, dt: float,
     ``grid.sizes + (K,)``): the dense backend takes the stack through its
     products two states at a time (``DenseBasis.apply``), the Krylov backend
     takes its states one by one, since its solvers take one right-hand side
-    at a time.
+    at a time.  The dense backend's steps are numpy products; the Krylov
+    backend loads ``scipy.sparse.linalg`` with its operator.  On a 2D or 3D
+    grid the transforms of either backend run on ``scipy.fft``, on a 1D
+    grid on ``numpy.fft``.
 
     With a dense eigenbasis H = U diag(lam) U^T the steps are
     U diag(c^n) U^T with the Cayley factor
@@ -503,7 +511,7 @@ def _h_hat(spec: HamiltonianSpec, values: np.ndarray) -> np.ndarray:
     transform more than ``_h_parts``, one fewer than transforming
     ``_apply_h_values``."""
     fhat, bx = _h_parts(spec, values)
-    out = np.fft.fftn(bx)
+    out = fftn(bx)
     out += spec.grid.k_squared * fhat
     return out
 
@@ -579,16 +587,17 @@ def _krylov_shifted_solve(spec: HamiltonianSpec, zeta: complex,
         q += c * dv * float(np.vdot(w, w).real) * kern.inv_max
 
     def apply_k(y):
-        xs = np.fft.ifftn(kern.mult * y, axes=tuple(range(1, y.ndim + 1)))
+        xs = ifftn(kern.mult * y, axes=tuple(range(1, y.ndim + 1)),
+                   overwrite_x=True)
         bx = _b_values(spec, xs[0], xs[1:])
         if deflate is not None:
             bx += c * np.vdot(w, xs[0]) * dv * w
-        return np.fft.fftn(bx)
+        return fftn(bx, overwrite_x=True)
 
     if kern.ident is None and q < _SWEEP_BOUND:
         y = krylov.richardson(apply_k, f_hat, bound=q, tol=tol_rel,
                               strict=strict)
-        return np.fft.ifftn(kern.mult[0] * y)
+        return ifftn(kern.mult[0] * y)
 
     def matvec(v):
         y = v.reshape(f_hat.shape)
@@ -597,11 +606,11 @@ def _krylov_shifted_solve(spec: HamiltonianSpec, zeta: complex,
         return out.ravel()
 
     y0 = (None if x0 is None
-          else (kern.d * np.fft.fftn(x0.reshape(f_hat.shape))).ravel())
+          else (kern.d * fftn(x0.reshape(f_hat.shape))).ravel())
     y = krylov.solve(matvec, f_hat.ravel(), tol=tol_rel,
                      max_iter=_MAX_ITER if strict else _DIRECTION_MAX_ITER,
                      x0=y0, strict=strict)
-    return np.fft.ifftn(y.reshape(f_hat.shape) / kern.d)
+    return ifftn(y.reshape(f_hat.shape) / kern.d)
 
 
 def resolvent_solve(spec: HamiltonianSpec, zeta: complex, f: ComplexField, *,

@@ -22,7 +22,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import GridMismatchError, MagnlsError
-from .grid import (ComplexField, GridSpec, stack_fft, stack_gradient,
+from .grid import (ComplexField, GridSpec, fftn, stack_fft, stack_gradient,
                    stack_laplacian)
 
 
@@ -135,7 +135,7 @@ def norm_weighted_l2(f: ComplexField, sigma: float) -> float:
 def norm_h2(f: ComplexField) -> float:
     """Second-order Sobolev norm, computed spectrally as ||(1+|k|^2) fhat||_2."""
     g = f.grid
-    fhat = np.fft.fftn(f.values)
+    fhat = fftn(f.values)
     weighted = (1.0 + g.k_squared) * fhat
     # Parseval: ||f||_2 = ||fftn(f)|| * sqrt(volume) / N_total
     return float(np.linalg.norm(weighted.ravel()) * np.sqrt(g.volume) / g.total_points)

@@ -87,6 +87,22 @@ def slow_dft_1d(values: np.ndarray) -> np.ndarray:
     return out
 
 
+def matrix_dftn(values: np.ndarray, axes=None, inverse: bool = False) -> np.ndarray:
+    """DFT over ``axes`` (default: all) as one dense matrix product per
+    axis, with numpy's sign and scaling conventions (the inverse carries
+    1/n per axis).  The matrix entries exp(-+2 pi i (j k mod n) / n) come
+    from exact integer phases; no FFT library is involved."""
+    out = np.asarray(values, dtype=np.complex128)
+    for axis in range(out.ndim) if axes is None else axes:
+        n = out.shape[axis]
+        phase = np.outer(np.arange(n), np.arange(n)) % n
+        mat = np.exp((2j if inverse else -2j) * np.pi * phase / n)
+        if inverse:
+            mat /= n
+        out = np.moveaxis(np.tensordot(mat, out, axes=([1], [axis])), 0, axis)
+    return out
+
+
 def fsum_inner(f: np.ndarray, g: np.ndarray, dv: float) -> complex:
     """Compensated <f, g> = dv * sum conj(f) g."""
     prod = np.conjugate(f).ravel() * g.ravel()

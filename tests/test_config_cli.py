@@ -431,6 +431,47 @@ def test_dense_runs_load_no_scipy_solver_and_krylov_operators_load_gmres(
     assert "scipy.sparse.linalg" in after_krylov
 
 
+# Run in a new interpreter: each argument after the config and the output
+# directory is a subcommand run on that config; the last line of output
+# lists, after each run, which of scipy.fft and scipy.special are loaded.
+FFT_IMPORT_PROBE = """
+import json, sys
+from magnls.cli import main
+seen = []
+for sub in sys.argv[3:]:
+    code = main([sub, "--config", sys.argv[1], "--output", sys.argv[2] + sub])
+    seen.append([sub, code, [m for m in ("scipy.fft", "scipy.special")
+                             if m in sys.modules]])
+print(json.dumps(seen))
+"""
+
+
+def fft_imports(tmp_path, config, subcommands) -> list:
+    proc = subprocess.run(
+        [sys.executable, "-c", FFT_IMPORT_PROBE,
+         str(write_config(tmp_path, config)), str(tmp_path / "out-"),
+         *subcommands],
+        env=package_env(), capture_output=True, text=True, timeout=600)
+    assert proc.returncode == 0, proc.stderr
+    return json.loads(proc.stdout.splitlines()[-1])
+
+
+def test_dense_1d_runs_load_no_scipy_fft_and_2d_runs_do(tmp_path):
+    # a one-axis transform runs numpy.fft, so no 1D run pays the scipy.fft
+    # import; a 2D run transforms two axes from its first solve on
+    config = MINIMAL.replace("sizes = 256", "sizes = 128")
+    runs = fft_imports(tmp_path, config, ("ground-state", "bound-state",
+                                          "norm-equivalence",
+                                          "strichartz-ratio",
+                                          "resolvent-scan"))
+    assert all(code == 0 and loaded == [] for _, code, loaded in runs), runs
+    loop = ("[grid]\ndim = 2\nsizes = 16\nlengths = 20.0\n\n"
+            "[potential]\nkind = loop\n")
+    [(_, code, loaded)] = fft_imports(tmp_path, loop, ("ground-state",))
+    assert code == 0
+    assert "scipy.fft" in loaded
+
+
 def concurrent_evolve_reruns(path, tmp_path, tag, env) -> list[dict]:
     """Two ``magnls evolve`` runs of one config in new interpreters, started
     together; the bytes of each run's .csv and .fld outputs by name."""

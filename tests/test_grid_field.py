@@ -2,6 +2,7 @@
 
 import numpy as np
 import pytest
+import scipy.fft
 
 import oracles as orc
 from magnls import (
@@ -9,12 +10,15 @@ from magnls import (
     GridMismatchError,
     GridSpec,
     MagnlsError,
+    VectorField,
     dft,
     divergence,
+    fftn,
     freq_norm_l2,
     from_function,
     gradient,
     idft,
+    ifftn,
     inner_l2,
     laplacian,
     make_field,
@@ -128,6 +132,19 @@ def test_divergence_of_gradient_is_laplacian():
     np.testing.assert_allclose(lhs, rhs, atol=1e-12)
 
 
+@pytest.mark.parametrize("grid", [GridSpec(2, (16, 32), (12.0, 10.0)),
+                                  GridSpec(3, (8, 8, 16), (6.0, 6.0, 8.0))],
+                         ids=["2d", "3d"])
+def test_divergence_matches_the_dense_derivatives(grid):
+    rng = np.random.default_rng(14)
+    comps = [rng.standard_normal(grid.sizes) + 1j * rng.standard_normal(grid.sizes)
+             for _ in range(grid.dim)]
+    want = sum(orc.derivative_matrix(grid, j) @ c.ravel()
+               for j, c in enumerate(comps)).reshape(grid.sizes)
+    got = divergence(VectorField(tuple(make_field(grid, c) for c in comps)))
+    assert np.max(np.abs(got.values - want)) <= 1e-14 * np.max(np.abs(want))
+
+
 @pytest.mark.parametrize("grid", [GridSpec(1, (64,), (16.0,)),
                                   GridSpec(2, (16, 32), (12.0, 10.0)),
                                   GridSpec(3, (8, 8, 16), (6.0, 6.0, 8.0))],
@@ -142,18 +159,61 @@ def test_stacked_calculus_rows_are_the_single_field_results(grid):
     assert len(grads) == grid.dim
     for r, values in enumerate(stack):
         f = make_field(grid, values)
-        # the transforms of a contiguous row are the field's own, bit for bit
-        direct = np.fft.fftn(values)
+        # the transforms of a contiguous row are the field's own, bit for
+        # bit, in the library grid dispatches to: numpy.fft on one axis,
+        # scipy.fft on more
+        lib = np.fft if grid.dim == 1 else scipy.fft
+        direct = lib.fftn(values)
         assert np.array_equal(fhat[r], direct)
         for c, grad_c, k in zip(gradient(f).components, grads, grid.k_mesh):
             assert np.array_equal(c.values, grad_c[r])
-            assert np.array_equal(c.values, np.fft.ifftn(1j * k * direct))
+            assert np.array_equal(c.values, lib.ifftn(1j * k * direct))
         assert np.array_equal(laplacian(f).values, lap[r])
-        assert np.array_equal(lap[r], np.fft.ifftn(-grid.k_squared * direct))
+        assert np.array_equal(lap[r], lib.ifftn(-grid.k_squared * direct))
     # an empty stack has no rows
     empty = stack_fft(grid, np.zeros((0,) + grid.sizes, dtype=np.complex128))
     assert empty.shape == (0,) + grid.sizes
     assert stack_laplacian(grid, empty).shape == (0,) + grid.sizes
+
+
+@pytest.mark.parametrize("grid", [GridSpec(1, (64,), (16.0,)),
+                                  GridSpec(2, (16, 32), (12.0, 10.0)),
+                                  GridSpec(3, (8, 8, 16), (6.0, 6.0, 8.0))],
+                         ids=["1d", "2d", "3d"])
+def test_fftn_and_ifftn_match_a_matrix_dft(grid):
+    rng = np.random.default_rng(12)
+    stack = (rng.standard_normal((2,) + grid.sizes)
+             + 1j * rng.standard_normal((2,) + grid.sizes))
+    axes = tuple(range(1, grid.dim + 1))
+    # one field over all its axes, and a stack over its grid axes
+    for values, kw in ((stack[0], {}),
+                       (stack, {"s": grid.sizes, "axes": axes})):
+        for transform, inverse in ((fftn, False), (ifftn, True)):
+            want = orc.matrix_dftn(values, kw.get("axes"), inverse)
+            err = np.max(np.abs(transform(values, **kw) - want))
+            assert err <= 1e-14 * np.max(np.abs(want))
+
+
+def test_one_axis_transforms_are_numpys_bit_for_bit(monkeypatch):
+    g = GridSpec(1, (64,), (16.0,))
+    rng = np.random.default_rng(13)
+    stack = rng.standard_normal((3, 64)) + 1j * rng.standard_normal((3, 64))
+    kw = {"s": g.sizes, "axes": (1,)}
+    for ours, numpys in ((fftn, np.fft.fftn), (ifftn, np.fft.ifftn)):
+        assert np.array_equal(ours(stack[0]), numpys(stack[0]))
+        assert np.array_equal(ours(stack, **kw), numpys(stack, **kw))
+    # numpy.fft is looked up at each call, so a wrapper installed on it
+    # afterwards sees every one-axis transform and no multi-axis one
+    seen = []
+    for name in ("fftn", "ifftn"):
+        def spy(a, *args, _name=name, _fn=getattr(np.fft, name), **kwargs):
+            seen.append(_name)
+            return _fn(a, *args, **kwargs)
+        monkeypatch.setattr(np.fft, name, spy)
+    laplacian(make_field(g, stack[0]))
+    fftn(stack.reshape(3, 8, 8), axes=(1, 2))
+    ifftn(stack.reshape(3, 8, 8))
+    assert seen == ["fftn", "ifftn"]
 
 
 def test_inner_product_matches_compensated_sum():
