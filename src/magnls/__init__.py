@@ -38,6 +38,7 @@ from .grid import (
     read_field,
     stack_fft,
     stack_gradient,
+    stack_ifft,
     stack_laplacian,
     write_field,
     zero_vector_field,

@@ -5,10 +5,10 @@ proofs: uniform weighted resolvent bounds probed on a frequency grid, the
 equivalence of the shifted-operator graph norm with the flat second-order
 Sobolev norm on random trial fields, and discrete Strichartz quotients for
 the linear group and its Duhamel integral, whose two kinds march as stacks
-of their sources in one time loop, sampled on one schedule.  The
-time-integrated radiation norm used by the stability tracker is
-accumulated incrementally here as well, so a tracked run never has to
-keep full history in memory.
+of their sources (one row per source, the stack layout of ``grid``) in one
+time loop, sampled on one schedule.  The time-integrated radiation norm
+used by the stability tracker is accumulated incrementally here as well,
+so a tracked run never has to keep full history in memory.
 """
 
 from __future__ import annotations
@@ -422,7 +422,7 @@ def strichartz_ratio(spec: HamiltonianSpec, eig: EigenPair, *,
     quotients on a common scale; the gate flags a spread above 10x median.
 
     Both kinds march in one loop over the time steps, each as one stack of
-    its sources along a trailing axis: the Duhamel stack takes one CN step
+    its sources, one row per source: the Duhamel stack takes one CN step
     per time step, the homogeneous stack one CN power of the steps since
     the last sample.  The samples sit at t = 0, at every ``stride`` steps
     and at the last step.  The sources are drawn homogeneous first; rows
@@ -441,9 +441,9 @@ def strichartz_ratio(spec: HamiltonianSpec, eig: EigenPair, *,
         raise ConfigError(f"stride must be >= 1, got {stride}")
     sources = [_localized_source(spec, eig, rng)
                for _ in range(n_sources + n_duhamel)]
-    # either stack may be empty, shape grid.sizes + (0,)
-    stack = np.stack([f.values for f in sources], axis=-1)
-    hom, fx = stack[..., :n_sources], stack[..., n_sources:]
+    # either stack may be empty, shape (0,) + grid.sizes
+    stack = np.stack([f.values for f in sources])
+    hom, fx = stack[:n_sources], stack[n_sources:]
     t_mid, t_wid = 0.5 * t_final, t_final / 6.0
 
     def amp(t: float) -> float:
@@ -453,7 +453,7 @@ def strichartz_ratio(spec: HamiltonianSpec, eig: EigenPair, *,
     # times those of fx; the growing weight is <x>^sigma.  Per Duhamel
     # source: those two norms with their accumulators.  Per source, in
     # row order: one accumulator per pair
-    duh = first_order_parts(g, np.moveaxis(fx, -1, 0))
+    duh = first_order_parts(g, fx)
     refs = [((wh1, _TimeLq(2.0)), (h1, _TimeLq(1.0)))
             for wh1, h1 in zip(duh.weighted_h1(-sigma), duh.w1p(2.0))]
     accs = [{pair: _TimeLq(pair[0]) for pair in pairs} for _ in sources]
@@ -461,12 +461,11 @@ def strichartz_ratio(spec: HamiltonianSpec, eig: EigenPair, *,
     def sample(t: float, hom: np.ndarray, cur: np.ndarray) -> None:
         """Feed both stacks at time t and the Duhamel reference norms to
         their accumulators; the first-order parts of every field come from
-        one transform of the two stacks, states on the leading axis."""
+        one transform of the two stacks."""
         for ref in refs:
             for norm, ref_acc in ref:
                 ref_acc.add(t, amp(t) * norm)
-        parts = first_order_parts(g, np.concatenate(
-            (np.moveaxis(hom, -1, 0), np.moveaxis(cur, -1, 0))))
+        parts = first_order_parts(g, np.concatenate((hom, cur)))
         for pair in pairs:
             for acc, value in zip(accs, parts.w1p(pair[1])):
                 acc[pair].add(t, value)

@@ -91,6 +91,8 @@ class NonlinearityConfig:
     def __post_init__(self):
         for zv in self.z_sweep:
             _require(zv > 0, f"z_sweep entries must be positive, got {zv}")
+        _require(len(set(self.z_sweep)) > 1, "z_sweep needs at least two "
+                 f"distinct entries for its slope fits, got {self.z_sweep}")
 
     @property
     def z(self) -> complex:

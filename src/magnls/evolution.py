@@ -16,16 +16,17 @@ same composition with one phase evaluation per step instead of two
 (Hairer-Lubich-Wanner, Geometric Numerical Integration, 2006, II.5;
 McLachlan-Quispel, Acta Numerica 11, 2002).
 
-``evolve`` marches K initial states as one stack: an array with the states
-along a trailing axis (shape ``grid.sizes + (K,)``), to which each step
-applies the phase pointwise and one ``cn_power`` call.  On the dense backend
-that call multiplies the eigenbasis with the stack as a real N x 2K block,
-two states per pair of products (``DenseBasis.apply``): one state alone, an
-N x 2 block, makes a matrix-vector product in disguise, bound by reading the
-eigenbasis (Dongarra et al., ACM TOMS 16, 1990, on why wider products pay).
-The Krylov backend takes the states one by one.  Each state keeps its own snapshots and drift test.  A state whose
-drift breaches leaves the stack at that snapshot with its
-``ConservationBreach``; the others go on.  One state is the stack of one.
+``evolve`` marches K initial states as one stack, one row per state (the
+layout of ``grid``), to which each step applies the phase pointwise and one
+``cn_power`` call.  On the dense backend that call multiplies the
+eigenbasis with the stack as a real N x 2K block, two states per pair of
+products (``DenseBasis.apply``): one state alone, an N x 2 block, makes a
+matrix-vector product in disguise, bound by reading the eigenbasis
+(Dongarra et al., ACM TOMS 16, 1990, on why wider products pay).  The
+Krylov backend takes the rows one by one.  Each state keeps its own
+snapshots and drift test.  A state whose drift breaches leaves the stack at
+that snapshot with its ``ConservationBreach``; the others go on.  One
+state is the stack of one.
 
 Both sub-flows are unitary (the implicit solve up to its tolerance), so mass
 is conserved to solver precision per step and the scheme is exactly
@@ -250,8 +251,8 @@ def evolve(spec: HamiltonianSpec,
     n_steps = whole_steps(config.t_final, config.dt)
     runs = [_Run(spec, f, config, sign) for f in states]
     results: list[Trajectory | ConservationBreach | None] = [None] * len(runs)
-    values = np.stack([f.values for f in states], axis=-1)
-    live = list(range(len(runs)))   # the state of each column of the stack
+    values = np.stack([f.values for f in states])
+    live = list(range(len(runs)))   # the state of each row of the stack
 
     # the Strang steps with adjacent half-phases joined (module docstring)
     full = sign * config.dt
@@ -263,17 +264,17 @@ def evolve(spec: HamiltonianSpec,
         if n % config.snapshot_stride == 0 or n == n_steps:
             values = _phase(values, half)
             kept = []
-            for col, idx in enumerate(live):
+            for row, idx in enumerate(live):
                 try:
-                    runs[idx].record(n * config.dt, values[..., col])
-                    kept.append(col)
+                    runs[idx].record(n * config.dt, values[row])
+                    kept.append(row)
                 except ConservationBreach as exc:
                     results[idx] = exc
             if len(kept) < len(live):
-                live = [live[col] for col in kept]
+                live = [live[row] for row in kept]
                 if not live:
                     break
-                values = values[..., kept]
+                values = values[kept]
             opening = half
         else:
             opening = full

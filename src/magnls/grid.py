@@ -126,8 +126,9 @@ class ComplexField:
     values: np.ndarray
 
     def __post_init__(self):
-        # a C-contiguous copy, so a strided column of a stack is accepted
-        # and has a float64 view
+        # a C-contiguous copy the field owns, so a strided view, such as a
+        # row of the transposed block ``DenseBasis.apply`` returns, is
+        # accepted and has a float64 view
         arr = np.array(self.values, dtype=np.complex128, order="C")
         if arr.shape != self.grid.sizes:
             raise GridMismatchError(
@@ -231,43 +232,54 @@ def freq_norm_l2(fhat: ComplexField) -> float:
     return float(np.sqrt(np.sum(np.abs(fhat.values) ** 2) / fhat.grid.volume))
 
 
+# A stack is an array of fields on one grid, shape (K,) + grid.sizes: the
+# states on the leading axis (any number of leading axes, or none for a bare
+# field), the grid axes last, so each state is a contiguous row.  This is
+# the package's one stack layout, and every stacked transform is taken here
+# (the batched transforms of Frigo-Johnson, Proc. IEEE 93, 2005).
+
 def _stack_axes(grid: GridSpec) -> dict:
-    """Transform arguments for the grid axes of a stack.  Given ``s``,
-    ``numpy.fft`` does not read the sizes off the array, a per-call cost
-    that is a third of a 256-point transform; ``axes`` sends a 2D or 3D
-    stack to ``scipy.fft`` in one call."""
-    return {"s": grid.sizes, "axes": tuple(range(1, grid.dim + 1))}
+    """Transform arguments for the grid axes of a stack, its last
+    ``grid.dim`` axes.  Given ``s``, ``numpy.fft`` does not read the sizes
+    off the array, a per-call cost that is a third of a 256-point
+    transform; ``axes`` sends a 2D or 3D stack to ``scipy.fft`` in one
+    call."""
+    return {"s": grid.sizes, "axes": tuple(range(-grid.dim, 0))}
 
 
 def stack_fft(grid: GridSpec, stack: np.ndarray) -> np.ndarray:
-    """Unscaled forward transform of each row of a stack of shape
-    (K,) + grid.sizes: fields on the leading axis, grid axes last, so each
-    row is contiguous and its transform is the field's own, bit for bit."""
+    """Unscaled forward transform of each row of a stack; each row's
+    transform is the field's own, bit for bit."""
     return fftn(stack, **_stack_axes(grid))
 
 
-def stack_gradient(grid: GridSpec, fhat: np.ndarray) -> tuple[np.ndarray, ...]:
+def stack_ifft(grid: GridSpec, stack: np.ndarray, *,
+               overwrite_x: bool = False) -> np.ndarray:
+    """Inverse of ``stack_fft``; ``overwrite_x`` as for ``ifftn``."""
+    return ifftn(stack, **_stack_axes(grid), overwrite_x=overwrite_x)
+
+
+def stack_gradient(grid: GridSpec, fhat: np.ndarray) -> np.ndarray:
     """Spectral gradient of each row from the stack's ``stack_fft``: one
-    inverse transform of i*k_j*fhat per axis j."""
-    kw = _stack_axes(grid)
-    return tuple(ifftn(1j * k * fhat, **kw) for k in grid.k_mesh)
+    batched inverse transform of the stack [i k_j fhat], so component j of
+    the gradient is on axis 0 at j."""
+    return stack_ifft(grid, np.stack([1j * k * fhat for k in grid.k_mesh]))
 
 
 def stack_laplacian(grid: GridSpec, fhat: np.ndarray) -> np.ndarray:
     """Spectral Laplacian of each row from the stack's ``stack_fft``."""
-    return ifftn(-grid.k_squared * fhat, **_stack_axes(grid))
+    return stack_ifft(grid, -grid.k_squared * fhat)
 
 
 def gradient(f: ComplexField) -> VectorField:
     """Spectral gradient: multiply by i*k_j per axis."""
-    g = f.grid
-    comps = stack_gradient(g, stack_fft(g, f.values[None]))
-    return VectorField(tuple(ComplexField(g, c[0]) for c in comps))
+    comps = stack_gradient(f.grid, stack_fft(f.grid, f.values))
+    return VectorField(tuple(ComplexField(f.grid, c) for c in comps))
 
 
 def laplacian(f: ComplexField) -> ComplexField:
     g = f.grid
-    return ComplexField(g, stack_laplacian(g, stack_fft(g, f.values[None]))[0])
+    return ComplexField(g, stack_laplacian(g, stack_fft(g, f.values)))
 
 
 def divergence(a: VectorField) -> ComplexField:
@@ -322,13 +334,15 @@ def read_field(path) -> ComplexField:
     raw = Path(path).read_bytes()
     if raw[:8] != SNAPSHOT_MAGIC:
         raise MagnlsError(f"{path}: bad magic {raw[:8]!r}, expected {SNAPSHOT_MAGIC!r}")
-    off = 8
-    (dim,) = struct.unpack_from("<I", raw, off)
-    off += 4
-    sizes = struct.unpack_from(f"<{dim}Q", raw, off)
-    off += 8 * dim
-    lengths = struct.unpack_from(f"<{dim}d", raw, off)
-    off += 8 * dim
+    dim = int.from_bytes(raw[8:12], "little") if len(raw) >= 12 else None
+    if dim not in DIMENSIONS:
+        raise MagnlsError(f"{path}: header rank {raw[8:12]!r} is not one "
+                          f"of {DIMENSIONS}")
+    off = 12 + 16 * dim
+    if len(raw) < off:
+        raise MagnlsError(f"{path}: header is {len(raw)} bytes, expected {off}")
+    sizes = struct.unpack_from(f"<{dim}Q", raw, 12)
+    lengths = struct.unpack_from(f"<{dim}d", raw, 12 + 8 * dim)
     grid = GridSpec(dim, tuple(int(n) for n in sizes), tuple(lengths))
     count = grid.total_points
     expected = off + 16 * count

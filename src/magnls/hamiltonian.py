@@ -58,6 +58,8 @@ from .grid import (
     inner_l2,
     make_field,
     norm_l2,
+    stack_gradient,
+    stack_ifft,
 )
 from .potentials import PotentialPair, build_gauge_field, make_potential_pair
 
@@ -200,13 +202,9 @@ def _b_values(spec: HamiltonianSpec, x: np.ndarray,
 def _h_parts(spec: HamiltonianSpec,
              values: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """(F values, B values), F the plain DFT: one forward transform and,
-    when A != 0, one batched inverse transform of the derivatives."""
-    g = spec.grid
+    when A != 0, the gradient from ``grid.stack_gradient``."""
     fhat = fftn(values)
-    grads = ()
-    if spec.magnetic:
-        grads = ifftn(np.stack([1j * k * fhat for k in g.k_mesh]),
-                      axes=tuple(range(1, g.dim + 1)))
+    grads = stack_gradient(spec.grid, fhat) if spec.magnetic else ()
     return fhat, _b_values(spec, values, grads)
 
 
@@ -259,11 +257,8 @@ def h_matrix(spec: HamiltonianSpec) -> np.ndarray:
     holds column n, and the transposed view is returned.
     """
     g = spec.grid
-    axes = tuple(range(1, g.dim + 1))
-    symbols = [g.k_squared]
-    if spec.magnetic:
-        symbols += [1j * k for k in g.k_mesh]
-    c = ifftn(np.stack(symbols), axes=axes)
+    derivs = [1j * k for k in g.k_mesh] if spec.magnetic else []
+    c = stack_ifft(g, np.stack([g.k_squared] + derivs))
     if spec.electric:
         c = c.real
     tiled = np.tile(c, (1,) + (2,) * g.dim)
@@ -314,17 +309,19 @@ class DenseBasis:
     def apply(self, values: np.ndarray, coeff: np.ndarray,
               increment: bool = False) -> np.ndarray:
         """U diag(coeff) U^T values, or values plus that with
-        ``increment``; ``values`` is one state on the grid or a stack of
-        K states along a trailing axis (shape ``grid.sizes + (K,)``).
+        ``increment``, for one state or a stack of states (``grid``).
 
-        The complex values enter the real products as (re, im) pairs, so
-        the stack is an N x 2K real matrix; the coefficients scale the first
-        product in place and the values are added into the second product's
-        output.  The products take ``_GEMM_STATES`` states at a time: each
-        column of the result is then the product for that state alone, bit
-        for bit, and a stacked run equals the runs of its states."""
-        pairs = np.ascontiguousarray(values, dtype=np.complex128)
-        pairs = pairs.view(np.float64).reshape(len(self.lam), -1)
+        The complex values enter the real products as (re, im) pairs: the
+        rows are transposed once into an N x 2K real matrix, column 2k the
+        real and 2k + 1 the imaginary part of state k, and the result is a
+        transposed view of the output block, one row per state.  The
+        coefficients scale the first product in place and the values are
+        added into the second product's output.  The products take
+        ``_GEMM_STATES`` states at a time: each column of the result is then
+        the product for that state alone, bit for bit, and a stacked run
+        equals the runs of its states."""
+        pairs = np.ascontiguousarray(values.reshape(-1, len(self.lam)).T,
+                                     dtype=np.complex128).view(np.float64)
         out = np.empty_like(pairs)
         for j in range(0, pairs.shape[1], 2 * _GEMM_STATES):
             cols = slice(j, j + 2 * _GEMM_STATES)
@@ -333,7 +330,7 @@ class DenseBasis:
             np.matmul(self.u, a, out=out[:, cols])
         if increment:
             out += pairs
-        return out.view(np.complex128).reshape(values.shape)
+        return out.view(np.complex128).T.reshape(values.shape)
 
     def cayley(self, values: np.ndarray, dt: float, n: int) -> np.ndarray:
         """n Crank-Nicolson steps of size dt of one state or a stack of
@@ -433,14 +430,14 @@ def cn_power(spec: HamiltonianSpec, values: np.ndarray, dt: float,
     """n Crank-Nicolson steps of size dt on the operator's backend: c(H)^n
     values, where one step solves (1 + i dt/2 H) psi+ = (1 - i dt/2 H) psi.
     Every CN step and power of the package is taken here.  ``values`` is one
-    state on the grid or a stack of K states along a trailing axis (shape
-    ``grid.sizes + (K,)``): the dense backend takes the stack through its
-    products two states at a time (``DenseBasis.apply``), the Krylov backend
-    takes its states one by one, since its solvers take one right-hand side
-    at a time.  The dense backend's steps are numpy products; the Krylov
-    backend loads ``scipy.sparse.linalg`` with its operator.  On a 2D or 3D
-    grid the transforms of either backend run on ``scipy.fft``, on a 1D
-    grid on ``numpy.fft``.
+    state on the grid or a stack of states (``grid``): the dense backend
+    takes the stack through its products two states at a time
+    (``DenseBasis.apply``), the Krylov backend takes its rows one by one,
+    since its solvers take one right-hand side at a time.  The dense
+    backend's steps are numpy products; the Krylov backend loads
+    ``scipy.sparse.linalg`` with its operator.  On a 2D or 3D grid the
+    transforms of either backend run on ``scipy.fft``, on a 1D grid on
+    ``numpy.fft``.
 
     With a dense eigenbasis H = U diag(lam) U^T the steps are
     U diag(c^n) U^T with the Cayley factor
@@ -474,8 +471,8 @@ def cn_power(spec: HamiltonianSpec, values: np.ndarray, dt: float,
         return dense.cayley(values, dt, n)
     if values.ndim > spec.grid.dim:
         out = np.empty_like(values)
-        for k in range(values.shape[-1]):
-            out[..., k] = cn_power(spec, values[..., k], dt, n)
+        for k, row in enumerate(values):
+            out[k] = cn_power(spec, row, dt, n)
         return out
     if n == 1:
         return values - 2.0 * _krylov_shifted_solve(
@@ -587,8 +584,7 @@ def _krylov_shifted_solve(spec: HamiltonianSpec, zeta: complex,
         q += c * dv * float(np.vdot(w, w).real) * kern.inv_max
 
     def apply_k(y):
-        xs = ifftn(kern.mult * y, axes=tuple(range(1, y.ndim + 1)),
-                   overwrite_x=True)
+        xs = stack_ifft(spec.grid, kern.mult * y, overwrite_x=True)
         bx = _b_values(spec, xs[0], xs[1:])
         if deflate is not None:
             bx += c * np.vdot(w, xs[0]) * dv * w

@@ -258,8 +258,10 @@ def test_file_potential_matches_direct_construction(tmp_path):
 
 
 @pytest.mark.parametrize("key", ["potential.v_file", "potential.a_files",
-                                 "evolution.init_file"])
+                                 "evolution.init_file", "cut-header"])
 def test_field_file_on_another_grid_is_a_config_error(tmp_path, key):
+    # a field on another grid is an error naming its key and file; a
+    # v_file whose header is cut short (the last case) is one naming the file
     g = GridSpec(1, (256,), (40.0,))
     good, bad = tmp_path / "good.fld", tmp_path / "bad.fld"
     write_field(good, build_gaussian_well(g, -2.0, 1.0).v)
@@ -267,7 +269,11 @@ def test_field_file_on_another_grid_is_a_config_error(tmp_path, key):
                                          -2.0, 1.0).v)
     files = {"potential.v_file": good, "potential.a_files": good,
              "evolution.init_file": good}
-    files[key] = bad
+    if key == "cut-header":
+        bad.write_bytes(b"MNLSFLD1\x01")
+        files["potential.v_file"] = bad
+    else:
+        files[key] = bad
     text = MINIMAL.replace(
         "kind = gaussian_well",
         f"kind = file\nv_file = {files['potential.v_file']}\n"
@@ -279,7 +285,26 @@ def test_field_file_on_another_grid_is_a_config_error(tmp_path, key):
                  "--output", str(out)]) == 2
     manifest = json.loads((out / "manifest.json").read_text())
     assert manifest["status"] == "error"
-    assert key in manifest["error"]
+    assert str(bad) in manifest["error"]
+    if key != "cut-header":
+        assert key in manifest["error"]
+
+
+@pytest.mark.parametrize("sweep", ["0.02", "0.02, 0.02"])
+def test_bound_family_sweep_needs_two_distinct_amplitudes(tmp_path, capsys,
+                                                          sweep):
+    # the bound-family slopes are fits through the sweep: one amplitude, or
+    # several equal ones, would fit a line through one point
+    path = write_config(tmp_path, MINIMAL)
+    override = f"nonlinearity.z_sweep={sweep}"
+    with pytest.raises(ConfigError,
+                       match=r"^nonlinearity\.z_sweep needs at least two"):
+        parse_config(path, overrides=(override,))
+    assert main(["bound-family", "--config", str(path), "--output",
+                 str(tmp_path / "run"), "--override", override]) == 2
+    assert "z_sweep needs at least two" in capsys.readouterr().err
+    cfg = parse_config(path, overrides=("nonlinearity.z_sweep=0.02, 0.04",))
+    assert cfg.nonlinearity.z_sweep == (0.02, 0.04)
 
 
 def test_resolvent_eps_floor_covers_the_fine_scan(tmp_path):

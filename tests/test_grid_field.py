@@ -1,9 +1,13 @@
 """Grid container, transforms, and calculus against slow references."""
 
+import ast
+from pathlib import Path
+
 import numpy as np
 import pytest
 import scipy.fft
 
+import magnls
 import oracles as orc
 from magnls import (
     ComplexField,
@@ -26,6 +30,7 @@ from magnls import (
     read_field,
     stack_fft,
     stack_gradient,
+    stack_ifft,
     stack_laplacian,
     write_field,
     zeros,
@@ -73,7 +78,8 @@ def test_field_values_are_write_protected():
 
 
 def test_a_strided_stack_column_makes_a_field():
-    # a column of a stack with states along a trailing axis is strided
+    # a column of an array with the grid axes first is strided, as is a
+    # row of a transposed stack
     g = GridSpec(2, (8, 16), (8.0, 16.0))
     rng = np.random.default_rng(0)
     shape = (8, 16, 3)
@@ -156,7 +162,9 @@ def test_stacked_calculus_rows_are_the_single_field_results(grid):
     fhat = stack_fft(grid, stack)
     grads = stack_gradient(grid, fhat)
     lap = stack_laplacian(grid, fhat)
-    assert len(grads) == grid.dim
+    back = stack_ifft(grid, fhat)
+    # component j of the gradient is on axis 0
+    assert grads.shape == (grid.dim, 3) + grid.sizes
     for r, values in enumerate(stack):
         f = make_field(grid, values)
         # the transforms of a contiguous row are the field's own, bit for
@@ -165,15 +173,51 @@ def test_stacked_calculus_rows_are_the_single_field_results(grid):
         lib = np.fft if grid.dim == 1 else scipy.fft
         direct = lib.fftn(values)
         assert np.array_equal(fhat[r], direct)
+        assert np.array_equal(back[r], lib.ifftn(direct))
         for c, grad_c, k in zip(gradient(f).components, grads, grid.k_mesh):
             assert np.array_equal(c.values, grad_c[r])
             assert np.array_equal(c.values, lib.ifftn(1j * k * direct))
         assert np.array_equal(laplacian(f).values, lap[r])
         assert np.array_equal(lap[r], lib.ifftn(-grid.k_squared * direct))
+        # a bare field is a stack with no leading axis
+        assert np.array_equal(stack_fft(grid, values), fhat[r])
+        assert np.array_equal(stack_ifft(grid, fhat[r]), back[r])
+        assert np.array_equal(stack_gradient(grid, fhat[r]), grads[:, r])
+        assert np.array_equal(stack_laplacian(grid, fhat[r]), lap[r])
+    # a stack with two leading axes transforms row by row the same way
+    pair = np.stack([stack, stack[::-1]])
+    pair_hat = stack_fft(grid, pair)
+    assert np.array_equal(pair_hat, np.stack([fhat, fhat[::-1]]))
+    assert np.array_equal(stack_ifft(grid, pair_hat),
+                          np.stack([back, back[::-1]]))
+    assert np.array_equal(stack_gradient(grid, pair_hat),
+                          np.stack([grads, grads[:, ::-1]], axis=1))
+    assert np.array_equal(stack_laplacian(grid, pair_hat),
+                          np.stack([lap, lap[::-1]]))
     # an empty stack has no rows
     empty = stack_fft(grid, np.zeros((0,) + grid.sizes, dtype=np.complex128))
     assert empty.shape == (0,) + grid.sizes
     assert stack_laplacian(grid, empty).shape == (0,) + grid.sizes
+
+
+def test_only_grid_chooses_transform_axes():
+    # a stack is laid out once, in grid: no other module of the package
+    # passes axes to a transform or moves an axis of a stack
+    found = []
+    for path in sorted(Path(magnls.__file__).parent.glob("*.py")):
+        if path.stem == "grid":
+            continue
+        for node in ast.walk(ast.parse(path.read_text())):
+            if not isinstance(node, ast.Call):
+                continue
+            func = node.func
+            name = func.attr if isinstance(func, ast.Attribute) else (
+                func.id if isinstance(func, ast.Name) else None)
+            axes = (len(node.args) > 2
+                    or any(kw.arg == "axes" for kw in node.keywords))
+            if name == "moveaxis" or (name in ("fftn", "ifftn") and axes):
+                found.append(f"{path.name}:{node.lineno} {name}")
+    assert found == []
 
 
 @pytest.mark.parametrize("grid", [GridSpec(1, (64,), (16.0,)),
@@ -258,3 +302,14 @@ def test_snapshot_rejects_corruption(tmp_path):
     (tmp_path / "truncated.fld").write_bytes(raw[:-16])
     with pytest.raises(MagnlsError):
         read_field(tmp_path / "truncated.fld")
+    # a cut or malformed header is a MagnlsError naming the file, not a
+    # struct.error: magic only, a cut rank, rank 5, and a rank-1 header
+    # cut inside its axis sizes
+    headers = {"magic_only": b"MNLSFLD1", "cut_rank": b"MNLSFLD1\x01",
+               "rank5": b"MNLSFLD1\x05\x00\x00\x00",
+               "cut_sizes": raw[:16]}
+    for name, head in headers.items():
+        bad = tmp_path / f"{name}.fld"
+        bad.write_bytes(head)
+        with pytest.raises(MagnlsError, match=f"{name}.fld"):
+            read_field(bad)

@@ -1,7 +1,12 @@
 """The GMRES wrapper: one scipy call per solve, and stall reports carry the
-iterations actually run.  The Arnoldi process: an orthonormal basis and the
+iterations actually run.  Richardson's iteration on K y = -q y, whose
+residuals are known in closed form: it converges within its cap, and an
+understated bound gives a strict solve's report or a non-strict solve's
+last iterate.  The Arnoldi process: an orthonormal basis and the
 Arnoldi relation on a non-Hermitian operator, and an exact end on an
 invariant subspace."""
+
+import math
 
 import numpy as np
 import pytest
@@ -68,6 +73,59 @@ def test_converged_solve_is_one_gmres_call_with_no_residual_of_its_own(
     assert cycles > 1
     # one application per GMRES step and one true residual per cycle
     assert applied == steps + cycles
+
+
+def scaled_by(factor):
+    """The operator K y = factor y, counting its applications."""
+    calls = []
+
+    def apply(y):
+        calls.append(1)
+        return factor * y
+    return apply, calls
+
+
+def richardson_rhs():
+    rng = np.random.default_rng(5)
+    return rng.standard_normal(32) + 1j * rng.standard_normal(32)
+
+
+def test_richardson_converges_within_its_cap():
+    # the sweep s measures the residual q^s ||b|| of the iterate before it:
+    # at q = 1/4 and tol = 1e-10 the cap is 17 and q^17 = 5.8e-11
+    b = richardson_rhs()
+    q, tol = 0.25, 1e-10
+    apply, calls = scaled_by(-q)
+    y = krylov.richardson(apply, b, bound=q, tol=tol)
+    assert len(calls) == 17 == math.ceil(math.log(tol) / math.log(q))
+    assert np.linalg.norm((1.0 - q) * y - b) <= tol * np.linalg.norm(b)
+
+
+def test_richardson_with_a_bound_below_the_norm_stops_at_its_cap():
+    # a bound of 1/8 for ||K|| = 1/4 caps the sweeps at 12, where the
+    # residual is still q^12 = 6.0e-8 of ||b||
+    b = richardson_rhs()
+    q, bound, tol = 0.25, 0.125, 1e-10
+    apply, calls = scaled_by(-q)
+    with pytest.raises(NonConvergenceError, match="after 12 sweeps") as err:
+        krylov.richardson(apply, b, bound=bound, tol=tol)
+    assert len(calls) == err.value.iterations == 12
+    assert err.value.residual == pytest.approx(q ** 12, rel=1e-12)
+    # the non-strict solve returns its last iterate, b (1 + q + ... + q^12)
+    calls.clear()
+    y = krylov.richardson(apply, b, bound=bound, tol=tol, strict=False)
+    assert len(calls) == 12
+    np.testing.assert_allclose(y, b * (1.0 - q ** 13) / (1.0 - q),
+                               rtol=1e-14)
+
+
+@pytest.mark.parametrize("bound", [0.0, 0.25])
+def test_richardson_with_a_zero_operator_returns_at_the_first_sweep(bound):
+    b = richardson_rhs()
+    apply, calls = scaled_by(0.0)
+    y = krylov.richardson(apply, b, bound=bound, tol=1e-12)
+    assert len(calls) == 1
+    assert np.array_equal(y, b)
 
 
 def test_arnoldi_basis_and_relation_on_a_non_hermitian_matrix():

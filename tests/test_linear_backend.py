@@ -202,6 +202,30 @@ def test_krylov_cn_power_matches_single_steps_on_a_loop_grid(h, loop_32):
     assert relative_gap(got.values, stepped_flow(spec, values, h, n)) <= 1e-11
 
 
+@pytest.fixture(scope="module")
+def loop_16():
+    return loop(16)
+
+
+@pytest.mark.parametrize("n", [1, 5])
+@pytest.mark.parametrize("states", [0, 1, 3])
+@pytest.mark.parametrize("name", ["sech_spec", "loop_16"])
+def test_cn_power_of_a_stack_is_each_states_power(name, states, n, request):
+    # states on the leading axis: each row of a stacked power is the power
+    # of that state alone, bit for bit, on the dense 256-point well and on
+    # the Krylov 16 x 16 loop
+    spec = request.getfixturevalue(name)
+    assert spec.linear_backend == ("dense" if name == "sech_spec"
+                                   else "krylov")
+    g = spec.grid
+    stack = np.array([random_values(g, 80 + k) for k in range(states)],
+                     dtype=np.complex128).reshape((states,) + g.sizes)
+    got = hamiltonian.cn_power(spec, stack, 1e-3, n)
+    assert got.shape == stack.shape
+    for row, values in zip(got, stack):
+        assert np.array_equal(row, hamiltonian.cn_power(spec, values, 1e-3, n))
+
+
 @pytest.mark.parametrize("vectors", [12, 2, 1])
 def test_krylov_cn_power_steps_when_the_basis_budget_is_too_small(
         vectors, loop_32, monkeypatch):
