@@ -9,6 +9,13 @@ of their sources (one row per source, the stack layout of ``grid``) in one
 time loop, sampled on one schedule.  The time-integrated radiation norm
 used by the stability tracker is accumulated incrementally here as well,
 so a tracked run never has to keep full history in memory.
+
+Each gate threshold is a constant here, and each gate is formed once, by a
+verdict function returning ``(gates, summary, warnings)`` in the shape of
+``modulation.stability_verdicts``: ``resolvent_verdicts`` for the scans at
+eps and eps / 10, the ``verdicts`` of ``NormEquivalenceReport`` and
+``StrichartzReport``, and ``FamilySweep.verdicts`` for a bound-state family
+sweep.  ``loglog_slope`` fits the three log-log slope gates.
 """
 
 from __future__ import annotations
@@ -21,7 +28,8 @@ import numpy as np
 import numpy.ma  # noqa: F401 -- else np.median imports it on first call
 import numpy.random
 
-from .errors import ConfigError, MagnlsError
+from .bound_states import BoundState, BoundStateFamily, DecayFit, decay_fit
+from .errors import ConfigError, InsufficientDecayWindow, MagnlsError
 from .evolution import whole_steps
 from .grid import ComplexField, GridSpec, ifftn, make_field, norm_l2
 from .hamiltonian import (MIN_IMAG_SHIFT, HamiltonianSpec, apply_h1,
@@ -29,11 +37,14 @@ from .hamiltonian import (MIN_IMAG_SHIFT, HamiltonianSpec, apply_h1,
                           resolvent_solve, shifted_solve)
 from .krylov import arnoldi
 from .norms import (bracket_weight, check_sigma, field_parts,
-                    first_order_parts, norm_lp, norm_w2p_sums)
-from .spectrum import EigenPair
+                    first_order_parts, norm_h2, norm_lp, norm_w2p_sums)
+from .spectrum import MAX_RESIDUAL, EigenPair
 
-# the resolvent-scan run repeats its scan at eps / _FINE_EPS_FACTOR
+# the resolvent-scan run repeats its scan at eps / _FINE_EPS_FACTOR; the
+# largest scaled norm drifts between the two by at most _EPS_DRIFT_CAP,
+# relative
 _FINE_EPS_FACTOR = 10.0
+_EPS_DRIFT_CAP = 0.25
 # default frequency grid: lambda in [0, _LAM_MAX], gaps of at least _GAP_MIN
 _LAM_MAX = 6.0
 _LAMBDA_COUNT = 16
@@ -48,6 +59,11 @@ NORM_RATIO_FLOOR = 1e-3
 # Strichartz quotient stay within these factors of their medians
 RESOLVENT_FLATNESS_CAP = 10.0
 STRICHARTZ_SPREAD_CAP = 10.0
+# bound-family gates: ||q||_H2 ~ |z|^3 and |E'| ~ |z|^2 (log-log slope and
+# tolerance), and the r^2 floor of the decay fits
+_SLOPE_Q_H2 = (3.0, 0.3)
+_SLOPE_E_PRIME = (2.0, 0.3)
+_DECAY_R2_FLOOR = 0.98
 
 
 def at_most(value: float, cap: float) -> tuple[float, str, bool]:
@@ -63,6 +79,18 @@ def at_least(value: float, floor: float) -> tuple[float, str, bool]:
 def within(value: float, centre: float, tol: float) -> tuple[float, str, bool]:
     """Gate value, threshold text and verdict for |value - centre| <= tol."""
     return value, f"{centre:g} +- {tol:g}", abs(value - centre) <= tol
+
+
+def all_passed(gates: dict) -> bool:
+    """Whether every gate of a name -> (value, threshold, verdict) map
+    passed."""
+    return all(verdict for *_, verdict in gates.values())
+
+
+def loglog_slope(x, y) -> float:
+    """Least-squares slope of log y against log x, with y floored at 1e-300
+    so that an exact zero stays finite."""
+    return float(np.polyfit(np.log(x), np.log(np.maximum(y, 1e-300)), 1)[0])
 
 
 def _as_fraction(x) -> Fraction:
@@ -219,10 +247,6 @@ class ResolventScan:
     max_scaled: float
     median_scaled: float
 
-    @property
-    def uniform_ok(self) -> bool:
-        return self.max_scaled <= RESOLVENT_FLATNESS_CAP * self.median_scaled
-
 
 def resolvent_bound_scan(spec: HamiltonianSpec, eig: EigenPair | None = None,
                          *, sigma: float = 4.1,
@@ -292,8 +316,37 @@ def resolvent_bound_scan(spec: HamiltonianSpec, eig: EigenPair | None = None,
                          median_scaled=float(np.median(scaled)))
 
 
+def resolvent_verdicts(main: ResolventScan, fine: ResolventScan) -> tuple:
+    """The resolvent-scan gates of the scans at eps and at the finer
+    eps / _FINE_EPS_FACTOR.
+
+    Returns ``(gates, summary, warnings)`` in the shape of
+    ``modulation.stability_verdicts``: resolvent_flatness bounds the largest
+    scaled norm at eps by a multiple of their median, and
+    resolvent_eps_stability the relative drift of that largest norm to the
+    finer eps.  ``summary`` is what ``resolvent.json`` records.
+    """
+    drift = abs(fine.max_scaled - main.max_scaled) / max(main.max_scaled,
+                                                         1e-300)
+    gates = {
+        "resolvent_flatness": (
+            main.max_scaled / max(main.median_scaled, 1e-300),
+            f"max/median <= {RESOLVENT_FLATNESS_CAP:g}",
+            main.max_scaled <= RESOLVENT_FLATNESS_CAP * main.median_scaled),
+        "resolvent_eps_stability": at_most(drift, _EPS_DRIFT_CAP)}
+    summary = {"sigma": main.sigma, "max_scaled": main.max_scaled,
+               "median_scaled": main.median_scaled,
+               "max_scaled_fine_eps": fine.max_scaled, "eps_drift": drift}
+    return gates, summary, ()
+
+
 # ---------------------------------------------------------------------------
 # graph-norm equivalence
+
+def _norm_gates(spread: float, r_min: float) -> dict:
+    return {"ratio_spread": at_most(spread, NORM_SPREAD_CAP),
+            "ratio_floor": at_least(r_min, NORM_RATIO_FLOOR)}
+
 
 @dataclass(frozen=True)
 class NormEquivalenceRow:
@@ -301,7 +354,10 @@ class NormEquivalenceRow:
     r_min: float
     r_max: float
     spread: float
-    passed: bool
+
+    @property
+    def passed(self) -> bool:
+        return all_passed(_norm_gates(self.spread, self.r_min))
 
 
 @dataclass(frozen=True)
@@ -309,20 +365,22 @@ class NormEquivalenceReport:
     rows: tuple[NormEquivalenceRow, ...]
     trials: int
 
+    def verdicts(self) -> tuple:
+        """``(gates, summary, warnings)``: ratio_spread and ratio_floor over
+        the worst row, the gates each row's ``passed`` applies to itself;
+        the run records no summary."""
+        return _norm_gates(max(r.spread for r in self.rows),
+                           min(r.r_min for r in self.rows)), {}, ()
+
     @property
     def ok(self) -> bool:
-        return all(r.passed for r in self.rows)
+        return all_passed(self.verdicts()[0])
 
 
 def _band_limited_trial(g: GridSpec, rng: np.random.Generator) -> ComplexField:
     coeffs = rng.standard_normal(g.sizes) + 1j * rng.standard_normal(g.sizes)
-    mask = np.ones(g.sizes, dtype=bool)
-    for axis in range(g.dim):
-        k = g.axis_wavenumbers(axis)
-        kmax = np.max(np.abs(k))
-        shape = [1] * g.dim
-        shape[axis] = g.sizes[axis]
-        mask &= (np.abs(k).reshape(shape) <= _BAND_FRACTION * kmax)
+    mask = np.all([np.abs(k) <= _BAND_FRACTION * np.abs(k).max()
+                   for k in g.k_mesh], axis=0)
     coeffs[~mask] = 0.0
     f = make_field(g, ifftn(coeffs))
     return make_field(g, f.values / max(norm_l2(f), 1e-300))
@@ -364,10 +422,8 @@ def norm_equivalence_check(spec: HamiltonianSpec, *, trials: int = 64,
         r_min = float(min(ratios[p]))
         r_max = float(max(ratios[p]))
         spread = r_max / max(r_min, 1e-300)
-        rows.append(NormEquivalenceRow(
-            p=float(p), r_min=r_min, r_max=r_max, spread=spread,
-            passed=bool(spread <= NORM_SPREAD_CAP
-                        and r_min >= NORM_RATIO_FLOOR)))
+        rows.append(NormEquivalenceRow(p=float(p), r_min=r_min, r_max=r_max,
+                                       spread=spread))
     return NormEquivalenceReport(rows=tuple(rows), trials=len(fields))
 
 
@@ -391,9 +447,16 @@ class StrichartzReport:
     max_ratio: float
     median_ratio: float
 
-    @property
-    def ok(self) -> bool:
-        return self.max_ratio <= STRICHARTZ_SPREAD_CAP * self.median_ratio
+    def verdicts(self) -> tuple:
+        """``(gates, summary, warnings)``: strichartz_spread bounds the
+        largest quotient by a multiple of their median; ``summary`` is what
+        ``strichartz.json`` records."""
+        gates = {"strichartz_spread": (
+            self.max_ratio / max(self.median_ratio, 1e-300),
+            f"max <= {STRICHARTZ_SPREAD_CAP:g} * median",
+            self.max_ratio <= STRICHARTZ_SPREAD_CAP * self.median_ratio)}
+        return gates, {"max_ratio": self.max_ratio,
+                       "median_ratio": self.median_ratio}, ()
 
 
 def _localized_source(spec: HamiltonianSpec, eig: EigenPair,
@@ -497,3 +560,62 @@ def strichartz_ratio(spec: HamiltonianSpec, eig: EigenPair, *,
     ratios = np.array([r.ratio for r in rows])
     return StrichartzReport(rows=tuple(rows), max_ratio=float(ratios.max()),
                             median_ratio=float(np.median(ratios)))
+
+
+# ---------------------------------------------------------------------------
+# bound-state family sweep
+
+@dataclass(frozen=True)
+class FamilySweep:
+    """Bound states at a sweep of real amplitudes, with ||q||_H2 of each
+    correction and the decay fit of each state: NaN beta and r^2 where the
+    radial window was too small, with a note saying so."""
+
+    states: tuple[BoundState, ...]
+    q_h2: tuple[float, ...]
+    decay: tuple[DecayFit, ...]
+    notes: tuple[str, ...]
+
+    def verdicts(self) -> tuple:
+        """``(gates, summary, warnings)`` of the bound-family run.
+
+        The gates: the log-log slopes of ||q||_H2 and |E'| against |z|, the
+        worst fixed-point residual and, over the decay fits that ran, the
+        smallest rate and the worst r^2.  ``summary`` is what
+        ``family.json`` records; the warnings are the notes.
+        """
+        z = [abs(s.z) for s in self.states]
+        fits = [f for f in self.decay if math.isfinite(f.beta)]
+        slope_q = loglog_slope(z, self.q_h2)
+        slope_e = loglog_slope(z, [abs(s.e_prime) for s in self.states])
+        worst_resid = max(s.residual for s in self.states)
+        gates = {"slope_q_h2": within(slope_q, *_SLOPE_Q_H2),
+                 "slope_e_prime": within(slope_e, *_SLOPE_E_PRIME),
+                 "family_residuals": at_most(worst_resid, MAX_RESIDUAL)}
+        if fits:
+            beta = min(f.beta for f in fits)
+            gates["decay_beta_positive"] = (beta, "> 0", beta > 0.0)
+            gates["decay_fit_quality"] = at_least(
+                min(f.r_squared for f in fits), _DECAY_R2_FLOOR)
+        summary = {"slope_q_h2": slope_q, "slope_e_prime": slope_e,
+                   "max_residual": worst_resid,
+                   "decay": [{"beta": f.beta, "r_squared": f.r_squared}
+                             for f in fits]}
+        return gates, summary, self.notes
+
+
+def family_sweep(family: BoundStateFamily, z_sweep) -> FamilySweep:
+    """Solve the family at each amplitude of ``z_sweep`` and fit the decay
+    of each state."""
+    states, q_h2, decay, notes = [], [], [], []
+    for zv in z_sweep:
+        state = family.solve(zv)
+        try:
+            fit = decay_fit(state.field)
+        except InsufficientDecayWindow as exc:
+            fit = DecayFit(beta=float("nan"), r_squared=float("nan"))
+            notes.append(f"decay fit skipped at z={zv}: {exc}")
+        states.append(state)
+        q_h2.append(norm_h2(state.correction))
+        decay.append(fit)
+    return FamilySweep(tuple(states), tuple(q_h2), tuple(decay), tuple(notes))

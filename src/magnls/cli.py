@@ -2,7 +2,10 @@
 
 Every subcommand reads one INI config, materializes the operator, runs its
 pipeline, and writes artifacts plus a ``manifest.json`` into the output
-directory.  Exit status: 0 when all property gates pass, 1 when a gate
+directory.  The gates are computed where their thresholds live, mostly by a
+verdict function beside the measurement (``stability_verdicts``,
+``resolvent_verdicts``, the reports' ``verdicts``); a runner only records
+them.  Exit status: 0 when all property gates pass, 1 when a gate
 fails, 2 when the numerics or the configuration break.  All randomness is
 drawn from output.seed, and CSV files are written with '\\n' line endings
 and 17-significant-digit floats so reruns are byte-identical.
@@ -12,7 +15,6 @@ from __future__ import annotations
 
 import argparse
 import json
-import math
 import os
 import platform
 import sys
@@ -24,33 +26,24 @@ import numpy as np
 import scipy
 
 from . import __version__
-from .analysis import (NORM_RATIO_FLOOR, NORM_SPREAD_CAP,
-                       RESOLVENT_FLATNESS_CAP, STRICHARTZ_SPREAD_CAP, at_least,
-                       at_most, default_lambda_grid, norm_equivalence_check,
-                       resolvent_bound_scan, scan_offsets, strichartz_ratio,
-                       within)
-from .bound_states import BoundStateFamily, decay_fit
+from .analysis import (at_most, default_lambda_grid, family_sweep,
+                       norm_equivalence_check, resolvent_bound_scan,
+                       resolvent_verdicts, scan_offsets, strichartz_ratio)
+from .bound_states import BoundStateFamily
 from .config import ExperimentConfig, parse_config
-from .errors import (ConfigError, ConservationBreach, InsufficientDecayWindow,
-                     MagnlsError, NoBoundStateError)
+from .errors import (ConfigError, ConservationBreach, MagnlsError,
+                     NoBoundStateError)
 from .evolution import evolve
 from .grid import (ComplexField, GridSpec, VectorField, make_field,
                    read_field, write_field, zero_vector_field)
 from .hamiltonian import (HamiltonianSpec, build_hamiltonian,
                           project_continuous)
 from .modulation import gauge_adjusted_variation, stability_verdicts, track
-from .norms import norm_h1, norm_h2
+from .norms import norm_h1
 from .potentials import (PotentialPair, build_gauge_field,
                          build_gaussian_well, build_localized_loop_field,
                          gaussian_bump, make_potential_pair, validate)
 from .spectrum import MAX_RESIDUAL, ground_state
-
-# Thresholds of the gates computed here.  bound-family: ||q||_H2 ~ |z|^3 and
-# |E'| ~ |z|^2 (log-log slope, tolerance), and the decay fits' r^2 floor.
-_SLOPE_Q_H2 = (3.0, 0.3)
-_SLOPE_E_PRIME = (2.0, 0.3)
-_DECAY_R2_FLOOR = 0.98
-_EPS_DRIFT_CAP = 0.25         # resolvent max between eps and the finer eps
 
 
 def _fmt(x) -> str:
@@ -97,10 +90,13 @@ class RunContext:
             fh.write("\n")
         self.outputs.append(name)
 
-    def gate(self, name: str, value: float, threshold: str,
-             passed: bool) -> None:
-        self.gates[name] = {"value": float(value), "threshold": threshold,
-                            "passed": bool(passed)}
+    def record(self, gates: dict, warnings=()) -> None:
+        """Record gates, each name -> (value, threshold text, verdict), and
+        the warnings that go with them."""
+        self.warnings.extend(warnings)
+        for name, (value, threshold, passed) in gates.items():
+            self.gates[name] = {"value": float(value), "threshold": threshold,
+                                "passed": bool(passed)}
 
     def stage(self, name: str, status: str, detail: str) -> None:
         self.stages.append({"name": name, "status": status, "detail": detail})
@@ -172,17 +168,20 @@ def _family_from(cfg: ExperimentConfig, ctx: RunContext) -> BoundStateFamily:
 
 
 def _initial_state(cfg: ExperimentConfig,
-                   family: BoundStateFamily) -> ComplexField:
+                   spec: HamiltonianSpec) -> ComplexField:
+    """The initial state of an evolution; only a bound_state or
+    ground_state start needs the ground state."""
     e = cfg.evolution
-    g = family.spec.grid
-    z = cfg.nonlinearity.z
-    if e.initial == "bound_state":
-        return family.solve(z).field
-    if e.initial == "ground_state":
-        return make_field(g, z * family.eig.phi0.values)
+    g = spec.grid
     if e.initial == "gaussian":
         return gaussian_bump(g, e.init_amplitude, e.init_width)
-    return _read_on_grid("evolution.init_file", e.init_file, g)
+    if e.initial == "file":
+        return _read_on_grid("evolution.init_file", e.init_file, g)
+    eig = ground_state(spec)
+    z = cfg.nonlinearity.z
+    if e.initial == "ground_state":
+        return make_field(g, z * eig.phi0.values)
+    return BoundStateFamily(spec, eig, cfg.nonlinearity.sign).solve(z).field
 
 
 # ---------------------------------------------------------------------------
@@ -200,11 +199,9 @@ def _run_validate_potentials(cfg: ExperimentConfig, ctx: RunContext) -> None:
         "tail_v_minus": list(report.tail_v_minus),
         "notes": list(report.notes),
     })
-    for note in report.notes:
-        ctx.warn(note)
     failed = [k for k, s in report.statuses.items() if s == "fail"]
-    ctx.gate("potential_checks", float(len(failed)), "no failed checks",
-             report.ok)
+    ctx.record({"potential_checks": (len(failed), "no failed checks",
+                                     report.ok)}, report.notes)
     ctx.stage("validate", "ok" if report.ok else "gate-failed",
               ",".join(failed))
 
@@ -217,8 +214,8 @@ def _run_ground_state(cfg: ExperimentConfig, ctx: RunContext) -> None:
         "e0": eig.e0, "residual": eig.residual, "gap": eig.gap,
         "k_shift": spec.k_shift,
     })
-    ctx.gate("eigen_residual", *at_most(eig.residual, MAX_RESIDUAL))
-    ctx.gate("bound_below", eig.e0, "< 0", eig.e0 < 0.0)
+    ctx.record({"eigen_residual": at_most(eig.residual, MAX_RESIDUAL),
+                "bound_below": (eig.e0, "< 0", eig.e0 < 0.0)})
     ctx.stage("ground-state", "ok", f"e0={eig.e0:.12g}")
 
 
@@ -231,69 +228,40 @@ def _run_bound_state(cfg: ExperimentConfig, ctx: RunContext) -> None:
         "residual": state.residual, "iterations": state.iterations,
         "sign": state.sign,
     })
-    ctx.gate("eigen_problem_residual", *at_most(state.residual, MAX_RESIDUAL))
+    ctx.record({"eigen_problem_residual": at_most(state.residual,
+                                                   MAX_RESIDUAL)})
     ctx.stage("bound-state", "ok",
               f"|z|={abs(state.z):.6g} E={state.energy:.12g}")
 
 
 def _run_bound_family(cfg: ExperimentConfig, ctx: RunContext) -> None:
-    family = _family_from(cfg, ctx)
-    rows = []
-    h2s, eps_, betas = [], [], []
-    worst_resid = 0.0
-    for zv in cfg.nonlinearity.z_sweep:
-        state = family.solve(zv)
-        worst_resid = max(worst_resid, state.residual)
-        q_h2 = norm_h2(state.correction)
-        try:
-            fit = decay_fit(state.field)
-            beta, r2 = fit.beta, fit.r_squared
-        except InsufficientDecayWindow as exc:
-            beta, r2 = float("nan"), float("nan")
-            ctx.warn(f"decay fit skipped at z={zv}: {exc}")
-        rows.append([zv, 0.0, state.energy, state.e_prime, q_h2,
-                     state.residual, state.iterations, beta, r2])
-        h2s.append(q_h2)
-        eps_.append(abs(state.e_prime))
-        if math.isfinite(beta):
-            betas.append((beta, r2))
+    sweep = family_sweep(_family_from(cfg, ctx), cfg.nonlinearity.z_sweep)
     ctx.csv("family.csv",
             ["z_re", "z_im", "energy", "e_prime", "q_h2", "residual",
-             "iterations", "decay_beta", "decay_r2"], rows)
-    xs = np.log(np.asarray(cfg.nonlinearity.z_sweep))
-    slope_q = float(np.polyfit(xs, np.log(np.maximum(h2s, 1e-300)), 1)[0])
-    slope_e = float(np.polyfit(xs, np.log(np.maximum(eps_, 1e-300)), 1)[0])
-    ctx.json("family.json", {
-        "slope_q_h2": slope_q, "slope_e_prime": slope_e,
-        "max_residual": worst_resid,
-        "decay": [{"beta": b, "r_squared": r} for b, r in betas],
-    })
-    ctx.gate("slope_q_h2", *within(slope_q, *_SLOPE_Q_H2))
-    ctx.gate("slope_e_prime", *within(slope_e, *_SLOPE_E_PRIME))
-    ctx.gate("family_residuals", *at_most(worst_resid, MAX_RESIDUAL))
-    if betas:
-        worst_beta = min(b for b, _ in betas)
-        worst_r2 = min(r for _, r in betas)
-        ctx.gate("decay_beta_positive", worst_beta, "> 0", worst_beta > 0.0)
-        ctx.gate("decay_fit_quality", *at_least(worst_r2, _DECAY_R2_FLOOR))
-    ctx.stage("bound-family", "ok",
-              f"slopes q={slope_q:.3f} e'={slope_e:.3f}")
+             "iterations", "decay_beta", "decay_r2"],
+            [[s.z.real, s.z.imag, s.energy, s.e_prime, q_h2, s.residual,
+              s.iterations, fit.beta, fit.r_squared]
+             for s, q_h2, fit in zip(sweep.states, sweep.q_h2, sweep.decay)])
+    gates, summary, warnings = sweep.verdicts()
+    ctx.json("family.json", summary)
+    ctx.record(gates, warnings)
+    ctx.stage("bound-family", "ok", f"slopes q={summary['slope_q_h2']:.3f} "
+              f"e'={summary['slope_e_prime']:.3f}")
 
 
 def _breach_gate(cfg: ExperimentConfig, ctx: RunContext, label: str,
                  exc: ConservationBreach) -> None:
     """Record a conservation breach as its failed drift gate and the
     stage."""
-    ctx.gate(exc.quantity, *at_most(
-        exc.drift, cfg.evolution.drift_limits[exc.quantity]))
+    ctx.record({exc.quantity: at_most(
+        exc.drift, cfg.evolution.drift_limits[exc.quantity])})
     ctx.stage(label, "gate-failed", str(exc))
 
 
 def _evolve_common(cfg: ExperimentConfig, ctx: RunContext, sign: int,
                    label: str) -> None:
-    family = _family_from(cfg, ctx)
-    psi0 = _initial_state(cfg, family)
-    traj, = evolve(family.spec, [psi0], cfg.evolution, sign)
+    spec = _spec_from(cfg, ctx)
+    traj, = evolve(spec, [_initial_state(cfg, spec)], cfg.evolution, sign)
     if isinstance(traj, ConservationBreach):
         _breach_gate(cfg, ctx, label, traj)
         return
@@ -302,10 +270,9 @@ def _evolve_common(cfg: ExperimentConfig, ctx: RunContext, sign: int,
         rows.append([t, traj.mass[j], traj.energy[j], traj.h1[j]])
         ctx.field(f"snap_{j:06d}.fld", traj.snapshots[j])
     ctx.csv("series.csv", ["t", "mass", "energy", "h1"], rows)
-    for w in traj.warnings:
-        ctx.warn(w)
-    for quantity, tol in cfg.evolution.drift_limits.items():
-        ctx.gate(quantity, *at_most(getattr(traj, quantity), tol))
+    ctx.record({quantity: at_most(getattr(traj, quantity), tol)
+                for quantity, tol in cfg.evolution.drift_limits.items()},
+               traj.warnings)
     ctx.stage(label, "ok", f"{len(traj.times)} frames to t={traj.times[-1]:g}")
 
 
@@ -341,17 +308,15 @@ def _run_stability(cfg: ExperimentConfig, ctx: RunContext) -> None:
         rep = track(spec, eig, traj, family, sigma=cfg.modulation.sigma)
         for w in rep.warnings:
             ctx.warn(f"amplitude {amp:g}: {w}")
-        rows = []
-        for j, t in enumerate(rep.times):
-            rows.append([t, rep.z_series[j].real, rep.z_series[j].imag,
-                         rep.energy_series[j], rep.gauge_adjusted[j].real,
-                         rep.gauge_adjusted[j].imag, rep.eta_h1[j],
-                         rep.eta_weighted_h1[j], rep.ortho_resid[j],
-                         rep.eta_q_pairing[j], int(rep.newton_iters[j])])
         ctx.csv(f"track_{idx}.csv",
                 ["t", "z_re", "z_im", "energy", "w_re", "w_im", "eta_h1",
                  "eta_weighted_h1", "ortho_resid", "eta_q_pairing",
-                 "newton_iters"], rows)
+                 "newton_iters"],
+                [[t, z.real, z.imag, e, w.real, w.imag, *etas, int(n)]
+                 for t, z, e, w, *etas, n in zip(
+                     rep.times, rep.z_series, rep.energy_series,
+                     rep.gauge_adjusted, rep.eta_h1, rep.eta_weighted_h1,
+                     rep.ortho_resid, rep.eta_q_pairing, rep.newton_iters)])
         if rep.eta_plus_estimate is not None:
             ctx.field(f"eta_plus_{idx}.fld", rep.eta_plus_estimate)
         reports.append(rep)
@@ -366,10 +331,7 @@ def _run_stability(cfg: ExperimentConfig, ctx: RunContext) -> None:
 
     gates, summary, warnings = stability_verdicts(amplitudes, reports)
     ctx.json("stability.json", summary)
-    for w in warnings:
-        ctx.warn(w)
-    for name, gate in gates.items():
-        ctx.gate(name, *gate)
+    ctx.record(gates, warnings)
     ctx.stage("stability-run", "ok",
               f"slope={summary['mod_resid_slope']:.3f}")
 
@@ -381,35 +343,20 @@ def _run_resolvent_scan(cfg: ExperimentConfig, ctx: RunContext) -> None:
     except NoBoundStateError:
         eig = None
         ctx.warn("no bound state; scanning without spectral projection")
-    sigma = cfg.modulation.sigma
     lambda_grid = default_lambda_grid(spec)
-    rows = []
-    scans = []
-    for eps in scan_offsets(cfg.solver.resolvent_eps):
-        scan = resolvent_bound_scan(spec, eig, sigma=sigma,
-                                    lambda_grid=lambda_grid, eps=eps,
-                                    seed=cfg.output.seed)
-        scans.append(scan)
-        for p in scan.points:
-            rows.append([eps, p.lam, p.opnorm, p.scaled, p.power_iters,
-                         p.converged])
+    scans = [resolvent_bound_scan(spec, eig, sigma=cfg.modulation.sigma,
+                                  lambda_grid=lambda_grid, eps=eps,
+                                  seed=cfg.output.seed)
+             for eps in scan_offsets(cfg.solver.resolvent_eps)]
     ctx.csv("resolvent.csv",
             ["eps", "lambda", "opnorm", "scaled", "power_iters", "converged"],
-            rows)
-    main, fine = scans
-    drift = abs(fine.max_scaled - main.max_scaled) / max(main.max_scaled,
-                                                         1e-300)
-    ctx.json("resolvent.json", {
-        "sigma": sigma,
-        "max_scaled": main.max_scaled, "median_scaled": main.median_scaled,
-        "max_scaled_fine_eps": fine.max_scaled, "eps_drift": drift,
-    })
-    ctx.gate("resolvent_flatness", main.max_scaled / max(main.median_scaled,
-                                                         1e-300),
-             f"max/median <= {RESOLVENT_FLATNESS_CAP:g}", main.uniform_ok)
-    ctx.gate("resolvent_eps_stability", *at_most(drift, _EPS_DRIFT_CAP))
-    ctx.stage("resolvent-scan", "ok",
-              f"max={main.max_scaled:.4g} median={main.median_scaled:.4g}")
+            [[scan.eps, p.lam, p.opnorm, p.scaled, p.power_iters, p.converged]
+             for scan in scans for p in scan.points])
+    gates, summary, warnings = resolvent_verdicts(*scans)
+    ctx.json("resolvent.json", summary)
+    ctx.record(gates, warnings)
+    ctx.stage("resolvent-scan", "ok", f"max={summary['max_scaled']:.4g} "
+              f"median={summary['median_scaled']:.4g}")
 
 
 def _run_norm_equivalence(cfg: ExperimentConfig, ctx: RunContext) -> None:
@@ -418,10 +365,8 @@ def _run_norm_equivalence(cfg: ExperimentConfig, ctx: RunContext) -> None:
     rows = [[r.p, r.r_min, r.r_max, r.spread, r.passed] for r in report.rows]
     ctx.csv("norm_equivalence.csv",
             ["p", "r_min", "r_max", "spread", "passed"], rows)
-    worst_spread = max(r.spread for r in report.rows)
-    worst_floor = min(r.r_min for r in report.rows)
-    ctx.gate("ratio_spread", *at_most(worst_spread, NORM_SPREAD_CAP))
-    ctx.gate("ratio_floor", *at_least(worst_floor, NORM_RATIO_FLOOR))
+    gates, _, warnings = report.verdicts()
+    ctx.record(gates, warnings)
     ctx.stage("norm-equivalence", "ok", f"trials={report.trials}")
 
 
@@ -434,11 +379,9 @@ def _run_strichartz(cfg: ExperimentConfig, ctx: RunContext) -> None:
             for r in report.rows]
     ctx.csv("strichartz.csv",
             ["mode", "source", "q", "p", "value", "reference", "ratio"], rows)
-    ctx.json("strichartz.json", {"max_ratio": report.max_ratio,
-                                 "median_ratio": report.median_ratio})
-    ctx.gate("strichartz_spread", report.max_ratio
-             / max(report.median_ratio, 1e-300),
-             f"max <= {STRICHARTZ_SPREAD_CAP:g} * median", report.ok)
+    gates, summary, warnings = report.verdicts()
+    ctx.json("strichartz.json", summary)
+    ctx.record(gates, warnings)
     ctx.stage("strichartz-ratio", "ok",
               f"max={report.max_ratio:.4g} median={report.median_ratio:.4g}")
 

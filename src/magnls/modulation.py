@@ -30,7 +30,7 @@ from dataclasses import dataclass, field as dc_field
 
 import numpy as np
 
-from .analysis import XNormAccumulator, at_most, within
+from .analysis import XNormAccumulator, at_most, loglog_slope, within
 from .bound_states import BoundStateFamily, DerivativeFields
 from .errors import MagnlsError, NewtonDivergence
 from .evolution import Trajectory, linear_flow
@@ -63,7 +63,6 @@ class DecompositionRecord:
     eta: ComplexField
     ortho_resid: float          # max_j |B_j| at the accepted iterate
     newton_iters: int
-    reconstruction_resid: float
     q: ComplexField             # Q[z] of the accepted frame
     energy: float               # E[z]
 
@@ -202,12 +201,9 @@ def decompose(spec: HamiltonianSpec, eig: EigenPair, psi: ComplexField,
             f"{iters} iterations (target {tol_primary:.1e})")
 
     bmax, frame, eta = best
-    recon = norm_l2(make_field(
-        spec.grid, psi.values - frame.q.values - eta.values))
     return DecompositionRecord(z=frame.z, eta=eta, ortho_resid=bmax,
-                               newton_iters=iters,
-                               reconstruction_resid=float(recon),
-                               q=frame.q, energy=frame.energy)
+                               newton_iters=iters, q=frame.q,
+                               energy=frame.energy)
 
 
 def symplectic_gram(family: BoundStateFamily, z: complex) -> np.ndarray:
@@ -330,8 +326,8 @@ def stability_verdicts(amplitudes: list[float],
     gates = {}
     slope = float("nan")
     if len(reports) >= 2:
-        l1s = np.maximum([rep.l1_mod_resid for rep in reports], 1e-300)
-        slope = float(np.polyfit(np.log(amplitudes), np.log(l1s), 1)[0])
+        slope = loglog_slope(amplitudes,
+                             [rep.l1_mod_resid for rep in reports])
         gates["mod_resid_slope"] = within(slope, *MOD_RESID_SLOPE)
     tv = [rep.tv_ratio for rep in reports]
     gates["adjusted_tv_halving"] = (max(tv), f"worst ratio <= {TV_RATIO_CAP:g}",

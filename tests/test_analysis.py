@@ -33,6 +33,7 @@ from magnls import (
     zero_vector_field,
     zeros,
 )
+from magnls.analysis import all_passed, resolvent_verdicts
 
 # depth tuned (on this exact 1D grid) so a second level sits just below zero:
 # deep enough for the unshifted negative control, shallow enough to solve fast
@@ -124,12 +125,14 @@ def test_resolvent_scan_is_flat_for_a_well(gauss_spec, gauss_eig):
     # default grid threads between the box's discrete levels, so both the
     # flatness gate and stability under a smaller imaginary offset hold
     scan = resolvent_bound_scan(gauss_spec, gauss_eig, power_iters=40)
-    assert scan.uniform_ok
     assert scan.max_scaled <= 10.0 * scan.median_scaled
     finer = resolvent_bound_scan(gauss_spec, gauss_eig, eps=1e-3,
                                  power_iters=40)
     drift = abs(finer.max_scaled - scan.max_scaled) / scan.max_scaled
     assert drift <= 0.25
+    gates, summary, _ = resolvent_verdicts(scan, finer)
+    assert all_passed(gates)
+    assert summary["eps_drift"] == drift
 
 
 def test_resolvent_scan_converges_within_its_default_cap(gauss_spec,
@@ -218,7 +221,7 @@ def test_norm_equivalence_negative_control():
 def test_strichartz_quotients_share_a_scale(gauss_spec, gauss_eig):
     report = strichartz_ratio(gauss_spec, gauss_eig, n_sources=2, n_duhamel=1,
                               t_final=0.5, dt=5e-3, stride=5)
-    assert report.ok
+    assert all_passed(report.verdicts()[0])
     assert report.max_ratio <= 10.0 * report.median_ratio
     modes = {row.mode for row in report.rows}
     assert modes == {"homogeneous", "duhamel"}

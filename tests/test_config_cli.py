@@ -1,5 +1,6 @@
 """Config parsing contract and end-to-end command-line runs."""
 
+import ast
 import json
 import os
 import subprocess
@@ -10,7 +11,7 @@ import numpy as np
 import pytest
 
 import magnls
-from magnls import ConfigError, GridSpec, ground_state, parse_config
+from magnls import ConfigError, GridSpec, cli, ground_state, parse_config
 from magnls.cli import main
 from magnls.grid import make_field, write_field, zero_vector_field
 from magnls.hamiltonian import build_hamiltonian
@@ -406,6 +407,90 @@ def test_manifest_records_the_linear_backend(tmp_path):
         assert manifest["linear_backend"] == backend
         assert set(manifest["platform"]["blas_threads"]) == {
             "OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS"}
+
+
+@pytest.mark.parametrize("subcommand", ["evolve", "linear-evolve"])
+def test_gaussian_start_needs_no_bound_state(tmp_path, subcommand):
+    # a repulsive well has no bound state; a Gaussian start must not ask
+    # for the ground state, so the run completes and records its drifts
+    path = write_config(tmp_path, MINIMAL.replace("sizes = 256",
+                                                  "sizes = 128"))
+    out = tmp_path / "run"
+    code = main([subcommand, "--config", str(path), "--output", str(out),
+                 "--override", "potential.depth=1.0",
+                 "--override", "evolution.initial=gaussian",
+                 "--override", "evolution.dt=1e-3",
+                 "--override", "evolution.t_final=0.05",
+                 "--override", "evolution.snapshot_stride=10"])
+    assert code == 0
+    gates = json.loads((out / "manifest.json").read_text())["gates"]
+    assert sorted(gates) == ["energy_drift", "mass_drift"]
+    assert gates["mass_drift"]["value"] <= 1e-12
+
+
+# Every subcommand and the gates its manifest records.
+SUBCOMMAND_GATES = {
+    "validate-potentials": ["potential_checks"],
+    "ground-state": ["bound_below", "eigen_residual"],
+    "bound-state": ["eigen_problem_residual"],
+    "bound-family": ["decay_beta_positive", "decay_fit_quality",
+                     "family_residuals", "slope_e_prime", "slope_q_h2"],
+    "evolve": ["energy_drift", "mass_drift"],
+    "linear-evolve": ["energy_drift", "mass_drift"],
+    "stability-run": ["adjusted_tv_halving", "mod_resid_slope",
+                      "orthogonality_rel", "scattering_cauchy"],
+    "resolvent-scan": ["resolvent_eps_stability", "resolvent_flatness"],
+    "norm-equivalence": ["ratio_floor", "ratio_spread"],
+    "strichartz-ratio": ["strichartz_spread"],
+}
+
+
+def test_every_subcommand_records_its_gates_and_exits_by_them(tmp_path):
+    # a short evolution window keeps stability-run to a fraction of a
+    # second; on it some stability gates may fail, and the exit status
+    # must say exactly that
+    assert sorted(SUBCOMMAND_GATES) == sorted(cli._DISPATCH)
+    path = write_config(tmp_path, MINIMAL.replace("sizes = 256",
+                                                  "sizes = 128"))
+    for subcommand, names in SUBCOMMAND_GATES.items():
+        out = tmp_path / subcommand
+        code = main([subcommand, "--config", str(path), "--output", str(out),
+                     "--override", "evolution.t_final=0.5",
+                     "--override", "evolution.dt=1e-3",
+                     "--override", "evolution.snapshot_stride=50"])
+        manifest = json.loads((out / "manifest.json").read_text())
+        gates = manifest["gates"]
+        assert sorted(gates) == names, subcommand
+        ok = all(gate["passed"] for gate in gates.values())
+        assert code == (0 if ok else 1), subcommand
+        assert manifest["status"] == ("pass" if ok else "gate-failed")
+        assert sorted(p.name for p in out.iterdir()) == manifest["outputs"]
+    assert {"stability.csv", "stability.json"} <= set(
+        json.loads((tmp_path / "stability-run" / "manifest.json")
+                   .read_text())["outputs"])
+
+
+def test_cli_owns_no_gate_threshold():
+    # each threshold and its comparison live beside the quantity they gate;
+    # the runners only record the verdicts they get back
+    def numeric(node) -> bool:
+        # a number, or arithmetic on numbers, or a tuple of those
+        return all(
+            isinstance(n, (ast.Tuple, ast.UnaryOp, ast.BinOp, ast.unaryop,
+                           ast.operator, ast.expr_context))
+            or (isinstance(n, ast.Constant) and type(n.value) in (int, float))
+            for n in ast.walk(node))
+
+    tree = ast.parse(Path(cli.__file__).read_text())
+    found = [f"{node.lineno} assignment" for node in tree.body
+             if isinstance(node, (ast.Assign, ast.AnnAssign))
+             and node.value is not None and numeric(node.value)]
+    found += [f"{node.lineno} import {alias.name}"
+              for node in ast.walk(tree) if isinstance(node, ast.ImportFrom)
+              for alias in node.names
+              if alias.name.endswith(("_CAP", "_FLOOR"))
+              or alias.name in ("within", "at_least")]
+    assert found == []
 
 
 def package_env(**overrides) -> dict:
