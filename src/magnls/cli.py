@@ -5,10 +5,13 @@ pipeline, and writes artifacts plus a ``manifest.json`` into the output
 directory.  The gates are computed where their thresholds live, mostly by a
 verdict function beside the measurement (``stability_verdicts``,
 ``resolvent_verdicts``, the reports' ``verdicts``); a runner only records
-them.  Exit status: 0 when all property gates pass, 1 when a gate
-fails, 2 when the numerics or the configuration break.  All randomness is
-drawn from output.seed, and CSV files are written with '\\n' line endings
-and 17-significant-digit floats so reruns are byte-identical.
+them.  An experiment with more than one step lives in its library module
+(``stability-run`` is ``modulation.stability_sweep``); the runner writes
+what it returns.  Exit status: 0 when all property gates pass, 1 when a
+gate fails, 2 when the numerics or the configuration break.  All
+randomness is drawn from output.seed, and CSV files are written with '\\n'
+line endings and 17-significant-digit floats so reruns are byte-identical.
+JSON files are strict JSON: a non-finite float is written as null.
 """
 
 from __future__ import annotations
@@ -36,10 +39,9 @@ from .errors import (ConfigError, ConservationBreach, MagnlsError,
 from .evolution import evolve
 from .grid import (ComplexField, GridSpec, VectorField, make_field,
                    read_field, write_field, zero_vector_field)
-from .hamiltonian import (HamiltonianSpec, build_hamiltonian,
-                          project_continuous)
-from .modulation import gauge_adjusted_variation, stability_verdicts, track
-from .norms import norm_h1
+from .hamiltonian import HamiltonianSpec, build_hamiltonian
+from .modulation import (gauge_adjusted_variation, stability_sweep,
+                         stability_verdicts)
 from .potentials import (PotentialPair, build_gauge_field,
                          build_gaussian_well, build_localized_loop_field,
                          gaussian_bump, make_potential_pair, validate)
@@ -54,6 +56,13 @@ def _fmt(x) -> str:
     if isinstance(x, (float, np.floating)):
         return format(float(x), ".17g")
     return str(x)
+
+
+def _json_text(obj) -> str:
+    """``obj`` as strict JSON text with sorted keys: a non-finite float,
+    which json writes as NaN or Infinity, is read back as null."""
+    strict = json.loads(json.dumps(obj), parse_constant=lambda _: None)
+    return json.dumps(strict, indent=2, sort_keys=True) + "\n"
 
 
 class RunContext:
@@ -86,8 +95,7 @@ class RunContext:
     def json(self, name: str, obj) -> None:
         path = self.out_dir / name
         with open(path, "w", encoding="utf-8", newline="\n") as fh:
-            json.dump(obj, fh, indent=2, sort_keys=True)
-            fh.write("\n")
+            fh.write(_json_text(obj))
         self.outputs.append(name)
 
     def record(self, gates: dict, warnings=()) -> None:
@@ -285,27 +293,18 @@ def _run_linear_evolve(cfg: ExperimentConfig, ctx: RunContext) -> None:
 
 
 def _run_stability(cfg: ExperimentConfig, ctx: RunContext) -> None:
-    family = _family_from(cfg, ctx)
-    spec, eig = family.spec, family.eig
-    g = spec.grid
-    base = family.solve(cfg.nonlinearity.z).field
-    bump = project_continuous(eig.phi0,
-                              gaussian_bump(g, 1.0, cfg.modulation.perturb_width))
-    bump = make_field(g, bump.values / norm_h1(bump))
-
-    # the amplitudes evolve as one stack; each is tracked and written in
-    # order up to the first that breached, whose failed drift gate ends the
-    # run
     amplitudes = cfg.modulation.amplitudes
-    trajs = evolve(spec, [make_field(g, base.values + amp * bump.values)
-                          for amp in amplitudes],
-                   cfg.evolution, cfg.nonlinearity.sign)
+    runs = stability_sweep(_family_from(cfg, ctx), cfg.nonlinearity.z,
+                           amplitudes, cfg.modulation.perturb_width,
+                           cfg.evolution, sigma=cfg.modulation.sigma)
+    # each amplitude is written in order up to the first that breached,
+    # whose failed drift gate ends the run
     reports = []
-    for idx, (amp, traj) in enumerate(zip(amplitudes, trajs)):
-        if isinstance(traj, ConservationBreach):
-            _breach_gate(cfg, ctx, "stability-run", traj)
+    for idx, (amp, run) in enumerate(zip(amplitudes, runs)):
+        if isinstance(run, ConservationBreach):
+            _breach_gate(cfg, ctx, "stability-run", run)
             return
-        rep = track(spec, eig, traj, family, sigma=cfg.modulation.sigma)
+        _, rep = run
         for w in rep.warnings:
             ctx.warn(f"amplitude {amp:g}: {w}")
         ctx.csv(f"track_{idx}.csv",
@@ -428,8 +427,7 @@ def _write_manifest(ctx: RunContext, cfg: ExperimentConfig, subcommand: str,
                                suffix=".tmp")
     try:
         with os.fdopen(fd, "w", encoding="utf-8", newline="\n") as fh:
-            json.dump(manifest, fh, indent=2, sort_keys=True)
-            fh.write("\n")
+            fh.write(_json_text(manifest))
         os.replace(tmp, ctx.out_dir / "manifest.json")
     except BaseException:
         if os.path.exists(tmp):

@@ -16,6 +16,7 @@ from __future__ import annotations
 
 import configparser
 import dataclasses
+import math
 import typing
 from contextlib import contextmanager
 from dataclasses import dataclass, field
@@ -25,7 +26,7 @@ from .analysis import scan_offsets
 from .errors import ConfigError, MagnlsError
 from .evolution import EvolveConfig
 from .grid import DIMENSIONS, GridSpec
-from .modulation import check_frame_spacing
+from .modulation import check_amplitudes, check_frame_spacing
 from .norms import check_sigma
 from .potentials import check_decay_hypotheses
 
@@ -129,8 +130,7 @@ class ModulationConfig:
 
     def __post_init__(self):
         check_sigma(self.sigma)
-        for a in self.amplitudes:
-            _require(a > 0, f"amplitudes entries must be positive, got {a}")
+        check_amplitudes(self.amplitudes)
         _require(self.perturb_width > 0,
                  f"perturb_width must be positive, got {self.perturb_width}")
 
@@ -200,10 +200,12 @@ def _scalar(kind: type, sect: str, key: str, raw: str):
     if kind is str:
         return raw.strip()
     try:
-        return kind(raw)
+        value = kind(raw)
     except ValueError as exc:
         what = "an integer" if kind is int else "a number"
         raise ConfigError(f"{sect}.{key} must be {what}, got {raw!r}") from exc
+    _require(math.isfinite(value), f"{sect}.{key} must be finite, got {raw!r}")
+    return value
 
 
 def _convert(sect: str, key: str, raw: str):

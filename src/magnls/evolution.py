@@ -115,7 +115,10 @@ class Trajectory:
 
 def whole_steps(t: float, dt: float) -> int:
     """The number n of steps of ``dt`` that make up the time ``t``; raises
-    ``ConfigError`` unless n dt matches t to 1e-9 max(1, t)."""
+    ``ConfigError`` unless dt is positive and n dt matches t to
+    1e-9 max(1, t)."""
+    if not dt > 0.0:
+        raise ConfigError(f"dt must be positive, got {dt}")
     n_steps = int(round(t / dt))
     if abs(n_steps * dt - t) > 1e-9 * max(1.0, t):
         raise ConfigError(
@@ -291,13 +294,11 @@ def evolve(spec: HamiltonianSpec,
 def linear_flow(spec: HamiltonianSpec, f: ComplexField, t: float, *,
                 dt: float = 1e-3) -> ComplexField:
     """The discrete Crank-Nicolson propagator c(H)^n f of n steps of size
-    t / n, which stands in for exp(-i t H) f; ``t`` may be negative.  |t|
-    must be a whole number n of steps of dt (``whole_steps``), else
-    ``ConfigError``; n = 0 returns f.  The n steps are one
-    ``hamiltonian.cn_power``: one product on the dense backend, one
+    t / n, which stands in for exp(-i t H) f; ``t`` may be negative.  dt
+    must be positive and |t| a whole number n of steps of dt
+    (``whole_steps``), else ``ConfigError``; n = 0 returns f.  The n steps
+    are one ``hamiltonian.cn_power``: one product on the dense backend, one
     Arnoldi projection on the Krylov backend."""
-    if not dt > 0.0:
-        raise MagnlsError(f"dt must be positive, got {dt}")
     n = whole_steps(abs(t), dt)
     if n == 0:
         return make_field(f.grid, f.values)

@@ -20,8 +20,12 @@ O(dt^2) bias the fast phase would otherwise inject).  Scattering content is
 probed by pulling eta back with the discrete linear group at matched step
 size, so the pullback inverts the trajectory's own linear propagator
 exactly rather than an incompatible discretization of it.
-``stability_verdicts`` turns the tracked reports of a perturbation sweep
-into the stability-run gates.
+The bound-state family is the frame of every call: it carries the
+operator, the ground state and the sign of the nonlinearity.
+``stability_sweep`` is the stability experiment of ``stability-run``: it
+perturbs Q[z] by a few amplitudes along one continuous-spectrum direction,
+evolves the states as one stack and tracks each; ``stability_verdicts``
+turns the tracked reports of such a sweep into the stability-run gates.
 """
 
 from __future__ import annotations
@@ -32,12 +36,12 @@ import numpy as np
 
 from .analysis import XNormAccumulator, at_most, loglog_slope, within
 from .bound_states import BoundStateFamily, DerivativeFields
-from .errors import MagnlsError, NewtonDivergence
-from .evolution import Trajectory, linear_flow
+from .errors import ConservationBreach, MagnlsError, NewtonDivergence
+from .evolution import EvolveConfig, Trajectory, evolve, linear_flow
 from .grid import ComplexField, inner_l2, inner_real, make_field, norm_l2
-from .hamiltonian import HamiltonianSpec
+from .hamiltonian import HamiltonianSpec, project_continuous
 from .norms import norm_h1
-from .spectrum import EigenPair
+from .potentials import gaussian_bump
 
 _BASIN_FRACTION = 0.3       # decompose accepts ||psi||_H1 <= this * z_max
 _MAX_FRAME_SPACING = 0.1
@@ -55,6 +59,15 @@ def check_frame_spacing(spacing: float) -> None:
         raise MagnlsError(
             f"snapshot_stride * dt must be <= {_MAX_FRAME_SPACING:g} for "
             f"modulation tracking, got {spacing:.3g}")
+
+
+def check_amplitudes(amplitudes: tuple[float, ...]) -> None:
+    """The amplitudes of a stability sweep are positive and pairwise
+    distinct: the modulation-residual slope is a fit through them."""
+    distinct = len(set(amplitudes)) == len(amplitudes)
+    if not (distinct and all(a > 0 for a in amplitudes)):
+        raise MagnlsError("amplitudes must be positive and pairwise "
+                          f"distinct, got {tuple(amplitudes)}")
 
 
 @dataclass(frozen=True)
@@ -136,14 +149,14 @@ def _gram_entry(frame: DerivativeFields) -> float:
                                             1j * frame.d2q.values))
 
 
-def decompose(spec: HamiltonianSpec, eig: EigenPair, psi: ComplexField,
-              family: BoundStateFamily, *, z_guess: complex | None = None,
+def decompose(psi: ComplexField, family: BoundStateFamily, *,
+              z_guess: complex | None = None,
               max_newton: int = 50) -> DecompositionRecord:
     """Solve the two orthogonality conditions for z and return (z, eta).
 
-    The cold start is the ground-state coefficient <phi0, psi>.  The state
-    must sit inside the decomposition basin: ||psi||_H1 at most 0.3 of the
-    amplitude ceiling.  Each Newton iterate makes one
+    The cold start is the coefficient <phi0, psi> on the family's ground
+    state.  The state must sit inside the decomposition basin: ||psi||_H1
+    at most 0.3 of the amplitude ceiling.  Each Newton iterate makes one
     ``family.derivative_fields`` call; B and the step
     dz = (-B_2 + i B_1) / G_12 of the antisymmetric Gram matrix
     G = [[0, G_12], [-G_12, 0]] both come from that frame, and the iterate
@@ -156,7 +169,8 @@ def decompose(spec: HamiltonianSpec, eig: EigenPair, psi: ComplexField,
             f"state too large for the decomposition basin: ||psi||_H1 = "
             f"{psi_h1:.4g} > {cap:.4g}")
 
-    z = complex(inner_l2(eig.phi0, psi)) if z_guess is None else complex(z_guess)
+    z = (complex(inner_l2(family.eig.phi0, psi)) if z_guess is None
+         else complex(z_guess))
     psi_l2 = norm_l2(psi)
     tol_primary = 1e-12 * (1.0 + psi_l2)
 
@@ -226,10 +240,11 @@ def scattering_gap(spec: HamiltonianSpec, eta1: ComplexField, t1: float,
     return norm_h1(make_field(spec.grid, p2.values - p1.values))
 
 
-def track(spec: HamiltonianSpec, eig: EigenPair, traj: Trajectory,
-          family: BoundStateFamily, *, sigma: float = 4.1) -> StabilityReport:
+def track(traj: Trajectory, family: BoundStateFamily, *,
+          sigma: float = 4.1) -> StabilityReport:
     """Decompose every snapshot of a trajectory and assemble the modulation
     diagnostics."""
+    spec = family.spec
     g = spec.grid
     times = np.asarray(traj.times)
     n = times.size
@@ -254,7 +269,7 @@ def track(spec: HamiltonianSpec, eig: EigenPair, traj: Trajectory,
 
     z_guess: complex | None = None
     for j in range(n):
-        rec = decompose(spec, eig, traj.snapshots[j], family, z_guess=z_guess)
+        rec = decompose(traj.snapshots[j], family, z_guess=z_guess)
         z_guess = rec.z
         zs[j] = rec.z
         energies[j] = rec.energy
@@ -295,6 +310,34 @@ def track(spec: HamiltonianSpec, eig: EigenPair, traj: Trajectory,
         scattering_gaps=tuple(gaps), eta_plus_estimate=eta_plus,
         wrap_around=traj.wrap_around,
         warnings=traj.warnings)
+
+
+def stability_sweep(family: BoundStateFamily, z: complex,
+                    amplitudes: tuple[float, ...], width: float,
+                    config: EvolveConfig, *, sigma: float = 4.1) -> list:
+    """Track Q[z] + a b for each amplitude a, the stability experiment.
+
+    The direction b is the Gaussian bump of ``width`` with its phi0
+    component projected out, scaled to ||b||_H1 = 1.  The states evolve as
+    one stack under the family's sign (``evolve``) and each is tracked
+    (``track``) in amplitude order.  Returns each amplitude's
+    ``(Trajectory, StabilityReport)`` in order up to the first state whose
+    drift breached, then that state's ``ConservationBreach``; the
+    amplitudes after it are not tracked.
+    """
+    check_amplitudes(amplitudes)
+    g = family.spec.grid
+    base = family.solve(z).field
+    bump = project_continuous(family.eig.phi0, gaussian_bump(g, 1.0, width))
+    bump = make_field(g, bump.values / norm_h1(bump))
+    trajs = evolve(family.spec, [make_field(g, base.values + a * bump.values)
+                                 for a in amplitudes], config, family.sign)
+    runs = []
+    for traj in trajs:
+        if isinstance(traj, ConservationBreach):
+            return runs + [traj]
+        runs.append((traj, track(traj, family, sigma=sigma)))
+    return runs
 
 
 def gauge_adjusted_variation(report: StabilityReport) -> tuple[float, float]:

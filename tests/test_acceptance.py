@@ -40,9 +40,9 @@ from magnls import (
     norm_l2,
     project_continuous,
     resolvent_bound_scan,
-    track,
     zero_vector_field,
 )
+from magnls import modulation
 from magnls.analysis import all_passed, resolvent_verdicts
 from magnls.cli import main
 
@@ -82,23 +82,19 @@ def gauged(well_spec, well_eig):
 
 
 @pytest.fixture(scope="module")
-def stability_sweep(well_spec, well_eig, well_family):
-    """Default-well perturbation sweep shared by criteria 6 through 9."""
-    g = well_spec.grid
-    base = well_family.solve(0.05 + 0.0j).field
-    bump = project_continuous(well_eig.phi0, gaussian_bump(g, 1.0, 2.0))
-    bump = make_field(g, bump.values / norm_h1(bump))
-    runs = []
+def stability_sweep(well_family):
+    """Default-well perturbation sweep shared by criteria 6 through 9: the
+    experiment of ``magnls stability-run``, by the same library call."""
     start = time.monotonic()
-    trajs = evolve(well_spec, [make_field(g, base.values + amp * bump.values)
-                               for amp in AMPLITUDES],
-                   EvolveConfig(dt=1e-4, t_final=4.0, snapshot_stride=500), 1)
-    for amp, traj in zip(AMPLITUDES, trajs):
-        if isinstance(traj, ConservationBreach):
-            raise traj
-        rep = track(well_spec, well_eig, traj, well_family, sigma=4.1)
-        runs.append((amp, traj, rep))
-    return {"runs": runs, "elapsed": time.monotonic() - start}
+    runs = modulation.stability_sweep(
+        well_family, 0.05 + 0.0j, AMPLITUDES, 2.0,
+        EvolveConfig(dt=1e-4, t_final=4.0, snapshot_stride=500), sigma=4.1)
+    for run in runs:
+        if isinstance(run, ConservationBreach):
+            raise run
+    return {"runs": [(amp, traj, rep)
+                     for amp, (traj, rep) in zip(AMPLITUDES, runs)],
+            "elapsed": time.monotonic() - start}
 
 
 def test_criterion_01_linear_ground_state_of_the_sech_well():
@@ -198,7 +194,7 @@ def test_criterion_06_decomposition_exactness(well_spec, well_eig,
     worst_ortho_rel = 0.0
     for _, traj, rep in stability_sweep["runs"]:
         for j, snap in enumerate(traj.snapshots):
-            rec = decompose(well_spec, well_eig, snap, well_family,
+            rec = decompose(snap, well_family,
                             z_guess=complex(rep.z_series[j]))
             worst_ortho_rel = max(
                 worst_ortho_rel,
@@ -209,9 +205,9 @@ def test_criterion_06_decomposition_exactness(well_spec, well_eig,
     base = well_family.solve(0.05 + 0.0j).field
     bump = project_continuous(well_eig.phi0, gaussian_bump(g, 1.0, 2.0))
     psi = make_field(g, base.values + 2e-3 * bump.values / norm_h1(bump))
-    rec = decompose(well_spec, well_eig, psi, well_family)
+    rec = decompose(psi, well_family)
     phase = np.exp(1j * chi.values.real)
-    rec2 = decompose(spec2, eig2, make_field(g, phase * psi.values), fam2)
+    rec2 = decompose(make_field(g, phase * psi.values), fam2)
     # the transformed ground state carries a constant phase relative to
     # exp(i chi) phi0; z and eta transport with exactly that bookkeeping
     c = inner_l2(eig2.phi0, make_field(g, phase * well_eig.phi0.values))

@@ -239,6 +239,14 @@ def test_strichartz_rejects_a_partial_step(gauss_spec, gauss_eig):
         strichartz_ratio(gauss_spec, gauss_eig, t_final=0.105, dt=2e-2)
 
 
+@pytest.mark.parametrize("dt", [0.0, -2e-3])
+def test_strichartz_rejects_a_step_that_is_not_positive(gauss_spec, gauss_eig,
+                                                        dt):
+    with pytest.raises(ConfigError, match="dt must be positive"):
+        strichartz_ratio(gauss_spec, gauss_eig, n_sources=1, n_duhamel=1,
+                         t_final=0.1, dt=dt)
+
+
 def test_strichartz_takes_an_empty_stack_of_either_kind(gauss_spec, gauss_eig):
     # the sources are drawn homogeneous first, so dropping the Duhamel
     # sources leaves the homogeneous rows bit for bit

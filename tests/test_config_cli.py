@@ -184,6 +184,43 @@ def test_cli_config_error_exits_two(tmp_path, capsys):
     assert main(["ground-state", "--config", str(bad)]) == 2
 
 
+@pytest.mark.parametrize("subcommand, overrides", [
+    ("linear-evolve", ["evolution.t_final=nan", "evolution.initial=gaussian"]),
+    ("ground-state", ["potential.depth=nan"]),
+    ("bound-state", ["nonlinearity.z_re=inf"]),
+])
+def test_non_finite_number_is_a_config_error(tmp_path, capsys, subcommand,
+                                             overrides):
+    # a NaN or an infinity is rejected with the key it was given for,
+    # before any run starts: no output directory, no manifest
+    out = tmp_path / "run"
+    args = [subcommand, "--config", str(write_config(tmp_path, MINIMAL)),
+            "--output", str(out)]
+    for override in overrides:
+        args += ["--override", override]
+    assert main(args) == 2
+    err = capsys.readouterr().err
+    assert "config error" in err
+    assert f"{overrides[0].split('=')[0]} must be finite" in err
+    assert not out.exists()
+
+
+def test_repeated_stability_amplitudes_are_a_config_error(tmp_path, capsys):
+    # the mod_resid_slope gate fits a line through the amplitudes: a
+    # repeated one would fit it through fewer distinct points
+    path = write_config(tmp_path, MINIMAL)
+    out = tmp_path / "run"
+    assert main(["stability-run", "--config", str(path), "--output", str(out),
+                 "--override", "modulation.amplitudes=2e-3,2e-3"]) == 2
+    err = capsys.readouterr().err
+    assert "config error: modulation.amplitudes must be positive and " \
+           "pairwise distinct" in err
+    assert not out.exists()
+    # one amplitude is a sweep without a slope gate
+    cfg = parse_config(path, ("modulation.amplitudes=2e-3",))
+    assert cfg.modulation.amplitudes == (2e-3,)
+
+
 def test_cli_numeric_error_exits_two(tmp_path, capsys):
     path = write_config(tmp_path, MINIMAL)
     out = tmp_path / "run"
@@ -445,6 +482,10 @@ SUBCOMMAND_GATES = {
 }
 
 
+def reject_constant(name):
+    raise AssertionError(f"{name} is not strict JSON")
+
+
 def test_every_subcommand_records_its_gates_and_exits_by_them(tmp_path):
     # a short evolution window keeps stability-run to a fraction of a
     # second; on it some stability gates may fail, and the exit status
@@ -465,6 +506,11 @@ def test_every_subcommand_records_its_gates_and_exits_by_them(tmp_path):
         assert code == (0 if ok else 1), subcommand
         assert manifest["status"] == ("pass" if ok else "gate-failed")
         assert sorted(p.name for p in out.iterdir()) == manifest["outputs"]
+        # every JSON artifact is strict JSON: no NaN or Infinity
+        for name in manifest["outputs"]:
+            if name.endswith(".json"):
+                json.loads((out / name).read_text(),
+                           parse_constant=reject_constant)
     assert {"stability.csv", "stability.json"} <= set(
         json.loads((tmp_path / "stability-run" / "manifest.json")
                    .read_text())["outputs"])
@@ -490,6 +536,19 @@ def test_cli_owns_no_gate_threshold():
               for alias in node.names
               if alias.name.endswith(("_CAP", "_FLOOR"))
               or alias.name in ("within", "at_least")]
+    assert found == []
+
+
+def test_stability_experiment_lives_in_modulation():
+    # the perturbation, the stacked evolution and the tracking of
+    # stability-run are modulation.stability_sweep; the CLI only writes
+    tree = ast.parse(Path(cli.__file__).read_text())
+    found = [f"{node.lineno} import {alias.name}"
+             for node in ast.walk(tree)
+             if isinstance(node, (ast.Import, ast.ImportFrom))
+             for alias in node.names
+             if alias.name in ("track", "decompose", "project_continuous",
+                               "norm_h1")]
     assert found == []
 
 

@@ -37,7 +37,7 @@ from magnls import (
     track,
     wrap_around_estimate,
 )
-from magnls.modulation import stability_verdicts
+from magnls.modulation import stability_sweep, stability_verdicts
 
 
 def perturbed_state(spec, eig, family, amp, seed=0):
@@ -50,7 +50,7 @@ def perturbed_state(spec, eig, family, amp, seed=0):
 
 def test_decompose_recovers_the_pair(sech_spec, sech_eig, sech_family):
     base, psi = perturbed_state(sech_spec, sech_eig, sech_family, 2e-3)
-    rec = decompose(sech_spec, sech_eig, psi, sech_family)
+    rec = decompose(psi, sech_family)
     # reconstruction is definitionally exact
     q = sech_family.solve(rec.z)
     recon = q.field.values + rec.eta.values - psi.values
@@ -68,19 +68,19 @@ def test_decompose_recovers_the_pair(sech_spec, sech_eig, sech_family):
 
 def test_decompose_is_stable_under_recomposition(sech_spec, sech_eig, sech_family):
     _, psi = perturbed_state(sech_spec, sech_eig, sech_family, 1e-3)
-    rec1 = decompose(sech_spec, sech_eig, psi, sech_family)
+    rec1 = decompose(psi, sech_family)
     rebuilt = make_field(sech_spec.grid,
                          sech_family.solve(rec1.z).field.values + rec1.eta.values)
-    rec2 = decompose(sech_spec, sech_eig, rebuilt, sech_family, z_guess=rec1.z)
+    rec2 = decompose(rebuilt, sech_family, z_guess=rec1.z)
     assert abs(rec1.z - rec2.z) < 1e-12
 
 
 def test_decompose_gauge_equivariance(sech_spec, sech_eig, sech_family):
     _, psi = perturbed_state(sech_spec, sech_eig, sech_family, 2e-3)
-    rec = decompose(sech_spec, sech_eig, psi, sech_family)
+    rec = decompose(psi, sech_family)
     alpha = 0.9
     rotated = make_field(sech_spec.grid, np.exp(1j * alpha) * psi.values)
-    rec_rot = decompose(sech_spec, sech_eig, rotated, sech_family)
+    rec_rot = decompose(rotated, sech_family)
     assert abs(rec_rot.z - np.exp(1j * alpha) * rec.z) < 1e-9 * abs(rec.z)
     eta_diff = rec_rot.eta.values - np.exp(1j * alpha) * rec.eta.values
     assert np.max(np.abs(eta_diff)) < 1e-9 * max(np.max(np.abs(rec.eta.values)), 1e-300)
@@ -99,14 +99,14 @@ def test_decompose_with_a_vector_potential():
     base = family.solve(0.05).field
     bump = project_continuous(eig.phi0, gaussian_bump(g, 1.0, 2.0))
     psi = make_field(g, base.values + 2e-3 * bump.values / norm_h1(bump))
-    rec = decompose(spec, eig, psi, family)
+    rec = decompose(psi, family)
     assert rec.ortho_resid <= 1e-10 * norm_h1(rec.eta)
 
     chi = gaussian_bump(g, 0.3, 2.0)
     spec2 = gauge_transform(spec, chi)
     eig2 = ground_state(spec2)
     phase = np.exp(1j * chi.values.real)
-    rec2 = decompose(spec2, eig2, make_field(g, phase * psi.values),
+    rec2 = decompose(make_field(g, phase * psi.values),
                      BoundStateFamily(spec2, eig2, 1))
     c = inner_l2(eig2.phi0, make_field(g, phase * eig.phi0.values))
     assert abs(rec2.z - c * rec.z) <= 1e-9
@@ -124,8 +124,7 @@ def test_one_frame_needs_few_fixed_point_solves(sech_spec, sech_eig,
         return real_solve(*args, **kwargs)
 
     monkeypatch.setattr(bound_states, "solve_bound_state", counting)
-    rec = decompose(sech_spec, sech_eig, psi,
-                    BoundStateFamily(sech_spec, sech_eig, 1))
+    rec = decompose(psi, BoundStateFamily(sech_spec, sech_eig, 1))
     assert rec.ortho_resid <= 1e-10 * norm_h1(rec.eta)
     assert len(solved) <= 10
 
@@ -133,14 +132,13 @@ def test_one_frame_needs_few_fixed_point_solves(sech_spec, sech_eig,
 def test_decompose_rejects_states_outside_the_basin(sech_spec, sech_eig, sech_family):
     big = make_field(sech_spec.grid, 5.0 * sech_eig.phi0.values)
     with pytest.raises(MagnlsError):
-        decompose(sech_spec, sech_eig, big, sech_family)
+        decompose(big, sech_family)
 
 
 def test_newton_divergence_is_reported(sech_spec, sech_eig, sech_family):
     _, psi = perturbed_state(sech_spec, sech_eig, sech_family, 2e-3)
     with pytest.raises(NewtonDivergence):
-        decompose(sech_spec, sech_eig, psi, sech_family,
-                  z_guess=0.19, max_newton=2)
+        decompose(psi, sech_family, z_guess=0.19, max_newton=2)
 
 
 def test_decompose_evaluates_one_frame_per_newton_iterate(
@@ -155,7 +153,7 @@ def test_decompose_evaluates_one_frame_per_newton_iterate(
         return real_frame(z)
 
     monkeypatch.setattr(family, "derivative_fields", counting)
-    rec = decompose(sech_spec, sech_eig, psi, family)
+    rec = decompose(psi, family)
     assert rec.newton_iters >= 2
     assert len(frames) == rec.newton_iters
 
@@ -212,7 +210,7 @@ def short_run(sech_spec, sech_eig, sech_family):
     _, psi = perturbed_state(sech_spec, sech_eig, sech_family, 1e-3)
     cfg = EvolveConfig(dt=1e-3, t_final=0.5, snapshot_stride=50)
     traj = evolve(sech_spec, psi, cfg, 1)
-    return traj, track(sech_spec, sech_eig, traj, sech_family)
+    return traj, track(traj, sech_family)
 
 
 def test_track_on_a_short_run(short_run):
@@ -255,10 +253,18 @@ def test_track_solves_the_family_only_for_decompose_frames(
 
     monkeypatch.setattr(family, "derivative_fields", frame)
     monkeypatch.setattr(family, "solve", solve)
-    rep = track(sech_spec, sech_eig, traj, family)
+    rep = track(traj, family)
     assert outside == []
     assert rep.energy_series.tolist() == [real_solve(z).energy
                                           for z in rep.z_series]
+
+
+@pytest.mark.parametrize("amplitudes", [(2e-3, 2e-3), (1e-3, 0.0)])
+def test_stability_sweep_needs_positive_distinct_amplitudes(
+        sech_family, amplitudes):
+    cfg = EvolveConfig(dt=1e-3, t_final=0.5, snapshot_stride=50)
+    with pytest.raises(MagnlsError, match="positive and pairwise distinct"):
+        stability_sweep(sech_family, 0.05, amplitudes, 2.0, cfg)
 
 
 def test_track_needs_enough_frames(sech_spec, sech_eig, sech_family):
@@ -266,7 +272,7 @@ def test_track_needs_enough_frames(sech_spec, sech_eig, sech_family):
     cfg = EvolveConfig(dt=1e-3, t_final=0.2, snapshot_stride=100)
     traj = evolve(sech_spec, psi, cfg, 1)
     with pytest.raises(MagnlsError):
-        track(sech_spec, sech_eig, traj, sech_family)
+        track(traj, sech_family)
 
 
 def _growing_gaps(rep, wrap_around):
