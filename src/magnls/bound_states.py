@@ -19,7 +19,6 @@ complex z.
 
 from __future__ import annotations
 
-import bisect
 from dataclasses import dataclass
 
 import numpy as np
@@ -181,8 +180,6 @@ def solve_bound_state(spec: HamiltonianSpec, eig: EigenPair, z: complex,
         else:
             stalled = 0
             best_delta = delta
-    else:
-        delta = best_delta
     final_delta = min(delta, best_delta)
     if final_delta > accept:
         raise NonConvergenceError(
@@ -218,11 +215,12 @@ class BoundStateFamily:
 
     The contraction map commutes with z -> e^{ia} z, so Q[z] = (z/|z|) Q[|z|]
     and only real r = |z| >= 0 is ever solved.  Solved corrections q[r] are
-    kept sorted by r, and each new solve warm-starts from the nearest kept r,
-    which cuts the sweep count while landing on the identical fixed point.
-    Once the kept corrections pass ``_CACHE_BYTES``, those farthest from the
-    last requested r are dropped first.  Lookup, insertion and eviction are
-    deterministic.
+    kept in one dict keyed by r.  Each new solve warm-starts from the
+    nearest kept r within 0.5 r (the smaller on a tie), which cuts the sweep
+    count while landing on the identical fixed point.  Once the kept
+    corrections pass ``_CACHE_BYTES``, the r farthest from the last request
+    is dropped first (the smaller on a tie).  Lookup, insertion and eviction
+    are deterministic.  r = 0 is the zero state and is not kept.
     """
 
     def __init__(self, spec: HamiltonianSpec, eig: EigenPair, sign: int = 1):
@@ -230,33 +228,29 @@ class BoundStateFamily:
         self.eig = eig
         self.sign = sign
         self.z_max = default_z_max(eig)
-        self._radii: list[float] = []
-        self._points: list[_CurvePoint] = []
+        self._curve: dict[float, _CurvePoint] = {}
         self.stored_bytes = 0
 
     def _curve_point(self, r: float) -> _CurvePoint:
-        radii = self._radii
-        i = bisect.bisect_left(radii, r)
-        if i < len(radii) and radii[i] == r:
-            return self._points[i]
+        curve = self._curve
+        if r in curve:
+            return curve[r]
         # a start from a much larger r would lie outside r's invariant set
-        near = [j for j in (i - 1, i) if 0 <= j < len(radii)
-                and abs(radii[j] - r) <= 0.5 * r]
+        near = [k for k in curve if abs(k - r) <= 0.5 * r]
         start = None
         if near:
-            p = self._points[min(near, key=lambda j: abs(radii[j] - r))]
+            p = curve[min(near, key=lambda k: (abs(k - r), k))]
             start = (p.correction, p.e_prime)
         state = solve_bound_state(self.spec, self.eig, r, self.sign,
                                   start=start)
-        point = _CurvePoint(state.correction, state.e_prime, state.energy,
-                            state.iterations, state.residual)
-        radii.insert(i, r)
-        self._points.insert(i, point)
+        point = curve[r] = _CurvePoint(state.correction, state.e_prime,
+                                       state.energy, state.iterations,
+                                       state.residual)
         self.stored_bytes += point.correction.values.nbytes
-        while self.stored_bytes > _CACHE_BYTES and len(radii) > 1:
-            drop = 0 if r - radii[0] >= radii[-1] - r else -1
-            radii.pop(drop)
-            self.stored_bytes -= self._points.pop(drop).correction.values.nbytes
+        while self.stored_bytes > _CACHE_BYTES and len(curve) > 1:
+            lo, hi = min(curve), max(curve)
+            drop = lo if r - lo >= hi - r else hi
+            self.stored_bytes -= curve.pop(drop).correction.values.nbytes
         return point
 
     def solve(self, z: complex) -> BoundState:

@@ -316,8 +316,7 @@ def _run_stability(cfg: ExperimentConfig, ctx: RunContext) -> None:
                      rep.times, rep.z_series, rep.energy_series,
                      rep.gauge_adjusted, rep.eta_h1, rep.eta_weighted_h1,
                      rep.ortho_resid, rep.eta_q_pairing, rep.newton_iters)])
-        if rep.eta_plus_estimate is not None:
-            ctx.field(f"eta_plus_{idx}.fld", rep.eta_plus_estimate)
+        ctx.field(f"eta_plus_{idx}.fld", rep.eta_plus_estimate)
         reports.append(rep)
     ctx.csv("stability.csv",
             ["amplitude", "pert_h1", "l1_mod_resid", "tv_first", "tv_second",

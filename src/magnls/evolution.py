@@ -23,9 +23,10 @@ eigenbasis with the stack as a real N x 2K block, two states per pair of
 products (``DenseBasis.apply``): one state alone, an N x 2 block, makes a
 matrix-vector product in disguise, bound by reading the eigenbasis
 (Dongarra et al., ACM TOMS 16, 1990, on why wider products pay).  The
-Krylov backend takes the rows one by one.  Each state keeps its own
-snapshots and drift test.  A state whose drift breaches leaves the stack at
-that snapshot with its ``ConservationBreach``; the others go on.  One
+Krylov backend takes the rows one by one.  Each state's ``Trajectory`` is
+its only record: started before the first step, it records each snapshot
+and tests the drifts there.  A state whose drift breaches leaves the stack
+at that snapshot with its ``ConservationBreach``; the others go on.  One
 state is the stack of one.
 
 Both sub-flows are unitary (the implicit solve up to its tolerance), so mass
@@ -42,10 +43,16 @@ import numpy as np
 
 from .errors import ConfigError, ConservationBreach, MagnlsError
 from .grid import ComplexField, fftn, inner_l2, make_field
-from .hamiltonian import HamiltonianSpec, apply_h, cn_power
+from .hamiltonian import HamiltonianSpec, apply_h, check_grid, cn_power
 from .norms import norm_w1p
 
 _MAX_DT = 0.1
+
+
+def check_dt(dt: float, name: str = "dt") -> None:
+    """A time step ``name`` must lie in (0, ``_MAX_DT``]."""
+    if not 0.0 < dt <= _MAX_DT:
+        raise MagnlsError(f"{name} must lie in (0, {_MAX_DT}], got {dt}")
 
 
 @dataclass(frozen=True)
@@ -56,17 +63,24 @@ class EvolveConfig:
     conserve_tol: float = 1e-6
 
     def __post_init__(self):
-        if not (0.0 < self.dt <= _MAX_DT):
-            raise MagnlsError(f"dt must lie in (0, {_MAX_DT}], got {self.dt}")
+        check_dt(self.dt)
         if self.t_final < self.dt:
             raise MagnlsError(
                 f"t_final must be at least dt = {self.dt}, got {self.t_final}")
+        whole_steps(self.t_final, self.dt, "t_final")
         if self.snapshot_stride < 1:
             raise MagnlsError(
                 f"snapshot_stride must be >= 1, got {self.snapshot_stride}")
         if self.conserve_tol <= 0:
             raise MagnlsError(
                 f"conserve_tol must be positive, got {self.conserve_tol}")
+
+    @property
+    def frames(self) -> int:
+        """Snapshots ``evolve`` records per state: t = 0, every
+        ``snapshot_stride`` steps and the last step."""
+        n_steps = whole_steps(self.t_final, self.dt)
+        return 1 + -(-n_steps // self.snapshot_stride)
 
     @property
     def energy_tol(self) -> float:
@@ -89,18 +103,65 @@ def _drift(series, scale: float) -> float:
 
 @dataclass
 class Trajectory:
-    """Snapshots and conserved-quantity series on a shared time base."""
+    """Snapshots and conserved-quantity series on a shared time base.
 
-    times: np.ndarray
-    snapshots: list[ComplexField]
-    mass: np.ndarray
-    energy: np.ndarray
-    h1: np.ndarray
+    ``evolve`` starts one per state (``start``) and ``record``s each
+    snapshot into it.  The series are lists while the state runs, so each
+    snapshot appends in O(1); ``finish`` turns them into arrays once, when
+    the state's run ends."""
+
     dt: float
-    final_state: ComplexField
     energy_scale: float          # |<psi0, H psi0>| + ||psi0||_4^4 / 2
     wrap_around: float           # wrap_around_estimate(psi0)
-    warnings: tuple[str, ...] = dc_field(default_factory=tuple)
+    warnings: tuple[str, ...] = ()
+    times: np.ndarray = dc_field(default_factory=list)
+    snapshots: list[ComplexField] = dc_field(default_factory=list)
+    mass: np.ndarray = dc_field(default_factory=list)
+    energy: np.ndarray = dc_field(default_factory=list)
+    h1: np.ndarray = dc_field(default_factory=list)
+
+    @classmethod
+    def start(cls, spec: HamiltonianSpec, psi0: ComplexField,
+              config: EvolveConfig, sign: int) -> Trajectory:
+        """The trajectory of psi0 holding its first snapshot, with a warning
+        when the window outlasts the wrap-around estimate."""
+        quad, quart = _energy_terms(spec, psi0)
+        t_wrap = wrap_around_estimate(psi0)
+        warnings = ((f"window {config.t_final:.3g} exceeds the wrap-around "
+                     f"estimate {t_wrap:.3g}; late-time tails recirculate",)
+                    if config.t_final > t_wrap else ())
+        traj = cls(dt=config.dt, energy_scale=abs(quad) + 0.5 * quart,
+                   wrap_around=t_wrap, warnings=warnings)
+        traj.record(spec, 0.0, psi0.values, config, sign)
+        return traj
+
+    def record(self, spec: HamiltonianSpec, t: float, values: np.ndarray,
+               config: EvolveConfig, sign: int) -> None:
+        """Keep the snapshot at time t; raises ``ConservationBreach`` when a
+        drift exceeds its ``config.drift_limits`` entry."""
+        f = make_field(spec.grid, values)
+        self.times.append(t)
+        self.snapshots.append(f)
+        self.mass.append(float(np.sum(np.abs(f.values) ** 2)
+                               * spec.grid.volume_element))
+        self.energy.append(energy_functional(spec, f, sign))
+        self.h1.append(norm_w1p(f, 2.0))
+        for quantity, tol in config.drift_limits.items():
+            drift = getattr(self, quantity)
+            if drift > tol:
+                raise ConservationBreach(
+                    f"{quantity.replace('_', ' ')} {drift:.3e} "
+                    f"exceeds {tol:g} at t = {t:.6g}",
+                    quantity=quantity, drift=drift)
+
+    def finish(self) -> None:
+        """Turn the series into arrays, once the state's run has ended."""
+        for name in ("times", "mass", "energy", "h1"):
+            setattr(self, name, np.array(getattr(self, name)))
+
+    @property
+    def final_state(self) -> ComplexField:
+        return self.snapshots[-1]
 
     @property
     def mass_drift(self) -> float:
@@ -113,16 +174,16 @@ class Trajectory:
         return _drift(self.energy, self.energy_scale)
 
 
-def whole_steps(t: float, dt: float) -> int:
+def whole_steps(t: float, dt: float, name: str = "time") -> int:
     """The number n of steps of ``dt`` that make up the time ``t``; raises
-    ``ConfigError`` unless dt is positive and n dt matches t to
-    1e-9 max(1, t)."""
+    ``ConfigError``, calling t ``name``, unless dt is positive and n dt
+    matches t to 1e-9 max(1, t)."""
     if not dt > 0.0:
         raise ConfigError(f"dt must be positive, got {dt}")
     n_steps = int(round(t / dt))
     if abs(n_steps * dt - t) > 1e-9 * max(1.0, t):
         raise ConfigError(
-            f"time {t} is not a whole number of steps of {dt}")
+            f"{name} {t} is not a whole number of steps of {dt}")
     return n_steps
 
 
@@ -141,9 +202,9 @@ def _phase(values: np.ndarray, h: float) -> np.ndarray:
 
 def step(spec: HamiltonianSpec, psi: ComplexField, dt: float,
          sign: int) -> ComplexField:
-    """One Strang step of the nonlinear flow."""
-    if abs(dt) > _MAX_DT:
-        raise MagnlsError(f"|dt| must be <= {_MAX_DT}, got {dt}")
+    """One Strang step of the nonlinear flow; 0 < |dt| <= ``_MAX_DT``."""
+    check_grid(spec, psi)
+    check_dt(abs(dt), "|dt|")
     half = 0.5 * sign * dt
     values = _cn_step_values(spec, _phase(psi.values, half), dt)
     return make_field(spec.grid, _phase(values, half))
@@ -183,56 +244,6 @@ def wrap_around_estimate(psi: ComplexField) -> float:
     return float(t_min)
 
 
-class _Run:
-    """The snapshots and conserved-quantity series of one state of a stack,
-    with the drift test ``evolve`` makes at each snapshot."""
-
-    def __init__(self, spec: HamiltonianSpec, psi0: ComplexField,
-                 config: EvolveConfig, sign: int):
-        self.spec, self.config, self.sign = spec, config, sign
-        quad, quart = _energy_terms(spec, psi0)
-        self.e_scale = abs(quad) + 0.5 * quart
-        self.t_wrap = wrap_around_estimate(psi0)
-        self.warnings: tuple[str, ...] = ()
-        if config.t_final > self.t_wrap:
-            self.warnings = (
-                f"window {config.t_final:.3g} exceeds the wrap-around "
-                f"estimate {self.t_wrap:.3g}; late-time tails recirculate",)
-        self.times: list[float] = []
-        self.snaps: list[ComplexField] = []
-        self.mass: list[float] = []
-        self.energy: list[float] = []
-        self.h1: list[float] = []
-        self.record(0.0, psi0.values)
-
-    def record(self, t: float, values: np.ndarray) -> None:
-        """Keep the snapshot at time t; raises ``ConservationBreach`` when a
-        drift exceeds its ``config.drift_limits`` entry."""
-        f = make_field(self.spec.grid, values)
-        self.times.append(t)
-        self.snaps.append(f)
-        self.mass.append(float(np.sum(np.abs(f.values) ** 2)
-                               * self.spec.grid.volume_element))
-        self.energy.append(energy_functional(self.spec, f, self.sign))
-        self.h1.append(norm_w1p(f, 2.0))
-        drifts = {"mass_drift": _drift(self.mass, self.mass[0]),
-                  "energy_drift": _drift(self.energy, self.e_scale)}
-        for quantity, tol in self.config.drift_limits.items():
-            if drifts[quantity] > tol:
-                raise ConservationBreach(
-                    f"{quantity.replace('_', ' ')} {drifts[quantity]:.3e} "
-                    f"exceeds {tol:g} at t = {t:.6g}",
-                    quantity=quantity, drift=drifts[quantity])
-
-    def trajectory(self) -> Trajectory:
-        return Trajectory(times=np.array(self.times), snapshots=self.snaps,
-                          mass=np.array(self.mass),
-                          energy=np.array(self.energy), h1=np.array(self.h1),
-                          dt=self.config.dt, final_state=self.snaps[-1],
-                          energy_scale=self.e_scale, wrap_around=self.t_wrap,
-                          warnings=self.warnings)
-
-
 def evolve(spec: HamiltonianSpec,
            psi0: ComplexField | Sequence[ComplexField], config: EvolveConfig,
            sign: int = 1) -> Trajectory | list[Trajectory | ConservationBreach]:
@@ -252,10 +263,10 @@ def evolve(spec: HamiltonianSpec,
     if not states:
         raise MagnlsError("evolve got an empty sequence of initial states")
     n_steps = whole_steps(config.t_final, config.dt)
-    runs = [_Run(spec, f, config, sign) for f in states]
-    results: list[Trajectory | ConservationBreach | None] = [None] * len(runs)
+    results: list[Trajectory | ConservationBreach] = [
+        Trajectory.start(spec, f, config, sign) for f in states]
     values = np.stack([f.values for f in states])
-    live = list(range(len(runs)))   # the state of each row of the stack
+    live = list(range(len(states)))   # the state of each row of the stack
 
     # the Strang steps with adjacent half-phases joined (module docstring)
     full = sign * config.dt
@@ -269,7 +280,8 @@ def evolve(spec: HamiltonianSpec,
             kept = []
             for row, idx in enumerate(live):
                 try:
-                    runs[idx].record(n * config.dt, values[row])
+                    results[idx].record(spec, n * config.dt, values[row],
+                                        config, sign)
                     kept.append(row)
                 except ConservationBreach as exc:
                     results[idx] = exc
@@ -283,7 +295,7 @@ def evolve(spec: HamiltonianSpec,
             opening = full
 
     for idx in live:
-        results[idx] = runs[idx].trajectory()
+        results[idx].finish()
     if single:
         if isinstance(results[0], ConservationBreach):
             raise results[0]
@@ -299,7 +311,8 @@ def linear_flow(spec: HamiltonianSpec, f: ComplexField, t: float, *,
     (``whole_steps``), else ``ConfigError``; n = 0 returns f.  The n steps
     are one ``hamiltonian.cn_power``: one product on the dense backend, one
     Arnoldi projection on the Krylov backend."""
+    check_grid(spec, f)
     n = whole_steps(abs(t), dt)
     if n == 0:
-        return make_field(f.grid, f.values)
-    return make_field(f.grid, cn_power(spec, f.values, t / n, n))
+        return make_field(spec.grid, f.values)
+    return make_field(spec.grid, cn_power(spec, f.values, t / n, n))

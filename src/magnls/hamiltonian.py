@@ -7,12 +7,13 @@ with spectral derivatives and pointwise products: H = -lap + B, where B
 ``_apply_h_values`` applies H on the grid, ``_h_hat`` gives its DFT, and
 ``h_matrix`` is the one assembly of its matrix, which every dense
 computation takes.  Linear solves have two backends.  On an electric-only
-grid (A = 0, real V) of at most ``DENSE_MAX_POINTS`` points that matrix is
-real symmetric; ``HamiltonianSpec.dense_basis`` diagonalizes it once, on
-first use, and shifted solves become products with that eigenbasis (a
-deflated shift is one product with the cached inverse of its matrix); this
-backend loads no scipy solver.  Every other operator, in particular any with
-A != 0, whose collocated first-order terms are not symmetric, solves in
+grid (A = 0; ``PotentialPair`` keeps V real) of at most
+``DENSE_MAX_POINTS`` points that matrix is real symmetric;
+``HamiltonianSpec.dense_basis`` diagonalizes it once, on first use, and
+shifted solves become products with that eigenbasis (a deflated shift is
+one product with the cached inverse of its matrix); this backend loads no
+scipy solver.  Every other operator, in particular any with A != 0, whose
+collocated first-order terms are not symmetric, solves in
 ``_krylov_shifted_solve``, the one Krylov shifted solve: resolvents,
 deflated bound-state solves, the eigensolver's inverse iterations and the
 Crank-Nicolson step (``cn_power``) at 2i/dt all call it.  It runs in
@@ -48,7 +49,7 @@ from functools import cached_property
 import numpy as np
 
 from . import krylov
-from .errors import MagnlsError, NonConvergenceError
+from .errors import GridMismatchError, MagnlsError, NonConvergenceError
 from .grid import (
     ComplexField,
     GridSpec,
@@ -121,12 +122,6 @@ class HamiltonianSpec:
         return any(np.any(c.values) for c in self.potentials.a.components)
 
     @cached_property
-    def electric(self) -> bool:
-        """True when A = 0 and V is real, so the matrix of H is real
-        symmetric."""
-        return not (self.magnetic or np.any(self.potentials.v.values.imag))
-
-    @cached_property
     def diagonal(self) -> np.ndarray:
         """The multiplication part W = V + i div A of H."""
         pot = self.potentials
@@ -143,10 +138,10 @@ class HamiltonianSpec:
     @property
     def linear_backend(self) -> str:
         """Backend of the linear solves: "dense" for an electric-only
-        operator (A = 0, real V) on at most ``DENSE_MAX_POINTS`` points,
-        "krylov" otherwise."""
+        operator (A = 0) on at most ``DENSE_MAX_POINTS`` points, "krylov"
+        otherwise."""
         small = self.grid.total_points <= DENSE_MAX_POINTS
-        return "dense" if self.electric and small else "krylov"
+        return "dense" if small and not self.magnetic else "krylov"
 
     @cached_property
     def dense_basis(self) -> DenseBasis | None:
@@ -176,9 +171,14 @@ def build_hamiltonian(potentials: PotentialPair, *,
     return HamiltonianSpec(potentials=potentials, k_shift=k_shift)
 
 
-def apply_h(spec: HamiltonianSpec, f: ComplexField) -> ComplexField:
+def check_grid(spec: HamiltonianSpec, f: ComplexField) -> None:
+    """Every operator entry point takes fields on the operator's grid."""
     if f.grid != spec.grid:
-        raise MagnlsError("field grid does not match operator grid")
+        raise GridMismatchError("field grid does not match operator grid")
+
+
+def apply_h(spec: HamiltonianSpec, f: ComplexField) -> ComplexField:
+    check_grid(spec, f)
     return make_field(spec.grid, _apply_h_values(spec, f.values))
 
 
@@ -210,6 +210,7 @@ def _h_parts(spec: HamiltonianSpec,
 
 def apply_h1(spec: HamiltonianSpec, f: ComplexField) -> ComplexField:
     """H1 f = H f + K f."""
+    check_grid(spec, f)
     return make_field(spec.grid,
                       _apply_h_values(spec, f.values) + spec.k_shift * f.values)
 
@@ -246,7 +247,7 @@ def gauge_transform(spec: HamiltonianSpec, chi: ComplexField) -> HamiltonianSpec
 # ---------------------------------------------------------------------------
 
 def h_matrix(spec: HamiltonianSpec) -> np.ndarray:
-    """The matrix of H, real when ``spec.electric``.
+    """The matrix of H, real when A = 0.
 
     Column n is H e_n, for e_n the unit vector at the grid point with
     periodic index m_n, formed without transforms: a spectral multiplier
@@ -259,7 +260,7 @@ def h_matrix(spec: HamiltonianSpec) -> np.ndarray:
     g = spec.grid
     derivs = [1j * k for k in g.k_mesh] if spec.magnetic else []
     c = stack_ifft(g, np.stack([g.k_squared] + derivs))
-    if spec.electric:
+    if not spec.magnetic:
         c = c.real
     tiled = np.tile(c, (1,) + (2,) * g.dim)
     mat_t = np.empty((g.total_points, g.total_points), dtype=c.dtype)
@@ -270,7 +271,7 @@ def h_matrix(spec: HamiltonianSpec) -> np.ndarray:
         unit[m] = 1.0
         col = cols[0] + _b_values(spec, unit, cols[1:])
         unit[m] = 0.0
-        mat_t[n] = (col.real if spec.electric else col).ravel()
+        mat_t[n] = (col if spec.magnetic else col.real).ravel()
     return mat_t.T
 
 
@@ -405,6 +406,7 @@ def shifted_solve(spec: HamiltonianSpec, zeta: complex, f: ComplexField, *,
     spectrum.  On the dense backend the solve is direct (``x0`` goes unused)
     and a strict solve measures its residual with the spectral H.
     """
+    check_grid(spec, f)
     basis = spec.dense_basis
     if basis is None:
         return make_field(spec.grid, _krylov_shifted_solve(

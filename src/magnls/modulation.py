@@ -31,6 +31,7 @@ turns the tracked reports of such a sweep into the stability-run gates.
 from __future__ import annotations
 
 from dataclasses import dataclass, field as dc_field
+from itertools import pairwise
 
 import numpy as np
 
@@ -39,12 +40,13 @@ from .bound_states import BoundStateFamily, DerivativeFields
 from .errors import ConservationBreach, MagnlsError, NewtonDivergence
 from .evolution import EvolveConfig, Trajectory, evolve, linear_flow
 from .grid import ComplexField, inner_l2, inner_real, make_field, norm_l2
-from .hamiltonian import HamiltonianSpec, project_continuous
+from .hamiltonian import HamiltonianSpec, check_grid, project_continuous
 from .norms import norm_h1
 from .potentials import gaussian_bump
 
 _BASIN_FRACTION = 0.3       # decompose accepts ||psi||_H1 <= this * z_max
 _MAX_FRAME_SPACING = 0.1
+_MIN_FRAMES = 5             # frames a tracked trajectory needs
 _CHECKPOINT_FRACTIONS = (0.25, 0.5, 0.75, 1.0)   # of the window, for pullbacks
 # stability-run gates, see stability_verdicts
 MOD_RESID_SLOPE = (2.0, 0.4)  # log-log slope and tolerance: L1 ~ amplitude^2
@@ -59,6 +61,14 @@ def check_frame_spacing(spacing: float) -> None:
         raise MagnlsError(
             f"snapshot_stride * dt must be <= {_MAX_FRAME_SPACING:g} for "
             f"modulation tracking, got {spacing:.3g}")
+
+
+def check_frame_count(frames: int) -> None:
+    """A tracked trajectory needs ``_MIN_FRAMES`` frames: centred differences
+    of z and scattering gaps between its checkpoints."""
+    if frames < _MIN_FRAMES:
+        raise MagnlsError("trajectory too short to track "
+                          f"(need >= {_MIN_FRAMES} frames)")
 
 
 def check_amplitudes(amplitudes: tuple[float, ...]) -> None:
@@ -98,7 +108,7 @@ class StabilityReport:
     x_norm_eta: tuple[float, float, float]   # weighted L2H1, L3W1p, sup H1
     scattering_checkpoints: np.ndarray
     scattering_gaps: tuple[tuple[float, float, float], ...]  # (t1, t2, gap)
-    eta_plus_estimate: ComplexField | None
+    eta_plus_estimate: ComplexField      # the last checkpoint's pullback
     wrap_around: float
     warnings: tuple[str, ...] = dc_field(default_factory=tuple)
 
@@ -162,6 +172,7 @@ def decompose(psi: ComplexField, family: BoundStateFamily, *,
     G = [[0, G_12], [-G_12, 0]] both come from that frame, and the iterate
     with the smallest |B| is returned.
     """
+    check_grid(family.spec, psi)
     cap = _BASIN_FRACTION * family.z_max
     psi_h1 = norm_h1(psi)
     if psi_h1 > cap:
@@ -191,21 +202,20 @@ def decompose(psi: ComplexField, family: BoundStateFamily, *,
                 break
         # Jacobian dB/dz = -G + O(|eta| |z|)
         g12 = _gram_entry(frame)
+        step_z = complex(-b[1] / g12, b[0] / g12) if g12 != 0.0 else 0j
         if g12 == 0.0:
+            failure = f"singular Jacobian at z = {z}"
+        elif not np.isfinite(step_z):
+            failure = f"non-finite Newton step at z = {z}"
+        elif abs(z + step_z) > family.z_max:
+            failure = (f"Newton iterate |z| = {abs(z + step_z):.4g} escaped "
+                       "the family ceiling")
+        else:
+            failure = None
+        if failure is not None:
             if converged:
                 break
-            raise NewtonDivergence(f"singular Jacobian at z = {z}")
-        step_z = complex(-b[1] / g12, b[0] / g12)
-        if not np.isfinite(step_z.real) or not np.isfinite(step_z.imag):
-            if converged:
-                break
-            raise NewtonDivergence(f"non-finite Newton step at z = {z}")
-        if abs(z + step_z) > family.z_max:
-            if converged:
-                break
-            raise NewtonDivergence(
-                f"Newton iterate |z| = {abs(z + step_z):.4g} escaped the "
-                "family ceiling")
+            raise NewtonDivergence(failure)
         z = z + step_z
         if converged and abs(step_z) < 1e-16 * max(1.0, abs(z)):
             break
@@ -243,42 +253,33 @@ def scattering_gap(spec: HamiltonianSpec, eta1: ComplexField, t1: float,
 def track(traj: Trajectory, family: BoundStateFamily, *,
           sigma: float = 4.1) -> StabilityReport:
     """Decompose every snapshot of a trajectory and assemble the modulation
-    diagnostics."""
+    diagnostics.  At each checkpoint, eta is pulled back as soon as it is
+    decomposed."""
     spec = family.spec
     g = spec.grid
     times = np.asarray(traj.times)
     n = times.size
-    if n < 5:
-        raise MagnlsError("trajectory too short to track (need >= 5 frames)")
+    check_frame_count(n)
     check_frame_spacing(float(times[1] - times[0]))
 
-    zs = np.empty(n, dtype=np.complex128)
-    energies = np.empty(n)
-    eta_h1 = np.empty(n)
-    eta_w_h1 = np.empty(n)
-    ortho = np.empty(n)
-    pairing = np.empty(n)
-    nit = np.empty(n, dtype=np.int64)
     acc = XNormAccumulator(sigma)
-
     t_final = float(times[-1])
-    checkpoint_targets = [f * t_final for f in _CHECKPOINT_FRACTIONS]
-    checkpoint_idx = sorted({int(np.argmin(np.abs(times - tc)))
-                             for tc in checkpoint_targets})
-    checkpoint_etas: dict[int, ComplexField] = {}
-
+    checkpoints = sorted({int(np.argmin(np.abs(times - f * t_final)))
+                          for f in _CHECKPOINT_FRACTIONS})
+    rows = []                   # the per-frame scalars of the report
+    pullbacks = []              # eta pulled back at each checkpoint
     z_guess: complex | None = None
-    for j in range(n):
-        rec = decompose(traj.snapshots[j], family, z_guess=z_guess)
+    for j, psi in enumerate(traj.snapshots):
+        rec = decompose(psi, family, z_guess=z_guess)
         z_guess = rec.z
-        zs[j] = rec.z
-        energies[j] = rec.energy
-        eta_w_h1[j], _, eta_h1[j] = acc.add(float(times[j]), rec.eta)
-        ortho[j] = rec.ortho_resid
-        pairing[j] = inner_real(rec.eta, rec.q)
-        nit[j] = rec.newton_iters
-        if j in checkpoint_idx:
-            checkpoint_etas[j] = rec.eta
+        w_h1, _, h1 = acc.add(float(times[j]), rec.eta)
+        rows.append((rec.z, rec.energy, h1, w_h1, rec.ortho_resid,
+                     inner_real(rec.eta, rec.q), rec.newton_iters))
+        if j in checkpoints:
+            pullbacks.append(linear_flow(spec, rec.eta, -float(times[j]),
+                                         dt=traj.dt))
+    zs, energies, eta_h1, eta_w_h1, ortho, pairing, nit = map(np.array,
+                                                             zip(*rows))
 
     cum_e = np.concatenate(([0.0], np.cumsum(
         0.5 * (energies[1:] + energies[:-1]) * np.diff(times))))
@@ -290,24 +291,18 @@ def track(traj: Trajectory, family: BoundStateFamily, *,
     t_int = times[interior]
     l1 = float(np.trapezoid(np.abs(mod_resid), t_int)) if t_int.size > 1 else 0.0
 
-    gaps = []
-    idx_list = sorted(checkpoint_etas)
-    pullbacks = {
-        j: linear_flow(spec, checkpoint_etas[j], -float(times[j]), dt=traj.dt)
-        for j in idx_list
-    }
-    for j1, j2 in zip(idx_list, idx_list[1:]):
-        d = norm_h1(make_field(g, pullbacks[j2].values - pullbacks[j1].values))
-        gaps.append((float(times[j1]), float(times[j2]), float(d)))
-    eta_plus = pullbacks[idx_list[-1]] if idx_list else None
+    gaps = tuple(
+        (float(times[j1]), float(times[j2]),
+         float(norm_h1(make_field(g, p2.values - p1.values))))
+        for (j1, p1), (j2, p2) in pairwise(zip(checkpoints, pullbacks)))
 
     return StabilityReport(
         times=times, z_series=zs, energy_series=energies, gauge_adjusted=w,
         l1_mod_resid=l1, eta_h1=eta_h1, eta_weighted_h1=eta_w_h1,
         ortho_resid=ortho, eta_q_pairing=pairing, newton_iters=nit,
         x_norm_eta=acc.components(),
-        scattering_checkpoints=np.array([times[j] for j in idx_list]),
-        scattering_gaps=tuple(gaps), eta_plus_estimate=eta_plus,
+        scattering_checkpoints=times[checkpoints],
+        scattering_gaps=gaps, eta_plus_estimate=pullbacks[-1],
         wrap_around=traj.wrap_around,
         warnings=traj.warnings)
 
@@ -326,6 +321,7 @@ def stability_sweep(family: BoundStateFamily, z: complex,
     amplitudes after it are not tracked.
     """
     check_amplitudes(amplitudes)
+    check_frame_count(config.frames)
     g = family.spec.grid
     base = family.solve(z).field
     bump = project_continuous(family.eig.phi0, gaussian_bump(g, 1.0, width))

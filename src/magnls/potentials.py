@@ -39,34 +39,42 @@ def check_decay_hypotheses(decay_eps: float, lq_exponent: float) -> None:
         raise MagnlsError(f"decay_eps must be positive, got {decay_eps}")
 
 
+def _real_part(f: ComplexField, what: str) -> ComplexField:
+    """The real part of f, which must be real up to ``_REALNESS_TOL``."""
+    if np.max(np.abs(f.values.imag)) > _REALNESS_TOL:
+        raise MagnlsError(f"{what} must be real")
+    return make_field(f.grid, f.values.real)
+
+
 @dataclass(frozen=True)
 class PotentialPair:
     """Magnetic and electric potentials on a shared grid.
 
-    ``div_a`` always equals the spectral divergence of ``a``; it is stored
-    so operator applications do not recompute it.
+    A and V must be real up to ``_REALNESS_TOL``, and the pair keeps only
+    their real parts, so no imaginary rounding noise reaches div A or H.
+    ``div_a``, the spectral divergence of that real ``a``, is computed once
+    here so operator applications do not recompute it.
     """
 
     a: VectorField
     v: ComplexField
-    div_a: ComplexField
     decay_eps: float = 1.0
     lq_exponent: float = 4.0
+    div_a: ComplexField = field(init=False)
 
     def __post_init__(self):
         g = self.v.grid
-        if self.a.grid != g or self.div_a.grid != g:
+        if self.a.grid != g:
             raise MagnlsError("potential components live on different grids")
         if len(self.a.components) != g.dim:
             raise MagnlsError(
                 f"vector potential has {len(self.a.components)} components "
                 f"on a {g.dim}-dimensional grid")
         check_decay_hypotheses(self.decay_eps, self.lq_exponent)
-        for comp in self.a.components:
-            if np.max(np.abs(comp.values.imag)) > _REALNESS_TOL:
-                raise MagnlsError("vector potential must be real")
-        if np.max(np.abs(self.v.values.imag)) > _REALNESS_TOL:
-            raise MagnlsError("electric potential must be real")
+        object.__setattr__(self, "a", VectorField(tuple(
+            _real_part(c, "vector potential") for c in self.a.components)))
+        object.__setattr__(self, "v", _real_part(self.v, "electric potential"))
+        object.__setattr__(self, "div_a", divergence(self.a))
 
     @property
     def grid(self) -> GridSpec:
@@ -76,9 +84,9 @@ class PotentialPair:
 def make_potential_pair(a: VectorField, v: ComplexField, *,
                         decay_eps: float = 1.0,
                         lq_exponent: float = 4.0) -> PotentialPair:
-    """Assemble a pair, computing div A spectrally."""
-    return PotentialPair(a=a, v=v, div_a=divergence(a),
-                         decay_eps=decay_eps, lq_exponent=lq_exponent)
+    """Assemble a pair (``PotentialPair``)."""
+    return PotentialPair(a=a, v=v, decay_eps=decay_eps,
+                         lq_exponent=lq_exponent)
 
 
 # ---------------------------------------------------------------------------
@@ -114,9 +122,7 @@ def build_gaussian_well(grid: GridSpec, depth: float, width: float, *,
 def build_gauge_field(chi: ComplexField) -> VectorField:
     """Pure-gauge vector potential A = grad(chi), with the tiny spectral
     imaginary residue stripped so the components are exactly real."""
-    if np.max(np.abs(chi.values.imag)) > _REALNESS_TOL:
-        raise MagnlsError("gauge function chi must be real")
-    g = gradient(chi)
+    g = gradient(_real_part(chi, "gauge function chi"))
     comps = tuple(make_field(chi.grid, c.values.real) for c in g.components)
     return VectorField(comps)
 

@@ -6,10 +6,12 @@ import pytest
 import oracles as orc
 from magnls import bound_states
 from magnls import (
+    BoundState,
     BoundStateFamily,
     ContractionSetViolation,
     MagnlsError,
     InsufficientDecayWindow,
+    NonConvergenceError,
     apply_h,
     decay_fit,
     default_z_max,
@@ -162,6 +164,87 @@ def test_family_memory_is_bounded_by_bytes(sech_spec, sech_eig, monkeypatch):
     assert solved[-1] == 0.02
     assert family.stored_bytes <= budget
     assert np.max(np.abs(again.field.values - first.field.values)) < 1e-11
+
+
+def test_sweeps_run_out_raise_the_true_count_and_update_size(
+        sech_spec, sech_eig, monkeypatch):
+    monkeypatch.setattr(bound_states, "_MAX_SWEEPS", 1)
+    q1, e1 = fixed_point_step(sech_spec, sech_eig, 0.05,
+                              zeros(sech_spec.grid), 0.0, 1)
+    with pytest.raises(NonConvergenceError) as err:
+        solve_bound_state(sech_spec, sech_eig, 0.05, 1)
+    assert err.value.iterations == 1
+    assert err.value.residual == pytest.approx(norm_h2(q1) + abs(e1),
+                                               rel=1e-12)
+
+
+def test_family_solve_at_zero_is_the_zero_state_and_keeps_nothing(
+        sech_spec, sech_eig):
+    family = BoundStateFamily(sech_spec, sech_eig, 1)
+    family.solve(0.02)
+    kept = family.stored_bytes
+    state = family.solve(0.0)
+    assert state.energy == sech_eig.e0
+    assert state.iterations == 0 and state.residual == 0.0
+    assert not np.any(state.field.values)
+    assert not np.any(state.correction.values)
+    assert family.stored_bytes == kept
+
+
+@pytest.fixture
+def marked_solves(sech_spec, monkeypatch):
+    """Replace the fixed-point solve by a stub whose e' marks its r, and
+    record each call as (r, r of its warm start or None)."""
+    calls = []
+    g = sech_spec.grid
+
+    def stub(spec, eig, r, sign, *, start=None):
+        calls.append((r, None if start is None else start[1]))
+        return BoundState(z=r, field=zeros(g), correction=zeros(g),
+                          e_prime=r, energy=0.0, sign=sign, iterations=1,
+                          residual=0.0)
+
+    monkeypatch.setattr(bound_states, "solve_bound_state", stub)
+    return calls
+
+
+# r and r +- d are exact binary fractions, so both distances tie exactly
+R, D = 0.0625, 0.00390625
+
+
+def test_family_warm_starts_from_the_nearest_kept_radius(
+        sech_spec, sech_eig, marked_solves):
+    family = BoundStateFamily(sech_spec, sech_eig, 1)
+    for r in (R - D, R + D, R, R + D / 4, R + 0.9 * D, 0.2):
+        family.solve(r)
+    assert marked_solves == [
+        (R - D, None),
+        (R + D, R - D),
+        (R, R - D),                 # a tie: the smaller radius
+        (R + D / 4, R),
+        (R + 0.9 * D, R + D),
+        (0.2, None),                # nothing kept within 0.5 r
+    ]
+
+
+def test_family_evicts_the_radius_farthest_from_the_last_request(
+        sech_spec, sech_eig, marked_solves, monkeypatch):
+    monkeypatch.setattr(bound_states, "_CACHE_BYTES",
+                        2 * zeros(sech_spec.grid).values.nbytes)
+    family = BoundStateFamily(sech_spec, sech_eig, 1)
+    for r in (R - D, R + D, R):
+        family.solve(r)
+    # R - D and R + D tie as farthest from R: the smaller went
+    assert [r for r, _ in marked_solves] == [R - D, R + D, R]
+    family.solve(R + D)
+    family.solve(R)
+    assert len(marked_solves) == 3
+    family.solve(R - D)
+    # then R + D, farthest from R - D, went
+    family.solve(R)
+    assert len(marked_solves) == 4
+    family.solve(R + D)
+    assert [r for r, _ in marked_solves] == [R - D, R + D, R, R - D, R + D]
 
 
 def test_decay_rate_tracks_the_linear_rate(sech_family):

@@ -124,6 +124,19 @@ def test_time_step_rules(tmp_path):
         parse_config(write_config(tmp_path, sparse, "sparse.ini"))
 
 
+def test_a_partial_step_window_is_rejected_before_any_run(tmp_path, capsys):
+    path = write_config(tmp_path, MINIMAL.replace("sizes = 256",
+                                                  "sizes = 128"))
+    out = tmp_path / "run"
+    code = main(["linear-evolve", "--config", str(path), "--output", str(out),
+                 "--override", "evolution.t_final=0.00015",
+                 "--override", "evolution.initial=gaussian"])
+    assert code == 2
+    assert ("evolution.t_final 0.00015 is not a whole number of steps"
+            in capsys.readouterr().err)
+    assert not out.exists()
+
+
 def test_overrides_apply_after_file(tmp_path):
     path = write_config(tmp_path, MINIMAL)
     cfg = parse_config(path, overrides=("potential.depth=-1.5",

@@ -231,9 +231,8 @@ def test_a_breached_state_leaves_the_stack_and_the_others_go_on(gauss_spec):
 
 
 def test_evolve_rejects_a_partial_step(sech_spec, sech_eig):
-    cfg = EvolveConfig(dt=0.1, t_final=0.55)
     with pytest.raises(ConfigError, match="whole number of steps"):
-        evolve(sech_spec, sech_eig.phi0, cfg, 1)
+        evolve(sech_spec, sech_eig.phi0, EvolveConfig(dt=0.1, t_final=0.55), 1)
 
 
 def test_evolve_rejects_an_empty_sequence_of_initial_states(sech_spec):
@@ -263,6 +262,32 @@ def test_trajectory_bookkeeping(sech_spec, sech_eig):
     assert energy_functional(sech_spec, psi0, 1) == pytest.approx(e0, rel=1e-12)
     rel_e = abs(traj.energy[-1] - e0) / max(abs(e0), 1e-300)
     assert rel_e < 1e-8
+
+
+def test_evolve_warns_when_the_window_outlasts_the_wrap_around_estimate():
+    spec = free_spec(n=64, length=8.0)
+    g = spec.grid
+    slow = from_function(g, lambda x: 0.1 * np.exp(-(x**2)))
+    fast = from_function(g, lambda x: 0.1 * np.exp(-(x**2) + 3.0j * x))
+    est = wrap_around_estimate(fast)
+    assert est < 1.0 < wrap_around_estimate(slow)
+    cfg = EvolveConfig(dt=0.05, t_final=1.0, snapshot_stride=5)
+    quiet, loud = evolve(spec, [slow, fast], cfg, 0)
+    assert quiet.warnings == ()
+    assert loud.wrap_around == est
+    assert loud.warnings == (
+        f"window 1 exceeds the wrap-around estimate {est:.3g}; "
+        "late-time tails recirculate",)
+
+
+@pytest.mark.parametrize("dt, t_final, stride, frames", [
+    (1e-2, 0.55, 10, 7), (5e-2, 0.5, 5, 3), (5e-2, 0.5, 1, 11),
+    (5e-2, 0.5, 20, 2)])
+def test_config_counts_the_frames_evolve_records(dt, t_final, stride, frames):
+    spec = free_spec()
+    cfg = EvolveConfig(dt=dt, t_final=t_final, snapshot_stride=stride)
+    traj = evolve(spec, gaussian_bump(spec.grid, 0.1, 2.0), cfg, 0)
+    assert cfg.frames == len(traj.times) == len(traj.snapshots) == frames
 
 
 def test_wrap_estimate_scales_with_group_velocity():

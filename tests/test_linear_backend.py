@@ -22,17 +22,20 @@ from magnls import (
     MagnlsError,
     NonConvergenceError,
     apply_h,
+    apply_h1,
     build_gaussian_well,
     build_gauge_field,
     build_hamiltonian,
     build_localized_loop_field,
     evolve,
     gaussian_bump,
+    ground_state,
     linear_flow,
     make_field,
     make_potential_pair,
     resolvent_solve,
     shifted_solve,
+    step,
 )
 from magnls import hamiltonian
 from magnls.evolution import _MAX_DT, _cn_step_values
@@ -98,6 +101,79 @@ def test_backend_selection(sech_spec):
     for spec in (loop(32), big):
         assert spec.linear_backend == "krylov"
         assert spec.dense_basis is None
+
+
+def test_imaginary_noise_in_v_keeps_the_dense_backend():
+    # |Im V| <= 1e-13 passes as real; the pair keeps only the real part, so
+    # the noise neither moves the well to the Krylov backend nor its level
+    g = GridSpec(1, (256,), (40.0,))
+    clean = build_gaussian_well(g, -2.0, 1.0)
+    noisy = make_potential_pair(clean.a, make_field(
+        g, clean.v.values + 1e-16j * np.sin(g.coords[0])))
+    assert not np.any(noisy.v.values.imag)
+    spec = build_hamiltonian(noisy)
+    assert spec.linear_backend == "dense"
+    e0 = ground_state(build_hamiltonian(clean)).e0
+    assert abs(ground_state(spec).e0 - e0) <= 1e-12
+
+
+GRID_MISMATCH = "field grid does not match operator grid"
+
+
+@pytest.fixture(scope="module", params=["dense", "krylov"])
+def foreign(request):
+    """An operator and a field of its shape on a box of other lengths: the
+    256-point 1D well (L = 40) with an L = 30 field, the 16 x 16 loop
+    (L = 20) with an L = 10 field."""
+    spec, lengths = ((well(1, 256, 40.0), (30.0,)) if request.param == "dense"
+                     else (loop(16), (10.0, 10.0)))
+    assert spec.linear_backend == request.param
+    g = spec.grid
+    return spec, gaussian_bump(GridSpec(g.dim, g.sizes, lengths), 0.1, 1.0)
+
+
+def test_apply_h_rejects_a_field_on_another_grid(foreign):
+    spec, f = foreign
+    with pytest.raises(MagnlsError, match=GRID_MISMATCH):
+        apply_h(spec, f)
+
+
+def test_apply_h1_rejects_a_field_on_another_grid(foreign):
+    spec, f = foreign
+    with pytest.raises(MagnlsError, match=GRID_MISMATCH):
+        apply_h1(spec, f)
+
+
+def test_shifted_solve_rejects_a_field_on_another_grid(foreign):
+    spec, f = foreign
+    with pytest.raises(MagnlsError, match=GRID_MISMATCH):
+        shifted_solve(spec, 0.5j, f)
+
+
+def test_resolvent_solve_rejects_a_field_on_another_grid(foreign):
+    spec, f = foreign
+    with pytest.raises(MagnlsError, match=GRID_MISMATCH):
+        resolvent_solve(spec, 0.5j, f)
+
+
+def test_step_rejects_a_field_on_another_grid(foreign):
+    spec, f = foreign
+    with pytest.raises(MagnlsError, match=GRID_MISMATCH):
+        step(spec, f, 1e-3, 1)
+
+
+def test_linear_flow_rejects_a_field_on_another_grid(foreign):
+    spec, f = foreign
+    with pytest.raises(MagnlsError, match=GRID_MISMATCH):
+        linear_flow(spec, f, 1e-2, dt=1e-3)
+
+
+@pytest.mark.parametrize("dt", [0.0, 2 * _MAX_DT, -2 * _MAX_DT])
+def test_step_size_rule_is_the_same_on_either_backend(foreign, dt):
+    spec, f = foreign
+    psi = make_field(spec.grid, f.values)
+    with pytest.raises(MagnlsError, match=r"\|dt\| must lie in \(0, 0.1\]"):
+        step(spec, psi, dt, 1)
 
 
 @pytest.mark.parametrize("name", ["sech_spec", "well_3d"])

@@ -7,10 +7,11 @@ import math
 import numpy as np
 import pytest
 
-from magnls import bound_states
+from magnls import bound_states, modulation
 from magnls import (
     BoundStateFamily,
     EvolveConfig,
+    GridMismatchError,
     GridSpec,
     MagnlsError,
     NewtonDivergence,
@@ -141,6 +142,28 @@ def test_newton_divergence_is_reported(sech_spec, sech_eig, sech_family):
         decompose(psi, sech_family, z_guess=0.19, max_newton=2)
 
 
+@pytest.mark.parametrize("g12, message", [
+    (0.0, "singular Jacobian at z = "),
+    (math.nan, "non-finite Newton step at z = "),
+    (1e-200, r"Newton iterate \|z\| = .* escaped the family ceiling"),
+])
+def test_each_newton_failure_raises_its_own_message(
+        sech_spec, sech_eig, sech_family, monkeypatch, g12, message):
+    _, psi = perturbed_state(sech_spec, sech_eig, sech_family, 2e-3)
+    monkeypatch.setattr(modulation, "_gram_entry", lambda frame: g12)
+    with pytest.raises(NewtonDivergence, match=message):
+        decompose(psi, sech_family)
+
+
+def test_decompose_with_a_guess_rejects_a_field_on_another_grid(
+        sech_spec, sech_eig, sech_family):
+    _, psi = perturbed_state(sech_spec, sech_eig, sech_family, 2e-3)
+    other = GridSpec(1, sech_spec.grid.sizes, (30.0,))
+    with pytest.raises(GridMismatchError,
+                       match="field grid does not match operator grid"):
+        decompose(make_field(other, psi.values), sech_family, z_guess=0.05)
+
+
 def test_decompose_evaluates_one_frame_per_newton_iterate(
         sech_spec, sech_eig, monkeypatch):
     family = BoundStateFamily(sech_spec, sech_eig, 1)
@@ -265,6 +288,19 @@ def test_stability_sweep_needs_positive_distinct_amplitudes(
     cfg = EvolveConfig(dt=1e-3, t_final=0.5, snapshot_stride=50)
     with pytest.raises(MagnlsError, match="positive and pairwise distinct"):
         stability_sweep(sech_family, 0.05, amplitudes, 2.0, cfg)
+
+
+def test_stability_sweep_counts_its_frames_before_it_evolves(
+        sech_family, monkeypatch):
+    def no_evolve(*args, **kwargs):
+        raise AssertionError("evolve ran")
+
+    monkeypatch.setattr(modulation, "evolve", no_evolve)
+    # frames 0.1 apart: t = 0, 0.1, 0.2, 0.3
+    cfg = EvolveConfig(dt=1e-4, t_final=0.3, snapshot_stride=1000)
+    assert cfg.frames == 4
+    with pytest.raises(MagnlsError, match=r"need >= 5 frames"):
+        stability_sweep(sech_family, 0.05, (1e-3, 2e-3), 2.0, cfg)
 
 
 def test_track_needs_enough_frames(sech_spec, sech_eig, sech_family):

@@ -6,6 +6,7 @@ import pytest
 from magnls import (
     GridSpec,
     MagnlsError,
+    VectorField,
     build_gauge_field,
     build_gaussian_well,
     build_localized_loop_field,
@@ -45,6 +46,24 @@ def test_complex_valued_inputs_are_rejected():
     v = from_function(g, lambda x: -np.exp(-(x**2)) * (1 + 0.01j))
     with pytest.raises(MagnlsError):
         make_potential_pair(zero_vector_field(g), v)
+
+
+def test_a_pair_keeps_the_real_parts_it_checked():
+    # imaginary noise within the realness tolerance reaches neither the
+    # stored potentials nor div A
+    g = GridSpec(2, (16, 16), (20.0, 20.0))
+    loop = build_localized_loop_field(g, 0.3, 1.5, 1.0)
+    v = build_gaussian_well(g, -2.0, 1.0).v
+    noise = 1e-14j * np.sin(g.coords[0] + 2.0 * g.coords[1])
+    noisy = make_potential_pair(
+        VectorField(tuple(make_field(g, c.values + noise)
+                          for c in loop.components)),
+        make_field(g, v.values + noise))
+    clean = make_potential_pair(loop, v)
+    for got, want in zip((noisy.v, noisy.div_a) + noisy.a.components,
+                         (clean.v, clean.div_a) + clean.a.components):
+        assert np.array_equal(got.values, want.values)
+    assert not np.any(noisy.v.values.imag)
 
 
 def test_lq_exponent_floor():
