@@ -143,9 +143,11 @@ def solve_bound_state(spec: HamiltonianSpec, eig: EigenPair, z: complex,
                       start: tuple[ComplexField, float] | None = None) -> BoundState:
     """Iterate the contraction map to its fixed point.
 
-    ``start`` optionally warm-starts the iteration (e.g. from a neighboring
-    amplitude); the map is a contraction on the invariant set, so the fixed
-    point reached is the same.
+    ``start`` optionally warm-starts the iteration (e.g. from a prediction
+    along the family curve); the map is a contraction on the invariant set,
+    so the fixed point reached is the same.  Each deflated solve starts
+    from the current correction, so ``start``'s correction is the first
+    sweep's initial guess too (the dense backend's direct solve needs none).
     """
     g = spec.grid
     zc = complex(z)
@@ -168,7 +170,7 @@ def solve_bound_state(spec: HamiltonianSpec, eig: EigenPair, z: complex,
     for iterations in range(1, _MAX_SWEEPS + 1):
         q_new, ep_new = fixed_point_step(
             spec, eig, zc, q, ep, sign,
-            x0=q.values.ravel() if iterations > 1 else None)
+            x0=None if iterations == 1 and start is None else q.values.ravel())
         delta = norm_h2(make_field(g, q_new.values - q.values)) + abs(ep_new - ep)
         q, ep = q_new, ep_new
         if delta <= target:
@@ -215,9 +217,15 @@ class BoundStateFamily:
 
     The contraction map commutes with z -> e^{ia} z, so Q[z] = (z/|z|) Q[|z|]
     and only real r = |z| >= 0 is ever solved.  Solved corrections q[r] are
-    kept in one dict keyed by r.  Each new solve warm-starts from the
-    nearest kept r within 0.5 r (the smaller on a tie), which cuts the sweep
-    count while landing on the identical fixed point.  Once the kept
+    kept in one dict keyed by r.  Each new solve starts from the curve's
+    linear prediction at r (predictor-corrector continuation; Allgower and
+    Georg, Introduction to Numerical Continuation Methods, SIAM 2003,
+    ch. 2-3): a is the kept r nearest r within 0.5 r, b the kept r within
+    that window nearest a with |b - a| >= |r - a|, the smaller on a tie
+    either time, and the start is (q, e') at a plus t = (r - a) / (b - a)
+    times their change to b.  |t| <= 1, so solver noise in a close pair is
+    never amplified; with no such b the start is a's state.  That cuts the
+    sweep count while landing on the same fixed point.  Once the kept
     corrections pass ``_CACHE_BYTES``, the r farthest from the last request
     is dropped first (the smaller on a tie).  Lookup, insertion and eviction
     are deterministic.  r = 0 is the zero state and is not kept.
@@ -239,8 +247,18 @@ class BoundStateFamily:
         near = [k for k in curve if abs(k - r) <= 0.5 * r]
         start = None
         if near:
-            p = curve[min(near, key=lambda k: (abs(k - r), k))]
+            a = min(near, key=lambda k: (abs(k - r), k))
+            p = curve[a]
             start = (p.correction, p.e_prime)
+            # the secant through a and a kept b no nearer a than r, so |t| <= 1
+            far = [k for k in near if abs(k - a) >= abs(r - a)]
+            if far:
+                b = min(far, key=lambda k: (abs(k - a), k))
+                t = (r - a) / (b - a)
+                q = p.correction.values
+                start = (make_field(self.spec.grid,
+                                    q + t * (curve[b].correction.values - q)),
+                         p.e_prime + t * (curve[b].e_prime - p.e_prime))
         state = solve_bound_state(self.spec, self.eig, r, self.sign,
                                   start=start)
         point = curve[r] = _CurvePoint(state.correction, state.e_prime,

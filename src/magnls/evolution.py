@@ -94,13 +94,6 @@ class EvolveConfig:
                 "energy_drift": self.energy_tol}
 
 
-def _drift(series, scale: float) -> float:
-    """Largest departure of a conserved series from its first sample,
-    relative to ``scale``."""
-    arr = np.asarray(series)
-    return float(np.max(np.abs(arr - arr[0]))) / max(scale, 1e-300)
-
-
 @dataclass
 class Trajectory:
     """Snapshots and conserved-quantity series on a shared time base.
@@ -108,7 +101,8 @@ class Trajectory:
     ``evolve`` starts one per state (``start``) and ``record``s each
     snapshot into it.  The series are lists while the state runs, so each
     snapshot appends in O(1); ``finish`` turns them into arrays once, when
-    the state's run ends."""
+    the state's run ends.  The drifts read running maxima of |mass -
+    mass[0]| and |energy - energy[0]|, so testing them is O(1) too."""
 
     dt: float
     energy_scale: float          # |<psi0, H psi0>| + ||psi0||_4^4 / 2
@@ -119,6 +113,8 @@ class Trajectory:
     mass: np.ndarray = dc_field(default_factory=list)
     energy: np.ndarray = dc_field(default_factory=list)
     h1: np.ndarray = dc_field(default_factory=list)
+    _mass_excursion: float = dc_field(default=0.0, init=False, repr=False)
+    _energy_excursion: float = dc_field(default=0.0, init=False, repr=False)
 
     @classmethod
     def start(cls, spec: HamiltonianSpec, psi0: ComplexField,
@@ -142,9 +138,15 @@ class Trajectory:
         f = make_field(spec.grid, values)
         self.times.append(t)
         self.snapshots.append(f)
-        self.mass.append(float(np.sum(np.abs(f.values) ** 2)
-                               * spec.grid.volume_element))
-        self.energy.append(energy_functional(spec, f, sign))
+        mass = float(np.sum(np.abs(f.values) ** 2) * spec.grid.volume_element)
+        energy = energy_functional(spec, f, sign)
+        self.mass.append(mass)
+        self.energy.append(energy)
+        # np.maximum keeps a nan, as the maximum over the whole series would
+        self._mass_excursion = np.maximum(self._mass_excursion,
+                                          abs(mass - self.mass[0]))
+        self._energy_excursion = np.maximum(self._energy_excursion,
+                                            abs(energy - self.energy[0]))
         self.h1.append(norm_w1p(f, 2.0))
         for quantity, tol in config.drift_limits.items():
             drift = getattr(self, quantity)
@@ -165,13 +167,13 @@ class Trajectory:
 
     @property
     def mass_drift(self) -> float:
-        return _drift(self.mass, self.mass[0])
+        return float(self._mass_excursion) / max(self.mass[0], 1e-300)
 
     @property
     def energy_drift(self) -> float:
         """Relative to ``energy_scale``, which stays away from zero even
         when the energy itself crosses it."""
-        return _drift(self.energy, self.energy_scale)
+        return float(self._energy_excursion) / max(self.energy_scale, 1e-300)
 
 
 def whole_steps(t: float, dt: float, name: str = "time") -> int:

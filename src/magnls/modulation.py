@@ -245,9 +245,13 @@ def scattering_gap(spec: HamiltonianSpec, eta1: ComplexField, t1: float,
     Cauchy increment of the scattering limit.  A pullback stands in for
     exp(+i t H) eta(t): it is ``linear_flow`` over -t, the discrete
     Crank-Nicolson propagator whose forward steps made eta(t)."""
-    p1 = linear_flow(spec, eta1, -t1, dt=dt)
-    p2 = linear_flow(spec, eta2, -t2, dt=dt)
-    return norm_h1(make_field(spec.grid, p2.values - p1.values))
+    return _h1_gap(linear_flow(spec, eta1, -t1, dt=dt),
+                   linear_flow(spec, eta2, -t2, dt=dt))
+
+
+def _h1_gap(p1: ComplexField, p2: ComplexField) -> float:
+    """||p2 - p1||_H1, the gap between two pullbacks."""
+    return float(norm_h1(make_field(p1.grid, p2.values - p1.values)))
 
 
 def track(traj: Trajectory, family: BoundStateFamily, *,
@@ -256,7 +260,6 @@ def track(traj: Trajectory, family: BoundStateFamily, *,
     diagnostics.  At each checkpoint, eta is pulled back as soon as it is
     decomposed."""
     spec = family.spec
-    g = spec.grid
     times = np.asarray(traj.times)
     n = times.size
     check_frame_count(n)
@@ -291,10 +294,8 @@ def track(traj: Trajectory, family: BoundStateFamily, *,
     t_int = times[interior]
     l1 = float(np.trapezoid(np.abs(mod_resid), t_int)) if t_int.size > 1 else 0.0
 
-    gaps = tuple(
-        (float(times[j1]), float(times[j2]),
-         float(norm_h1(make_field(g, p2.values - p1.values))))
-        for (j1, p1), (j2, p2) in pairwise(zip(checkpoints, pullbacks)))
+    gaps = tuple((float(times[j1]), float(times[j2]), _h1_gap(p1, p2))
+                 for (j1, p1), (j2, p2) in pairwise(zip(checkpoints, pullbacks)))
 
     return StabilityReport(
         times=times, z_series=zs, energy_series=energies, gauge_adjusted=w,

@@ -1,11 +1,12 @@
 """Vector and scalar potentials, their builders, and decay validation.
 
 A potential pair carries the magnetic vector potential A, the electric
-potential V, and a precomputed spectral divergence of A.  ``validate``
-runs the decay diagnostics that back the standing hypotheses: realness,
-split Lebesgue norms, tail-norm decrease at increasing radii, and
-pointwise power-law decay fits.  The half-derivative Besov-type bound on A
-is reported as not checked (no honest discrete surrogate at desk scale).
+potential V, and a precomputed spectral divergence of A; a pair is real
+by construction.  ``validate`` runs the decay diagnostics that back the
+standing hypotheses: split Lebesgue norms, tail-norm decrease at
+increasing radii, and pointwise power-law decay fits.  The half-derivative
+Besov-type bound on A is reported as not checked (no honest discrete
+surrogate at desk scale).
 """
 
 from __future__ import annotations
@@ -220,12 +221,8 @@ def validate(p: PotentialPair) -> ValidationReport:
     r = g.radius
     l_min = min(g.box_lengths)
 
-    # realness and finite split norms back the self-adjointness hypotheses
-    im_a = max((float(np.max(np.abs(c.values.imag))) for c in p.a.components),
-               default=0.0)
-    im_v = float(np.max(np.abs(p.v.values.imag)))
-    statuses["real_components"] = "pass" if max(im_a, im_v) <= _REALNESS_TOL else "fail"
-
+    # finite split norms back the self-adjointness hypotheses; realness is
+    # the pair's own invariant (``PotentialPair``)
     a_mag = np.sqrt(sum(np.abs(c.values) ** 2 for c in p.a.components))
     split_a = split_lebesgue_norm(a_mag, p.lq_exponent, dv)
     split_div = split_lebesgue_norm(p.div_a.values, 2.0, dv)

@@ -4,19 +4,25 @@ import numpy as np
 import pytest
 
 import oracles as orc
-from magnls import bound_states
+from magnls import bound_states, krylov
 from magnls import (
     BoundState,
     BoundStateFamily,
     ContractionSetViolation,
+    GridSpec,
     MagnlsError,
     InsufficientDecayWindow,
     NonConvergenceError,
     apply_h,
+    build_gaussian_well,
+    build_hamiltonian,
+    build_localized_loop_field,
     decay_fit,
     default_z_max,
     fixed_point_step,
+    ground_state,
     make_field,
+    make_potential_pair,
     norm_h2,
     norm_l2,
     norm_lp,
@@ -106,6 +112,81 @@ def test_warm_and_cold_starts_agree(sech_spec, sech_eig, sech_family):
     assert warm.e_prime == pytest.approx(cold.e_prime, abs=1e-12)
 
 
+@pytest.fixture(scope="module")
+def loop_spec_eig():
+    """A 16 x 16 loop field: the Krylov backend."""
+    g = GridSpec(2, (16, 16), (20.0, 20.0))
+    spec = build_hamiltonian(make_potential_pair(
+        build_localized_loop_field(g, 0.3, 1.5, 1.0),
+        build_gaussian_well(g, -2.0, 1.0).v))
+    return spec, ground_state(spec)
+
+
+@pytest.fixture(params=["dense", "krylov"])
+def spec_eig(request, sech_spec, sech_eig):
+    if request.param == "dense":
+        return sech_spec, sech_eig
+    return request.getfixturevalue("loop_spec_eig")
+
+
+@pytest.mark.parametrize("delta", [1e-10, 5e-6])
+def test_a_predicted_start_reaches_the_cold_fixed_point_in_fewer_sweeps(
+        spec_eig, delta):
+    # as in a decompose frame: r and r +- h are kept, then r + delta is
+    # asked for; along a run delta is about 1e-10, and 5e-6 is under h / 2
+    spec, eig = spec_eig
+    family = BoundStateFamily(spec, eig, 1)
+    r = 0.5 * family.z_max
+    assert delta < family.derivative_fields(r).step / 2
+    z = r + delta
+    warm = family.solve(z)
+    cold = solve_bound_state(spec, eig, z, 1)
+    kept = family.solve(r)
+    nearest = solve_bound_state(spec, eig, z, 1,
+                                start=(kept.correction, kept.e_prime))
+    gap = (norm_h2(make_field(spec.grid, warm.correction.values
+                              - cold.correction.values))
+           + abs(warm.e_prime - cold.e_prime))
+    assert gap <= 1e-12 * (1.0 + z)
+    assert warm.iterations < nearest.iterations < cold.iterations
+
+
+def test_a_start_is_the_first_deflated_solves_initial_guess(
+        loop_spec_eig, monkeypatch):
+    spec, eig = loop_spec_eig
+    r = 0.5 * default_z_max(eig)
+    kept = solve_bound_state(spec, eig, r, 1)
+    start = (kept.correction, kept.e_prime)
+    z = r * (1.0 + 1e-6)
+    iterations = []          # GMRES iterations of each krylov.solve
+    real_gmres = krylov.gmres
+
+    def counting(matvec, b, *, callback, **options):
+        iterations.append(0)
+
+        def count(residual):
+            iterations[-1] += 1
+            callback(residual)
+
+        return real_gmres(matvec, b, callback=count, **options)
+
+    guesses = []
+    real_step = bound_states.fixed_point_step
+
+    def step(*args, x0=None):
+        guesses.append(x0)
+        return real_step(*args, x0=x0)
+
+    monkeypatch.setattr(krylov, "gmres", counting)
+    monkeypatch.setattr(bound_states, "fixed_point_step", step)
+    solve_bound_state(spec, eig, z, 1, start=start)
+    assert np.array_equal(guesses[0], kept.correction.values.ravel())
+    warm = iterations[0]
+    iterations.clear()
+    real_step(spec, eig, z, *start, 1, x0=None)
+    assert warm < iterations[0]
+
+
 def test_phase_rotation_generator_identity(sech_spec, sech_eig, sech_family):
     # the family's tangents come from the real curve; compare them with
     # central differences of direct solves at complex z
@@ -193,38 +274,55 @@ def test_family_solve_at_zero_is_the_zero_state_and_keeps_nothing(
 
 @pytest.fixture
 def marked_solves(sech_spec, monkeypatch):
-    """Replace the fixed-point solve by a stub whose e' marks its r, and
-    record each call as (r, r of its warm start or None)."""
+    """Replace the fixed-point solve by a stub whose state at r has the
+    constant correction r^2 and e' = r^2, and record each call as (r, e' of
+    its start or None).  e' is nonlinear in r, so the start tells which kept
+    radii it was predicted from."""
     calls = []
     g = sech_spec.grid
 
     def stub(spec, eig, r, sign, *, start=None):
+        if start is not None:
+            # the correction is predicted with the same weights as e'
+            assert np.all(start[0].values == start[1])
         calls.append((r, None if start is None else start[1]))
-        return BoundState(z=r, field=zeros(g), correction=zeros(g),
-                          e_prime=r, energy=0.0, sign=sign, iterations=1,
-                          residual=0.0)
+        q = make_field(g, np.full(g.sizes, r * r))
+        return BoundState(z=r, field=q, correction=q, e_prime=r * r,
+                          energy=0.0, sign=sign, iterations=1, residual=0.0)
 
     monkeypatch.setattr(bound_states, "solve_bound_state", stub)
     return calls
 
 
-# r and r +- d are exact binary fractions, so both distances tie exactly
+# r and r +- d are exact binary fractions, so distances tie exactly and
+# every predicted start below is exact
 R, D = 0.0625, 0.00390625
 
 
-def test_family_warm_starts_from_the_nearest_kept_radius(
+def test_family_starts_from_the_secant_through_the_nearest_kept_radii(
         sech_spec, sech_eig, marked_solves):
     family = BoundStateFamily(sech_spec, sech_eig, 1)
-    for r in (R - D, R + D, R, R + D / 4, R + 0.9 * D, 0.2):
+    for r in (R - D, R + D, R, R + D / 4, 0.2):
         family.solve(r)
     assert marked_solves == [
         (R - D, None),
-        (R + D, R - D),
-        (R, R - D),                 # a tie: the smaller radius
-        (R + D / 4, R),
-        (R + 0.9 * D, R + D),
+        # a = R - D, and no other kept radius: a alone
+        (R + D, (R - D) ** 2),
+        # a = R - D (a tie: the smaller), b = R + D, t = 1/2
+        (R, R**2 + D**2),
+        # a = R; b = R - D (a tie with R + D: the smaller), t = -1/4
+        (R + D / 4, R**2 - ((R - D) ** 2 - R**2) / 4),
         (0.2, None),                # nothing kept within 0.5 r
     ]
+
+
+def test_family_never_extrapolates_a_close_pair_beyond_it(
+        sech_spec, sech_eig, marked_solves):
+    family = BoundStateFamily(sech_spec, sech_eig, 1)
+    for r in (R, R + D / 4, R - D):
+        family.solve(r)
+    # a = R; R + D / 4 is nearer a than R - D is (|t| would be 4): a alone
+    assert marked_solves[-1] == (R - D, R**2)
 
 
 def test_family_evicts_the_radius_farthest_from_the_last_request(

@@ -4,12 +4,14 @@ import numpy as np
 import pytest
 
 import oracles as orc
+from magnls import evolution
 from magnls import (
     ConfigError,
     ConservationBreach,
     EvolveConfig,
     GridSpec,
     MagnlsError,
+    Trajectory,
     build_gaussian_well,
     build_hamiltonian,
     build_localized_loop_field,
@@ -262,6 +264,52 @@ def test_trajectory_bookkeeping(sech_spec, sech_eig):
     assert energy_functional(sech_spec, psi0, 1) == pytest.approx(e0, rel=1e-12)
     rel_e = abs(traj.energy[-1] - e0) / max(abs(e0), 1e-300)
     assert rel_e < 1e-8
+
+
+class _CountingNumpy:
+    """numpy, counting the calls that build an array from a sequence."""
+
+    BUILDERS = ("array", "asarray", "asanyarray", "fromiter", "stack",
+                "concatenate")
+
+    def __init__(self):
+        self.builds = 0
+
+    def __getattr__(self, name):
+        attr = getattr(np, name)
+        if name not in self.BUILDERS:
+            return attr
+
+        def build(*args, **kwargs):
+            self.builds += 1
+            return attr(*args, **kwargs)
+
+        return build
+
+
+def test_a_snapshot_tests_its_drifts_without_building_arrays(
+        sech_spec, sech_eig, monkeypatch):
+    # the drift test of each snapshot is O(1): no array of the series is
+    # built per record, and the drifts equal the maxima over the finished
+    # series bit for bit; the wobble puts the largest excursion mid-run
+    cfg = EvolveConfig(dt=1e-2, t_final=0.4, snapshot_stride=1,
+                       conserve_tol=1.0)
+    psi0 = make_field(sech_spec.grid, 0.5 * sech_eig.phi0.values)
+    moved = step(sech_spec, psi0, cfg.dt, 1).values
+    frames = [(1.0 + 1e-3 * np.sin(1.7 * n)) * moved for n in range(1, 41)]
+    counting = _CountingNumpy()
+    monkeypatch.setattr(evolution, "np", counting)
+    traj = Trajectory.start(sech_spec, psi0, cfg, 1)
+    for n, values in enumerate(frames, start=1):
+        traj.record(sech_spec, n * cfg.dt, values, cfg, 1)
+        assert counting.builds == 0
+    monkeypatch.undo()
+    traj.finish()
+    mass, energy = traj.mass, traj.energy
+    assert np.argmax(np.abs(mass - mass[0])) < len(mass) - 1
+    assert traj.mass_drift == float(np.max(np.abs(mass - mass[0]))) / mass[0]
+    assert traj.energy_drift == (float(np.max(np.abs(energy - energy[0])))
+                                 / traj.energy_scale)
 
 
 def test_evolve_warns_when_the_window_outlasts_the_wrap_around_estimate():

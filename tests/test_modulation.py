@@ -252,6 +252,20 @@ def test_track_on_a_short_run(short_run):
     assert rep.wrap_around == wrap_around_estimate(traj.snapshots[0])
 
 
+def test_track_gaps_are_the_scattering_gaps_of_its_checkpoints(
+        sech_spec, sech_family, short_run):
+    traj, rep = short_run
+    times = list(traj.times)
+
+    def eta(t):
+        psi = traj.snapshots[times.index(t)]
+        return decompose(psi, sech_family, z_guess=None).eta
+
+    for t1, t2, gap in rep.scattering_gaps:
+        assert gap == pytest.approx(scattering_gap(
+            sech_spec, eta(t1), t1, eta(t2), t2, dt=traj.dt), rel=1e-12)
+
+
 def test_track_solves_the_family_only_for_decompose_frames(
         sech_spec, sech_eig, short_run, monkeypatch):
     # E[z] and Q[z] of each frame come from its decomposition record

@@ -27,7 +27,7 @@ def test_gaussian_well_validates():
     pair = build_gaussian_well(g, -1.5, 1.0)
     report = validate(pair)
     assert report.ok
-    assert report.statuses["real_components"] == "pass"
+    assert report.statuses["split_norms_finite"] == "pass"
     assert report.statuses["tail_decrease"] == "pass"
     assert report.statuses["pointwise_decay_v"] == "pass"
     # unchecked hypotheses are reported, not silently dropped
