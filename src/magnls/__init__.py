@@ -25,7 +25,6 @@ from .grid import (
     dft,
     divergence,
     fftn,
-    freq_norm_l2,
     from_function,
     gradient,
     idft,
@@ -75,7 +74,6 @@ from .hamiltonian import (
     build_hamiltonian,
     default_k_shift,
     gauge_transform,
-    h1_positivity_ratio,
     project_continuous,
     resolvent_solve,
     shifted_solve,

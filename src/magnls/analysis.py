@@ -33,7 +33,7 @@ from .errors import ConfigError, InsufficientDecayWindow, MagnlsError
 from .evolution import whole_steps
 from .grid import ComplexField, GridSpec, ifftn, make_field, norm_l2
 from .hamiltonian import (MIN_IMAG_SHIFT, HamiltonianSpec, apply_h1,
-                          cn_power, h_matrix, project_continuous,
+                          cn_history, cn_power, h_matrix, project_continuous,
                           resolvent_solve, shifted_solve)
 from .krylov import arnoldi
 from .norms import (bracket_weight, check_sigma, field_parts,
@@ -536,11 +536,12 @@ def strichartz_ratio(spec: HamiltonianSpec, eig: EigenPair, *,
     cur = np.zeros_like(fx)
     sample(0.0, hom, cur)
     last = 0
+    history = [cn_history() for _ in range(n_duhamel)]   # Duhamel rows
     for step_i in range(1, n_steps + 1):
         t0 = (step_i - 1) * dt
         t1 = step_i * dt
         half = cur + 0.5 * dt * amp(t0) * fx
-        cur = cn_power(spec, half, dt, 1) + 0.5 * dt * amp(t1) * fx
+        cur = cn_power(spec, half, dt, 1, history) + 0.5 * dt * amp(t1) * fx
         if step_i % stride == 0 or step_i == n_steps:
             hom = cn_power(spec, hom, dt, step_i - last)
             last = step_i

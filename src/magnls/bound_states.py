@@ -66,14 +66,6 @@ class DerivativeFields:
     energy: float
     de: tuple[float, float]
 
-    @property
-    def identity_residual(self) -> float:
-        """|| D1Q (-z2) + D2Q z1 - iQ ||_2, zero for exact tangents."""
-        z = self.z
-        combo = (self.d1q.values * (-z.imag) + self.d2q.values * z.real
-                 - 1j * self.q.values)
-        return norm_l2(make_field(self.q.grid, combo))
-
 
 @dataclass(frozen=True)
 class DecayFit:

@@ -227,11 +227,6 @@ def idft(fhat: ComplexField) -> ComplexField:
     return ComplexField(fhat.grid, ifftn(fhat.values) / fhat.grid.volume_element)
 
 
-def freq_norm_l2(fhat: ComplexField) -> float:
-    """Frequency-side L2 norm; equals the physical-side norm by Parseval."""
-    return float(np.sqrt(np.sum(np.abs(fhat.values) ** 2) / fhat.grid.volume))
-
-
 # A stack is an array of fields on one grid, shape (K,) + grid.sizes: the
 # states on the leading axis (any number of leading axes, or none for a bare
 # field), the grid axes last, so each state is a contiguous row.  This is

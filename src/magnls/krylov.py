@@ -4,7 +4,9 @@ and the Arnoldi process.
 Every Krylov-backend shifted solve is ``hamiltonian._krylov_shifted_solve``,
 and a contraction bound it computes for the shift picks the solver here.
 Below 1/2 it calls ``richardson``, as for every Crank-Nicolson step at
-2i/dt, where the preconditioned system is close to the identity.  Otherwise
+2i/dt, where the preconditioned system is close to the identity; a step
+of a long run starts from the extrapolation of that state's earlier
+solves, whose residual is known without applying the operator.  Otherwise
 it calls ``solve``: resolvent applications, deflated solves at the
 ground-state energy and the eigensolver's inverse iterations.  (Small
 electric-only grids solve directly in a dense eigenbasis; see
@@ -94,22 +96,27 @@ def solve(matvec, b: np.ndarray, *, tol: float = 1e-8,
 
 
 def richardson(apply, b: np.ndarray, *, bound: float, tol: float,
-               strict: bool = True) -> np.ndarray:
+               strict: bool = True,
+               start: tuple[np.ndarray, float] | None = None) -> np.ndarray:
     """Solve y + K y = b, for ``apply`` an operator K with
-    ||K|| <= ``bound`` < 1, by Richardson's iteration y <- b - K y from
-    y = b (Saad, Iterative Methods for Sparse Linear Systems, 2nd ed., SIAM
-    2003, ch. 4).
+    ||K|| <= ``bound`` < 1, by Richardson's iteration y <- b - K y (Saad,
+    Iterative Methods for Sparse Linear Systems, 2nd ed., SIAM 2003, ch. 4).
 
+    The iteration starts from y = b, whose residual K b is at most
+    bound ||b||, or from ``start = (y0, r0)``, a guess y0 whose residual
+    norm is known to be r0 without applying K, when r0 < bound ||b||.
     The true residual r = y + K y - b of one iterate becomes -K r in the
-    next, so ||r|| <= bound^s ||b|| after s sweeps.  The iteration stops once
-    ||r|| <= ``tol`` ||b|| and returns the corrected iterate y - r.  After
-    the least s with bound^s <= ``tol`` a strict solve raises
-    ``NonConvergenceError`` with its last true residual and the sweep count,
-    and a non-strict one returns its last iterate.
+    next, so from either start ||r|| <= bound^s ||b|| after s sweeps.  The
+    iteration stops once ||r|| <= ``tol`` ||b|| and returns the corrected
+    iterate y - r.  After the least s with bound^s <= ``tol`` a strict
+    solve raises ``NonConvergenceError`` with its last true residual and the
+    sweep count, and a non-strict one returns its last iterate.
     """
     b_norm = float(np.linalg.norm(b))
     cap = math.ceil(math.log(tol) / math.log(bound)) if bound > tol else 1
     y = b
+    if start is not None and start[1] < bound * b_norm:
+        y = start[0]
     for _ in range(cap):
         nxt = b - apply(y)
         r_norm = float(np.linalg.norm(y - nxt))

@@ -8,7 +8,7 @@ import numpy as np
 import pytest
 
 import oracles as orc
-from magnls import hamiltonian
+from magnls import hamiltonian, krylov
 from magnls import (
     ConfigError,
     GridSpec,
@@ -360,3 +360,35 @@ def test_strichartz_rows_match_per_source_cn_matrix_marches(backend):
         assert row.value == pytest.approx(value, rel=1e-10)
         assert row.reference == pytest.approx(reference, rel=1e-10)
         assert row.ratio == pytest.approx(ratio, rel=1e-10)
+
+
+def test_the_duhamel_steps_start_from_their_histories(monkeypatch):
+    # each Duhamel row steps from the extrapolation of its own last solves:
+    # the rows match a scan whose steps all start cold, in fewer sweeps (on
+    # this window 0.8x; the source's time envelope spans 25 steps)
+    spec = _loop_16x16()
+    eig = ground_state(spec)
+    kwargs = dict(n_sources=1, n_duhamel=2, t_final=0.3, dt=2e-3, stride=10,
+                  seed=4)
+    sweeps = []
+    richardson = krylov.richardson
+
+    def counted(apply, b, **options):
+        def counted_apply(y):
+            sweeps.append(1)
+            return apply(y)
+        return richardson(counted_apply, b, **options)
+
+    monkeypatch.setattr(krylov, "richardson", counted)
+    started = strichartz_ratio(spec, eig, **kwargs)
+    started_sweeps = len(sweeps)
+    sweeps.clear()
+    monkeypatch.setattr(hamiltonian, "_cn_start", lambda history, b: None)
+    cold = strichartz_ratio(spec, eig, **kwargs)
+    assert started_sweeps < len(sweeps)
+    assert len(started.rows) == len(cold.rows) == 9
+    for got, want in zip(started.rows, cold.rows):
+        assert (got.mode, got.source, got.q, got.p) == \
+            (want.mode, want.source, want.q, want.p)
+        assert got.value == pytest.approx(want.value, rel=1e-10)
+        assert got.ratio == pytest.approx(want.ratio, rel=1e-10)

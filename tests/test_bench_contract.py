@@ -69,6 +69,27 @@ def test_tracer_counts_every_step_of_a_dense_evolve():
         assert tracer.restore()
 
 
+def test_tracer_counts_every_step_of_a_krylov_evolve():
+    # the Krylov twin: each step hands the rows' solve histories through
+    # evolution._cn_step_values, which must stay one call per step
+    g = GridSpec(2, (16, 16), (20.0, 20.0))
+    spec = build_hamiltonian(make_potential_pair(
+        build_localized_loop_field(g, 0.3, 1.5, 1.0),
+        build_gaussian_well(g, -2.0, 1.0).v))
+    assert spec.linear_backend == "krylov"
+    n_steps = 23
+    cfg = EvolveConfig(dt=1e-3, t_final=n_steps * 1e-3, snapshot_stride=10,
+                       conserve_tol=1e-3)
+    tracer = new_tracer()
+    try:
+        tracer.install()
+        evolution.evolve(spec, [gaussian_bump(g, a, 3.0) for a in (0.5, 1.0)],
+                         cfg, 1)
+        assert tracer.stats["evolution._cn_step_values"].count == n_steps
+    finally:
+        assert tracer.restore()
+
+
 def test_parameters_the_tracer_hooks_read_exist():
     for fn, names in ((krylov.solve, {"matvec", "b", "tol", "strict"}),
                       (evolution.linear_flow, {"t", "dt"}),

@@ -2,7 +2,8 @@
 iterations actually run.  Richardson's iteration on K y = -q y, whose
 residuals are known in closed form: it converges within its cap, and an
 understated bound gives a strict solve's report or a non-strict solve's
-last iterate.  The Arnoldi process: an orthonormal basis and the
+last iterate; a start is taken only when its stated residual is below the
+cold start's bound, and it changes neither the stop rule nor the cap.  The Arnoldi process: an orthonormal basis and the
 Arnoldi relation on a non-Hermitian operator, and an exact end on an
 invariant subspace."""
 
@@ -126,6 +127,50 @@ def test_richardson_with_a_zero_operator_returns_at_the_first_sweep(bound):
     y = krylov.richardson(apply, b, bound=bound, tol=1e-12)
     assert len(calls) == 1
     assert np.array_equal(y, b)
+
+
+def test_richardson_from_an_exact_start_returns_after_one_sweep():
+    # the first sweep measures the start's true residual, zero up to
+    # rounding, and returns the corrected start
+    b = richardson_rhs()
+    q = 0.25
+    apply, calls = scaled_by(-q)
+    exact = b / (1.0 - q)
+    y = krylov.richardson(apply, b, bound=q, tol=1e-12, start=(exact, 0.0))
+    assert len(calls) == 1
+    np.testing.assert_allclose(y, exact, rtol=1e-15)
+
+
+def test_a_strict_solve_from_a_start_still_raises_at_its_cap():
+    # a bound of 1/8 for ||K|| = 1/4 caps the sweeps at 12; from a start
+    # whose residual is 0.1 ||b||, below the bound's 0.125 ||b||, the
+    # residual after the cap is 0.1 q^11 = 2.4e-8 of ||b||, above tol
+    b = richardson_rhs()
+    q, bound, tol = 0.25, 0.125, 1e-10
+    apply, calls = scaled_by(-q)
+    r0 = 0.1 * b
+    start = (b + r0) / (1.0 - q)   # (1 - q) start - b = r0
+    with pytest.raises(NonConvergenceError, match="after 12 sweeps") as err:
+        krylov.richardson(apply, b, bound=bound, tol=tol,
+                          start=(start, float(np.linalg.norm(r0))))
+    assert len(calls) == err.value.iterations == 12
+    assert err.value.residual == pytest.approx(0.1 * q ** 11, rel=1e-12)
+
+
+@pytest.mark.parametrize("predicted", [0.25, 0.5])
+def test_richardson_takes_no_start_predicted_at_or_above_the_bound(predicted):
+    # a start whose stated residual is not below bound ||b|| is not taken,
+    # even an exact one: the solve is the cold one, sweep for sweep
+    b = richardson_rhs()
+    q, tol = 0.25, 1e-10
+    apply, calls = scaled_by(-q)
+    cold = krylov.richardson(apply, b, bound=q, tol=tol)
+    cold_sweeps = len(calls)
+    calls.clear()
+    y = krylov.richardson(apply, b, bound=q, tol=tol, start=(
+        b / (1.0 - q), predicted * float(np.linalg.norm(b))))
+    assert len(calls) == cold_sweeps == 17
+    assert np.array_equal(y, cold)
 
 
 def test_arnoldi_basis_and_relation_on_a_non_hermitian_matrix():
