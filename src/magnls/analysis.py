@@ -177,7 +177,9 @@ class XNormAccumulator:
 
 def _dense_levels(spec: HamiltonianSpec) -> np.ndarray:
     """All eigenvalues of the Hermitian part of ``h_matrix``, in
-    increasing order."""
+    increasing order: on the dense backend those of its eigenbasis."""
+    if spec.dense_basis is not None:
+        return spec.dense_basis.lam
     mat = h_matrix(spec)
     return np.linalg.eigvalsh(0.5 * (mat + mat.conj().T))
 
@@ -391,8 +393,9 @@ def norm_equivalence_check(spec: HamiltonianSpec, *, trials: int = 64,
     """Ratios r = ||(H + K) u||_p / (||u||_p + ||grad u||_p + ||lap u||_p)
     over random band-limited trials.
 
-    With the default positivity margin in K the two norms bound each other
-    with moderate constants; the gates are r_max/r_min <= 100 and
+    With the default K, which keeps H + K >= 1 for any A
+    (``hamiltonian.default_k_shift``), the two norms bound each other with
+    moderate constants; the gates are r_max/r_min <= 100 and
     r_min >= 1e-3, for p = 2 and p = 18/5.  The floor probe runs a few
     inverse iterations so a near-kernel direction of H + K, if one exists,
     is in the trial set; with K = 0 and a threshold eigenvalue this is what

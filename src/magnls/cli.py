@@ -26,7 +26,6 @@ import time
 from pathlib import Path
 
 import numpy as np
-import scipy
 
 from . import __version__
 from .analysis import (at_most, default_lambda_grid, family_sweep,
@@ -152,9 +151,6 @@ def _potentials_from(cfg: ExperimentConfig, g: GridSpec) -> PotentialPair:
         return make_potential_pair(a, well.v, **exponents)
     v = _read_on_grid("potential.v_file", p.v_file, g)
     if p.a_files:
-        if len(p.a_files) != g.dim:
-            raise ConfigError(
-                f"potential.a_files needs {g.dim} entries, got {len(p.a_files)}")
         a = VectorField(tuple(_read_on_grid("potential.a_files", name, g)
                               for name in p.a_files))
     else:
@@ -410,7 +406,7 @@ def _write_manifest(ctx: RunContext, cfg: ExperimentConfig, subcommand: str,
         "platform": {
             "python": sys.version.split()[0],
             "numpy": np.__version__,
-            "scipy": scipy.__version__,
+            "scipy": getattr(sys.modules.get("scipy"), "__version__", None),
             "system": platform.platform(),
             "blas_threads": {name: os.environ.get(name) for name in
                              ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS")},

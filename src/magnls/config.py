@@ -8,8 +8,14 @@ rejected outright (a typo should never silently fall back to a default).
 The section dataclasses below are the schema: their fields give the keys,
 their annotations the value types, their defaults the defaults.  Each
 section checks its values by calling the library code that enforces the
-same rule at run time, so a rule is written once and a config is rejected
-at parse time for exactly what a run would reject.
+same rule at run time (for the potential builders, the checks beside them
+in ``potentials``), so a rule is written once and a config is rejected at
+parse time for exactly what a run would reject.  A value is checked only
+where the potential kind or the initial state in use reads it, and the two
+rules that need the grid (a well's width and the number of ``a_files``)
+are checked by ``ExperimentConfig``.  Two things only a run can check: the
+contents of the field files, and |z| <= z_max, which depends on the ground
+state.
 """
 
 from __future__ import annotations
@@ -28,7 +34,8 @@ from .evolution import EvolveConfig
 from .grid import DIMENSIONS, GridSpec
 from .modulation import check_amplitudes, check_frame_spacing
 from .norms import check_sigma
-from .potentials import check_decay_hypotheses
+from .potentials import (check_components, check_decay_hypotheses,
+                         check_loop_ring, check_well_width, check_width)
 
 
 def _words(*names: str) -> dict:
@@ -69,6 +76,10 @@ class PotentialConfig:
 
     def __post_init__(self):
         check_decay_hypotheses(self.decay_eps, self.lq_exponent)
+        if self.kind == "gauge":
+            check_width(self.chi_width, "chi_width")
+        if self.kind == "loop":
+            check_loop_ring(self.loop_radius, self.loop_width, "loop_")
         _require(self.kind != "file" or self.v_file,
                  "v_file is required when kind = file")
 
@@ -118,6 +129,8 @@ class EvolutionConfig(EvolveConfig):
     def __post_init__(self):
         super().__post_init__()
         check_frame_spacing(self.snapshot_stride * self.dt)
+        if self.initial == "gaussian":
+            check_width(self.init_width, "init_width")
         _require(self.initial != "file" or self.init_file,
                  "init_file is required when initial = file")
 
@@ -131,8 +144,7 @@ class ModulationConfig:
     def __post_init__(self):
         check_sigma(self.sigma)
         check_amplitudes(self.amplitudes)
-        _require(self.perturb_width > 0,
-                 f"perturb_width must be positive, got {self.perturb_width}")
+        check_width(self.perturb_width, "perturb_width")
 
 
 @dataclass(frozen=True)
@@ -157,8 +169,14 @@ class ExperimentConfig:
     output: OutputConfig = field(default_factory=OutputConfig)
 
     def __post_init__(self):
-        _require(self.potential.kind != "loop" or self.grid.dim >= 2,
+        p = self.potential
+        _require(p.kind != "loop" or self.grid.dim >= 2,
                  "potential.kind = loop needs grid.dim >= 2")
+        with _section("potential"):
+            if p.kind != "file":
+                check_well_width(self.grid.lengths, p.width)
+            elif p.a_files:
+                check_components(len(p.a_files), self.grid.dim, "a_files")
 
     def echo(self) -> dict:
         """Resolved values, section by section, for the run manifest."""

@@ -31,13 +31,13 @@ they run ``scipy.fft``, loaded by the first transform of H.
 ``HamiltonianSpec`` caches whether A vanishes, the multiplication part
 V + i div A and the first-order weights 2i A_j.  It also fixes the positive
 shift K for the auxiliary operator H1 = H + K used by the
-elliptic-regularity check; by default K follows the rule
+elliptic-regularity check.  One quadratic-form bound (``lower_bound``)
 
-    K = sup|V| + sup|div A| + c_pos + 1,   c_pos = 1,
+    H >= s = -(sup|V| + sup|div A| + sup|A|^2 + 1)
 
-which keeps H1 uniformly positive for the moderate vector potentials this
-laboratory runs with.  Tests may pass an explicit (even zero) shift to probe
-what breaks without it.
+is the eigensolver's shift-invert point, and by default K = c_pos - s with
+c_pos = 1, which keeps H1 >= c_pos for any A.  Tests may pass an explicit
+(even zero) shift to probe what breaks without it.
 """
 
 from __future__ import annotations
@@ -165,10 +165,19 @@ class HamiltonianSpec:
         return kept
 
 
-def default_k_shift(potentials: PotentialPair) -> float:
+def lower_bound(potentials: PotentialPair) -> float:
+    """s = -(sup|V| + sup|div A| + sup|A|^2 + 1), below the quadratic form
+    of H: H >= s."""
     sup_v = float(np.max(np.abs(potentials.v.values)))
     sup_div = float(np.max(np.abs(potentials.div_a.values)))
-    return sup_v + sup_div + _C_POS + 1.0
+    sup_a2 = float(np.max(sum(np.abs(c.values) ** 2
+                              for c in potentials.a.components)))
+    return -(sup_v + sup_div + sup_a2 + 1.0)
+
+
+def default_k_shift(potentials: PotentialPair) -> float:
+    """K = c_pos - s for s the ``lower_bound`` of H, so H + K >= c_pos."""
+    return _C_POS - lower_bound(potentials)
 
 
 def build_hamiltonian(potentials: PotentialPair, *,

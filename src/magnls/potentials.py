@@ -67,10 +67,7 @@ class PotentialPair:
         g = self.v.grid
         if self.a.grid != g:
             raise MagnlsError("potential components live on different grids")
-        if len(self.a.components) != g.dim:
-            raise MagnlsError(
-                f"vector potential has {len(self.a.components)} components "
-                f"on a {g.dim}-dimensional grid")
+        check_components(len(self.a.components), g.dim)
         check_decay_hypotheses(self.decay_eps, self.lq_exponent)
         object.__setattr__(self, "a", VectorField(tuple(
             _real_part(c, "vector potential") for c in self.a.components)))
@@ -80,6 +77,12 @@ class PotentialPair:
     @property
     def grid(self) -> GridSpec:
         return self.v.grid
+
+
+def check_components(count: int, dim: int, key: str = "vector potential") -> None:
+    """A vector potential has one component per grid axis."""
+    if count != dim:
+        raise MagnlsError(f"{key} needs {dim} components, got {count}")
 
 
 def make_potential_pair(a: VectorField, v: ComplexField, *,
@@ -94,12 +97,27 @@ def make_potential_pair(a: VectorField, v: ComplexField, *,
 # builders
 # ---------------------------------------------------------------------------
 
+def check_width(width: float, key: str = "width") -> None:
+    """A Gaussian profile, and a loop field's ring, need a positive width;
+    ``key`` names the value in the message."""
+    if width <= 0:
+        raise MagnlsError(f"{key} must be positive, got {width}")
+
+
 def gaussian_bump(grid: GridSpec, amplitude: float, width: float) -> ComplexField:
     """Real centred Gaussian profile amplitude * exp(-|x|^2 / width^2)."""
-    if width <= 0:
-        raise MagnlsError("width must be positive")
+    check_width(width)
     r2 = sum(x * x for x in grid.coords)
     return make_field(grid, amplitude * np.exp(-r2 / width**2))
+
+
+def check_well_width(box_lengths: tuple[float, ...], width: float) -> None:
+    """A well's width is positive and leaves room for the tail
+    diagnostics: at most a sixth of the shortest box edge."""
+    check_width(width)
+    if width > min(box_lengths) / 6.0:
+        raise MagnlsError(f"width {width} too large for box {box_lengths} "
+                          "(a well width must be <= min length / 6)")
 
 
 def build_gaussian_well(grid: GridSpec, depth: float, width: float, *,
@@ -107,14 +125,10 @@ def build_gaussian_well(grid: GridSpec, depth: float, width: float, *,
                         lq_exponent: float = 4.0) -> PotentialPair:
     """Purely electric Gaussian well V = depth * exp(-|x|^2/width^2), A = 0.
 
-    ``depth`` should be negative for an attractive well.  The width must
-    leave room for the tail diagnostics: at most a sixth of the shortest
-    box edge.
+    ``depth`` should be negative for an attractive well, and the width
+    must pass ``check_well_width``.
     """
-    if width > min(grid.box_lengths) / 6.0:
-        raise MagnlsError(
-            f"well width {width} too large for box {grid.box_lengths} "
-            "(must be <= min length / 6)")
+    check_well_width(grid.box_lengths, width)
     v = gaussian_bump(grid, depth, width)
     return make_potential_pair(zero_vector_field(grid), v,
                                decay_eps=decay_eps, lq_exponent=lq_exponent)
@@ -126,6 +140,14 @@ def build_gauge_field(chi: ComplexField) -> VectorField:
     g = gradient(_real_part(chi, "gauge function chi"))
     comps = tuple(make_field(chi.grid, c.values.real) for c in g.components)
     return VectorField(comps)
+
+
+def check_loop_ring(radius: float, width: float, prefix: str = "") -> None:
+    """A loop field's ring has a radius >= 0 and a positive width; the
+    messages name them ``prefix`` + "radius" and ``prefix`` + "width"."""
+    check_width(width, prefix + "width")
+    if radius < 0:
+        raise MagnlsError(f"{prefix}radius must be >= 0, got {radius}")
 
 
 def build_localized_loop_field(grid: GridSpec, amplitude: float,
@@ -140,8 +162,7 @@ def build_localized_loop_field(grid: GridSpec, amplitude: float,
     """
     if grid.dim < 2:
         raise MagnlsError("loop field needs at least two dimensions")
-    if width <= 0 or radius < 0:
-        raise MagnlsError("loop field needs width > 0 and radius >= 0")
+    check_loop_ring(radius, width)
     r2 = sum(x * x for x in grid.coords)
     # near |x| = radius, r^2 - radius^2 ~ 2 radius (|x| - radius), so this
     # denominator gives the profile a radial scale of ~ width; the width^2

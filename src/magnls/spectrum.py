@@ -1,13 +1,14 @@
 """Low-lying spectrum of the magnetic Schrodinger operator.
 
 Strategy: Ritz pairs from the Arnoldi process (``krylov.arnoldi``) on the
-shifted inverse (H - s)^-1, with s below a coarse quadratic-form lower bound,
-then inverse-iteration refinement with an adaptive shift that tracks the
-Rayleigh quotient from below.  Arnoldi rather than Lanczos, because the
-collocated magnetic H is not Hermitian on the grid.  Every inner linear
-solve is ``hamiltonian.shifted_solve``, so resolvents, eigensolves and time
-steps share one linear backend: the dense eigenbasis on small electric-only
-grids, preconditioned Krylov elsewhere.
+shifted inverse (H - s)^-1, with s the quadratic-form lower bound
+``hamiltonian.lower_bound`` (the bound that also sets the shift K of
+H1 = H + K), then inverse-iteration refinement with an adaptive shift that
+tracks the Rayleigh quotient from below.  Arnoldi rather than Lanczos,
+because the collocated magnetic H is not Hermitian on the grid.  Every
+inner linear solve is ``hamiltonian.shifted_solve``, so resolvents,
+eigensolves and time steps share one linear backend: the dense eigenbasis
+on small electric-only grids, preconditioned Krylov elsewhere.
 """
 
 from __future__ import annotations
@@ -18,7 +19,8 @@ import numpy as np
 
 from .errors import MagnlsError, NoBoundStateError, NonConvergenceError
 from .grid import ComplexField, make_field, norm_l2
-from .hamiltonian import HamiltonianSpec, _apply_h_values, shifted_solve
+from .hamiltonian import (HamiltonianSpec, _apply_h_values, lower_bound,
+                          shifted_solve)
 from .krylov import arnoldi
 
 _RESIDUAL_TOL = 1e-10      # ground-state refinement target
@@ -55,16 +57,6 @@ class SpectrumScan:
         return tuple(e for e, _ in self.pairs)
 
 
-def spectral_lower_bound(spec: HamiltonianSpec) -> float:
-    """s with H >= s, from sup norms of the potentials (quadratic-form bound)."""
-    pot = spec.potentials
-    sup_v = float(np.max(np.abs(pot.v.values)))
-    sup_div = float(np.max(np.abs(pot.div_a.values)))
-    a_mag2 = sum(np.abs(c.values) ** 2 for c in pot.a.components)
-    sup_a2 = float(np.max(a_mag2))
-    return -(sup_v + sup_div + sup_a2 + 1.0)
-
-
 def _start_vector(spec: HamiltonianSpec) -> np.ndarray:
     """A centred Gaussian with a small first-moment tilt along every axis.
 
@@ -85,7 +77,7 @@ def _ritz_lowest(spec: HamiltonianSpec, how_many: int, *, steps: int):
     """Ritz approximations to the lowest eigenpairs of H from ``steps``
     Arnoldi steps on the shifted inverse."""
     g = spec.grid
-    shift = spectral_lower_bound(spec)
+    shift = lower_bound(spec.potentials)
 
     def inv_apply(v):
         f = make_field(g, v.reshape(g.sizes))

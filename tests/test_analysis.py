@@ -33,7 +33,9 @@ from magnls import (
     zero_vector_field,
     zeros,
 )
-from magnls.analysis import all_passed, resolvent_verdicts
+from magnls.analysis import all_passed, family_sweep, resolvent_verdicts
+from magnls.bound_states import BoundStateFamily
+from magnls.hamiltonian import lower_bound
 
 # depth tuned (on this exact 1D grid) so a second level sits just below zero:
 # deep enough for the unshifted negative control, shallow enough to solve fast
@@ -179,6 +181,16 @@ def test_default_lambda_grid_avoids_box_levels(gauss_spec, magnetic_spec,
             assert np.abs(levels - lam * lam).min() >= 0.03
 
 
+def test_default_lambda_grid_falls_back_to_a_uniform_grid():
+    # beyond 2,048 points no level ladder is computed, and an 8-point box
+    # has fewer than four gaps wide enough to sample
+    uniform = np.linspace(0.0, 6.0, 16)
+    for n in (4096, 8):
+        g = GridSpec(1, (n,), (40.0,))
+        spec = build_hamiltonian(build_gaussian_well(g, -2.0, 1.0))
+        np.testing.assert_array_equal(default_lambda_grid(spec), uniform)
+
+
 def test_scan_reports_a_real_spike_when_aimed_at_a_level(gauss_spec,
                                                          gauss_eig):
     # a lambda sitting right on a discretized continuum level is genuine
@@ -207,6 +219,21 @@ def test_norm_equivalence_with_the_shift_rule(gauss_spec):
         assert row.r_min >= 1e-3
 
 
+def test_shift_rule_keeps_h1_positive_on_a_strong_loop_field():
+    # sup|A|^2 enters the one lower bound s of H, which is the eigensolver's
+    # shift and sets K = 1 - s; without it K was 4.05 here, below
+    # -e0 = 6.71, and the indefinite H + K spread the ratios to 120
+    g = GridSpec(2, (32, 32), (20.0, 20.0))
+    spec = build_hamiltonian(make_potential_pair(
+        build_localized_loop_field(g, 2.0, 1.5, 1.0),
+        build_gaussian_well(g, -2.0, 1.0).v))
+    eig = ground_state(spec)
+    assert lower_bound(spec.potentials) <= eig.e0
+    assert eig.e0 + spec.k_shift >= 1.0
+    gates, _, _ = norm_equivalence_check(spec, trials=8, seed=5).verdicts()
+    assert gates["ratio_spread"][2] and gates["ratio_floor"][2]
+
+
 def test_norm_equivalence_negative_control():
     # same operator but K forced to zero on a well deep enough to park an
     # eigenvalue of H + K essentially at the origin: ratios collapse
@@ -216,6 +243,23 @@ def test_norm_equivalence_negative_control():
     report = norm_equivalence_check(spec, trials=32, seed=5)
     assert not report.ok
     assert any(row.r_min < 1e-3 for row in report.rows)
+
+
+def test_family_sweep_notes_a_skipped_decay_fit():
+    # the radial window of a 64-point well holds 14 samples, too few for a
+    # decay fit: each state's fit is skipped with a note, and no decay gate
+    # is recorded
+    g = GridSpec(1, (64,), (40.0,))
+    spec = build_hamiltonian(build_gaussian_well(g, -2.0, 1.0))
+    sweep = family_sweep(BoundStateFamily(spec, ground_state(spec), 1),
+                         (0.01, 0.02))
+    assert [note.split(":")[0] for note in sweep.notes] == [
+        "decay fit skipped at z=0.01", "decay fit skipped at z=0.02"]
+    assert all(math.isnan(fit.beta) for fit in sweep.decay)
+    gates, summary, notes = sweep.verdicts()
+    assert sorted(gates) == ["family_residuals", "slope_e_prime",
+                             "slope_q_h2"]
+    assert summary["decay"] == [] and notes == sweep.notes
 
 
 def test_strichartz_quotients_share_a_scale(gauss_spec, gauss_eig):

@@ -137,6 +137,54 @@ def test_a_partial_step_window_is_rejected_before_any_run(tmp_path, capsys):
     assert not out.exists()
 
 
+LOOP_2D = ("[grid]\ndim = 2\nsizes = 16\nlengths = 20.0\n\n"
+           "[potential]\nkind = loop\n")
+
+
+@pytest.mark.parametrize("loop, overrides, message", [
+    (False, ["potential.width=10"], "potential.width 10.0 too large"),
+    (True, ["potential.width=4"], "potential.width 4.0 too large"),
+    (False, ["potential.width=0"], "potential.width must be positive"),
+    (False, ["evolution.initial=gaussian", "evolution.init_width=0"],
+     "evolution.init_width must be positive"),
+    (True, ["potential.loop_width=0"], "potential.loop_width must be positive"),
+    (True, ["potential.loop_radius=-1"], "potential.loop_radius must be >= 0"),
+    (False, ["potential.kind=gauge", "potential.chi_width=0"],
+     "potential.chi_width must be positive"),
+    (True, ["potential.kind=file", "potential.v_file=v.fld",
+            "potential.a_files=a.fld"], "potential.a_files needs 2 components"),
+    (False, ["modulation.perturb_width=0"],
+     "modulation.perturb_width must be positive"),
+])
+def test_a_builder_rule_rejects_its_value_at_parse_time(tmp_path, capsys, loop,
+                                                        overrides, message):
+    # each builder check runs on the config, so a value the run would
+    # reject exits 2 before any operator is built: no output directory
+    path = write_config(tmp_path, LOOP_2D if loop else MINIMAL)
+    with pytest.raises(ConfigError, match=f"^{message}"):
+        parse_config(path, tuple(overrides))
+    out = tmp_path / "run"
+    args = ["ground-state", "--config", str(path), "--output", str(out)]
+    for override in overrides:
+        args += ["--override", override]
+    assert main(args) == 2
+    assert f"config error: {message}" in capsys.readouterr().err
+    assert not out.exists()
+
+
+def test_a_builder_rule_skips_a_value_its_run_does_not_read(tmp_path):
+    # the gauge width, the loop ring and the Gaussian start's width are read
+    # only by their kind or start, and a file potential reads no well width
+    path = write_config(tmp_path, MINIMAL)
+    cfg = parse_config(path, ("potential.chi_width=0", "potential.loop_width=0",
+                              "potential.loop_radius=-1",
+                              "evolution.init_width=0"))
+    assert cfg.potential.kind == "gaussian_well"
+    cfg = parse_config(path, ("potential.kind=file", "potential.v_file=v.fld",
+                              "potential.width=0"))
+    assert cfg.potential.width == 0.0
+
+
 def test_overrides_apply_after_file(tmp_path):
     path = write_config(tmp_path, MINIMAL)
     cfg = parse_config(path, overrides=("potential.depth=-1.5",
@@ -459,6 +507,56 @@ def test_manifest_records_the_linear_backend(tmp_path):
             "OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS"}
 
 
+def test_gauge_kind_adds_a_gradient_field_to_the_well(tmp_path):
+    # kind = gauge pairs A = grad(chi), chi the Gaussian bump of chi_amplitude
+    # and chi_width, with the well's own V.  That is not gauge_transform's
+    # pair, which also adds |grad chi|^2 to V and keeps the spectrum: here
+    # e0 moves from the plain well's.  A != 0 puts it on the Krylov backend
+    path = write_config(tmp_path, MINIMAL.replace("sizes = 256",
+                                                  "sizes = 128"))
+    e0 = {}
+    for kind, backend in (("gaussian_well", "dense"), ("gauge", "krylov")):
+        out = tmp_path / kind
+        assert main(["ground-state", "--config", str(path), "--output",
+                     str(out), "--override", f"potential.kind={kind}"]) == 0
+        manifest = json.loads((out / "manifest.json").read_text())
+        assert manifest["linear_backend"] == backend
+        e0[kind] = json.loads((out / "ground_state.json").read_text())["e0"]
+    assert e0["gaussian_well"] == pytest.approx(-0.95478, abs=1e-5)
+    assert e0["gauge"] == pytest.approx(-0.96146, abs=1e-5)
+
+
+def test_ground_state_start_is_z_times_the_ground_state(tmp_path):
+    # the linear flow keeps the start's mass |z|^2 and its energy e0 |z|^2;
+    # a bound-state start would carry the correction's mass too
+    path = write_config(tmp_path, MINIMAL.replace("sizes = 256",
+                                                  "sizes = 128"))
+    out = tmp_path / "run"
+    assert main(["linear-evolve", "--config", str(path), "--output", str(out),
+                 "--override", "evolution.initial=ground_state",
+                 "--override", "evolution.dt=1e-3",
+                 "--override", "evolution.t_final=0.05",
+                 "--override", "evolution.snapshot_stride=10"]) == 0
+    _, first = (out / "series.csv").read_text().splitlines()[:2]
+    _, mass, energy, _ = map(float, first.split(","))
+    assert mass == pytest.approx(0.05**2, rel=1e-12)
+    assert energy / mass == pytest.approx(-0.95478, abs=1e-5)
+
+
+def test_resolvent_scan_without_a_bound_state_warns_and_scans(tmp_path):
+    # a repulsive well has no bound state: the scan runs without the
+    # spectral projection and the manifest says so
+    path = write_config(tmp_path, MINIMAL.replace("sizes = 256",
+                                                  "sizes = 128"))
+    out = tmp_path / "run"
+    assert main(["resolvent-scan", "--config", str(path), "--output",
+                 str(out), "--override", "potential.depth=1.0"]) == 0
+    manifest = json.loads((out / "manifest.json").read_text())
+    assert manifest["warnings"] == [
+        "no bound state; scanning without spectral projection"]
+    assert len((out / "resolvent.csv").read_text().splitlines()) == 1 + 32
+
+
 @pytest.mark.parametrize("subcommand", ["evolve", "linear-evolve"])
 def test_gaussian_start_needs_no_bound_state(tmp_path, subcommand):
     # a repulsive well has no bound state; a Gaussian start must not ask
@@ -580,7 +678,7 @@ IMPORT_PROBE = """
 import json, sys
 seen = []
 def loaded():
-    seen.append([m for m in ("scipy.linalg", "scipy.sparse",
+    seen.append([m for m in ("scipy", "scipy.linalg", "scipy.sparse",
                              "scipy.sparse.linalg") if m in sys.modules])
 from magnls.cli import main
 loaded()
@@ -609,8 +707,11 @@ def test_dense_runs_load_no_scipy_solver_and_krylov_operators_load_gmres(
     assert proc.returncode == 0, proc.stderr
     after_import, after_bound_state, after_krylov = json.loads(
         proc.stdout.splitlines()[-1])
+    # a dense run loads no scipy at all, and its manifest says so
     assert after_import == after_bound_state == []
     assert "scipy.sparse.linalg" in after_krylov
+    manifest = json.loads((tmp_path / "out" / "manifest.json").read_text())
+    assert manifest["platform"]["scipy"] is None
 
 
 # Run in a new interpreter: each argument after the config and the output

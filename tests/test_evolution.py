@@ -318,6 +318,16 @@ def test_evolve_rejects_a_partial_step(sech_spec, sech_eig):
         evolve(sech_spec, sech_eig.phi0, EvolveConfig(dt=0.1, t_final=0.55), 1)
 
 
+@pytest.mark.parametrize("change, message", [
+    ({"t_final": 0.05}, "t_final must be at least dt = 0.1"),
+    ({"snapshot_stride": 0}, "snapshot_stride must be >= 1, got 0"),
+    ({"conserve_tol": 0.0}, "conserve_tol must be positive, got 0.0"),
+])
+def test_evolve_config_rejects_a_window_stride_or_tolerance(change, message):
+    with pytest.raises(MagnlsError, match=message):
+        EvolveConfig(**{"dt": 0.1, "t_final": 0.5, **change})
+
+
 def test_evolve_rejects_an_empty_sequence_of_initial_states(sech_spec):
     with pytest.raises(MagnlsError, match="empty sequence of initial states"):
         evolve(sech_spec, [], EvolveConfig(dt=0.1, t_final=0.5), 1)

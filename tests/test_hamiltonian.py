@@ -54,9 +54,10 @@ def test_shift_rule():
     g = GridSpec(1, (64,), (20.0,))
     pair = build_gaussian_well(g, -1.5, 1.0)
     spec = build_hamiltonian(pair)
-    # K = sup|V| + sup|div A| + c_pos + 1 with the default c_pos = 1
-    assert spec.k_shift == pytest.approx(1.5 + 0.0 + 1.0 + 1.0)
-    assert default_k_shift(pair) == pytest.approx(spec.k_shift)
+    # K = c_pos - s with c_pos = 1 and s = -(sup|V| + sup|div A| + sup|A|^2
+    # + 1); with A = 0 the sum is exact, the K of sup|V| + sup|div A| + 2
+    assert spec.k_shift == 1.5 + 0.0 + 1.0 + 1.0
+    assert default_k_shift(pair) == spec.k_shift
     f = smooth_probe(g, 1)
     diff = apply_h1(spec, f).values - apply_h(spec, f).values
     np.testing.assert_allclose(diff, spec.k_shift * f.values, atol=1e-12)
