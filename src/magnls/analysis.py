@@ -6,9 +6,10 @@ equivalence of the shifted-operator graph norm with the flat second-order
 Sobolev norm on random trial fields, and discrete Strichartz quotients for
 the linear group and its Duhamel integral, whose two kinds march as stacks
 of their sources (one row per source, the stack layout of ``grid``) in one
-time loop, sampled on one schedule.  The time-integrated radiation norm
-used by the stability tracker is accumulated incrementally here as well,
-so a tracked run never has to keep full history in memory.
+time loop, sampled on one schedule.  Every time norm of a sampled series,
+here and in ``modulation``, is one ``time_norm``: the Strichartz values and
+references, the three parts of the radiation norm the stability tracker
+keeps (``XNormAccumulator``) and its L1 modulation residual.
 
 Each gate threshold is a constant here, and each gate is formed once, by a
 verdict function returning ``(gates, summary, warnings)`` in the shape of
@@ -36,7 +37,7 @@ from .hamiltonian import (MIN_IMAG_SHIFT, HamiltonianSpec, apply_h1,
                           cn_history, cn_power, h_matrix, project_continuous,
                           resolvent_solve, shifted_solve)
 from .krylov import arnoldi
-from .norms import (bracket_weight, check_sigma, field_parts,
+from .norms import (DEFAULT_SIGMA, bracket_weight, check_sigma, field_parts,
                     first_order_parts, norm_h2, norm_lp, norm_w2p_sums)
 from .spectrum import MAX_RESIDUAL, EigenPair
 
@@ -81,6 +82,14 @@ def within(value: float, centre: float, tol: float) -> tuple[float, str, bool]:
     return value, f"{centre:g} +- {tol:g}", abs(value - centre) <= tol
 
 
+def max_over_median(largest: float, median: float,
+                    cap: float) -> tuple[float, str, bool]:
+    """Gate value, threshold text and verdict for largest / median <= cap,
+    judged as largest <= cap * median."""
+    return (largest / max(median, 1e-300), f"max/median <= {cap:g}",
+            largest <= cap * median)
+
+
 def all_passed(gates: dict) -> bool:
     """Whether every gate of a name -> (value, threshold, verdict) map
     passed."""
@@ -115,61 +124,48 @@ def is_admissible(q, p) -> bool:
     return Fraction(2, 1) / fq + Fraction(3, 1) / fp == Fraction(3, 2)
 
 
-class _TimeLq:
-    """Trapezoid L^q-in-time accumulator for a scalar sample series; the
-    infinite-q case keeps the running supremum."""
-
-    def __init__(self, q: float):
-        self.q = q
-        self.prev: tuple[float, float] | None = None
-        self.total = 0.0
-        self.sup = 0.0
-
-    def add(self, t: float, v: float) -> None:
-        if self.prev is not None:
-            if t <= self.prev[0]:
-                raise MagnlsError(
-                    f"time samples must increase: {self.prev[0]} -> {t}")
-            if not math.isinf(self.q):
-                dt = t - self.prev[0]
-                self.total += 0.5 * dt * (self.prev[1] ** self.q + v ** self.q)
-        self.prev = (t, v)
-        self.sup = max(self.sup, v)
-
-    def value(self) -> float:
-        if math.isinf(self.q):
-            return self.sup
-        return self.total ** (1.0 / self.q)
+def time_norm(times, samples, q: float):
+    """L^q norm in time of a sampled series: the trapezoid rule along the
+    first axis of ``samples``, or the supremum for q = inf.  One sample
+    has finite-q norm 0, and no samples have norm 0 for every q."""
+    samples = np.asarray(samples, dtype=float)
+    if math.isinf(q):
+        return samples.max(axis=0, initial=0.0)
+    return np.trapezoid(samples**q, times, axis=0) ** (1.0 / q)
 
 
 class XNormAccumulator:
-    """Trapezoid-in-time accumulator for the three-part radiation norm.
+    """The three-part radiation norm of a series of fields.
 
     Components: the time-L2 of the decaying-weight first-order norm, the
-    time-L3 of the flat W^{1,18/5} norm, and the running supremum of the
-    H1 norm.  Feed samples in increasing time order.
+    time-L3 of the flat W^{1,18/5} norm, and the supremum of the H1 norm,
+    each a ``time_norm`` of the samples kept so far.  Feed samples in
+    increasing time order.
     """
 
-    def __init__(self, sigma: float = 4.1):
+    def __init__(self, sigma: float = DEFAULT_SIGMA):
         check_sigma(sigma)
         self.sigma = float(sigma)
-        self._parts = (_TimeLq(2.0), _TimeLq(3.0), _TimeLq(math.inf))
+        self._times: list[float] = []
+        self._samples: list[tuple[float, float, float]] = []
 
     def add(self, t: float, f: ComplexField) -> tuple[float, float, float]:
         """Sample f at time t; returns the three norms it sampled, all from
         one gradient of f."""
+        if self._times and t <= self._times[-1]:
+            raise MagnlsError(
+                f"time samples must increase: {self._times[-1]} -> {t}")
         parts = field_parts(f)
         values = (parts.weighted_h1(self.sigma)[0], parts.w1p(18.0 / 5.0)[0],
                   parts.w1p(2.0)[0])
-        for part, v in zip(self._parts, values):
-            part.add(t, v)
+        self._times.append(t)
+        self._samples.append(values)
         return values
 
     def components(self) -> tuple[float, float, float]:
-        return tuple(part.value() for part in self._parts)
-
-    def value(self) -> float:
-        return float(sum(self.components()))
+        series = np.reshape(self._samples, (-1, 3))
+        return tuple(float(time_norm(self._times, series[:, k], q))
+                     for k, q in enumerate((2.0, 3.0, math.inf)))
 
 
 # ---------------------------------------------------------------------------
@@ -251,7 +247,7 @@ class ResolventScan:
 
 
 def resolvent_bound_scan(spec: HamiltonianSpec, eig: EigenPair | None = None,
-                         *, sigma: float = 4.1,
+                         *, sigma: float = DEFAULT_SIGMA,
                          lambda_grid: np.ndarray | None = None,
                          eps: float = 1e-2, power_iters: int = 20,
                          seed: int = 7) -> ResolventScan:
@@ -331,10 +327,8 @@ def resolvent_verdicts(main: ResolventScan, fine: ResolventScan) -> tuple:
     drift = abs(fine.max_scaled - main.max_scaled) / max(main.max_scaled,
                                                          1e-300)
     gates = {
-        "resolvent_flatness": (
-            main.max_scaled / max(main.median_scaled, 1e-300),
-            f"max/median <= {RESOLVENT_FLATNESS_CAP:g}",
-            main.max_scaled <= RESOLVENT_FLATNESS_CAP * main.median_scaled),
+        "resolvent_flatness": max_over_median(
+            main.max_scaled, main.median_scaled, RESOLVENT_FLATNESS_CAP),
         "resolvent_eps_stability": at_most(drift, _EPS_DRIFT_CAP)}
     summary = {"sigma": main.sigma, "max_scaled": main.max_scaled,
                "median_scaled": main.median_scaled,
@@ -454,10 +448,8 @@ class StrichartzReport:
         """``(gates, summary, warnings)``: strichartz_spread bounds the
         largest quotient by a multiple of their median; ``summary`` is what
         ``strichartz.json`` records."""
-        gates = {"strichartz_spread": (
-            self.max_ratio / max(self.median_ratio, 1e-300),
-            f"max <= {STRICHARTZ_SPREAD_CAP:g} * median",
-            self.max_ratio <= STRICHARTZ_SPREAD_CAP * self.median_ratio)}
+        gates = {"strichartz_spread": max_over_median(
+            self.max_ratio, self.median_ratio, STRICHARTZ_SPREAD_CAP)}
         return gates, {"max_ratio": self.max_ratio,
                        "median_ratio": self.median_ratio}, ()
 
@@ -477,7 +469,8 @@ def strichartz_ratio(spec: HamiltonianSpec, eig: EigenPair, *,
                          (math.inf, 2.0), (3.0, 18.0 / 5.0), (8.0 / 3.0, 4.0)),
                      n_sources: int = 4, n_duhamel: int = 2,
                      t_final: float = 1.0, dt: float = 2e-3, stride: int = 10,
-                     sigma: float = 4.1, seed: int = 23) -> StrichartzReport:
+                     sigma: float = DEFAULT_SIGMA,
+                     seed: int = 23) -> StrichartzReport:
     """Discrete space-time norm quotients for the linear group.
 
     Homogeneous rows divide the L^q_t W^{1,p}_x norm of exp(-itH) f by
@@ -515,26 +508,15 @@ def strichartz_ratio(spec: HamiltonianSpec, eig: EigenPair, *,
     def amp(t: float) -> float:
         return math.exp(-((t - t_mid) / t_wid) ** 2)
 
-    # the Duhamel source is amp(t) fx, so both reference norms are amp(t)
-    # times those of fx; the growing weight is <x>^sigma.  Per Duhamel
-    # source: those two norms with their accumulators.  Per source, in
-    # row order: one accumulator per pair
-    duh = first_order_parts(g, fx)
-    refs = [((wh1, _TimeLq(2.0)), (h1, _TimeLq(1.0)))
-            for wh1, h1 in zip(duh.weighted_h1(-sigma), duh.w1p(2.0))]
-    accs = [{pair: _TimeLq(pair[0]) for pair in pairs} for _ in sources]
+    # per sample: its time and, per pair, the row norms of both stacks
+    times, norms = [], []
 
     def sample(t: float, hom: np.ndarray, cur: np.ndarray) -> None:
-        """Feed both stacks at time t and the Duhamel reference norms to
-        their accumulators; the first-order parts of every field come from
-        one transform of the two stacks."""
-        for ref in refs:
-            for norm, ref_acc in ref:
-                ref_acc.add(t, amp(t) * norm)
+        """Record both stacks' norms at time t; the first-order parts of
+        every field come from one transform of the two stacks."""
         parts = first_order_parts(g, np.concatenate((hom, cur)))
-        for pair in pairs:
-            for acc, value in zip(accs, parts.w1p(pair[1])):
-                acc[pair].add(t, value)
+        times.append(t)
+        norms.append([parts.w1p(p) for _, p in pairs])
 
     cur = np.zeros_like(fx)
     sample(0.0, hom, cur)
@@ -550,14 +532,24 @@ def strichartz_ratio(spec: HamiltonianSpec, eig: EigenPair, *,
             last = step_i
             sample(t1, hom, cur)
 
+    # the Duhamel source is amp(t) fx, so its two reference norms are
+    # those of fx times time norms of amp; the growing weight is <x>^sigma
+    amps = [amp(t) for t in times]
+    duh = first_order_parts(g, fx)
+    duh_refs = np.minimum(
+        np.array(duh.weighted_h1(-sigma)) * time_norm(times, amps, 2.0),
+        np.array(duh.w1p(2.0)) * time_norm(times, amps, 1.0))
     heads = [("homogeneous", k, norm_l2(f))
              for k, f in enumerate(sources[:n_sources])]
-    heads += [("duhamel", k, min(ref_acc.value() for _, ref_acc in ref))
-              for k, ref in enumerate(refs)]
+    heads += [("duhamel", k, ref) for k, ref in enumerate(duh_refs.tolist())]
+    # per pair, the time norm of each row
+    series = np.array(norms)
+    values = [time_norm(times, series[:, k], q)
+              for k, (q, _) in enumerate(pairs)]
     rows = []
-    for (mode, s_idx, reference), acc in zip(heads, accs):
-        for (q, p), a in acc.items():
-            val = a.value()
+    for i, (mode, s_idx, reference) in enumerate(heads):
+        for (q, p), row_values in zip(pairs, values):
+            val = float(row_values[i])
             rows.append(StrichartzRow(mode=mode, source=s_idx, q=q, p=p,
                                       value=val, reference=reference,
                                       ratio=val / max(reference, 1e-300)))

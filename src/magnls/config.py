@@ -11,11 +11,11 @@ section checks its values by calling the library code that enforces the
 same rule at run time (for the potential builders, the checks beside them
 in ``potentials``), so a rule is written once and a config is rejected at
 parse time for exactly what a run would reject.  A value is checked only
-where the potential kind or the initial state in use reads it, and the two
-rules that need the grid (a well's width and the number of ``a_files``)
-are checked by ``ExperimentConfig``.  Two things only a run can check: the
-contents of the field files, and |z| <= z_max, which depends on the ground
-state.
+where the potential kind or the initial state in use reads it, and the
+three rules that need the grid (a loop field's dimension, a well's width
+and the number of ``a_files``) are checked by ``ExperimentConfig``.  Two
+things only a run can check: the contents of the field files, and
+|z| <= z_max, which depends on the ground state.
 """
 
 from __future__ import annotations
@@ -33,9 +33,10 @@ from .errors import ConfigError, MagnlsError
 from .evolution import EvolveConfig
 from .grid import DIMENSIONS, GridSpec
 from .modulation import check_amplitudes, check_frame_spacing
-from .norms import check_sigma
+from .norms import DEFAULT_SIGMA, check_sigma
 from .potentials import (check_components, check_decay_hypotheses,
-                         check_loop_ring, check_well_width, check_width)
+                         check_loop_dim, check_loop_ring, check_well_width,
+                         check_width)
 
 
 def _words(*names: str) -> dict:
@@ -138,7 +139,7 @@ class EvolutionConfig(EvolveConfig):
 @dataclass(frozen=True)
 class ModulationConfig:
     amplitudes: tuple[float, ...] = (1e-3, 2e-3, 4e-3)
-    sigma: float = 4.1
+    sigma: float = DEFAULT_SIGMA
     perturb_width: float = 2.0
 
     def __post_init__(self):
@@ -170,9 +171,9 @@ class ExperimentConfig:
 
     def __post_init__(self):
         p = self.potential
-        _require(p.kind != "loop" or self.grid.dim >= 2,
-                 "potential.kind = loop needs grid.dim >= 2")
         with _section("potential"):
+            if p.kind == "loop":
+                check_loop_dim(self.grid.dim, "kind = loop")
             if p.kind != "file":
                 check_well_width(self.grid.lengths, p.width)
             elif p.a_files:

@@ -35,13 +35,14 @@ from itertools import pairwise
 
 import numpy as np
 
-from .analysis import XNormAccumulator, at_most, loglog_slope, within
+from .analysis import (XNormAccumulator, at_most, loglog_slope, time_norm,
+                       within)
 from .bound_states import BoundStateFamily, DerivativeFields
 from .errors import ConservationBreach, MagnlsError, NewtonDivergence
 from .evolution import EvolveConfig, Trajectory, evolve, linear_flow
 from .grid import ComplexField, inner_l2, inner_real, make_field, norm_l2
 from .hamiltonian import HamiltonianSpec, check_grid, project_continuous
-from .norms import norm_h1
+from .norms import DEFAULT_SIGMA, norm_h1
 from .potentials import gaussian_bump
 
 _BASIN_FRACTION = 0.3       # decompose accepts ||psi||_H1 <= this * z_max
@@ -255,7 +256,7 @@ def _h1_gap(p1: ComplexField, p2: ComplexField) -> float:
 
 
 def track(traj: Trajectory, family: BoundStateFamily, *,
-          sigma: float = 4.1) -> StabilityReport:
+          sigma: float = DEFAULT_SIGMA) -> StabilityReport:
     """Decompose every snapshot of a trajectory and assemble the modulation
     diagnostics.  At each checkpoint, eta is pulled back as soon as it is
     decomposed."""
@@ -292,7 +293,7 @@ def track(traj: Trajectory, family: BoundStateFamily, *,
     wdot = (w[2:] - w[:-2]) / (times[2:] - times[:-2])
     mod_resid = wdot * np.exp(-1j * cum_e[interior])
     t_int = times[interior]
-    l1 = float(np.trapezoid(np.abs(mod_resid), t_int)) if t_int.size > 1 else 0.0
+    l1 = float(time_norm(t_int, np.abs(mod_resid), 1.0))
 
     gaps = tuple((float(times[j1]), float(times[j2]), _h1_gap(p1, p2))
                  for (j1, p1), (j2, p2) in pairwise(zip(checkpoints, pullbacks)))
@@ -310,7 +311,8 @@ def track(traj: Trajectory, family: BoundStateFamily, *,
 
 def stability_sweep(family: BoundStateFamily, z: complex,
                     amplitudes: tuple[float, ...], width: float,
-                    config: EvolveConfig, *, sigma: float = 4.1) -> list:
+                    config: EvolveConfig, *,
+                    sigma: float = DEFAULT_SIGMA) -> list:
     """Track Q[z] + a b for each amplitude a, the stability experiment.
 
     The direction b is the Gaussian bump of ``width`` with its phi0

@@ -26,6 +26,10 @@ from .grid import (ComplexField, GridSpec, fftn, stack_fft, stack_gradient,
                    stack_laplacian)
 
 
+# the weight exponent of the dispersive estimates, unless a run sets its own
+DEFAULT_SIGMA = 4.1
+
+
 def check_sigma(sigma: float) -> None:
     """The weight hypothesis of the dispersive estimates: <x>^-sigma with
     sigma > 4."""

@@ -150,6 +150,13 @@ def check_loop_ring(radius: float, width: float, prefix: str = "") -> None:
         raise MagnlsError(f"{prefix}radius must be >= 0, got {radius}")
 
 
+def check_loop_dim(dim: int, key: str = "loop field") -> None:
+    """A loop field circles in the plane of the first two axes, so its grid
+    has at least two; ``key`` names the field in the message."""
+    if dim < 2:
+        raise MagnlsError(f"{key} needs grid.dim >= 2, got {dim}")
+
+
 def build_localized_loop_field(grid: GridSpec, amplitude: float,
                                radius: float, width: float) -> VectorField:
     """Divergence-free azimuthal ring field in 2 or 3 dimensions.
@@ -160,8 +167,7 @@ def build_localized_loop_field(grid: GridSpec, amplitude: float,
     the spectral divergence of the sampled field stays at rounding level
     as long as the grid resolves the ring.
     """
-    if grid.dim < 2:
-        raise MagnlsError("loop field needs at least two dimensions")
+    check_loop_dim(grid.dim)
     check_loop_ring(radius, width)
     r2 = sum(x * x for x in grid.coords)
     # near |x| = radius, r^2 - radius^2 ~ 2 radius (|x| - radius), so this

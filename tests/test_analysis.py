@@ -33,9 +33,12 @@ from magnls import (
     zero_vector_field,
     zeros,
 )
-from magnls.analysis import all_passed, family_sweep, resolvent_verdicts
+from magnls.analysis import (all_passed, family_sweep, resolvent_verdicts,
+                             time_norm)
 from magnls.bound_states import BoundStateFamily
-from magnls.hamiltonian import lower_bound
+from magnls.evolution import EvolveConfig, evolve
+from magnls.hamiltonian import lower_bound, project_continuous
+from magnls.modulation import track
 
 # depth tuned (on this exact 1D grid) so a second level sits just below zero:
 # deep enough for the unshifted negative control, shallow enough to solve fast
@@ -76,7 +79,10 @@ def test_xnorm_closed_form():
     assert c1 == pytest.approx(np.sqrt(2.0) * norm_weighted_h1(f, 4.1), rel=1e-6)
     assert c2 == pytest.approx(2.0 ** (1 / 3) * norm_w1p(f, 18 / 5), rel=1e-6)
     assert c3 == pytest.approx(norm_h1(f), rel=1e-12)
-    assert acc.value() == pytest.approx(c1 + c2 + c3)
+
+
+def test_xnorm_of_no_samples_is_zero():
+    assert XNormAccumulator().components() == (0.0, 0.0, 0.0)
 
 
 def test_xnorm_add_returns_the_norms_it_samples():
@@ -314,6 +320,37 @@ def _time_lq(times, series, q):
     total = sum(0.5 * (tb - ta) * (va**q + vb**q) for ta, tb, va, vb in
                 zip(times, times[1:], series, series[1:]))
     return total ** (1.0 / q)
+
+
+@pytest.mark.parametrize("q", [1.0, 2.0, 3.0, 8.0 / 3.0, math.inf])
+def test_time_norm_is_the_trapezoid_norm_of_its_samples(q):
+    # uneven spacing, as at the short last interval of a Strichartz scan;
+    # each column of a two-column series is its own series
+    rng = np.random.default_rng(3)
+    times = np.cumsum(rng.uniform(0.01, 0.2, 12))
+    series = rng.uniform(0.0, 2.0, (12, 2))
+    got = time_norm(times, series, q)
+    for k in range(2):
+        assert got[k] == pytest.approx(_time_lq(times, series[:, k], q),
+                                       rel=1e-14)
+    # one sample: no interval to integrate, but it is its own supremum
+    assert time_norm(times[:1], series[:1, 0], q) == (
+        series[0, 0] if math.isinf(q) else 0.0)
+
+
+def test_tracked_xnorm_is_the_time_norm_of_its_own_columns(sech_spec,
+                                                          sech_eig,
+                                                          sech_family):
+    bump = from_function(sech_spec.grid, lambda x: np.exp(-((x - 1.0) ** 2)))
+    psi = make_field(sech_spec.grid, sech_family.solve(0.05).field.values
+                     + 1e-3 * project_continuous(sech_eig.phi0, bump).values)
+    traj = evolve(sech_spec, psi, EvolveConfig(dt=1e-3, t_final=0.06,
+                                               snapshot_stride=10), 1)
+    rep = track(traj, sech_family)
+    w_h1, _, h1 = rep.x_norm_eta
+    assert w_h1 == pytest.approx(
+        _time_lq(rep.times, rep.eta_weighted_h1, 2.0), rel=1e-14)
+    assert h1 == _time_lq(rep.times, rep.eta_h1, math.inf)
 
 
 def _strichartz_oracle(spec, eig, *, pairs, n_sources, n_duhamel, t_final,

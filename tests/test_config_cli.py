@@ -155,6 +155,7 @@ LOOP_2D = ("[grid]\ndim = 2\nsizes = 16\nlengths = 20.0\n\n"
             "potential.a_files=a.fld"], "potential.a_files needs 2 components"),
     (False, ["modulation.perturb_width=0"],
      "modulation.perturb_width must be positive"),
+    (False, ["potential.kind=loop"], "potential.kind = loop needs grid.dim >= 2"),
 ])
 def test_a_builder_rule_rejects_its_value_at_parse_time(tmp_path, capsys, loop,
                                                         overrides, message):

@@ -95,7 +95,8 @@ def test_loop_field_is_divergence_free_and_localized():
 
 def test_loop_field_needs_two_dimensions():
     g = GridSpec(1, (64,), (24.0,))
-    with pytest.raises(MagnlsError):
+    with pytest.raises(MagnlsError,
+                       match="^loop field needs grid.dim >= 2, got 1$"):
         build_localized_loop_field(g, 0.5, 3.0, 1.0)
 
 
