@@ -29,7 +29,8 @@ import numpy as np
 import numpy.ma  # noqa: F401 -- else np.median imports it on first call
 import numpy.random
 
-from .bound_states import BoundState, BoundStateFamily, DecayFit, decay_fit
+from .bound_states import (BoundState, BoundStateFamily, DecayFit, decay_fit,
+                           solve_bound_state)
 from .errors import ConfigError, InsufficientDecayWindow, MagnlsError
 from .evolution import whole_steps
 from .grid import ComplexField, GridSpec, ifftn, make_field, norm_l2
@@ -601,11 +602,12 @@ class FamilySweep:
 
 
 def family_sweep(family: BoundStateFamily, z_sweep) -> FamilySweep:
-    """Solve the family at each amplitude of ``z_sweep`` and fit the decay
-    of each state."""
+    """Solve the family's fixed point at each amplitude of ``z_sweep``
+    (``solve_bound_state``, so each state's residual is its own solve's)
+    and fit the decay of each state."""
     states, q_h2, decay, notes = [], [], [], []
     for zv in z_sweep:
-        state = family.solve(zv)
+        state = solve_bound_state(family.spec, family.eig, zv, family.sign)
         try:
             fit = decay_fit(state.field)
         except InsufficientDecayWindow as exc:

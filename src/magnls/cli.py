@@ -31,7 +31,7 @@ from . import __version__
 from .analysis import (at_most, default_lambda_grid, family_sweep,
                        norm_equivalence_check, resolvent_bound_scan,
                        resolvent_verdicts, scan_offsets, strichartz_ratio)
-from .bound_states import BoundStateFamily
+from .bound_states import BoundStateFamily, solve_bound_state
 from .config import ExperimentConfig, parse_config
 from .errors import (ConfigError, ConservationBreach, MagnlsError,
                      NoBoundStateError)
@@ -185,7 +185,7 @@ def _initial_state(cfg: ExperimentConfig,
     z = cfg.nonlinearity.z
     if e.initial == "ground_state":
         return make_field(g, z * eig.phi0.values)
-    return BoundStateFamily(spec, eig, cfg.nonlinearity.sign).solve(z).field
+    return solve_bound_state(spec, eig, z, cfg.nonlinearity.sign).field
 
 
 # ---------------------------------------------------------------------------
@@ -224,7 +224,9 @@ def _run_ground_state(cfg: ExperimentConfig, ctx: RunContext) -> None:
 
 
 def _run_bound_state(cfg: ExperimentConfig, ctx: RunContext) -> None:
-    state = _family_from(cfg, ctx).solve(cfg.nonlinearity.z)
+    family = _family_from(cfg, ctx)
+    state = solve_bound_state(family.spec, family.eig, cfg.nonlinearity.z,
+                              family.sign)
     ctx.field("bound_state.fld", state.field)
     ctx.json("bound_state.json", {
         "z_re": state.z.real, "z_im": state.z.imag,

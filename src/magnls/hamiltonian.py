@@ -373,9 +373,13 @@ class DenseBasis:
         """(H - zeta + c dv w <w, .>)^-1 values as one product with the
         inverse matrix, formed once per (zeta, c, w).
 
-        A bound-state family solves hundreds of times at one key, where
-        inverting once (7-10 ms at 256 points) beats a factorization solve
-        per call (about 2 ms each).  The eigenbasis is not used through a
+        A bound-state family's build sweeps about 14 times at one key.
+        numpy has no separate factorization: ``np.linalg.solve`` factors
+        again on every call (2.1 ms at 256 points), while the inverse costs
+        7.8 ms once and 27 us per product, so it wins from four solves per
+        key on.  scipy's ``lu_factor`` (1.9 ms, then 138 us per solve) would
+        load ``scipy.linalg``, a 0.24 s import this backend never pays
+        (medians on one BLAS thread).  The eigenbasis is not used through a
         rank-one (Sherman-Morrison) update: zeta = e0 lies within rounding
         of lam[0], and that formula cancels catastrophically.  The caller's
         residual check judges the result."""

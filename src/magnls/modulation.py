@@ -11,7 +11,10 @@ G_jk = < D_j Q, i D_k Q >, the leading term of dB/dz; the rest is
 O(|eta| |z|) and only slows the convergence to linear.  Since <f, i f> = 0
 and <D_2 Q, i D_1 Q> = -<D_1 Q, i D_2 Q>, G = [[0, G_12], [-G_12, 0]], and
 the step solving G dz = B is dz = (-B_2 + i B_1) / G_12.  Each iterate
-evaluates the frame Q[z], D_1 Q, D_2 Q once.  Along a
+evaluates the frame Q[z], D_1 Q, D_2 Q once, from the family's Chebyshev
+interpolant in |z|^2 and its exact derivative: a product with the
+interpolant's coefficients, and no fixed-point solve once the family has
+been built over the frame's |z|.  Along a
 trajectory the tracker warm-starts each frame from the previous one,
 forms the gauge-adjusted parameter w(t) = z(t) exp(i int_0^t E[z] ds), and
 reports the modulation residual zdot + i E z through centered differences
@@ -168,7 +171,9 @@ def decompose(psi: ComplexField, family: BoundStateFamily, *,
     The cold start is the coefficient <phi0, psi> on the family's ground
     state.  The state must sit inside the decomposition basin: ||psi||_H1
     at most 0.3 of the amplitude ceiling.  Each Newton iterate makes one
-    ``family.derivative_fields`` call; B and the step
+    ``family.derivative_fields`` call, an evaluation of the family's
+    interpolant that solves nothing unless |z| lies beyond the span it was
+    built for; B and the step
     dz = (-B_2 + i B_1) / G_12 of the antisymmetric Gram matrix
     G = [[0, G_12], [-G_12, 0]] both come from that frame, and the iterate
     with the smallest |B| is returned.

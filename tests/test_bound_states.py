@@ -6,7 +6,6 @@ import pytest
 import oracles as orc
 from magnls import bound_states, krylov
 from magnls import (
-    BoundState,
     BoundStateFamily,
     ContractionSetViolation,
     GridSpec,
@@ -34,11 +33,11 @@ from magnls import (
 def test_first_sweep_energy_slope_closed_form(sech_spec, sech_eig):
     """One application of the map from (0, 0) has a known frequency update."""
     z = 0.05
-    _, e1 = fixed_point_step(sech_spec, sech_eig, z, zeros(sech_spec.grid), 0.0, 1)
+    _, e1, _ = fixed_point_step(sech_spec, sech_eig, z, zeros(sech_spec.grid), 0.0, 1)
     expected = z * z * norm_lp(sech_eig.phi0, 4.0) ** 4
     assert e1 == pytest.approx(expected, rel=1e-12)
     # focusing flips the sign of the update
-    _, e1f = fixed_point_step(sech_spec, sech_eig, z, zeros(sech_spec.grid), 0.0, -1)
+    _, e1f, _ = fixed_point_step(sech_spec, sech_eig, z, zeros(sech_spec.grid), 0.0, -1)
     assert e1f == pytest.approx(-expected, rel=1e-12)
 
 
@@ -106,7 +105,9 @@ def test_invariant_set_violation_is_detected(sech_spec, sech_eig):
 
 
 def test_warm_and_cold_starts_agree(sech_spec, sech_eig, sech_family):
-    warm = sech_family.solve(0.06)   # family reuses the nearest cached state
+    # the family's interpolant comes from node solves warm-started along the
+    # curve; a cold solve lands on the same state
+    warm = sech_family.solve(0.06)
     cold = solve_bound_state(sech_spec, sech_eig, 0.06, 1)
     assert np.max(np.abs(warm.field.values - cold.field.values)) < 1e-11
     assert warm.e_prime == pytest.approx(cold.e_prime, abs=1e-12)
@@ -129,36 +130,10 @@ def spec_eig(request, sech_spec, sech_eig):
     return request.getfixturevalue("loop_spec_eig")
 
 
-@pytest.mark.parametrize("delta", [1e-10, 5e-6])
-def test_a_predicted_start_reaches_the_cold_fixed_point_in_fewer_sweeps(
-        spec_eig, delta):
-    # as in a decompose frame: r and r +- h are kept, then r + delta is
-    # asked for; along a run delta is about 1e-10, and 5e-6 is under h / 2
-    spec, eig = spec_eig
-    family = BoundStateFamily(spec, eig, 1)
-    r = 0.5 * family.z_max
-    assert delta < family.derivative_fields(r).step / 2
-    z = r + delta
-    warm = family.solve(z)
-    cold = solve_bound_state(spec, eig, z, 1)
-    kept = family.solve(r)
-    nearest = solve_bound_state(spec, eig, z, 1,
-                                start=(kept.correction, kept.e_prime))
-    gap = (norm_h2(make_field(spec.grid, warm.correction.values
-                              - cold.correction.values))
-           + abs(warm.e_prime - cold.e_prime))
-    assert gap <= 1e-12 * (1.0 + z)
-    assert warm.iterations < nearest.iterations < cold.iterations
-
-
-def test_a_start_is_the_first_deflated_solves_initial_guess(
-        loop_spec_eig, monkeypatch):
-    spec, eig = loop_spec_eig
-    r = 0.5 * default_z_max(eig)
-    kept = solve_bound_state(spec, eig, r, 1)
-    start = (kept.correction, kept.e_prime)
-    z = r * (1.0 + 1e-6)
-    iterations = []          # GMRES iterations of each krylov.solve
+@pytest.fixture
+def gmres_iterations(monkeypatch):
+    """The GMRES iteration count of each ``krylov.gmres`` call, in order."""
+    iterations = []
     real_gmres = krylov.gmres
 
     def counting(matvec, b, *, callback, **options):
@@ -170,26 +145,177 @@ def test_a_start_is_the_first_deflated_solves_initial_guess(
 
         return real_gmres(matvec, b, callback=count, **options)
 
-    guesses = []
+    monkeypatch.setattr(krylov, "gmres", counting)
+    return iterations
+
+
+@pytest.fixture
+def sweeps(monkeypatch):
+    """Each fixed-point sweep's initial guess and solution, as (x0, w)."""
+    calls = []
     real_step = bound_states.fixed_point_step
 
     def step(*args, x0=None):
-        guesses.append(x0)
-        return real_step(*args, x0=x0)
+        q1, e1, w = real_step(*args, x0=x0)
+        calls.append((x0, w))
+        return q1, e1, w
 
-    monkeypatch.setattr(krylov, "gmres", counting)
     monkeypatch.setattr(bound_states, "fixed_point_step", step)
+    return calls
+
+
+@pytest.fixture
+def solved_radii(monkeypatch):
+    """|z| of each ``solve_bound_state`` call the family makes, in order."""
+    radii = []
+    real_solve = bound_states.solve_bound_state
+
+    def counting(spec, eig, z, *args, **kwargs):
+        radii.append(abs(z))
+        return real_solve(spec, eig, z, *args, **kwargs)
+
+    monkeypatch.setattr(bound_states, "solve_bound_state", counting)
+    return radii
+
+
+def test_a_start_is_the_first_deflated_solves_initial_guess(
+        loop_spec_eig, gmres_iterations, sweeps):
+    spec, eig = loop_spec_eig
+    r = 0.5 * default_z_max(eig)
+    kept = solve_bound_state(spec, eig, r, 1)
+    start = (kept.correction, kept.e_prime)
+    z = r * (1.0 + 1e-6)
+    sweeps.clear()
+    gmres_iterations.clear()
     solve_bound_state(spec, eig, z, 1, start=start)
-    assert np.array_equal(guesses[0], kept.correction.values.ravel())
-    warm = iterations[0]
-    iterations.clear()
-    real_step(spec, eig, z, *start, 1, x0=None)
-    assert warm < iterations[0]
+    assert np.array_equal(sweeps[0][0], kept.correction.values.ravel())
+    warm = gmres_iterations[0]
+    gmres_iterations.clear()
+    fixed_point_step(spec, eig, z, *start, 1, x0=None)
+    assert warm < gmres_iterations[0]
+
+
+def test_each_sweep_starts_from_the_last_sweeps_unprojected_solution(
+        loop_spec_eig, gmres_iterations, sweeps, monkeypatch):
+    # the deflated solution keeps a phi0 component on the non-Hermitian loop
+    # operator, so the next sweep's GMRES starts from it, not from q
+    spec, eig = loop_spec_eig
+    z = 0.05
+    state = solve_bound_state(spec, eig, z, 1)
+    assert state.iterations == len(sweeps) >= 4
+    assert sweeps[0][0] is None
+    for (_, w), (x0, _) in zip(sweeps, sweeps[1:]):
+        assert np.array_equal(x0, w.ravel())
+    phi = eig.phi0.values
+    assert abs(np.vdot(phi, sweeps[-1][1])) * spec.grid.volume_element > 0.0
+    # a start from the projected q left every sweep near 12 of 15 iterations
+    cold, *warm = gmres_iterations
+    assert all(n < cold for n in warm)
+    assert warm[-1] <= cold // 3
+    # the fixed point of sweeps that all start cold is the same
+    real_step = bound_states.fixed_point_step
+    monkeypatch.setattr(bound_states, "fixed_point_step",
+                        lambda *args, x0=None: real_step(*args, x0=None))
+    reference = solve_bound_state(spec, eig, z, 1)
+    gap = (norm_h2(make_field(spec.grid, state.correction.values
+                              - reference.correction.values))
+           + abs(state.e_prime - reference.e_prime))
+    assert gap <= 1e-12 * (1.0 + z)
+
+
+@pytest.mark.parametrize("sign", [1, -1])
+def test_the_interpolant_matches_direct_solves_at_random_r(spec_eig, sign):
+    spec, eig = spec_eig
+    g = spec.grid
+    family = BoundStateFamily(spec, eig, sign)
+    top = 0.5 * family.z_max
+    family.solve(top)
+    rng = np.random.default_rng(11)
+    for r, angle in zip(top * rng.uniform(0.0, 1.0, 4),
+                        rng.uniform(0.0, 2.0 * np.pi, 4)):
+        z = r * np.exp(1j * angle)
+        evaluated = family.solve(z)
+        direct = solve_bound_state(spec, eig, z, sign)
+        assert norm_h2(make_field(g, evaluated.correction.values
+                                  - direct.correction.values)) <= 1e-12 * r**3
+        assert abs(evaluated.e_prime - direct.e_prime) <= 1e-12 * r**2
+        # the residual is the evaluated state's own, as small as the solve's
+        assert evaluated.iterations == 0
+        assert evaluated.residual == pytest.approx(direct.residual, rel=1e-3,
+                                                   abs=1e-13)
+
+
+@pytest.mark.parametrize("sign", [1, -1])
+def test_the_tangents_match_a_richardson_difference_of_direct_solves(
+        spec_eig, sign):
+    spec, eig = spec_eig
+    g = spec.grid
+    family = BoundStateFamily(spec, eig, sign)
+    z = 0.2 * family.z_max * np.exp(0.7j)
+    d = family.derivative_fields(z)
+
+    def direct(w):
+        state = solve_bound_state(spec, eig, w, sign)
+        return np.append(state.field.values.ravel(), state.energy)
+
+    for unit, tangent, de in ((1.0, d.d1q, d.de[0]), (1j, d.d2q, d.de[1])):
+        h = 1e-2 * abs(z)
+        diff = [(direct(z + k * h * unit) - direct(z - k * h * unit))
+                / (2.0 * k * h) for k in (1, 2)]
+        richardson = (4.0 * diff[0] - diff[1]) / 3.0
+        exact = np.append(tangent.values.ravel(), de)
+        scale = np.linalg.norm(exact)
+        # 2e-13 here; a central difference at h alone is 1e-7 off
+        assert np.linalg.norm(exact - richardson) <= 1e-11 * scale
+    np.testing.assert_array_equal(d.q.values, family.solve(z).field.values)
+
+
+def test_a_request_beyond_the_span_rebuilds(sech_spec, sech_eig,
+                                            solved_radii):
+    family = BoundStateFamily(sech_spec, sech_eig, 1)
+    family.solve(0.05)
+    built = len(solved_radii)
+    assert max(solved_radii) == pytest.approx(0.055, rel=1e-12)
+    family.derivative_fields(0.054j)
+    assert len(solved_radii) == built
+    state = family.solve(0.07)
+    assert len(solved_radii) > built
+    assert max(solved_radii) == pytest.approx(0.077, rel=1e-12)
+    direct = solve_bound_state(sech_spec, sech_eig, 0.07, 1)
+    assert np.max(np.abs(state.field.values - direct.field.values)) < 1e-14
+
+
+def test_a_request_beyond_the_ceiling_raises(sech_spec, sech_eig,
+                                             solved_radii):
+    family = BoundStateFamily(sech_spec, sech_eig, 1)
+    z = 1.01j * family.z_max
+    for request in (family.solve, family.derivative_fields):
+        with pytest.raises(MagnlsError,
+                           match="exceeds the contraction ceiling"):
+            request(z)
+    assert not solved_radii
+    # a request just below the ceiling builds up to it and no further
+    family.solve(0.99 * family.z_max)
+    assert max(solved_radii) == pytest.approx(family.z_max, rel=1e-12)
+
+
+def test_a_build_that_misses_its_off_node_solve_raises(sech_spec, sech_eig,
+                                                       monkeypatch):
+    # five nodes on the whole amplitude range leave the interpolant ~1e-11
+    # off, more than the fixed-point tolerance allows
+    monkeypatch.setattr(bound_states, "_CHOP_TOL", np.inf)
+    family = BoundStateFamily(sech_spec, sech_eig, 1)
+    with pytest.raises(NonConvergenceError, match="misses a direct solve"):
+        family.solve(family.z_max)
+    # nothing of the failed build is kept: five nodes do resolve a short span
+    state = family.solve(0.05)
+    direct = solve_bound_state(sech_spec, sech_eig, 0.05, 1)
+    assert np.max(np.abs(state.field.values - direct.field.values)) < 1e-14
 
 
 def test_phase_rotation_generator_identity(sech_spec, sech_eig, sech_family):
-    # the family's tangents come from the real curve; compare them with
-    # central differences of direct solves at complex z
+    # compare the family's tangents with central differences of direct
+    # solves at complex z
     z = 0.03 + 0.04j
     d = sech_family.derivative_fields(z)
     scale = norm_l2(sech_family.solve(z).field)
@@ -200,7 +326,7 @@ def test_phase_rotation_generator_identity(sech_spec, sech_eig, sech_family):
     def energy(w):
         return solve_bound_state(sech_spec, sech_eig, w, 1).energy
 
-    h = d.step
+    h = 1e-4 * abs(z)
     de = ((energy(z + h) - energy(z - h)) / (2.0 * h),
           (energy(z + 1j * h) - energy(z - 1j * h)) / (2.0 * h))
     assert d.de == pytest.approx(de, abs=1e-9)
@@ -225,35 +351,10 @@ def test_tangents_at_zero_are_the_ground_state_limits(sech_eig, sech_family):
         assert np.max(np.abs(d.d2q.values - 1j * phi)) < 1e-8
 
 
-def test_family_memory_is_bounded_by_bytes(sech_spec, sech_eig, monkeypatch):
-    budget = 3 * sech_eig.phi0.values.nbytes
-    monkeypatch.setattr(bound_states, "_CACHE_BYTES", budget)
-    solved = []
-    real_solve = bound_states.solve_bound_state
-
-    def counting(*args, **kwargs):
-        solved.append(args[2])
-        return real_solve(*args, **kwargs)
-
-    monkeypatch.setattr(bound_states, "solve_bound_state", counting)
-    family = BoundStateFamily(sech_spec, sech_eig, 1)
-    first = family.solve(0.02)
-    for r in (0.03, 0.04, 0.05, 0.06):
-        family.solve(r)
-        assert 0 < family.stored_bytes <= budget
-    # the amplitudes farthest from the last request went first
-    family.solve(0.05)
-    assert solved == [0.02, 0.03, 0.04, 0.05, 0.06]
-    again = family.solve(0.02)
-    assert solved[-1] == 0.02
-    assert family.stored_bytes <= budget
-    assert np.max(np.abs(again.field.values - first.field.values)) < 1e-11
-
-
 def test_sweeps_run_out_raise_the_true_count_and_update_size(
         sech_spec, sech_eig, monkeypatch):
     monkeypatch.setattr(bound_states, "_MAX_SWEEPS", 1)
-    q1, e1 = fixed_point_step(sech_spec, sech_eig, 0.05,
+    q1, e1, _ = fixed_point_step(sech_spec, sech_eig, 0.05,
                               zeros(sech_spec.grid), 0.0, 1)
     with pytest.raises(NonConvergenceError) as err:
         solve_bound_state(sech_spec, sech_eig, 0.05, 1)
@@ -263,89 +364,16 @@ def test_sweeps_run_out_raise_the_true_count_and_update_size(
 
 
 def test_family_solve_at_zero_is_the_zero_state_and_keeps_nothing(
-        sech_spec, sech_eig):
+        sech_spec, sech_eig, solved_radii):
     family = BoundStateFamily(sech_spec, sech_eig, 1)
-    family.solve(0.02)
-    kept = family.stored_bytes
     state = family.solve(0.0)
     assert state.energy == sech_eig.e0
     assert state.iterations == 0 and state.residual == 0.0
     assert not np.any(state.field.values)
     assert not np.any(state.correction.values)
-    assert family.stored_bytes == kept
-
-
-@pytest.fixture
-def marked_solves(sech_spec, monkeypatch):
-    """Replace the fixed-point solve by a stub whose state at r has the
-    constant correction r^2 and e' = r^2, and record each call as (r, e' of
-    its start or None).  e' is nonlinear in r, so the start tells which kept
-    radii it was predicted from."""
-    calls = []
-    g = sech_spec.grid
-
-    def stub(spec, eig, r, sign, *, start=None):
-        if start is not None:
-            # the correction is predicted with the same weights as e'
-            assert np.all(start[0].values == start[1])
-        calls.append((r, None if start is None else start[1]))
-        q = make_field(g, np.full(g.sizes, r * r))
-        return BoundState(z=r, field=q, correction=q, e_prime=r * r,
-                          energy=0.0, sign=sign, iterations=1, residual=0.0)
-
-    monkeypatch.setattr(bound_states, "solve_bound_state", stub)
-    return calls
-
-
-# r and r +- d are exact binary fractions, so distances tie exactly and
-# every predicted start below is exact
-R, D = 0.0625, 0.00390625
-
-
-def test_family_starts_from_the_secant_through_the_nearest_kept_radii(
-        sech_spec, sech_eig, marked_solves):
-    family = BoundStateFamily(sech_spec, sech_eig, 1)
-    for r in (R - D, R + D, R, R + D / 4, 0.2):
-        family.solve(r)
-    assert marked_solves == [
-        (R - D, None),
-        # a = R - D, and no other kept radius: a alone
-        (R + D, (R - D) ** 2),
-        # a = R - D (a tie: the smaller), b = R + D, t = 1/2
-        (R, R**2 + D**2),
-        # a = R; b = R - D (a tie with R + D: the smaller), t = -1/4
-        (R + D / 4, R**2 - ((R - D) ** 2 - R**2) / 4),
-        (0.2, None),                # nothing kept within 0.5 r
-    ]
-
-
-def test_family_never_extrapolates_a_close_pair_beyond_it(
-        sech_spec, sech_eig, marked_solves):
-    family = BoundStateFamily(sech_spec, sech_eig, 1)
-    for r in (R, R + D / 4, R - D):
-        family.solve(r)
-    # a = R; R + D / 4 is nearer a than R - D is (|t| would be 4): a alone
-    assert marked_solves[-1] == (R - D, R**2)
-
-
-def test_family_evicts_the_radius_farthest_from_the_last_request(
-        sech_spec, sech_eig, marked_solves, monkeypatch):
-    monkeypatch.setattr(bound_states, "_CACHE_BYTES",
-                        2 * zeros(sech_spec.grid).values.nbytes)
-    family = BoundStateFamily(sech_spec, sech_eig, 1)
-    for r in (R - D, R + D, R):
-        family.solve(r)
-    # R - D and R + D tie as farthest from R: the smaller went
-    assert [r for r, _ in marked_solves] == [R - D, R + D, R]
-    family.solve(R + D)
-    family.solve(R)
-    assert len(marked_solves) == 3
-    family.solve(R - D)
-    # then R + D, farthest from R - D, went
-    family.solve(R)
-    assert len(marked_solves) == 4
-    family.solve(R + D)
-    assert [r for r, _ in marked_solves] == [R - D, R + D, R, R - D, R + D]
+    d = family.derivative_fields(0.0)
+    assert d.energy == sech_eig.e0 and d.de == (0.0, 0.0)
+    assert not solved_radii      # the zero state builds nothing
 
 
 def test_decay_rate_tracks_the_linear_rate(sech_family):

@@ -114,20 +114,27 @@ def test_decompose_with_a_vector_potential():
     assert np.max(np.abs(rec2.eta.values - phase * rec.eta.values)) <= 1e-9
 
 
-def test_one_frame_needs_few_fixed_point_solves(sech_spec, sech_eig,
-                                                sech_family, monkeypatch):
-    _, psi = perturbed_state(sech_spec, sech_eig, sech_family, 2e-3)
+def test_a_short_stability_sweep_builds_its_family_once(sech_spec, sech_eig,
+                                                       monkeypatch):
+    # machine-independent work guard: every frame of the sweep lies inside
+    # the span its first request builds, so the only fixed-point solves are
+    # that build's: 4 nodes of the window s <= (1.1 * 0.05)^2 and one check
     solved = []
     real_solve = bound_states.solve_bound_state
 
     def counting(*args, **kwargs):
-        solved.append(args[2])
+        solved.append(abs(args[2]))
         return real_solve(*args, **kwargs)
 
     monkeypatch.setattr(bound_states, "solve_bound_state", counting)
-    rec = decompose(psi, BoundStateFamily(sech_spec, sech_eig, 1))
-    assert rec.ortho_resid <= 1e-10 * norm_h1(rec.eta)
-    assert len(solved) <= 10
+    cfg = EvolveConfig(dt=1e-3, t_final=0.1, snapshot_stride=20)
+    runs = stability_sweep(BoundStateFamily(sech_spec, sech_eig, 1), 0.05,
+                           (1e-3, 2e-3), 2.0, cfg)
+    frames = sum(len(rep.newton_iters) for _, rep in runs)
+    assert frames == 12 and sum(sum(rep.newton_iters) for _, rep in runs) > 24
+    assert all(rep.ortho_rel <= 1e-10 for _, rep in runs)
+    assert len(solved) <= 5
+    assert max(solved) == pytest.approx(0.055, rel=1e-12)
 
 
 def test_decompose_rejects_states_outside_the_basin(sech_spec, sech_eig, sech_family):
