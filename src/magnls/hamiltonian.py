@@ -59,6 +59,7 @@ from .grid import (
     ifftn,
     inner_l2,
     make_field,
+    stack_fft,
     stack_gradient,
     stack_ifft,
 )
@@ -199,8 +200,9 @@ def apply_h(spec: HamiltonianSpec, f: ComplexField) -> ComplexField:
 
 
 def _apply_h_values(spec: HamiltonianSpec, values: np.ndarray) -> np.ndarray:
+    """H values, for one state or a stack of states (``grid``)."""
     fhat, bx = _h_parts(spec, values)
-    out = ifftn(spec.grid.k_squared * fhat)  # -lap
+    out = stack_ifft(spec.grid, spec.grid.k_squared * fhat)  # -lap
     out += bx
     return out
 
@@ -217,9 +219,10 @@ def _b_values(spec: HamiltonianSpec, x: np.ndarray,
 
 def _h_parts(spec: HamiltonianSpec,
              values: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """(F values, B values), F the plain DFT: one forward transform and,
-    when A != 0, the gradient from ``grid.stack_gradient``."""
-    fhat = fftn(values)
+    """(F values, B values), F the plain DFT, for one state or a stack: one
+    forward transform and, when A != 0, the gradient from
+    ``grid.stack_gradient``."""
+    fhat = stack_fft(spec.grid, values)
     grads = stack_gradient(spec.grid, fhat) if spec.magnetic else ()
     return fhat, _b_values(spec, values, grads)
 
@@ -299,8 +302,10 @@ class DenseBasis:
     parts, so U stays real and no complex N x N array is formed.  The
     basis is checked once, here: each eigenpair's residual relative to
     max |lam| and the orthogonality defect of U must be at most 1e-12.
-    Holds the last Cayley factor and the inverse of the last deflated
-    shifted matrix.
+    The low eigenpairs ``spectrum`` returns on this backend (the ground
+    state, its gap and the scan levels) are read from lam and U, so no
+    eigensolve runs twice.  Holds the last Cayley factor and the inverse of
+    the last deflated shifted matrix.
     """
 
     def __init__(self, spec: HamiltonianSpec):
@@ -380,9 +385,9 @@ class DenseBasis:
         key on.  scipy's ``lu_factor`` (1.9 ms, then 138 us per solve) would
         load ``scipy.linalg``, a 0.24 s import this backend never pays
         (medians on one BLAS thread).  The eigenbasis is not used through a
-        rank-one (Sherman-Morrison) update: zeta = e0 lies within rounding
-        of lam[0], and that formula cancels catastrophically.  The caller's
-        residual check judges the result."""
+        rank-one (Sherman-Morrison) update: zeta = e0 is lam[0] itself, so
+        H - zeta is singular and that formula, which needs its inverse,
+        does not apply.  The caller's residual check judges the result."""
         key = (complex(zeta), float(c), w.tobytes())
         if self._deflated is None or self._deflated[0] != key:
             self._deflated = None

@@ -1,14 +1,19 @@
 """Low-lying spectrum of the magnetic Schrodinger operator.
 
-Strategy: Ritz pairs from the Arnoldi process (``krylov.arnoldi``) on the
-shifted inverse (H - s)^-1, with s the quadratic-form lower bound
+Strategy: ``_lowest_pairs`` is the one choice of method, and both
+``ground_state`` and ``low_spectrum_scan`` take their eigenpairs from it.
+On the dense backend (small electric-only grids) they are read from
+``HamiltonianSpec.dense_basis``, the symmetric eigensolve that backend has
+already run and checked; solving again would repeat a finished eigensolve.
+Elsewhere they are Ritz pairs from the Arnoldi process (``krylov.arnoldi``)
+on the shifted inverse (H - s)^-1, with s the quadratic-form lower bound
 ``hamiltonian.lower_bound`` (the bound that also sets the shift K of
 H1 = H + K), then inverse-iteration refinement with an adaptive shift that
 tracks the Rayleigh quotient from below.  Arnoldi rather than Lanczos,
 because the collocated magnetic H is not Hermitian on the grid.  Every
-inner linear solve is ``hamiltonian.shifted_solve``, so resolvents,
-eigensolves and time steps share one linear backend: the dense eigenbasis
-on small electric-only grids, preconditioned Krylov elsewhere.
+inner linear solve there is ``hamiltonian.shifted_solve`` on the
+preconditioned Krylov backend.  On either backend each eigenpair's residual
+is measured with the spectral H and judged by the same checks.
 
 Every shifted solve whose result is only a direction, the Arnoldi steps and
 the inverse iterations alike, runs at ``_DIRECTION_TOL`` (1e-6) and the
@@ -48,10 +53,12 @@ class EigenPair:
     achieved residual, and the distance to the rest of the spectrum
     (capped at the continuum edge proxy 0).
 
-    ``gap`` is an estimate: its second level is the unrefined second Ritz
-    value of the ``_ARNOLDI_STEPS`` shift-invert steps, which need not have
-    converged.  On the 64x64 loop at loop_amplitude 2 it reads 0.348, where
-    32 and 48 steps agree on 0.1129."""
+    On the dense backend ``gap`` is exact: min(lam[1], 0) - lam[0] from the
+    eigenbasis.  On the Krylov backend it is an estimate: its second level
+    is the unrefined second Ritz value of the ``_ARNOLDI_STEPS``
+    shift-invert steps, which need not have converged.  On the 64x64 loop
+    at loop_amplitude 2 it reads 0.348, where 32 and 48 steps agree on
+    0.1129."""
 
     e0: float
     phi0: ComplexField
@@ -91,7 +98,7 @@ def _start_vector(spec: HamiltonianSpec) -> np.ndarray:
 
 def _ritz_lowest(spec: HamiltonianSpec, how_many: int, *, steps: int):
     """Ritz approximations to the lowest eigenpairs of H from ``steps``
-    Arnoldi steps on the shifted inverse."""
+    Arnoldi steps on the shifted inverse (Krylov backend)."""
     g = spec.grid
     shift = lower_bound(spec.potentials)
 
@@ -176,13 +183,45 @@ def _phase_fix(values: np.ndarray) -> np.ndarray:
     return values * (pivot.conjugate() / mag)
 
 
-def ground_state(spec: HamiltonianSpec) -> EigenPair:
-    """Lowest eigenpair of H; raises ``NoBoundStateError`` when the bottom of
-    the spectrum is not strictly negative."""
-    ritz = _ritz_lowest(spec, 2, steps=_ARNOLDI_STEPS)
-    e_est, v = ritz[0]
-    e, v, resid, imag = _refine_pair(spec, e_est, v,
-                                     residual_tol=_RESIDUAL_TOL)
+def _lowest_pairs(spec: HamiltonianSpec, count: int, *, steps: int,
+                  residual_tol: float, max_refine: int, check):
+    """The ``count`` lowest eigenpairs of H, lowest first, as
+    (e, v, residual, imag) with v a flat unit vector, and the level next
+    above them (0.0 when there is none).
+
+    On the dense backend they are columns of ``spec.dense_basis``, exact to
+    its check, with imag = 0 and lam[count] the next level.  On the Krylov
+    backend they are the Ritz pairs of ``steps`` shift-invert Arnoldi steps,
+    each refined by ``_refine_pair`` to ``residual_tol`` in at most
+    ``max_refine`` iterations, deflated against the pairs before it; the
+    next level is the unrefined Ritz value above them.  The residual is
+    |H v - e v| with the spectral H, and ``check(e, residual, imag)`` raises
+    for a pair that failed.
+    """
+    basis = spec.dense_basis
+    if basis is not None:
+        lam = basis.lam
+        vecs = np.ascontiguousarray(basis.u[:, :count].T, dtype=np.complex128)
+        hv = _apply_h_values(spec, vecs.reshape((-1,) + spec.grid.sizes))
+        hv = hv.reshape(vecs.shape) - lam[:count, None] * vecs
+        pairs = [(float(e), v, float(r), 0.0)
+                 for e, v, r in zip(lam, vecs, np.linalg.norm(hv, axis=1))]
+        for e, _, resid, imag in pairs:
+            check(e, resid, imag)
+        return pairs, float(lam[count]) if count < len(lam) else 0.0
+    ritz = _ritz_lowest(spec, count + 1, steps=steps)
+    pairs = []
+    for e_est, v in ritz[:count]:
+        e, vec, resid, imag = _refine_pair(
+            spec, e_est, v, residual_tol=residual_tol,
+            deflate_against=tuple(p[1] for p in pairs),
+            max_refine=max_refine)
+        check(e, resid, imag)
+        pairs.append((e, vec, resid, imag))
+    return pairs, ritz[count][0] if len(ritz) > count else 0.0
+
+
+def _check_ground(e: float, resid: float, imag: float) -> None:
     if resid > MAX_RESIDUAL:
         detail = ""
         if imag > MAX_RESIDUAL:
@@ -192,11 +231,24 @@ def ground_state(spec: HamiltonianSpec) -> EigenPair:
         raise NonConvergenceError(
             f"eigenpair refinement stalled at residual {resid:.3e}{detail}",
             residual=resid)
+
+
+def _check_scan(e: float, resid: float, imag: float) -> None:
+    if e < -_SCAN_GAP_TOL and resid > 1e-8:
+        raise NonConvergenceError(
+            f"negative eigenvalue near {e:.6e} stalled at residual {resid:.3e}",
+            residual=resid)
+
+
+def ground_state(spec: HamiltonianSpec) -> EigenPair:
+    """Lowest eigenpair of H; raises ``NoBoundStateError`` when the bottom of
+    the spectrum is not strictly negative."""
+    [(e, v, _, _)], e_next = _lowest_pairs(
+        spec, 1, steps=_ARNOLDI_STEPS, residual_tol=_RESIDUAL_TOL,
+        max_refine=60, check=_check_ground)
     if e >= -1e-10:
         raise NoBoundStateError(
             f"lowest eigenvalue {e:.6e} is not strictly negative")
-
-    e_next = ritz[1][0] if len(ritz) > 1 else 0.0
     gap = min(e_next, 0.0) - e
 
     g = spec.grid
@@ -210,24 +262,15 @@ def ground_state(spec: HamiltonianSpec) -> EigenPair:
 
 
 def low_spectrum_scan(spec: HamiltonianSpec, count: int = 4) -> SpectrumScan:
-    """Refine the ``count`` lowest eigenvalues (count <= 8) and report whether
-    exactly one falls below -1e-6."""
+    """The ``count`` lowest eigenvalues (count <= 8) with their residuals,
+    and whether exactly one falls below -1e-6."""
     if not (1 <= count <= 8):
         raise MagnlsError(f"scan count must be between 1 and 8, got {count}")
-    ritz = _ritz_lowest(spec, count, steps=max(40, 12 * count))
-    pairs = []
-    converged = []
-    for e_est, v in ritz[:count]:
-        e, vec, resid, _ = _refine_pair(
-            spec, e_est, v, residual_tol=_SCAN_RESIDUAL_TOL,
-            deflate_against=tuple(converged), max_refine=30)
-        if e < -_SCAN_GAP_TOL and resid > 1e-8:
-            raise NonConvergenceError(
-                f"negative eigenvalue near {e:.6e} stalled at residual {resid:.3e}",
-                residual=resid)
-        converged.append(vec)
-        pairs.append((float(e), float(resid)))
-    pairs.sort(key=lambda t: t[0])
+    found, _ = _lowest_pairs(
+        spec, count, steps=max(40, 12 * count),
+        residual_tol=_SCAN_RESIDUAL_TOL, max_refine=30, check=_check_scan)
+    pairs = sorted(((e, resid) for e, _, resid, _ in found),
+                   key=lambda t: t[0])
     n_neg = sum(1 for e, _ in pairs if e < -_SCAN_GAP_TOL)
     return SpectrumScan(pairs=tuple(pairs), n_negative=n_neg,
                         unique_negative=(n_neg == 1), gap_tol=_SCAN_GAP_TOL)

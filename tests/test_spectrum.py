@@ -21,12 +21,15 @@ from magnls import (
     gauge_transform,
     gaussian_bump,
     ground_state,
+    hamiltonian,
     inner_l2,
     krylov,
     low_spectrum_scan,
     make_field,
     make_potential_pair,
     norm_l2,
+    spectrum,
+    zero_vector_field,
 )
 from conftest import sech_well_potentials
 
@@ -92,18 +95,50 @@ def test_scan_counts_sech_well_levels(sech_spec):
 def test_scan_flags_deep_well_with_extra_levels():
     g = GridSpec(1, (256,), (40.0,))
     v = from_function(g, lambda x: -8.0 / np.cosh(x) ** 2)
-    from magnls import make_potential_pair, zero_vector_field
     spec = build_hamiltonian(make_potential_pair(zero_vector_field(g), v))
     scan = low_spectrum_scan(spec, 4)
     assert scan.n_negative >= 2
     assert not scan.unique_negative
+    np.testing.assert_allclose(low_spectrum_scan(spec, 8).eigenvalues,
+                               orc.dense_levels(spec)[:8], rtol=0.0,
+                               atol=1e-12)
 
 
-def test_scan_resolves_the_edge_doublet(sech_spec):
-    # the first levels above the well are the +-k torus pair: deflation must
+def test_dense_eigenpairs_make_no_shifted_solve(monkeypatch, sech_spec):
+    # a machine-independent work guard: on the dense backend the eigenpairs
+    # are the columns of the eigenbasis, so no solve runs
+    calls = 0
+    solve = hamiltonian.shifted_solve
+
+    def counted_solve(*args, **kwargs):
+        nonlocal calls
+        calls += 1
+        return solve(*args, **kwargs)
+
+    monkeypatch.setattr(hamiltonian, "shifted_solve", counted_solve)
+    monkeypatch.setattr(spectrum, "shifted_solve", counted_solve)
+    assert ground_state(sech_spec).residual < 1e-9
+    assert low_spectrum_scan(sech_spec, 4).unique_negative
+    assert calls == 0
+
+
+@pytest.fixture(params=["dense", "krylov"])
+def edge_doublet_spec(request, sech_spec):
+    """The depth-two sech-squared well, and its change of gauge by
+    A = grad chi, which moves it to the Krylov backend, where the scan
+    reaches the doublet only through ``_refine_pair``'s deflation."""
+    if request.param == "dense":
+        return sech_spec
+    spec = gauge_transform(sech_spec, gaussian_bump(sech_spec.grid, 0.3, 2.0))
+    assert spec.linear_backend == "krylov"
+    return spec
+
+
+def test_scan_resolves_the_edge_doublet(edge_doublet_spec):
+    # the first levels above the well are the +-k torus pair: the scan must
     # return both members of the degenerate doublet, pulled below the free
     # value k1^2 by the attractive phase shift
-    scan = low_spectrum_scan(sech_spec, 3)
+    scan = low_spectrum_scan(edge_doublet_spec, 3)
     e1, e2 = scan.eigenvalues[1], scan.eigenvalues[2]
     assert abs(e1 - e2) < 1e-8
     k1_sq = (2.0 * np.pi / 40.0) ** 2
@@ -119,7 +154,7 @@ def test_three_dimensional_gap_matches_dense():
     spec = build_hamiltonian(build_gaussian_well(g, -5.0, 2.0))
     eig = ground_state(spec)
     levels = orc.dense_levels(spec)
-    assert abs(eig.gap - (min(levels[1], 0.0) - levels[0])) < 1e-8
+    assert abs(eig.gap - (min(levels[1], 0.0) - levels[0])) < 1e-12
 
 
 def test_stall_reports_an_eigenvalue_off_the_real_axis():
