@@ -24,13 +24,14 @@ products (``DenseBasis.apply``): one state alone, an N x 2 block, makes a
 matrix-vector product in disguise, bound by reading the eigenbasis
 (Dongarra et al., ACM TOMS 16, 1990, on why wider products pay).  The
 Krylov backend takes the rows one by one, each step a Richardson solve
-that starts from the extrapolation of that row's last four solves: each
+that starts from the extrapolation of that row's last six solves: each
 row keeps its own ``hamiltonian.cn_history``.  A right-hand side that
-moves smoothly from step to step then costs fewer sweeps: on the 64 x 64
-loop at dt = 1e-3, 1.03 a step for a Gaussian bump and 2.4 for a perturbed
-bound state, against 4 from a cold start.  Each state's ``Trajectory`` is
-its only record: started before the first step, it records each snapshot
-and tests the drifts there.  A state whose drift breaches leaves the stack
+moves smoothly from step to step then costs fewer sweeps, one when the
+start's residual is within tol/q: on the 64 x 64 loop at dt = 1e-3, 1.03 a
+step for a Gaussian bump and 1.04 for a perturbed bound state, against 4
+from a cold start.  Each state's ``Trajectory`` is its only record:
+started before the first step, it records each snapshot and tests the
+drifts there.  A state whose drift breaches leaves the stack
 at that snapshot with its ``ConservationBreach`` and its history; the
 others go on.  One state is the stack of one, and ``step`` starts cold.
 

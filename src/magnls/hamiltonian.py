@@ -42,7 +42,7 @@ c_pos = 1, which keeps H1 >= c_pos for any A.  Tests may pass an explicit
 
 from __future__ import annotations
 
-from collections import deque
+import math
 from collections.abc import Iterable
 from dataclasses import dataclass
 from functools import cached_property
@@ -82,8 +82,13 @@ _MAX_ITER = 10000          # GMRES steps of a strict solve
 # out of steps or on a running residual that rounding put below the true one.
 _DIRECTION_MAX_ITER = 300
 # relative residual of each Krylov CN shifted solve, and the relative error
-# estimate each Krylov-projected CN power must meet
-_CN_TOL = 1e-12
+# estimate each Krylov-projected CN power must meet.  A Richardson solve
+# stops once q times its measured residual meets it, and so returns a
+# residual of at most this; stopping on the measured residual itself at
+# 1e-12 returned at most q 1e-12.  Warm- and cold-started evolves of the
+# 16 x 16 loop agree to 1.8e-14 at 1e-13; at 1e-12 under the bound rule
+# they differ by up to 3.2e-13.
+_CN_TOL = 1e-13
 # a Krylov shifted solve whose contraction bound q is below this runs
 # Richardson sweeps, each of which at least halves the residual; any other
 # runs GMRES
@@ -97,13 +102,19 @@ _SWEEP_BOUND = 0.5
 _GEMM_STATES = 2
 _BASIS_BYTES = 32 * 2**20  # Arnoldi basis of one Krylov CN power
 _ESTIMATE_EVERY = 5        # basis vectors between error estimates
-# Solved pairs (y, b) a Krylov CN history keeps, newest first, and the
-# weights of the polynomial extrapolation through the last 1-4 of them.
-# With a fifth point the 64 x 64 loop's benchmark evolve took 339 sweeps
-# against 309 (its stability-run 608 against 731).
-_CN_HISTORY = 4
-_EXTRAPOLATION = ((1.0,), (2.0, -1.0), (3.0, -3.0, 1.0),
-                  (4.0, -6.0, 4.0, -1.0))
+# Solved pairs (y, b) a Krylov CN history keeps, and, for each count k of
+# pairs kept, the weights (-1)^(j+1) C(k, j), j = 1..k, of the polynomial
+# extrapolation through the newest k, newest first and padded with zeros:
+# (6, -15, 20, -15, 6, -1) through six.  A start costs one sweep when its
+# residual is at most tol/q of ||b||.  On the benchmark's 64 x 64 loop at
+# dt = 1e-3 (q = 0.0112, tol/q = 8.9e-12) four points left the starts of
+# stability-run's perturbed bound state a residual of 1.7e-9 ||b||, six
+# leave 2.9e-12 ||b||: its 300 steps take 312 sweeps instead of 731, and
+# evolve's Gaussian bump stays at 309.
+_CN_HISTORY = 6
+_EXTRAPOLATION = np.array(
+    [[(-1.0) ** j * math.comb(k, j + 1) for j in range(_CN_HISTORY)]
+     for k in range(1, _CN_HISTORY + 1)])
 
 
 @dataclass(frozen=True)
@@ -454,14 +465,38 @@ def shifted_solve(spec: HamiltonianSpec, zeta: complex, f: ComplexField, *,
     return make_field(spec.grid, x)
 
 
-def cn_history() -> deque:
+class CNHistory:
+    """The last ``_CN_HISTORY`` solved pairs (y_j, b_j) of one state's
+    Krylov CN solves at one dt, as a ring of two arrays, ``ys`` and ``bs``,
+    with one row per pair.  They are allocated at the first pair as zeros,
+    so that the rows not yet written, which ``_cn_start`` weighs by zero,
+    add exactly zero.  ``newest`` is the row of the last pair and ``count``
+    the pairs kept."""
+
+    def __init__(self):
+        self.ys = self.bs = None
+        self.count = 0
+        self.newest = 0
+
+    def append(self, y: np.ndarray, b: np.ndarray) -> None:
+        """Keep the pair (y, b) in place of the oldest."""
+        if self.ys is None:
+            self.ys = np.zeros((_CN_HISTORY, y.size), dtype=np.complex128)
+            self.bs = np.zeros_like(self.ys)
+        self.newest = (self.newest - 1) % _CN_HISTORY
+        self.ys[self.newest] = y.ravel()
+        self.bs[self.newest] = b.ravel()
+        self.count = min(self.count + 1, _CN_HISTORY)
+
+
+def cn_history() -> CNHistory:
     """An empty history of one state for ``cn_power``'s single steps at one
     dt.  Only Krylov steps fill it; a dense step needs no start."""
-    return deque(maxlen=_CN_HISTORY)
+    return CNHistory()
 
 
 def cn_power(spec: HamiltonianSpec, values: np.ndarray, dt: float,
-             n: int, history: deque | list[deque] | None = None
+             n: int, history: CNHistory | list[CNHistory] | None = None
              ) -> np.ndarray:
     """n Crank-Nicolson steps of size dt on the operator's backend: c(H)^n
     values, where one step solves (1 + i dt/2 H) psi+ = (1 - i dt/2 H) psi.
@@ -546,23 +581,26 @@ def cn_power(spec: HamiltonianSpec, values: np.ndarray, dt: float,
     return values
 
 
-def _cn_start(history: deque,
+def _cn_start(history: CNHistory,
               b: np.ndarray) -> tuple[np.ndarray, float] | None:
     """The Richardson start of a CN solve with right-hand side b, from the
     state's solved pairs (y_j, b_j), newest first: the polynomial
-    extrapolation y* = sum c_j y_j through the last four (4, -6, 4, -1),
-    or through all kept while fewer are (1; 2, -1; 3, -3, 1), with the
-    norm of its residual.  Each y_j solves (I + K) y_j = b_j to the solve
-    tolerance, so that residual is ||sum c_j b_j - b|| up to rounding, known
-    without applying K (Fischer, Comput. Methods Appl. Mech. Engrg. 163,
-    1998, on starts for successive right-hand sides).  None while the
-    history is empty."""
-    if not history:
+    extrapolation y* = sum c_j y_j through the last six
+    (6, -15, 20, -15, 6, -1), or through all kept while fewer are
+    (``_EXTRAPOLATION``), with the norm of its residual.  Each y_j solves
+    (I + K) y_j = b_j to the solve tolerance, so that residual is
+    ||sum c_j b_j - b|| up to rounding, known without applying K (Fischer,
+    Comput. Methods Appl. Mech. Engrg. 163, 1998, on starts for successive
+    right-hand sides).  The weights are rolled onto the ring's rows, so
+    each sum is one product with its array.  None while the history is
+    empty."""
+    if history.count == 0:
         return None
-    coeffs = _EXTRAPOLATION[len(history) - 1]
-    y = sum(c * y_j for c, (y_j, _) in zip(coeffs, history))
-    b_pred = sum(c * b_j for c, (_, b_j) in zip(coeffs, history))
-    return y, float(np.linalg.norm(b_pred - b))
+    weights = np.roll(_EXTRAPOLATION[history.count - 1], history.newest)
+    y = weights @ history.ys
+    b_pred = weights @ history.bs
+    b_pred -= b.ravel()
+    return y.reshape(b.shape), float(np.linalg.norm(b_pred))
 
 
 def _h_hat(spec: HamiltonianSpec, values: np.ndarray) -> np.ndarray:
@@ -615,7 +653,7 @@ def _krylov_shifted_solve(spec: HamiltonianSpec, zeta: complex,
                           deflate: tuple[np.ndarray, float] | None = None,
                           x0: np.ndarray | None = None,
                           strict: bool = True,
-                          history: deque | None = None) -> np.ndarray:
+                          history: CNHistory | None = None) -> np.ndarray:
     """``shifted_solve`` on the Krylov backend, for the right-hand side f
     given by its DFT ``f_hat``: the y-system of ``spec.shift_kernel(zeta)``,
     whose solution gives the returned values of x = F^-1 D^-1 y.
@@ -627,8 +665,9 @@ def _krylov_shifted_solve(spec: HamiltonianSpec, zeta: complex,
 
     When no mode is regularized and q < ``_SWEEP_BOUND``, the solve is
     Richardson's iteration y <- F f - K y (``krylov.richardson``), each of
-    whose sweeps at least halves the true residual, capped at the sweep
-    count q guarantees for ``tol_rel``; ``x0`` goes unused, as its residual
+    whose sweeps at least halves the true residual, which stops once q
+    times the measured residual meets ``tol_rel`` and is capped at the sweep
+    count q guarantees for it; ``x0`` goes unused, as its residual
     is not known without a sweep.  With a ``history`` of earlier solves at
     this shift (``cn_power``) the iteration starts from their extrapolation
     (``_cn_start``) when its residual is below q ||F f||, and the solved
@@ -662,7 +701,7 @@ def _krylov_shifted_solve(spec: HamiltonianSpec, zeta: complex,
         y = krylov.richardson(apply_k, f_hat, bound=q, tol=tol_rel,
                               strict=strict, start=start)
         if history is not None:
-            history.appendleft((y, f_hat))
+            history.append(y, f_hat)
         return ifftn(kern.mult[0] * y)
 
     def matvec(v):

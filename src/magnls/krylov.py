@@ -4,9 +4,11 @@ and the Arnoldi process.
 Every Krylov-backend shifted solve is ``hamiltonian._krylov_shifted_solve``,
 and a contraction bound it computes for the shift picks the solver here.
 Below 1/2 it calls ``richardson``, as for every Crank-Nicolson step at
-2i/dt, where the preconditioned system is close to the identity; a step
-of a long run starts from the extrapolation of that state's earlier
-solves, whose residual is known without applying the operator.  Otherwise
+2i/dt, where the preconditioned system is close to the identity.  The bound
+also ends the iteration: once it times the measured residual meets the
+tolerance, so does the corrected iterate.  A step of a long run starts from
+the extrapolation of that state's earlier solves, whose residual is known
+without applying the operator, and is then usually one sweep.  Otherwise
 it calls ``solve``: resolvent applications, deflated solves at the
 ground-state energy and the eigensolver's inverse iterations.  (Small
 electric-only grids solve directly in a dense eigenbasis; see
@@ -105,12 +107,17 @@ def richardson(apply, b: np.ndarray, *, bound: float, tol: float,
     The iteration starts from y = b, whose residual K b is at most
     bound ||b||, or from ``start = (y0, r0)``, a guess y0 whose residual
     norm is known to be r0 without applying K, when r0 < bound ||b||.
-    The true residual r = y + K y - b of one iterate becomes -K r in the
-    next, so from either start ||r|| <= bound^s ||b|| after s sweeps.  The
-    iteration stops once ||r|| <= ``tol`` ||b|| and returns the corrected
-    iterate y - r.  After the least s with bound^s <= ``tol`` a strict
-    solve raises ``NonConvergenceError`` with its last true residual and the
-    sweep count, and a non-strict one returns its last iterate.
+    Sweep s measures the true residual r = y + K y - b of its iterate, and
+    the corrected iterate y - r it forms has the residual -K r, at most
+    bound ||r||; so from either start ||r|| <= bound^s ||b||.  The
+    iteration stops as soon as bound ||r|| <= ``tol`` ||b|| and returns the
+    corrected iterate, whose residual the bound then puts within ``tol``
+    without another sweep.  A start whose residual is at most
+    ``tol`` ||b|| / bound so costs one sweep.  With ||K|| <= bound the stop
+    comes by the least s with bound^(s+1) <= ``tol``; after the least s
+    with bound^s <= ``tol``, one sweep later, a strict solve raises
+    ``NonConvergenceError`` with its last true residual and the sweep count,
+    and a non-strict one returns its last iterate.
     """
     b_norm = float(np.linalg.norm(b))
     cap = math.ceil(math.log(tol) / math.log(bound)) if bound > tol else 1
@@ -121,7 +128,7 @@ def richardson(apply, b: np.ndarray, *, bound: float, tol: float,
         nxt = b - apply(y)
         r_norm = float(np.linalg.norm(y - nxt))
         y = nxt
-        if r_norm <= tol * b_norm:
+        if bound * r_norm <= tol * b_norm:
             return y
     if strict:
         resid = r_norm / b_norm

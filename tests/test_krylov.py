@@ -92,13 +92,15 @@ def richardson_rhs():
 
 
 def test_richardson_converges_within_its_cap():
-    # the sweep s measures the residual q^s ||b|| of the iterate before it:
-    # at q = 1/4 and tol = 1e-10 the cap is 17 and q^17 = 5.8e-11
+    # the sweep s measures the residual q^s ||b|| of the iterate before it
+    # and stops once q times it meets tol: at q = 1/4 and tol = 1e-10 that
+    # is s = 16, one inside the cap of 17, and the corrected iterate's
+    # residual is q^17 = 5.8e-11
     b = richardson_rhs()
     q, tol = 0.25, 1e-10
     apply, calls = scaled_by(-q)
     y = krylov.richardson(apply, b, bound=q, tol=tol)
-    assert len(calls) == 17 == math.ceil(math.log(tol) / math.log(q))
+    assert len(calls) == 16 == math.ceil(math.log(tol) / math.log(q)) - 1
     assert np.linalg.norm((1.0 - q) * y - b) <= tol * np.linalg.norm(b)
 
 
@@ -127,6 +129,25 @@ def test_richardson_with_a_zero_operator_returns_at_the_first_sweep(bound):
     y = krylov.richardson(apply, b, bound=bound, tol=1e-12)
     assert len(calls) == 1
     assert np.array_equal(y, b)
+
+
+@pytest.mark.parametrize("ratio, sweeps", [(1.5, 1), (0.99 / 0.25, 1),
+                                           (1.01 / 0.25, 2)])
+def test_richardson_stops_once_the_bound_covers_the_corrected_iterate(
+        ratio, sweeps):
+    # from a start whose residual r is ratio tol ||b||, the first sweep
+    # measures r and forms the corrected iterate, whose residual is q r:
+    # within tol ||b|| up to ratio 1/q = 4, so one sweep; beyond, a second
+    b = richardson_rhs()
+    q, tol = 0.25, 1e-10
+    b_norm = float(np.linalg.norm(b))
+    apply, calls = scaled_by(-q)
+    r0 = ratio * tol * b
+    start = (b + r0) / (1.0 - q)   # (1 - q) start - b = r0
+    y = krylov.richardson(apply, b, bound=q, tol=tol,
+                          start=(start, float(np.linalg.norm(r0))))
+    assert len(calls) == sweeps
+    assert np.linalg.norm((1.0 - q) * y - b) <= tol * b_norm
 
 
 def test_richardson_from_an_exact_start_returns_after_one_sweep():
@@ -160,7 +181,8 @@ def test_a_strict_solve_from_a_start_still_raises_at_its_cap():
 @pytest.mark.parametrize("predicted", [0.25, 0.5])
 def test_richardson_takes_no_start_predicted_at_or_above_the_bound(predicted):
     # a start whose stated residual is not below bound ||b|| is not taken,
-    # even an exact one: the solve is the cold one, sweep for sweep
+    # even an exact one: the solve is the cold one, sweep for sweep, and
+    # stops at the least s with q q^s <= tol
     b = richardson_rhs()
     q, tol = 0.25, 1e-10
     apply, calls = scaled_by(-q)
@@ -169,7 +191,7 @@ def test_richardson_takes_no_start_predicted_at_or_above_the_bound(predicted):
     calls.clear()
     y = krylov.richardson(apply, b, bound=q, tol=tol, start=(
         b / (1.0 - q), predicted * float(np.linalg.norm(b))))
-    assert len(calls) == cold_sweeps == 17
+    assert len(calls) == cold_sweeps == 16
     assert np.array_equal(y, cold)
 
 

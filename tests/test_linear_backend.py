@@ -517,7 +517,7 @@ def test_contraction_bound_covers_each_sweep(grid, krylov_oracle,
     # The residual of sweep s + 1 is -K times that of sweep s, so the ratio
     # of successive true residuals is at most ||K|| <= q.  The iterates are
     # recovered as y = D F x from the x each sweep transforms; every residual
-    # but the last lies above the 1e-12 stop, far from rounding.
+    # but the last lies above the stop at tol/q >= 2e-13, far from rounding.
     spec = krylov_oracle(grid)[0]
     f_hat = np.fft.fftn(random_values(spec.grid, 68))
     calls = counted_gmres(monkeypatch)
@@ -588,6 +588,39 @@ def test_evolve_at_the_largest_step_makes_no_gmres_call(n, monkeypatch):
            EvolveConfig(dt=_MAX_DT, t_final=5 * _MAX_DT, snapshot_stride=1,
                         conserve_tol=1.0))
     assert calls == []
+
+
+# newest-first weights of the polynomial extrapolation through k points
+BINOMIAL_ROWS = {1: (1,), 2: (2, -1), 3: (3, -3, 1), 4: (4, -6, 4, -1),
+                 5: (5, -10, 10, -5, 1), 6: (6, -15, 20, -15, 6, -1)}
+
+
+@pytest.mark.parametrize("appends", [1, 2, 3, 4, 5, 6, 8, 13])
+def test_cn_start_extrapolates_the_newest_pairs_of_its_ring(appends):
+    # the start through the newest k = min(appends, 6) solved pairs and its
+    # stated residual ||sum c_j b_j - b||; from 7 appends on, each pair
+    # overwrites the oldest row of the ring
+    rng = np.random.default_rng(appends)
+    shape = (6, 5)
+
+    def field():
+        return (rng.standard_normal(shape)
+                + 1j * rng.standard_normal(shape))
+
+    pairs = [(field(), field()) for _ in range(appends)]
+    history = hamiltonian.cn_history()
+    b = field()
+    assert hamiltonian._cn_start(history, b) is None
+    for y_j, b_j in pairs:
+        history.append(y_j, b_j)
+    y, resid = hamiltonian._cn_start(history, b)
+    newest = pairs[::-1]
+    coeffs = BINOMIAL_ROWS[min(appends, 6)]
+    want_y = sum(c * y_j for c, (y_j, _) in zip(coeffs, newest))
+    want_b = sum(c * b_j for c, (_, b_j) in zip(coeffs, newest))
+    assert y.shape == shape
+    assert np.linalg.norm(y - want_y) <= 1e-15 * np.linalg.norm(want_y)
+    assert resid == pytest.approx(np.linalg.norm(want_b - b), rel=1e-15)
 
 
 def test_krylov_shifted_solve_on_a_regularized_mode(krylov_oracle):
