@@ -30,7 +30,8 @@ class NonConvergenceError(MagnlsError):
 
 
 class NoBoundStateError(MagnlsError):
-    """The lowest eigenvalue is not strictly negative: no linear bound state."""
+    """The lowest eigenvalue is not below -1e-6, the threshold at which
+    ``spectrum`` counts a level as bound: no linear bound state."""
 
 
 class ContractionSetViolation(MagnlsError):

@@ -10,10 +10,11 @@ computation takes.  Linear solves have two backends.  On an electric-only
 grid (A = 0; ``PotentialPair`` keeps V real) of at most
 ``DENSE_MAX_POINTS`` points that matrix is real symmetric;
 ``HamiltonianSpec.dense_basis`` diagonalizes it once, on first use, and
-shifted solves become products with that eigenbasis (a deflated shift is
-one product with the cached inverse of its matrix); this backend loads no
-scipy solver.  Every other operator, in particular any with A != 0, whose
-collocated first-order terms are not symmetric, solves in
+every shifted solve becomes one product with that eigenbasis, a deflated
+one included: its deflation vector is an eigenvector, so the rank-one term
+only moves that eigenvalue.  This backend loads no scipy solver.  Every
+other operator, in particular any with A != 0, whose collocated
+first-order terms are not symmetric, solves in
 ``_krylov_shifted_solve``, the one Krylov shifted solve: resolvents,
 deflated bound-state solves, the eigensolver's inverse iterations and the
 Crank-Nicolson step (``cn_power``) at 2i/dt all call it.  It runs in
@@ -315,8 +316,7 @@ class DenseBasis:
     max |lam| and the orthogonality defect of U must be at most 1e-12.
     The low eigenpairs ``spectrum`` returns on this backend (the ground
     state, its gap and the scan levels) are read from lam and U, so no
-    eigensolve runs twice.  Holds the last Cayley factor and the inverse of
-    the last deflated shifted matrix.
+    eigensolve runs twice.  Holds the last Cayley factor.
     """
 
     def __init__(self, spec: HamiltonianSpec):
@@ -337,7 +337,6 @@ class DenseBasis:
         self.lam = lam
         self.u = u
         self._cayley: tuple | None = None       # (dt, n, factor)
-        self._deflated: tuple | None = None     # (key, inverse matrix)
 
     def apply(self, values: np.ndarray, coeff: np.ndarray,
               increment: bool = False) -> np.ndarray:
@@ -383,32 +382,25 @@ class DenseBasis:
                             -2.0 * np.sin(0.5 * phi) ** 2 + 1j * np.sin(phi))
         return self.apply(values, self._cayley[2], increment=True)
 
-    def deflated_solve(self, spec: HamiltonianSpec, zeta: complex,
-                       values: np.ndarray, w: np.ndarray,
-                       c: float) -> np.ndarray:
-        """(H - zeta + c dv w <w, .>)^-1 values as one product with the
-        inverse matrix, formed once per (zeta, c, w).
+    def eigen_mass(self, w: np.ndarray) -> np.ndarray:
+        """|U^T w|^2, the mass of an eigenvector w of H on each column of U.
 
-        A bound-state family's build sweeps about 14 times at one key.
-        numpy has no separate factorization: ``np.linalg.solve`` factors
-        again on every call (2.1 ms at 256 points), while the inverse costs
-        7.8 ms once and 27 us per product, so it wins from four solves per
-        key on.  scipy's ``lu_factor`` (1.9 ms, then 138 us per solve) would
-        load ``scipy.linalg``, a 0.24 s import this backend never pays
-        (medians on one BLAS thread).  The eigenbasis is not used through a
-        rank-one (Sherman-Morrison) update: zeta = e0 is lam[0] itself, so
-        H - zeta is singular and that formula, which needs its inverse,
-        does not apply.  The caller's residual check judges the result."""
-        key = (complex(zeta), float(c), w.tobytes())
-        if self._deflated is None or self._deflated[0] != key:
-            self._deflated = None
-            wf = w.ravel()
-            mat = np.outer(wf, wf.conj())
-            mat *= c * spec.grid.volume_element
-            mat += h_matrix(spec)
-            mat[np.diag_indices_from(mat)] -= zeta
-            self._deflated = (key, np.linalg.inv(mat))
-        return (self._deflated[1] @ values.ravel()).reshape(values.shape)
+        U^T w comes from the real products U^T Re w and U^T Im w.  Raises
+        ``MagnlsError`` when the mass off the largest entry, summed over the
+        other entries, exceeds _DENSE_TOL^2 times that entry, so that the
+        part of w off its eigenvector exceeds _DENSE_TOL of it in norm: a
+        rank-one term c w <w, .> is then not diagonal in the basis, and an
+        off-index part of relative norm t leaves a residual of about
+        c t ||x|| in the solve x."""
+        a = self.u.T @ np.stack([w.real.ravel(), w.imag.ravel()], axis=1)
+        mass = (a * a).sum(axis=1)
+        k = int(np.argmax(mass))
+        off = float(np.sum(mass, where=np.arange(mass.size) != k))
+        if off > _DENSE_TOL**2 * mass[k]:
+            raise MagnlsError(f"deflation vector is not an eigenvector of H: "
+                              f"off-index mass {off / mass[k]:.3e} of its "
+                              f"largest (limit {_DENSE_TOL**2:g})")
+        return mass
 
 
 def _shifted_values(spec: HamiltonianSpec, zeta: complex,
@@ -441,8 +433,12 @@ def shifted_solve(spec: HamiltonianSpec, zeta: complex, f: ComplexField, *,
     residual the bound controls, and only the histories of ``cn_power``
     give another start, one whose residual is known.  There the residual
     is measured in the frequency variable; the grid-space residual can
-    exceed ``tol_rel`` near the spectrum.  On the dense backend the solve is direct (``x0`` goes unused)
-    and a strict solve measures its residual with the spectral H.
+    exceed ``tol_rel`` near the spectrum.  On the dense backend the solve
+    is one ``DenseBasis.apply`` with the coefficients
+    1/(lam - zeta + c dv |U^T w|^2), the last term only when deflating.
+    That is exact because w must be an eigenvector of H, as phi0 is at e0
+    (``DenseBasis.eigen_mass`` raises otherwise); ``x0`` goes unused, and
+    a strict solve measures its residual with the spectral H.
     """
     check_grid(spec, f)
     basis = spec.dense_basis
@@ -450,10 +446,11 @@ def shifted_solve(spec: HamiltonianSpec, zeta: complex, f: ComplexField, *,
         return make_field(spec.grid, _krylov_shifted_solve(
             spec, zeta, fftn(f.values), tol_rel=tol_rel,
             deflate=deflate, x0=x0, strict=strict))
-    if deflate is None:
-        x = basis.apply(f.values, 1.0 / (basis.lam - zeta))
-    else:
-        x = basis.deflated_solve(spec, zeta, f.values, *deflate)
+    shifted = basis.lam - zeta
+    if deflate is not None:
+        w, c = deflate
+        shifted = shifted + c * spec.grid.volume_element * basis.eigen_mass(w)
+    x = basis.apply(f.values, 1.0 / shifted)
     b_norm = float(np.linalg.norm(f.values))
     if strict and b_norm > 0.0:
         resid = float(np.linalg.norm(

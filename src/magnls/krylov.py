@@ -62,9 +62,9 @@ def gmres(matvec, b: np.ndarray, **options):
     return linalg.gmres(op, b, **options)
 
 
-def solve(matvec, b: np.ndarray, *, tol: float = 1e-8,
-          max_iter: int = 10000, x0: np.ndarray | None = None,
-          restart: int = 150, strict: bool = True) -> np.ndarray:
+def solve(matvec, b: np.ndarray, *, tol: float, max_iter: int,
+          x0: np.ndarray | None = None, restart: int = 150,
+          strict: bool = True) -> np.ndarray:
     """Solve matvec(x) = b to relative residual ``tol`` in the 2-norm.
 
     ``matvec`` acts on and returns 1-d complex arrays.

@@ -13,7 +13,10 @@ tracks the Rayleigh quotient from below.  Arnoldi rather than Lanczos,
 because the collocated magnetic H is not Hermitian on the grid.  Every
 inner linear solve there is ``hamiltonian.shifted_solve`` on the
 preconditioned Krylov backend.  On either backend each eigenpair's residual
-is measured with the spectral H and judged by the same checks.
+|H v - e v| is measured with the spectral H, and one rule judges every
+level, for ``ground_state`` and ``low_spectrum_scan`` alike: a level below
+-``_SCAN_GAP_TOL`` (1e-6) is bound, and a bound level whose residual
+exceeds ``MAX_RESIDUAL`` (1e-9) is an error.  A ground state must be bound.
 
 Every shifted solve whose result is only a direction, the Arnoldi steps and
 the inverse iterations alike, runs at ``_DIRECTION_TOL`` (1e-6) and the
@@ -36,22 +39,26 @@ from .hamiltonian import (HamiltonianSpec, _apply_h_values, lower_bound,
                           shifted_solve)
 from .krylov import arnoldi
 
-_RESIDUAL_TOL = 1e-10      # ground-state refinement target
-MAX_RESIDUAL = 1e-9        # a ground state with a larger residual is an error
+_RESIDUAL_TOL = 1e-10      # refinement target of every level
+MAX_RESIDUAL = 1e-9        # a bound level with a larger residual is an error
 _DIRECTION_TOL = 1e-6      # shifted solves whose result is a direction
-# Ground-state Krylov dimension.  Fewer steps are unsafe: on the 64x64 loop
-# at loop_amplitude 2, twelve or fewer steps start the refinement off the
-# ground state, which then converges to -2.29441 instead of e0 = -6.73917.
+# Krylov dimension for the lowest `count` levels: max(_ARNOLDI_STEPS,
+# 12 count) shift-invert Arnoldi steps, so 24 for the ground state and the
+# two lowest levels, 36 for three.  Fewer steps are unsafe: on the 64x64
+# loop at loop_amplitude 2, twelve or fewer steps start the refinement off
+# the ground state, which then converges to -2.29441 instead of
+# e0 = -6.73917.
 _ARNOLDI_STEPS = 24
-_SCAN_GAP_TOL = 1e-6       # scan levels below -gap_tol count as bound
-_SCAN_RESIDUAL_TOL = 1e-9
+_SCAN_GAP_TOL = 1e-6       # levels below -gap_tol count as bound
 
 
 @dataclass(frozen=True)
 class EigenPair:
-    """Ground state of H: eigenvalue, normalized phase-fixed eigenfunction,
-    achieved residual, and the distance to the rest of the spectrum
-    (capped at the continuum edge proxy 0).
+    """Ground state of H: eigenvalue (below -``_SCAN_GAP_TOL``), normalized
+    phase-fixed eigenfunction, the residual ``_lowest_pairs`` measured, and
+    the distance to the rest of the spectrum (capped at the continuum edge
+    proxy 0).  The residual is |H v - e0 v| for the flat unit vector v,
+    which equals ||H phi0 - e0 phi0|| in the volume-weighted norm.
 
     On the dense backend ``gap`` is exact: min(lam[1], 0) - lam[0] from the
     eigenbasis.  On the Krylov backend it is an estimate: its second level
@@ -123,10 +130,10 @@ def _ritz_lowest(spec: HamiltonianSpec, how_many: int, *, steps: int):
     return out
 
 
-def _refine_pair(spec: HamiltonianSpec, e: float, v: np.ndarray, *,
-                 residual_tol: float, deflate_against=(),
-                 max_refine: int = 60):
-    """Inverse iteration with shift just below the Rayleigh quotient.
+def _refine_pair(spec: HamiltonianSpec, e: float, v: np.ndarray,
+                 deflate_against=()):
+    """Inverse iteration with shift just below the Rayleigh quotient, to
+    ``_RESIDUAL_TOL`` in at most 60 iterations.
 
     Direction-improving solves run at ``_DIRECTION_TOL`` and are allowed to
     stall; the measured eigen-residual is the sole arbiter of convergence.
@@ -147,7 +154,7 @@ def _refine_pair(spec: HamiltonianSpec, e: float, v: np.ndarray, *,
     best = (np.inf, e, v, 0.0)
     prev_e = None
     worse = 0
-    for _ in range(max_refine):
+    for _ in range(60):
         hv = _apply_h_values(spec, v.reshape(shape)).ravel()
         rayleigh = complex(np.vdot(v, hv))
         e, imag = rayleigh.real, abs(rayleigh.imag)
@@ -160,7 +167,7 @@ def _refine_pair(spec: HamiltonianSpec, e: float, v: np.ndarray, *,
             if worse >= 3:
                 break
         settled = prev_e is None or abs(e - prev_e) <= 1e-12 * max(1.0, abs(e))
-        if resid <= residual_tol and settled:
+        if resid <= _RESIDUAL_TOL and settled:
             return e, v, resid, imag
         sigma = e - max(5.0 * resid, 1e-9)
         f = make_field(g, v.reshape(shape))
@@ -183,20 +190,20 @@ def _phase_fix(values: np.ndarray) -> np.ndarray:
     return values * (pivot.conjugate() / mag)
 
 
-def _lowest_pairs(spec: HamiltonianSpec, count: int, *, steps: int,
-                  residual_tol: float, max_refine: int, check):
+def _lowest_pairs(spec: HamiltonianSpec, count: int):
     """The ``count`` lowest eigenpairs of H, lowest first, as
-    (e, v, residual, imag) with v a flat unit vector, and the level next
-    above them (0.0 when there is none).
+    (e, v, residual) with v a flat unit vector, and the level next above
+    them (0.0 when there is none).
 
     On the dense backend they are columns of ``spec.dense_basis``, exact to
-    its check, with imag = 0 and lam[count] the next level.  On the Krylov
-    backend they are the Ritz pairs of ``steps`` shift-invert Arnoldi steps,
-    each refined by ``_refine_pair`` to ``residual_tol`` in at most
-    ``max_refine`` iterations, deflated against the pairs before it; the
-    next level is the unrefined Ritz value above them.  The residual is
-    |H v - e v| with the spectral H, and ``check(e, residual, imag)`` raises
-    for a pair that failed.
+    its check, and lam[count] is the next level.  On the Krylov backend
+    they are the Ritz pairs of max(``_ARNOLDI_STEPS``, 12 count)
+    shift-invert Arnoldi steps, each refined by ``_refine_pair`` to
+    ``_RESIDUAL_TOL`` in at most 60 iterations, deflated against the pairs
+    before it; the next level is the unrefined Ritz value above them.  The
+    residual is |H v - e v| with the spectral H.  A level below
+    -``_SCAN_GAP_TOL`` whose residual exceeds ``MAX_RESIDUAL`` raises
+    ``NonConvergenceError``.
     """
     basis = spec.dense_basis
     if basis is not None:
@@ -204,61 +211,44 @@ def _lowest_pairs(spec: HamiltonianSpec, count: int, *, steps: int,
         vecs = np.ascontiguousarray(basis.u[:, :count].T, dtype=np.complex128)
         hv = _apply_h_values(spec, vecs.reshape((-1,) + spec.grid.sizes))
         hv = hv.reshape(vecs.shape) - lam[:count, None] * vecs
-        pairs = [(float(e), v, float(r), 0.0)
-                 for e, v, r in zip(lam, vecs, np.linalg.norm(hv, axis=1))]
-        for e, _, resid, imag in pairs:
-            check(e, resid, imag)
-        return pairs, float(lam[count]) if count < len(lam) else 0.0
-    ritz = _ritz_lowest(spec, count + 1, steps=steps)
-    pairs = []
-    for e_est, v in ritz[:count]:
-        e, vec, resid, imag = _refine_pair(
-            spec, e_est, v, residual_tol=residual_tol,
-            deflate_against=tuple(p[1] for p in pairs),
-            max_refine=max_refine)
-        check(e, resid, imag)
-        pairs.append((e, vec, resid, imag))
-    return pairs, ritz[count][0] if len(ritz) > count else 0.0
-
-
-def _check_ground(e: float, resid: float, imag: float) -> None:
-    if resid > MAX_RESIDUAL:
-        detail = ""
-        if imag > MAX_RESIDUAL:
-            detail = (f"; lowest eigenvalue has imaginary part of magnitude "
-                      f"{imag:.3e}; the collocated operator is not Hermitian "
-                      f"at this resolution")
-        raise NonConvergenceError(
-            f"eigenpair refinement stalled at residual {resid:.3e}{detail}",
-            residual=resid)
-
-
-def _check_scan(e: float, resid: float, imag: float) -> None:
-    if e < -_SCAN_GAP_TOL and resid > 1e-8:
-        raise NonConvergenceError(
-            f"negative eigenvalue near {e:.6e} stalled at residual {resid:.3e}",
-            residual=resid)
+        levels = [(float(e), v, float(r), 0.0)
+                  for e, v, r in zip(lam, vecs, np.linalg.norm(hv, axis=1))]
+        e_next = float(lam[count]) if count < len(lam) else 0.0
+    else:
+        ritz = _ritz_lowest(spec, count + 1,
+                            steps=max(_ARNOLDI_STEPS, 12 * count))
+        levels = []
+        for e_est, v in ritz[:count]:
+            levels.append(_refine_pair(spec, e_est, v,
+                                       tuple(p[1] for p in levels)))
+        e_next = ritz[count][0] if len(ritz) > count else 0.0
+    for e, _, resid, imag in levels:
+        if e < -_SCAN_GAP_TOL and resid > MAX_RESIDUAL:
+            detail = ""
+            if imag > MAX_RESIDUAL:
+                detail = (f"; the eigenvalue near {e:.6e} has imaginary part "
+                          f"of magnitude {imag:.3e}; the collocated operator "
+                          f"is not Hermitian at this resolution")
+            raise NonConvergenceError(
+                f"eigenvalue near {e:.6e} stalled at residual "
+                f"{resid:.3e}{detail}", residual=resid)
+    return [level[:3] for level in levels], e_next
 
 
 def ground_state(spec: HamiltonianSpec) -> EigenPair:
-    """Lowest eigenpair of H; raises ``NoBoundStateError`` when the bottom of
-    the spectrum is not strictly negative."""
-    [(e, v, _, _)], e_next = _lowest_pairs(
-        spec, 1, steps=_ARNOLDI_STEPS, residual_tol=_RESIDUAL_TOL,
-        max_refine=60, check=_check_ground)
-    if e >= -1e-10:
+    """Lowest eigenpair of H; raises ``NoBoundStateError`` unless the bottom
+    of the spectrum lies below -``_SCAN_GAP_TOL``, the rule by which
+    ``low_spectrum_scan`` counts a level as bound."""
+    [(e, v, resid)], e_next = _lowest_pairs(spec, 1)
+    if e >= -_SCAN_GAP_TOL:
         raise NoBoundStateError(
-            f"lowest eigenvalue {e:.6e} is not strictly negative")
-    gap = min(e_next, 0.0) - e
-
+            f"lowest eigenvalue {e:.6e} is not below -{_SCAN_GAP_TOL:g}")
     g = spec.grid
-    values = _phase_fix(v).reshape(g.sizes)
-    phi = make_field(g, values)
+    phi = make_field(g, _phase_fix(v).reshape(g.sizes))
+    # the flat residual of the unit vector v is the volume-weighted one of phi
     phi = make_field(g, phi.values / norm_l2(phi))
-    # residual in the volume-weighted norm equals the flat one for unit vectors
-    hphi = _apply_h_values(spec, phi.values)
-    resid = norm_l2(make_field(g, hphi - e * phi.values))
-    return EigenPair(e0=float(e), phi0=phi, residual=float(resid), gap=float(gap))
+    return EigenPair(e0=float(e), phi0=phi, residual=float(resid),
+                     gap=float(min(e_next, 0.0) - e))
 
 
 def low_spectrum_scan(spec: HamiltonianSpec, count: int = 4) -> SpectrumScan:
@@ -266,11 +256,8 @@ def low_spectrum_scan(spec: HamiltonianSpec, count: int = 4) -> SpectrumScan:
     and whether exactly one falls below -1e-6."""
     if not (1 <= count <= 8):
         raise MagnlsError(f"scan count must be between 1 and 8, got {count}")
-    found, _ = _lowest_pairs(
-        spec, count, steps=max(40, 12 * count),
-        residual_tol=_SCAN_RESIDUAL_TOL, max_refine=30, check=_check_scan)
-    pairs = sorted(((e, resid) for e, _, resid, _ in found),
-                   key=lambda t: t[0])
+    found, _ = _lowest_pairs(spec, count)
+    pairs = sorted(((e, resid) for e, _, resid in found), key=lambda t: t[0])
     n_neg = sum(1 for e, _ in pairs if e < -_SCAN_GAP_TOL)
     return SpectrumScan(pairs=tuple(pairs), n_negative=n_neg,
                         unique_negative=(n_neg == 1), gap_tol=_SCAN_GAP_TOL)

@@ -16,6 +16,7 @@ import pytest
 
 import oracles as orc
 from magnls import (
+    BoundStateFamily,
     ConfigError,
     EvolveConfig,
     GridSpec,
@@ -704,24 +705,58 @@ def test_non_strict_resolvent_solve_meets_its_true_residual_in_one_call(
     assert np.linalg.norm(resid) <= 1e-8 * np.linalg.norm(f.values)
 
 
-def test_deflated_factorization_follows_its_key(sech_spec, sech_eig,
-                                                monkeypatch):
-    # a new operator, whose deflated inverse no earlier solve has cached
+def test_deflated_dense_solve_is_one_eigenbasis_product(sech_spec, sech_eig,
+                                                        monkeypatch):
+    # phi0 is an eigenvector of the basis, so the rank-one term only moves
+    # its eigenvalue: each deflated solve is one product with the basis and
+    # no matrix is inverted
     spec = build_hamiltonian(sech_spec.potentials)
     phi, e0 = sech_eig.phi0.values, sech_eig.e0
     f = make_field(spec.grid, random_values(spec.grid, 55))
-    builds = []
-    inv = np.linalg.inv
+    inverted, products = [], []
+    inv, apply = np.linalg.inv, hamiltonian.DenseBasis.apply
     monkeypatch.setattr(np.linalg, "inv",
-                        lambda a: builds.append(a.shape) or inv(a))
-    for weight in (1.0, 3.0, 1.0):
+                        lambda a: inverted.append(a.shape) or inv(a))
+    monkeypatch.setattr(hamiltonian.DenseBasis, "apply",
+                        lambda *a, **k: products.append(1) or apply(*a, **k))
+    for n, weight in enumerate((1.0, 3.0), start=1):
         # shifted_solve measures the true residual and raises on a miss
-        shifted_solve(spec, e0, f, tol_rel=1e-12, deflate=(phi, weight))
-    assert len(builds) == 3
-    x = shifted_solve(spec, e0, f, tol_rel=1e-12, deflate=(phi, 1.0))
-    assert len(builds) == 3
-    want = orc.dense_deflated_solve(spec, e0, f.values, phi, 1.0)
-    assert relative_gap(x.values, want) <= 1e-12
+        x = shifted_solve(spec, e0, f, tol_rel=1e-12, deflate=(phi, weight))
+        assert len(products) == n
+        want = orc.dense_deflated_solve(spec, e0, f.values, phi, weight)
+        assert relative_gap(x.values, want) <= 1e-12
+    assert inverted == []
+
+
+def test_dense_operator_assembles_its_matrix_once(monkeypatch):
+    # the eigenbasis is the one dense computation: the ground state, a
+    # family build and a state of it take no second assembly of H
+    spec = well(1, 256, 40.0)
+    assembled = 0
+    h_matrix = hamiltonian.h_matrix
+
+    def counted(*args):
+        nonlocal assembled
+        assembled += 1
+        return h_matrix(*args)
+
+    monkeypatch.setattr(hamiltonian, "h_matrix", counted)
+    eig = ground_state(spec)
+    BoundStateFamily(spec, eig, sign=1).solve(0.05)
+    assert assembled == 1
+
+
+@pytest.mark.parametrize("strict", [True, False])
+def test_deflation_by_a_non_eigenvector_raises(strict, sech_spec, sech_eig):
+    # the eigenbasis solve is exact only for an eigenvector; a tilt of
+    # 1e-8 of phi0's peak puts 3.5e-15 of its mass off phi0's index, where
+    # phi0 itself puts about 2e-30
+    phi = sech_eig.phi0.values
+    tilt = 1e-8 * np.max(np.abs(phi)) * random_values(sech_spec.grid, 57)
+    f = make_field(sech_spec.grid, random_values(sech_spec.grid, 58))
+    with pytest.raises(MagnlsError, match="not an eigenvector"):
+        shifted_solve(sech_spec, sech_eig.e0, f, tol_rel=1e-12,
+                      deflate=(phi + tilt, 1.0), strict=strict)
 
 
 def test_eigenbasis_that_fails_its_check_raises(monkeypatch):

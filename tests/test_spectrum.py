@@ -83,6 +83,16 @@ def test_repulsive_bump_has_no_bound_state():
         ground_state(spec)
 
 
+def test_ground_state_and_scan_share_one_bound_rule():
+    # a shallow well whose lowest level, -8.86e-7, lies above the scan's
+    # bound threshold -1e-6: neither the scan nor the ground state counts it
+    g = GridSpec(1, (256,), (40.0,))
+    spec = build_hamiltonian(build_gaussian_well(g, -2e-5, 1.0))
+    with pytest.raises(NoBoundStateError):
+        ground_state(spec)
+    assert low_spectrum_scan(spec, 2).n_negative == 0
+
+
 def test_scan_counts_sech_well_levels(sech_spec):
     scan = low_spectrum_scan(sech_spec, 3)
     assert scan.n_negative == 1
