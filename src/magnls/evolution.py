@@ -24,16 +24,19 @@ products (``DenseBasis.apply``): one state alone, an N x 2 block, makes a
 matrix-vector product in disguise, bound by reading the eigenbasis
 (Dongarra et al., ACM TOMS 16, 1990, on why wider products pay).  The
 Krylov backend takes the rows one by one, each step a Richardson solve
-that starts from the extrapolation of that row's last six solves: each
-row keeps its own ``hamiltonian.cn_history``.  A right-hand side that
-moves smoothly from step to step then costs fewer sweeps, one when the
-start's residual is within tol/q: on the 64 x 64 loop at dt = 1e-3, 1.03 a
-step for a Gaussian bump and 1.04 for a perturbed bound state, against 4
-from a cold start.  Each state's ``Trajectory`` is its only record:
+that starts from the extrapolation of that row's last six solutions: each
+row keeps its own ``hamiltonian.cn_history``.  A state that moves
+smoothly from step to step then costs fewer sweeps, one when the start's
+residual, which that sweep measures, is within tol/q: on the 64 x 64 loop
+at dt = 1e-3, 1.03 a step for a Gaussian bump and 1.04 for a perturbed
+bound state, against 4 applications of the operator from y = 0.  A step
+of one sweep takes d + 4 transforms, 6 on a 2D grid.  Each state's
+``Trajectory`` is its only record:
 started before the first step, it records each snapshot and tests the
 drifts there.  A state whose drift breaches leaves the stack
 at that snapshot with its ``ConservationBreach`` and its history; the
-others go on.  One state is the stack of one, and ``step`` starts cold.
+others go on.  One state is the stack of one, and ``step`` starts from
+y = 0.
 
 Both sub-flows are unitary (the implicit solve up to its tolerance), so mass
 is conserved to solver precision per step and the scheme is exactly

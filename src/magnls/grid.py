@@ -242,15 +242,17 @@ def _stack_axes(grid: GridSpec) -> dict:
     return {"s": grid.sizes, "axes": tuple(range(-grid.dim, 0))}
 
 
-def stack_fft(grid: GridSpec, stack: np.ndarray) -> np.ndarray:
+def stack_fft(grid: GridSpec, stack: np.ndarray, *,
+              overwrite_x: bool = False) -> np.ndarray:
     """Unscaled forward transform of each row of a stack; each row's
-    transform is the field's own, bit for bit."""
-    return fftn(stack, **_stack_axes(grid))
+    transform is the field's own, bit for bit.  ``overwrite_x`` as for
+    ``fftn``."""
+    return fftn(stack, **_stack_axes(grid), overwrite_x=overwrite_x)
 
 
 def stack_ifft(grid: GridSpec, stack: np.ndarray, *,
                overwrite_x: bool = False) -> np.ndarray:
-    """Inverse of ``stack_fft``; ``overwrite_x`` as for ``ifftn``."""
+    """Inverse of ``stack_fft``, likewise."""
     return ifftn(stack, **_stack_axes(grid), overwrite_x=overwrite_x)
 
 

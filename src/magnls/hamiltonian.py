@@ -4,31 +4,33 @@ H f = -lap f + 2i A . grad f + i (div A) f + V f
 
 with spectral derivatives and pointwise products: H = -lap + B, where B
 (``_b_values``) holds the multiplication part and the first-order term.
-``_apply_h_values`` applies H on the grid, ``_h_hat`` gives its DFT, and
-``h_matrix`` is the one assembly of its matrix, which every dense
-computation takes.  Linear solves have two backends.  On an electric-only
-grid (A = 0; ``PotentialPair`` keeps V real) of at most
-``DENSE_MAX_POINTS`` points that matrix is real symmetric;
-``HamiltonianSpec.dense_basis`` diagonalizes it once, on first use, and
-every shifted solve becomes one product with that eigenbasis, a deflated
-one included: its deflation vector is an eigenvector, so the rank-one term
-only moves that eigenvalue.  This backend loads no scipy solver.  Every
-other operator, in particular any with A != 0, whose collocated
-first-order terms are not symmetric, solves in
+``_apply_h_values`` applies H on the grid and ``h_matrix`` is the one
+assembly of its matrix, which every dense computation takes.  Linear solves
+have two backends.  On an electric-only grid (A = 0; ``PotentialPair``
+keeps V real) of at most ``DENSE_MAX_POINTS`` points that matrix is real
+symmetric; ``HamiltonianSpec.dense_basis`` diagonalizes it once, on first
+use, and every shifted solve becomes one product with that eigenbasis, a
+deflated one included: its deflation vector is an eigenvector, so the
+rank-one term only moves that eigenvalue.  This backend loads no scipy
+solver.  Every other operator, in particular any with A != 0, whose
+collocated first-order terms are not symmetric, solves in
 ``_krylov_shifted_solve``, the one Krylov shifted solve: resolvents,
 deflated bound-state solves, the eigensolver's inverse iterations and the
 Crank-Nicolson step (``cn_power``) at 2i/dt all call it.  It runs in
 frequency space with the free resolvent as right preconditioner, on the
 ``ShiftKernel`` the operator keeps for the last shift, and one application
-of the preconditioned operator costs d + 2 transforms (2 when A = 0).  The
-kernel carries a bound q on the norm of the preconditioned perturbation,
-computed from sup|V + i div A|, sup|A| and the free resolvent, and q picks
-the solver up front: Richardson sweeps, each at least halving the true
-residual, when q < 1/2 and no mode of the free resolvent is regularized
-(the CN steps), restarted GMRES (``krylov``) otherwise.  Every transform
-here is ``grid.fftn``/``ifftn``: on a 1D grid they run ``numpy.fft``, so a
-dense 1D run loads no scipy at all; on a 2D or 3D grid, on either backend,
-they run ``scipy.fft``, loaded by the first transform of H.
+of the preconditioned operator costs d + 2 transforms (2 when A = 0).  A
+CN step never forms its right-hand side F H psi: B is linear, so each
+sweep applies it to psi - x at once, and a step of one sweep takes d + 4
+transforms.  The kernel carries a bound q on the norm of the
+preconditioned perturbation, computed from sup|V + i div A|, sup|A| and
+the free resolvent, and q picks the solver up front: Richardson sweeps,
+each at least halving the true residual, when q < 1/2 and no mode of the
+free resolvent is regularized (the CN steps), restarted GMRES (``krylov``)
+otherwise.  Every transform here is ``grid.fftn``/``ifftn``, through the
+stacked transforms: on a 1D grid they run ``numpy.fft``, so a dense 1D run
+loads no scipy at all; on a 2D or 3D grid, on either backend, they run
+``scipy.fft``, loaded by the first transform of H.
 ``HamiltonianSpec`` caches whether A vanishes, the multiplication part
 V + i div A and the first-order weights 2i A_j.  It also fixes the positive
 shift K for the auxiliary operator H1 = H + K used by the
@@ -56,8 +58,6 @@ from .grid import (
     ComplexField,
     GridSpec,
     VectorField,
-    fftn,
-    ifftn,
     inner_l2,
     make_field,
     stack_fft,
@@ -103,15 +103,15 @@ _SWEEP_BOUND = 0.5
 _GEMM_STATES = 2
 _BASIS_BYTES = 32 * 2**20  # Arnoldi basis of one Krylov CN power
 _ESTIMATE_EVERY = 5        # basis vectors between error estimates
-# Solved pairs (y, b) a Krylov CN history keeps, and, for each count k of
-# pairs kept, the weights (-1)^(j+1) C(k, j), j = 1..k, of the polynomial
-# extrapolation through the newest k, newest first and padded with zeros:
-# (6, -15, 20, -15, 6, -1) through six.  A start costs one sweep when its
-# residual is at most tol/q of ||b||.  On the benchmark's 64 x 64 loop at
-# dt = 1e-3 (q = 0.0112, tol/q = 8.9e-12) four points left the starts of
-# stability-run's perturbed bound state a residual of 1.7e-9 ||b||, six
-# leave 2.9e-12 ||b||: its 300 steps take 312 sweeps instead of 731, and
-# evolve's Gaussian bump stays at 309.
+# Solutions y a Krylov CN history keeps, and, for each count k of
+# solutions kept, the weights (-1)^(j+1) C(k, j), j = 1..k, of the
+# polynomial extrapolation through the newest k, newest first and padded
+# with zeros: (6, -15, 20, -15, 6, -1) through six.  A start costs one
+# sweep when its residual is at most tol/q of ||b||.  On the benchmark's
+# 64 x 64 loop at dt = 1e-3 (q = 0.0112, tol/q = 8.9e-12) four points left
+# the starts of stability-run's perturbed bound state a residual of
+# 1.7e-9 ||b||, six leave 2.9e-12 ||b||: its 300 steps take 312 sweeps
+# instead of 731, and evolve's Gaussian bump stays at 309.
 _CN_HISTORY = 6
 _EXTRAPOLATION = np.array(
     [[(-1.0) ** j * math.comb(k, j + 1) for j in range(_CN_HISTORY)]
@@ -212,10 +212,12 @@ def apply_h(spec: HamiltonianSpec, f: ComplexField) -> ComplexField:
 
 
 def _apply_h_values(spec: HamiltonianSpec, values: np.ndarray) -> np.ndarray:
-    """H values, for one state or a stack of states (``grid``)."""
-    fhat, bx = _h_parts(spec, values)
+    """H values, for one state or a stack of states (``grid``): one forward
+    transform and, when A != 0, the gradient from ``grid.stack_gradient``."""
+    fhat = stack_fft(spec.grid, values)
+    grads = stack_gradient(spec.grid, fhat) if spec.magnetic else ()
     out = stack_ifft(spec.grid, spec.grid.k_squared * fhat)  # -lap
-    out += bx
+    out += _b_values(spec, values, grads)
     return out
 
 
@@ -227,16 +229,6 @@ def _b_values(spec: HamiltonianSpec, x: np.ndarray,
     for a_j, dx_j in zip(spec.grad_weights, grads):
         bx += a_j * dx_j
     return bx
-
-
-def _h_parts(spec: HamiltonianSpec,
-             values: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """(F values, B values), F the plain DFT, for one state or a stack: one
-    forward transform and, when A != 0, the gradient from
-    ``grid.stack_gradient``."""
-    fhat = stack_fft(spec.grid, values)
-    grads = stack_gradient(spec.grid, fhat) if spec.magnetic else ()
-    return fhat, _b_values(spec, values, grads)
 
 
 def apply_h1(spec: HamiltonianSpec, f: ComplexField) -> ComplexField:
@@ -429,10 +421,10 @@ def shifted_solve(spec: HamiltonianSpec, zeta: complex, f: ComplexField, *,
     from a contraction bound computed for the shift: Richardson sweeps,
     capped at the count the bound guarantees, where it is below 1/2, else
     GMRES, whose non-strict solve stops after two restart cycles.  The
-    sweeps leave ``x0`` unused: they start from F f, the start whose
-    residual the bound controls, and only the histories of ``cn_power``
-    give another start, one whose residual is known.  There the residual
-    is measured in the frequency variable; the grid-space residual can
+    sweeps leave ``x0`` unused: they start from y = 0, whose sweep is F f
+    and gives ||F f|| exactly, and only the histories of ``cn_power`` give
+    another start, whose residual its first sweep measures.  There the
+    residual is measured in the frequency variable; the grid-space residual can
     exceed ``tol_rel`` near the spectrum.  On the dense backend the solve
     is one ``DenseBasis.apply`` with the coefficients
     1/(lam - zeta + c dv |U^T w|^2), the last term only when deflating.
@@ -444,7 +436,7 @@ def shifted_solve(spec: HamiltonianSpec, zeta: complex, f: ComplexField, *,
     basis = spec.dense_basis
     if basis is None:
         return make_field(spec.grid, _krylov_shifted_solve(
-            spec, zeta, fftn(f.values), tol_rel=tol_rel,
+            spec, zeta, stack_fft(spec.grid, f.values), tol_rel=tol_rel,
             deflate=deflate, x0=x0, strict=strict))
     shifted = basis.lam - zeta
     if deflate is not None:
@@ -463,26 +455,24 @@ def shifted_solve(spec: HamiltonianSpec, zeta: complex, f: ComplexField, *,
 
 
 class CNHistory:
-    """The last ``_CN_HISTORY`` solved pairs (y_j, b_j) of one state's
-    Krylov CN solves at one dt, as a ring of two arrays, ``ys`` and ``bs``,
-    with one row per pair.  They are allocated at the first pair as zeros,
-    so that the rows not yet written, which ``_cn_start`` weighs by zero,
-    add exactly zero.  ``newest`` is the row of the last pair and ``count``
-    the pairs kept."""
+    """The last ``_CN_HISTORY`` solutions y_j of one state's Krylov CN
+    solves at one dt, as a ring ``ys`` with one row per solve.  It is
+    allocated at the first solve as zeros, so that the rows not yet
+    written, which ``_cn_start`` weighs by zero, add exactly zero.
+    ``newest`` is the row of the last solve and ``count`` the solves
+    kept."""
 
     def __init__(self):
-        self.ys = self.bs = None
+        self.ys = None
         self.count = 0
         self.newest = 0
 
-    def append(self, y: np.ndarray, b: np.ndarray) -> None:
-        """Keep the pair (y, b) in place of the oldest."""
+    def append(self, y: np.ndarray) -> None:
+        """Keep y in place of the oldest."""
         if self.ys is None:
-            self.ys = np.zeros((_CN_HISTORY, y.size), dtype=np.complex128)
-            self.bs = np.zeros_like(self.ys)
+            self.ys = np.zeros((_CN_HISTORY,) + y.shape, dtype=np.complex128)
         self.newest = (self.newest - 1) % _CN_HISTORY
-        self.ys[self.newest] = y.ravel()
-        self.bs[self.newest] = b.ravel()
+        self.ys[self.newest] = y
         self.count = min(self.count + 1, _CN_HISTORY)
 
 
@@ -516,17 +506,20 @@ def cn_power(spec: HamiltonianSpec, values: np.ndarray, dt: float,
 
         psi+ = psi - 2 (H - zeta)^-1 H psi,
 
-    with the right-hand side F H psi from ``_h_hat``, the kernel's own
-    pieces, solved by ``_krylov_shifted_solve`` to ``_CN_TOL``.  The solve's
-    error then scales with the increment, not with the state.  At this
-    shift |D^-1| <= |dt|/2 and |k_j D^-1| <= sqrt(|dt|)/2, so for the steps
-    the package takes the contraction bound q is small and the solve is a
-    Richardson sweep; a step too long for q < 1/2 runs GMRES.
+    solved by ``_krylov_shifted_solve`` to ``_CN_TOL``, with the right-hand
+    side F H psi = |k|^2 F psi + F B F^-1 (F psi) handed over as its two
+    parts, so that each sweep applies B to psi - x in one and F H psi is
+    never formed: a step of one sweep takes d + 4 transforms, F psi, the
+    sweep's d + 2 and the one that gives x.  The solve's error then scales
+    with the increment, not with the state.  At this shift |D^-1| <= |dt|/2
+    and |k_j D^-1| <= sqrt(|dt|)/2, so for the steps the package takes the
+    contraction bound q is small and the solve is a Richardson sweep; a
+    step too long for q < 1/2 runs GMRES.
     A caller that steps a state many times at one dt passes its
     ``history`` (``cn_history``; for a stack, a list with one per row):
-    that state's last solved pairs, from which its next Richardson solve
-    starts (``_cn_start``).  Without one, on GMRES steps and in the n-step
-    powers below, a solve starts cold.
+    that state's last solutions, from whose extrapolation its next
+    Richardson solve starts (``_cn_start``).  Without one, on GMRES steps
+    and in the n-step powers below, a solve starts from y = 0.
     For n > 1 the Krylov backend projects instead: an Arnoldi basis V_m of
     the Krylov space K_m(H, psi) (``krylov.arnoldi``; the collocated H is
     not Hermitian) gives H V_m = V_m H_m + h_{m+1,m} v_{m+1} e_m^T, and
@@ -549,9 +542,10 @@ def cn_power(spec: HamiltonianSpec, values: np.ndarray, dt: float,
                               None if history is None else history[k])
         return out
     if n == 1:
+        fhat = stack_fft(spec.grid, values)
         return values - 2.0 * _krylov_shifted_solve(
-            spec, 2j / dt, _h_hat(spec, values), tol_rel=_CN_TOL,
-            history=history)
+            spec, 2j / dt, spec.grid.k_squared * fhat, tol_rel=_CN_TOL,
+            history=history, g_hat=fhat)
     shape, size = values.shape, values.size
     beta = float(np.linalg.norm(values))
     if beta == 0.0:
@@ -578,36 +572,19 @@ def cn_power(spec: HamiltonianSpec, values: np.ndarray, dt: float,
     return values
 
 
-def _cn_start(history: CNHistory,
-              b: np.ndarray) -> tuple[np.ndarray, float] | None:
-    """The Richardson start of a CN solve with right-hand side b, from the
-    state's solved pairs (y_j, b_j), newest first: the polynomial
-    extrapolation y* = sum c_j y_j through the last six
-    (6, -15, 20, -15, 6, -1), or through all kept while fewer are
-    (``_EXTRAPOLATION``), with the norm of its residual.  Each y_j solves
-    (I + K) y_j = b_j to the solve tolerance, so that residual is
-    ||sum c_j b_j - b|| up to rounding, known without applying K (Fischer,
-    Comput. Methods Appl. Mech. Engrg. 163, 1998, on starts for successive
-    right-hand sides).  The weights are rolled onto the ring's rows, so
-    each sum is one product with its array.  None while the history is
-    empty."""
+def _cn_start(history: CNHistory) -> np.ndarray | None:
+    """The Richardson start of a CN solve from the state's solutions y_j,
+    newest first: the polynomial extrapolation y* = sum c_j y_j through
+    the last six (6, -15, 20, -15, 6, -1), or through all kept while fewer
+    are (``_EXTRAPOLATION``; Fischer, Comput. Methods Appl. Mech. Engrg.
+    163, 1998, on starts for successive right-hand sides).  The weights are
+    rolled onto the ring's rows, so the sum is one product with its array.
+    Its residual is not predicted: the first sweep measures it.  None while
+    the history is empty."""
     if history.count == 0:
         return None
     weights = np.roll(_EXTRAPOLATION[history.count - 1], history.newest)
-    y = weights @ history.ys
-    b_pred = weights @ history.bs
-    b_pred -= b.ravel()
-    return y.reshape(b.shape), float(np.linalg.norm(b_pred))
-
-
-def _h_hat(spec: HamiltonianSpec, values: np.ndarray) -> np.ndarray:
-    """F H values (F the plain DFT) as |k|^2 F values + F B values: one
-    transform more than ``_h_parts``, one fewer than transforming
-    ``_apply_h_values``."""
-    fhat, bx = _h_parts(spec, values)
-    out = fftn(bx)
-    out += spec.grid.k_squared * fhat
-    return out
+    return np.tensordot(weights, history.ys, axes=1)
 
 
 class ShiftKernel:
@@ -650,27 +627,36 @@ def _krylov_shifted_solve(spec: HamiltonianSpec, zeta: complex,
                           deflate: tuple[np.ndarray, float] | None = None,
                           x0: np.ndarray | None = None,
                           strict: bool = True,
-                          history: CNHistory | None = None) -> np.ndarray:
+                          history: CNHistory | None = None,
+                          g_hat: np.ndarray | None = None) -> np.ndarray:
     """``shifted_solve`` on the Krylov backend, for the right-hand side f
-    given by its DFT ``f_hat``: the y-system of ``spec.shift_kernel(zeta)``,
+    given by its DFT F f = ``f_hat`` + F B F^-1 ``g_hat`` (only ``f_hat``
+    when ``g_hat`` is None): the y-system of ``spec.shift_kernel(zeta)``,
     whose solution gives the returned values of x = F^-1 D^-1 y.
 
     ``deflate=(w, c)`` adds c dv w <w, .> to B and c dv ||w||^2 max|D^-1| to
-    q.  One application of K, shared by both solvers, is one batched inverse
-    transform of the multiplier stack times y, giving x and every d_j x,
-    the pointwise B and one forward transform.
+    q.  B is linear, so the sweep map of Richardson's iteration is
+
+        y -> F f - K y = f_hat - F B F^-1 (D^-1 y - g_hat),
+
+    one batched inverse transform of the multiplier stack times y less
+    [1, i k_1, ..., i k_d] ``g_hat``, which gives x - g and every
+    d_j (x - g), the pointwise B and one forward transform: d + 2
+    transforms, and F f itself is never formed.  Its value at y = 0 is F f,
+    which costs no transform without ``g_hat``.
 
     When no mode is regularized and q < ``_SWEEP_BOUND``, the solve is
-    Richardson's iteration y <- F f - K y (``krylov.richardson``), each of
-    whose sweeps at least halves the true residual, which stops once q
-    times the measured residual meets ``tol_rel`` and is capped at the sweep
-    count q guarantees for it; ``x0`` goes unused, as its residual
-    is not known without a sweep.  With a ``history`` of earlier solves at
-    this shift (``cn_power``) the iteration starts from their extrapolation
-    (``_cn_start``) when its residual is below q ||F f||, and the solved
-    pair (y, F f) joins the history.  Every other shift runs restarted
-    GMRES (``krylov.solve``) on J + K, with ``x0`` entering as D F x0; it
-    neither reads nor extends a history.
+    Richardson's iteration (``krylov.richardson``), each of whose sweeps at
+    least halves the true residual, which stops once q times the measured
+    residual meets ``tol_rel`` of a lower bound on ||F f|| and is capped at
+    the sweep count q and the first measured residual guarantee; ``x0`` goes
+    unused, as its residual is not known without a sweep.  With a
+    ``history`` of earlier solves at this shift (``cn_power``) the
+    iteration starts from their extrapolation (``_cn_start``), else from
+    y = 0, and the solution joins the history.  Every other shift runs
+    restarted GMRES (``krylov.solve``) on J + K, with K y = F B F^-1 D^-1 y,
+    the right-hand side the sweep map at y = 0 and ``x0`` entering as
+    D F x0; it neither reads nor extends a history.
 
     ``tol_rel`` holds for the relative residual in y.  In exact arithmetic
     that is the grid-space ||(H - zeta) x - f|| / ||f||, but forming x from
@@ -680,39 +666,53 @@ def _krylov_shifted_solve(spec: HamiltonianSpec, zeta: complex,
     Crank-Nicolson shifts 2i/dt lie far from the real spectrum.
     """
     kern = spec.shift_kernel(zeta)
-    dv = spec.grid.volume_element
+    g = spec.grid
+    dv = g.volume_element
     q = kern.bound
     if deflate is not None:
         w, c = deflate
         q += c * dv * float(np.vdot(w, w).real) * kern.inv_max
+    if g_hat is not None:   # stacked as kern.mult is
+        g_hat = np.stack([g_hat] + [1j * k * g_hat for k in g.k_mesh
+                                    if spec.magnetic])
 
-    def apply_k(y):
-        xs = stack_ifft(spec.grid, kern.mult * y, overwrite_x=True)
+    def apply_b(zs):
+        """F B F^-1 z from the stack [z, i k_1 z, ..., i k_d z], which it
+        overwrites."""
+        xs = stack_ifft(g, zs, overwrite_x=True)
         bx = _b_values(spec, xs[0], xs[1:])
         if deflate is not None:
             bx += c * np.vdot(w, xs[0]) * dv * w
-        return fftn(bx, overwrite_x=True)
+        return stack_fft(g, bx, overwrite_x=True)
+
+    def sweep(y):
+        if y is None:
+            return f_hat if g_hat is None else f_hat - apply_b(-g_hat)
+        zs = kern.mult * y
+        if g_hat is not None:
+            zs -= g_hat
+        return f_hat - apply_b(zs)
 
     if kern.ident is None and q < _SWEEP_BOUND:
-        start = None if history is None else _cn_start(history, f_hat)
-        y = krylov.richardson(apply_k, f_hat, bound=q, tol=tol_rel,
-                              strict=strict, start=start)
+        y = krylov.richardson(
+            sweep, None if history is None else _cn_start(history),
+            bound=q, tol=tol_rel, strict=strict)
         if history is not None:
-            history.append(y, f_hat)
-        return ifftn(kern.mult[0] * y)
+            history.append(y)
+        return stack_ifft(g, kern.mult[0] * y, overwrite_x=True)
 
     def matvec(v):
         y = v.reshape(f_hat.shape)
-        out = apply_k(y)
+        out = apply_b(kern.mult * y)
         out += y if kern.ident is None else kern.ident * y
         return out.ravel()
 
     y0 = (None if x0 is None
-          else (kern.d * fftn(x0.reshape(f_hat.shape))).ravel())
-    y = krylov.solve(matvec, f_hat.ravel(), tol=tol_rel,
+          else (kern.d * stack_fft(g, x0.reshape(f_hat.shape))).ravel())
+    y = krylov.solve(matvec, sweep(None).ravel(), tol=tol_rel,
                      max_iter=_MAX_ITER if strict else _DIRECTION_MAX_ITER,
                      x0=y0, strict=strict)
-    return ifftn(y.reshape(f_hat.shape) / kern.d)
+    return stack_ifft(g, y.reshape(f_hat.shape) / kern.d, overwrite_x=True)
 
 
 def resolvent_solve(spec: HamiltonianSpec, zeta: complex, f: ComplexField, *,

@@ -4,11 +4,13 @@ and the Arnoldi process.
 Every Krylov-backend shifted solve is ``hamiltonian._krylov_shifted_solve``,
 and a contraction bound it computes for the shift picks the solver here.
 Below 1/2 it calls ``richardson``, as for every Crank-Nicolson step at
-2i/dt, where the preconditioned system is close to the identity.  The bound
-also ends the iteration: once it times the measured residual meets the
-tolerance, so does the corrected iterate.  A step of a long run starts from
-the extrapolation of that state's earlier solves, whose residual is known
-without applying the operator, and is then usually one sweep.  Otherwise
+2i/dt, where the preconditioned system is close to the identity.  It is
+one loop over an affine sweep map y -> b - K y, which the caller forms, so
+that a CN step never forms b itself.  The bound also ends the iteration:
+once it times the measured residual meets the tolerance relative to a
+lower bound on ||b||, so does the corrected iterate.  A step of a long run
+starts from the extrapolation of that state's earlier solves, whose
+residual its first sweep measures, and is then usually one sweep.  Otherwise
 it calls ``solve``: resolvent applications, deflated solves at the
 ground-state energy and the eigensolver's inverse iterations.  (Small
 electric-only grids solve directly in a dense eigenbasis; see
@@ -97,45 +99,55 @@ def solve(matvec, b: np.ndarray, *, tol: float, max_iter: int,
         residual=resid, iterations=iterations)
 
 
-def richardson(apply, b: np.ndarray, *, bound: float, tol: float,
-               strict: bool = True,
-               start: tuple[np.ndarray, float] | None = None) -> np.ndarray:
-    """Solve y + K y = b, for ``apply`` an operator K with
-    ||K|| <= ``bound`` < 1, by Richardson's iteration y <- b - K y (Saad,
-    Iterative Methods for Sparse Linear Systems, 2nd ed., SIAM 2003, ch. 4).
+def richardson(sweep, start: np.ndarray | None = None, *, bound: float,
+               tol: float, strict: bool = True) -> np.ndarray:
+    """Solve y + K y = b, for K with ||K|| <= ``bound`` < 1, by Richardson's
+    iteration y <- b - K y (Saad, Iterative Methods for Sparse Linear
+    Systems, 2nd ed., SIAM 2003, ch. 4), given as the affine ``sweep`` map
+    y -> b - K y, with sweep(None) = b the map at y = 0.
 
-    The iteration starts from y = b, whose residual K b is at most
-    bound ||b||, or from ``start = (y0, r0)``, a guess y0 whose residual
-    norm is known to be r0 without applying K, when r0 < bound ||b||.
-    Sweep s measures the true residual r = y + K y - b of its iterate, and
-    the corrected iterate y - r it forms has the residual -K r, at most
-    bound ||r||; so from either start ||r|| <= bound^s ||b||.  The
-    iteration stops as soon as bound ||r|| <= ``tol`` ||b|| and returns the
-    corrected iterate, whose residual the bound then puts within ``tol``
-    without another sweep.  A start whose residual is at most
-    ``tol`` ||b|| / bound so costs one sweep.  With ||K|| <= bound the stop
-    comes by the least s with bound^(s+1) <= ``tol``; after the least s
-    with bound^s <= ``tol``, one sweep later, a strict solve raises
-    ``NonConvergenceError`` with its last true residual and the sweep count,
-    and a non-strict one returns its last iterate.
+    The iteration starts from ``start``, or from y = 0 when it is None,
+    whose sweep gives b and ||b|| exactly without applying K.  Sweep s
+    forms the corrected iterate y' = b - K y and measures the true residual
+    r = y + K y - b = y - y' of the iterate before it; y' has the residual
+    -K r, at most bound ||r||, and b = y' + K y gives the lower bound
+    ||b|| >= ||y'|| - bound ||y||, the largest of which so far is kept.
+    The iteration stops as soon as bound ||r|| <= ``tol`` times that bound
+    and returns y', whose residual is then within ``tol`` ||b||; a start
+    whose residual is at most ``tol`` ||b|| / bound so costs one sweep.
+    From the first measured residual r1 on, ||r|| shrinks by ``bound`` a
+    sweep, so the stop must come by the k-th sweep after it once
+    bound^k r1 <= ``tol`` times the bound on ||b||; the cap allows one
+    sweep more (from y = 0: the least s with bound^s <= ``tol``).  A start
+    that bounds ||b|| by nothing positive is replaced by y = 0.  Only
+    sweeps from a nonzero iterate count.  A strict solve that reaches its
+    cap raises ``NonConvergenceError`` with its last true residual relative
+    to the bound on ||b|| and the sweep count; a non-strict one returns its
+    last iterate.
     """
-    b_norm = float(np.linalg.norm(b))
-    cap = math.ceil(math.log(tol) / math.log(bound)) if bound > tol else 1
-    y = b
-    if start is not None and start[1] < bound * b_norm:
-        y = start[0]
-    for _ in range(cap):
-        nxt = b - apply(y)
-        r_norm = float(np.linalg.norm(y - nxt))
-        y = nxt
-        if bound * r_norm <= tol * b_norm:
-            return y
+    y, y_norm = start, 0.0 if start is None else float(np.linalg.norm(start))
+    b_low, sweeps, limit = 0.0, 0, math.inf
+    while limit > tol * b_low:
+        nxt = sweep(y)
+        nxt_norm = float(np.linalg.norm(nxt))
+        r_norm = nxt_norm if y is None else float(np.linalg.norm(y - nxt))
+        sweeps += y is not None
+        # the new bound first: a nan bound stays nan and ends the loop
+        b_low = max(nxt_norm - bound * y_norm, b_low)
+        if bound * r_norm <= tol * b_low:
+            return nxt
+        if b_low <= 0.0:   # the start bounds ||b|| by nothing
+            y, y_norm = None, 0.0
+            continue
+        # the first measured residual, then the bound on each next one
+        limit = r_norm if limit == math.inf else bound * limit
+        y, y_norm = nxt, nxt_norm
+    resid = r_norm / b_low
     if strict:
-        resid = r_norm / b_norm
         raise NonConvergenceError(
             f"Richardson iteration stalled at relative residual {resid:.3e} "
-            f"(target {tol:.1e}) after {cap} sweeps",
-            residual=resid, iterations=cap)
+            f"(target {tol:.1e}) after {sweeps} sweeps",
+            residual=resid, iterations=sweeps)
     return y
 
 

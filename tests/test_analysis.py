@@ -445,8 +445,9 @@ def test_strichartz_rows_match_per_source_cn_matrix_marches(backend):
 
 def test_the_duhamel_steps_start_from_their_histories(monkeypatch):
     # each Duhamel row steps from the extrapolation of its own last solves:
-    # the rows match a scan whose steps all start cold, in fewer sweeps (on
-    # this window 0.8x; the source's time envelope spans 25 steps)
+    # the rows match a scan whose steps all start from y = 0, in fewer
+    # sweeps (on this window 0.58x; the source's time envelope spans 25
+    # steps)
     spec = _loop_16x16()
     eig = ground_state(spec)
     kwargs = dict(n_sources=1, n_duhamel=2, t_final=0.3, dt=2e-3, stride=10,
@@ -454,17 +455,17 @@ def test_the_duhamel_steps_start_from_their_histories(monkeypatch):
     sweeps = []
     richardson = krylov.richardson
 
-    def counted(apply, b, **options):
-        def counted_apply(y):
+    def counted(sweep, start=None, **options):
+        def counted_sweep(y):
             sweeps.append(1)
-            return apply(y)
-        return richardson(counted_apply, b, **options)
+            return sweep(y)
+        return richardson(counted_sweep, start, **options)
 
     monkeypatch.setattr(krylov, "richardson", counted)
     started = strichartz_ratio(spec, eig, **kwargs)
     started_sweeps = len(sweeps)
     sweeps.clear()
-    monkeypatch.setattr(hamiltonian, "_cn_start", lambda history, b: None)
+    monkeypatch.setattr(hamiltonian, "_cn_start", lambda history: None)
     cold = strichartz_ratio(spec, eig, **kwargs)
     assert started_sweeps < len(sweeps)
     assert len(started.rows) == len(cold.rows) == 9

@@ -2,8 +2,9 @@
 iterations actually run.  Richardson's iteration on K y = -q y, whose
 residuals are known in closed form: it converges within its cap, and an
 understated bound gives a strict solve's report or a non-strict solve's
-last iterate; a start is taken only when its stated residual is below the
-cold start's bound, and it changes neither the stop rule nor the cap.  The Arnoldi process: an orthonormal basis and the
+last iterate; a start's first sweep measures its residual and fixes the
+cap, and a start that bounds ||b|| by nothing gives way to y = 0.  The
+Arnoldi process: an orthonormal basis and the
 Arnoldi relation on a non-Hermitian operator, and an exact end on an
 invariant subspace."""
 
@@ -76,14 +77,17 @@ def test_converged_solve_is_one_gmres_call_with_no_residual_of_its_own(
     assert applied == steps + cycles
 
 
-def scaled_by(factor):
-    """The operator K y = factor y, counting its applications."""
+def sweep_map(factor, b):
+    """The sweep map y -> b - K y of K y = factor y, with b at y = None,
+    counting its applications of K."""
     calls = []
 
-    def apply(y):
+    def sweep(y):
+        if y is None:
+            return b
         calls.append(1)
-        return factor * y
-    return apply, calls
+        return b - factor * y
+    return sweep, calls
 
 
 def richardson_rhs():
@@ -92,42 +96,50 @@ def richardson_rhs():
 
 
 def test_richardson_converges_within_its_cap():
-    # the sweep s measures the residual q^s ||b|| of the iterate before it
-    # and stops once q times it meets tol: at q = 1/4 and tol = 1e-10 that
-    # is s = 16, one inside the cap of 17, and the corrected iterate's
-    # residual is q^17 = 5.8e-11
+    # from y = 0 the map gives b and ||b|| without applying K; sweep s then
+    # measures the residual q^s ||b|| of the iterate before it and stops
+    # once q times it meets tol: at q = 1/4 and tol = 1e-10 that is s = 16,
+    # one inside the cap of 17, and the corrected iterate's residual is
+    # q^17 = 5.8e-11
     b = richardson_rhs()
     q, tol = 0.25, 1e-10
-    apply, calls = scaled_by(-q)
-    y = krylov.richardson(apply, b, bound=q, tol=tol)
+    sweep, calls = sweep_map(-q, b)
+    y = krylov.richardson(sweep, bound=q, tol=tol)
     assert len(calls) == 16 == math.ceil(math.log(tol) / math.log(q)) - 1
     assert np.linalg.norm((1.0 - q) * y - b) <= tol * np.linalg.norm(b)
 
 
 def test_richardson_with_a_bound_below_the_norm_stops_at_its_cap():
-    # a bound of 1/8 for ||K|| = 1/4 caps the sweeps at 12, where the
-    # residual is still q^12 = 6.0e-8 of ||b||
+    # a bound of 1/8 for ||K|| = 1/4 also overstates the lower bound
+    # ||y'|| - bound ||y|| on ||b|| that the sweeps keep, up to 1.17 ||b||
+    # at sweep 11; the cap from y = 0 then ends the iteration once
+    # (1/8)^s <= 1.17 tol, after 11 sweeps, where the residual is still
+    # q^11 = 2.4e-7 of ||b||
     b = richardson_rhs()
     q, bound, tol = 0.25, 0.125, 1e-10
-    apply, calls = scaled_by(-q)
-    with pytest.raises(NonConvergenceError, match="after 12 sweeps") as err:
-        krylov.richardson(apply, b, bound=bound, tol=tol)
-    assert len(calls) == err.value.iterations == 12
-    assert err.value.residual == pytest.approx(q ** 12, rel=1e-12)
-    # the non-strict solve returns its last iterate, b (1 + q + ... + q^12)
+    sweep, calls = sweep_map(-q, b)
+    with pytest.raises(NonConvergenceError, match="after 11 sweeps") as err:
+        krylov.richardson(sweep, bound=bound, tol=tol)
+    assert len(calls) == err.value.iterations == 11
+    b_low = ((1.0 - q ** 12) - bound * (1.0 - q ** 11)) / (1.0 - q)
+    assert bound ** 10 > tol * b_low >= bound ** 11
+    assert err.value.residual == pytest.approx(q ** 11 / b_low, rel=1e-12)
+    # the non-strict solve returns its last iterate, b (1 + q + ... + q^11)
     calls.clear()
-    y = krylov.richardson(apply, b, bound=bound, tol=tol, strict=False)
-    assert len(calls) == 12
-    np.testing.assert_allclose(y, b * (1.0 - q ** 13) / (1.0 - q),
+    y = krylov.richardson(sweep, bound=bound, tol=tol, strict=False)
+    assert len(calls) == 11
+    np.testing.assert_allclose(y, b * (1.0 - q ** 12) / (1.0 - q),
                                rtol=1e-14)
 
 
 @pytest.mark.parametrize("bound", [0.0, 0.25])
 def test_richardson_with_a_zero_operator_returns_at_the_first_sweep(bound):
+    # with a zero bound the map's b is the solution; with 1/4 the first
+    # sweep from it measures a zero residual
     b = richardson_rhs()
-    apply, calls = scaled_by(0.0)
-    y = krylov.richardson(apply, b, bound=bound, tol=1e-12)
-    assert len(calls) == 1
+    sweep, calls = sweep_map(0.0, b)
+    y = krylov.richardson(sweep, bound=bound, tol=1e-12)
+    assert len(calls) == (bound > 0.0)
     assert np.array_equal(y, b)
 
 
@@ -136,16 +148,15 @@ def test_richardson_with_a_zero_operator_returns_at_the_first_sweep(bound):
 def test_richardson_stops_once_the_bound_covers_the_corrected_iterate(
         ratio, sweeps):
     # from a start whose residual r is ratio tol ||b||, the first sweep
-    # measures r and forms the corrected iterate, whose residual is q r:
+    # measures r and forms the corrected iterate y', whose residual is q r,
+    # and bounds ||b|| below by ||y'|| - q ||start||, here ||b|| itself:
     # within tol ||b|| up to ratio 1/q = 4, so one sweep; beyond, a second
     b = richardson_rhs()
     q, tol = 0.25, 1e-10
     b_norm = float(np.linalg.norm(b))
-    apply, calls = scaled_by(-q)
-    r0 = ratio * tol * b
-    start = (b + r0) / (1.0 - q)   # (1 - q) start - b = r0
-    y = krylov.richardson(apply, b, bound=q, tol=tol,
-                          start=(start, float(np.linalg.norm(r0))))
+    sweep, calls = sweep_map(-q, b)
+    start = (b + ratio * tol * b) / (1.0 - q)   # (1 - q) start - b = r
+    y = krylov.richardson(sweep, start, bound=q, tol=tol)
     assert len(calls) == sweeps
     assert np.linalg.norm((1.0 - q) * y - b) <= tol * b_norm
 
@@ -155,44 +166,59 @@ def test_richardson_from_an_exact_start_returns_after_one_sweep():
     # rounding, and returns the corrected start
     b = richardson_rhs()
     q = 0.25
-    apply, calls = scaled_by(-q)
+    sweep, calls = sweep_map(-q, b)
     exact = b / (1.0 - q)
-    y = krylov.richardson(apply, b, bound=q, tol=1e-12, start=(exact, 0.0))
+    y = krylov.richardson(sweep, exact, bound=q, tol=1e-12)
     assert len(calls) == 1
     np.testing.assert_allclose(y, exact, rtol=1e-15)
 
 
 def test_a_strict_solve_from_a_start_still_raises_at_its_cap():
-    # a bound of 1/8 for ||K|| = 1/4 caps the sweeps at 12; from a start
-    # whose residual is 0.1 ||b||, below the bound's 0.125 ||b||, the
-    # residual after the cap is 0.1 q^11 = 2.4e-8 of ||b||, above tol
+    # a bound of 1/8 for ||K|| = 1/4, from a start whose residual is
+    # r1 = 0.1 ||b||: the first sweep bounds ||b|| below by
+    # b1 = ||y'|| - ||start|| / 8 = 1.18 ||b|| and caps the sweeps at
+    # 1 + ceil(log(tol b1 / r1) / log(1/8)) = 11, where the residual
+    # 0.1 q^10 ||b|| = 9.5e-8 ||b|| is still above tol
     b = richardson_rhs()
     q, bound, tol = 0.25, 0.125, 1e-10
-    apply, calls = scaled_by(-q)
-    r0 = 0.1 * b
-    start = (b + r0) / (1.0 - q)   # (1 - q) start - b = r0
-    with pytest.raises(NonConvergenceError, match="after 12 sweeps") as err:
-        krylov.richardson(apply, b, bound=bound, tol=tol,
-                          start=(start, float(np.linalg.norm(r0))))
-    assert len(calls) == err.value.iterations == 12
-    assert err.value.residual == pytest.approx(0.1 * q ** 11, rel=1e-12)
+    sweep, calls = sweep_map(-q, b)
+    start = 1.1 * b / (1.0 - q)   # (1 - q) start - b = 0.1 b
+    b1 = (1.0 + q * 1.1 / (1.0 - q)) - bound * 1.1 / (1.0 - q)
+    cap = 1 + math.ceil(math.log(tol * b1 / 0.1) / math.log(bound))
+    with pytest.raises(NonConvergenceError,
+                       match=f"after {cap} sweeps") as err:
+        krylov.richardson(sweep, start, bound=bound, tol=tol)
+    assert len(calls) == err.value.iterations == cap == 11
+    # the largest of the lower bounds ||y_k+1|| - bound ||y_k|| on ||b||
+    # that the sweeps gave, here b1, divides the last true residual
+    ys = [start]
+    for _ in range(cap):
+        ys.append(b + q * ys[-1])
+    b_low = max(np.linalg.norm(ys[k + 1]) - bound * np.linalg.norm(ys[k])
+                for k in range(cap))
+    resid = np.linalg.norm(ys[-2] - ys[-1]) / b_low
+    assert err.value.residual == pytest.approx(resid, rel=1e-12)
+    assert resid * b_low == pytest.approx(0.1 * q ** 10 * np.linalg.norm(b),
+                                          rel=1e-12)
 
 
-@pytest.mark.parametrize("predicted", [0.25, 0.5])
-def test_richardson_takes_no_start_predicted_at_or_above_the_bound(predicted):
-    # a start whose stated residual is not below bound ||b|| is not taken,
-    # even an exact one: the solve is the cold one, sweep for sweep, and
-    # stops at the least s with q q^s <= tol
-    b = richardson_rhs()
+@pytest.mark.parametrize("b_zero", [False, True])
+def test_richardson_replaces_a_start_that_bounds_nothing_by_the_zero_start(
+        b_zero):
+    # the start -b / q sweeps to b - K start = 0, and any start does when
+    # b = 0: its lower bound on ||b|| is at most zero.  The iteration drops
+    # it for y = 0 and then runs the cold solve, sweep for sweep, one sweep
+    # later; with b = 0 that returns zero at once
+    rhs = richardson_rhs()
+    b = 0.0 * rhs if b_zero else rhs
     q, tol = 0.25, 1e-10
-    apply, calls = scaled_by(-q)
-    cold = krylov.richardson(apply, b, bound=q, tol=tol)
+    sweep, calls = sweep_map(-q, b)
+    cold = krylov.richardson(sweep, bound=q, tol=tol)
     cold_sweeps = len(calls)
     calls.clear()
-    y = krylov.richardson(apply, b, bound=q, tol=tol, start=(
-        b / (1.0 - q), predicted * float(np.linalg.norm(b))))
-    assert len(calls) == cold_sweeps == 16
+    y = krylov.richardson(sweep, -rhs / q, bound=q, tol=tol)
     assert np.array_equal(y, cold)
+    assert len(calls) == cold_sweeps + 1 == (1 if b_zero else 17)
 
 
 def test_arnoldi_basis_and_relation_on_a_non_hermitian_matrix():

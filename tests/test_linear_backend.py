@@ -38,6 +38,7 @@ from magnls import (
     shifted_solve,
     step,
 )
+from magnls import grid as grid_module
 from magnls import hamiltonian
 from magnls.evolution import _MAX_DT, _cn_step_values
 from magnls.hamiltonian import DENSE_MAX_POINTS, _krylov_shifted_solve
@@ -598,30 +599,101 @@ BINOMIAL_ROWS = {1: (1,), 2: (2, -1), 3: (3, -3, 1), 4: (4, -6, 4, -1),
 
 @pytest.mark.parametrize("appends", [1, 2, 3, 4, 5, 6, 8, 13])
 def test_cn_start_extrapolates_the_newest_pairs_of_its_ring(appends):
-    # the start through the newest k = min(appends, 6) solved pairs and its
-    # stated residual ||sum c_j b_j - b||; from 7 appends on, each pair
-    # overwrites the oldest row of the ring
+    # the start through the newest k = min(appends, 6) solutions; from 7
+    # appends on, each solution overwrites the oldest row of the ring
     rng = np.random.default_rng(appends)
     shape = (6, 5)
-
-    def field():
-        return (rng.standard_normal(shape)
-                + 1j * rng.standard_normal(shape))
-
-    pairs = [(field(), field()) for _ in range(appends)]
+    ys = [rng.standard_normal(shape) + 1j * rng.standard_normal(shape)
+          for _ in range(appends)]
     history = hamiltonian.cn_history()
-    b = field()
-    assert hamiltonian._cn_start(history, b) is None
-    for y_j, b_j in pairs:
-        history.append(y_j, b_j)
-    y, resid = hamiltonian._cn_start(history, b)
-    newest = pairs[::-1]
+    assert hamiltonian._cn_start(history) is None
+    for y_j in ys:
+        history.append(y_j)
+    y = hamiltonian._cn_start(history)
     coeffs = BINOMIAL_ROWS[min(appends, 6)]
-    want_y = sum(c * y_j for c, (y_j, _) in zip(coeffs, newest))
-    want_b = sum(c * b_j for c, (_, b_j) in zip(coeffs, newest))
+    want = sum(c * y_j for c, y_j in zip(coeffs, ys[::-1]))
     assert y.shape == shape
-    assert np.linalg.norm(y - want_y) <= 1e-15 * np.linalg.norm(want_y)
-    assert resid == pytest.approx(np.linalg.norm(want_b - b), rel=1e-15)
+    assert np.linalg.norm(y - want) <= 1e-15 * np.linalg.norm(want)
+
+
+def counted_fields(monkeypatch, grid):
+    """The list of the number of fields on ``grid`` each ``grid.fftn`` or
+    ``grid.ifftn`` call transforms, from here on."""
+    fields = []
+    for name in ("fftn", "ifftn"):
+        def counted(a, *args, transform=getattr(grid_module, name), **kwargs):
+            fields.append(a.size // grid.total_points)
+            return transform(a, *args, **kwargs)
+        monkeypatch.setattr(grid_module, name, counted)
+    return fields
+
+
+def strang_inputs(spec, sign, dt, n):
+    """The n inputs of the CN steps of n Strang steps of a Gaussian bump,
+    each stepped with the oracle propagator: every phase of the flow at
+    nonlinearity ``sign`` lies between two of them."""
+    prop = orc.cn_propagator(spec, dt)
+    values = gaussian_bump(spec.grid, 1.0, 2.0).values
+    inputs = []
+    for _ in range(n):
+        values = values * np.exp(-0.5j * sign * dt * np.abs(values) ** 2)
+        inputs.append(values)
+        values = (prop @ values.ravel()).reshape(values.shape)
+        values = values * np.exp(-0.5j * sign * dt * np.abs(values) ** 2)
+    return prop, inputs
+
+
+@pytest.mark.parametrize("sign", [1, -1])
+def test_fused_cn_steps_match_the_oracle_from_zero_and_warm_starts(
+        sign, loop_16):
+    # each Krylov CN step of a state's Strang inputs, the first from y = 0
+    # and the rest from the extrapolation of its history, against the dense
+    # propagator applied to the same input
+    dt = 1e-3
+    prop, inputs = strang_inputs(loop_16, sign, dt, 12)
+    history = hamiltonian.cn_history()
+    for values in inputs:
+        got = hamiltonian.cn_power(loop_16, values, dt, 1, history)
+        want = (prop @ values.ravel()).reshape(values.shape)
+        assert relative_gap(got, want) <= 1e-12
+    assert history.count == 6
+
+
+def test_a_warm_cn_step_transforms_d_plus_4_fields(loop_16, monkeypatch):
+    # one forward transform of psi; one sweep: a batched inverse of the d +
+    # 1 rows [1, i k_1, i k_2] (D^-1 y - F psi) and one forward transform
+    # of B (x - psi); one inverse of D^-1 y.  The right-hand side F H psi,
+    # three more transforms, is never formed
+    dt = 1e-3
+    _, inputs = strang_inputs(loop_16, 1, dt, 8)
+    history = hamiltonian.cn_history()
+    for values in inputs[:-1]:
+        hamiltonian.cn_power(loop_16, values, dt, 1, history)
+    fields = counted_fields(monkeypatch, loop_16.grid)
+    hamiltonian.cn_power(loop_16, inputs[-1], dt, 1, history)
+    assert fields == [1, 3, 1, 1]
+    assert sum(fields) == loop_16.grid.dim + 4 == 6
+
+
+@pytest.mark.parametrize("ring", ["another state", "scaled by 1e4"])
+def test_a_cn_step_from_a_bad_start_converges_within_its_cap(ring, loop_16):
+    # a ring filled by the solves of a rough state, or of this state scaled
+    # by 1e4, extrapolates to a start far from the solution: the first
+    # sweep measures its residual, and the strict solve still meets the
+    # oracle, as the cold step does
+    dt = 1e-3
+    prop, inputs = strang_inputs(loop_16, 1, dt, 7)
+    fill = ([random_values(loop_16.grid, 71)] * 6 if ring == "another state"
+            else [1e4 * values for values in inputs[:6]])
+    history = hamiltonian.cn_history()
+    for values in fill:
+        hamiltonian.cn_power(loop_16, values, dt, 1, history)
+    values = inputs[-1]
+    got = hamiltonian.cn_power(loop_16, values, dt, 1, history)
+    want = (prop @ values.ravel()).reshape(values.shape)
+    assert relative_gap(got, want) <= 1e-12
+    cold = hamiltonian.cn_power(loop_16, values, dt, 1)
+    assert relative_gap(got, cold) <= 1e-13
 
 
 def test_krylov_shifted_solve_on_a_regularized_mode(krylov_oracle):
