@@ -27,6 +27,16 @@ here.  The library follows from the number of transform axes alone:
 Building the potentials takes only one-axis transforms, so a 2D or 3D run
 pays the import in its first solve, not in set-up.  No ``workers``
 argument is passed: on two cores two workers ran 2x slower.
+
+Each grid caches one symbol stack, ``GridSpec.symbols`` = S = [1, i k_1,
+..., i k_d], the multipliers of the identity and of each derivative, on
+the first operator call that needs it.  Every spectral derivative the
+operators take is rows of S times a stack (``stack_symbols``) under one
+batched inverse transform: the gradient (S without its first row), H (its
+first row replaced by |k|^2) and the Krylov sweep (S times one field,
+``hamiltonian.ShiftKernel``), so no call rebuilds i k_j.  Only
+``divergence``, which builds the potentials, takes its one-axis
+derivatives from the wavenumbers, so set-up caches no S.
 """
 
 from __future__ import annotations
@@ -116,6 +126,12 @@ class GridSpec:
     @cached_property
     def k_squared(self) -> np.ndarray:
         return sum(k * k for k in self.k_mesh)
+
+    @cached_property
+    def symbols(self) -> np.ndarray:
+        """The symbol stack S = [1, i k_1, ..., i k_d] of the identity and
+        the derivatives, shape (d + 1,) + ``sizes``."""
+        return np.stack([np.ones(self.sizes)] + [1j * k for k in self.k_mesh])
 
 
 @dataclass(frozen=True)
@@ -256,11 +272,19 @@ def stack_ifft(grid: GridSpec, stack: np.ndarray, *,
     return ifftn(stack, **_stack_axes(grid), overwrite_x=overwrite_x)
 
 
+def stack_symbols(symbols: np.ndarray, fhat: np.ndarray) -> np.ndarray:
+    """The product of each symbol on axis 0 of ``symbols`` (a slice of
+    ``GridSpec.symbols``) with each row of the stack ``fhat``: symbol j
+    times row r at [j, r]."""
+    lead = (None,) * (fhat.ndim - symbols.ndim + 1)   # the stack's axes
+    return symbols[(slice(None),) + lead] * fhat
+
+
 def stack_gradient(grid: GridSpec, fhat: np.ndarray) -> np.ndarray:
     """Spectral gradient of each row from the stack's ``stack_fft``: one
-    batched inverse transform of the stack [i k_j fhat], so component j of
-    the gradient is on axis 0 at j."""
-    return stack_ifft(grid, np.stack([1j * k * fhat for k in grid.k_mesh]))
+    batched inverse transform of the stack [i k_j fhat] (``symbols``), so
+    component j of the gradient is on axis 0 at j."""
+    return stack_ifft(grid, stack_symbols(grid.symbols[1:], fhat))
 
 
 def stack_laplacian(grid: GridSpec, fhat: np.ndarray) -> np.ndarray:

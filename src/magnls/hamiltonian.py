@@ -21,13 +21,15 @@ frequency space with the free resolvent as right preconditioner, on the
 ``ShiftKernel`` the operator keeps for the last shift, and one application
 of the preconditioned operator costs d + 2 transforms (2 when A = 0).  A
 CN step never forms its right-hand side F H psi: B is linear, so each
-sweep applies it to psi - x at once, and a step of one sweep takes d + 4
-transforms.  The kernel carries a bound q on the norm of the
-preconditioned perturbation, computed from sup|V + i div A|, sup|A| and
-the free resolvent, and q picks the solver up front: Richardson sweeps,
-each at least halving the true residual, when q < 1/2 and no mode of the
-free resolvent is regularized (the CN steps), restarted GMRES (``krylov``)
-otherwise.  Every transform here is ``grid.fftn``/``ifftn``, through the
+sweep applies it to psi - x at once, from the one field D^-1 y - F psi
+times the grid's symbol stack, and a step of one sweep takes d + 4
+transforms.  H itself is one forward transform and one batched inverse
+of the same stack with |k|^2 in its first row.  The kernel carries a
+bound q on the norm of the preconditioned perturbation, computed from
+sup|V + i div A|, sup|A| and the free resolvent, and q picks the solver up
+front: Richardson sweeps, each at least halving the true residual, when
+q < 1/2 and no mode of the free resolvent is regularized (the CN steps),
+restarted GMRES (``krylov``) otherwise.  Every transform here is ``grid.fftn``/``ifftn``, through the
 stacked transforms: on a 1D grid they run ``numpy.fft``, so a dense 1D run
 loads no scipy at all; on a 2D or 3D grid, on either backend, they run
 ``scipy.fft``, loaded by the first transform of H.
@@ -61,8 +63,8 @@ from .grid import (
     inner_l2,
     make_field,
     stack_fft,
-    stack_gradient,
     stack_ifft,
+    stack_symbols,
 )
 from .potentials import PotentialPair, build_gauge_field, make_potential_pair
 
@@ -111,11 +113,16 @@ _ESTIMATE_EVERY = 5        # basis vectors between error estimates
 # 64 x 64 loop at dt = 1e-3 (q = 0.0112, tol/q = 8.9e-12) four points left
 # the starts of stability-run's perturbed bound state a residual of
 # 1.7e-9 ||b||, six leave 2.9e-12 ||b||: its 300 steps take 312 sweeps
-# instead of 731, and evolve's Gaussian bump stays at 309.
+# instead of 731, and evolve's bound-state start stays at 309.
 _CN_HISTORY = 6
 _EXTRAPOLATION = np.array(
     [[(-1.0) ** j * math.comb(k, j + 1) for j in range(_CN_HISTORY)]
      for k in range(1, _CN_HISTORY + 1)])
+# the same weights rolled onto a ring whose newest row is r, at [k - 1, r],
+# as C-ordered complex rows: a product with a contiguous row gives the bits
+# np.tensordot gave with the rolled real weights
+_RING_WEIGHTS = np.array([[np.roll(row, r) for r in range(_CN_HISTORY)]
+                          for row in _EXTRAPOLATION], dtype=np.complex128)
 
 
 @dataclass(frozen=True)
@@ -213,12 +220,13 @@ def apply_h(spec: HamiltonianSpec, f: ComplexField) -> ComplexField:
 
 def _apply_h_values(spec: HamiltonianSpec, values: np.ndarray) -> np.ndarray:
     """H values, for one state or a stack of states (``grid``): one forward
-    transform and, when A != 0, the gradient from ``grid.stack_gradient``."""
+    transform and one batched inverse of [|k|^2, i k_1, ..., i k_d] fhat
+    (only |k|^2 fhat when A = 0), which gives -lap and the gradient."""
     fhat = stack_fft(spec.grid, values)
-    grads = stack_gradient(spec.grid, fhat) if spec.magnetic else ()
-    out = stack_ifft(spec.grid, spec.grid.k_squared * fhat)  # -lap
-    out += _b_values(spec, values, grads)
-    return out
+    parts = stack_symbols(spec.grid.symbols[:1 + len(spec.grad_weights)], fhat)
+    np.multiply(spec.grid.k_squared, fhat, out=parts[0])
+    xs = stack_ifft(spec.grid, parts, overwrite_x=True)
+    return xs[0] + _b_values(spec, values, xs[1:])
 
 
 def _b_values(spec: HamiltonianSpec, x: np.ndarray,
@@ -281,7 +289,7 @@ def h_matrix(spec: HamiltonianSpec) -> np.ndarray:
     holds column n, and the transposed view is returned.
     """
     g = spec.grid
-    derivs = [1j * k for k in g.k_mesh] if spec.magnetic else []
+    derivs = list(g.symbols[1:]) if spec.magnetic else []
     c = stack_ifft(g, np.stack([g.k_squared] + derivs))
     if not spec.magnetic:
         c = c.real
@@ -510,8 +518,9 @@ def cn_power(spec: HamiltonianSpec, values: np.ndarray, dt: float,
     side F H psi = |k|^2 F psi + F B F^-1 (F psi) handed over as its two
     parts, so that each sweep applies B to psi - x in one and F H psi is
     never formed: a step of one sweep takes d + 4 transforms, F psi, the
-    sweep's d + 2 and the one that gives x.  The solve's error then scales
-    with the increment, not with the state.  At this shift |D^-1| <= |dt|/2
+    sweep's d + 2 and the one that gives x, and the step scales x by -2
+    and adds psi in place.  The solve's error then scales with the
+    increment, not with the state.  At this shift |D^-1| <= |dt|/2
     and |k_j D^-1| <= sqrt(|dt|)/2, so for the steps the package takes the
     contraction bound q is small and the solve is a Richardson sweep; a
     step too long for q < 1/2 runs GMRES.
@@ -543,9 +552,10 @@ def cn_power(spec: HamiltonianSpec, values: np.ndarray, dt: float,
         return out
     if n == 1:
         fhat = stack_fft(spec.grid, values)
-        return values - 2.0 * _krylov_shifted_solve(
-            spec, 2j / dt, spec.grid.k_squared * fhat, tol_rel=_CN_TOL,
-            history=history, g_hat=fhat)
+        x = _krylov_shifted_solve(spec, 2j / dt, spec.grid.k_squared * fhat,
+                                  tol_rel=_CN_TOL, history=history, g_hat=fhat)
+        x *= -2.0
+        return np.add(values, x, out=x)
     shape, size = values.shape, values.size
     beta = float(np.linalg.norm(values))
     if beta == 0.0:
@@ -577,14 +587,17 @@ def _cn_start(history: CNHistory) -> np.ndarray | None:
     newest first: the polynomial extrapolation y* = sum c_j y_j through
     the last six (6, -15, 20, -15, 6, -1), or through all kept while fewer
     are (``_EXTRAPOLATION``; Fischer, Comput. Methods Appl. Mech. Engrg.
-    163, 1998, on starts for successive right-hand sides).  The weights are
-    rolled onto the ring's rows, so the sum is one product with its array.
+    163, 1998, on starts for successive right-hand sides).  The weights
+    rolled onto the ring's rows are tabulated, as complex numbers, for each
+    count and newest row (``_RING_WEIGHTS``), so the sum is one product
+    with the ring's (6, N) view.
     Its residual is not predicted: the first sweep measures it.  None while
     the history is empty."""
     if history.count == 0:
         return None
-    weights = np.roll(_EXTRAPOLATION[history.count - 1], history.newest)
-    return np.tensordot(weights, history.ys, axes=1)
+    ys = history.ys
+    return (_RING_WEIGHTS[history.count - 1, history.newest]
+            @ ys.reshape(_CN_HISTORY, -1)).reshape(ys.shape[1:])
 
 
 class ShiftKernel:
@@ -597,8 +610,10 @@ class ShiftKernel:
 
     with J = (|k|^2 - zeta) / D the identity except on regularized modes.
     Holds D (``d``), J (``ident``; None when no mode is regularized), the
-    multiplier stack ``mult`` = [D^-1, i k_1 D^-1, ..., i k_d D^-1] (only
-    D^-1 when A = 0), ``inv_max`` = max|D^-1| and the contraction bound
+    rows of the grid's symbol stack S = [1, i k_1, ..., i k_d] that B takes
+    (``symbols``; only [1] when A = 0), the multiplier stack ``mult`` =
+    S D^-1 = [D^-1, i k_1 D^-1, ..., i k_d D^-1], ``inv_max`` = max|D^-1|
+    and the contraction bound
 
         q = sup|W| max|D^-1| + sum_j 2 sup|A_j| max|k_j D^-1| >= ||K||
 
@@ -613,10 +628,9 @@ class ShiftKernel:
         self.zeta = zeta
         self.d = np.where(small, 1e-10, lap)
         self.ident = lap / self.d if np.any(small) else None
-        inv = 1.0 / self.d
-        self.mult = (np.stack([inv] + [1j * k * inv for k in g.k_mesh])
-                     if spec.magnetic else inv[None])
-        self.inv_max = float(np.max(np.abs(inv)))
+        self.symbols = g.symbols[:1 + len(spec.grad_weights)]
+        self.mult = self.symbols * (1.0 / self.d)
+        self.inv_max = float(np.max(np.abs(self.mult[0])))
         self.bound = sum(float(np.max(np.abs(a))) * float(np.max(np.abs(m)))
                          for a, m in zip((spec.diagonal,) + spec.grad_weights,
                                          self.mult))
@@ -639,11 +653,13 @@ def _krylov_shifted_solve(spec: HamiltonianSpec, zeta: complex,
 
         y -> F f - K y = f_hat - F B F^-1 (D^-1 y - g_hat),
 
-    one batched inverse transform of the multiplier stack times y less
-    [1, i k_1, ..., i k_d] ``g_hat``, which gives x - g and every
-    d_j (x - g), the pointwise B and one forward transform: d + 2
-    transforms, and F f itself is never formed.  Its value at y = 0 is F f,
-    which costs no transform without ``g_hat``.
+    which forms the one field u = D^-1 y - ``g_hat`` and makes one batched
+    inverse transform of the kernel's symbol stack times u, which gives
+    x - g and every d_j (x - g), then the pointwise B and one forward
+    transform: d + 2 transforms, and F f itself is never formed.  Without
+    ``g_hat`` the inverse transform is of the multiplier stack times y.
+    Its value at y = 0 is F f, which costs no transform without
+    ``g_hat``.
 
     When no mode is regularized and q < ``_SWEEP_BOUND``, the solve is
     Richardson's iteration (``krylov.richardson``), each of whose sweeps at
@@ -672,9 +688,6 @@ def _krylov_shifted_solve(spec: HamiltonianSpec, zeta: complex,
     if deflate is not None:
         w, c = deflate
         q += c * dv * float(np.vdot(w, w).real) * kern.inv_max
-    if g_hat is not None:   # stacked as kern.mult is
-        g_hat = np.stack([g_hat] + [1j * k * g_hat for k in g.k_mesh
-                                    if spec.magnetic])
 
     def apply_b(zs):
         """F B F^-1 z from the stack [z, i k_1 z, ..., i k_d z], which it
@@ -686,12 +699,10 @@ def _krylov_shifted_solve(spec: HamiltonianSpec, zeta: complex,
         return stack_fft(g, bx, overwrite_x=True)
 
     def sweep(y):
-        if y is None:
-            return f_hat if g_hat is None else f_hat - apply_b(-g_hat)
-        zs = kern.mult * y
-        if g_hat is not None:
-            zs -= g_hat
-        return f_hat - apply_b(zs)
+        if g_hat is None:
+            return f_hat if y is None else f_hat - apply_b(kern.mult * y)
+        u = -g_hat if y is None else kern.mult[0] * y - g_hat
+        return f_hat - apply_b(kern.symbols * u)
 
     if kern.ident is None and q < _SWEEP_BOUND:
         y = krylov.richardson(

@@ -207,31 +207,63 @@ def assert_same_run(got, want):
         (want.energy_scale, want.wrap_around, want.warnings)
 
 
-def run_singly(spec, psi0, cfg):
+def run_singly(spec, psi0, cfg, sign=1):
     try:
-        return evolve(spec, psi0, cfg, 1)
+        return evolve(spec, psi0, cfg, sign)
     except ConservationBreach as exc:
         return exc
 
 
+@pytest.mark.parametrize("sign", [1, -1])
 @pytest.mark.parametrize("k", [2, 3])
-def test_a_dense_stack_equals_its_states_run_singly(gauss_spec, k):
+def test_a_dense_stack_equals_its_states_run_singly(gauss_spec, k, sign):
     assert gauss_spec.linear_backend == "dense"
     states = [gaussian_bump(gauss_spec.grid, a, 2.0)
               for a in (0.5, 1.0, 1.5)[:k]]
     cfg = EvolveConfig(dt=5e-3, t_final=0.5, snapshot_stride=7)
-    trajs = evolve(gauss_spec, states, cfg, 1)
+    trajs = evolve(gauss_spec, states, cfg, sign)
     assert len(trajs) == k
     for psi0, traj in zip(states, trajs):
-        assert_same_run(traj, run_singly(gauss_spec, psi0, cfg))
+        assert_same_run(traj, run_singly(gauss_spec, psi0, cfg, sign))
 
 
-def test_a_krylov_stack_equals_its_states_run_singly(loop_spec):
+@pytest.mark.parametrize("sign", [1, -1])
+def test_a_krylov_stack_equals_its_states_run_singly(loop_spec, sign):
     states = [gaussian_bump(loop_spec.grid, a, 3.0) for a in (0.5, 1.0)]
     cfg = EvolveConfig(dt=1e-3, t_final=0.02, snapshot_stride=7,
                        conserve_tol=1e-3)
-    for psi0, traj in zip(states, evolve(loop_spec, states, cfg, 1)):
-        assert_same_run(traj, run_singly(loop_spec, psi0, cfg))
+    for psi0, traj in zip(states, evolve(loop_spec, states, cfg, sign)):
+        assert_same_run(traj, run_singly(loop_spec, psi0, cfg, sign))
+
+
+def phase_inputs(gauss_spec, loop_spec):
+    """The values ``evolve`` phases: the dense backend's CN step of a stack
+    of three 1D bumps, a transposed view of its product block, and one row
+    of a stack of two 2D bumps on the loop grid."""
+    dense = hamiltonian.cn_power(
+        gauss_spec, np.stack([gaussian_bump(gauss_spec.grid, a, 2.0).values
+                              for a in (0.5, 1.5, 3.0)]), 5e-3, 1)
+    assert not dense.flags.c_contiguous
+    loop = np.stack([gaussian_bump(loop_spec.grid, a, 2.0).values
+                     for a in (1.0, 3.0)])
+    return {"dense 1D stack": dense, "2D row": loop[1]}
+
+
+@pytest.mark.parametrize("h", [5e-3, -5e-3, 0.4, -0.4])
+def test_the_phase_is_the_exact_nonlinear_flow(gauss_spec, loop_spec, h):
+    # the factor is cos p + i sin p with p = -h |v|^2; at h = +-0.4 the
+    # angles reach 3.6, so cos and sin are far from their small-angle forms.
+    # The modulus is kept to 2 eps relative: np.abs rounds on both sides,
+    # and the form v exp(i p) reads 1.95 eps on the dense stack too
+    eps = np.finfo(float).eps
+    for name, v in phase_inputs(gauss_spec, loop_spec).items():
+        assert np.array_equal(evolution._phase(v, 0.0), v), name
+        got = evolution._phase(v, h)
+        assert got.shape == v.shape
+        mag = np.abs(v)
+        assert np.max(np.abs(np.abs(got) - mag) / mag) <= 2 * eps, name
+        want = v * np.exp(-1j * h * mag**2)
+        assert np.all(np.abs(got - want) <= 2 * eps * mag), name
 
 
 def test_a_breached_state_leaves_the_stack_and_the_others_go_on(gauss_spec):

@@ -628,11 +628,13 @@ def counted_fields(monkeypatch, grid):
     return fields
 
 
-def strang_inputs(spec, sign, dt, n):
+def strang_inputs(spec, sign, dt, n, prop=None):
     """The n inputs of the CN steps of n Strang steps of a Gaussian bump,
-    each stepped with the oracle propagator: every phase of the flow at
-    nonlinearity ``sign`` lies between two of them."""
-    prop = orc.cn_propagator(spec, dt)
+    each stepped with the oracle propagator ``prop`` (built when None):
+    every phase of the flow at nonlinearity ``sign`` lies between two of
+    them."""
+    if prop is None:
+        prop = orc.cn_propagator(spec, dt)
     values = gaussian_bump(spec.grid, 1.0, 2.0).values
     inputs = []
     for _ in range(n):
@@ -645,18 +647,23 @@ def strang_inputs(spec, sign, dt, n):
 
 @pytest.mark.parametrize("sign", [1, -1])
 def test_fused_cn_steps_match_the_oracle_from_zero_and_warm_starts(
-        sign, loop_16):
+        sign, krylov_oracle, cn_oracle):
     # each Krylov CN step of a state's Strang inputs, the first from y = 0
     # and the rest from the extrapolation of its history, against the dense
-    # propagator applied to the same input
+    # propagator applied to the same input: in one, two and three
+    # dimensions, and with A = 0, where the kernel's symbol stack is [1]
     dt = 1e-3
-    prop, inputs = strang_inputs(loop_16, sign, dt, 12)
-    history = hamiltonian.cn_history()
-    for values in inputs:
-        got = hamiltonian.cn_power(loop_16, values, dt, 1, history)
-        want = (prop @ values.ravel()).reshape(values.shape)
-        assert relative_gap(got, want) <= 1e-12
-    assert history.count == 6
+    for grid in ("magnetic_1d", "loop_2d", "loop_3d", "electric_1d"):
+        spec = krylov_oracle(grid)[0]
+        assert len(spec.shift_kernel(2j / dt).symbols) == (
+            1 + spec.grid.dim if spec.magnetic else 1)
+        prop, inputs = strang_inputs(spec, sign, dt, 12, cn_oracle(grid, dt))
+        history = hamiltonian.cn_history()
+        for values in inputs:
+            got = hamiltonian.cn_power(spec, values, dt, 1, history)
+            want = (prop @ values.ravel()).reshape(values.shape)
+            assert relative_gap(got, want) <= 1e-12, grid
+        assert history.count == 6
 
 
 def test_a_warm_cn_step_transforms_d_plus_4_fields(loop_16, monkeypatch):
@@ -673,6 +680,37 @@ def test_a_warm_cn_step_transforms_d_plus_4_fields(loop_16, monkeypatch):
     hamiltonian.cn_power(loop_16, inputs[-1], dt, 1, history)
     assert fields == [1, 3, 1, 1]
     assert sum(fields) == loop_16.grid.dim + 4 == 6
+
+
+@pytest.mark.parametrize("count", [1, 2, 3, 4, 5, 6])
+def test_cn_start_is_the_rolled_weights_times_the_ring_bit_for_bit(count):
+    # the tabulated complex weights and the product with the ring's (6, N)
+    # view give what rolling the real weights onto the ring and contracting
+    # with tensordot gives, at every position of the newest row
+    rng = np.random.default_rng(count)
+    for shape in [(16, 16), (64,)]:
+        ys = (rng.standard_normal((6,) + shape)
+              + 1j * rng.standard_normal((6,) + shape))
+        history = hamiltonian.cn_history()
+        history.ys, history.count = ys, count
+        for newest in range(6):
+            history.newest = newest
+            want = np.tensordot(
+                np.roll(hamiltonian._EXTRAPOLATION[count - 1], newest), ys, 1)
+            assert np.array_equal(hamiltonian._cn_start(history), want)
+
+
+def test_h_transforms_one_field_forward_and_its_symbols_back(
+        loop_16, krylov_oracle, monkeypatch):
+    # one forward transform of the state and one batched inverse of the
+    # rows [|k|^2, i k_1, i k_2] times it on the loop; only |k|^2 on an
+    # electric-only Krylov grid
+    electric = krylov_oracle("electric_1d")[0]
+    for spec, want in ((loop_16, [1, 3]), (electric, [1, 1])):
+        fields = counted_fields(monkeypatch, spec.grid)
+        apply_h(spec, make_field(spec.grid, random_values(spec.grid, 72)))
+        assert fields == want
+        monkeypatch.undo()
 
 
 @pytest.mark.parametrize("ring", ["another state", "scaled by 1e4"])
