@@ -34,8 +34,8 @@ from .bound_states import (BoundState, BoundStateFamily, DecayFit, decay_fit,
 from .errors import ConfigError, InsufficientDecayWindow, MagnlsError
 from .evolution import whole_steps
 from .grid import ComplexField, GridSpec, ifftn, make_field, norm_l2
-from .hamiltonian import (MIN_IMAG_SHIFT, HamiltonianSpec, apply_h1,
-                          cn_history, cn_power, h_matrix, project_continuous,
+from .hamiltonian import (MIN_IMAG_SHIFT, CNHistory, HamiltonianSpec,
+                          apply_h1, cn_power, h_matrix, project_continuous,
                           resolvent_solve, shifted_solve)
 from .krylov import arnoldi
 from .norms import (DEFAULT_SIGMA, bracket_weight, check_sigma, field_parts,
@@ -522,7 +522,7 @@ def strichartz_ratio(spec: HamiltonianSpec, eig: EigenPair, *,
     cur = np.zeros_like(fx)
     sample(0.0, hom, cur)
     last = 0
-    history = [cn_history() for _ in range(n_duhamel)]   # Duhamel rows
+    history = [CNHistory() for _ in range(n_duhamel)]   # Duhamel rows
     for step_i in range(1, n_steps + 1):
         t0 = (step_i - 1) * dt
         t1 = step_i * dt

@@ -374,9 +374,7 @@ def decay_fit(field: ComplexField) -> DecayFit:
             f"window amplitudes (max {peak:.3g}) sit too close to the floor")
     rr = r[mask]
     ly = np.log(mag[mask])
-    slope, intercept = np.polyfit(rr, ly, 1)
-    fitted = slope * rr + intercept
-    ss_res = float(np.sum((ly - fitted) ** 2))
-    ss_tot = float(np.sum((ly - ly.mean()) ** 2))
-    r2 = 1.0 - ss_res / ss_tot if ss_tot > 0 else 1.0
+    slope, _ = np.polyfit(rr, ly, 1)
+    # r^2 of a line fit is the squared correlation; a flat window fits exactly
+    r2 = np.corrcoef(rr, ly)[0, 1] ** 2 if np.ptp(ly) > 0 else 1.0
     return DecayFit(beta=float(-slope), r_squared=float(r2))

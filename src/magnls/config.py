@@ -120,7 +120,6 @@ class EvolutionConfig(EvolveConfig):
     dt: float = 1e-4
     t_final: float = 4.0
     snapshot_stride: int = 500
-    conserve_tol: float = 1e-6
     initial: str = field(default="bound_state", metadata=_words(
         "bound_state", "ground_state", "gaussian", "file"))
     init_amplitude: float = 0.01

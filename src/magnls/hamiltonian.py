@@ -468,7 +468,8 @@ class CNHistory:
     allocated at the first solve as zeros, so that the rows not yet
     written, which ``_cn_start`` weighs by zero, add exactly zero.
     ``newest`` is the row of the last solve and ``count`` the solves
-    kept."""
+    kept.  A new one is the empty history of one state for ``cn_power``'s
+    single steps at one dt; only Krylov steps fill it."""
 
     def __init__(self):
         self.ys = None
@@ -482,12 +483,6 @@ class CNHistory:
         self.newest = (self.newest - 1) % _CN_HISTORY
         self.ys[self.newest] = y
         self.count = min(self.count + 1, _CN_HISTORY)
-
-
-def cn_history() -> CNHistory:
-    """An empty history of one state for ``cn_power``'s single steps at one
-    dt.  Only Krylov steps fill it; a dense step needs no start."""
-    return CNHistory()
 
 
 def cn_power(spec: HamiltonianSpec, values: np.ndarray, dt: float,
@@ -525,7 +520,7 @@ def cn_power(spec: HamiltonianSpec, values: np.ndarray, dt: float,
     contraction bound q is small and the solve is a Richardson sweep; a
     step too long for q < 1/2 runs GMRES.
     A caller that steps a state many times at one dt passes its
-    ``history`` (``cn_history``; for a stack, a list with one per row):
+    ``history`` (``CNHistory``; for a stack, a list with one per row):
     that state's last solutions, from whose extrapolation its next
     Richardson solve starts (``_cn_start``).  Without one, on GMRES steps
     and in the n-step powers below, a solve starts from y = 0.

@@ -149,18 +149,17 @@ class StabilityReport:
 
 def _pairings(psi_values: np.ndarray,
               frame: DerivativeFields) -> tuple[np.ndarray, ComplexField]:
-    """B(z) and the radiation eta = psi - Q[z], from the frame at z."""
-    g = frame.q.grid
-    eta = make_field(g, psi_values - frame.q.values)
-    i_eta = make_field(g, 1j * eta.values)
-    return np.array([inner_real(i_eta, frame.d1q),
-                     inner_real(i_eta, frame.d2q)]), eta
+    """B(z) and the radiation eta = psi - Q[z], from the frame at z:
+    B_j = < i eta, D_j Q > = Im integral conj(eta) D_j Q."""
+    eta = make_field(frame.q.grid, psi_values - frame.q.values)
+    return np.array([inner_l2(eta, frame.d1q).imag,
+                     inner_l2(eta, frame.d2q).imag]), eta
 
 
 def _gram_entry(frame: DerivativeFields) -> float:
-    """G_12 = < D_1 Q, i D_2 Q >, the one free entry of the Gram matrix."""
-    return inner_real(frame.d1q, make_field(frame.q.grid,
-                                            1j * frame.d2q.values))
+    """G_12 = < D_1 Q, i D_2 Q > = -Im integral conj(D_1 Q) D_2 Q, the one
+    free entry of the Gram matrix."""
+    return -inner_l2(frame.d1q, frame.d2q).imag
 
 
 def decompose(psi: ComplexField, family: BoundStateFamily, *,

@@ -38,6 +38,7 @@ from .grid import ComplexField, make_field, norm_l2
 from .hamiltonian import (HamiltonianSpec, _apply_h_values, lower_bound,
                           shifted_solve)
 from .krylov import arnoldi
+from .potentials import gaussian_bump
 
 _RESIDUAL_TOL = 1e-10      # refinement target of every level
 MAX_RESIDUAL = 1e-9        # a bound level with a larger residual is an error
@@ -49,7 +50,7 @@ _DIRECTION_TOL = 1e-6      # shifted solves whose result is a direction
 # the ground state, which then converges to -2.29441 instead of
 # e0 = -6.73917.
 _ARNOLDI_STEPS = 24
-_SCAN_GAP_TOL = 1e-6       # levels below -gap_tol count as bound
+_SCAN_GAP_TOL = 1e-6       # levels below minus this count as bound
 
 
 @dataclass(frozen=True)
@@ -80,7 +81,6 @@ class SpectrumScan:
     pairs: tuple[tuple[float, float], ...]
     n_negative: int
     unique_negative: bool
-    gap_tol: float
 
     @property
     def eigenvalues(self) -> tuple[float, ...]:
@@ -97,9 +97,8 @@ def _start_vector(spec: HamiltonianSpec) -> np.ndarray:
     """
     g = spec.grid
     width = min(g.box_lengths) / 8.0
-    r2 = sum(x * x for x in g.coords)
     tilt = 1.0 + 0.1 * sum(g.coords) / width
-    v = (np.exp(-r2 / width**2) * tilt).astype(np.complex128)
+    v = gaussian_bump(g, 1.0, width).values * tilt
     return (v / np.linalg.norm(v.ravel())).ravel()
 
 
@@ -260,4 +259,4 @@ def low_spectrum_scan(spec: HamiltonianSpec, count: int = 4) -> SpectrumScan:
     pairs = sorted(((e, resid) for e, _, resid in found), key=lambda t: t[0])
     n_neg = sum(1 for e, _ in pairs if e < -_SCAN_GAP_TOL)
     return SpectrumScan(pairs=tuple(pairs), n_negative=n_neg,
-                        unique_negative=(n_neg == 1), gap_tol=_SCAN_GAP_TOL)
+                        unique_negative=(n_neg == 1))

@@ -384,6 +384,21 @@ def test_decay_rate_tracks_the_linear_rate(sech_family):
     assert fit.beta > 0
 
 
+def test_decay_fit_of_an_exponential_is_exact():
+    g = GridSpec(1, (256,), (40.0,))
+    x = g.coords[0]
+    fit = decay_fit(make_field(g, np.exp(-0.8 * np.abs(x))))
+    assert abs(fit.beta - 0.8) <= 1e-14
+    assert 1.0 - fit.r_squared <= 1e-14
+
+
+def test_decay_fit_of_a_flat_window_is_exact():
+    # no spread in log|Q|: the flat line fits it exactly
+    g = GridSpec(1, (256,), (40.0,))
+    for c in (0.5, 0.7, 1e-3):
+        assert decay_fit(make_field(g, np.full(256, c + 0j))).r_squared == 1.0
+
+
 def test_decay_fit_needs_a_usable_window(sech_spec, sech_eig):
     tiny = make_field(sech_spec.grid, 1e-12 * sech_eig.phi0.values)
     with pytest.raises(InsufficientDecayWindow):

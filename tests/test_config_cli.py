@@ -156,11 +156,20 @@ LOOP_2D = ("[grid]\ndim = 2\nsizes = 16\nlengths = 20.0\n\n"
     (False, ["modulation.perturb_width=0"],
      "modulation.perturb_width must be positive"),
     (False, ["potential.kind=loop"], "potential.kind = loop needs grid.dim >= 2"),
+    (False, ["potential.kind=donut"], "potential.kind must be one of "
+     "gaussian_well, gauge, loop, file, got 'donut'"),
+    (False, ["nonlinearity.sign=sideways"], "nonlinearity.sign must be one of "
+     "defocusing, focusing, got 'sideways'"),
+    (False, ["modulation.amplitudes="],
+     "modulation.amplitudes must be a comma-separated list"),
+    (False, ["potential.decay_eps=0"],
+     "potential.decay_eps must be positive, got 0.0"),
 ])
 def test_a_builder_rule_rejects_its_value_at_parse_time(tmp_path, capsys, loop,
                                                         overrides, message):
     # each builder check runs on the config, so a value the run would
-    # reject exits 2 before any operator is built: no output directory
+    # reject exits 2 before any operator is built: no output directory;
+    # so do an unknown word and an empty numeric list
     path = write_config(tmp_path, LOOP_2D if loop else MINIMAL)
     with pytest.raises(ConfigError, match=f"^{message}"):
         parse_config(path, tuple(overrides))
@@ -493,6 +502,32 @@ def test_stability_run_stops_at_the_first_breached_amplitude(
     assert "[FAIL] energy_drift" in capsys.readouterr().out
 
 
+def test_stability_run_copies_each_amplitude_warning_to_the_manifest(
+        tmp_path, capsys):
+    # on a 6-wide box the window outlasts the wrap-around estimate: the
+    # amplitude's report warns, the gap gate is waived and says why
+    path = write_config(tmp_path, MINIMAL.replace("sizes = 256", "sizes = 64")
+                        .replace("lengths = 40.0", "lengths = 6.0"))
+    out = tmp_path / "run"
+    code = main(["stability-run", "--config", str(path), "--output", str(out),
+                 "--override", "evolution.dt=1e-3",
+                 "--override", "evolution.t_final=2.0",
+                 "--override", "evolution.snapshot_stride=100",
+                 "--override", "modulation.amplitudes=1e-3"])
+    assert code == 1
+    manifest = json.loads((out / "manifest.json").read_text())
+    assert not manifest["gates"]["adjusted_tv_halving"]["passed"]
+    gap = manifest["gates"]["scattering_cauchy"]
+    assert gap["passed"]
+    assert gap["threshold"] == "<= 0.5 (wrap-violated, waived)"
+    assert manifest["warnings"] == [
+        "amplitude 0.001: window 2 exceeds the wrap-around estimate 1.43; "
+        "late-time tails recirculate",
+        "scattering gap growth inside a wrap-compromised window; "
+        "downgraded to a warning"]
+    assert "[FAIL] adjusted_tv_halving" in capsys.readouterr().out
+
+
 def test_manifest_records_the_linear_backend(tmp_path):
     loop = ("[grid]\ndim = 2\nsizes = 32\nlengths = 20.0\n\n"
             "[potential]\nkind = loop\n")
@@ -795,3 +830,14 @@ def test_krylov_evolve_reruns_are_byte_identical(tmp_path):
     assert payloads[0] == payloads[1]
     assert "series.csv" in payloads[0]
     assert any(name.endswith(".fld") for name in payloads[0])
+
+
+def test_dependency_floors_cover_the_numpy_and_scipy_features_used():
+    # np.trapezoid and the weighted np.quantile need numpy 2.0; the rtol
+    # keyword of scipy's gmres needs SciPy 1.12, and 1.13 is the first
+    # SciPy built against numpy 2
+    tomllib = pytest.importorskip("tomllib")
+    pyproject = Path(__file__).resolve().parents[1] / "pyproject.toml"
+    with open(pyproject, "rb") as fh:
+        project = tomllib.load(fh)["project"]
+    assert project["dependencies"] == ["numpy>=2.0", "scipy>=1.13"]

@@ -490,6 +490,17 @@ def test_config_counts_the_frames_evolve_records(dt, t_final, stride, frames):
     assert cfg.frames == len(traj.times) == len(traj.snapshots) == frames
 
 
+def test_wrap_estimate_of_a_plane_wave_is_the_nearer_seam():
+    # exp(i k0 x1) holds all its power at |k1| = k0 and k2 = 0, so the
+    # first axis reads k0 and the second its floor 2 pi / L2
+    g = GridSpec(2, (64, 32), (20.0, 10.0))
+    k0 = 2.0 * np.pi * 5 / 20.0
+    wave = from_function(g, lambda x, y: np.exp(1j * k0 * x))
+    assert wrap_around_estimate(wave) == min(20.0 / (4.0 * k0),
+                                             10.0**2 / (8.0 * np.pi))
+    assert wrap_around_estimate(zeros(g)) == np.inf
+
+
 def test_wrap_estimate_scales_with_group_velocity():
     spec = free_spec(n=128, length=80.0)
     g = spec.grid

@@ -605,7 +605,7 @@ def test_cn_start_extrapolates_the_newest_pairs_of_its_ring(appends):
     shape = (6, 5)
     ys = [rng.standard_normal(shape) + 1j * rng.standard_normal(shape)
           for _ in range(appends)]
-    history = hamiltonian.cn_history()
+    history = hamiltonian.CNHistory()
     assert hamiltonian._cn_start(history) is None
     for y_j in ys:
         history.append(y_j)
@@ -658,7 +658,7 @@ def test_fused_cn_steps_match_the_oracle_from_zero_and_warm_starts(
         assert len(spec.shift_kernel(2j / dt).symbols) == (
             1 + spec.grid.dim if spec.magnetic else 1)
         prop, inputs = strang_inputs(spec, sign, dt, 12, cn_oracle(grid, dt))
-        history = hamiltonian.cn_history()
+        history = hamiltonian.CNHistory()
         for values in inputs:
             got = hamiltonian.cn_power(spec, values, dt, 1, history)
             want = (prop @ values.ravel()).reshape(values.shape)
@@ -673,7 +673,7 @@ def test_a_warm_cn_step_transforms_d_plus_4_fields(loop_16, monkeypatch):
     # three more transforms, is never formed
     dt = 1e-3
     _, inputs = strang_inputs(loop_16, 1, dt, 8)
-    history = hamiltonian.cn_history()
+    history = hamiltonian.CNHistory()
     for values in inputs[:-1]:
         hamiltonian.cn_power(loop_16, values, dt, 1, history)
     fields = counted_fields(monkeypatch, loop_16.grid)
@@ -691,7 +691,7 @@ def test_cn_start_is_the_rolled_weights_times_the_ring_bit_for_bit(count):
     for shape in [(16, 16), (64,)]:
         ys = (rng.standard_normal((6,) + shape)
               + 1j * rng.standard_normal((6,) + shape))
-        history = hamiltonian.cn_history()
+        history = hamiltonian.CNHistory()
         history.ys, history.count = ys, count
         for newest in range(6):
             history.newest = newest
@@ -723,7 +723,7 @@ def test_a_cn_step_from_a_bad_start_converges_within_its_cap(ring, loop_16):
     prop, inputs = strang_inputs(loop_16, 1, dt, 7)
     fill = ([random_values(loop_16.grid, 71)] * 6 if ring == "another state"
             else [1e4 * values for values in inputs[:6]])
-    history = hamiltonian.cn_history()
+    history = hamiltonian.CNHistory()
     for values in fill:
         hamiltonian.cn_power(loop_16, values, dt, 1, history)
     values = inputs[-1]
