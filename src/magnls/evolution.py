@@ -250,14 +250,17 @@ def wrap_around_estimate(psi: ComplexField) -> float:
     """Crude first-wrap time: distance to the seam over twice the group
     velocity of the 90th-percentile wavenumber of the field: per axis the
     inverted-CDF percentile of |k_j| weighted by the power spectrum, at
-    least 2 pi / L_j."""
+    least 2 pi / L_j.  The weight of each k_j is the power summed over the
+    other axes, so the quantile sorts n_j values rather than all N."""
     g = psi.grid
     power = np.abs(fftn(psi.values)) ** 2
     if float(power.sum()) == 0.0:
         return np.inf
     t_min = np.inf
-    for k, length in zip(g.k_mesh, g.box_lengths):
-        k90 = float(np.quantile(np.abs(k).ravel(), 0.9, weights=power.ravel(),
+    for axis, length in enumerate(g.box_lengths):
+        others = tuple(a for a in range(g.dim) if a != axis)
+        k90 = float(np.quantile(np.abs(g.axis_wavenumbers(axis)), 0.9,
+                                weights=power.sum(axis=others),
                                 method="inverted_cdf"))
         t_min = min(t_min, length / (4.0 * max(k90, 2.0 * np.pi / length)))
     return float(t_min)

@@ -40,9 +40,9 @@ elliptic-regularity check.  One quadratic-form bound (``lower_bound``)
 
     H >= s = -(sup|V| + sup|div A| + sup|A|^2 + 1)
 
-is the eigensolver's shift-invert point, and by default K = c_pos - s with
-c_pos = 1, which keeps H1 >= c_pos for any A.  Tests may pass an explicit
-(even zero) shift to probe what breaks without it.
+sets the default K = c_pos - s with c_pos = 1, which keeps H1 >= c_pos
+for any A.  Tests may pass an explicit (even zero) shift to probe what
+breaks without it.
 """
 
 from __future__ import annotations
@@ -222,10 +222,14 @@ def _apply_h_values(spec: HamiltonianSpec, values: np.ndarray) -> np.ndarray:
     """H values, for one state or a stack of states (``grid``): one forward
     transform and one batched inverse of [|k|^2, i k_1, ..., i k_d] fhat
     (only |k|^2 fhat when A = 0), which gives -lap and the gradient."""
-    fhat = stack_fft(spec.grid, values)
-    parts = stack_symbols(spec.grid.symbols[:1 + len(spec.grad_weights)], fhat)
-    np.multiply(spec.grid.k_squared, fhat, out=parts[0])
-    xs = stack_ifft(spec.grid, parts, overwrite_x=True)
+    g = spec.grid
+    fhat = stack_fft(g, values)
+    if spec.grad_weights:
+        parts = stack_symbols(g.symbols[:1 + len(spec.grad_weights)], fhat)
+        np.multiply(g.k_squared, fhat, out=parts[0])
+    else:
+        parts = np.multiply(g.k_squared, fhat, out=fhat)[None]
+    xs = stack_ifft(g, parts, overwrite_x=True)
     return xs[0] + _b_values(spec, values, xs[1:])
 
 

@@ -1,5 +1,5 @@
-"""The package's iterative kernels: restarted GMRES, Richardson's iteration
-and the Arnoldi process.
+"""The package's iterative kernels: restarted GMRES, Richardson's iteration,
+the Arnoldi process and a block Davidson eigensolver.
 
 Every Krylov-backend shifted solve is ``hamiltonian._krylov_shifted_solve``,
 and a contraction bound it computes for the shift picks the solver here.
@@ -31,12 +31,21 @@ built, so that the cost falls in set-up rather than in the first solve;
 dense (small electric-only) runs never import it.
 
 Every Krylov subspace the package projects onto comes from ``arnoldi``:
-the Ritz pairs of the shifted inverse in ``spectrum``, the Crank-Nicolson
-powers of ``hamiltonian.cn_power`` and the Lanczos estimate of the
-weighted resolvent norms in ``analysis``.  It orthogonalizes by two-pass
-classical Gram-Schmidt and never assumes the operator Hermitian: the
-collocated magnetic H is not (Saad, Numerical Methods for Large Eigenvalue
-Problems, 2nd ed., SIAM 2011).
+the Crank-Nicolson powers of ``hamiltonian.cn_power`` and the Lanczos
+estimate of the weighted resolvent norms in ``analysis``.  It
+orthogonalizes by two-pass classical Gram-Schmidt and never assumes the
+operator Hermitian: the collocated magnetic H is not (Saad, Numerical
+Methods for Large Eigenvalue Problems, 2nd ed., SIAM 2011).
+
+The lowest eigenpairs of ``spectrum`` on the Krylov backend come from
+``davidson``, a block generalized Davidson method on H itself (Davidson,
+J. Comput. Phys. 17, 1975; Morgan and Scott, SIAM J. Sci. Stat. Comput. 7,
+1986, for the preconditioned form; Sadkane, Numer. Math. 64, 1993, for
+the unsymmetric block form; Stathopoulos, Saad and Wu, SIAM J. Sci.
+Comput. 19, 1998, for the thick restart).  It applies the operator once
+per new direction and runs no inner solve; its Ritz values come from
+``np.linalg.eig`` of the projected matrix, so it does not assume H
+Hermitian either.
 """
 
 from __future__ import annotations
@@ -47,6 +56,10 @@ import mmap
 import numpy as np
 
 from .errors import NonConvergenceError
+
+# a Davidson correction whose part orthogonal to the basis is below this
+# fraction of its norm adds no direction
+_DEPENDENT = 1e-10
 
 
 def _sparse_linalg():
@@ -196,3 +209,76 @@ def arnoldi(apply, v0: np.ndarray, m_max: int):
         yield j + 1, basis, hess
         if tail == 0.0:
             return
+
+
+def davidson(apply, precondition, v0: np.ndarray, tols, *, m_max: int,
+             max_steps: int):
+    """Block generalized Davidson for the ``len(tols)`` eigenpairs of lowest
+    real part (Davidson, J. Comput. Phys. 17, 1975; Sadkane, Numer. Math.
+    64, 1993, for the unsymmetric block form).
+
+    ``apply`` maps a block of rows to the rows of the operator applied to
+    each; ``precondition(r, theta)`` maps residual rows and their Ritz
+    values to correction rows.  The basis V starts at ``v0`` and
+    G = V* apply(V) grows by one row and one column per new vector.  Its
+    eigenvalues, from ``np.linalg.eig`` and sorted by real part, are the
+    Ritz values, so the operator need not be Hermitian.  Target i, the i-th
+    lowest pair, has converged once |apply(x) - theta x| <= ``tols[i]`` for
+    its unit Ritz vector x.  Each step adds the preconditioned residuals of
+    the unconverged targets to V, by two passes of classical Gram-Schmidt
+    against V as a block and then two within the new block, dropping a
+    correction whose orthogonal part falls below ``_DEPENDENT`` of its
+    norm, and applies the operator once to the whole new block.  A basis
+    that would pass ``m_max`` rows restarts on the targets' Ritz vectors
+    (a thick restart).  Returns the targets' Ritz values and unit Ritz
+    vectors (rows) once every target has converged, or after ``max_steps``
+    steps, or when no new direction is left, so a caller re-measures them.
+    V and apply(V) are allocated for ``m_max`` rows and become resident
+    only as rows are written.
+    """
+    size, want, tols = v0.size, len(tols), np.asarray(tols)
+    m_max = min(m_max, size)
+    basis = _mapped_zeros(m_max, size)
+    h_basis = _mapped_zeros(m_max, size)
+    gram = np.zeros((m_max, m_max), dtype=np.complex128)
+    basis[0] = v0 / np.linalg.norm(v0)
+    m, b = 0, 1
+    for _ in range(max_steps):
+        h_basis[m:m + b] = apply(basis[m:m + b])
+        # conjugate only the new rows, as arnoldi does
+        gram[:m + b, m:m + b] = (basis[:m + b]
+                                 @ h_basis[m:m + b].conj().T).conj()
+        gram[m:m + b, :m] = basis[m:m + b].conj() @ h_basis[:m].T
+        m += b
+        theta, y = np.linalg.eig(gram[:m, :m])
+        order = np.argsort(theta.real)[:want]
+        theta, y = theta[order], y[:, order]
+        x = y.T @ basis[:m]
+        resid = y.T @ h_basis[:m] - theta[:, None] * x
+        active = np.linalg.norm(resid, axis=1) > tols[:len(theta)]
+        if (len(theta) == want and not active.any()) or m == size:
+            break
+        corr = precondition(resid[active], theta[active])
+        if m + len(corr) > m_max:   # thick restart on the targets
+            q, _ = np.linalg.qr(y)
+            kept = q.shape[1]
+            basis[:kept] = q.T @ basis[:m]
+            h_basis[:kept] = q.T @ h_basis[:m]
+            gram[:kept, :kept] = q.conj().T @ gram[:m, :m] @ q
+            m = kept
+        corr = corr[:m_max - m]
+        floor = _DEPENDENT * np.linalg.norm(corr, axis=1)
+        for _ in range(2):   # against V as a block, then within the block
+            corr = corr - (basis[:m] @ corr.conj().T).conj().T @ basis[:m]
+        b = 0
+        for w, w_floor in zip(corr, floor):
+            for _ in range(2):
+                v = basis[m:m + b]
+                w = w - (v @ w.conj()).conj() @ v
+            tail = np.linalg.norm(w)
+            if tail > w_floor:
+                basis[m + b] = w / tail
+                b += 1
+        if b == 0:
+            break
+    return theta, x

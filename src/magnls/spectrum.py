@@ -5,26 +5,30 @@ Strategy: ``_lowest_pairs`` is the one choice of method, and both
 On the dense backend (small electric-only grids) they are read from
 ``HamiltonianSpec.dense_basis``, the symmetric eigensolve that backend has
 already run and checked; solving again would repeat a finished eigensolve.
-Elsewhere they are Ritz pairs from the Arnoldi process (``krylov.arnoldi``)
-on the shifted inverse (H - s)^-1, with s the quadratic-form lower bound
-``hamiltonian.lower_bound`` (the bound that also sets the shift K of
-H1 = H + K), then inverse-iteration refinement with an adaptive shift that
-tracks the Rayleigh quotient from below.  Arnoldi rather than Lanczos,
-because the collocated magnetic H is not Hermitian on the grid.  Every
-inner linear solve there is ``hamiltonian.shifted_solve`` on the
-preconditioned Krylov backend.  On either backend each eigenpair's residual
-|H v - e v| is measured with the spectral H, and one rule judges every
-level, for ``ground_state`` and ``low_spectrum_scan`` alike: a level below
+Elsewhere they are Ritz pairs of H itself from a block generalized
+Davidson method (``krylov.davidson``), preconditioned by the free
+resolvent, then passed through inverse-iteration refinement with an
+adaptive shift that tracks the Rayleigh quotient from below.  Davidson
+needs one application of H per new direction and no inner solve; the
+Arnoldi process on the shifted inverse (H - s)^-1 that it replaces made
+every step a GMRES solve.  Its Ritz values come from ``np.linalg.eig`` of
+the projected matrix, because the collocated magnetic H is not Hermitian
+on the grid, which is also why LOBPCG, which assumes it is, stalls here.
+The Davidson phase converges each wanted level to ``_RESIDUAL_TOL``, so
+the refinement usually returns after one application of H; it stays the
+arbiter, and its inverse iterations, ``hamiltonian.shifted_solve`` on the
+preconditioned Krylov backend, run only where the Davidson phase fell
+short.  On either backend each eigenpair's residual |H v - e v| is
+measured with the spectral H, and one rule judges every level, for
+``ground_state`` and ``low_spectrum_scan`` alike: a level below
 -``_SCAN_GAP_TOL`` (1e-6) is bound, and a bound level whose residual
 exceeds ``MAX_RESIDUAL`` (1e-9) is an error.  A ground state must be bound.
 
-Every shifted solve whose result is only a direction, the Arnoldi steps and
-the inverse iterations alike, runs at ``_DIRECTION_TOL`` (1e-6) and the
-measured eigen-residual judges the outcome.  In inexact Krylov methods an
-inner-solve error reaches the Ritz values only at the order of the inner
-tolerance (Simoncini and Szyld, SIAM J. Sci. Comput. 25, 2003; Simoncini,
-SIAM J. Numer. Anal. 43, 2005), and the Ritz pairs serve only as starts for
-the refinement and as the unrefined second level behind ``EigenPair.gap``.
+Every shifted solve whose result is only a direction, the inverse
+iterations, runs at ``_DIRECTION_TOL`` (1e-6) and the measured
+eigen-residual judges the outcome.  The level above the wanted ones, behind
+``EigenPair.gap``, is a Davidson target converged to the same
+``_DIRECTION_TOL``.
 """
 
 from __future__ import annotations
@@ -34,22 +38,21 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import MagnlsError, NoBoundStateError, NonConvergenceError
-from .grid import ComplexField, make_field, norm_l2
-from .hamiltonian import (HamiltonianSpec, _apply_h_values, lower_bound,
-                          shifted_solve)
-from .krylov import arnoldi
+from .grid import ComplexField, make_field, norm_l2, stack_fft, stack_ifft
+from .hamiltonian import HamiltonianSpec, _apply_h_values, shifted_solve
+from .krylov import davidson
 from .potentials import gaussian_bump
 
 _RESIDUAL_TOL = 1e-10      # refinement target of every level
 MAX_RESIDUAL = 1e-9        # a bound level with a larger residual is an error
 _DIRECTION_TOL = 1e-6      # shifted solves whose result is a direction
-# Krylov dimension for the lowest `count` levels: max(_ARNOLDI_STEPS,
-# 12 count) shift-invert Arnoldi steps, so 24 for the ground state and the
-# two lowest levels, 36 for three.  Fewer steps are unsafe: on the 64x64
-# loop at loop_amplitude 2, twelve or fewer steps start the refinement off
-# the ground state, which then converges to -2.29441 instead of
-# e0 = -6.73917.
-_ARNOLDI_STEPS = 24
+# the Davidson preconditioner's shift sigma is at most minus this, so that
+# |k|^2 - sigma stays positive for Ritz values at or above 0.  From 0.03
+# down to 0.001 the ground states of the 16x16 to 64x64 loops take 20-23
+# applications of H; at 1 they take 37-40.
+_PRECONDITION_GAP = 1e-2
+_BASIS_CAP = 48            # Davidson basis rows before a thick restart
+_DAVIDSON_STEPS = 100      # Davidson steps before the refinement takes over
 _SCAN_GAP_TOL = 1e-6       # levels below minus this count as bound
 
 
@@ -62,11 +65,11 @@ class EigenPair:
     which equals ||H phi0 - e0 phi0|| in the volume-weighted norm.
 
     On the dense backend ``gap`` is exact: min(lam[1], 0) - lam[0] from the
-    eigenbasis.  On the Krylov backend it is an estimate: its second level
-    is the unrefined second Ritz value of the ``_ARNOLDI_STEPS``
-    shift-invert steps, which need not have converged.  On the 64x64 loop
-    at loop_amplitude 2 it reads 0.348, where 32 and 48 steps agree on
-    0.1129."""
+    eigenbasis.  On the Krylov backend its second level is the second
+    Davidson target, a Ritz value converged to a residual of
+    ``_DIRECTION_TOL`` but not refined: 0.112858 on the 64x64 loop at
+    loop_amplitude 2, and within 2e-9 of the dense oracle on the 16x16
+    one."""
 
     e0: float
     phi0: ComplexField
@@ -102,31 +105,33 @@ def _start_vector(spec: HamiltonianSpec) -> np.ndarray:
     return (v / np.linalg.norm(v.ravel())).ravel()
 
 
-def _ritz_lowest(spec: HamiltonianSpec, how_many: int, *, steps: int):
-    """Ritz approximations to the lowest eigenpairs of H from ``steps``
-    Arnoldi steps on the shifted inverse (Krylov backend)."""
+def _ritz_lowest(spec: HamiltonianSpec, count: int):
+    """Ritz approximations to the ``count`` + 1 lowest eigenpairs of H, as
+    complex Ritz values and unit Ritz vectors (rows), from the block
+    Davidson kernel ``krylov.davidson`` (Krylov backend).
+
+    H is applied to each block in one stacked ``_apply_h_values`` call.  A
+    residual with Ritz value theta is preconditioned by the free resolvent
+    (|k|^2 - sigma)^-1, sigma = min(Re theta, -``_PRECONDITION_GAP``), with
+    one batched transform pair for the block.  The first ``count`` pairs
+    converge to ``_RESIDUAL_TOL``, the last, behind ``EigenPair.gap``, to
+    ``_DIRECTION_TOL``.
+    """
     g = spec.grid
-    shift = lower_bound(spec.potentials)
+    rows = (-1,) + g.sizes
 
-    def inv_apply(v):
-        f = make_field(g, v.reshape(g.sizes))
-        return shifted_solve(spec, shift, f,
-                             tol_rel=_DIRECTION_TOL).values.ravel()
+    def apply(block):
+        return _apply_h_values(spec, block.reshape(rows)).reshape(block.shape)
 
-    *_, (m, basis, hess) = arnoldi(inv_apply, _start_vector(spec), steps)
-    theta, y = np.linalg.eig(hess[:m, :m])
-    order = np.argsort(theta.real)[::-1]  # largest of the inverse = lowest of H
-    out = []
-    for idx in order[:how_many]:
-        if theta[idx].real <= 0.0:
-            continue
-        e = shift + 1.0 / theta[idx].real
-        vec = y[:, idx] @ basis[:m]
-        out.append((float(e), vec / np.linalg.norm(vec)))
-    if not out:
-        raise NonConvergenceError(
-            "Arnoldi on the shifted inverse produced no usable Ritz values")
-    return out
+    def precondition(resid, theta):
+        sigma = np.minimum(theta.real, -_PRECONDITION_GAP)
+        fhat = stack_fft(g, resid.reshape(rows))
+        fhat /= g.k_squared - sigma.reshape((-1,) + (1,) * g.dim)
+        return stack_ifft(g, fhat, overwrite_x=True).reshape(resid.shape)
+
+    return davidson(apply, precondition, _start_vector(spec),
+                    (_RESIDUAL_TOL,) * count + (_DIRECTION_TOL,),
+                    m_max=_BASIS_CAP, max_steps=_DAVIDSON_STEPS)
 
 
 def _refine_pair(spec: HamiltonianSpec, e: float, v: np.ndarray,
@@ -196,10 +201,10 @@ def _lowest_pairs(spec: HamiltonianSpec, count: int):
 
     On the dense backend they are columns of ``spec.dense_basis``, exact to
     its check, and lam[count] is the next level.  On the Krylov backend
-    they are the Ritz pairs of max(``_ARNOLDI_STEPS``, 12 count)
-    shift-invert Arnoldi steps, each refined by ``_refine_pair`` to
-    ``_RESIDUAL_TOL`` in at most 60 iterations, deflated against the pairs
-    before it; the next level is the unrefined Ritz value above them.  The
+    they are the lowest ``count`` Davidson pairs of ``_ritz_lowest``, each
+    refined by ``_refine_pair`` to ``_RESIDUAL_TOL`` in at most 60
+    iterations, deflated against the pairs before it; the next level is
+    the real part of the Davidson target above them, unrefined.  The
     residual is |H v - e v| with the spectral H.  A level below
     -``_SCAN_GAP_TOL`` whose residual exceeds ``MAX_RESIDUAL`` raises
     ``NonConvergenceError``.
@@ -214,13 +219,12 @@ def _lowest_pairs(spec: HamiltonianSpec, count: int):
                   for e, v, r in zip(lam, vecs, np.linalg.norm(hv, axis=1))]
         e_next = float(lam[count]) if count < len(lam) else 0.0
     else:
-        ritz = _ritz_lowest(spec, count + 1,
-                            steps=max(_ARNOLDI_STEPS, 12 * count))
+        theta, x = _ritz_lowest(spec, count)
         levels = []
-        for e_est, v in ritz[:count]:
+        for e_est, v in zip(theta[:count].real, x):
             levels.append(_refine_pair(spec, e_est, v,
                                        tuple(p[1] for p in levels)))
-        e_next = ritz[count][0] if len(ritz) > count else 0.0
+        e_next = float(theta[count].real) if len(theta) > count else 0.0
     for e, _, resid, imag in levels:
         if e < -_SCAN_GAP_TOL and resid > MAX_RESIDUAL:
             detail = ""

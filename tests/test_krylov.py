@@ -6,7 +6,9 @@ last iterate; a start's first sweep measures its residual and fixes the
 cap, and a start that bounds ||b|| by nothing gives way to y = 0.  The
 Arnoldi process: an orthonormal basis and the
 Arnoldi relation on a non-Hermitian operator, and an exact end on an
-invariant subspace."""
+invariant subspace.  The block Davidson eigensolver: the lowest real parts
+of a non-Hermitian matrix, through thick restarts and on a basis that
+fills the space."""
 
 import math
 
@@ -258,3 +260,28 @@ def test_arnoldi_ends_on_an_exactly_invariant_subspace():
     assert m == applied == 3
     assert hess[3, 2] == 0.0
     assert np.array_equal(a @ basis[:3].T, basis[:3].T @ hess[:3, :3])
+
+
+@pytest.mark.parametrize("n, m_max", [(60, 12), (10, 48)])
+def test_davidson_finds_the_lowest_real_parts_of_a_non_hermitian_matrix(
+        n, m_max):
+    # a spread diagonal with a small non-Hermitian coupling: a 12-row cap
+    # forces thick restarts, and 10 unknowns fill the basis
+    rng = np.random.default_rng(7)
+    d = np.linspace(-3.0, 5.0, n)
+    a = np.diag(d) + 0.05 * (rng.standard_normal((n, n))
+                             + 1j * rng.standard_normal((n, n)))
+    levels = np.linalg.eigvals(a)
+    levels = levels[np.argsort(levels.real)]
+    tols = np.array([1e-10, 1e-10, 1e-8])
+
+    def precondition(resid, theta):
+        return resid / (np.abs(d - theta.real[:, None]) + 0.5)
+
+    theta, x = krylov.davidson(lambda block: block @ a.T, precondition,
+                               np.ones(n, dtype=np.complex128), tols,
+                               m_max=m_max, max_steps=200)
+    assert np.allclose(np.linalg.norm(x, axis=1), 1.0, rtol=0, atol=1e-12)
+    assert np.all(np.linalg.norm(x @ a.T - theta[:, None] * x, axis=1)
+                  <= tols)
+    assert np.abs(theta - levels[:3]).max() <= 1e-8

@@ -202,13 +202,12 @@ def gauge_sech_levels(gauge_sech_spec):
 
 
 def test_krylov_gap_matches_dense(gauge_sech_spec, gauge_sech_levels):
-    # the gap is the unrefined second Ritz value from shift-invert steps
-    # solved to the direction tolerance, so it is held to a looser bound
-    # than the refined e0
+    # the second level is a Davidson target converged to the direction
+    # tolerance, behind the refined e0
     eig = ground_state(gauge_sech_spec)
     e0, e1 = gauge_sech_levels[:2]
     assert abs(eig.e0 - e0) < 1e-10
-    assert eig.gap == pytest.approx(min(e1, 0.0) - e0, rel=1e-5)
+    assert eig.gap == pytest.approx(min(e1, 0.0) - e0, abs=1e-9)
 
 
 def test_krylov_scan_matches_dense(gauge_sech_spec, gauge_sech_levels):
@@ -218,14 +217,50 @@ def test_krylov_scan_matches_dense(gauge_sech_spec, gauge_sech_levels):
                                rtol=0.0, atol=1e-10)
 
 
+def loop_spec(n: int, amplitude: float):
+    """The benchmark's loop field on an n x n grid of side 20 over the
+    depth-two Gaussian well, at ``loop_amplitude`` ``amplitude``."""
+    g = GridSpec(2, (n, n), (20.0, 20.0))
+    return build_hamiltonian(make_potential_pair(
+        build_localized_loop_field(g, amplitude, 1.5, 1.0),
+        build_gaussian_well(g, -2.0, 1.0).v))
+
+
+@pytest.fixture(scope="module")
+def strong_loop_16():
+    """The 16x16 loop at loop_amplitude 2, which binds two levels, and the
+    real parts of the dense oracle's eigenvalues, in increasing order."""
+    spec = loop_spec(16, 2.0)
+    levels = scipy.linalg.eigvals(orc.hamiltonian_matrix(spec))
+    return spec, np.sort(levels.real)
+
+
+def test_ground_state_is_the_lowest_level_of_the_strong_loop(strong_loop_16):
+    spec, levels = strong_loop_16
+    assert abs(ground_state(spec).e0 - levels[0]) < 1e-10
+
+
+def test_ground_state_of_the_strong_64_loop_is_not_an_upper_level():
+    # a Krylov phase too short to reach the ground state leaves the
+    # refinement to converge to -2.29441, an upper level, instead of e0
+    assert ground_state(loop_spec(64, 2.0)).e0 == pytest.approx(
+        -6.7391680498, abs=1e-8)
+
+
+def test_krylov_gap_is_a_converged_level(strong_loop_16):
+    # the second bound level at -3.39933 sets the gap, to far better than
+    # the direction tolerance of its residual
+    spec, levels = strong_loop_16
+    assert ground_state(spec).gap == pytest.approx(levels[1] - levels[0],
+                                                   abs=1e-7)
+
+
 def test_ground_state_gmres_work(monkeypatch):
     # a machine-independent cost guard: GMRES applications of the shifted
     # operator in one Krylov ground-state solve on the 16x16 loop (203 with
-    # the Arnoldi steps at the direction tolerance, 298 at 1e-10)
-    g = GridSpec(2, (16, 16), (20.0, 20.0))
-    spec = build_hamiltonian(make_potential_pair(
-        build_localized_loop_field(g, 0.3, 1.5, 1.0),
-        build_gaussian_well(g, -2.0, 1.0).v))
+    # shift-invert Arnoldi steps at the direction tolerance, 298 at 1e-10;
+    # none since the Davidson phase meets the refinement's target)
+    spec = loop_spec(16, 0.3)
     applied = 0
     gmres = krylov.gmres
 
@@ -240,3 +275,22 @@ def test_ground_state_gmres_work(monkeypatch):
     eig = ground_state(spec)
     assert eig.residual < 1e-9
     assert applied < 250
+
+
+def test_ground_state_h_applications(monkeypatch):
+    # a machine-independent cost guard: states that H is applied to in the
+    # same solve, counted as rows of _apply_h_values stacks (22 in the
+    # Davidson phase and one in the refinement)
+    spec = loop_spec(16, 0.3)
+    rows = 0
+    apply_h_values = hamiltonian._apply_h_values
+
+    def counted(spec, values):
+        nonlocal rows
+        rows += values.size // spec.grid.total_points
+        return apply_h_values(spec, values)
+
+    monkeypatch.setattr(hamiltonian, "_apply_h_values", counted)
+    monkeypatch.setattr(spectrum, "_apply_h_values", counted)
+    assert ground_state(spec).residual < 1e-9
+    assert rows <= 30
