@@ -15,15 +15,14 @@ rank-one term only moves that eigenvalue.  This backend loads no scipy
 solver.  Every other operator, in particular any with A != 0, whose
 collocated first-order terms are not symmetric, solves in
 ``_krylov_shifted_solve``, the one Krylov shifted solve: resolvents,
-deflated bound-state solves, the eigensolver's inverse iterations and the
-Crank-Nicolson step (``cn_power``) at 2i/dt all call it.  It runs in
-frequency space with the free resolvent as right preconditioner, on the
-``ShiftKernel`` the operator keeps for the last shift, and one application
-of the preconditioned operator costs d + 2 transforms (2 when A = 0).  A
-CN step never forms its right-hand side F H psi: B is linear, so each
-sweep applies it to psi - x at once, from the one field D^-1 y - F psi
-times the grid's symbol stack, and a step of one sweep takes d + 4
-transforms.  H itself is one forward transform and one batched inverse
+deflated bound-state solves and the Crank-Nicolson step (``cn_power``) at
+2i/dt all call it.  It runs in frequency space with the free resolvent as
+right preconditioner, on the ``ShiftKernel`` the operator keeps for the
+last shift, and one application of the preconditioned operator costs
+d + 2 transforms (2 when A = 0).  A CN step never forms its right-hand side
+F H psi: B is linear, so each sweep applies it to psi - x at once, from the
+one field D^-1 y - F psi times the grid's symbol stack, and a step of one
+sweep takes d + 4 transforms.  H itself is one forward transform and one batched inverse
 of the same stack with |k|^2 in its first row.  The kernel carries a
 bound q on the norm of the preconditioned perturbation, computed from
 sup|V + i div A|, sup|A| and the free resolvent, and q picks the solver up
@@ -78,11 +77,12 @@ DENSE_MAX_POINTS = 512
 _DENSE_TOL = 1e-12         # eigenbasis residual and orthogonality defect
 _MAX_ITER = 10000          # GMRES steps of a strict solve
 # GMRES steps of a non-strict solve: two restart cycles.  Its callers keep a
-# direction or a norm estimate (inverse iterations, the resolvent-norm
-# Lanczos, the norm-equivalence floor probe); near an eigenvalue the true residual can
-# stall above its target long after the direction has converged.  The second
-# cycle serves a solve whose first one ends short of the target, by running
-# out of steps or on a running residual that rounding put below the true one.
+# direction or a norm estimate (the resolvent-norm Lanczos and the
+# norm-equivalence floor probe's inverse iterations); near an eigenvalue the
+# true residual can stall above its target long after the direction has
+# converged.  The second cycle serves a solve whose first one ends short of
+# the target, by running out of steps or on a running residual that rounding
+# put below the true one.
 _DIRECTION_MAX_ITER = 300
 # relative residual of each Krylov CN shifted solve, and the relative error
 # estimate each Krylov-projected CN power must meet.  A Richardson solve

@@ -11,8 +11,8 @@ once it times the measured residual meets the tolerance relative to a
 lower bound on ||b||, so does the corrected iterate.  A step of a long run
 starts from the extrapolation of that state's earlier solves, whose
 residual its first sweep measures, and is then usually one sweep.  Otherwise
-it calls ``solve``: resolvent applications, deflated solves at the
-ground-state energy and the eigensolver's inverse iterations.  (Small
+it calls ``solve``: resolvent applications and deflated solves at the
+ground-state energy.  (Small
 electric-only grids solve directly in a dense eigenbasis; see
 ``hamiltonian``.)  The caller hands over an already preconditioned
 operator, so GMRES runs without ``M`` and its running residual estimate is
@@ -230,9 +230,10 @@ def davidson(apply, precondition, v0: np.ndarray, tols, *, m_max: int,
     correction whose orthogonal part falls below ``_DEPENDENT`` of its
     norm, and applies the operator once to the whole new block.  A basis
     that would pass ``m_max`` rows restarts on the targets' Ritz vectors
-    (a thick restart).  Returns the targets' Ritz values and unit Ritz
-    vectors (rows) once every target has converged, or after ``max_steps``
-    steps, or when no new direction is left, so a caller re-measures them.
+    (a thick restart).  Returns the targets' Ritz values, their unit Ritz
+    vectors (rows) and the number of steps run, once every target has
+    converged, or after ``max_steps`` steps, or when no new direction is
+    left, so a caller re-measures them.
     V and apply(V) are allocated for ``m_max`` rows and become resident
     only as rows are written.
     """
@@ -243,7 +244,7 @@ def davidson(apply, precondition, v0: np.ndarray, tols, *, m_max: int,
     gram = np.zeros((m_max, m_max), dtype=np.complex128)
     basis[0] = v0 / np.linalg.norm(v0)
     m, b = 0, 1
-    for _ in range(max_steps):
+    for steps in range(1, max_steps + 1):
         h_basis[m:m + b] = apply(basis[m:m + b])
         # conjugate only the new rows, as arnoldi does
         gram[:m + b, m:m + b] = (basis[:m + b]
@@ -281,4 +282,4 @@ def davidson(apply, precondition, v0: np.ndarray, tols, *, m_max: int,
                 b += 1
         if b == 0:
             break
-    return theta, x
+    return theta, x, steps

@@ -5,30 +5,22 @@ Strategy: ``_lowest_pairs`` is the one choice of method, and both
 On the dense backend (small electric-only grids) they are read from
 ``HamiltonianSpec.dense_basis``, the symmetric eigensolve that backend has
 already run and checked; solving again would repeat a finished eigensolve.
-Elsewhere they are Ritz pairs of H itself from a block generalized
+Elsewhere they are the Ritz pairs of H itself from a block generalized
 Davidson method (``krylov.davidson``), preconditioned by the free
-resolvent, then passed through inverse-iteration refinement with an
-adaptive shift that tracks the Rayleigh quotient from below.  Davidson
-needs one application of H per new direction and no inner solve; the
-Arnoldi process on the shifted inverse (H - s)^-1 that it replaces made
-every step a GMRES solve.  Its Ritz values come from ``np.linalg.eig`` of
-the projected matrix, because the collocated magnetic H is not Hermitian
-on the grid, which is also why LOBPCG, which assumes it is, stalls here.
-The Davidson phase converges each wanted level to ``_RESIDUAL_TOL``, so
-the refinement usually returns after one application of H; it stays the
-arbiter, and its inverse iterations, ``hamiltonian.shifted_solve`` on the
-preconditioned Krylov backend, run only where the Davidson phase fell
-short.  On either backend each eigenpair's residual |H v - e v| is
-measured with the spectral H, and one rule judges every level, for
+resolvent, which needs one application of H per new direction and no
+inner solve.  Its Ritz values come from ``np.linalg.eig`` of the projected
+matrix, because the collocated magnetic H is not Hermitian on the grid,
+which is also why LOBPCG, which assumes it is, stalls here.  For the same
+reason the eigenvectors are not orthogonal, and no level is deflated
+against the ones below it: each wanted level is a Davidson pair converged
+to ``_RESIDUAL_TOL``, with e the real part of its Ritz value.  On either
+backend the residuals |H v - e v| are measured with the spectral H in one
+stacked application, and one rule judges every level, for
 ``ground_state`` and ``low_spectrum_scan`` alike: a level below
 -``_SCAN_GAP_TOL`` (1e-6) is bound, and a bound level whose residual
 exceeds ``MAX_RESIDUAL`` (1e-9) is an error.  A ground state must be bound.
-
-Every shifted solve whose result is only a direction, the inverse
-iterations, runs at ``_DIRECTION_TOL`` (1e-6) and the measured
-eigen-residual judges the outcome.  The level above the wanted ones, behind
-``EigenPair.gap``, is a Davidson target converged to the same
-``_DIRECTION_TOL``.
+The level above the wanted ones, behind ``EigenPair.gap``, is a Davidson
+target converged to ``_DIRECTION_TOL`` (1e-6).
 """
 
 from __future__ import annotations
@@ -39,20 +31,20 @@ import numpy as np
 
 from .errors import MagnlsError, NoBoundStateError, NonConvergenceError
 from .grid import ComplexField, make_field, norm_l2, stack_fft, stack_ifft
-from .hamiltonian import HamiltonianSpec, _apply_h_values, shifted_solve
+from .hamiltonian import HamiltonianSpec, _apply_h_values
 from .krylov import davidson
 from .potentials import gaussian_bump
 
-_RESIDUAL_TOL = 1e-10      # refinement target of every level
+_RESIDUAL_TOL = 1e-10      # Davidson target of every wanted level
 MAX_RESIDUAL = 1e-9        # a bound level with a larger residual is an error
-_DIRECTION_TOL = 1e-6      # shifted solves whose result is a direction
+_DIRECTION_TOL = 1e-6      # Davidson target of the level above them
 # the Davidson preconditioner's shift sigma is at most minus this, so that
 # |k|^2 - sigma stays positive for Ritz values at or above 0.  From 0.03
 # down to 0.001 the ground states of the 16x16 to 64x64 loops take 20-23
 # applications of H; at 1 they take 37-40.
 _PRECONDITION_GAP = 1e-2
 _BASIS_CAP = 48            # Davidson basis rows before a thick restart
-_DAVIDSON_STEPS = 100      # Davidson steps before the refinement takes over
+_DAVIDSON_STEPS = 100      # Davidson steps before the levels are judged
 _SCAN_GAP_TOL = 1e-6       # levels below minus this count as bound
 
 
@@ -66,8 +58,8 @@ class EigenPair:
 
     On the dense backend ``gap`` is exact: min(lam[1], 0) - lam[0] from the
     eigenbasis.  On the Krylov backend its second level is the second
-    Davidson target, a Ritz value converged to a residual of
-    ``_DIRECTION_TOL`` but not refined: 0.112858 on the 64x64 loop at
+    Davidson target, a Ritz value converged only to a residual of
+    ``_DIRECTION_TOL``: 0.112858 on the 64x64 loop at
     loop_amplitude 2, and within 2e-9 of the dense oracle on the 16x16
     one."""
 
@@ -96,7 +88,7 @@ def _start_vector(spec: HamiltonianSpec) -> np.ndarray:
     The tilt gives the start both parities on each axis: an even start on a
     parity-symmetric potential spans only even states, and its Krylov space
     skips the odd levels.  A small tilt keeps the start close to the ground
-    state, which the refinement converges from.
+    state.
     """
     g = spec.grid
     width = min(g.box_lengths) / 8.0
@@ -107,8 +99,9 @@ def _start_vector(spec: HamiltonianSpec) -> np.ndarray:
 
 def _ritz_lowest(spec: HamiltonianSpec, count: int):
     """Ritz approximations to the ``count`` + 1 lowest eigenpairs of H, as
-    complex Ritz values and unit Ritz vectors (rows), from the block
-    Davidson kernel ``krylov.davidson`` (Krylov backend).
+    complex Ritz values and unit Ritz vectors (rows), and the number of
+    steps run, from the block Davidson kernel ``krylov.davidson`` (Krylov
+    backend).
 
     H is applied to each block in one stacked ``_apply_h_values`` call.  A
     residual with Ritz value theta is preconditioned by the free resolvent
@@ -134,58 +127,6 @@ def _ritz_lowest(spec: HamiltonianSpec, count: int):
                     m_max=_BASIS_CAP, max_steps=_DAVIDSON_STEPS)
 
 
-def _refine_pair(spec: HamiltonianSpec, e: float, v: np.ndarray,
-                 deflate_against=()):
-    """Inverse iteration with shift just below the Rayleigh quotient, to
-    ``_RESIDUAL_TOL`` in at most 60 iterations.
-
-    Direction-improving solves run at ``_DIRECTION_TOL`` and are allowed to
-    stall; the measured eigen-residual is the sole arbiter of convergence.
-    Returns (e, v, residual, imag) for the best iterate, with imag =
-    |Im <v, H v>|: a residual that stalls near it marks an eigenvalue off the
-    real axis, which the real shift cannot reach.
-    """
-    g = spec.grid
-    shape = g.sizes
-
-    def project_out(w):
-        for b in deflate_against:
-            w = w - np.vdot(b, w) * b
-        return w
-
-    v = project_out(v)
-    v = v / np.linalg.norm(v)
-    best = (np.inf, e, v, 0.0)
-    prev_e = None
-    worse = 0
-    for _ in range(60):
-        hv = _apply_h_values(spec, v.reshape(shape)).ravel()
-        rayleigh = complex(np.vdot(v, hv))
-        e, imag = rayleigh.real, abs(rayleigh.imag)
-        resid = float(np.linalg.norm(hv - e * v))
-        if resid < best[0]:
-            best = (resid, e, v, imag)
-            worse = 0
-        else:
-            worse += 1
-            if worse >= 3:
-                break
-        settled = prev_e is None or abs(e - prev_e) <= 1e-12 * max(1.0, abs(e))
-        if resid <= _RESIDUAL_TOL and settled:
-            return e, v, resid, imag
-        sigma = e - max(5.0 * resid, 1e-9)
-        f = make_field(g, v.reshape(shape))
-        w = shifted_solve(spec, sigma, f, tol_rel=_DIRECTION_TOL,
-                          strict=False).values.ravel()
-        w = project_out(w)
-        nw = np.linalg.norm(w)
-        if nw == 0.0:
-            break
-        prev_e, v = e, w / nw
-    resid, e, v, imag = best
-    return e, v, resid, imag
-
-
 def _phase_fix(values: np.ndarray) -> np.ndarray:
     pivot = values.ravel()[int(np.argmax(np.abs(values)))]
     mag = abs(pivot)
@@ -199,43 +140,39 @@ def _lowest_pairs(spec: HamiltonianSpec, count: int):
     (e, v, residual) with v a flat unit vector, and the level next above
     them (0.0 when there is none).
 
-    On the dense backend they are columns of ``spec.dense_basis``, exact to
-    its check, and lam[count] is the next level.  On the Krylov backend
-    they are the lowest ``count`` Davidson pairs of ``_ritz_lowest``, each
-    refined by ``_refine_pair`` to ``_RESIDUAL_TOL`` in at most 60
-    iterations, deflated against the pairs before it; the next level is
-    the real part of the Davidson target above them, unrefined.  The
-    residual is |H v - e v| with the spectral H.  A level below
-    -``_SCAN_GAP_TOL`` whose residual exceeds ``MAX_RESIDUAL`` raises
-    ``NonConvergenceError``.
+    On the dense backend they are the lowest eigenvalues and columns of
+    ``spec.dense_basis``, exact to its check.  On the Krylov backend they
+    are the lowest ``count`` Davidson pairs of ``_ritz_lowest``, with
+    e = Re theta, and the next level is the real part of the Davidson
+    target above them.  The residual is |H v - e v| with the spectral H.
+    A level below -``_SCAN_GAP_TOL`` whose residual exceeds
+    ``MAX_RESIDUAL`` raises ``NonConvergenceError`` with the Davidson steps
+    run, and names |Im theta| when that exceeds ``MAX_RESIDUAL`` too.
     """
     basis = spec.dense_basis
     if basis is not None:
-        lam = basis.lam
-        vecs = np.ascontiguousarray(basis.u[:, :count].T, dtype=np.complex128)
-        hv = _apply_h_values(spec, vecs.reshape((-1,) + spec.grid.sizes))
-        hv = hv.reshape(vecs.shape) - lam[:count, None] * vecs
-        levels = [(float(e), v, float(r), 0.0)
-                  for e, v, r in zip(lam, vecs, np.linalg.norm(hv, axis=1))]
-        e_next = float(lam[count]) if count < len(lam) else 0.0
+        theta, x, steps = basis.lam[:count + 1], basis.u[:, :count].T, 0
     else:
-        theta, x = _ritz_lowest(spec, count)
-        levels = []
-        for e_est, v in zip(theta[:count].real, x):
-            levels.append(_refine_pair(spec, e_est, v,
-                                       tuple(p[1] for p in levels)))
-        e_next = float(theta[count].real) if len(theta) > count else 0.0
-    for e, _, resid, imag in levels:
-        if e < -_SCAN_GAP_TOL and resid > MAX_RESIDUAL:
+        theta, x, steps = _ritz_lowest(spec, count)
+    vecs = np.ascontiguousarray(x[:count], dtype=np.complex128)
+    e, imag = theta[:count].real, np.abs(theta[:count].imag)
+    hv = _apply_h_values(spec, vecs.reshape((-1,) + spec.grid.sizes))
+    resid = np.linalg.norm(hv.reshape(vecs.shape) - e[:, None] * vecs, axis=1)
+    for e_i, r_i, imag_i in zip(e, resid, imag):
+        if e_i < -_SCAN_GAP_TOL and r_i > MAX_RESIDUAL:
             detail = ""
-            if imag > MAX_RESIDUAL:
-                detail = (f"; the eigenvalue near {e:.6e} has imaginary part "
-                          f"of magnitude {imag:.3e}; the collocated operator "
-                          f"is not Hermitian at this resolution")
+            if imag_i > MAX_RESIDUAL:
+                detail = (f"; the eigenvalue near {e_i:.6e} has imaginary "
+                          f"part of magnitude {imag_i:.3e}; the collocated "
+                          f"operator is not Hermitian at this resolution")
             raise NonConvergenceError(
-                f"eigenvalue near {e:.6e} stalled at residual "
-                f"{resid:.3e}{detail}", residual=resid)
-    return [level[:3] for level in levels], e_next
+                f"eigenvalue near {e_i:.6e} stalled at residual {r_i:.3e} "
+                f"after {steps} Davidson steps{detail}",
+                residual=float(r_i), iterations=steps)
+    e_next = float(theta[count].real) if len(theta) > count else 0.0
+    levels = [(float(e_i), v, float(r_i))
+              for e_i, v, r_i in zip(e, vecs, resid)]
+    return levels, e_next
 
 
 def ground_state(spec: HamiltonianSpec) -> EigenPair:
@@ -260,7 +197,7 @@ def low_spectrum_scan(spec: HamiltonianSpec, count: int = 4) -> SpectrumScan:
     if not (1 <= count <= 8):
         raise MagnlsError(f"scan count must be between 1 and 8, got {count}")
     found, _ = _lowest_pairs(spec, count)
-    pairs = sorted(((e, resid) for e, _, resid in found), key=lambda t: t[0])
+    pairs = [(e, resid) for e, _, resid in found]
     n_neg = sum(1 for e, _ in pairs if e < -_SCAN_GAP_TOL)
     return SpectrumScan(pairs=tuple(pairs), n_negative=n_neg,
                         unique_negative=(n_neg == 1))

@@ -278,9 +278,10 @@ def test_davidson_finds_the_lowest_real_parts_of_a_non_hermitian_matrix(
     def precondition(resid, theta):
         return resid / (np.abs(d - theta.real[:, None]) + 0.5)
 
-    theta, x = krylov.davidson(lambda block: block @ a.T, precondition,
-                               np.ones(n, dtype=np.complex128), tols,
-                               m_max=m_max, max_steps=200)
+    theta, x, steps = krylov.davidson(
+        lambda block: block @ a.T, precondition,
+        np.ones(n, dtype=np.complex128), tols, m_max=m_max, max_steps=200)
+    assert 1 <= steps < 200
     assert np.allclose(np.linalg.norm(x, axis=1), 1.0, rtol=0, atol=1e-12)
     assert np.all(np.linalg.norm(x @ a.T - theta[:, None] * x, axis=1)
                   <= tols)

@@ -1,5 +1,5 @@
 """Ground-state solves against closed forms and dense eigensolves, on the
-dense and the Krylov backend, and a GMRES work guard on the latter."""
+dense and the Krylov backend, and work guards on both."""
 
 import re
 
@@ -114,29 +114,11 @@ def test_scan_flags_deep_well_with_extra_levels():
                                atol=1e-12)
 
 
-def test_dense_eigenpairs_make_no_shifted_solve(monkeypatch, sech_spec):
-    # a machine-independent work guard: on the dense backend the eigenpairs
-    # are the columns of the eigenbasis, so no solve runs
-    calls = 0
-    solve = hamiltonian.shifted_solve
-
-    def counted_solve(*args, **kwargs):
-        nonlocal calls
-        calls += 1
-        return solve(*args, **kwargs)
-
-    monkeypatch.setattr(hamiltonian, "shifted_solve", counted_solve)
-    monkeypatch.setattr(spectrum, "shifted_solve", counted_solve)
-    assert ground_state(sech_spec).residual < 1e-9
-    assert low_spectrum_scan(sech_spec, 4).unique_negative
-    assert calls == 0
-
-
 @pytest.fixture(params=["dense", "krylov"])
 def edge_doublet_spec(request, sech_spec):
     """The depth-two sech-squared well, and its change of gauge by
-    A = grad chi, which moves it to the Krylov backend, where the scan
-    reaches the doublet only through ``_refine_pair``'s deflation."""
+    A = grad chi, which moves it to the Krylov backend, where both members
+    of the doublet are Davidson's own Ritz pairs."""
     if request.param == "dense":
         return sech_spec
     spec = gauge_transform(sech_spec, gaussian_bump(sech_spec.grid, 0.3, 2.0))
@@ -203,7 +185,7 @@ def gauge_sech_levels(gauge_sech_spec):
 
 def test_krylov_gap_matches_dense(gauge_sech_spec, gauge_sech_levels):
     # the second level is a Davidson target converged to the direction
-    # tolerance, behind the refined e0
+    # tolerance, behind e0
     eig = ground_state(gauge_sech_spec)
     e0, e1 = gauge_sech_levels[:2]
     assert abs(eig.e0 - e0) < 1e-10
@@ -217,13 +199,13 @@ def test_krylov_scan_matches_dense(gauge_sech_spec, gauge_sech_levels):
                                rtol=0.0, atol=1e-10)
 
 
-def loop_spec(n: int, amplitude: float):
+def loop_spec(n: int, amplitude: float, depth: float = -2.0):
     """The benchmark's loop field on an n x n grid of side 20 over the
-    depth-two Gaussian well, at ``loop_amplitude`` ``amplitude``."""
+    Gaussian well of depth ``depth``, at ``loop_amplitude`` ``amplitude``."""
     g = GridSpec(2, (n, n), (20.0, 20.0))
     return build_hamiltonian(make_potential_pair(
         build_localized_loop_field(g, amplitude, 1.5, 1.0),
-        build_gaussian_well(g, -2.0, 1.0).v))
+        build_gaussian_well(g, depth, 1.0).v))
 
 
 @pytest.fixture(scope="module")
@@ -241,8 +223,8 @@ def test_ground_state_is_the_lowest_level_of_the_strong_loop(strong_loop_16):
 
 
 def test_ground_state_of_the_strong_64_loop_is_not_an_upper_level():
-    # a Krylov phase too short to reach the ground state leaves the
-    # refinement to converge to -2.29441, an upper level, instead of e0
+    # a Krylov phase too short to reach the ground state converges to
+    # -2.29441, an upper level, instead of e0
     assert ground_state(loop_spec(64, 2.0)).e0 == pytest.approx(
         -6.7391680498, abs=1e-8)
 
@@ -255,32 +237,40 @@ def test_krylov_gap_is_a_converged_level(strong_loop_16):
                                                    abs=1e-7)
 
 
-def test_ground_state_gmres_work(monkeypatch):
-    # a machine-independent cost guard: GMRES applications of the shifted
-    # operator in one Krylov ground-state solve on the 16x16 loop (203 with
-    # shift-invert Arnoldi steps at the direction tolerance, 298 at 1e-10;
-    # none since the Davidson phase meets the refinement's target)
-    spec = loop_spec(16, 0.3)
-    applied = 0
-    gmres = krylov.gmres
+@pytest.fixture(params=["dense", "krylov"])
+def work_spec(request, sech_spec):
+    """The depth-two sech-squared well (dense backend) and the 16x16 loop
+    at loop_amplitude 0.3 (Krylov backend)."""
+    return sech_spec if request.param == "dense" else loop_spec(16, 0.3)
 
-    def counted_gmres(matvec, *args, **kwargs):
-        def counted(v):
-            nonlocal applied
-            applied += 1
-            return matvec(v)
-        return gmres(counted, *args, **kwargs)
 
-    monkeypatch.setattr(krylov, "gmres", counted_gmres)
-    eig = ground_state(spec)
-    assert eig.residual < 1e-9
-    assert applied < 250
+def test_eigenpairs_make_no_shifted_solve(monkeypatch, work_spec):
+    # a machine-independent work guard: the eigenpairs are the columns of
+    # the dense eigenbasis or Davidson's own Ritz pairs, so no shifted solve
+    # and no GMRES iteration runs (the 16x16 loop's ground state took 203
+    # GMRES matvecs with shift-invert Arnoldi steps)
+    calls = 0
+
+    def counted(fn):
+        def wrapped(*args, **kwargs):
+            nonlocal calls
+            calls += 1
+            return fn(*args, **kwargs)
+        return wrapped
+
+    monkeypatch.setattr(hamiltonian, "shifted_solve",
+                        counted(hamiltonian.shifted_solve))
+    monkeypatch.setattr(krylov, "gmres", counted(krylov.gmres))
+    assert ground_state(work_spec).residual < 1e-9
+    assert low_spectrum_scan(work_spec, 4).unique_negative
+    assert calls == 0
 
 
 def test_ground_state_h_applications(monkeypatch):
-    # a machine-independent cost guard: states that H is applied to in the
-    # same solve, counted as rows of _apply_h_values stacks (22 in the
-    # Davidson phase and one in the refinement)
+    # a machine-independent cost guard: states that H is applied to in one
+    # Krylov ground-state solve on the 16x16 loop, counted as rows of
+    # _apply_h_values stacks (22 in the Davidson phase and one in the
+    # residual measurement)
     spec = loop_spec(16, 0.3)
     rows = 0
     apply_h_values = hamiltonian._apply_h_values
@@ -294,3 +284,48 @@ def test_ground_state_h_applications(monkeypatch):
     monkeypatch.setattr(spectrum, "_apply_h_values", counted)
     assert ground_state(spec).residual < 1e-9
     assert rows <= 30
+
+
+def test_scan_returns_both_levels_of_the_strong_loop(strong_loop_16):
+    # the two levels' eigenvectors are not orthogonal (|<x0, x1>| = 0.022):
+    # deflating x1 against x0 left it at residual 2.4e-2, where Davidson had
+    # converged it
+    spec, levels = strong_loop_16
+    scan = low_spectrum_scan(spec, 2)
+    np.testing.assert_allclose(scan.eigenvalues, levels[:2], rtol=0.0,
+                               atol=1e-10)
+    assert all(r <= spectrum.MAX_RESIDUAL for _, r in scan.pairs)
+
+
+def test_scan_counts_both_levels_of_the_deep_loop():
+    # the 32x32 loop over the depth-four well binds -1.05758 and -0.01588,
+    # whose deflation stalled at residual 5.0e-7
+    scan = low_spectrum_scan(loop_spec(32, 0.3, -4.0), 2)
+    assert scan.n_negative == 2
+    assert not scan.unique_negative
+    assert all(r <= spectrum.MAX_RESIDUAL for _, r in scan.pairs)
+
+
+def test_a_cut_davidson_run_reports_its_steps(monkeypatch):
+    # two Davidson steps leave the ground state unconverged: the error
+    # carries the steps run and the residual of the pair it measured
+    spec = loop_spec(16, 0.3)
+    runs = []
+    davidson = spectrum.davidson
+
+    def recorded(*args, **kwargs):
+        runs.append(davidson(*args, **kwargs))
+        return runs[-1]
+
+    monkeypatch.setattr(spectrum, "_DAVIDSON_STEPS", 2)
+    monkeypatch.setattr(spectrum, "davidson", recorded)
+    with pytest.raises(NonConvergenceError,
+                       match="after 2 Davidson steps") as err:
+        ground_state(spec)
+    [(theta, x, steps)] = runs
+    v = x[0].reshape(spec.grid.sizes)
+    resid = np.linalg.norm(apply_h(spec, make_field(spec.grid, v)).values
+                           - theta[0].real * v)
+    assert steps == err.value.iterations == 2
+    assert err.value.residual == pytest.approx(resid, rel=1e-12)
+    assert resid > spectrum.MAX_RESIDUAL
