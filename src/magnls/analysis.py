@@ -4,9 +4,14 @@ Everything here produces numbers with pass/fail gates attached rather than
 proofs: uniform weighted resolvent bounds probed on a frequency grid, the
 equivalence of the shifted-operator graph norm with the flat second-order
 Sobolev norm on random trial fields, and discrete Strichartz quotients for
-the linear group and its Duhamel integral, whose two kinds march as stacks
-of their sources (one row per source, the stack layout of ``grid``) in one
-time loop, sampled on one schedule.  Every time norm of a sampled series,
+the linear group and its Duhamel integral.  All three scans march as
+stacks, one row per sample in the stack layout of ``grid``, and each row
+is the one its sample alone gives, bit for bit: the Lanczos processes of
+the resolvent scan's lambda points advance in lockstep (``krylov.arnoldi``)
+with each point's solves at its own shift, the norm-equivalence trials
+are evaluated in chunks of rows under one byte budget, and the Strichartz
+sources' two kinds march in one time loop, sampled on one schedule.  Every
+time norm of a sampled series,
 here and in ``modulation``, is one ``time_norm``: the Strichartz values and
 references, the three parts of the radiation norm the stability tracker
 keeps (``XNormAccumulator``) and its L1 modulation residual.
@@ -33,13 +38,16 @@ from .bound_states import (BoundState, BoundStateFamily, DecayFit, decay_fit,
                            solve_bound_state)
 from .errors import ConfigError, InsufficientDecayWindow, MagnlsError
 from .evolution import whole_steps
-from .grid import ComplexField, GridSpec, ifftn, make_field, norm_l2
+from .grid import (ComplexField, GridSpec, make_field, norm_l2, norm_l2_rows,
+                   stack_ifft)
 from .hamiltonian import (MIN_IMAG_SHIFT, CNHistory, HamiltonianSpec,
-                          apply_h1, cn_power, h_matrix, project_continuous,
+                          apply_h1_values, cn_power, h_matrix,
+                          project_continuous, project_continuous_values,
                           resolvent_solve, shifted_solve)
 from .krylov import arnoldi
 from .norms import (DEFAULT_SIGMA, bracket_weight, check_sigma, field_parts,
-                    first_order_parts, norm_h2, norm_lp, norm_w2p_sums)
+                    first_order_parts, norm_h2, norm_lp_rows,
+                    norm_w2p_sums)
 from .spectrum import MAX_RESIDUAL, EigenPair
 
 # the resolvent-scan run repeats its scan at eps / _FINE_EPS_FACTOR; the
@@ -52,6 +60,12 @@ _LAM_MAX = 6.0
 _LAMBDA_COUNT = 16
 _GAP_MIN = 6e-2
 _BAND_FRACTION = 0.25      # trial fields keep |k| <= this fraction of k_max
+# norm-equivalence fields are evaluated in chunks of rows of at most this
+# many bytes per complex array (at least one row): 32 rows on the 256-point
+# line, 8 on a 32 x 32 grid, 1 on 32^3.  On the spectral-1d benchmark all
+# 65 fields in one chunk (266 KB arrays) raised the peak RSS by about
+# 0.5 MiB against chunks of 32 rows
+_TRIAL_STACK_BYTES = 128 * 2**10
 # norm-equivalence gates, for each p: r_max / r_min <= NORM_SPREAD_CAP and
 # r_min >= NORM_RATIO_FLOOR
 _NORM_P_LIST = (2.0, 18.0 / 5.0)
@@ -261,7 +275,13 @@ def resolvent_bound_scan(spec: HamiltonianSpec, eig: EigenPair | None = None,
     step applies M* M once, by two non-strict resolvent solves; the
     iteration stops when the estimate changes by at most 1e-4 relative, or
     after ``power_iters`` steps, and ``ResolventPoint.power_iters`` counts
-    the steps taken.  The
+    the steps taken.  The processes of all the lambda points advance in
+    lockstep, as one stack of starts (drawn in grid order, one row each):
+    a step projects the rows together, runs each row's two solves at its
+    own shift, orthogonalizes all the rows by one stacked Gram-Schmidt and
+    takes the Ritz values of every live row from one stacked ``eigvals``;
+    a point retires once its estimate settles, so each point is the one
+    its own process gives, bit for bit.  The
     recorded value carries the dispersive factor sqrt(1 + lambda^2), which
     is what should stay flat across the grid; a resonance or an eigenvalue
     leaking through the projection shows up as a spike against the median.
@@ -276,39 +296,45 @@ def resolvent_bound_scan(spec: HamiltonianSpec, eig: EigenPair | None = None,
     rng = np.random.default_rng(seed)
     if lambda_grid is None:
         lambda_grid = default_lambda_grid(spec)
+    lams = np.asarray(lambda_grid, dtype=float)
+    zetas = lams * lams + 1j * eps
+    draws = rng.standard_normal((lams.size, 2) + g.sizes)
+    starts = (draws[:, 0] + 1j * draws[:, 1]).reshape(lams.size, -1)
+    live = np.ones(lams.size, dtype=bool)
 
-    def project(f: ComplexField) -> ComplexField:
-        if eig is None:
-            return f
-        return project_continuous(eig.phi0, f)
+    def project(x: np.ndarray) -> np.ndarray:
+        return x if eig is None else project_continuous_values(eig.phi0, x)
 
-    def apply_normal(values: np.ndarray, zeta: complex) -> np.ndarray:
-        """M* M on flat arrays, M = w (H - zeta)^-1 P_c w."""
-        f = project(make_field(g, w * values.reshape(g.sizes)))
-        u = resolvent_solve(spec, zeta, f, strict=False)
-        f = make_field(g, w * w * u.values)
-        u = resolvent_solve(spec, np.conj(zeta), f, strict=False)
-        return (w * project(u).values).ravel()
+    def apply_normal(stack: np.ndarray) -> np.ndarray:
+        """M* M on the rows of the live points, M = w (H - zeta)^-1 P_c w
+        at each point's own zeta."""
+        x = project(w * stack.reshape((-1,) + g.sizes))
+        for i, k in enumerate(np.flatnonzero(live)):
+            u = resolvent_solve(spec, zetas[k], make_field(g, x[i]),
+                                strict=False)
+            u = resolvent_solve(spec, np.conj(zetas[k]),
+                                make_field(g, w * w * u.values), strict=False)
+            x[i] = u.values
+        return (w * project(x)).reshape(stack.shape)
 
+    est = [0.0] * lams.size
+    used = [0] * lams.size
+    converged = [False] * lams.size
+    for m, rows, _, hess in arnoldi(apply_normal, starts, power_iters, live):
+        ritz = np.linalg.eigvals(hess[rows, :m, :m]).real.max(axis=1)
+        for k, top in zip(rows, ritz):
+            new_est = math.sqrt(max(top, 0.0))
+            converged[k] = (est[k] > 0.0
+                            and abs(new_est - est[k]) <= 1e-4 * est[k])
+            est[k], used[k] = new_est, m
+            if converged[k]:
+                live[k] = False
     points = []
-    for lam in np.asarray(lambda_grid, dtype=float):
-        zeta = lam * lam + 1j * eps
-        v = rng.standard_normal(g.sizes) + 1j * rng.standard_normal(g.sizes)
-        est = 0.0
-        used = 0
-        converged = False
-        for used, _, hess in arnoldi(lambda x: apply_normal(x, zeta),
-                                     v.ravel(), power_iters):
-            ritz = np.linalg.eigvals(hess[:used, :used]).real.max()
-            new_est = math.sqrt(max(ritz, 0.0))
-            converged = est > 0.0 and abs(new_est - est) <= 1e-4 * est
-            est = new_est
-            if converged:
-                break
+    for lam, opnorm, steps, settled in zip(lams, est, used, converged):
         scale = math.sqrt(1.0 + lam * lam)
-        points.append(ResolventPoint(lam=float(lam), opnorm=est,
-                                     scaled=scale * est, power_iters=used,
-                                     converged=converged))
+        points.append(ResolventPoint(lam=float(lam), opnorm=opnorm,
+                                     scaled=scale * opnorm, power_iters=steps,
+                                     converged=settled))
     scaled = np.array([p.scaled for p in points])
     return ResolventScan(points=tuple(points), sigma=sigma, eps=float(eps),
                          max_scaled=float(scaled.max()),
@@ -374,13 +400,36 @@ class NormEquivalenceReport:
         return all_passed(self.verdicts()[0])
 
 
-def _band_limited_trial(g: GridSpec, rng: np.random.Generator) -> ComplexField:
-    coeffs = rng.standard_normal(g.sizes) + 1j * rng.standard_normal(g.sizes)
+def _band_limited_trials(g: GridSpec, rng: np.random.Generator,
+                         count: int) -> np.ndarray:
+    """A stack of ``count`` random band-limited fields of unit L2 norm:
+    one normal draw of shape (count, 2) + sizes, each field's real then
+    imaginary coefficients in turn, cut to the band by one mask and taken
+    to the grid by one inverse transform."""
+    draws = rng.standard_normal((count, 2) + g.sizes)
+    coeffs = draws[:, 0] + 1j * draws[:, 1]
     mask = np.all([np.abs(k) <= _BAND_FRACTION * np.abs(k).max()
                    for k in g.k_mesh], axis=0)
-    coeffs[~mask] = 0.0
-    f = make_field(g, ifftn(coeffs))
-    return make_field(g, f.values / max(norm_l2(f), 1e-300))
+    coeffs[:, ~mask] = 0.0
+    fields = stack_ifft(g, coeffs, overwrite_x=True)
+    scale = np.maximum(norm_l2_rows(g, fields), 1e-300)
+    return fields / scale.reshape((-1,) + (1,) * g.dim)
+
+
+def _floor_probe(spec: HamiltonianSpec, values: np.ndarray) -> np.ndarray:
+    """A few inverse iterations of H + K from a unit trial field, so that
+    a near-kernel direction of H + K, if one exists, is in the trial
+    set."""
+    g = spec.grid
+    probe = make_field(g, values)
+    for _ in range(4):
+        sol = shifted_solve(spec, -spec.k_shift, probe, tol_rel=1e-8,
+                            strict=False)
+        nrm = norm_l2(sol)
+        if not np.isfinite(nrm) or nrm == 0.0:
+            break
+        probe = make_field(g, sol.values / nrm)
+    return probe.values
 
 
 def norm_equivalence_check(spec: HamiltonianSpec, *, trials: int = 64,
@@ -395,26 +444,29 @@ def norm_equivalence_check(spec: HamiltonianSpec, *, trials: int = 64,
     inverse iterations so a near-kernel direction of H + K, if one exists,
     is in the trial set; with K = 0 and a threshold eigenvalue this is what
     breaks the lower bound.
+
+    The trials, then the probe, are one stack of fields, drawn in that
+    order and evaluated in chunks of rows of at most
+    ``_TRIAL_STACK_BYTES`` per complex array: per chunk, one normal draw,
+    one inverse transform, one stacked application of H + K and one
+    transform for the second-order sums of every p
+    (``norms.norm_w2p_sums``).  Each ratio is the one its field alone
+    gives, bit for bit.
     """
     g = spec.grid
     rng = np.random.default_rng(seed)
-    fields = [_band_limited_trial(g, rng) for _ in range(trials)]
-    probe = _band_limited_trial(g, rng)
-    for _ in range(4):
-        sol = shifted_solve(spec, -spec.k_shift, probe, tol_rel=1e-8,
-                            strict=False)
-        nrm = norm_l2(sol)
-        if not np.isfinite(nrm) or nrm == 0.0:
-            break
-        probe = make_field(g, sol.values / nrm)
-    fields.append(probe)
-
-    # per field: one application of H + K and one transform, read for each p
+    chunk = max(1, _TRIAL_STACK_BYTES // (16 * g.total_points))
     ratios = {p: [] for p in _NORM_P_LIST}
-    for f in fields:
-        hv = apply_h1(spec, f)
-        for p, denom in zip(_NORM_P_LIST, norm_w2p_sums(f, _NORM_P_LIST)):
-            ratios[p].append(norm_lp(hv, p) / max(denom, 1e-300))
+    for lo in range(0, trials + 1, chunk):
+        hi = min(lo + chunk, trials + 1)
+        stack = _band_limited_trials(g, rng, hi - lo)
+        if hi == trials + 1:   # the last row is the probe's start
+            stack[-1] = _floor_probe(spec, stack[-1])
+        hv = apply_h1_values(spec, stack)
+        for p, denoms in zip(_NORM_P_LIST,
+                             norm_w2p_sums(g, stack, _NORM_P_LIST)):
+            ratios[p] += [n / max(d, 1e-300)
+                          for n, d in zip(norm_lp_rows(g, hv, p), denoms)]
     rows = []
     for p in _NORM_P_LIST:
         r_min = float(min(ratios[p]))
@@ -422,7 +474,7 @@ def norm_equivalence_check(spec: HamiltonianSpec, *, trials: int = 64,
         spread = r_max / max(r_min, 1e-300)
         rows.append(NormEquivalenceRow(p=float(p), r_min=r_min, r_max=r_max,
                                        spread=spread))
-    return NormEquivalenceReport(rows=tuple(rows), trials=len(fields))
+    return NormEquivalenceReport(rows=tuple(rows), trials=trials + 1)
 
 
 # ---------------------------------------------------------------------------
@@ -458,7 +510,7 @@ class StrichartzReport:
 def _localized_source(spec: HamiltonianSpec, eig: EigenPair,
                       rng: np.random.Generator) -> ComplexField:
     g = spec.grid
-    f = _band_limited_trial(g, rng)
+    f = make_field(g, _band_limited_trials(g, rng, 1)[0])
     envelope = np.exp(-(g.radius / (min(g.box_lengths) / 8.0)) ** 2)
     f = make_field(g, f.values * envelope)
     f = project_continuous(eig.phi0, f)

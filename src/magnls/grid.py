@@ -330,8 +330,14 @@ def inner_real(f: ComplexField, g: ComplexField) -> float:
     return inner_l2(f, g).real
 
 
+def norm_l2_rows(grid: GridSpec, stack: np.ndarray) -> list[float]:
+    """``norm_l2`` of each row of a stack of shape (K,) + grid.sizes."""
+    scale = np.sqrt(grid.volume_element)
+    return [float(np.linalg.norm(row.ravel()) * scale) for row in stack]
+
+
 def norm_l2(f: ComplexField) -> float:
-    return float(np.linalg.norm(f.values.ravel()) * np.sqrt(f.grid.volume_element))
+    return norm_l2_rows(f.grid, f.values[None])[0]
 
 
 # ---------------------------------------------------------------------------

@@ -59,8 +59,8 @@ from .grid import (
     ComplexField,
     GridSpec,
     VectorField,
-    inner_l2,
     make_field,
+    require_same_grid,
     stack_fft,
     stack_ifft,
     stack_symbols,
@@ -246,8 +246,12 @@ def _b_values(spec: HamiltonianSpec, x: np.ndarray,
 def apply_h1(spec: HamiltonianSpec, f: ComplexField) -> ComplexField:
     """H1 f = H f + K f."""
     check_grid(spec, f)
-    return make_field(spec.grid,
-                      _apply_h_values(spec, f.values) + spec.k_shift * f.values)
+    return make_field(spec.grid, apply_h1_values(spec, f.values))
+
+
+def apply_h1_values(spec: HamiltonianSpec, values: np.ndarray) -> np.ndarray:
+    """H1 values, for one state or a stack of states (``grid``)."""
+    return _apply_h_values(spec, values) + spec.k_shift * values
 
 
 def gauge_transform(spec: HamiltonianSpec, chi: ComplexField) -> HamiltonianSpec:
@@ -289,8 +293,11 @@ def h_matrix(spec: HamiltonianSpec) -> np.ndarray:
     with symbol s is a multi-level circulant whose column n is
     c = ifftn(s) rolled by m_n, a window of c tiled twice along each axis.
     So H e_n is that column for |k|^2 plus B e_n (``_b_values``), with the
-    columns for the i k_j as the derivatives of e_n.  Row n of one array
-    holds column n, and the transposed view is returned.
+    columns for the i k_j as the derivatives of e_n.  All the windows are
+    one strided view of the tiled c, and B e_n is accumulated over every
+    column at once in the order ``_b_values`` takes, so each entry is the
+    one the column alone gives.  Row n of one array holds column n, and
+    the transposed view is returned.
     """
     g = spec.grid
     derivs = list(g.symbols[1:]) if spec.magnetic else []
@@ -298,15 +305,21 @@ def h_matrix(spec: HamiltonianSpec) -> np.ndarray:
     if not spec.magnetic:
         c = c.real
     tiled = np.tile(c, (1,) + (2,) * g.dim)
-    mat_t = np.empty((g.total_points, g.total_points), dtype=c.dtype)
-    unit = np.zeros(g.sizes)
-    for n, m in enumerate(np.ndindex(*g.sizes)):
-        cols = tiled[(slice(None),) + tuple(
-            slice(size - k, 2 * size - k) for size, k in zip(g.sizes, m))]
-        unit[m] = 1.0
-        col = cols[0] + _b_values(spec, unit, cols[1:])
-        unit[m] = 0.0
-        mat_t[n] = (col if spec.magnetic else col.real).ravel()
+    # windows[:, m, x] = tiled[:, sizes - m + x], column c rolled by m
+    windows = np.lib.stride_tricks.sliding_window_view(
+        tiled, g.sizes, axis=tuple(range(1, g.dim + 1)))[
+            (slice(None),) + tuple(slice(size, 0, -1) for size in g.sizes)]
+    n = g.total_points
+    mat_t = np.empty((n, n), dtype=c.dtype)
+    # B e_n as _b_values forms it: W e_n, then each 2i A_j d_j e_n added
+    # in place, and the |k|^2 column last
+    on, off = spec.diagonal.ravel() * 1.0, spec.diagonal.ravel() * 0.0
+    mat_t[...] = off if spec.magnetic else off.real
+    mat_t.flat[::n + 1] = on if spec.magnetic else on.real
+    cols = mat_t.reshape(g.sizes * 2)
+    for a_j, d_j in zip(spec.grad_weights, windows[1:]):
+        cols += a_j * d_j
+    np.add(windows[0], cols, out=cols)
     return mat_t.T
 
 
@@ -455,8 +468,8 @@ def shifted_solve(spec: HamiltonianSpec, zeta: complex, f: ComplexField, *,
         w, c = deflate
         shifted = shifted + c * spec.grid.volume_element * basis.eigen_mass(w)
     x = basis.apply(f.values, 1.0 / shifted)
-    b_norm = float(np.linalg.norm(f.values))
-    if strict and b_norm > 0.0:
+    b_norm = float(np.linalg.norm(f.values)) if strict else 0.0
+    if b_norm > 0.0:
         resid = float(np.linalg.norm(
             _shifted_values(spec, zeta, deflate, x) - f.values)) / b_norm
         if not resid <= tol_rel:
@@ -561,10 +574,11 @@ def cn_power(spec: HamiltonianSpec, values: np.ndarray, dt: float,
         return np.zeros(shape, dtype=np.complex128)
 
     def apply(v):
-        return _apply_h_values(spec, v.reshape(shape)).ravel()
+        return _apply_h_values(spec, v[0].reshape(shape)).reshape(1, -1)
 
     m_max = _BASIS_BYTES // (16 * size) - 1
-    for m, basis, hess in krylov.arnoldi(apply, values.ravel(), m_max):
+    for m, _, (basis,), (hess,) in krylov.arnoldi(
+            apply, values.reshape(1, -1), m_max):
         # K_m is invariant when it fills the space or the new direction
         # vanishes; then the projection is exact
         tail = 0.0 if m == size else hess[m, m - 1].real
@@ -739,5 +753,17 @@ def resolvent_solve(spec: HamiltonianSpec, zeta: complex, f: ComplexField, *,
 def project_continuous(phi0: ComplexField, f: ComplexField) -> ComplexField:
     """Projection onto the orthogonal complement of the ground state:
     f - <phi0, f> phi0 in the complex volume-weighted inner product."""
-    coeff = inner_l2(phi0, f)
-    return make_field(f.grid, f.values - coeff * phi0.values)
+    require_same_grid(phi0, f)
+    return make_field(f.grid, project_continuous_values(phi0, f.values))
+
+
+def project_continuous_values(phi0: ComplexField,
+                              values: np.ndarray) -> np.ndarray:
+    """``project_continuous`` of one state's values or of each row of a
+    stack (``grid``): each row's coefficient is its own ``inner_l2``, so
+    each row is the field's projection, bit for bit."""
+    rows = values.reshape((-1,) + phi0.values.shape)
+    dv = phi0.grid.volume_element
+    coeffs = np.array([np.vdot(phi0.values, row) * dv for row in rows])
+    return values - (coeffs.reshape((-1,) + (1,) * phi0.values.ndim)
+                     * phi0.values).reshape(values.shape)

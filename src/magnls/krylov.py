@@ -31,8 +31,9 @@ built, so that the cost falls in set-up rather than in the first solve;
 dense (small electric-only) runs never import it.
 
 Every Krylov subspace the package projects onto comes from ``arnoldi``:
-the Crank-Nicolson powers of ``hamiltonian.cn_power`` and the Lanczos
-estimate of the weighted resolvent norms in ``analysis``.  It
+the Crank-Nicolson powers of ``hamiltonian.cn_power``, a stack of one
+start, and the Lanczos estimates of the weighted resolvent norms in
+``analysis``, one start per frequency, advanced in lockstep.  It
 orthogonalizes by two-pass classical Gram-Schmidt and never assumes the
 operator Hermitian: the collocated magnetic H is not (Saad, Numerical
 Methods for Large Eigenvalue Problems, 2nd ed., SIAM 2011).
@@ -164,51 +165,73 @@ def richardson(sweep, start: np.ndarray | None = None, *, bound: float,
     return y
 
 
-def _mapped_zeros(rows: int, cols: int) -> np.ndarray:
+def _mapped_zeros(*shape: int) -> np.ndarray:
     """A complex zero array on its own anonymous mapping, whose pages become
     resident only once written.  Sized to a budget but mostly unwritten, an
     ordinary allocation would be advised into huge pages and, once freed,
     would raise the allocator's mmap threshold for the rest of the run."""
-    buf = mmap.mmap(-1, 16 * rows * cols)
-    return np.frombuffer(buf, dtype=np.complex128).reshape(rows, cols)
+    buf = mmap.mmap(-1, 16 * math.prod(shape))
+    return np.frombuffer(buf, dtype=np.complex128).reshape(shape)
 
 
-def arnoldi(apply, v0: np.ndarray, m_max: int):
-    """Arnoldi process on K_m(apply, v0), one step per iteration.
+def arnoldi(apply, v0: np.ndarray, m_max: int, live: np.ndarray | None = None):
+    """Arnoldi processes on K_m(apply, v), one for each row v of ``v0``, all
+    advancing in lockstep, one step per iteration.
 
-    ``apply`` acts on and returns 1-d complex arrays; ``v0`` is a nonzero
-    1-d start.  After step m it yields ``(m, basis, hess)``: rows 0..m of
-    ``basis`` are orthonormal (row m only when h_{m+1,m} > 0) and
-    ``hess[:m + 1, :m]`` is the Hessenberg matrix of the relation
-    apply(basis[:m].T) = basis[:m + 1].T hess[:m + 1, :m].  Each new
-    direction is orthogonalized by two passes of classical Gram-Schmidt.
-    The process ends after ``min(m_max, v0.size)`` steps, or after the step
-    whose new direction is exactly zero, when K_m is invariant.  The arrays
-    are reused across steps, and ``basis`` is allocated for m_max + 1 rows
-    but becomes resident only as rows are written.
+    ``v0`` is a stack of K nonzero starts, shape (K, size); a single start
+    is a stack of one.  ``apply`` maps a stack of rows to the stack of
+    their images.  ``live``, a boolean mask over the K processes that the
+    caller may hold, is read before each step, and only its true rows take
+    the step; the caller retires a process by clearing its entry, and
+    without a mask none is retired.  After step m it yields
+    ``(m, rows, basis, hess)``, with ``rows`` the indices of the processes
+    that took the step.  For each such row k, rows 0..m of ``basis[k]`` are
+    orthonormal (row m only when h_{m+1,m} > 0) and ``hess[k, :m + 1, :m]``
+    is the Hessenberg matrix of the relation
+    apply(basis[k, :m].T) = basis[k, :m + 1].T hess[k, :m + 1, :m]; a
+    retired process keeps the arrays of its last step.  Each new direction
+    is orthogonalized by two passes of classical Gram-Schmidt, taken for
+    all K processes as one ``np.matmul`` over the stacked bases, so each
+    process is its own run, bit for bit.  A process whose new direction is
+    exactly zero, when K_m is invariant, is retired here by clearing its
+    ``live`` entry.  The processes end when none is live, or after
+    ``min(m_max, size)`` steps.  The arrays are reused across steps, and
+    ``basis`` is allocated for m_max + 1 rows per start but becomes
+    resident only as rows are written.
     """
-    size = v0.size
+    count, size = v0.shape
     m_max = min(m_max, size)
     if m_max < 1:
         return
-    basis = _mapped_zeros(m_max + 1, size)
-    hess = _mapped_zeros(m_max + 1, m_max)
-    basis[0] = v0 / np.linalg.norm(v0)
+    if live is None:
+        live = np.ones(count, dtype=bool)
+    basis = _mapped_zeros(count, m_max + 1, size)
+    hess = _mapped_zeros(count, m_max + 1, m_max)
+    for k, v in enumerate(v0):
+        basis[k, 0] = v / np.linalg.norm(v)
     for j in range(m_max):
-        w = apply(basis[j])
-        v = basis[:j + 1]
-        c1 = (v @ w.conj()).conj()
-        w = w - c1 @ v
-        c2 = (v @ w.conj()).conj()
-        w -= c2 @ v
-        hess[:j + 1, j] = c1 + c2
-        tail = np.linalg.norm(w)
-        hess[j + 1, j] = tail
-        if tail > 0.0:
-            basis[j + 1] = w / tail
-        yield j + 1, basis, hess
-        if tail == 0.0:
+        rows = np.flatnonzero(live)
+        if rows.size == 0:
             return
+        if rows.size == count:   # every process live: views, no gathers
+            sel, w = slice(None), apply(basis[:, j])
+        else:   # a retired process orthogonalizes a zero direction
+            sel, w = rows, np.zeros((count, size), dtype=np.complex128)
+            w[rows] = apply(basis[rows, j])
+        v = basis[:, :j + 1]
+        c1 = np.matmul(v, w.conj()[..., None])[..., 0].conj()
+        w = w - np.matmul(c1[:, None], v)[:, 0]
+        c2 = np.matmul(v, w.conj()[..., None])[..., 0].conj()
+        w -= np.matmul(c2[:, None], v)[:, 0]
+        hess[sel, :j + 1, j] = (c1 + c2)[sel]
+        for k in rows:
+            tail = np.linalg.norm(w[k])
+            hess[k, j + 1, j] = tail
+            if tail > 0.0:
+                basis[k, j + 1] = w[k] / tail
+            else:
+                live[k] = False
+        yield j + 1, rows, basis, hess
 
 
 def davidson(apply, precondition, v0: np.ndarray, tols, *, m_max: int,

@@ -12,6 +12,9 @@ contiguous.  ``first_order_parts`` takes the stack's gradient from the
 stacked spectral calculus of ``grid`` and every first-order norm reads its
 |f| and |grad f|; each row's transforms and sums are those of the field
 alone, bit for bit, and the single-field norms are the one-row case.
+The L^p norms (``norm_lp_rows``) and the second-order sums
+(``norm_w2p_sums``, from one transform of the stack) of a stack work the
+same way.
 """
 
 from __future__ import annotations
@@ -88,15 +91,22 @@ class FirstOrderParts:
                 for sf, sg in zip(sums_f, sums_g)]
 
 
-def first_order_parts(grid: GridSpec, stack: np.ndarray) -> FirstOrderParts:
-    """|f| and |grad f| of a stack of shape (K,) + grid.sizes, from one
-    forward transform of the whole stack and one inverse per axis."""
+def _checked_stack(grid: GridSpec, stack: np.ndarray) -> np.ndarray:
+    """The stack as a contiguous complex array of shape (K,) + grid.sizes,
+    every sample finite."""
     arr = np.ascontiguousarray(stack, dtype=np.complex128)
     if arr.shape[1:] != grid.sizes:
         raise GridMismatchError(
             f"stack shape {arr.shape} is not (K,) + grid sizes {grid.sizes}")
     if not np.isfinite(arr).all():
         raise MagnlsError("field contains non-finite samples")
+    return arr
+
+
+def first_order_parts(grid: GridSpec, stack: np.ndarray) -> FirstOrderParts:
+    """|f| and |grad f| of a stack of shape (K,) + grid.sizes, from one
+    forward transform of the whole stack and one inverse per axis."""
+    arr = _checked_stack(grid, stack)
     return FirstOrderParts(grid, np.abs(arr),
                            _grad_rows(grid, stack_fft(grid, arr)))
 
@@ -106,8 +116,13 @@ def field_parts(f: ComplexField) -> FirstOrderParts:
     return first_order_parts(f.grid, f.values[None])
 
 
+def norm_lp_rows(grid: GridSpec, stack: np.ndarray, p: float) -> list[float]:
+    """``norm_lp`` of each row of a stack of shape (K,) + grid.sizes."""
+    return _lp_rows(np.abs(stack), p, grid.volume_element)
+
+
 def norm_lp(f: ComplexField, p: float) -> float:
-    return _lp_rows(np.abs(f.values)[None], p, f.grid.volume_element)[0]
+    return norm_lp_rows(f.grid, f.values[None], p)[0]
 
 
 def grad_magnitude(f: ComplexField) -> np.ndarray:
@@ -145,16 +160,20 @@ def norm_h2(f: ComplexField) -> float:
     return float(np.linalg.norm(weighted.ravel()) * np.sqrt(g.volume) / g.total_points)
 
 
-def norm_w2p_sums(f: ComplexField, ps) -> list[float]:
-    """``norm_w2p_sum(f, p)`` for each p in ``ps``; grad f and lap f come
-    from one forward transform of f."""
-    g = f.grid
-    fhat = stack_fft(g, f.values[None])
-    rows = np.concatenate((np.abs(f.values)[None], _grad_rows(g, fhat),
-                           np.abs(stack_laplacian(g, fhat))))
-    return [sum(_lp_rows(rows, p, g.volume_element)) for p in ps]
+def norm_w2p_sums(grid: GridSpec, stack: np.ndarray,
+                  ps) -> list[list[float]]:
+    """For each p in ``ps``, ``norm_w2p_sum`` of each row of a stack of
+    shape (K,) + grid.sizes; grad and lap of every row come from one
+    forward transform of the stack."""
+    arr = _checked_stack(grid, stack)
+    fhat = stack_fft(grid, arr)
+    parts = (np.abs(arr), _grad_rows(grid, fhat),
+             np.abs(stack_laplacian(grid, fhat)))
+    dv = grid.volume_element
+    return [[sum(row) for row in zip(*(_lp_rows(a, p, dv) for a in parts))]
+            for p in ps]
 
 
 def norm_w2p_sum(f: ComplexField, p: float) -> float:
     """||f||_p + ||grad f||_p + ||lap f||_p, the plain-sum second-order norm."""
-    return norm_w2p_sums(f, (p,))[0]
+    return norm_w2p_sums(f.grid, f.values[None], (p,))[0][0]

@@ -8,27 +8,34 @@ import numpy as np
 import pytest
 
 import oracles as orc
-from magnls import hamiltonian, krylov
+from magnls import analysis, hamiltonian, krylov
+from magnls import grid as grid_module
 from magnls import (
     ConfigError,
     GridSpec,
     MagnlsError,
     XNormAccumulator,
+    apply_h1,
     build_gaussian_well,
     build_hamiltonian,
     build_localized_loop_field,
     default_lambda_grid,
     from_function,
     ground_state,
+    inner_l2,
     is_admissible,
     make_field,
     make_potential_pair,
     norm_equivalence_check,
     norm_h1,
     norm_l2,
+    norm_lp,
     norm_w1p,
+    norm_w2p_sum,
     norm_weighted_h1,
     resolvent_bound_scan,
+    resolvent_solve,
+    shifted_solve,
     strichartz_ratio,
     zero_vector_field,
     zeros,
@@ -249,6 +256,153 @@ def test_norm_equivalence_negative_control():
     report = norm_equivalence_check(spec, trials=32, seed=5)
     assert not report.ok
     assert any(row.r_min < 1e-3 for row in report.rows)
+
+
+# The stacked scans against per-sample loops, on the dense 256-point sech
+# well and the Krylov 16 x 16 loop: each must be the loop, bit for bit.
+
+@pytest.fixture(scope="module")
+def loop_16_spec():
+    g = GridSpec(2, (16, 16), (20.0, 20.0))
+    return build_hamiltonian(make_potential_pair(
+        build_localized_loop_field(g, 0.3, 1.5, 1.0),
+        build_gaussian_well(g, -2.0, 1.0).v))
+
+
+@pytest.fixture(scope="module", params=["sech_spec", "loop_16_spec"])
+def stacked_case(request):
+    """The operator and its ground state, on either backend."""
+    spec = request.getfixturevalue(request.param)
+    assert spec.linear_backend == ("dense" if request.param == "sech_spec"
+                                   else "krylov")
+    return spec, ground_state(spec)
+
+
+def test_a_stacked_arnoldi_is_each_rows_own_run(stacked_case):
+    # three processes in lockstep, the second retired after step 2: every
+    # step of every row equals that row's run alone
+    spec, _ = stacked_case
+    g = spec.grid
+    rng = np.random.default_rng(41)
+    starts = (rng.standard_normal((3, g.total_points))
+              + 1j * rng.standard_normal((3, g.total_points)))
+
+    def apply(rows):
+        return np.stack([hamiltonian._apply_h_values(
+            spec, row.reshape(g.sizes)).ravel() for row in rows])
+
+    def steps(run):
+        return [(m, basis[:m + 1].copy(), hess[:m + 1, :m].copy())
+                for m, basis, hess in run]
+
+    alone = [steps((m, b[0], h[0]) for m, _, b, h in
+                   krylov.arnoldi(apply, start[None], 8)) for start in starts]
+    live = np.ones(3, dtype=bool)
+    stacked = [[], [], []]
+    for m, rows, basis, hess in krylov.arnoldi(apply, starts, 8, live):
+        for k in rows:
+            stacked[k].append((m, basis[k, :m + 1].copy(),
+                               hess[k, :m + 1, :m].copy()))
+        if m == 2:
+            live[1] = False
+    assert [len(run) for run in stacked] == [8, 2, 8]
+    for want, got in zip(alone, stacked):
+        for (m_w, basis_w, hess_w), (m_g, basis_g, hess_g) in zip(want, got):
+            assert m_w == m_g
+            assert np.array_equal(basis_w, basis_g)
+            assert np.array_equal(hess_w, hess_g)
+
+
+def _scan_one_point(spec, eig, lam, start, eps, sigma, power_iters):
+    """One lambda point of the resolvent scan on its own: Lanczos on M* M
+    from ``arnoldi`` with ``resolvent_solve``, stopped once it settles."""
+    g = spec.grid
+    w = (1.0 + g.radius**2) ** (-0.5 * sigma)
+    zeta = lam * lam + 1j * eps
+
+    def project(values):
+        f = make_field(g, values)
+        return f.values - inner_l2(eig.phi0, f) * eig.phi0.values
+
+    def apply(rows):
+        f = make_field(g, project(w * rows[0].reshape(g.sizes)))
+        u = resolvent_solve(spec, zeta, f, strict=False)
+        u = resolvent_solve(spec, np.conj(zeta),
+                            make_field(g, w * w * u.values), strict=False)
+        return (w * project(u.values)).reshape(1, -1)
+
+    est, used, converged = 0.0, 0, False
+    for used, _, _, (hess,) in krylov.arnoldi(apply, start.reshape(1, -1),
+                                              power_iters):
+        ritz = np.linalg.eigvals(hess[:used, :used]).real.max()
+        new_est = math.sqrt(max(ritz, 0.0))
+        converged = est > 0.0 and abs(new_est - est) <= 1e-4 * est
+        est = new_est
+        if converged:
+            break
+    return (float(lam), est, math.sqrt(1.0 + lam * lam) * est, used,
+            converged)
+
+
+def test_the_lockstep_scan_is_a_per_point_loop(stacked_case):
+    spec, eig = stacked_case
+    g = spec.grid
+    lams = default_lambda_grid(spec)
+    scan = resolvent_bound_scan(spec, eig, lambda_grid=lams, seed=3)
+    rng = np.random.default_rng(3)
+    want = []
+    for lam in lams:
+        start = (rng.standard_normal(g.sizes)
+                 + 1j * rng.standard_normal(g.sizes))
+        want.append(_scan_one_point(spec, eig, lam, start, 1e-2, 4.1, 20))
+    got = [(p.lam, p.opnorm, p.scaled, p.power_iters, p.converged)
+           for p in scan.points]
+    assert got == want
+    # the points retire at different steps, so the lockstep retires rows
+    assert len({p.power_iters for p in scan.points}) > 1
+
+
+def test_norm_equivalence_is_a_per_trial_loop(stacked_case):
+    spec, _ = stacked_case
+    g = spec.grid
+    rng = np.random.default_rng(13)
+    mask = np.all([np.abs(k) <= analysis._BAND_FRACTION * np.abs(k).max()
+                   for k in g.k_mesh], axis=0)
+
+    def trial():
+        coeffs = (rng.standard_normal(g.sizes)
+                  + 1j * rng.standard_normal(g.sizes))
+        coeffs[~mask] = 0.0
+        f = make_field(g, grid_module.ifftn(coeffs))
+        return make_field(g, f.values / max(norm_l2(f), 1e-300))
+
+    fields = [trial() for _ in range(64)]
+    probe = trial()
+    for _ in range(4):
+        sol = shifted_solve(spec, -spec.k_shift, probe, tol_rel=1e-8,
+                            strict=False)
+        probe = make_field(g, sol.values / norm_l2(sol))
+    fields.append(probe)
+    report = norm_equivalence_check(spec, trials=64, seed=13)
+    assert report.trials == 65
+    for row in report.rows:
+        ratios = [norm_lp(apply_h1(spec, f), row.p)
+                  / max(norm_w2p_sum(f, row.p), 1e-300) for f in fields]
+        assert (row.r_min, row.r_max) == (min(ratios), max(ratios))
+        assert row.spread == row.r_max / row.r_min
+
+
+def test_norm_equivalence_in_chunks_of_a_few_rows(monkeypatch):
+    # a 32 x 32 loop in chunks of 3 rows, the probe's chunk short, against
+    # every field in one chunk
+    g = GridSpec(2, (32, 32), (20.0, 20.0))
+    spec = build_hamiltonian(make_potential_pair(
+        build_localized_loop_field(g, 0.3, 1.5, 1.0),
+        build_gaussian_well(g, -2.0, 1.0).v))
+    monkeypatch.setattr(analysis, "_TRIAL_STACK_BYTES", 2**40)
+    whole = norm_equivalence_check(spec, trials=16, seed=5)
+    monkeypatch.setattr(analysis, "_TRIAL_STACK_BYTES", 3 * 16 * 32 * 32)
+    assert norm_equivalence_check(spec, trials=16, seed=5) == whole
 
 
 def test_family_sweep_notes_a_skipped_decay_fit():

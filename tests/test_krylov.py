@@ -230,8 +230,10 @@ def test_arnoldi_basis_and_relation_on_a_non_hermitian_matrix():
     assert np.linalg.norm(a - a.conj().T) > 1.0
     v0 = rng.standard_normal(n) + 1j * rng.standard_normal(n)
     steps = []
-    for m, basis, hess in krylov.arnoldi(lambda v: a @ v, v0, m_max):
+    for m, rows, (basis,), (hess,) in krylov.arnoldi(
+            lambda vs: vs @ a.T, v0[None], m_max):
         steps.append(m)
+        assert rows.tolist() == [0]
         v = basis[:m + 1]
         assert np.abs(v.conj() @ v.T - np.eye(m + 1)).max() <= 1e-12
         assert np.linalg.norm(a @ v[:m].T - v.T @ hess[:m + 1, :m]) <= (
@@ -249,15 +251,17 @@ def test_arnoldi_ends_on_an_exactly_invariant_subspace():
     a[3:, 3:] = rng.standard_normal((3, 3))
     applied = 0
 
-    def apply(v):
+    def apply(vs):
         nonlocal applied
         applied += 1
-        return a @ v
+        return vs @ a.T
 
-    v0 = np.zeros(6, dtype=np.complex128)
-    v0[0] = 1.0
-    *_, (m, basis, hess) = krylov.arnoldi(apply, v0, 6)
+    v0 = np.zeros((1, 6), dtype=np.complex128)
+    v0[0, 0] = 1.0
+    live = np.ones(1, dtype=bool)
+    *_, (m, _, (basis,), (hess,)) = krylov.arnoldi(apply, v0, 6, live)
     assert m == applied == 3
+    assert not live[0]
     assert hess[3, 2] == 0.0
     assert np.array_equal(a @ basis[:3].T, basis[:3].T @ hess[:3, :3])
 

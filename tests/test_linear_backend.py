@@ -369,19 +369,49 @@ def test_dense_shifted_solve_matches_krylov(shift, sech_spec, sech_eig):
     assert diff <= 1e-10 * np.linalg.norm(krylov)
 
 
+def h_matrix_by_columns(spec):
+    """The matrix of H one grid point at a time: column n is the window of
+    the twice-tiled circulant columns rolled by the point's index, plus B
+    of the unit vector there (``_b_values``)."""
+    g = spec.grid
+    derivs = list(g.symbols[1:]) if spec.magnetic else []
+    c = grid_module.stack_ifft(g, np.stack([g.k_squared] + derivs))
+    if not spec.magnetic:
+        c = c.real
+    tiled = np.tile(c, (1,) + (2,) * g.dim)
+    mat_t = np.empty((g.total_points, g.total_points), dtype=c.dtype)
+    unit = np.zeros(g.sizes)
+    for n, m in enumerate(np.ndindex(*g.sizes)):
+        cols = tiled[(slice(None),) + tuple(
+            slice(size - k, 2 * size - k) for size, k in zip(g.sizes, m))]
+        unit[m] = 1.0
+        col = cols[0] + hamiltonian._b_values(spec, unit, cols[1:])
+        unit[m] = 0.0
+        mat_t[n] = (col if spec.magnetic else col.real).ravel()
+    return mat_t.T
+
+
 @pytest.mark.parametrize("make", [
     lambda: gauge_1d(16),
     lambda: loop(16),
     lambda: loop(8, dim=3, length=12.0),
     lambda: build_hamiltonian(build_gaussian_well(
         GridSpec(2, (8, 16), (12.0, 20.0)), -2.0, 1.0)),
-], ids=["gauge_1d", "loop_2d", "loop_3d", "electric_2d"])
+    lambda: well(1, 256, 40.0),
+    lambda: well(3, 8, 12.0),
+], ids=["gauge_1d", "loop_2d", "loop_3d", "electric_2d", "well_1d",
+        "well_3d"])
 def test_h_matrix_matches_the_oracle(make):
+    # the strided assembly is the column-by-column one bit for bit, the
+    # sign of every zero included
     spec = make()
     got = hamiltonian.h_matrix(spec)
     want = orc.hamiltonian_matrix(spec)
     assert got.dtype == (np.complex128 if spec.magnetic else np.float64)
     assert np.max(np.abs(got - want)) <= 1e-14 * np.max(np.abs(want))
+    by_columns = h_matrix_by_columns(spec)
+    assert got.dtype == by_columns.dtype
+    assert got.tobytes() == by_columns.tobytes()
 
 
 @pytest.fixture(scope="module")

@@ -102,14 +102,17 @@ def test_second_order_sum_norm_components():
 
 
 def _oracle_stacks():
-    """Stacks of fields on the 64-point well and the 16x16 loop grids: the
-    potentials, a random field and a zero row (the Duhamel fields at t = 0)."""
+    """Stacks of fields on the 64- and 256-point well and the 16x16 loop
+    grids: the potentials, a random field and a zero row (the Duhamel
+    fields at t = 0)."""
     rng = np.random.default_rng(5)
     well = GridSpec(1, (64,), (20.0,))
+    well_256 = GridSpec(1, (256,), (40.0,))
     loop = GridSpec(2, (16, 16), (20.0, 20.0))
     out = []
     loop_a = build_localized_loop_field(loop, 0.3, 1.5, 1.0)
     for g, named in ((well, [build_gaussian_well(well, -2.0, 1.0).v]),
+                     (well_256, [build_gaussian_well(well_256, -1.0, 1.0).v]),
                      (loop, list(loop_a.components))):
         rows = [f.values for f in named]
         rows.append(rng.standard_normal(g.sizes)
@@ -121,7 +124,7 @@ def _oracle_stacks():
 
 
 @pytest.mark.parametrize("grid, stack", _oracle_stacks(),
-                         ids=["well_64", "loop_16x16"])
+                         ids=["well_64", "well_256", "loop_16x16"])
 def test_stacked_first_order_norms_match_the_dense_oracle(grid, stack):
     parts = first_order_parts(grid, stack)
     for grad, values in zip(parts.grad, stack):
@@ -146,17 +149,18 @@ def test_stacked_first_order_norms_match_the_dense_oracle(grid, stack):
 
 
 @pytest.mark.parametrize("grid, stack", _oracle_stacks(),
-                         ids=["well_64", "loop_16x16"])
+                         ids=["well_64", "well_256", "loop_16x16"])
 def test_second_order_sums_share_one_transform_and_match_the_oracle(grid,
                                                                     stack):
+    # each row of the stacked sums is its single field's sum, bit for bit
     ps = (2.0, 18.0 / 5.0, math.inf)
-    for values in stack[:-1]:
+    sums = norm_w2p_sums(grid, stack[:-1], ps)
+    for row, values in enumerate(stack[:-1]):
         f = make_field(grid, values)
-        sums = norm_w2p_sums(f, ps)
-        assert sums == [norm_w2p_sum(f, p) for p in ps]
+        assert [s[row] for s in sums] == [norm_w2p_sum(f, p) for p in ps]
         for p, got in zip(ps, sums):
-            assert got == pytest.approx(orc.w2p_sum_norm(grid, values, p),
-                                        rel=1e-12)
+            assert got[row] == pytest.approx(
+                orc.w2p_sum_norm(grid, values, p), rel=1e-12)
 
 
 def test_a_stack_with_a_non_finite_row_is_rejected():
